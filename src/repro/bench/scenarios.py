@@ -7,11 +7,15 @@ Importing this module registers the scenarios (see
   workloads (plus the explicit heat2d stencil, whose fused step is a
   measured optimisation target),
 * ``nn/*`` — surrogate forward, forward+backward+Adam training step, the
-  bare optimizer update, the conv-surrogate forward, and the tape-overhead
-  A/B probe (``nn/tape_overhead`` re-runs the training step under an
+  loss node alone at paper shape (``nn/loss_step``), the composed
+  ``mse_loss``/``l1_loss`` primitives at the same shape
+  (``nn/composed_loss_step``), the bare optimizer update, the
+  conv-surrogate forward, and the tape-overhead A/B probe (``nn/tape_overhead`` re-runs the training step under an
   explicit ``Tape`` recording when ``REPRO_TAPE_EXPLICIT=1``, so
   ``--compare`` between a dark and an enabled report bounds the cost of
   graph recording),
+* ``validation/*`` — the fixed validation set at paper shape (64×64 grid,
+  T=100): building 20 trajectories and one evaluation pass over them,
 * ``reservoir/*`` — buffer ingest (with eviction) and batch draws,
 * ``checkpoint/*`` — full-session snapshot save and restore,
 * ``session/*`` — a small end-to-end on-line training run,
@@ -193,6 +197,53 @@ def _nn_train_step() -> ScenarioRun:
 
 
 @register_scenario(
+    "nn/loss_step",
+    units="batches",
+    description="per-sample MSE forward + backward into the prediction (batch 128, output 4096)",
+)
+def _nn_loss_step() -> ScenarioRun:
+    from repro import nn
+    from repro.nn.tensor import Tensor
+
+    rng = np.random.default_rng(4)
+    prediction = Tensor(rng.random((128, 64 * 64)), requires_grad=True)
+    target = Tensor(rng.random((128, 64 * 64)))
+    inner = 20
+
+    def fn() -> int:
+        for _ in range(inner):
+            prediction.zero_grad()
+            nn.functional.per_sample_mse(prediction, target).mean().backward()
+        return inner
+
+    return ScenarioRun(fn=fn)
+
+
+@register_scenario(
+    "nn/composed_loss_step",
+    units="batches",
+    description="composed mse_loss + l1_loss forward + backward, constant target (batch 128, output 4096)",
+)
+def _nn_composed_loss_step() -> ScenarioRun:
+    from repro import nn
+    from repro.nn.tensor import Tensor
+
+    rng = np.random.default_rng(4)
+    prediction = Tensor(rng.random((128, 64 * 64)), requires_grad=True)
+    target = Tensor(rng.random((128, 64 * 64)))
+    inner = 10
+
+    def fn() -> int:
+        for _ in range(inner):
+            prediction.zero_grad()
+            nn.functional.mse_loss(prediction, target).backward()
+            nn.functional.l1_loss(prediction, target).backward()
+        return 2 * inner
+
+    return ScenarioRun(fn=fn)
+
+
+@register_scenario(
     "nn/optimizer_step",
     units="steps",
     description="bare Adam update over the surrogate parameter set (grads pre-filled)",
@@ -279,6 +330,50 @@ def _nn_conv_forward() -> ScenarioRun:
             for _ in range(inner):
                 model(x)
         return inner * 64
+
+    return ScenarioRun(fn=fn)
+
+
+# ----------------------------------------------------------------- validation
+
+
+def _paper_workload():
+    from repro.experiments.base import base_config
+
+    return base_config("paper").build_workload()
+
+
+@register_scenario(
+    "validation/build",
+    units="samples",
+    description="validation-set build at paper shape (20 Halton trajectories, 64x64 grid, T=100)",
+)
+def _validation_build() -> ScenarioRun:
+    from repro.surrogate.validation import validation_set_for_workload
+
+    workload = _paper_workload()
+    solver = workload.build_solver()
+
+    def fn() -> int:
+        return len(validation_set_for_workload(workload, 20, solver=solver))
+
+    return ScenarioRun(fn=fn)
+
+
+@register_scenario(
+    "validation/eval",
+    units="samples",
+    description="one validation_loss pass over a 2020-row paper-shape set (MLP 6-16-4096)",
+)
+def _validation_eval() -> ScenarioRun:
+    from repro.surrogate.validation import validation_loss, validation_set_for_workload
+
+    validation_set = validation_set_for_workload(_paper_workload(), 20)
+    model, _, _ = _surrogate(hidden=16, layers=1)
+
+    def fn() -> int:
+        validation_loss(model, validation_set)
+        return len(validation_set)
 
     return ScenarioRun(fn=fn)
 

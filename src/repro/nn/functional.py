@@ -4,10 +4,11 @@ These free functions mirror a minimal subset of ``torch.nn.functional`` so the
 surrogate model and training loop read like their PyTorch equivalents in the
 original Melissa code base.
 
-The compute-heavy kernels (:func:`linear`, :func:`conv2d`) are recorded as
-*single* ops on the autograd graph: one fused forward, and one registered VJP
-(see :func:`repro.nn.tensor.register_vjp`) computing every parent gradient in
-one pass — instead of the chain of primitive nodes the composed form would
+The compute-heavy kernels (:func:`linear`, :func:`conv2d`,
+:func:`per_sample_mse`) are recorded as *single* ops on the autograd graph:
+one fused forward, and one registered VJP (see
+:func:`repro.nn.tensor.register_vjp`) computing every parent gradient in one
+pass — instead of the chain of primitive nodes the composed form would
 record.  The arithmetic of each fused VJP is the exact operation sequence of
 the composed form, so results and gradients are bit-identical; the fusion
 removes per-layer graph bookkeeping and skips input gradients entirely when
@@ -17,6 +18,7 @@ layer's batch input).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -54,7 +56,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         return out
     out = xd @ w.T
     if bias is not None:
-        out = out + bias.data
+        out += bias.data  # into the fresh GEMM output: no second array
         parents = (x, weight, bias)
     else:
         parents = (x, weight)
@@ -214,14 +216,42 @@ def per_sample_mse(prediction: Tensor, target: Tensor) -> Tensor:
     This is the quantity Breed consumes: the loss of each individual sample in
     a batch (``l_{jt}`` in the paper), from which batch mean/std and the
     deviation statistic are computed without any extra forward passes.
+
+    Recorded as one fused ``"per_sample_mse"`` node saving ``diff`` (instead
+    of the composed sub → mul → mean chain, whose backward allocates five
+    batch-sized arrays where one suffices) when ``target`` is a constant of
+    the prediction's shape.
     """
     target = as_tensor(target)
-    diff = prediction - target
-    squared = diff * diff
-    if squared.ndim == 1:
-        return squared
-    axes = tuple(range(1, squared.ndim))
-    return squared.mean(axis=axes)
+    pd, td = prediction.data, target.data
+    if pd.shape != td.shape or needs_grad(target):
+        # A broadcasting or live target keeps the composed implementation.
+        diff = prediction - target
+        squared = diff * diff
+        if squared.ndim == 1:
+            return squared
+        return squared.mean(axis=tuple(range(1, squared.ndim)))
+    diff = pd - td
+    per_sample = diff * diff
+    if diff.ndim > 1:
+        per_sample = per_sample.mean(axis=tuple(range(1, diff.ndim)))
+    return prediction._make(per_sample, (prediction,), "per_sample_mse", saved=(diff,))
+
+
+@register_vjp("per_sample_mse")
+def _vjp_per_sample_mse(node: Node, grad: np.ndarray):
+    """Fused backward of :func:`per_sample_mse`: ``2 · (g / denom) · diff``.
+
+    The composed form sends ``(g / denom) · diff`` into ``diff`` twice (once
+    per factor of ``diff * diff``) and adds the two; ``x + x`` and ``2 · x``
+    are the same IEEE-754 number, so one product doubled in place is
+    bit-identical.
+    """
+    (diff,) = node.saved
+    g = grad / math.prod(diff.shape[1:])
+    grad_prediction = g.reshape(g.shape + (1,) * (diff.ndim - 1)) * diff
+    grad_prediction *= 2.0
+    return (grad_prediction,)
 
 
 def l1_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:

@@ -105,15 +105,11 @@ def apply_dirichlet_boundaries(field: np.ndarray, t1: float, t2: float, t3: floa
 def _laplacian_interior(n: int, dx: float) -> sparse.csr_matrix:
     """5-point Laplacian on the ``(n-2)²`` interior nodes (Dirichlet)."""
     m = n - 2
-    main = -4.0 * np.ones(m)
-    off = np.ones(m - 1)
-    lap_1d = sparse.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
     identity = sparse.identity(m, format="csr")
     # 2-D Laplacian via Kronecker sums; row-major (x1 slow, x2 fast) ordering.
     lap_2d = sparse.kron(identity, sparse.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)], [-1, 0, 1])) + sparse.kron(
         sparse.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)], [-1, 0, 1]), identity
     )
-    del lap_1d, main, off
     return (lap_2d / (dx * dx)).tocsr()
 
 

@@ -42,9 +42,11 @@ class MinMaxScaler:
     def dim(self) -> int:
         return self.low.shape[0]
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
+    def transform(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Map ``values`` to ``[0, 1]``; ``out`` (may be ``values``) receives the result."""
         arr = np.asarray(values, dtype=np.float64)
-        return (arr - self.low) / (self.high - self.low)
+        shifted = np.subtract(arr, self.low, out=out)
+        return np.divide(shifted, self.high - self.low, out=out)
 
     def inverse_transform(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values, dtype=np.float64)
@@ -159,8 +161,8 @@ class SurrogateScalers:
         rows = np.concatenate([params, steps], axis=1)
         return self.input_scaler.transform(rows)
 
-    def encode_output(self, field: np.ndarray) -> np.ndarray:
-        return self.output_scaler.transform(np.asarray(field, dtype=np.float64))
+    def encode_output(self, field: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.output_scaler.transform(np.asarray(field, dtype=np.float64), out=out)
 
     def decode_output(self, field: np.ndarray) -> np.ndarray:
         return self.output_scaler.inverse_transform(np.asarray(field, dtype=np.float64))

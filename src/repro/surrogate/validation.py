@@ -66,15 +66,31 @@ def build_validation_set(
     if n_trajectories <= 0:
         raise ValueError("n_trajectories must be positive")
     vectors = halton_in_bounds(n_trajectories, bounds, skip=skip, rng=rng, scramble=scramble)
-    inputs = []
-    targets = []
-    for params in vectors:
-        for timestep, field in enumerate(solver.steps(params)):
-            inputs.append(scalers.encode_input(params, timestep))
-            targets.append(scalers.encode_output(field))
+    rows = solver.n_timesteps + 1
+    timesteps = np.arange(rows, dtype=np.float64)
+    inputs = np.empty((n_trajectories * rows, vectors.shape[1] + 1), dtype=np.float64)
+    targets = np.empty((n_trajectories * rows, solver.field_size), dtype=np.float64)
+    for index, params in enumerate(vectors):
+        block = targets[index * rows : (index + 1) * rows]
+        count = 0
+        for field in solver.steps(params):
+            if count < rows:
+                block[count] = field
+            count += 1
+        if count != rows:
+            raise ValueError(
+                f"{type(solver).__name__}.steps yielded {count} fields for one trajectory; "
+                f"n_timesteps={solver.n_timesteps} requires {rows}"
+            )
+        # Both encodings are element-wise, so a trajectory block at a time
+        # gives the bits the per-sample calls gave.
+        scalers.encode_output(block, out=block)
+        inputs[index * rows : (index + 1) * rows] = scalers.encode_input(
+            np.broadcast_to(params, (rows, params.shape[0])), timesteps
+        )
     return ValidationSet(
-        inputs=np.stack(inputs, axis=0),
-        targets=np.stack(targets, axis=0),
+        inputs=inputs,
+        targets=targets,
         parameters=vectors,
         n_trajectories=n_trajectories,
         n_timesteps=solver.n_timesteps,
@@ -120,11 +136,38 @@ def validation_loss(
     """MSE of the surrogate over the whole validation set (normalised units)."""
     total = 0.0
     count = 0
+    inputs, targets = validation_set.inputs, validation_set.targets
     with nn.no_grad():
         for start in range(0, len(validation_set), batch_size):
             stop = min(start + batch_size, len(validation_set))
-            prediction = model(Tensor(validation_set.inputs[start:stop]))
-            diff = prediction.data - validation_set.targets[start:stop]
-            total += float(np.sum(diff * diff))
+            prediction = model(Tensor(inputs[start:stop])).data
+            expected = targets[start:stop]
+            # One (1024, 4096) float64 array is 32 MiB: a second one beside the
+            # prediction pushes the batch out of the last-level cache, and a
+            # fresh one is mmap'd and page-faulted anew every time.  So the
+            # difference goes into the prediction itself when that is safe,
+            # else into the array NumPy allocates for it.
+            out = prediction if _may_overwrite(prediction, expected, inputs, model) else None
+            diff = np.subtract(prediction, expected, out=out)
+            np.multiply(diff, diff, out=diff)
+            total += float(np.sum(diff))
             count += diff.size
     return total / count if count else float("nan")
+
+
+def _may_overwrite(
+    prediction: np.ndarray, expected: np.ndarray, inputs: np.ndarray, model: nn.Module
+) -> bool:
+    """Whether ``prediction`` may stand in for the array ``prediction - expected`` allocates.
+
+    It must be laid out like that array (same shape, C order: the reduction
+    order, hence the result, depends on it), and writing to it must not reach
+    the inputs or a parameter — a layer may hand back a view of either
+    (``nn.Identity`` does).
+    """
+    return (
+        prediction.shape == expected.shape
+        and prediction.flags.c_contiguous
+        and not np.may_share_memory(prediction, inputs)
+        and not any(np.may_share_memory(prediction, p.data) for p in model.parameters())
+    )

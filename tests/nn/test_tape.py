@@ -54,6 +54,13 @@ class TestTapeRecording:
         # Forward only is recorded; backward derives from the graph.
         assert tape.counts()["linear"] == 2
 
+    def test_training_loss_subgraph_is_two_nodes(self):
+        model = nn.Sequential(nn.Linear(6, 4, rng=np.random.default_rng(0)))
+        prediction = model(Tensor(np.ones((3, 6))))
+        with Tape() as tape:
+            F.per_sample_mse(prediction, Tensor(np.zeros((3, 4)))).mean()
+        assert tape.ops() == ["per_sample_mse", "mean"]
+
     def test_nesting_inner_tape_records(self):
         a = Tensor([1.0], requires_grad=True)
         with Tape() as outer:
@@ -120,7 +127,7 @@ class TestVjpRegistry:
     def test_vjp_names_sorted_and_complete(self):
         names = vjp_names()
         assert names == sorted(names)
-        for expected in ("add", "linear", "conv2d", "matmul", "mean", "stack"):
+        for expected in ("add", "linear", "conv2d", "per_sample_mse", "matmul", "mean", "stack"):
             assert expected in names
 
 
@@ -154,6 +161,30 @@ class TestDeadInputSkipping:
         assert contributions[0] is None
         assert contributions[1].shape == layer.weight.shape
         assert contributions[2].shape == layer.bias.shape
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_binary_primitives_skip_the_constant_parent(self, op):
+        live = Tensor(np.full((2, 3), 2.0), requires_grad=True)
+        constant = Tensor(np.full((2, 3), 4.0))
+        apply = {
+            "add": lambda a, b: a + b,
+            "sub": lambda a, b: a - b,
+            "mul": lambda a, b: a * b,
+            "div": lambda a, b: a / b,
+        }[op]
+        grad = np.ones((2, 3))
+        left, right = apply(live, constant).grad_fn.vjp(grad)
+        assert left is not None and right is None
+        left, right = apply(constant, live).grad_fn.vjp(grad)
+        assert left is None and right is not None
+        both = apply(live, live * 1.0).grad_fn.vjp(grad)
+        assert all(contribution is not None for contribution in both)
+
+    def test_per_sample_mse_has_one_parent(self):
+        prediction = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = F.per_sample_mse(prediction, Tensor(np.zeros((2, 3))))
+        assert out.grad_fn.op == "per_sample_mse"
+        assert out.grad_fn.parents == (prediction,)
 
     def test_first_layer_input_never_accumulates(self):
         model = nn.Sequential(nn.Linear(4, 3, rng=np.random.default_rng(0)), nn.ReLU())

@@ -88,6 +88,15 @@ class TestFusedLinearOracle:
         assert np.array_equal(w_t.grad, ref_w)
         assert np.array_equal(b_t.grad, ref_b)
 
+    @pytest.mark.parametrize("shape", [(32, 6), (6,)], ids=["batch", "single-sample"])
+    def test_forward_equals_out_of_place_bias_add(self, shape):
+        xd, w, b = _golden(shape, seed=40), _golden((16, 6), seed=41), _golden((16,), seed=42)
+        kept = xd.copy(), w.copy(), b.copy()
+        out = F.linear(Tensor(xd), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+        assert np.array_equal(out.data, xd @ w.T + b)
+        # the bias goes into the GEMM output, never into an operand
+        assert all(np.array_equal(now, before) for now, before in zip((xd, w, b), kept))
+
     def test_no_bias_variant(self):
         xd = _golden((8, 5), seed=30)
         w = _golden((3, 5), seed=31)
