@@ -1,9 +1,9 @@
 """Micro-benchmarks of the training-path components.
 
 These are ablation/throughput benches for the design choices documented in
-DESIGN.md: the NumPy autograd training step (the PyTorch substitute), the
-per-sample-loss acquisition bookkeeping, and the AMIS resampling step whose
-complexity the paper states is O(K).
+docs/ARCHITECTURE.md and docs/AUTOGRAD.md: the NumPy autograd training step
+(the PyTorch substitute), the per-sample-loss acquisition bookkeeping, and the
+AMIS resampling step whose complexity the paper states is O(K).
 """
 
 from __future__ import annotations

@@ -49,14 +49,25 @@ from repro.melissa.reservoir import Reservoir
 from repro.melissa.scheduler import BatchScheduler
 from repro.melissa.server import TrainingHistory, TrainingServer
 from repro.melissa.transport import InProcessTransport
+from repro.melissa.workers import SolverWorkers, start_workers
 from repro.nn.optim import Adam
 from repro.solvers.base import Solver
 from repro.surrogate.model import DirectSurrogate
-from repro.surrogate.validation import ValidationSet, validation_set_for_workload
+from repro.surrogate.validation import (
+    ValidationSet,
+    validation_set_floats,
+    validation_set_for_workload,
+)
 from repro.utils.logging import EventLog
 from repro.utils.rng import RngStreams
 
 __all__ = ["OnlineTrainingResult", "TrainingSession"]
+
+#: read-ahead window of a solver worker per running client: two ticks of the
+#: client's consumption (one being copied out, one computed behind it), and at
+#: least enough rows that a worker sleeping on full windows is woken once per
+#: several ticks rather than every tick
+RING_TICKS, MIN_RING_ROWS = 2, 8
 
 #: hook signatures (session, …) — see :meth:`TrainingSession.add_hook`
 TickHook = Callable[["TrainingSession"], None]
@@ -150,12 +161,38 @@ class TrainingSession:
         self.solver = solver if solver is not None else self.workload.build_solver()
         self.scalers = self.workload.build_scalers()
 
+        # --- solver workers (None: this process steps the solver itself) ---
+        # Forked now, while the process is small: the validation set and the
+        # reservoir do not exist yet, only the shared memory they will fill.
+        self._workers: Optional[SolverWorkers] = start_workers(
+            self.solver,
+            array_floats=0 if validation_set is not None else validation_set_floats(
+                self.solver, config.n_validation_trajectories
+            ),
+            ring_slots=config.job_limit,
+            ring_rows=max(RING_TICKS * config.timesteps_per_tick, MIN_RING_ROWS),
+        )
+        self._solver_wait_seen = 0.0
+        try:
+            self._build(config, validation_set, event_log)
+        except BaseException:
+            self.close()
+            raise
+
+    def _build(
+        self,
+        config: OnlineTrainingConfig,
+        validation_set: Optional[ValidationSet],
+        event_log: Optional[EventLog],
+    ) -> None:
+        """Everything the constructor builds once the solver (and workers) exist."""
         # --- validation set (fixed, Halton-sequence parameters) -----------
         if validation_set is None:
             validation_set = validation_set_for_workload(
                 self.workload,
                 config.n_validation_trajectories,
                 solver=self.solver,
+                workers=self._workers,
             )
         self.validation_set = validation_set
 
@@ -187,7 +224,7 @@ class TrainingSession:
             rng=self.streams.get("scheduler"),
             max_start_delay=config.scheduler_max_start_delay,
         )
-        self.client_factory = ClientFactory(solver=self.solver)
+        self.client_factory = ClientFactory(solver=self.solver, workers=self._workers)
         self.launcher = Launcher(
             initial_parameters=initial_parameters,
             client_factory=self.client_factory,
@@ -232,6 +269,13 @@ class TrainingSession:
         self._m_validations = registry.counter(
             "repro_session_validations_total", help="validation evaluations performed"
         )
+        self._m_solver_wait = registry.counter(
+            "repro_solver_wait_seconds_total",
+            help="seconds produce() waited for a solver worker's next time step",
+        )
+        registry.gauge(
+            "repro_solver_workers", help="solver worker processes of the latest session (0: inline)"
+        ).set(0 if self._workers is None else self._workers.n_workers)
 
         # --- hooks ----------------------------------------------------------
         #: called after every completed tick with the session
@@ -288,6 +332,10 @@ class TrainingSession:
                 produced += len(messages)
             if client.finished:
                 self.launcher.mark_finished(client.simulation_id)
+        if self._workers is not None:
+            waited = self._workers.wait_seconds
+            self._m_solver_wait.inc(waited - self._solver_wait_seen)
+            self._solver_wait_seen = waited
         return produced
 
     def receive(self) -> int:
@@ -363,19 +411,32 @@ class TrainingSession:
 
     def run(self) -> OnlineTrainingResult:
         """Drive ticks until termination and return the collected result."""
-        self._ensure_checkpoint_policy()
-        while self.n_ticks < self.config.max_ticks:
-            # A session restored from a snapshot taken at the run's final tick
-            # is already terminated; ticking it again would advance counters
-            # past the uninterrupted run's values.  (Always false mid-loop:
-            # tick() breaks out the moment should_stop() first turns true.)
-            if self.should_stop():
-                break
-            if not self.tick():
-                break
-        result = self.result()
+        try:
+            self._ensure_checkpoint_policy()
+            while self.n_ticks < self.config.max_ticks:
+                # A session restored from a snapshot taken at the run's final tick
+                # is already terminated; ticking it again would advance counters
+                # past the uninterrupted run's values.  (Always false mid-loop:
+                # tick() breaks out the moment should_stop() first turns true.)
+                if self.should_stop():
+                    break
+                if not self.tick():
+                    break
+            result = self.result()
+        finally:
+            self.close()
         self._tracer.flush()
         return result
+
+    def close(self) -> None:
+        """Kill and reap the solver workers, if any (idempotent).
+
+        :meth:`run` closes on every exit; a session driven tick by tick should
+        be closed by its driver.  A closed session can still report
+        :meth:`result` and :meth:`state_dict`, but no longer :meth:`produce`.
+        """
+        if self._workers is not None:
+            self._workers.close()
 
     def _ensure_checkpoint_policy(self) -> None:
         """Attach the configured periodic snapshot policy (once)."""

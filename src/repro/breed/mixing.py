@@ -13,8 +13,8 @@ that keeps exploration high while the NN is still random), changes linearly
 over ``r_c`` resampling iterations, and stays constant at ``r_e`` afterwards.
 The exact formula printed in the paper is garbled by typesetting
 (``r(s) = max(s·r_e − r_s / r_c, r_e)``); we implement the linear–constant
-interpretation described in its Section 4.1 text and record the reading in
-DESIGN.md::
+interpretation described in its Section 4.1 text (this docstring is the
+record of that reading; ``tests/breed/test_amis_mixing.py`` pins it)::
 
     r(s) = r_s + (r_e − r_s) · min(s / r_c, 1)
 """

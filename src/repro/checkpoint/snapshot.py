@@ -373,7 +373,11 @@ def _restore_session(
     session = TrainingSession(
         config, solver=solver, validation_set=validation_set, event_log=event_log
     )
-    session.load_state_dict(state)
+    try:
+        session.load_state_dict(state)
+    except BaseException:
+        session.close()  # its solver workers, if any, must not outlive the failure
+        raise
     return session
 
 

@@ -15,6 +15,10 @@ leave behind, reported as a plain-text table (and ``--json`` for scripts):
 * **checkpoint usage** — disk consumed by session-snapshot directories
   (``*.snapshots`` and ``step-*`` trees) under the scanned roots, so
   oversized retention is visible before the disk fills.
+* **solver workers** — how many CPUs this process may use and whether a
+  :class:`~repro.api.session.TrainingSession` started here would hand its
+  solver work to worker processes (:mod:`repro.melissa.workers`), else the
+  name of the condition that keeps it inline.  Informational: never an issue.
 * **campaign manifests** — campaign roots (``manifest.jsonl`` ledgers, see
   :mod:`repro.campaign`) whose latest invocation has a node marked running
   but whose writing process is gone: an abandoned campaign, reported with
@@ -182,6 +186,19 @@ def _scan_campaigns(roots: List[Path]) -> List[Dict[str, Any]]:
     return findings
 
 
+def _solver_workers() -> Dict[str, Any]:
+    """The session's solver-worker selection as this process would make it."""
+    from repro.melissa.workers import MIN_TRAJECTORY_FLOATS, inline_reason, usable_cpus
+
+    reason = inline_reason()
+    return {
+        "usable_cpus": usable_cpus(),
+        "would_use_workers": reason is None,
+        "inline_reason": reason,
+        "min_trajectory_floats": MIN_TRAJECTORY_FLOATS,
+    }
+
+
 def diagnose(roots: List[Path]) -> Dict[str, Any]:
     """Run every check; the payload ``doctor_main`` renders and exits on."""
     from repro.workflow.shm import orphaned_segments
@@ -219,6 +236,7 @@ def diagnose(roots: List[Path]) -> Dict[str, Any]:
         "service_roots": services,
         "checkpoint_usage": checkpoints,
         "campaigns": campaigns,
+        "solver_workers": _solver_workers(),
         "issues": issues,
         "healthy": not issues,
     }
@@ -283,6 +301,15 @@ def doctor_main(argv: Optional[List[str]] = None) -> int:
         ))
     else:
         print("campaign manifests: none found")
+    workers = report["solver_workers"]
+    if workers["would_use_workers"]:
+        verdict = (
+            f"a session here forks {workers['usable_cpus']} solver workers when a trajectory "
+            f"has >= {workers['min_trajectory_floats']} floats (else inline: small_trajectory)"
+        )
+    else:
+        verdict = f"a session here steps its solvers inline ({workers['inline_reason']})"
+    print(f"solver workers: {workers['usable_cpus']} usable CPU(s); {verdict}")
     for issue in report["issues"]:
         print(f"ISSUE: {issue}")
     print("healthy" if report["healthy"] else "attention needed")

@@ -11,7 +11,7 @@ NN training the way the asynchronous real system does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 import numpy as np
 
@@ -19,16 +19,32 @@ from repro import telemetry
 from repro.melissa.messages import SimulationFinished, TimeStepMessage
 from repro.solvers.base import Solver
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.melissa.workers import SolverWorkers
+
 __all__ = ["SolverClient", "ClientFactory"]
 
 
 class SolverClient:
-    """Streams the trajectory of one parameter vector, time step by time step."""
+    """Streams the trajectory of one parameter vector, time step by time step.
 
-    def __init__(self, simulation_id: int, parameters: np.ndarray, solver: Solver) -> None:
+    With ``workers`` the trajectory is computed by a solver worker process,
+    dispatched at :meth:`start` and read ahead into shared memory;
+    :meth:`produce` then only copies rows out, in the order and with the bits
+    the solver's own iterator gives.
+    """
+
+    def __init__(
+        self,
+        simulation_id: int,
+        parameters: np.ndarray,
+        solver: Solver,
+        workers: Optional["SolverWorkers"] = None,
+    ) -> None:
         self.simulation_id = simulation_id
         self.parameters = np.asarray(parameters, dtype=np.float64).copy()
         self.solver = solver
+        self.workers = workers
         self._iterator: Optional[Iterator[np.ndarray]] = None
         self._next_timestep = 0
         self.finished = False
@@ -38,9 +54,27 @@ class SolverClient:
             "repro_solver_steps_total", help="solver time steps produced by clients"
         )
 
-    def _ensure_started(self) -> None:
-        if self._iterator is None:
-            self._iterator = self.solver.steps(self.parameters)
+    def start(self, skip: int = 0) -> None:
+        """Open the trajectory at time step ``skip`` (a no-op once open).
+
+        A worker starts computing right away and does the skipping itself;
+        inline, the skipped fields are computed and discarded here.
+        """
+        if self._iterator is not None:
+            return
+        if self.workers is not None:
+            self._iterator = self.workers.stream(self.parameters, skip)
+            return
+        self._iterator = self.solver.steps(self.parameters)
+        for _ in range(skip):
+            next(self._iterator)
+
+    def close(self) -> None:
+        """Drop the open trajectory; a worker's stream hands its ring slot back."""
+        close = getattr(self._iterator, "close", None)
+        if close is not None:
+            close()
+        self._iterator = None
 
     def produce(self, max_steps: int) -> List[TimeStepMessage]:
         """Produce up to ``max_steps`` further time steps of the trajectory.
@@ -53,7 +87,7 @@ class SolverClient:
             raise ValueError("max_steps must be >= 1")
         if self.finished:
             return []
-        self._ensure_started()
+        self.start()
         assert self._iterator is not None
         messages: List[TimeStepMessage] = []
         for _ in range(max_steps):
@@ -93,7 +127,8 @@ class SolverClient:
         Solvers are pure functions of their parameter vector, so re-running
         the iterator and discarding the first ``next_timestep`` fields puts a
         fresh client into the bit-identical mid-trajectory state the snapshot
-        captured, without persisting solution fields.
+        captured, without persisting solution fields.  With solver workers the
+        trajectory is re-dispatched and the worker does the discarding.
         """
         if int(state["simulation_id"]) != self.simulation_id:
             raise ValueError(
@@ -104,13 +139,9 @@ class SolverClient:
         self.finished = bool(state["finished"])
         self.n_produced = int(state["n_produced"])
         target = int(state["next_timestep"])
-        self._iterator = None
-        self._next_timestep = 0
-        if not self.finished and target > 0:
-            self._ensure_started()
-            assert self._iterator is not None
-            for _ in range(target):
-                next(self._iterator)
+        self.close()
+        if not self.finished:
+            self.start(skip=target)
         self._next_timestep = target
 
     def finish_message(self) -> SimulationFinished:
@@ -134,7 +165,17 @@ class ClientFactory:
 
     solver: Solver
     created: List[int] = field(default_factory=list)
+    #: solver worker processes of the owning session (None → clients step inline)
+    workers: Optional["SolverWorkers"] = None
 
-    def create(self, simulation_id: int, parameters: np.ndarray) -> SolverClient:
+    def create(
+        self, simulation_id: int, parameters: np.ndarray, state: Optional[dict] = None
+    ) -> SolverClient:
+        """A started client; with ``state`` (a client ``state_dict``), one resumed there."""
         self.created.append(simulation_id)
-        return SolverClient(simulation_id, parameters, self.solver)
+        client = SolverClient(simulation_id, parameters, self.solver, self.workers)
+        if state is not None:
+            client.load_state_dict(state)
+        else:
+            client.start()  # a worker reads ahead from now on; inline, nothing runs before produce()
+        return client

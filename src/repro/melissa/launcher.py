@@ -208,6 +208,9 @@ class Launcher:
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Rebuild the ledger; running clients are fast-forwarded in place."""
+        for record in self.records.values():
+            if record.client is not None:
+                record.client.close()  # the ledger being replaced gives its streams up first
         records: Dict[int, SimulationRecord] = {}
         for payload in state["records"]:  # type: ignore[union-attr]
             record = SimulationRecord(
@@ -219,9 +222,9 @@ class Launcher:
                 history=[str(item) for item in payload["history"]],
             )
             if payload["client"] is not None:
-                client = self.client_factory.create(record.simulation_id, record.parameters)
-                client.load_state_dict(payload["client"])
-                record.client = client
+                record.client = self.client_factory.create(
+                    record.simulation_id, record.parameters, state=payload["client"]
+                )
             records[record.simulation_id] = record
         self.records = records
         self.highest_submitted_id = int(state["highest_submitted_id"])  # type: ignore[arg-type]

@@ -1,7 +1,7 @@
 """Learning-rate schedulers.
 
 The paper keeps the learning rate fixed at ``1e-3``; the schedulers here exist
-for the extension/ablation benchmarks (DESIGN.md §5, "widen coverage").
+for extension/ablation studies; no session constructs one.
 """
 
 from __future__ import annotations

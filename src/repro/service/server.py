@@ -69,6 +69,9 @@ SHUTDOWN_MARKER = "shutdown.marker"
 #: seconds between progress-file polls while a stream has nothing new to send
 _STREAM_POLL_SECONDS = 0.05
 
+#: how often the listener looks for a shutdown request: ``stop()`` waits this out
+_SHUTDOWN_POLL_SECONDS = 0.05
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests onto the owning :class:`StudyService` (``self.service``)."""
@@ -294,7 +297,10 @@ class StudyService:
         )
         self.pool.start()
         self._http_thread = threading.Thread(
-            target=self.httpd.serve_forever, name="service-http", daemon=True
+            target=self.httpd.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_SECONDS},
+            name="service-http",
+            daemon=True,
         )
         self._http_thread.start()
         _LOGGER.info("study service listening on %s (root=%s)", self.url, self.root)

@@ -235,16 +235,21 @@ class JobStore:
             return record, False
 
     # ------------------------------------------------------------ queue
-    def claim_next(self, timeout: Optional[float] = None) -> Optional[JobRecord]:
+    def claim_next(
+        self, timeout: Optional[float] = None, stop: Optional[threading.Event] = None
+    ) -> Optional[JobRecord]:
         """Atomically claim the oldest queued job (``queued`` → ``running``).
 
         Blocks up to ``timeout`` seconds for a job to become claimable;
-        returns ``None`` on timeout.  Safe to call from several worker
+        returns ``None`` on timeout, or as soon as ``stop`` is set and
+        :meth:`notify` has woken the wait.  Safe to call from several worker
         threads — each job is handed to exactly one claimant.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._queued:
             while True:
+                if stop is not None and stop.is_set():
+                    return None
                 for record in self.list():
                     if record.state == "queued":
                         claimed = self._update(

@@ -80,7 +80,7 @@ class Worker(threading.Thread):
     # ---------------------------------------------------------------- loop
     def run(self) -> None:  # pragma: no cover - exercised via live services
         while not self.stop_event.is_set():
-            record = self.store.claim_next(timeout=self.poll_seconds)
+            record = self.store.claim_next(timeout=self.poll_seconds, stop=self.stop_event)
             if record is None:
                 continue
             if self.stop_event.is_set():

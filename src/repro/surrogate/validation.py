@@ -21,12 +21,14 @@ from repro.solvers.base import Solver
 from repro.surrogate.model import DirectSurrogate
 from repro.surrogate.normalization import SurrogateScalers
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (repro.api imports us)
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.api and repro.melissa import us)
     from repro.api.workloads import Workload
+    from repro.melissa.workers import SolverWorkers
 
 __all__ = [
     "ValidationSet",
     "build_validation_set",
+    "validation_set_floats",
     "validation_set_for_workload",
     "validation_loss",
 ]
@@ -53,23 +55,22 @@ class ValidationSet:
         return self.inputs.shape[0]
 
 
-def build_validation_set(
+def validation_set_floats(solver: Solver, n_trajectories: int) -> int:
+    """float64 count of a validation set's ``inputs`` + ``targets`` (sizes a shared arena)."""
+    width = solver.parameter_dim + 1 + solver.field_size
+    return max(0, n_trajectories) * (solver.n_timesteps + 1) * width
+
+
+def _fill_trajectories(
     solver: Solver,
-    bounds: ParameterBounds,
     scalers: SurrogateScalers,
-    n_trajectories: int,
-    skip: int = 1,
-    rng: Optional[np.random.Generator] = None,
-    scramble: bool = False,
-) -> ValidationSet:
-    """Generate the fixed Halton-sequence validation set by running the solver."""
-    if n_trajectories <= 0:
-        raise ValueError("n_trajectories must be positive")
-    vectors = halton_in_bounds(n_trajectories, bounds, skip=skip, rng=rng, scramble=scramble)
+    vectors: np.ndarray,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+) -> None:
+    """Solve one trajectory per row of ``vectors`` into consecutive row blocks, encoded."""
     rows = solver.n_timesteps + 1
     timesteps = np.arange(rows, dtype=np.float64)
-    inputs = np.empty((n_trajectories * rows, vectors.shape[1] + 1), dtype=np.float64)
-    targets = np.empty((n_trajectories * rows, solver.field_size), dtype=np.float64)
     for index, params in enumerate(vectors):
         block = targets[index * rows : (index + 1) * rows]
         count = 0
@@ -88,6 +89,54 @@ def build_validation_set(
         inputs[index * rows : (index + 1) * rows] = scalers.encode_input(
             np.broadcast_to(params, (rows, params.shape[0])), timesteps
         )
+
+
+def _fill_share(solver, view, scalers, vectors, first_row, inputs_handle, targets_handle) -> None:
+    """One worker's share of a parallel build: the trajectories of ``vectors``, in place."""
+    stop_row = first_row + len(vectors) * (solver.n_timesteps + 1)
+    _fill_trajectories(
+        solver,
+        scalers,
+        vectors,
+        view(inputs_handle)[first_row:stop_row],
+        view(targets_handle)[first_row:stop_row],
+    )
+
+
+def build_validation_set(
+    solver: Solver,
+    bounds: ParameterBounds,
+    scalers: SurrogateScalers,
+    n_trajectories: int,
+    skip: int = 1,
+    rng: Optional[np.random.Generator] = None,
+    scramble: bool = False,
+    workers: Optional["SolverWorkers"] = None,
+) -> ValidationSet:
+    """Generate the fixed Halton-sequence validation set by running the solver.
+
+    With ``workers`` (sized for :func:`validation_set_floats`) the arrays live
+    in their shared memory and each worker fills one contiguous block of
+    trajectories with the code the serial build runs — the same bits.
+    """
+    if n_trajectories <= 0:
+        raise ValueError("n_trajectories must be positive")
+    vectors = halton_in_bounds(n_trajectories, bounds, skip=skip, rng=rng, scramble=scramble)
+    rows = solver.n_timesteps + 1
+    shape = (n_trajectories * rows, vectors.shape[1] + 1), (n_trajectories * rows, solver.field_size)
+    if workers is None:
+        inputs, targets = (np.empty(s, dtype=np.float64) for s in shape)
+        _fill_trajectories(solver, scalers, vectors, inputs, targets)
+    else:
+        (inputs_handle, inputs), (targets_handle, targets) = (workers.allocate(s) for s in shape)
+        share = -(-n_trajectories // workers.n_workers)  # the last worker's may be short, or empty
+        workers.run(
+            _fill_share,
+            [
+                (scalers, vectors[first : first + share], first * rows, inputs_handle, targets_handle)
+                for first in range(0, n_trajectories, share)
+            ],
+        )
     return ValidationSet(
         inputs=inputs,
         targets=targets,
@@ -104,6 +153,7 @@ def validation_set_for_workload(
     skip: int = 1,
     rng: Optional[np.random.Generator] = None,
     scramble: bool = False,
+    workers: Optional["SolverWorkers"] = None,
 ) -> Optional[ValidationSet]:
     """Fixed validation set of a :class:`~repro.api.workloads.Workload`.
 
@@ -113,7 +163,8 @@ def validation_set_for_workload(
     all use, so every consumer builds the *same* set for a given scenario.
     Returns ``None`` when ``n_trajectories <= 0`` (validation disabled).
 
-    ``solver`` may be passed to reuse an already-factorised instance.
+    ``solver`` may be passed to reuse an already-factorised instance;
+    ``workers`` (forked from that solver) to build in parallel.
     """
     if n_trajectories <= 0:
         return None
@@ -125,6 +176,7 @@ def validation_set_for_workload(
         skip=skip,
         rng=rng,
         scramble=scramble,
+        workers=workers,
     )
 
 

@@ -47,8 +47,13 @@ from repro.api.config import OnlineTrainingConfig
 from repro.api.session import OnlineTrainingResult
 from repro.breed.samplers import BreedConfig
 from repro.melissa.run import run_online_training
+from repro.melissa.workers import start_workers
 from repro.solvers.base import Solver
-from repro.surrogate.validation import ValidationSet, validation_set_for_workload
+from repro.surrogate.validation import (
+    ValidationSet,
+    validation_set_floats,
+    validation_set_for_workload,
+)
 from repro.utils.logging import get_logger
 from repro.utils.timer import Timer
 from repro.workflow import faults
@@ -207,9 +212,21 @@ class StudyInputCache:
         if key not in self._entries:
             workload = config.build_workload()
             solver = workload.build_solver()
-            validation = validation_set_for_workload(
-                workload, config.n_validation_trajectories, solver=solver
-            )
+            n_trajectories = config.n_validation_trajectories
+            # The session's selection, and its parallel build: None (inline)
+            # in a pool worker, beside another thread, or for small trajectories.
+            workers = None
+            if n_trajectories > 0:
+                workers = start_workers(
+                    solver, array_floats=validation_set_floats(solver, n_trajectories)
+                )
+            try:
+                validation = validation_set_for_workload(
+                    workload, n_trajectories, solver=solver, workers=workers
+                )
+            finally:
+                if workers is not None:
+                    workers.close()
             self._entries[key] = (solver, validation)
         return self._entries[key]
 

@@ -189,6 +189,19 @@ class TestShutdown:
             service.stop()
         assert (service.root / SHUTDOWN_MARKER).exists()
 
+    def test_stop_of_an_idle_service_does_not_wait_out_its_polls(self, tmp_path):
+        """The claim wait (0.5 s) and the listener poll (0.5 s) used to be timed out."""
+        import time
+
+        from repro.service import StudyService
+
+        service = StudyService(tmp_path / "svc", port=0, n_workers=2).start()
+        time.sleep(0.2)  # both workers are inside claim_next by now
+        start = time.perf_counter()
+        service.stop()
+        assert time.perf_counter() - start < 0.3
+        assert not service.pool.alive
+
     def test_restart_recovers_and_finishes_interrupted_job(self, tmp_path, make_payload):
         """Graceful stop mid-queue → restart → job completes from checkpoints."""
         from repro.service import StudyService

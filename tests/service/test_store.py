@@ -56,6 +56,42 @@ class TestSubmission:
 
 
 class TestQueue:
+    def test_claim_returns_at_once_when_stop_is_set_and_notified(self, store):
+        import time
+
+        stop = threading.Event()
+        claimed = []
+        waiter = threading.Thread(
+            target=lambda: claimed.append(store.claim_next(timeout=5.0, stop=stop))
+        )
+        waiter.start()
+        time.sleep(0.1)  # inside the condition wait
+        start = time.perf_counter()
+        stop.set()
+        store.notify()
+        waiter.join(timeout=2.0)
+        assert not waiter.is_alive() and claimed == [None]
+        assert time.perf_counter() - start < 0.3
+
+    def test_job_claimed_in_the_shutdown_race_is_requeued(self, store, make_payload):
+        """Stop lands between the claim's stop check and the claim itself."""
+        from repro.service.worker import Worker
+
+        record, _ = submit(store, make_payload)
+        stop = threading.Event()
+        real_claim = store.claim_next
+
+        def claim_then_stop(timeout=None, **_):
+            claimed = real_claim(timeout=timeout)  # the check passed: stop was not set yet
+            stop.set()
+            return claimed
+
+        store.claim_next = claim_then_stop
+        worker = Worker(store, stop)
+        worker.run()  # returns: the claimed job goes straight back
+        assert store.get(record.id).state == "queued"
+        assert [e["event"] for e in store.events(record.id)][-2:] == ["started", "interrupted"]
+
     def test_claim_marks_running_and_is_exclusive(self, store, make_payload):
         record, _ = submit(store, make_payload)
         claimed = store.claim_next(timeout=0)

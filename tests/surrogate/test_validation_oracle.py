@@ -197,3 +197,65 @@ def test_wrong_number_of_fields_is_a_named_error(n_fields, tiny_scalers):
     solver = _MiscountingSolver(n_timesteps=4, n_fields=n_fields)
     with pytest.raises(ValueError, match=rf"_MiscountingSolver\.steps yielded {n_fields} fields.*requires 5"):
         build_validation_set(solver, HEAT2D_BOUNDS, tiny_scalers, n_trajectories=2)
+
+
+# ---------------------------------------------------------------------------
+# Parallel build: solver workers fill the shared arrays, the serial build is
+# the oracle.  Built on explicit pools, so the size rule does not apply.
+# ---------------------------------------------------------------------------
+
+
+def _parallel_build(solver, bounds, scalers, n_trajectories, n_workers):
+    from repro.melissa.workers import SolverWorkers
+    from repro.surrogate.validation import validation_set_floats
+
+    workers = SolverWorkers(
+        solver,
+        array_floats=validation_set_floats(solver, n_trajectories),
+        n_workers=n_workers,
+    )
+    try:
+        return build_validation_set(solver, bounds, scalers, n_trajectories, workers=workers)
+    finally:
+        workers.close()
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize(
+    "n_trajectories, n_workers",
+    [(4, 2), (5, 3), (2, 3)],
+    ids=["even-shares", "ragged-last-share", "a-worker-without-a-share"],
+)
+def test_parallel_build_is_bit_identical_on_every_workload(name, n_trajectories, n_workers):
+    workload = _workload(name)
+    solver, scalers = workload.build_solver(), workload.build_scalers()
+    serial = build_validation_set(solver, workload.bounds, scalers, n_trajectories)
+    parallel = _parallel_build(solver, workload.bounds, scalers, n_trajectories, n_workers)
+    assert np.array_equal(parallel.inputs, serial.inputs)
+    assert np.array_equal(parallel.targets, serial.targets)
+    assert np.array_equal(parallel.parameters, serial.parameters)
+    assert (parallel.n_trajectories, parallel.n_timesteps) == (serial.n_trajectories, serial.n_timesteps)
+    model = DirectSurrogate(
+        workload.surrogate_config(hidden_size=8, n_hidden_layers=1, activation="relu"),
+        scalers,
+        rng=np.random.default_rng(2),
+    )
+    assert validation_loss(model, parallel, 7) == validation_loss(model, serial, 7)
+
+
+@pytest.mark.parametrize("n_fields", [3, 6], ids=["too-few", "too-many"])
+def test_parallel_build_raises_the_workers_miscount_by_name(n_fields, tiny_scalers):
+    solver = _MiscountingSolver(n_timesteps=4, n_fields=n_fields)
+    with pytest.raises(ValueError, match=rf"_MiscountingSolver\.steps yielded {n_fields} fields.*requires 5"):
+        _parallel_build(solver, HEAT2D_BOUNDS, tiny_scalers, n_trajectories=3, n_workers=2)
+
+
+def test_parallel_build_needs_an_arena_that_fits(tiny_solver, tiny_scalers):
+    from repro.melissa.workers import SolverWorkers
+
+    workers = SolverWorkers(tiny_solver, array_floats=10, n_workers=1)
+    try:
+        with pytest.raises(ValueError, match="shared arena of 10 floats cannot hold"):
+            build_validation_set(tiny_solver, HEAT2D_BOUNDS, tiny_scalers, 2, workers=workers)
+    finally:
+        workers.close()

@@ -271,6 +271,29 @@ class TestDoctor:
         assert report["orphaned_shm_segments"] == []
         assert report["service_roots"] == []
 
+    def test_reports_cpus_and_the_solver_worker_selection_by_name(self, tmp_path, capsys, monkeypatch):
+        import os
+
+        from repro.melissa.workers import MIN_TRAJECTORY_FLOATS
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert main(["doctor", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["solver_workers"] == {
+            "usable_cpus": 3,
+            "would_use_workers": True,
+            "inline_reason": None,
+            "min_trajectory_floats": MIN_TRAJECTORY_FLOATS,
+        }
+        assert main(["doctor", str(tmp_path)]) == 0
+        assert "solver workers: 3 usable CPU(s); a session here forks 3" in capsys.readouterr().out
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["doctor", str(tmp_path), "--json"]) == 0  # informational, never an issue
+        report = json.loads(capsys.readouterr().out)["solver_workers"]
+        assert (report["would_use_workers"], report["inline_reason"]) == (False, "single_cpu")
+        assert main(["doctor", str(tmp_path)]) == 0
+        assert "steps its solvers inline (single_cpu)" in capsys.readouterr().out
+
     def test_stopped_service_root_is_benign(self, tmp_path, capsys):
         root = tmp_path / "svc"
         root.mkdir()
