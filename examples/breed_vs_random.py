@@ -22,8 +22,8 @@ from dataclasses import replace
 from repro.analysis.curves import curve_from_history
 from repro.analysis.deviation import compare_runs
 from repro.analysis.report import render_histograms, render_loss_curves
+from repro.api import run_online_training
 from repro.experiments.base import base_config, shared_study_inputs
-from repro.melissa.run import run_online_training
 
 
 def main() -> None:

@@ -21,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.api import OnlineTrainingConfig
+from repro.api import OnlineTrainingConfig, run_online_training
 from repro.api.workloads import Heat2DWorkload
 from repro.breed.samplers import BreedConfig
-from repro.melissa.run import run_online_training
 from repro.nn.tensor import Tensor
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.sampling.uniform import uniform_in_bounds

@@ -25,9 +25,7 @@ Package layout
     weighted resampling.
 ``repro.melissa``
     In-process simulation of the Melissa DL on-line training framework
-    (launcher, batch scheduler, clients, reservoir, server, steering);
-    ``repro.melissa.run`` re-exports the legacy ``run_online_training``
-    entry point as a thin wrapper over ``repro.api``.
+    (launcher, batch scheduler, clients, reservoir, server, steering).
 ``repro.breed``
     The paper's contribution: loss-deviation acquisition metric, one-step
     AMIS/PMC proposal construction, concentrate–explore mixing, and the
@@ -64,17 +62,15 @@ Package layout
 
 __version__ = "1.10.0"
 
-from repro.melissa.run import (
+from repro.api import (
     OnlineTrainingConfig,
     OnlineTrainingResult,
     TrainingSession,
-    run_online_training,
-)
-from repro.api import (
     Workload,
     register_activation,
     register_sampler,
     register_workload,
+    run_online_training,
     workload_names,
 )
 

@@ -12,7 +12,8 @@ This package is the composable surface over the Melissa/Breed machinery:
 * :class:`~repro.api.session.TrainingSession` — the training loop decomposed
   into explicit ``submit`` / ``produce`` / ``receive`` / ``train`` /
   ``should_stop`` phases with ``on_tick`` / ``on_steering`` /
-  ``on_validation`` hooks.
+  ``on_validation`` hooks; :func:`~repro.api.session.run_online_training`
+  runs one to completion in a single call.
 * :func:`~repro.api.registry.register_workload`,
   :func:`~repro.api.registry.register_sampler`,
   :func:`~repro.api.registry.register_activation`,
@@ -55,7 +56,7 @@ from repro.api.workloads import (
     Workload,
 )
 from repro.api.config import OnlineTrainingConfig
-from repro.api.session import OnlineTrainingResult, TrainingSession
+from repro.api.session import OnlineTrainingResult, TrainingSession, run_online_training
 
 __all__ = [
     "activation_names",
@@ -81,4 +82,5 @@ __all__ = [
     "OnlineTrainingConfig",
     "OnlineTrainingResult",
     "TrainingSession",
+    "run_online_training",
 ]

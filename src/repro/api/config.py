@@ -8,9 +8,6 @@ registry) — which keeps the configuration fully serialisable:
 :meth:`OnlineTrainingConfig.to_dict` / :meth:`OnlineTrainingConfig.from_dict`
 round-trip through plain JSON-compatible dictionaries, the substrate of study
 files and distributed runners.
-
-The class previously lived in :mod:`repro.melissa.run`, which still re-exports
-it for backward compatibility.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """The on-line training session: explicit phases over pluggable workloads.
 
-:class:`TrainingSession` decomposes the previously monolithic driver loop of
-:func:`repro.melissa.run.run_online_training` into named phases that mirror
-the asynchronous components of the real Melissa system:
+:class:`TrainingSession` decomposes the on-line training loop into named
+phases that mirror the asynchronous components of the real Melissa system:
 
 * :meth:`submit` — the launcher keeps the batch scheduler fed with at most
   ``m`` client jobs,
@@ -15,7 +14,8 @@ the asynchronous components of the real Melissa system:
 * :meth:`should_stop` — the termination predicate.
 
 :meth:`tick` runs one submit→produce→receive→train round, :meth:`run` loops
-until termination and returns the :class:`OnlineTrainingResult`.  Observers
+until termination and returns the :class:`OnlineTrainingResult`
+(:func:`run_online_training` is the one-call form).  Observers
 subscribe through the hook lists :attr:`on_tick`, :attr:`on_steering` and
 :attr:`on_validation` instead of patching the loop.
 
@@ -61,7 +61,7 @@ from repro.surrogate.validation import (
 from repro.utils.logging import EventLog
 from repro.utils.rng import RngStreams
 
-__all__ = ["OnlineTrainingResult", "TrainingSession"]
+__all__ = ["OnlineTrainingResult", "TrainingSession", "run_online_training"]
 
 #: read-ahead window of a solver worker per running client: two ticks of the
 #: client's consumption (one being copied out, one computed behind it), and at
@@ -552,3 +552,22 @@ class TrainingSession:
             workload=self.workload_name,
             transport_dropped=self.transport.total_dropped(),
         )
+
+
+def run_online_training(
+    config: OnlineTrainingConfig,
+    solver: Optional[Solver] = None,
+    validation_set: Optional[ValidationSet] = None,
+    event_log: Optional[EventLog] = None,
+) -> OnlineTrainingResult:
+    """Run one complete on-line training experiment and return its results.
+
+    ``solver`` / ``validation_set`` are optional pre-built run inputs —
+    sharing them across the runs of a study avoids re-factorising the
+    implicit system and rebuilding the fixed validation set per run;
+    ``event_log`` is an optional structured event log for debugging / tests.
+    """
+    session = TrainingSession(
+        config, solver=solver, validation_set=validation_set, event_log=event_log
+    )
+    return session.run()

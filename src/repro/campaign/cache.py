@@ -13,10 +13,10 @@ shared freely across processes and invocations.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import List, Optional
 
+from repro.utils.durable import atomic_write
 from repro.utils.logging import get_logger
 from repro.workflow.results import RunResult
 
@@ -64,7 +64,4 @@ class ArtifactCache:
         entry = self.path(record.digest)
         if entry.exists():
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(record.to_dict(), sort_keys=True))
-        os.replace(tmp, entry)
+        atomic_write(entry, json.dumps(record.to_dict(), sort_keys=True))

@@ -1,11 +1,12 @@
 """Campaign manifest: an append-only JSONL ledger of campaign progress.
 
-The manifest is to a campaign what the run checkpoint is to a study: each
-event is one flushed JSON line, a crash loses at most the in-flight line,
-and loading tolerates the torn tail a ``SIGKILL`` mid-write leaves behind.
-Events carry the writing pid and a monotonic sequence number so ``repro
-doctor`` can tell an abandoned campaign (node marked running, pid gone)
-from a live one.
+The manifest is to a campaign what the run checkpoint is to a study: an
+:class:`~repro.utils.durable.AppendLog` where each event is one fsync-ed
+JSON line, a crash loses at most the in-flight line, and the torn tail a
+``SIGKILL`` mid-write leaves behind is skipped.  Events carry the writing
+pid, so ``repro doctor`` can tell an abandoned campaign (node marked
+running, pid gone) from a live one, and a ``seq`` number — the event's dense
+0-based index in the file, continuing across invocations.
 
 Event vocabulary (``event`` key):
 
@@ -31,11 +32,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
-from repro.utils.logging import get_logger
+from repro.utils.durable import AppendLog
 
 __all__ = ["CampaignManifest"]
-
-_LOGGER = get_logger("campaign")
 
 #: events that end a node's current attempt
 _NODE_TERMINAL = frozenset({"node_finished", "node_failed", "node_skipped", "node_resumed"})
@@ -46,40 +45,24 @@ class CampaignManifest:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._seq = 0
+        self._log = AppendLog(self.path)
 
     def exists(self) -> bool:
         return self.path.exists()
 
     def append(self, event: str, **payload: Any) -> None:
         record = {
-            "seq": self._seq,
+            "seq": len(self._log),
             "event": event,
             "pid": os.getpid(),
             "ts": time.time(),
             **payload,
         }
-        self._seq += 1
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as stream:
-            stream.write(json.dumps(record, sort_keys=True) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
+        self._log.append(json.dumps(record, sort_keys=True))
 
     def load(self) -> List[Dict[str, Any]]:
         """Every intact event, in file order (empty when absent)."""
-        events: List[Dict[str, Any]] = []
-        if not self.path.exists():
-            return events
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                _LOGGER.warning("skipping truncated manifest line in %s", self.path)
-        return events
+        return self._log.read()
 
     # ------------------------------------------------------------- queries
     def spec_digest(self) -> Optional[str]:

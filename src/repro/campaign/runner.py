@@ -24,7 +24,6 @@ after a kill at *any* point re-enters bit-identically, exactly like
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -41,6 +40,7 @@ from repro.campaign.spec import (
     resolve_configurations,
     topological_order,
 )
+from repro.utils.durable import atomic_write
 from repro.utils.logging import get_logger
 from repro.workflow import faults
 from repro.workflow.executor import JsonlCheckpoint, StudyInputCache, config_digest
@@ -93,13 +93,6 @@ class CampaignResult:
 
 def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._=+-]+", "_", name)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 class CampaignRunner:
@@ -188,9 +181,7 @@ class CampaignRunner:
                 )
         completed = self.manifest.completed_nodes() if resume else set()
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(
-            self.root / "campaign.json", json.dumps(self.spec.to_dict(), indent=2)
-        )
+        atomic_write(self.root / "campaign.json", json.dumps(self.spec.to_dict(), indent=2))
         self._emit(
             "campaign_started",
             campaign=self.spec.name,
@@ -238,7 +229,7 @@ class CampaignRunner:
             runs_executed=self.runs_executed,
             runs_resumed=self.runs_resumed,
         )
-        _atomic_write_text(self.root / "result.json", json.dumps(outcome.to_dict()))
+        atomic_write(self.root / "result.json", json.dumps(outcome.to_dict()))
         return outcome
 
     # -------------------------------------------------------------- nodes
@@ -322,8 +313,8 @@ class CampaignRunner:
         digest (the identity that matters) is unchanged.
         """
         specs = runner.build_specs(configurations, node.name_key)
-        already = JsonlCheckpoint(runs_path).load()
         sink = JsonlCheckpoint(runs_path)
+        already = sink.load()
         for spec in specs:
             record = already.get(spec.name)
             if record is not None and StudyRunner._record_matches_spec(record, spec):

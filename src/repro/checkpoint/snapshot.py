@@ -25,7 +25,7 @@ Write protocol (crash safety):
 
 1. the snapshot is assembled in a ``.tmp-…`` sibling directory,
 2. ``os.rename`` moves it to its final ``step-…`` name (atomic on POSIX),
-3. ``latest.json`` is replaced atomically (tmp file + ``os.replace``),
+3. ``latest.json`` is replaced atomically (:func:`~repro.utils.durable.atomic_write`),
 4. snapshots beyond the retention budget — and stale tmp directories left by
    crashed writers — are pruned last.
 
@@ -46,6 +46,7 @@ import numpy as np
 
 from repro import __version__, telemetry
 from repro.api.config import OnlineTrainingConfig
+from repro.utils.durable import atomic_write
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -200,20 +201,13 @@ def load_manifest(snapshot: str | Path) -> Dict[str, Any]:
 
 
 def _write_latest(directory: Path, manifest: Dict[str, Any], name: str) -> None:
-    pointer = directory / _LATEST_NAME
-    tmp = directory / f"{_LATEST_NAME}.tmp-{os.getpid()}"
-    tmp.write_text(
-        json.dumps(
-            {
-                "snapshot": name,
-                "n_ticks": manifest["n_ticks"],
-                "iteration": manifest["iteration"],
-                "fingerprint": manifest["fingerprint"],
-            },
-            indent=2,
-        )
-    )
-    os.replace(tmp, pointer)
+    pointer = {
+        "snapshot": name,
+        "n_ticks": manifest["n_ticks"],
+        "iteration": manifest["iteration"],
+        "fingerprint": manifest["fingerprint"],
+    }
+    atomic_write(directory / _LATEST_NAME, json.dumps(pointer, indent=2))
 
 
 def _prune(directory: Path, keep: int) -> None:

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from repro.api.config import OnlineTrainingConfig
 from repro.api.workloads import Workload
 from repro.breed.samplers import BreedConfig
-from repro.melissa.run import OnlineTrainingConfig
 from repro.solvers.base import Solver
 from repro.solvers.heat2d import Heat2DConfig
 from repro.surrogate.validation import ValidationSet, validation_set_for_workload

@@ -19,7 +19,7 @@ from typing import Dict
 
 from repro.analysis.deviation import DeviationHistogram, compare_runs, histogram_by_source
 from repro.experiments.base import base_config
-from repro.melissa.run import OnlineTrainingResult
+from repro.api.session import OnlineTrainingResult
 from repro.workflow.study import StudyRunner
 
 __all__ = ["Fig4Result", "run_fig4"]

@@ -21,7 +21,7 @@ from typing import Dict
 
 from repro.analysis.correlation import CorrelationMatrix, correlation_matrix
 from repro.experiments.base import base_config
-from repro.melissa.run import OnlineTrainingResult
+from repro.api.session import OnlineTrainingResult
 from repro.workflow.study import StudyRunner
 
 __all__ = ["Fig6Result", "run_fig6"]

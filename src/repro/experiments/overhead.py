@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.experiments.base import base_config
-from repro.melissa.run import OnlineTrainingResult
+from repro.api.session import OnlineTrainingResult
 from repro.workflow.study import StudyRunner
 
 __all__ = ["OverheadResult", "run_overhead"]

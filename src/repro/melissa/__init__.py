@@ -5,6 +5,10 @@ through a batch *scheduler*; each client streams its trajectory time step by
 time step to the *server*, which buffers samples in a *reservoir* and trains
 the surrogate from random reservoir batches while steering the parameters of
 not-yet-submitted simulations.
+
+The session wiring these parts together, its configuration and its result
+(``TrainingSession``, ``OnlineTrainingConfig``, ``OnlineTrainingResult``,
+``run_online_training``) are imported from :mod:`repro.api`.
 """
 
 from repro.melissa.client import ClientFactory, SolverClient
@@ -18,14 +22,6 @@ from repro.melissa.messages import (
     TimeStepMessage,
 )
 from repro.melissa.reservoir import Reservoir, ReservoirBatch, ReservoirEntry
-from repro.melissa.run import (
-    OnlineTrainingConfig,
-    OnlineTrainingResult,
-    TrainingSession,
-    build_sampler,
-    build_solver,
-    run_online_training,
-)
 from repro.melissa.scheduler import BatchScheduler, JobState, SchedulerJob
 from repro.melissa.server import SampleStatistic, TrainingHistory, TrainingServer
 from repro.melissa.transport import Channel, InProcessTransport, TransportStats
@@ -45,12 +41,6 @@ __all__ = [
     "Reservoir",
     "ReservoirBatch",
     "ReservoirEntry",
-    "OnlineTrainingConfig",
-    "OnlineTrainingResult",
-    "TrainingSession",
-    "build_sampler",
-    "build_solver",
-    "run_online_training",
     "BatchScheduler",
     "JobState",
     "SchedulerJob",

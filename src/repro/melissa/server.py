@@ -6,9 +6,9 @@ extension — the Breed controller that converts training-loss statistics into
 steering requests.
 
 The real server runs a receiving thread and a training thread concurrently;
-here the same interleaving is reproduced cooperatively by the driver in
-:mod:`repro.melissa.run`, which alternates :meth:`receive` and
-:meth:`train_iteration` calls at configurable ratios (the paper notes the
+here the same interleaving is reproduced cooperatively by
+:class:`~repro.api.session.TrainingSession`, which alternates :meth:`receive`
+and :meth:`train_iteration` calls at configurable ratios (the paper notes the
 training thread "may operate more frequently than a receiving thread").
 """
 

@@ -4,23 +4,23 @@ Checkpoints are stored as ``.npz`` archives (one array per state-dict entry)
 plus a small JSON sidecar describing architecture hyper-parameters, which is
 sufficient to resume or analyse a surrogate after an experiment.
 
-Writes are *atomic*: the archive is written to a temporary file in the target
-directory and moved into place with :func:`os.replace`, so a crash mid-write
-can never leave a torn ``.npz`` behind — at worst a stale temporary file that
-the next save overwrites.  ``compressed=True`` trades save latency for disk
-space through :func:`numpy.savez_compressed`.
+Writes are *atomic* (:func:`~repro.utils.durable.atomic_write`), so a crash
+mid-write can never leave a torn ``.npz`` or sidecar behind — at worst an
+orphaned ``<name>.tmp-…`` file.  ``compressed=True`` trades save latency for
+disk space through :func:`numpy.savez_compressed`.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.module import Module
+from repro.utils.durable import atomic_write
 
 __all__ = ["save_checkpoint", "load_checkpoint", "save_state_dict", "load_state_dict"]
 
@@ -32,24 +32,15 @@ def save_state_dict(
 ) -> Path:
     """Write a state dict as an ``.npz`` archive atomically and return the path.
 
-    The archive is first written to ``<name>.tmp-<pid>`` next to the target and
-    then renamed over it, so readers never observe a partially written file.
-    ``compressed=True`` uses :func:`numpy.savez_compressed` (zip-deflate).
+    Readers never observe a partially written file.  ``compressed=True``
+    uses :func:`numpy.savez_compressed` (zip-deflate).
     """
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    saver = np.savez_compressed if compressed else np.savez
-    try:
-        with open(tmp_path, "wb") as stream:
-            saver(stream, **state)
-        os.replace(tmp_path, path)
-    finally:
-        if tmp_path.exists():  # a failed save must not leave the tmp file behind
-            tmp_path.unlink()
-    return path
+    archive = io.BytesIO()
+    (np.savez_compressed if compressed else np.savez)(archive, **state)
+    return atomic_write(path, archive.getvalue())
 
 
 def load_state_dict(path: str | Path) -> Dict[str, np.ndarray]:
@@ -71,13 +62,7 @@ def save_checkpoint(
     meta = dict(metadata or {})
     meta.setdefault("num_parameters", model.num_parameters())
     meta_path = path.with_suffix(path.suffix + _META_SUFFIX)
-    tmp_meta = meta_path.with_name(f"{meta_path.name}.tmp-{os.getpid()}")
-    try:
-        tmp_meta.write_text(json.dumps(meta, indent=2, sort_keys=True))
-        os.replace(tmp_meta, meta_path)
-    finally:
-        if tmp_meta.exists():  # a failed save must not leave the tmp file behind
-            tmp_meta.unlink()
+    atomic_write(meta_path, json.dumps(meta, indent=2, sort_keys=True))
     return path
 
 

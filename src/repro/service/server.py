@@ -55,8 +55,9 @@ from repro.service.schemas import (
     validate_campaign_submission,
     validate_submission,
 )
-from repro.service.store import JobStore, UnknownJobError, _atomic_write_text
+from repro.service.store import JobStore, UnknownJobError
 from repro.service.worker import DEFAULT_CHECKPOINT_EVERY, WorkerPool
+from repro.utils.durable import atomic_write
 from repro.utils.logging import get_logger
 
 __all__ = ["SHUTDOWN_MARKER", "StudyService"]
@@ -286,7 +287,7 @@ class StudyService:
         self._started_at = time.time()
         # server.json advertises the bound address so out-of-process tooling
         # (the smoke script, operators) can find a --port 0 server
-        _atomic_write_text(
+        atomic_write(
             self.root / "server.json",
             json.dumps(
                 {"url": self.url, "host": self.address[0], "port": self.address[1],
@@ -322,7 +323,7 @@ class StudyService:
         if self._owns_metrics:
             telemetry.configure(metrics=False)
             self._owns_metrics = False
-        _atomic_write_text(
+        atomic_write(
             self.root / SHUTDOWN_MARKER,
             json.dumps({"stopped_at": time.time(), "clean": True}) + "\n",
         )

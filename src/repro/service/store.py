@@ -4,7 +4,7 @@ One directory per job under ``<root>/jobs/``::
 
     <root>/jobs/<job_id>/
         job.json                 # JobRecord: spec + state + counters (atomic)
-        progress.jsonl           # append-only progress events (seq-numbered)
+        progress.jsonl           # progress events, seq-numbered (AppendLog)
         runs.jsonl               # completed-run records (JsonlCheckpoint)
         runs.jsonl.snapshots/    # per-run mid-run session snapshots (PR 3)
         result.json              # final StudyResults (written atomically)
@@ -14,9 +14,11 @@ worker pool; every mutation happens under one process-wide lock and lands on
 disk before it is observable, so a ``kill -9`` at any point leaves a state
 the next server start can recover from:
 
-* ``job.json`` is written via temp-file + ``os.replace`` (atomic on POSIX);
-* progress events are appended and flushed line-wise (a torn final line is
-  skipped on read, mirroring :class:`~repro.workflow.executor.JsonlCheckpoint`);
+* ``job.json``, ``metrics.json`` and ``result.json`` are replaced whole
+  (:func:`~repro.utils.durable.atomic_write`);
+* progress events go through one :class:`~repro.utils.durable.AppendLog`
+  per job — each event one fsync-ed line, a torn line skipped on read, and
+  ``seq`` the event's dense index in the file;
 * :meth:`JobStore.recover` re-queues every job found ``running`` — its
   completed runs are in ``runs.jsonl`` and its in-flight run in the snapshot
   directory, so re-execution resumes instead of restarting.
@@ -30,8 +32,6 @@ separate index to keep consistent.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -44,6 +44,7 @@ from repro.service.schemas import (
     JobSpec,
     job_fingerprint,
 )
+from repro.utils.durable import AppendLog, atomic_write
 from repro.utils.logging import get_logger
 
 __all__ = ["JobRecord", "JobStore", "UnknownJobError"]
@@ -89,24 +90,6 @@ class JobRecord:
         return cls(**kwargs)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as stream:
-            stream.write(text)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 @dataclass
 class JobStore:
     """On-disk job queue + per-job artifact directories (see module docstring)."""
@@ -115,6 +98,8 @@ class JobStore:
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
     #: notified whenever a job becomes claimable (submit / re-queue / recover)
     _queued: threading.Condition = field(init=False, repr=False)
+    #: one progress log per job, so ``seq`` is counted from disk only once
+    _progress: Dict[str, AppendLog] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -151,7 +136,7 @@ class JobStore:
         live mid-job snapshot; observation only, never read back by the
         worker.
         """
-        _atomic_write_text(self.metrics_path(job_id), json.dumps(metrics, indent=2, sort_keys=True))
+        atomic_write(self.metrics_path(job_id), json.dumps(metrics, indent=2, sort_keys=True))
 
     def read_metrics(self, job_id: str) -> Dict[str, float]:
         """The job's latest telemetry snapshot (empty when never written)."""
@@ -168,7 +153,7 @@ class JobStore:
         return self.job_dir(job_id) / "job.json"
 
     def _write(self, record: JobRecord) -> None:
-        _atomic_write_text(self._record_path(record.id), json.dumps(record.to_dict(), indent=2))
+        atomic_write(self._record_path(record.id), json.dumps(record.to_dict(), indent=2))
 
     def get(self, job_id: str) -> JobRecord:
         with self._lock:
@@ -345,39 +330,20 @@ class JobStore:
             )
 
     # ------------------------------------------------------------ progress
+    def _progress_log(self, job_id: str) -> AppendLog:
+        return self._progress.setdefault(job_id, AppendLog(self.progress_path(job_id)))
+
     def append_event(self, job_id: str, event: str, **payload: Any) -> Dict[str, Any]:
         """Append one progress event; ``seq`` is dense and 0-based per job."""
         with self._lock:
-            path = self.progress_path(job_id)
-            seq = sum(1 for _ in self._iter_events(path))
-            entry = {"seq": seq, "ts": time.time(), "event": event, **payload}
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("a") as stream:
-                stream.write(json.dumps(entry) + "\n")
-                stream.flush()
+            log = self._progress_log(job_id)
+            entry = {"seq": len(log), "ts": time.time(), "event": event, **payload}
+            log.append(json.dumps(entry))
             return entry
-
-    @staticmethod
-    def _iter_events(path: Path):
-        if not path.exists():
-            return
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                # torn final line of a killed writer — everything before it
-                # is intact, so skip rather than fail the whole stream
-                continue
 
     def events(self, job_id: str, since: int = -1) -> List[Dict[str, Any]]:
         """Progress events with ``seq > since`` (``since=-1`` → everything)."""
         with self._lock:
             if not self._record_path(job_id).exists():
                 raise UnknownJobError(job_id)
-            return [
-                e for e in self._iter_events(self.progress_path(job_id))
-                if e.get("seq", -1) > since
-            ]
+            return self._progress_log(job_id).read(since)

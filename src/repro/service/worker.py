@@ -7,7 +7,7 @@ the exact crash-recovery call shape of the batch engine, pointed at the
 job's own artifact directory.  Consequences, all inherited from PR 2/PR 3
 machinery rather than re-implemented here:
 
-* every completed run is appended (and flushed) to ``runs.jsonl`` as it
+* every completed run is durably appended to ``runs.jsonl`` as it
   finishes,
 * runs additionally snapshot their full session state every
   ``checkpoint_every`` batches into ``runs.jsonl.snapshots/<run>/``,
@@ -26,12 +26,14 @@ either exception.
 
 from __future__ import annotations
 
+import json
 import threading
 import traceback
 from typing import List, Optional
 
-from repro.service.store import JobRecord, JobStore
 from repro.service.schemas import JobSpec
+from repro.service.store import JobRecord, JobStore
+from repro.utils.durable import atomic_write
 from repro.utils.logging import get_logger
 from repro.workflow.results import RunResult
 from repro.workflow.study import StudyRunner
@@ -176,10 +178,7 @@ class Worker(threading.Thread):
 
     def _write_campaign_result(self, job_id: str, outcome) -> None:
         """Persist the campaign summary (states, cache accounting, per-node runs)."""
-        from repro.service.store import _atomic_write_text
-        import json
-
-        _atomic_write_text(self.store.result_path(job_id), json.dumps(outcome.to_dict(), indent=2))
+        atomic_write(self.store.result_path(job_id), json.dumps(outcome.to_dict(), indent=2))
 
     def _on_run_finished(self, job_id: str, run: RunResult) -> None:
         """Per-run callback: stream progress, then honour stop/cancel requests.
@@ -204,12 +203,9 @@ class Worker(threading.Thread):
             raise JobCancelled(job_id)
 
     def _write_result(self, job_id: str, results) -> None:
-        """Persist the final StudyResults atomically (tmp + rename)."""
-        from repro.service.store import _atomic_write_text
-        import json
-
+        """Persist the final StudyResults atomically."""
         payload = {"study": results.study, "runs": [run.to_dict() for run in results.runs]}
-        _atomic_write_text(self.store.result_path(job_id), json.dumps(payload, indent=2))
+        atomic_write(self.store.result_path(job_id), json.dumps(payload, indent=2))
         # The spec-order merge over the *complete* run list also covers runs
         # resumed from runs.jsonl in earlier attempts.
         merged = results.telemetry_summary()

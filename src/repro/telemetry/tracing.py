@@ -4,10 +4,11 @@ Each emitted line is one complete JSON object in the ``chrome://tracing``
 event format (a *complete* event, ``"ph": "X"``, with microsecond ``ts`` /
 ``dur`` read from :func:`time.perf_counter` — monotonic, so spans never go
 backwards across clock adjustments).  The file itself is newline-delimited
-JSON rather than one big array so writers can only ever *append*: a crash
-mid-run leaves every already-flushed span intact.  :func:`to_chrome` wraps a
-JSONL file into the ``{"traceEvents": [...]}`` envelope the Chrome /
-Perfetto viewers load directly.
+JSON rather than one big array so writers can only ever *append* (through
+an :class:`~repro.utils.durable.AppendLog`): a crash mid-run leaves every
+already-flushed span intact.  :func:`to_chrome` wraps a JSONL file into the
+``{"traceEvents": [...]}`` envelope the Chrome / Perfetto viewers load
+directly.
 
 Spans nest through a per-thread stack: ``Tracer.span`` is a context manager,
 and child spans opened inside a parent are contained within the parent's
@@ -29,6 +30,8 @@ import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+from repro.utils.durable import AppendLog
 
 __all__ = ["NULL_TRACER", "NullTracer", "Tracer", "to_chrome"]
 
@@ -121,6 +124,7 @@ class Tracer:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.pid = os.getpid()
         self.path = self.directory / f"trace-{self.pid}.jsonl"
+        self._log = AppendLog(self.path)
         self._lock = threading.Lock()
         self._buffer: List[str] = []
         self._local = threading.local()
@@ -197,8 +201,7 @@ class Tracer:
     def _flush_locked(self) -> None:
         if not self._buffer:
             return
-        with self.path.open("a") as stream:
-            stream.write("\n".join(self._buffer) + "\n")
+        self._log.append(*self._buffer)
         self._buffer.clear()
 
     def flush(self) -> None:
@@ -213,20 +216,12 @@ class Tracer:
 def to_chrome(jsonl_path: str | Path, out_path: Optional[str | Path] = None) -> Path:
     """Convert a JSONL trace file into a ``chrome://tracing`` loadable file.
 
-    Reads ``trace-*.jsonl`` lines (tolerating a torn final line from a
-    crashed writer) and writes ``{"traceEvents": [...]}``.  ``out_path``
+    Reads the intact ``trace-*.jsonl`` lines (a crashed writer's torn line
+    is skipped) and writes ``{"traceEvents": [...]}``.  ``out_path``
     defaults to the input with a ``.json`` suffix.
     """
     jsonl_path = Path(jsonl_path)
-    events = []
-    for line in jsonl_path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # torn tail of a crashed writer
+    events = AppendLog(jsonl_path).read()
     out = Path(out_path) if out_path is not None else jsonl_path.with_suffix(".json")
     out.write_text(json.dumps({"traceEvents": events}))
     return out

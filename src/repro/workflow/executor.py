@@ -44,9 +44,8 @@ import numpy as np
 
 from repro import telemetry
 from repro.api.config import OnlineTrainingConfig
-from repro.api.session import OnlineTrainingResult
+from repro.api.session import OnlineTrainingResult, run_online_training
 from repro.breed.samplers import BreedConfig
-from repro.melissa.run import run_online_training
 from repro.melissa.workers import start_workers
 from repro.solvers.base import Solver
 from repro.surrogate.validation import (
@@ -54,6 +53,7 @@ from repro.surrogate.validation import (
     validation_set_floats,
     validation_set_for_workload,
 )
+from repro.utils.durable import AppendLog
 from repro.utils.logging import get_logger
 from repro.utils.timer import Timer
 from repro.workflow import faults
@@ -681,39 +681,24 @@ def get_executor(
 class JsonlCheckpoint:
     """Append-only JSONL record of completed runs.
 
-    One line per completed :class:`RunResult`, written (and flushed) as each
-    run finishes so a killed study loses at most the in-flight runs.  Loading
-    tolerates a truncated final line — the tail a crash mid-write leaves
-    behind — and keeps the *last* record per name, so re-running a study into
-    the same file is harmless.
+    One line per completed :class:`RunResult`, durably appended (an
+    :class:`~repro.utils.durable.AppendLog`) as each run finishes so a killed
+    study loses at most the in-flight runs.  Loading skips a torn line and
+    keeps the *last* record per name, so re-running a study into the same
+    file is harmless.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self._log = AppendLog(self.path)
 
     def exists(self) -> bool:
         return self.path.exists()
 
     def load(self) -> Dict[str, RunResult]:
         """Completed runs keyed by name (empty when the file is absent)."""
-        completed: Dict[str, RunResult] = {}
-        if not self.path.exists():
-            return completed
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                _LOGGER.warning("skipping truncated checkpoint line in %s", self.path)
-                continue
-            record = RunResult.from_dict(payload)
-            completed[record.name] = record
-        return completed
+        records = (RunResult.from_dict(payload) for payload in self._log.read())
+        return {record.name: record for record in records}
 
     def append(self, record: RunResult) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as stream:
-            stream.write(json.dumps(record.to_dict()) + "\n")
-            stream.flush()
+        self._log.append(json.dumps(record.to_dict()))

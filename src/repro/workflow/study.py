@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from repro.api.config import OnlineTrainingConfig
 from repro.api.session import OnlineTrainingResult
 from repro.api.workloads import Workload
-from repro.melissa.run import OnlineTrainingConfig
 from repro.solvers.base import Solver
 from repro.surrogate.validation import ValidationSet
 from repro.utils.logging import get_logger
@@ -210,7 +210,7 @@ class StudyRunner:
         name_key:
             Optional override key whose value names the run.
         checkpoint:
-            Optional JSONL path; each completed run is appended (and flushed)
+            Optional JSONL path; each completed run is durably appended
             as it finishes, in completion order.
         resume:
             Optional JSONL path of a previous invocation; runs whose names
@@ -247,12 +247,13 @@ class StudyRunner:
                 )
                 for index, spec in enumerate(specs)
             ]
+        sink_path = checkpoint if checkpoint is not None else resume
+        sink = JsonlCheckpoint(sink_path) if sink_path is not None else None
         completed: Dict[str, RunResult] = {}
         if resume is not None:
-            completed = JsonlCheckpoint(resume).load()
-        sink = JsonlCheckpoint(checkpoint if checkpoint is not None else resume) if (
-            checkpoint is not None or resume is not None
-        ) else None
+            # One instance when the sink is the resume file: its log counts
+            # the records while loading them, not again on the first append.
+            completed = (sink if checkpoint is None else JsonlCheckpoint(resume)).load()
 
         pending: List[RunSpec] = []
         resumed: List[RunResult] = []

@@ -7,9 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.api import OnlineTrainingConfig, TrainingSession
+from repro.api import OnlineTrainingConfig, TrainingSession, run_online_training
 from repro.breed.samplers import BreedConfig
-from repro.melissa.run import run_online_training
 from repro.sampling.bounds import HEAT1D_BOUNDS
 
 

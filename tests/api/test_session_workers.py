@@ -18,7 +18,7 @@ from repro import telemetry
 from repro.api.session import OnlineTrainingResult, TrainingSession
 from repro.breed.samplers import BreedConfig
 from repro.checkpoint import restore_session, save_session
-from repro.melissa.run import OnlineTrainingConfig
+from repro.api import OnlineTrainingConfig
 from repro.melissa.workers import MIN_TRAJECTORY_FLOATS, SolverWorkerError
 from repro.solvers.heat2d import Heat2DConfig
 

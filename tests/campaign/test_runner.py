@@ -7,6 +7,7 @@ import pytest
 from faults import TOKEN_ENV, CrashAt, InjectedFault, arm_file
 from repro import telemetry
 from repro.campaign import (
+    ArtifactCache,
     CampaignManifest,
     CampaignResumeError,
     CampaignRunner,
@@ -90,6 +91,39 @@ class TestResume:
             assert [comparable(r) for r in again.results[node].runs] == [
                 comparable(r) for r in results.runs
             ]
+
+    def test_manifest_seq_is_dense_across_invocations(self, make_campaign, tmp_path):
+        run_campaign(make_campaign("diamond"), tmp_path / "camp").run()
+        run_campaign(make_campaign("diamond"), tmp_path / "camp").run(resume=True)
+        events = CampaignManifest(tmp_path / "camp" / "manifest.jsonl").load()
+        assert [e["event"] for e in events].count("campaign_started") == 2
+        assert [e["seq"] for e in events] == list(range(len(events)))
+
+    def test_resume_after_torn_splice_executes_each_digest_once(self, make_campaign, tmp_path):
+        class Killed(Exception):
+            pass
+
+        def kill_when_right_starts(event, payload):
+            if event == "node_started" and payload["node"] == "right":
+                raise Killed
+
+        root = tmp_path / "camp"
+        runner = run_campaign(
+            make_campaign("diamond"), root, on_event=kill_when_right_starts, propagate=(Killed,)
+        )
+        with pytest.raises(Killed):
+            runner.run()
+        # Killed mid-write of the cached C3 record ``right`` splices from
+        # ``left``: half of the record on disk, no newline.
+        record = (runner.node_dir("left") / "runs.jsonl").read_text().splitlines()[-1]
+        runner.node_dir("right").mkdir(parents=True, exist_ok=True)
+        (runner.node_dir("right") / "runs.jsonl").write_text(record[: len(record) // 2])
+
+        outcome = run_campaign(make_campaign("diamond"), root).run(resume=True)
+        assert outcome.ok and outcome.runs_executed == 1  # join's run only
+        counts = CampaignManifest(root / "manifest.jsonl").executed_run_counts()
+        assert counts == {digest: 1 for digest in ArtifactCache(root / "cache").digests()}
+        assert len(counts) == TOPOLOGIES["diamond"][1]
 
     def test_existing_manifest_without_resume_is_refused(self, make_campaign, tmp_path):
         run_campaign(make_campaign("fanout"), tmp_path / "camp").run()

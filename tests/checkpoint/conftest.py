@@ -7,7 +7,7 @@ from typing import Callable
 import pytest
 
 from repro.breed.samplers import BreedConfig
-from repro.melissa.run import OnlineTrainingConfig
+from repro.api import OnlineTrainingConfig
 from repro.solvers.heat2d import Heat2DConfig
 
 

@@ -22,7 +22,7 @@ if _FAULTS_DIR not in sys.path:
     sys.path.insert(0, _FAULTS_DIR)
 
 from repro.breed.samplers import BreedConfig
-from repro.melissa.run import OnlineTrainingConfig
+from repro.api import OnlineTrainingConfig
 from repro.sampling.bounds import HEAT2D_BOUNDS, ParameterBounds
 from repro.solvers.heat2d import Heat2DConfig, Heat2DImplicitSolver
 from repro.surrogate.normalization import SurrogateScalers

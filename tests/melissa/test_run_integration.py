@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.breed.samplers import ParameterSource
-from repro.melissa.run import OnlineTrainingConfig, build_sampler, build_solver, run_online_training
+from repro.api import OnlineTrainingConfig, run_online_training
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.utils.logging import EventLog
 
@@ -43,9 +43,10 @@ class TestConfigValidation:
         assert paper.batch_size == 128
 
     def test_build_helpers(self, tiny_run_config):
-        assert build_solver(tiny_run_config).field_size == tiny_run_config.heat.grid_size ** 2
-        assert build_sampler(tiny_run_config).name == "Breed"
-        assert build_sampler(replace(tiny_run_config, method="random")).name == "Random"
+        solver = tiny_run_config.build_workload().build_solver()
+        assert solver.field_size == tiny_run_config.heat.grid_size ** 2
+        assert tiny_run_config.build_sampler().name == "Breed"
+        assert replace(tiny_run_config, method="random").build_sampler().name == "Random"
 
 
 class TestBreedRun:

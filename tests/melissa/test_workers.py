@@ -169,7 +169,7 @@ def test_worker_count_and_ring_bytes(monkeypatch, tiny_solver):
 
 def test_session_sizes_the_ring_by_window_not_trajectory(monkeypatch):
     from repro.api.session import MIN_RING_ROWS, RING_TICKS, TrainingSession
-    from repro.melissa.run import OnlineTrainingConfig
+    from repro.api import OnlineTrainingConfig
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     config = OnlineTrainingConfig(

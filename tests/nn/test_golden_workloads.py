@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.breed.samplers import BreedConfig
-from repro.melissa.run import OnlineTrainingConfig, run_online_training
+from repro.api import OnlineTrainingConfig, run_online_training
 from repro.solvers.heat2d import Heat2DConfig
 
 GOLDEN_PATH = Path(__file__).parent / "golden_workloads.json"

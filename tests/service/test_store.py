@@ -199,6 +199,13 @@ class TestLifecycle:
         # and the next append still gets a fresh, dense sequence number
         entry = store.append_event(record.id, "started")
         assert entry["seq"] == 1
+        # ...stands on its own line, readable by this store and a fresh one
+        store.append_event(record.id, "done")
+        for reader in (store, JobStore(store.root)):
+            events = reader.events(record.id)
+            assert [e["event"] for e in events] == ["queued", "started", "done"]
+            assert [e["seq"] for e in events] == [0, 1, 2]
+        assert JobStore(store.root).append_event(record.id, "queued")["seq"] == 3
 
 
 class TestCancel:

@@ -15,7 +15,7 @@ import pytest
 
 from repro import nn
 from repro.api.registry import workload_names
-from repro.melissa.run import OnlineTrainingConfig
+from repro.api import OnlineTrainingConfig
 from repro.nn.tensor import Tensor
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.sampling.halton import halton_in_bounds

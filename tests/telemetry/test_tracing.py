@@ -124,3 +124,19 @@ class TestToChrome:
         names = [e["name"] for e in payload["traceEvents"]]
         assert "kept" in names
         assert "torn" not in names
+
+    def test_keeps_events_flushed_after_a_torn_line(self, tmp_path):
+        tracer = Tracer(tmp_path)
+        with tracer.span("before"):
+            pass
+        tracer.flush()
+        # A writer killed mid-flush: half of a real event line, no newline.
+        line = tracer.path.read_text().splitlines()[-1]
+        with tracer.path.open("a") as stream:
+            stream.write(line[: len(line) // 2])
+        with tracer.span("after"):
+            pass
+        tracer.close()
+        payload = json.loads(to_chrome(tracer.path).read_text())
+        names = [e["name"] for e in payload["traceEvents"]]
+        assert names == ["process_name", "before", "after"]

@@ -350,6 +350,23 @@ class TestCheckpointResume:
         completed = JsonlCheckpoint(path).load()
         assert len(completed) == 1  # the intact line survives
 
+    def test_resume_after_torn_line_executes_no_run_twice(self, tiny_run_config, tmp_path):
+        path = tmp_path / "study.jsonl"
+        StudyRunner(base_config=tiny_run_config, study_name="torn").run_all(GRID[:2], checkpoint=path)
+        # A kill mid-write: the second record is only half on disk, no newline.
+        intact, second = path.read_text().splitlines()
+        path.write_text(intact + "\n" + second[: len(second) // 2])
+
+        executed = []
+        runner = StudyRunner(
+            base_config=tiny_run_config, study_name="torn", on_result=lambda r: executed.append(r.name)
+        )
+        runner.run_all(GRID, resume=path)  # re-runs the torn run, then the two new ones
+        runner.run_all(GRID, resume=path)  # everything is checkpointed by now
+        names = runner.run_names(GRID)
+        assert executed == names[1:]
+        assert sorted(JsonlCheckpoint(path).load()) == sorted(names)
+
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert JsonlCheckpoint(tmp_path / "absent.jsonl").load() == {}
 

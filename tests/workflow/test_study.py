@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.melissa.run import OnlineTrainingConfig
+from repro.api import OnlineTrainingConfig
 from repro.workflow.study import StudyRunner, apply_overrides
 
 
