@@ -23,9 +23,10 @@ One command orchestrates the whole scenario::
    be flagged with the exact resume command.
 
 ``--backend serial`` kills the driver *mid-run* (the ``run`` injection point
-fires inside ``execute_spec`` in the driver process); ``--backend shm`` kills
-the driver at a *run boundary* (the ``record`` point — under shm the ``run``
-point would fire in a pool worker instead of the orchestrator).
+fires inside ``execute_spec`` in the driver process); ``--backend shm`` (an
+alias of ``process``) kills the driver at a *run boundary* (the ``record``
+point — under it the ``run`` point would fire in a pool worker instead of the
+orchestrator).
 
 Exit code 0 means the campaign resume contract holds.
 """
@@ -38,7 +39,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -111,24 +111,11 @@ def launch(args: list, env_extra: dict) -> subprocess.Popen:
 
 
 def reap(process: subprocess.Popen) -> None:
-    """Kill the invocation's whole session and reclaim leaked shm segments."""
-    from repro.workflow.shm import orphaned_segments
-
+    """Kill the invocation's whole session (a killed driver's workers included)."""
     try:
         os.killpg(process.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline:
-        leaked = orphaned_segments()
-        if not leaked:
-            return
-        for name in leaked:
-            try:
-                (Path("/dev/shm") / name).unlink()
-            except (FileNotFoundError, PermissionError):
-                pass
-        time.sleep(0.05)
 
 
 def main() -> int:

@@ -22,9 +22,9 @@ Importing this module registers the scenarios (see
 * ``telemetry/*`` — the same session body with metrics + tracing fully
   enabled, so ``--compare`` against ``session/online_smoke`` bounds the
   observability overhead,
-* ``study/*`` — tiny study throughput through the serial, process and
-  shared-memory executor backends, plus validation-heavy throughput and
-  worker-scaling comparisons of the parallel backends,
+* ``study/*`` — tiny study throughput through the serial and process
+  executor backends, plus validation-heavy throughput and worker scaling of
+  the process backend,
 * ``service/*`` — HTTP round-trips against a live study service (submit,
   poll progress, wait for completion),
 * ``campaign/*`` — DAG-of-studies orchestration overhead over a pre-warmed
@@ -572,25 +572,13 @@ def _study_process() -> ScenarioRun:
     return _study_scenario("process")
 
 
-@register_scenario(
-    "study/shm",
-    units="runs",
-    description="tiny 2-run study through the shared-memory executor backend",
-)
-def _study_shm() -> ScenarioRun:
-    return _study_scenario("shm")
-
-
 def _study_throughput_scenario(backend: str, max_workers: int, n_runs: int = 8) -> ScenarioRun:
     """Validation-heavy study throughput of one parallel backend.
 
     The scenario is built so the dominant study input — the fixed validation
-    set, 256 full solver trajectories — dwarfs any single run: that is exactly
-    the input the process backend rebuilds once *per worker* while the shm
-    backend builds it once in the parent and shares it zero-copy, so the
-    runs/s gap between ``study/process_throughput`` and
-    ``study/shm_throughput`` is the measured value of zero-copy input
-    sharing.
+    set, 256 full solver trajectories — dwarfs any single run: the driver
+    builds it once and the forked workers inherit it, so the worker-count
+    scenarios measure how the runs themselves scale.
     """
     from repro.workflow.study import StudyRunner
 
@@ -623,30 +611,21 @@ def _study_process_throughput() -> ScenarioRun:
 
 
 @register_scenario(
-    "study/shm_throughput",
+    "study/process_workers1",
     units="runs",
-    description="validation-heavy 8-run study, shm backend, 4 workers",
+    description="validation-heavy 8-run study, process backend, 1 worker (scaling base)",
 )
-def _study_shm_throughput() -> ScenarioRun:
-    return _study_throughput_scenario("shm", max_workers=4)
+def _study_process_workers1() -> ScenarioRun:
+    return _study_throughput_scenario("process", max_workers=1)
 
 
 @register_scenario(
-    "study/shm_workers1",
+    "study/process_workers2",
     units="runs",
-    description="validation-heavy 8-run study, shm backend, 1 worker (scaling base)",
+    description="validation-heavy 8-run study, process backend, 2 workers",
 )
-def _study_shm_workers1() -> ScenarioRun:
-    return _study_throughput_scenario("shm", max_workers=1)
-
-
-@register_scenario(
-    "study/shm_workers2",
-    units="runs",
-    description="validation-heavy 8-run study, shm backend, 2 workers",
-)
-def _study_shm_workers2() -> ScenarioRun:
-    return _study_throughput_scenario("shm", max_workers=2)
+def _study_process_workers2() -> ScenarioRun:
+    return _study_throughput_scenario("process", max_workers=2)
 
 
 # -------------------------------------------------------------------- service

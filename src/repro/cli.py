@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker count; N > 1 implies --backend process")
     parser.add_argument("--backend", choices=list(BACKENDS), default=None,
                         help="executor backend (default: serial, or process when --jobs > 1; "
-                             "shm shares study inputs/results through shared memory)")
+                             "shm is an alias of process)")
     parser.add_argument("--out", default="results", metavar="DIR",
                         help="output directory for result JSON and checkpoints (default: results/)")
     parser.add_argument("--resume", default=None, metavar="JSONL",
@@ -476,7 +476,7 @@ def _list_experiments() -> str:
     ]
     rows.append(("bench", "perf", "benchmark harness (see `bench --help` / --list-scenarios)"))
     rows.append(("serve", "service", "long-running study server (see `serve --help` / docs/SERVICE.md)"))
-    rows.append(("doctor", "ops", "diagnose shm/service/checkpoint residue (see `doctor --help`)"))
+    rows.append(("doctor", "ops", "diagnose service/campaign/checkpoint residue (see `doctor --help`)"))
     rows.append(("campaign", "study", "resumable DAG-of-studies (see `campaign --help` / docs/CAMPAIGNS.md)"))
     return format_table(["experiment", "kind", "description"], rows)
 

@@ -3,10 +3,6 @@
 A read-only diagnostic pass over the operational residue the toolkit can
 leave behind, reported as a plain-text table (and ``--json`` for scripts):
 
-* **shm segments** — leftover ``/dev/shm`` blocks created by the
-  shared-memory executor (:func:`repro.workflow.shm.orphaned_segments`).
-  A crashed parent process (SIGKILL before its cleanup ``finally``) is the
-  only way these survive; they hold real memory until removed.
 * **service roots** — ``server.json`` files advertising study services.
   Each advertised URL is probed with a short-timeout health request; a root
   whose server does not answer *and* has no clean ``shutdown.marker`` is
@@ -25,8 +21,8 @@ leave behind, reported as a plain-text table (and ``--json`` for scripts):
   the exact ``repro campaign --root <dir> --resume`` command that re-enters
   it bit-identically.
 
-Exit status: 0 when healthy, 1 when something needs attention (orphaned
-segments, a crashed service root, or an abandoned campaign).
+Exit status: 0 when healthy, 1 when something needs attention (a crashed
+service root or an abandoned campaign).
 """
 
 from __future__ import annotations
@@ -201,18 +197,10 @@ def _solver_workers() -> Dict[str, Any]:
 
 def diagnose(roots: List[Path]) -> Dict[str, Any]:
     """Run every check; the payload ``doctor_main`` renders and exits on."""
-    from repro.workflow.shm import orphaned_segments
-
-    segments = orphaned_segments()
     services = _scan_service_roots(roots)
     checkpoints = _scan_checkpoints(roots)
     campaigns = _scan_campaigns(roots)
     issues: List[str] = []
-    if segments:
-        issues.append(
-            f"{len(segments)} orphaned shm segment(s) hold memory; "
-            f"remove with: rm " + " ".join(f"/dev/shm/{name}" for name in segments)
-        )
     for service in services:
         if service["status"] == "crashed":
             issues.append(
@@ -232,7 +220,6 @@ def diagnose(roots: List[Path]) -> Dict[str, Any]:
                 f"repro campaign --root {campaign['root']} --resume"
             )
     return {
-        "orphaned_shm_segments": segments,
         "service_roots": services,
         "checkpoint_usage": checkpoints,
         "campaigns": campaigns,
@@ -245,9 +232,9 @@ def diagnose(roots: List[Path]) -> Dict[str, Any]:
 def build_doctor_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro doctor",
-        description="Diagnose operational residue: orphaned shared-memory "
-                    "segments, stale/crashed service roots, and checkpoint "
-                    "disk usage.  Read-only; exit 1 when attention is needed.",
+        description="Diagnose operational residue: stale/crashed service "
+                    "roots, abandoned campaigns, and checkpoint disk usage.  "
+                    "Read-only; exit 1 when attention is needed.",
     )
     parser.add_argument(
         "roots", nargs="*", default=None, metavar="DIR",
@@ -269,10 +256,6 @@ def doctor_main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(report, indent=2))
         return 0 if report["healthy"] else 1
 
-    segments = report["orphaned_shm_segments"]
-    print(f"shm segments: {len(segments)} orphaned")
-    for name in segments:
-        print(f"  /dev/shm/{name}")
     if report["service_roots"]:
         print(format_table(
             ["service root", "status", "url"],

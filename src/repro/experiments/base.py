@@ -27,7 +27,8 @@ from repro.api.workloads import Workload
 from repro.breed.samplers import BreedConfig
 from repro.solvers.base import Solver
 from repro.solvers.heat2d import Heat2DConfig
-from repro.surrogate.validation import ValidationSet, validation_set_for_workload
+from repro.surrogate.validation import ValidationSet
+from repro.workflow.executor import StudyInputCache
 
 __all__ = [
     "ExperimentScale",
@@ -191,11 +192,8 @@ def shared_study_inputs(
 
     Every experiment module reuses one solver (the implicit schemes
     pre-factorise their linear system) and one Halton validation set across
-    all runs, exactly like the paper's studies.
+    all runs, exactly like the paper's studies.  Built by the study engine's
+    :class:`~repro.workflow.executor.StudyInputCache`, in parallel where it
+    can.
     """
-    workload = config.build_workload()
-    solver = workload.build_solver()
-    validation = validation_set_for_workload(
-        workload, config.n_validation_trajectories, solver=solver
-    )
-    return workload, solver, validation
+    return (config.build_workload(), *StudyInputCache().inputs(config))

@@ -90,7 +90,7 @@ def inline_reason(solver: Optional[Solver] = None) -> Optional[str]:
     if usable_cpus() < 2:
         return "single_cpu"
     if multiprocessing is not None and multiprocessing.parent_process() is not None:
-        return "pool_worker"  # a process/shm study worker: its siblings fill the cores
+        return "pool_worker"  # a process-backend study worker: its siblings fill the cores
     if threading.active_count() > 1:
         return "threads_alive"  # fork copies one thread; a lock another holds stays held
     if solver is not None and solver.field_size * (solver.n_timesteps + 1) < MIN_TRAJECTORY_FLOATS:

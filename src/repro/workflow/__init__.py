@@ -7,8 +7,6 @@ from repro.workflow.executor import (
     MultiprocessExecutor,
     RunSpec,
     SerialExecutor,
-    SharedInputCache,
-    SharedMemoryExecutor,
     StudyInputCache,
     TIMING_METRICS,
     execute_spec,
@@ -16,12 +14,6 @@ from repro.workflow.executor import (
 )
 from repro.workflow.grid import ParameterGrid, one_factor_at_a_time
 from repro.workflow.results import RunResult, StudyResults
-from repro.workflow.shm import (
-    SharedArrayPool,
-    SharedArrayRef,
-    SharedResultRing,
-    SharedStudyInputs,
-)
 from repro.workflow.study import StudyRunner, apply_overrides
 
 __all__ = [
@@ -33,12 +25,6 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "SerialExecutor",
-    "SharedArrayPool",
-    "SharedArrayRef",
-    "SharedInputCache",
-    "SharedMemoryExecutor",
-    "SharedResultRing",
-    "SharedStudyInputs",
     "StudyInputCache",
     "StudyResults",
     "StudyRunner",

@@ -8,26 +8,23 @@ is the in-Python equivalent of that workflow engine:
   the serialized base configuration (``OnlineTrainingConfig.to_dict()``) and a
   flat override dict.  Workers rebuild the real configuration with
   :meth:`RunSpec.build_config`, so specs can cross process boundaries.
-* :class:`StudyInputCache` — per-process cache of the expensive study inputs
-  (solver factorisation, fixed Halton validation set), keyed by scenario so
-  multi-workload studies still share them within one worker.
-* :class:`SerialExecutor` / :class:`MultiprocessExecutor` /
-  :class:`SharedMemoryExecutor` — the three :class:`Executor` backends.
-  The serial backend keeps the full
+* :class:`StudyInputCache` — cache of the expensive study inputs (solver
+  factorisation, fixed Halton validation set), keyed by scenario so
+  multi-workload studies still share them across runs.
+* :class:`SerialExecutor` / :class:`MultiprocessExecutor` — the two
+  :class:`Executor` backends.  The serial backend keeps the full
   :class:`~repro.api.session.OnlineTrainingResult` (model included)
-  in-process; the multiprocess backend ships only the picklable
-  :class:`~repro.workflow.results.RunResult` back from the workers; the
-  shared-memory backend additionally shares the study inputs and result
-  series through ``multiprocessing.shared_memory`` blocks
-  (:mod:`repro.workflow.shm`) so nothing large is pickled in either
-  direction.
+  in-process; the multiprocess backend forks workers that inherit the
+  driver's study inputs and ships only the picklable
+  :class:`~repro.workflow.results.RunResult` back.  The backend name
+  ``"shm"`` is an alias of ``"process"``.
 * :class:`JsonlCheckpoint` — an append-only JSONL record of completed runs,
   written as results finish (in completion order) and read back by
   ``StudyRunner.run_all(..., resume=...)`` to skip completed runs after a
   crash or interruption.
 
 Runs are deterministic functions of their configuration (every RNG stream is
-seeded from ``config.seed``), so the two backends produce bit-identical
+seeded from ``config.seed``), so the backends produce bit-identical
 metrics and series for the same specs — except for the wall-clock
 :data:`TIMING_METRICS`, which are excluded from any equality contract.
 """
@@ -36,11 +33,13 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import queue
+import traceback
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
-
-import numpy as np
 
 from repro import telemetry
 from repro.api.config import OnlineTrainingConfig
@@ -66,10 +65,9 @@ __all__ = [
     "MultiprocessExecutor",
     "RunSpec",
     "SerialExecutor",
-    "SharedInputCache",
-    "SharedMemoryExecutor",
     "StudyInputCache",
     "TIMING_METRICS",
+    "WorkerTraceback",
     "apply_overrides",
     "config_digest",
     "effective_worker_count",
@@ -183,9 +181,9 @@ class StudyInputCache:
     Solvers (the implicit schemes pre-factorise their linear system) and the
     fixed Halton validation set are deterministic functions of the scenario
     — workload key and options, grid geometry, parameter bounds, validation
-    budget — so they are shared across every run of that scenario.  Each
-    worker process owns one instance; the serial backend shares one with the
-    :class:`~repro.workflow.study.StudyRunner` driving it.
+    budget — so they are shared across every run of that scenario.  Both
+    backends share one with the :class:`~repro.workflow.study.StudyRunner`
+    driving them; forked process-backend workers inherit it.
     """
 
     def __init__(self) -> None:
@@ -237,8 +235,7 @@ def execute_spec(
     """Execute one run spec and package its :class:`RunResult` record.
 
     This is the single run-execution path of the engine: the serial backend
-    calls it in-process, the multiprocess backend calls it inside each worker
-    (through :func:`_execute_spec_in_worker`).
+    calls it in-process, the multiprocess backend inside each worker.
     """
     # Deterministic crash point for the kill-and-resume matrix: fires in
     # whichever process executes the run (driver or worker).  One env lookup
@@ -348,75 +345,6 @@ class SerialExecutor:
         return records
 
 
-# Worker-process state: one StudyInputCache per worker, living for the
-# lifetime of the pool so solver factorisations and validation sets are
-# shared across every run the worker executes (not re-done per run).
-_WORKER_CACHE: Optional[StudyInputCache] = None
-
-
-def _execute_spec_in_worker(spec: RunSpec) -> RunResult:
-    """Process-pool entry point: run one spec against the worker-local cache."""
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = StudyInputCache()
-    record, _ = execute_spec(spec, _WORKER_CACHE)
-    return record
-
-
-class MultiprocessExecutor:
-    """``concurrent.futures.ProcessPoolExecutor``-backed parallel backend.
-
-    Each worker rebuilds configurations from the picklable :class:`RunSpec`
-    and keeps a worker-local :class:`StudyInputCache`; only the
-    :class:`RunResult` record crosses back (the trained model stays in the
-    worker).  Records are handed to ``on_record`` in completion order — the
-    checkpoint stream — and returned re-ordered to spec order, so study
-    results are deterministic regardless of scheduling.
-
-    Workers resolve registry keys against a freshly imported ``repro``:
-    workloads/samplers registered at runtime (``@register_workload`` in a
-    script) are only visible to them under the ``fork`` start method.
-    Under ``spawn``/``forkserver`` — macOS, Windows, and Linux from
-    Python 3.14 where ``forkserver`` becomes the default — custom
-    registrations must live in an importable module, or use the serial
-    backend.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-
-    def execute(
-        self, specs: Sequence[RunSpec], on_record: Optional[OnRecord] = None
-    ) -> List[RunResult]:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        if not specs:
-            return []
-        records: List[Optional[RunResult]] = [None] * len(specs)
-        max_workers = effective_worker_count(self.max_workers, len(specs), backend="process")
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(_execute_spec_in_worker, spec): index
-                for index, spec in enumerate(specs)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                record = future.result()
-                records[index] = record
-                if on_record is not None:
-                    on_record(index, record)
-        return [record for record in records if record is not None]
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory backend
-# ---------------------------------------------------------------------------
-
-#: test-only hook: a worker whose spec name equals this env var SIGKILLs
-#: itself instead of running, so the worker-crash path is deterministic
-_SHM_CRASH_ENV = "REPRO_SHM_TEST_CRASH_RUN"
-
-
 def effective_worker_count(
     max_workers: Optional[int], n_specs: int, backend: str
 ) -> int:
@@ -438,202 +366,132 @@ def effective_worker_count(
     return workers
 
 
-class SharedInputCache(StudyInputCache):
-    """Worker-side input cache backed by :class:`SharedStudyInputs`.
+class WorkerTraceback(Exception):
+    """The formatted traceback of a run that failed in a study worker.
 
-    Solvers are rebuilt locally (their factorisations are not shareable
-    objects), but validation sets — the expensive input, requiring full
-    solver trajectories over the Halton set — come zero-copy from the
-    parent's shared blocks whenever the scenario is known there.
+    Chained as the ``__cause__`` of the run's own exception, which the driver
+    re-raises with its original type.
     """
 
-    def __init__(self, shared: "SharedStudyInputs") -> None:  # noqa: F821
-        super().__init__()
-        self._shared = shared
 
-    def inputs(self, config: OnlineTrainingConfig) -> Tuple[Solver, Optional[ValidationSet]]:
-        key = self.key(config)
-        if key not in self._entries:
-            workload = config.build_workload()
-            solver = workload.build_solver()
-            if key in self._shared:
-                validation = self._shared.validation_set(key)
-            else:  # scenario unknown to the parent (defensive fallback)
-                validation = validation_set_for_workload(
-                    workload, config.n_validation_trajectories, solver=solver
-                )
-            self._entries[key] = (solver, validation)
-        return self._entries[key]
+def _worker_main(task_queue, result_queue, cache: Optional[StudyInputCache], driver: int) -> None:
+    """Study worker: run ``(index, spec)`` tasks until the ``None`` sentinel.
 
-
-def _estimated_series_floats(config: OnlineTrainingConfig) -> int:
-    """Upper bound on one run's result-series floats (ring slot sizing).
-
-    Train series record at most one point per iteration; validation series
-    one point per ``validation_period`` plus the watermark/final points.
-    Underestimates are safe — oversized series fall back to pickling.
+    ``cache`` is the driver's, inherited copy-on-write through ``fork``;
+    ``None`` (no ``fork`` here) makes the worker build its own inputs.  A
+    worker whose driver (pid ``driver``) died exits instead of waiting for
+    a sentinel nobody will send.
     """
-    max_iterations = int(config.max_iterations)
-    validation_points = max_iterations // max(1, int(config.validation_period)) + 2
-    return 2 * max_iterations + 2 * validation_points + 16
-
-
-def _shm_worker_main(task_queue, result_queue, free_slots, inputs_manifest, ring_manifest):
-    """Shared-memory pool worker: attach once, stream runs through the ring."""
-    from repro.workflow.shm import SharedResultRing, SharedStudyInputs
-
-    shared = SharedStudyInputs.attach(inputs_manifest)
-    ring = SharedResultRing.attach(ring_manifest)
-    cache = SharedInputCache(shared)
-    try:
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            index, spec = task
+    cache = cache if cache is not None else StudyInputCache()
+    while True:
+        try:
+            task = task_queue.get(timeout=1.0)
+        except queue.Empty:
+            if os.getppid() != driver:
+                result_queue.cancel_join_thread()  # nobody reads: do not wait to flush
+                return
+            continue
+        if task is None:
+            return
+        index, spec = task
+        try:
+            record, _ = execute_spec(spec, cache)
+        except Exception as error:  # noqa: BLE001 - the driver re-raises it
+            trace = traceback.format_exc()
             try:
-                if os.environ.get(_SHM_CRASH_ENV) == spec.name:  # pragma: no cover
-                    import signal
-
-                    os.kill(os.getpid(), signal.SIGKILL)
-                record, _ = execute_spec(spec, cache)
-                series = {
-                    key: np.asarray(values, dtype=np.float64)
-                    for key, values in record.series.items()
-                }
-                slot = free_slots.get()
-                layout = ring.try_write(slot, series)
-                if layout is None:
-                    # Series exceed the preallocated slot: recycle it and
-                    # fall back to pickling the full record.
-                    free_slots.put(slot)
-                    result_queue.put(("inline", index, record, None, None))
-                else:
-                    record = replace(record, series={})
-                    result_queue.put(("slot", index, record, slot, layout))
-            except Exception:  # noqa: BLE001 - report, keep the worker alive
-                import traceback
-
-                result_queue.put(("error", index, spec.name, traceback.format_exc(), None))
-    finally:
-        ring.close()
-        shared.close()
+                pickle.loads(pickle.dumps(error))
+            except Exception:  # noqa: BLE001 - keep the type's name when it cannot cross
+                error = RuntimeError(f"{type(error).__name__}: {error}")
+            result_queue.put((index, None, (error, trace)))
+        else:
+            result_queue.put((index, record, None))
 
 
-class SharedMemoryExecutor:
-    """Zero-copy parallel backend over ``multiprocessing.shared_memory``.
+class MultiprocessExecutor:
+    """Parallel backend: worker processes over a task queue and a result queue.
 
-    Differences from :class:`MultiprocessExecutor`, all invisible to callers
-    (records are bit-identical and arrive through the same ``on_record``
-    completion stream):
+    Before forking, the driver builds each distinct scenario's inputs once
+    into ``cache`` (in parallel where :class:`StudyInputCache` can).  Workers
+    are forked from the ``fork`` context, so they inherit those inputs
+    copy-on-write and build nothing; on a platform without ``fork`` each
+    worker builds its own.  Only the :class:`RunResult` record crosses back.
+    Records are handed to ``on_record`` in completion order — the checkpoint
+    stream — and returned re-ordered to spec order, so study results are
+    deterministic regardless of scheduling.
 
-    * the parent builds each distinct scenario's validation set **once** and
-      publishes it through :class:`~repro.workflow.shm.SharedStudyInputs`;
-      workers attach zero-copy instead of re-running the solver over the
-      validation trajectories per worker process,
-    * result series return through a preallocated
-      :class:`~repro.workflow.shm.SharedResultRing` — workers write float
-      arrays in place and send only run metadata; series too large for a
-      ring slot transparently fall back to pickling,
-    * worker processes are plain ``multiprocessing.Process`` loops over a
-      task queue, so a crashed worker (OOM kill, segfault) is detected and
-      reported as a ``RuntimeError`` instead of hanging the study, with all
-      shared segments cleaned up in every path.
+    At most ``max_workers + 1`` runs are dispatched ahead of the records
+    received, and every exit terminates the workers.  So an exception raised
+    by ``on_record`` (a service stop or cancel at a run boundary) stops the
+    study after the runs already started, instead of draining the queue.
+    A dead worker (OOM kill, segfault, SIGKILL) raises a ``RuntimeError``
+    naming its exit code; a run that raises re-raises its exception here,
+    chained to a :class:`WorkerTraceback` that names the run.
 
-    The registry-visibility caveat of the process backend applies unchanged
-    (workloads registered at runtime need ``fork`` or an importable module).
+    Workers resolve registry keys against their copy of ``repro``: workloads
+    and samplers registered at runtime (``@register_workload`` in a script)
+    are only visible to them under ``fork``.  Without it, custom
+    registrations must live in an importable module, or use the serial
+    backend.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        cache: Optional[StudyInputCache] = None,
-        slot_floats: Optional[int] = None,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None, cache: Optional[StudyInputCache] = None) -> None:
         self.max_workers = max_workers
         self.cache = cache if cache is not None else StudyInputCache()
-        #: override of the per-slot ring capacity (None → estimated bound)
-        self.slot_floats = slot_floats
 
     def execute(
         self, specs: Sequence[RunSpec], on_record: Optional[OnRecord] = None
     ) -> List[RunResult]:
         import multiprocessing as mp
-        import queue as queue_module
-
-        from repro.workflow.shm import SharedResultRing, SharedStudyInputs
 
         if not specs:
             return []
-        max_workers = effective_worker_count(self.max_workers, len(specs), backend="shm")
-
-        # Build every distinct scenario's inputs once, in the parent, and
-        # publish the validation arrays as shared blocks.
-        configs = [spec.build_config() for spec in specs]
-        entries: Dict[Any, Optional[ValidationSet]] = {}
-        for config in configs:
-            key = StudyInputCache.key(config)
-            if key not in entries:
-                entries[key] = self.cache.inputs(config)[1]
-        shared = SharedStudyInputs.build(entries.items())
-
-        slot_floats = self.slot_floats
-        if slot_floats is None:
-            slot_floats = max(_estimated_series_floats(config) for config in configs)
-        ring = SharedResultRing(
-            n_slots=min(len(specs), 2 * max_workers), slot_floats=slot_floats
-        )
-
-        ctx = mp.get_context()
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        free_slots = ctx.Queue()
-        for slot in range(ring.n_slots):
-            free_slots.put(slot)
+        max_workers = effective_worker_count(self.max_workers, len(specs), backend="process")
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+        cache = self.cache if ctx.get_start_method() == "fork" else None
+        if cache is not None:
+            for spec in specs:
+                cache.inputs(spec.build_config())
+        task_queue, result_queue = ctx.Queue(), ctx.Queue()
         workers = [
             ctx.Process(
-                target=_shm_worker_main,
-                args=(task_queue, result_queue, free_slots,
-                      shared.manifest(), ring.manifest()),
-                name=f"shm-worker-{i}",
+                target=_worker_main,
+                args=(task_queue, result_queue, cache, os.getpid()),
+                name=f"study-worker-{i}",
                 daemon=True,
             )
             for i in range(max_workers)
         ]
+        tasks = chain(enumerate(specs), [None] * max_workers)
         records: List[Optional[RunResult]] = [None] * len(specs)
         try:
             for worker in workers:
                 worker.start()
-            for index, spec in enumerate(specs):
-                task_queue.put((index, spec))
-            for _ in workers:
-                task_queue.put(None)
-
+            for task in islice(tasks, max_workers + 1):
+                task_queue.put(task)
             n_done = 0
             while n_done < len(specs):
                 try:
-                    message = result_queue.get(timeout=0.1)
-                except queue_module.Empty:
-                    dead = [w for w in workers if not w.is_alive() and w.exitcode not in (0, None)]
+                    index, record, error = result_queue.get(timeout=0.1)
+                except queue.Empty:
+                    dead = [w for w in workers if w.exitcode not in (0, None)]
                     if dead:
                         raise RuntimeError(
-                            f"shm worker(s) {[w.name for w in dead]} died "
+                            f"study worker(s) {[w.name for w in dead]} died "
                             f"(exit codes {[w.exitcode for w in dead]}) with "
                             f"{len(specs) - n_done} run(s) outstanding"
                         )
                     continue
-                kind, index = message[0], message[1]
-                if kind == "error":
-                    _, _, name, trace, _ = message
-                    raise RuntimeError(f"run {name!r} failed in shm worker:\n{trace}")
-                _, _, record, slot, layout = message
-                if kind == "slot":
-                    record = replace(record, series=ring.read(slot, layout))
-                    free_slots.put(slot)
+                if error is not None:
+                    exception, trace = error
+                    raise exception from WorkerTraceback(
+                        f"run {specs[index].name!r} failed in a study worker:\n{trace}"
+                    )
                 records[index] = record
                 n_done += 1
                 if on_record is not None:
                     on_record(index, record)
+                for task in islice(tasks, 1):  # after on_record: it may stop the study
+                    task_queue.put(task)
         finally:
             for worker in workers:
                 if worker.is_alive():
@@ -641,14 +499,9 @@ class SharedMemoryExecutor:
             for worker in workers:
                 if worker.pid is not None:
                     worker.join(timeout=10.0)
-            # Draining the queues lets their feeder threads exit cleanly.
-            for q in (task_queue, result_queue, free_slots):
+            for q in (task_queue, result_queue):
                 q.cancel_join_thread()
                 q.close()
-            try:
-                ring.unlink()
-            finally:
-                shared.unlink()
         return [record for record in records if record is not None]
 
 
@@ -661,15 +514,17 @@ def get_executor(
     max_workers: Optional[int] = None,
     cache: Optional[StudyInputCache] = None,
 ) -> Executor:
-    """Construct the executor backend named ``backend``."""
+    """Construct the executor backend named ``backend``.
+
+    ``"shm"`` names the process backend: its workers inherit the driver's
+    study inputs, which is all the shared-memory backend once added.  The
+    caller's cache seeds the driver-side input build, so a runner that
+    already built its scenario inputs shares them instead of redoing them.
+    """
     if backend == "serial":
         return SerialExecutor(cache=cache)
-    if backend == "process":
-        return MultiprocessExecutor(max_workers=max_workers)
-    if backend == "shm":
-        # The caller's cache seeds the parent-side input build, so a runner
-        # that already built its scenario inputs shares instead of redoing.
-        return SharedMemoryExecutor(max_workers=max_workers, cache=cache)
+    if backend in ("process", "shm"):
+        return MultiprocessExecutor(max_workers=max_workers, cache=cache)
     raise ValueError(f"unknown executor backend {backend!r}; options: {BACKENDS}")
 
 

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the kill-and-resume test matrix.
 
 The study/campaign resilience tests need to crash a *chosen* run in a
-*chosen* process — the serial driver, a process/shm worker, or the campaign
-orchestrator at a run boundary — deterministically and from outside the
-process (env vars cross every backend's worker boundary for free, the same
-trick the shm crash tests use).  This module is the single injection point:
+*chosen* process — the serial driver, a process-backend worker, or the
+campaign orchestrator at a run boundary — deterministically and from outside
+the process (env vars cross every backend's worker boundary for free).  This
+module is the single injection point:
 
 * ``REPRO_FAULT_TOKEN`` — ``"<point>:<run name>"``; the fault fires when
   :func:`maybe_inject` is called with a matching point/name.  Points wired

@@ -15,6 +15,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.utils.durable import atomic_write
+
 __all__ = ["RunResult", "StudyResults"]
 
 
@@ -167,11 +169,9 @@ class StudyResults:
 
     # ------------------------------------------------------------ persistence
     def save_json(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Atomically replace ``path``: a failed write leaves the old file."""
         payload = {"study": self.study, "runs": [run.to_dict() for run in self.runs]}
-        path.write_text(json.dumps(payload, indent=2))
-        return path
+        return atomic_write(path, json.dumps(payload, indent=2))
 
     @classmethod
     def load_json(cls, path: str | Path) -> "StudyResults":

@@ -9,13 +9,12 @@ fixed — which also avoids re-factorising the implicit solver per run.
 Execution is delegated to a pluggable :mod:`repro.workflow.executor` backend:
 ``backend="serial"`` runs in-process (and retains the full
 :class:`~repro.api.session.OnlineTrainingResult` per run),
-``backend="process"`` fans the runs out over a worker pool, streaming
-picklable :class:`~repro.workflow.results.RunResult` records back, and
-``backend="shm"`` additionally shares study inputs and result series
-through ``multiprocessing.shared_memory`` (zero-copy; see
-:mod:`repro.workflow.shm`).  Either way ``run_all`` can checkpoint completed
-runs to a JSONL file as they finish and, given ``resume=``, skip the runs a
-previous (interrupted) invocation already completed.
+``backend="process"`` (alias ``"shm"``) fans the runs out over forked
+workers that inherit the study inputs the driver built, streaming picklable
+:class:`~repro.workflow.results.RunResult` records back.  Either way
+``run_all`` can checkpoint completed runs to a JSONL file as they finish
+and, given ``resume=``, skip the runs a previous (interrupted) invocation
+already completed.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ _LOGGER = get_logger("workflow")
 class StudyRunner:
     """Execute a set of run configurations derived from one base configuration.
 
-    ``backend`` selects the executor (``"serial"``, ``"process"`` or
-    ``"shm"``); ``max_workers`` bounds the worker pool of the parallel
-    backends.  After a serial ``run_all``/``run_one``, :attr:`full_results`
+    ``backend`` selects the executor (``"serial"``, or ``"process"`` and its
+    alias ``"shm"``); ``max_workers`` bounds the worker pool of the parallel
+    backend.  After a serial ``run_all``/``run_one``, :attr:`full_results`
     maps run name → :class:`OnlineTrainingResult` for experiments that need
-    the trained model or parameter vectors; the parallel backends leave it
+    the trained model or parameter vectors; the parallel backend leaves it
     empty (only the lightweight records cross back from the workers).
     """
 

@@ -53,6 +53,17 @@ class TestSelectionDeterminism:
             scenario_groups()
         )
 
+    def test_study_scenarios_time_each_executor_once(self):
+        # "shm" is an alias of the process backend: no scenario times it twice.
+        study = {n for n in scenario_names() if n.startswith("study/")}
+        assert {
+            "study/serial",
+            "study/process",
+            "study/process_workers1",
+            "study/process_workers2",
+        } <= study
+        assert not any(n.startswith("study/shm") for n in study)
+
     def test_every_workload_has_a_solver_scenario(self):
         from repro.api.registry import workload_names
 

@@ -2,22 +2,22 @@
 
 This is the *test-facing* half of the fault machinery; the engine-side hook
 (:func:`repro.workflow.faults.maybe_inject` and its env-var protocol) lives
-in ``src`` so process/shm workers inherit it through their environment and
-:class:`~repro.workflow.faults.InjectedFault` unpickles across process
+in ``src`` so process-backend workers inherit it through their environment
+and :class:`~repro.workflow.faults.InjectedFault` unpickles across process
 boundaries.
 
 Three tools:
 
 * :class:`CrashAt` — a picklable "crash when this node's run #N is reached"
   value object.  ``point="run"`` fires at the top of ``execute_spec`` in
-  whichever process executes the run (the serial driver, or a process/shm
-  worker); ``point="record"`` fires in the campaign driver right after the
-  run's record is durable — the way to SIGKILL the orchestrator itself at a
-  run boundary under any backend.
+  whichever process executes the run (the serial driver, or a
+  process-backend worker); ``point="record"`` fires in the campaign driver
+  right after the run's record is durable — the way to SIGKILL the
+  orchestrator itself at a run boundary under any backend.
 * :func:`run_campaign_cli` — drive ``repro campaign`` as a subprocess in its
   own session, optionally with a :class:`CrashAt` armed, and always reap the
-  fallout (orphaned worker processes, leaked ``/dev/shm`` segments) before
-  returning — a SIGKILLed shm driver cannot run its cleanup ``finally``.
+  fallout (orphaned worker processes) before returning — a SIGKILLed driver
+  cannot run its cleanup ``finally``.
 * :func:`interrupt_after_runs` — the in-process service-test helper: trip a
   worker's stop event after N completed runs (replacing the ad-hoc
   ``record_run_finished`` wrapping the mid-job interruption tests used).
@@ -29,7 +29,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -46,8 +45,8 @@ SIGKILLED = -signal.SIGKILL
 class CrashAt:
     """Deterministic crash request: node ``node``, run ``run_index``.
 
-    Picklable by construction (plain data), so it can cross into process/shm
-    workers or be embedded in spawned-subprocess environments.  ``mode``
+    Picklable by construction (plain data), so it can cross into
+    process-backend workers or be embedded in spawned-subprocess environments.  ``mode``
     selects the failure: ``"sigkill"`` kills the hosting process mid-flight
     (nothing flushes), ``"raise"`` raises :class:`InjectedFault` through the
     normal error paths (arm it with an arm file to make it one-shot, so a
@@ -87,34 +86,17 @@ def arm_file(tmp_path: Path, name: str = "fault.arm") -> Path:
     return path
 
 
-def reap_session(pgid: int, timeout: float = 5.0) -> List[str]:
-    """Kill a dead driver's leftover process group and leaked shm segments.
+def reap_session(pgid: int) -> None:
+    """Kill a dead driver's leftover process group.
 
-    A SIGKILLed shm/process driver leaves workers blocked on a broken task
-    queue and shared-memory segments it never unlinked.  Tests call this
-    after every subprocess campaign invocation (crashing or not — it is a
-    no-op for clean exits).  Returns the segment names that were reclaimed.
+    A SIGKILLed process-backend driver leaves workers blocked on a broken
+    task queue.  Tests call this after every subprocess campaign invocation
+    (crashing or not — it is a no-op for clean exits).
     """
-    from repro.workflow.shm import orphaned_segments
-
     try:
         os.killpg(pgid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
-    reclaimed: List[str] = []
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        leaked = orphaned_segments()
-        if not leaked:
-            break
-        for name in leaked:
-            try:
-                (Path("/dev/shm") / name).unlink()
-                reclaimed.append(name)
-            except (FileNotFoundError, PermissionError):
-                pass
-        time.sleep(0.05)
-    return reclaimed
 
 
 def run_campaign_cli(
@@ -130,7 +112,7 @@ def run_campaign_cli(
     up as ``returncode == SIGKILLED``.  The child gets a scrubbed fault
     environment unless ``fault`` is given, and its whole session (worker
     pools included) is reaped afterwards so crashed invocations cannot leak
-    processes or ``/dev/shm`` segments into later tests.
+    processes into later tests.
     """
     env = os.environ.copy()
     for key in (TOKEN_ENV, MODE_ENV, ARM_ENV):

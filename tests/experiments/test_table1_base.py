@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.breed.samplers import BreedConfig
-from repro.experiments.base import SCALES, base_config, scaled_breed_config, with_architecture
+from repro.experiments.base import (
+    SCALES,
+    base_config,
+    scaled_breed_config,
+    shared_study_inputs,
+    with_architecture,
+)
 from repro.experiments.table1 import TABLE1, VARIED_VALUES, breed_config_for_study, render_table1
 
 
@@ -91,3 +97,31 @@ class TestScales:
     def test_with_architecture(self):
         config = with_architecture(base_config("smoke"), hidden_size=64, n_layers=3)
         assert config.hidden_size == 64 and config.n_hidden_layers == 3
+
+
+class TestSharedStudyInputs:
+    def test_arrays_equal_the_study_cache_and_the_serial_build_bit_for_bit(self):
+        # 32x32 with T=50 is large enough for the parallel (solver-worker)
+        # build where this process may use two CPUs.
+        from dataclasses import replace
+
+        import numpy as np
+
+        from repro.solvers.heat2d import Heat2DConfig
+        from repro.surrogate.validation import validation_set_for_workload
+        from repro.workflow.executor import StudyInputCache
+
+        config = replace(
+            base_config("smoke"),
+            heat=Heat2DConfig(grid_size=32, n_timesteps=50),
+            n_validation_trajectories=4,
+        )
+        workload, solver, validation = shared_study_inputs(config)
+        assert workload.name == config.workload
+        _, cached = StudyInputCache().inputs(config)
+        serial = validation_set_for_workload(workload, 4, solver=solver)
+        for reference in (cached, serial):
+            for field in ("inputs", "targets", "parameters"):
+                ours, theirs = getattr(validation, field), getattr(reference, field)
+                assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+                assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(theirs).tobytes()

@@ -4,25 +4,30 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
+import os
 import pickle
+import queue
+from pathlib import Path
 
 import pytest
 
+import repro.workflow.executor as executor_module
+from repro.workflow import faults
 from repro.workflow.executor import (
-    _SHM_CRASH_ENV,
+    BACKENDS,
     JsonlCheckpoint,
     MultiprocessExecutor,
     RunSpec,
     SerialExecutor,
-    SharedMemoryExecutor,
     StudyInputCache,
     TIMING_METRICS,
+    WorkerTraceback,
     effective_worker_count,
     execute_spec,
     get_executor,
 )
 from repro.workflow.results import RunResult, StudyResults
-from repro.workflow.shm import orphaned_segments
 from repro.workflow.study import StudyRunner
 
 #: a tiny one-factor-at-a-time grid (the fig3b shape) for backend comparisons
@@ -94,9 +99,28 @@ class TestExecutorBackends:
     def test_get_executor_names(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
         assert isinstance(get_executor("process", max_workers=2), MultiprocessExecutor)
-        assert isinstance(get_executor("shm", max_workers=2), SharedMemoryExecutor)
+        assert type(get_executor("shm", max_workers=2)) is MultiprocessExecutor
         with pytest.raises(ValueError):
             get_executor("slurm")
+
+    def test_backend_names_keep_the_shm_alias(self):
+        # Specs, campaign files and HTTP submissions still name "shm".
+        assert BACKENDS == ("serial", "process", "shm")
+        for backend in BACKENDS:
+            get_executor(backend)
+
+    def test_shm_alias_forwards_workers_and_cache(self):
+        cache = StudyInputCache()
+        for backend in ("process", "shm"):
+            executor = get_executor(backend, max_workers=3, cache=cache)
+            assert executor.max_workers == 3
+            assert executor.cache is cache
+
+    def test_process_executor_owns_a_cache_by_default(self):
+        first, second = MultiprocessExecutor(), MultiprocessExecutor()
+        assert first.max_workers is None
+        assert isinstance(first.cache, StudyInputCache)
+        assert first.cache is not second.cache
 
     def test_serial_retains_full_results(self, tiny_run_config):
         executor = SerialExecutor()
@@ -152,34 +176,142 @@ class TestExecutorBackends:
         assert effective_worker_count(None, 4, backend="process") == 1
 
 
-@pytest.mark.slow  # spawns real shm worker pools
-class TestSharedMemoryBackend:
-    @pytest.fixture(autouse=True)
-    def no_leaked_segments(self):
-        yield
-        assert orphaned_segments() == []
+def _count_calls(monkeypatch, log: Path, module, name: str) -> Path:
+    """Log every call of ``module.name`` to ``log``, one line each.
 
-    def test_shm_backend_bit_identical_to_serial(self, tiny_run_config):
-        serial = StudyRunner(base_config=tiny_run_config, study_name="det").run_all(GRID)
-        shm = StudyRunner(
-            base_config=tiny_run_config, study_name="det", backend="shm", max_workers=2
-        ).run_all(GRID)
-        assert [r.name for r in serial] == [r.name for r in shm]
-        for serial_run, shm_run in zip(serial, shm):
-            assert serial_run.series == shm_run.series
-            assert _comparable_metrics(serial_run) == _comparable_metrics(shm_run)
-            assert serial_run.workload == shm_run.workload
-            assert serial_run.seed == shm_run.seed
+    Forked study workers inherit the patch, so driver and worker calls land
+    in the same file.
+    """
+    log.touch()
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return log
+
+
+def _count_validation_builds(monkeypatch, log: Path) -> Path:
+    """Log every validation-set build, whether the cache or a session makes it."""
+    import repro.api.session as session_module
+
+    for module in (executor_module, session_module):
+        _count_calls(monkeypatch, log, module, "validation_set_for_workload")
+    return log
+
+
+class _ResultQueue(queue.Queue):
+    """In-process stand-in for the worker's ``multiprocessing`` result queue."""
+
+    cancelled = False
+
+    def cancel_join_thread(self) -> None:
+        self.cancelled = True
+
+
+class TestWorkerLoop:
+    """``_worker_main`` driven in-process, with plain queues."""
+
+    @staticmethod
+    def _tasks(*items) -> queue.Queue:
+        tasks = queue.Queue()
+        for item in items:
+            tasks.put(item)
+        return tasks
+
+    @staticmethod
+    def _drain(results: queue.Queue) -> list:
+        out = []
+        while not results.empty():
+            out.append(results.get_nowait())
+        return out
+
+    def test_runs_tasks_in_order_until_the_sentinel(self, tiny_run_config):
+        specs = [
+            RunSpec(name=f"w{i}", config=tiny_run_config.to_dict(), overrides={"seed": i})
+            for i in range(3)
+        ]
+        tasks = self._tasks((0, specs[0]), (1, specs[1]), None, (2, specs[2]))
+        results = _ResultQueue()
+        executor_module._worker_main(tasks, results, StudyInputCache(), os.getppid())
+        out = self._drain(results)
+        assert [(index, record.name, error) for index, record, error in out] == [
+            (0, "w0", None),
+            (1, "w1", None),
+        ]
+        assert tasks.get_nowait() == (2, specs[2])  # nothing read past the sentinel
+        assert not results.cancelled
+
+    def test_run_error_keeps_its_type_and_traceback(self, tiny_run_config):
+        spec = RunSpec(
+            name="bad",
+            config=tiny_run_config.to_dict(),
+            overrides={"activation": "no-such-activation"},
+        )
+        results = _ResultQueue()
+        executor_module._worker_main(self._tasks((0, spec), None), results, None, os.getppid())
+        [(index, record, (error, trace))] = self._drain(results)
+        assert (index, record) == (0, None)
+        with pytest.raises(type(error)):
+            execute_spec(spec)
+        assert trace.startswith("Traceback (most recent call last)")
+        assert type(error).__name__ in trace
+
+    def test_exits_without_a_sentinel_once_the_driver_is_gone(self):
+        # No pid is -1, so the worker sees its driver gone at the first idle poll.
+        results = _ResultQueue()
+        executor_module._worker_main(queue.Queue(), results, None, -1)
+        assert results.cancelled
+        assert results.empty()
+
+    def test_inherited_cache_is_used_without_rebuilding(self, tiny_run_config, tmp_path, monkeypatch):
+        cache = StudyInputCache()
+        cache.inputs(tiny_run_config)
+        builds = _count_validation_builds(monkeypatch, tmp_path / "builds.calls")
+        spec = RunSpec(name="inherit", config=tiny_run_config.to_dict())
+        results = _ResultQueue()
+        executor_module._worker_main(self._tasks((0, spec), None), results, cache, os.getppid())
+        [(_, record, error)] = self._drain(results)
+        assert error is None and record.name == "inherit"
+        assert builds.read_text() == ""
+        assert len(cache) == 1
+
+    def test_without_an_inherited_cache_builds_once_per_scenario(
+        self, tiny_run_config, tmp_path, monkeypatch
+    ):
+        builds = _count_validation_builds(monkeypatch, tmp_path / "builds.calls")
+        specs = [
+            RunSpec(name=f"own{i}", config=tiny_run_config.to_dict(), overrides={"seed": i})
+            for i in range(2)
+        ]
+        results = _ResultQueue()
+        executor_module._worker_main(
+            self._tasks((0, specs[0]), (1, specs[1]), None), results, None, os.getppid()
+        )
+        assert [error for _, _, error in self._drain(results)] == [None, None]
+        assert len(builds.read_text().splitlines()) == 1
+
+
+@pytest.mark.slow  # spawns real worker pools
+class TestProcessBackendWorkers:
+    @pytest.fixture(autouse=True)
+    def no_leaked_workers(self):
+        yield
+        assert multiprocessing.active_children() == []
 
     def test_all_backends_bit_identical_across_all_workloads(self, tiny_run_config):
         """serial ↔ process ↔ shm parity on every built-in workload.
 
         One study whose runs each select a different workload (the
-        cross-workload shape) — which also exercises the shm backend's
-        multi-scenario input sharing, one shared validation set per workload.
-        The list is pinned to the built-ins rather than ``workload_names()``
-        because doctest runs register throwaway workloads whose factories do
-        not survive outside their session.
+        cross-workload shape) — which also exercises the driver-side input
+        build, one validation set per workload inherited by every worker.
+        ``shm`` stays in the list as the alias check.  The list is pinned to
+        the built-ins rather than ``workload_names()`` because doctest runs
+        register throwaway workloads whose factories do not survive outside
+        their session.
         """
         from dataclasses import replace
 
@@ -215,47 +347,196 @@ class TestSharedMemoryBackend:
                     backend,
                 )
 
-    def test_completion_stream_and_spec_order(self, tiny_run_config):
-        seen = []
-        executor = SharedMemoryExecutor(max_workers=2)
-        specs = StudyRunner(base_config=tiny_run_config, study_name="ord").build_specs(GRID)
-        records = executor.execute(specs, on_record=lambda i, r: seen.append(r.name))
-        assert [r.name for r in records] == [s.name for s in specs]
-        assert sorted(seen) == sorted(s.name for s in specs)
-
-    def test_empty_spec_list(self):
-        assert SharedMemoryExecutor(max_workers=2).execute([]) == []
-
-    def test_oversized_series_fall_back_to_pickling(self, tiny_run_config):
-        serial = StudyRunner(base_config=tiny_run_config, study_name="of").run_all(GRID[:2])
-        specs = StudyRunner(base_config=tiny_run_config, study_name="of").build_specs(GRID[:2])
-        # A 4-float slot cannot hold any real series: every record must take
-        # the pickle fallback — and still be bit-identical.
-        records = SharedMemoryExecutor(max_workers=2, slot_floats=4).execute(specs)
-        for serial_run, shm_run in zip(serial, records):
+    def test_shm_backend_bit_identical_to_serial(self, tiny_run_config):
+        serial = StudyRunner(base_config=tiny_run_config, study_name="det").run_all(GRID)
+        shm = StudyRunner(
+            base_config=tiny_run_config, study_name="det", backend="shm", max_workers=2
+        ).run_all(GRID)
+        assert [r.name for r in serial] == [r.name for r in shm]
+        for serial_run, shm_run in zip(serial, shm):
             assert serial_run.series == shm_run.series
             assert _comparable_metrics(serial_run) == _comparable_metrics(shm_run)
+            assert serial_run.workload == shm_run.workload
+            assert serial_run.seed == shm_run.seed
+
+    def test_completion_stream_and_spec_order(self, tiny_run_config):
+        seen = []
+        executor = get_executor("shm", max_workers=2)
+        specs = StudyRunner(base_config=tiny_run_config, study_name="ord").build_specs(GRID)
+        records = executor.execute(specs, on_record=lambda i, r: seen.append((i, r.name)))
+        assert [r.name for r in records] == [s.name for s in specs]
+        # Each streamed record arrives once, under its own spec index.
+        assert sorted(seen) == [(i, s.name) for i, s in enumerate(specs)]
+
+    def test_empty_spec_list(self):
+        assert MultiprocessExecutor(max_workers=2).execute([]) == []
+
+    def test_more_workers_than_runs_are_clamped(self, tiny_run_config, caplog):
+        specs = StudyRunner(base_config=tiny_run_config, study_name="few").build_specs(GRID[:2])
+        with caplog.at_level(logging.INFO, logger="repro.workflow"):
+            records = MultiprocessExecutor(max_workers=8).execute(specs)
+        assert [r.name for r in records] == [s.name for s in specs]
+        assert any("2 worker(s) for 2 run(s)" in r.getMessage() for r in caplog.records)
+
+    def test_driver_builds_every_scenario_before_forking(self, tiny_run_config):
+        configurations = [{"_name": w, "workload": w} for w in ("heat2d", "heat1d", "heat2d")]
+        specs = StudyRunner(base_config=tiny_run_config, study_name="pre").build_specs(
+            configurations, name_key="_name"
+        )
+        executor = MultiprocessExecutor(max_workers=2)
+        executor.execute(specs)
+        assert len(executor.cache) == 2
+
+    def test_prebuilt_cache_is_inherited_not_rebuilt(self, tiny_run_config, tmp_path, monkeypatch):
+        cache = StudyInputCache()
+        cache.inputs(tiny_run_config)
+        builds = _count_validation_builds(monkeypatch, tmp_path / "builds.calls")
+        specs = StudyRunner(base_config=tiny_run_config, study_name="warm").build_specs(GRID)
+        records = get_executor("process", max_workers=2, cache=cache).execute(specs)
+        assert len(records) == len(GRID)
+        assert builds.read_text() == ""
+
+    def test_without_fork_workers_build_their_own_inputs(self, tiny_run_config, monkeypatch):
+        # A platform without fork: spawned workers cannot inherit the cache,
+        # so the driver builds nothing and the outputs still match serial.
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+        specs = StudyRunner(base_config=tiny_run_config, study_name="spawn").build_specs(GRID[:2])
+        executor = MultiprocessExecutor(max_workers=1)
+        records = executor.execute(specs)
+        assert len(executor.cache) == 0
+        serial = SerialExecutor().execute(specs)
+        for serial_run, run in zip(serial, records):
+            assert serial_run.series == run.series
+            assert _comparable_metrics(serial_run) == _comparable_metrics(run)
+
+    def test_inputs_built_once_per_scenario(self, tiny_run_config, tmp_path, monkeypatch):
+        # Two workers, two scenarios, two runs each: the driver builds both
+        # validation sets and the forked workers inherit them.
+        builds = _count_validation_builds(monkeypatch, tmp_path / "builds.calls")
+        configurations = [
+            {"_name": f"{workload}-{seed}", "workload": workload, "seed": seed}
+            for workload in ("heat2d", "heat1d")
+            for seed in (0, 1)
+        ]
+        results = StudyRunner(
+            base_config=tiny_run_config, study_name="once", backend="process", max_workers=2
+        ).run_all(configurations, name_key="_name")
+        assert len(results) == 4
+        assert len(builds.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("backend", ["process", "shm"])
+    def test_stops_at_the_run_boundary(self, tiny_run_config, tmp_path, monkeypatch, backend):
+        # A service stop raised from the first record must not drain the
+        # queue: only the runs already dispatched may have started.
+        from repro.service.worker import ServiceShutdown
+
+        starts = _count_calls(monkeypatch, tmp_path / "starts.calls", executor_module, "execute_spec")
+
+        def stop(record):
+            raise ServiceShutdown("stopping")
+
+        runner = StudyRunner(
+            base_config=tiny_run_config, study_name="stop", backend=backend,
+            max_workers=1, on_result=stop,
+        )
+        with pytest.raises(ServiceShutdown):
+            runner.run_all([{"seed": seed} for seed in range(6)])
+        assert len(starts.read_text().splitlines()) <= 1 + 1  # max_workers + 1
+
+    def test_cancel_stops_at_the_run_boundary(self, tiny_run_config, tmp_path, monkeypatch):
+        # A job cancel from the service, with two workers this time.
+        from repro.service.worker import JobCancelled
+
+        starts = _count_calls(monkeypatch, tmp_path / "starts.calls", executor_module, "execute_spec")
+        recorded = []
+
+        def cancel(index, record):
+            recorded.append(index)
+            raise JobCancelled("cancelled")
+
+        specs = [
+            RunSpec(name=f"c{i}", config=tiny_run_config.to_dict(), overrides={"seed": i})
+            for i in range(8)
+        ]
+        with pytest.raises(JobCancelled):
+            MultiprocessExecutor(max_workers=2).execute(specs, cancel)
+        assert len(recorded) == 1
+        assert len(starts.read_text().splitlines()) <= 2 + 1  # max_workers + 1
+
+    def test_records_before_a_failing_run_reach_on_record(self, tiny_run_config):
+        # One worker runs the specs in order: the first record is streamed
+        # (and so checkpointed) before the second run's error stops the study.
+        good = RunSpec(name="good", config=tiny_run_config.to_dict())
+        bad = RunSpec(
+            name="bad",
+            config=tiny_run_config.to_dict(),
+            overrides={"activation": "no-such-activation"},
+        )
+        seen = []
+        with pytest.raises(Exception) as raised:
+            MultiprocessExecutor(max_workers=1).execute(
+                [good, bad, good], on_record=lambda i, r: seen.append((i, r.name))
+            )
+        assert seen == [(0, "good")]
+        assert "run 'bad' failed" in str(raised.value.__cause__)
+
+    def test_workers_exit_when_the_driver_dies(self, tiny_run_config, tmp_path):
+        # The driver SIGKILLs itself at the first record, before it sends any
+        # sentinel.  Its worker holds the driver's stdout, so communicate()
+        # returns only once the orphaned worker has exited too.
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+
+        import repro
+
+        script = tmp_path / "driver.py"
+        script.write_text(textwrap.dedent("""
+            import json, os, signal, sys
+            from repro.workflow.executor import MultiprocessExecutor, RunSpec
+            config = json.loads(sys.argv[1])
+            specs = [RunSpec(name=f"r{i}", config=config, overrides={"seed": i}) for i in range(3)]
+            kill = lambda index, record: os.kill(os.getpid(), signal.SIGKILL)
+            MultiprocessExecutor(max_workers=1).execute(specs, kill)
+        """))
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        driver = subprocess.Popen(
+            [sys.executable, str(script), json.dumps(tiny_run_config.to_dict())],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            driver.communicate(timeout=60)
+        finally:
+            try:
+                os.killpg(driver.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert driver.returncode == -signal.SIGKILL
 
     def test_worker_crash_raises_and_leaks_nothing(self, tiny_run_config, monkeypatch):
         runner = StudyRunner(
-            base_config=tiny_run_config, study_name="crash", backend="shm", max_workers=2
+            base_config=tiny_run_config, study_name="crash", backend="process", max_workers=2
         )
-        crash_name = runner.run_names(GRID)[1]
-        monkeypatch.setenv(_SHM_CRASH_ENV, crash_name)
-        with pytest.raises(RuntimeError, match="died"):
+        monkeypatch.setenv(faults.TOKEN_ENV, f"run:{runner.run_names(GRID)[1]}")
+        monkeypatch.setenv(faults.MODE_ENV, "sigkill")
+        with pytest.raises(RuntimeError, match=r"died \(exit codes \[-9\]\)"):
             runner.run_all(GRID)
 
     def test_crashed_study_resumes_to_completion(self, tiny_run_config, monkeypatch, tmp_path):
         path = tmp_path / "study.jsonl"
         runner = StudyRunner(
-            base_config=tiny_run_config, study_name="crash", backend="shm", max_workers=2
+            base_config=tiny_run_config, study_name="crash", backend="process", max_workers=2
         )
-        monkeypatch.setenv(_SHM_CRASH_ENV, runner.run_names(GRID)[2])
+        monkeypatch.setenv(faults.TOKEN_ENV, f"run:{runner.run_names(GRID)[2]}")
+        monkeypatch.setenv(faults.MODE_ENV, "sigkill")
         with pytest.raises(RuntimeError):
             runner.run_all(GRID, checkpoint=path)
-        monkeypatch.delenv(_SHM_CRASH_ENV)
+        monkeypatch.delenv(faults.TOKEN_ENV)
         results = StudyRunner(
-            base_config=tiny_run_config, study_name="crash", backend="shm", max_workers=2
+            base_config=tiny_run_config, study_name="crash", backend="process", max_workers=2
         ).run_all(GRID, resume=path)
         assert len(results) == len(GRID)
         reference = StudyRunner(base_config=tiny_run_config, study_name="crash").run_all(GRID)
@@ -265,22 +546,66 @@ class TestSharedMemoryBackend:
 
     def test_failing_run_reports_worker_traceback(self, tiny_run_config):
         # An unknown activation passes config validation but fails inside the
-        # worker when the surrogate is built — the error path proper.
+        # worker when the surrogate is built — the error path proper.  The
+        # driver re-raises the worker's exception type, chained to a
+        # traceback that names the run.
         spec = RunSpec(
             name="bad",
             config=tiny_run_config.to_dict(),
             overrides={"activation": "no-such-activation"},
         )
-        with pytest.raises(RuntimeError, match="bad"):
-            SharedMemoryExecutor(max_workers=1).execute([spec])
+        with pytest.raises(Exception) as raised:
+            MultiprocessExecutor(max_workers=1).execute([spec])
+        with pytest.raises(type(raised.value)):
+            execute_spec(spec)
+        cause = raised.value.__cause__
+        assert isinstance(cause, WorkerTraceback)
+        assert "run 'bad' failed in a study worker" in str(cause)
+        assert "Traceback (most recent call last)" in str(cause)
 
-    def test_resume_with_shm_backend(self, tiny_run_config, tmp_path):
+    def test_injected_fault_crosses_back_with_its_type(self, tiny_run_config, monkeypatch):
+        # The "raise" mode of the run fault: the worker survives, and the
+        # driver re-raises the fault itself rather than a wrapper.
+        runner = StudyRunner(
+            base_config=tiny_run_config, study_name="fault", backend="process", max_workers=2
+        )
+        name = runner.run_names(GRID)[1]
+        monkeypatch.setenv(faults.TOKEN_ENV, f"run:{name}")
+        monkeypatch.setenv(faults.MODE_ENV, "raise")
+        with pytest.raises(faults.InjectedFault, match=f"run:{name}") as raised:
+            runner.run_all(GRID)
+        assert f"run {name!r} failed in a study worker" in str(raised.value.__cause__)
+
+    def test_armed_fault_fires_once_and_the_retry_completes(
+        self, tiny_run_config, monkeypatch, tmp_path
+    ):
+        arm = tmp_path / "arm"
+        arm.touch()
         path = tmp_path / "study.jsonl"
-        StudyRunner(base_config=tiny_run_config, study_name="res").run_all(GRID[:3], checkpoint=path)
-        results = StudyRunner(
-            base_config=tiny_run_config, study_name="res", backend="shm", max_workers=2
-        ).run_all(GRID, resume=path)
-        assert len(results) == len(GRID)
+        runner = StudyRunner(
+            base_config=tiny_run_config, study_name="arm", backend="process", max_workers=2
+        )
+        monkeypatch.setenv(faults.TOKEN_ENV, f"run:{runner.run_names(GRID)[0]}")
+        monkeypatch.setenv(faults.MODE_ENV, "raise")
+        monkeypatch.setenv(faults.ARM_ENV, str(arm))
+        with pytest.raises(faults.InjectedFault):
+            runner.run_all(GRID, checkpoint=path)
+        assert not arm.exists()  # the worker consumed the arming
+        results = runner.run_all(GRID, resume=path)
+        assert [r.name for r in results] == runner.run_names(GRID)
+
+    def test_unpicklable_error_keeps_its_type_name(self, tiny_run_config, monkeypatch):
+        class Unpicklable(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+
+        def failing(spec, cache=None):
+            raise Unpicklable(7, "no way back")
+
+        monkeypatch.setattr(executor_module, "execute_spec", failing)
+        spec = RunSpec(name="odd", config=tiny_run_config.to_dict())
+        with pytest.raises(RuntimeError, match="Unpicklable: 7: no way back"):
+            MultiprocessExecutor(max_workers=1).execute([spec])
 
 
 class TestRunNames:
@@ -339,6 +664,17 @@ class TestCheckpointResume:
             base_config=tiny_run_config, study_name="res", backend="process", max_workers=2
         ).run_all(GRID, resume=path)
         assert len(results) == len(GRID)
+
+    def test_resume_with_shm_backend(self, tiny_run_config, tmp_path):
+        path = tmp_path / "study.jsonl"
+        StudyRunner(base_config=tiny_run_config, study_name="res").run_all(GRID[:3], checkpoint=path)
+        executed = []
+        results = StudyRunner(
+            base_config=tiny_run_config, study_name="res", backend="shm", max_workers=2,
+            on_result=lambda r: executed.append(r.name),
+        ).run_all(GRID, resume=path)
+        assert len(results) == len(GRID)
+        assert executed == [results.runs[-1].name]
 
     def test_truncated_checkpoint_line_tolerated(self, tiny_run_config, tmp_path):
         path = tmp_path / "study.jsonl"

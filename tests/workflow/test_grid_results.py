@@ -121,6 +121,43 @@ class TestStudyResults:
         loaded = StudyResults.load_json(path)
         assert [(r.workload, r.seed) for r in loaded] == [("heat2d", 5), ("heat1d", 7)]
 
+    def test_save_creates_missing_parent_directories(self, tmp_path):
+        path = self._results().save_json(tmp_path / "a" / "b" / "results.json")
+        assert path == tmp_path / "a" / "b" / "results.json"
+        assert len(StudyResults.load_json(path)) == 3
+
+    def test_save_replaces_previous_results(self, tmp_path):
+        path = self._results().save_json(tmp_path / "results.json")
+        smaller = StudyResults(study="again")
+        smaller.add(RunResult("z", {}, {"loss": 0.9}))
+        smaller.save_json(path)
+        loaded = StudyResults.load_json(path)
+        assert (loaded.study, [r.name for r in loaded]) == ("again", ["z"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json"]
+
+    def test_failed_save_keeps_previous_file_and_leaves_no_temp(self, tmp_path):
+        # A file-size limit makes the write of the larger results fail
+        # partway (EFBIG), the way a full disk would.
+        resource = pytest.importorskip("resource")
+        import signal
+
+        path = self._results().save_json(tmp_path / "results.json")
+        previous = path.read_text()
+        bigger = StudyResults(study="demo")
+        bigger.add(RunResult("big", {}, {"loss": 0.1}, series={"curve": [0.5] * 4096}))
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4 * len(previous), limits[1]))
+        try:
+            with pytest.raises(OSError):
+                bigger.save_json(path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.read_text() == previous
+        assert StudyResults.load_json(path).best("loss").name == "b"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json"]
+
     def test_legacy_payload_without_workload_defaults(self):
         run = RunResult.from_dict({"name": "old", "config": {}, "metrics": {"loss": 1.0}})
         assert run.workload == "heat2d"
