@@ -48,16 +48,15 @@ def test_steering_overhead(benchmark, repro_scale):
 @pytest.mark.benchmark(group="overhead")
 def test_reservoir_throughput(benchmark):
     rng = np.random.default_rng(0)
-    field = rng.random(64 * 64)
-    x = rng.random(6)
+    fields = np.broadcast_to(rng.random(64 * 64), (4, 64 * 64))
+    xs = np.broadcast_to(rng.random(6), (4, 6))
 
     def workload():
         reservoir = Reservoir(capacity=1000, watermark=100, rng=np.random.default_rng(1))
         accepted = 0
-        for i in range(2000):
-            accepted += int(reservoir.put(i % 37, i % 101, x, field))
-            if i % 4 == 0:
-                reservoir.sample_batch(128)
+        for i in range(0, 2000, 4):  # a block of four time steps per draw
+            accepted += reservoir.put(i % 37, i % 101, xs, fields)
+            reservoir.sample_batch(128)
         return accepted
 
     accepted = benchmark(workload)

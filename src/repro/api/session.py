@@ -5,10 +5,10 @@ phases that mirror the asynchronous components of the real Melissa system:
 
 * :meth:`submit` — the launcher keeps the batch scheduler fed with at most
   ``m`` client jobs,
-* :meth:`produce` — each running client streams a bounded number of time
-  steps per tick (volume-accounted through the transport),
-* :meth:`receive` — pending messages are drained into the reservoir while it
-  accepts them,
+* :meth:`produce` — each running client streams a block of a bounded number
+  of time steps per tick (volume-accounted through the transport),
+* :meth:`receive` — pending blocks are drained into the reservoir while it
+  accepts their rows,
 * :meth:`train` — once the reservoir watermark is reached, a configurable
   number of NN iterations run per tick; each may trigger a Breed steering,
 * :meth:`should_stop` — the termination predicate.
@@ -24,16 +24,14 @@ scalers, surrogate geometry) comes from the :class:`~repro.api.workloads.Workloa
 resolved from ``config.workload``.  For ``workload="heat2d"`` the training
 behaviour — RNG streams, losses, executed parameters, tick counts, transport
 byte/message totals — is bit-for-bit identical to the historic monolithic
-loop.  (One deliberate exception: the data channel's ``max_depth`` statistic
-no longer counts the artificial ``put``/``get`` round-trip the old loop
-performed per message, so it reports 0 instead of 1.)
+loop.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +42,6 @@ from repro.breed.controller import BreedController, SteeringRecord
 from repro.breed.samplers import ParameterSource
 from repro.melissa.client import ClientFactory
 from repro.melissa.launcher import Launcher
-from repro.melissa.messages import TimeStepMessage
 from repro.melissa.reservoir import Reservoir
 from repro.melissa.scheduler import BatchScheduler
 from repro.melissa.server import TrainingHistory, TrainingServer
@@ -93,7 +90,7 @@ class OnlineTrainingResult:
     n_ticks: int
     steering_seconds: float
     workload: str = "heat2d"
-    #: messages rejected by bounded transport channels (back-pressure)
+    #: always 0: the in-process transport queues nothing, so it drops nothing
     transport_dropped: int = 0
 
     @property
@@ -249,7 +246,9 @@ class TrainingSession:
             event_log=event_log,
         )
 
-        self.pending_messages: Deque[TimeStepMessage] = deque()
+        #: produced rows not yet in the reservoir, one block per client and tick:
+        #: ``(simulation_id, parameters, first_timestep, rows)``
+        self.pending_blocks: Deque[Tuple[int, np.ndarray, int, np.ndarray]] = deque()
         self.n_ticks = 0
         self._finalized = False
         self._checkpoint_policy = None  # attached lazily by run()
@@ -322,14 +321,14 @@ class TrainingSession:
         if not self.reservoir.can_accept():
             return produced
         for client in self.launcher.running_clients():
-            messages = client.produce(self.config.timesteps_per_tick)
-            if messages:
-                # Volume accounting only — one batched call per trajectory
-                # chunk; the messages themselves stay in the local
-                # bounded-memory pending queue.
-                self.transport.account_batch(messages)
-                self.pending_messages.extend(messages)
-                produced += len(messages)
+            first_timestep = client.n_produced
+            rows = client.produce(self.config.timesteps_per_tick)
+            if len(rows):
+                self.transport.account_batch(rows, client.parameters)
+                self.pending_blocks.append(
+                    (client.simulation_id, client.parameters, first_timestep, rows)
+                )
+                produced += len(rows)
             if client.finished:
                 self.launcher.mark_finished(client.simulation_id)
         if self._workers is not None:
@@ -339,16 +338,18 @@ class TrainingSession:
         return produced
 
     def receive(self) -> int:
-        """Phase 3 — drain pending messages while the reservoir accepts them."""
+        """Phase 3 — drain pending blocks while the reservoir accepts their rows."""
         received = 0
-        while self.pending_messages:
-            if not self.reservoir.can_accept():
+        while self.pending_blocks:
+            simulation_id, parameters, first_timestep, rows = self.pending_blocks[0]
+            stored = self.server.receive(simulation_id, parameters, first_timestep, rows)
+            received += stored
+            if stored < len(rows):  # the reservoir is full of unseen samples
+                self.pending_blocks[0] = (
+                    simulation_id, parameters, first_timestep + stored, rows[stored:]
+                )
                 break
-            message = self.pending_messages.popleft()
-            if not self.server.receive(message):
-                self.pending_messages.appendleft(message)
-                break
-            received += 1
+            self.pending_blocks.popleft()
         return received
 
     def train(self) -> List[float]:
@@ -387,7 +388,7 @@ class TrainingSession:
         """Phase 5 — termination: iteration budget reached, or data starved."""
         if self.server.iteration >= self.config.max_iterations:
             return True
-        if self.launcher.all_finished and not self.pending_messages and not self.server.ready:
+        if self.launcher.all_finished and not self.pending_blocks and not self.server.ready:
             # Not enough data was ever produced to reach the watermark.
             return True
         return False
@@ -465,7 +466,8 @@ class TrainingSession:
         deterministic functions of the configuration and are rebuilt on
         restore instead of being persisted.
         """
-        pending = list(self.pending_messages)
+        blocks = self.pending_blocks
+        n_pending = sum(len(rows) for *_, rows in blocks)
         state: Dict[str, object] = {
             "n_ticks": self.n_ticks,
             "finalized": self._finalized,
@@ -478,15 +480,20 @@ class TrainingSession:
             "reservoir": self.reservoir.state_dict(),
             "transport": self.transport.state_dict(),
             "server": self.server.state_dict(),
-            "n_pending_messages": len(pending),
+            # one entry per pending row (time step), the layout the snapshots have always had
+            "n_pending_messages": n_pending,
         }
-        if pending:
-            state["pending_simulation_ids"] = np.array(
-                [int(m.simulation_id or 0) for m in pending], dtype=np.int64
+        if n_pending:
+            state["pending_simulation_ids"] = np.concatenate(
+                [np.full(len(rows), sid, dtype=np.int64) for sid, _, _, rows in blocks]
             )
-            state["pending_timesteps"] = np.array([m.timestep for m in pending], dtype=np.int64)
-            state["pending_parameters"] = np.stack([m.parameters for m in pending], axis=0)
-            state["pending_payloads"] = np.stack([m.payload for m in pending], axis=0)
+            state["pending_timesteps"] = np.concatenate(
+                [np.arange(first, first + len(rows), dtype=np.int64) for _, _, first, rows in blocks]
+            )
+            state["pending_parameters"] = np.concatenate(
+                [np.broadcast_to(params, (len(rows), len(params))) for _, params, _, rows in blocks]
+            )
+            state["pending_payloads"] = np.concatenate([rows for *_, rows in blocks])
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
@@ -507,15 +514,20 @@ class TrainingSession:
         self.reservoir.load_state_dict(state["reservoir"])  # type: ignore[arg-type]
         self.transport.load_state_dict(state["transport"])  # type: ignore[arg-type]
         self.server.load_state_dict(state["server"])  # type: ignore[arg-type]
-        self.pending_messages = deque(
-            TimeStepMessage(
-                simulation_id=int(state["pending_simulation_ids"][index]),  # type: ignore[index]
-                parameters=np.asarray(state["pending_parameters"][index]),  # type: ignore[index]
-                timestep=int(state["pending_timesteps"][index]),  # type: ignore[index]
-                payload=np.asarray(state["pending_payloads"][index]),  # type: ignore[index]
-            )
-            for index in range(int(state["n_pending_messages"]))  # type: ignore[arg-type]
-        )
+        self.pending_blocks = deque()
+        n_pending = int(state["n_pending_messages"])  # type: ignore[arg-type]
+        if n_pending:
+            ids = np.asarray(state["pending_simulation_ids"], dtype=np.int64)
+            timesteps = np.asarray(state["pending_timesteps"], dtype=np.int64)
+            parameters = np.asarray(state["pending_parameters"], dtype=np.float64)
+            payloads = np.asarray(state["pending_payloads"], dtype=np.float64)
+            # A simulation's adjacent pending rows are consecutive time steps:
+            # each run of one id becomes one block again.
+            cuts = np.flatnonzero(np.diff(ids) != 0) + 1
+            for start, stop in zip([0, *cuts], [*cuts, n_pending]):
+                self.pending_blocks.append(
+                    (int(ids[start]), parameters[start], int(timesteps[start]), payloads[start:stop])
+                )
         self.n_ticks = int(state["n_ticks"])  # type: ignore[arg-type]
         self._finalized = bool(state["finalized"])
 
@@ -546,11 +558,10 @@ class TrainingSession:
             launcher_summary=self.launcher.summary(),
             reservoir_summary=self.reservoir.summary(),
             server_summary=self.server.summary(),
-            transport_bytes=self.transport.total_bytes(),
+            transport_bytes=self.transport.n_bytes,
             n_ticks=self.n_ticks,
             steering_seconds=self.controller.total_steering_seconds,
             workload=self.workload_name,
-            transport_dropped=self.transport.total_dropped(),
         )
 
 

@@ -395,18 +395,21 @@ def _reservoir(capacity: int = 512, watermark: int = 32, y_dim: int = 64):
 @register_scenario(
     "reservoir/ingest",
     units="samples",
-    description="reservoir put() throughput incl. eviction (capacity 512, interleaved draws)",
+    description="reservoir put() of 8-step trajectory chunks incl. eviction "
+    "(capacity 512, interleaved draws)",
 )
 def _reservoir_ingest() -> ScenarioRun:
     reservoir, xs, ys = _reservoir()
-    n_puts = 2000
+    n_chunks, chunk = 250, 8  # a session's block per client and tick
 
     def fn() -> int:
-        for i in range(n_puts):
-            reservoir.put(i % 512, i % 101, xs[i % 512], ys[i % 512])
-            if i % 16 == 15:
+        stored = 0
+        for i in range(n_chunks):
+            rows = slice(i * chunk % 512, i * chunk % 512 + chunk)
+            stored += reservoir.put(i, i * chunk % 101, xs[rows], ys[rows])
+            if i % 2 == 1:
                 reservoir.sample_batch(32)
-        return n_puts
+        return stored
 
     return ScenarioRun(fn=fn)
 
@@ -418,8 +421,7 @@ def _reservoir_ingest() -> ScenarioRun:
 )
 def _reservoir_draw() -> ScenarioRun:
     reservoir, xs, ys = _reservoir()
-    for i in range(512):
-        reservoir.put(i, i % 101, xs[i], ys[i])
+    reservoir.put(0, 0, xs, ys)
     inner = 200
 
     def fn() -> int:

@@ -42,8 +42,7 @@ class OverheadResult:
             ),
             "random_final_validation": self.random_run.final_validation_loss,
             "breed_final_validation": self.breed_run.final_validation_loss,
-            # Back-pressure observability: messages a bounded data channel
-            # rejected (0 for the default unbounded in-process transport).
+            # Always 0: the in-process transport queues nothing, so it drops nothing.
             "random_dropped_messages": float(self.random_run.transport_dropped),
             "breed_dropped_messages": float(self.breed_run.transport_dropped),
         }

@@ -13,18 +13,10 @@ The session wiring these parts together, its configuration and its result
 
 from repro.melissa.client import ClientFactory, SolverClient
 from repro.melissa.launcher import Launcher, SimulationRecord, SimulationState
-from repro.melissa.messages import (
-    Message,
-    ParameterUpdate,
-    SimulationFinished,
-    SimulationStarted,
-    StopClient,
-    TimeStepMessage,
-)
 from repro.melissa.reservoir import Reservoir, ReservoirBatch, ReservoirEntry
 from repro.melissa.scheduler import BatchScheduler, JobState, SchedulerJob
 from repro.melissa.server import SampleStatistic, TrainingHistory, TrainingServer
-from repro.melissa.transport import Channel, InProcessTransport, TransportStats
+from repro.melissa.transport import InProcessTransport
 
 __all__ = [
     "ClientFactory",
@@ -32,12 +24,6 @@ __all__ = [
     "Launcher",
     "SimulationRecord",
     "SimulationState",
-    "Message",
-    "ParameterUpdate",
-    "SimulationFinished",
-    "SimulationStarted",
-    "StopClient",
-    "TimeStepMessage",
     "Reservoir",
     "ReservoirBatch",
     "ReservoirEntry",
@@ -47,7 +33,5 @@ __all__ = [
     "SampleStatistic",
     "TrainingHistory",
     "TrainingServer",
-    "Channel",
     "InProcessTransport",
-    "TransportStats",
 ]

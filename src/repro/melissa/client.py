@@ -11,22 +11,22 @@ NN training the way the asynchronous real system does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator, List, Optional, Union
 
 import numpy as np
 
 from repro import telemetry
-from repro.melissa.messages import SimulationFinished, TimeStepMessage
 from repro.solvers.base import Solver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.melissa.workers import SolverWorkers
+    from repro.melissa.workers import RingStream, SolverWorkers
 
 __all__ = ["SolverClient", "ClientFactory"]
 
 
 class SolverClient:
-    """Streams the trajectory of one parameter vector, time step by time step.
+    """Streams the trajectory of one parameter vector, a block of time steps at a time.
 
     With ``workers`` the trajectory is computed by a solver worker process,
     dispatched at :meth:`start` and read ahead into shared memory;
@@ -45,70 +45,68 @@ class SolverClient:
         self.parameters = np.asarray(parameters, dtype=np.float64).copy()
         self.solver = solver
         self.workers = workers
-        self._iterator: Optional[Iterator[np.ndarray]] = None
-        self._next_timestep = 0
+        #: the open trajectory: the solver's iterator inline, a ring stream on a worker
+        self._rows: Optional[Union[Iterator[np.ndarray], "RingStream"]] = None
         self.finished = False
-        #: number of time steps produced so far
+        #: number of time steps produced so far (the next one's index)
         self.n_produced = 0
         self._m_steps = telemetry.metrics().counter(
             "repro_solver_steps_total", help="solver time steps produced by clients"
         )
 
+    @property
+    def _next_timestep(self) -> int:
+        """Time step of the next produced row (rows are produced in order from 0)."""
+        return self.n_produced
+
     def start(self, skip: int = 0) -> None:
         """Open the trajectory at time step ``skip`` (a no-op once open).
 
         A worker starts computing right away and does the skipping itself;
-        inline, the skipped fields are computed and discarded here.
+        inline, the skipped fields are computed and discarded by the first
+        :meth:`produce`.
         """
-        if self._iterator is not None:
+        if self._rows is not None:
             return
         if self.workers is not None:
-            self._iterator = self.workers.stream(self.parameters, skip)
-            return
-        self._iterator = self.solver.steps(self.parameters)
-        for _ in range(skip):
-            next(self._iterator)
+            self._rows = self.workers.stream(self.parameters, skip)
+        else:
+            self._rows = islice(self.solver.steps(self.parameters), skip, None)
 
     def close(self) -> None:
         """Drop the open trajectory; a worker's stream hands its ring slot back."""
-        close = getattr(self._iterator, "close", None)
+        close = getattr(self._rows, "close", None)
         if close is not None:
             close()
-        self._iterator = None
+        self._rows = None
 
-    def produce(self, max_steps: int) -> List[TimeStepMessage]:
-        """Produce up to ``max_steps`` further time steps of the trajectory.
+    def produce(self, max_steps: int) -> np.ndarray:
+        """The next up to ``max_steps`` fields of the trajectory, one row each.
 
-        Returns the produced messages; sets :attr:`finished` when the solver
-        iterator is exhausted.  Calling again after completion returns an
-        empty list.
+        Row ``i`` of the ``(k, field_size)`` block is time step
+        ``n_produced + i`` as counted before the call.  A block shorter than
+        ``max_steps`` means the trajectory ended, and sets :attr:`finished`;
+        calling again after that returns an empty block.
         """
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.finished:
-            return []
+            return np.empty((0, self.solver.field_size))
         self.start()
-        assert self._iterator is not None
-        messages: List[TimeStepMessage] = []
-        for _ in range(max_steps):
-            try:
-                payload = next(self._iterator)
-            except StopIteration:
-                self.finished = True
-                break
-            messages.append(
-                TimeStepMessage(
-                    simulation_id=self.simulation_id,
-                    parameters=self.parameters,
-                    timestep=self._next_timestep,
-                    payload=payload,
-                )
-            )
-            self._next_timestep += 1
-            self.n_produced += 1
-        if messages:
-            self._m_steps.inc(len(messages))
-        return messages
+        block = np.empty((max_steps, self.solver.field_size))
+        if self.workers is not None:
+            n = self._rows.read(block)  # type: ignore[union-attr]
+        else:
+            n = 0
+            for row in islice(self._rows, max_steps):  # type: ignore[arg-type]
+                block[n] = row
+                n += 1
+        if n < max_steps:
+            self.finished = True
+        if n:
+            self.n_produced += n
+            self._m_steps.inc(n)
+        return block[:n]
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
@@ -116,7 +114,7 @@ class SolverClient:
         return {
             "simulation_id": self.simulation_id,
             "parameters": self.parameters.copy(),
-            "next_timestep": self._next_timestep,
+            "next_timestep": self.n_produced,
             "n_produced": self.n_produced,
             "finished": self.finished,
         }
@@ -125,7 +123,7 @@ class SolverClient:
         """Restore progress by fast-forwarding the deterministic solver.
 
         Solvers are pure functions of their parameter vector, so re-running
-        the iterator and discarding the first ``next_timestep`` fields puts a
+        the iterator and discarding the first ``n_produced`` fields puts a
         fresh client into the bit-identical mid-trajectory state the snapshot
         captured, without persisting solution fields.  With solver workers the
         trajectory is re-dispatched and the worker does the discarding.
@@ -135,17 +133,17 @@ class SolverClient:
                 f"client state is for simulation {state['simulation_id']}, "
                 f"this client is {self.simulation_id}"
             )
+        if int(state["next_timestep"]) != int(state["n_produced"]):
+            raise ValueError(
+                f"client state of simulation {self.simulation_id} is inconsistent: "
+                f"next_timestep={state['next_timestep']}, n_produced={state['n_produced']}"
+            )
         self.parameters = np.asarray(state["parameters"], dtype=np.float64).copy()
         self.finished = bool(state["finished"])
         self.n_produced = int(state["n_produced"])
-        target = int(state["next_timestep"])
         self.close()
         if not self.finished:
-            self.start(skip=target)
-        self._next_timestep = target
-
-    def finish_message(self) -> SimulationFinished:
-        return SimulationFinished(simulation_id=self.simulation_id, n_timesteps=self.n_produced)
+            self.start(skip=self.n_produced)
 
     @property
     def expected_timesteps(self) -> int:

@@ -5,9 +5,9 @@ Behaviour reproduced from the paper and [Meyer et al., SC'23]:
 * newly received samples are stored in the buffer; once the buffer is full
   they replace *already-seen* entries chosen at random,
 * if every buffered sample is still unseen (the trainer has not consumed them
-  yet), incoming data is rejected and the client executions are paused
-  temporarily — this is the back-pressure that prevents training data from
-  being dropped before ever being used,
+  yet), incoming data is not stored: it waits with the sender and the client
+  executions are paused temporarily — this is the back-pressure that
+  prevents training data from being dropped before ever being used,
 * training does not start before the buffer holds at least ``watermark``
   unique samples,
 * training batches are drawn uniformly at random from the buffer, so each
@@ -96,26 +96,22 @@ class Reservoir:
         self._seen = np.zeros(capacity, dtype=np.int64)
         # --- statistics
         self.n_received = 0
+        #: always 0 (put never drops a row); kept in the summary and snapshot layout
         self.n_rejected = 0
         self.n_evicted = 0
         self.n_batches = 0
         # --- telemetry mirrors (observation only; no-ops unless enabled)
-        # put() runs once per sample, so the ingest/reject/evict mirrors are
-        # synced as deltas of the canonical totals at draw time rather than
-        # incremented inline (sync_metrics), keeping the per-sample path free
-        # of telemetry calls entirely.
+        # The ingest/evict mirrors are synced as deltas of the canonical totals
+        # at draw time rather than incremented inline (sync_metrics), keeping
+        # the ingest path free of telemetry calls entirely.
         registry = telemetry.metrics()
         self._m_ingest = registry.counter(
-            "repro_reservoir_ingest_total", help="samples offered to the reservoir"
-        )
-        self._m_rejected = registry.counter(
-            "repro_reservoir_rejected_total", help="samples rejected (back-pressure)"
+            "repro_reservoir_ingest_total", help="samples stored in the reservoir"
         )
         self._m_evicted = registry.counter(
             "repro_reservoir_evicted_total", help="entries replaced by reservoir sampling"
         )
         self._synced_received = 0
-        self._synced_rejected = 0
         self._synced_evicted = 0
         self._m_draws = registry.counter(
             "repro_reservoir_draws_total", help="training batches drawn"
@@ -163,7 +159,7 @@ class Reservoir:
         )
 
     def can_accept(self) -> bool:
-        """Whether a new sample would be stored rather than rejected."""
+        """Whether :meth:`put` would store a new sample."""
         if not self.is_full:
             return True
         return self.n_unseen < self._n
@@ -173,45 +169,49 @@ class Reservoir:
         self._xs = np.empty((self.capacity, x_dim), dtype=np.float64)
         self._ys = np.empty((self.capacity, y_dim), dtype=np.float64)
 
-    def _store(self, index: int, simulation_id: int, timestep: int, x: np.ndarray, y: np.ndarray) -> None:
+    def put(self, simulation_id: int, first_timestep: int, xs: np.ndarray, ys: np.ndarray) -> int:
+        """Store consecutive time steps of one simulation, in order, while :meth:`can_accept` holds.
+
+        Row ``i`` of ``xs``/``ys`` is time step ``first_timestep + i``.  Free
+        slots fill first; once full, each further row replaces a random
+        already-seen entry (one RNG draw per row, over the seen entries as
+        they are at that row).  Returns how many leading rows were stored: a
+        buffer full of unseen entries stores no more, and the caller keeps
+        the rest (clients must pause).
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if self._xs is None:
+            self._allocate(xs.shape[1], ys.shape[1])
         assert self._xs is not None and self._ys is not None
-        if x.shape[0] != self._xs.shape[1] or y.shape[0] != self._ys.shape[1]:
+        if xs.shape[1] != self._xs.shape[1] or ys.shape[1] != self._ys.shape[1]:
             raise ValueError(
-                f"sample dimensions ({x.shape[0]}, {y.shape[0]}) do not match the "
+                f"sample dimensions ({xs.shape[1]}, {ys.shape[1]}) do not match the "
                 f"buffer layout ({self._xs.shape[1]}, {self._ys.shape[1]})"
             )
-        self._xs[index] = x
-        self._ys[index] = y
-        self._simulation_ids[index] = simulation_id
-        self._timesteps[index] = timestep
-        self._seen[index] = 0
+        stored = min(len(xs), self.capacity - self._n)
+        timesteps = np.arange(first_timestep, first_timestep + stored)
+        self._store(slice(self._n, self._n + stored), simulation_id, timesteps, xs[:stored], ys[:stored])
+        self._n += stored
+        while stored < len(xs):
+            seen_indices = np.flatnonzero(self._seen[: self._n] > 0)
+            if seen_indices.size == 0:
+                break
+            victim = int(self._rng.choice(seen_indices))
+            self._store(victim, simulation_id, first_timestep + stored, xs[stored], ys[stored])
+            self.n_evicted += 1
+            stored += 1
+        self.n_received += stored
+        return stored
 
-    def put(
-        self,
-        simulation_id: int,
-        timestep: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> bool:
-        """Insert a sample; returns ``False`` when rejected (clients must pause)."""
-        self.n_received += 1
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if self._xs is None:
-            self._allocate(x.shape[0], y.shape[0])
-        if not self.is_full:
-            self._store(self._n, simulation_id, timestep, x, y)
-            self._n += 1
-            return True
-        # Full: replace a random already-seen entry; reject if every entry is unseen.
-        seen_indices = np.flatnonzero(self._seen[: self._n] > 0)
-        if seen_indices.size == 0:
-            self.n_rejected += 1
-            return False
-        victim = int(self._rng.choice(seen_indices))
-        self._store(victim, simulation_id, timestep, x, y)
-        self.n_evicted += 1
-        return True
+    def _store(self, index, simulation_id: int, timesteps, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Write entries at ``index`` (a slot, or a slice of slots with one row each), unseen."""
+        assert self._xs is not None and self._ys is not None
+        self._xs[index] = xs
+        self._ys[index] = ys
+        self._simulation_ids[index] = simulation_id
+        self._timesteps[index] = timesteps
+        self._seen[index] = 0
 
     # ---------------------------------------------------------------- reads
     def sample_batch(self, batch_size: int) -> Optional[ReservoirBatch]:
@@ -243,18 +243,15 @@ class Reservoir:
         return ReservoirBatch(inputs=xs, targets=ys, simulation_ids=sim_ids, timesteps=steps)
 
     def sync_metrics(self) -> None:
-        """Push the ingest/reject/evict totals into the telemetry mirrors.
+        """Push the ingest/evict totals into the telemetry mirrors.
 
         Called after every batch draw (and by the session on completion), so
         the registry converges on the canonical totals without a telemetry
-        call in the per-sample ``put`` path.
+        call in the ``put`` path.
         """
         if self.n_received != self._synced_received:
             self._m_ingest.inc(self.n_received - self._synced_received)
             self._synced_received = self.n_received
-        if self.n_rejected != self._synced_rejected:
-            self._m_rejected.inc(self.n_rejected - self._synced_rejected)
-            self._synced_rejected = self.n_rejected
         if self.n_evicted != self._synced_evicted:
             self._m_evicted.inc(self.n_evicted - self._synced_evicted)
             self._synced_evicted = self.n_evicted

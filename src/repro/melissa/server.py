@@ -22,13 +22,11 @@ import numpy as np
 from repro import nn, telemetry
 from repro.breed.controller import BreedController
 from repro.melissa.launcher import Launcher
-from repro.melissa.messages import TimeStepMessage
 from repro.melissa.reservoir import Reservoir, ReservoirBatch
 from repro.nn.tensor import Tensor
 from repro.surrogate.model import DirectSurrogate
 from repro.surrogate.validation import ValidationSet, validation_loss
 from repro.utils.logging import EventLog
-from repro.utils.timer import TimerRegistry
 
 __all__ = ["SampleStatistic", "TrainingHistory", "TrainingServer"]
 
@@ -150,26 +148,29 @@ class TrainingServer:
         self.uniform_source_flags = dict(uniform_source_flags or {})
         self.event_log = event_log
         self.history = TrainingHistory()
-        self.timers = TimerRegistry()
         self.iteration = 0
         self.n_samples_received = 0
         self._tracer = telemetry.tracer()
 
     # ---------------------------------------------------------------- receive
-    def receive(self, message: TimeStepMessage) -> bool:
-        """Ingest one streamed time step; returns False when back-pressured."""
-        with self.timers.span("receive"):
-            x = self.model.scalers.encode_input(message.parameters, message.timestep)
-            y = self.model.scalers.encode_output(message.payload)
-            accepted = self.reservoir.put(
-                simulation_id=int(message.simulation_id or 0),
-                timestep=message.timestep,
-                x=x,
-                y=y,
-            )
-        if accepted:
-            self.n_samples_received += 1
-        return accepted
+    def receive(
+        self, simulation_id: int, parameters: np.ndarray, first_timestep: int, rows: np.ndarray
+    ) -> int:
+        """Ingest a block of one simulation's time steps; returns how many rows were stored.
+
+        Row ``i`` of ``rows`` is the field at time step ``first_timestep + i``.
+        Both encodings are element-wise, so one call per block gives the bits
+        one call per row gave.  Rows are stored in order while the reservoir
+        accepts them; the caller keeps the rest (back-pressure).
+        """
+        timesteps = np.arange(first_timestep, first_timestep + len(rows), dtype=np.float64)
+        x = self.model.scalers.encode_input(
+            np.broadcast_to(parameters, (len(rows), parameters.shape[0])), timesteps
+        )
+        y = self.model.scalers.encode_output(rows)
+        stored = self.reservoir.put(simulation_id, first_timestep, x, y)
+        self.n_samples_received += stored
+        return stored
 
     def mark_parameter_source(self, simulation_id: int, uniform: bool) -> None:
         """Record whether a simulation's parameters came from a uniform draw."""
@@ -186,29 +187,25 @@ class TrainingServer:
         batch = self.reservoir.sample_batch(self.batch_size)
         if batch is None:
             return None
-        with self.timers.span("train"):
-            loss_value, per_sample = self._optimize(batch)
+        loss_value, per_sample = self._optimize(batch)
         self.iteration += 1
         self.history.train_losses.append(loss_value)
         self.history.train_iterations.append(self.iteration)
 
         # Feed the per-sample losses into the steering sampler (Breed's input).
-        with self.timers.span("acquisition"):
-            self.controller.observe_batch(
-                iteration=self.iteration,
-                simulation_ids=batch.simulation_ids,
-                timesteps=batch.timesteps,
-                sample_losses=per_sample,
-                parameters=None,
-            )
+        self.controller.observe_batch(
+            iteration=self.iteration,
+            simulation_ids=batch.simulation_ids,
+            timesteps=batch.timesteps,
+            sample_losses=per_sample,
+            parameters=None,
+        )
         if self.record_sample_statistics:
             self._record_statistics(batch, per_sample, loss_value)
 
         # Periodic validation.
         if self.validation_set is not None and self.iteration % self.validation_period == 0:
-            with self.timers.span("validation"), self._tracer.span(
-                "server.validation", cat="validation"
-            ):
+            with self._tracer.span("server.validation", cat="validation"):
                 val = validation_loss(self.model, self.validation_set)
             self.history.validation_losses.append(val)
             self.history.validation_iterations.append(self.iteration)
@@ -258,9 +255,7 @@ class TrainingServer:
         """Server counters, history and per-simulation provenance flags.
 
         The model, optimizer, reservoir and controller are snapshotted by
-        their owners (see :meth:`repro.api.session.TrainingSession.state_dict`);
-        wall-clock phase timers are measurement, not state, and restart at
-        zero after a restore.
+        their owners (see :meth:`repro.api.session.TrainingSession.state_dict`).
         """
         flags = sorted(self.uniform_source_flags.items())
         return {

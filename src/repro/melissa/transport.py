@@ -1,228 +1,67 @@
-"""In-process transport simulating the framework's messaging fabric.
+"""Volume accounting of the client → server data stream.
 
 The real Melissa deployment connects clients to the server over ZeroMQ; the
-reproduction replaces it with bounded FIFO channels.  The transport records
-volume statistics so the framework-overhead benchmark can report how many
-bytes would have crossed the network (and, for the off-line comparison, how
-many bytes would have been written to disk instead).
+reproduction hands produced row blocks straight to the session.  The
+transport only records how many time steps and bytes would have crossed the
+network, so the framework-overhead benchmark can report that volume (and,
+for the off-line comparison, how many bytes would have been written to disk
+instead).  Nothing is queued here, so nothing can be dropped.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List
+
+import numpy as np
 
 from repro import telemetry
-from repro.melissa.messages import Message, TimeStepMessage
-from repro.telemetry import NULL_COUNTER
 
-__all__ = ["Channel", "InProcessTransport", "TransportStats"]
-
-
-@dataclass
-class TransportStats:
-    """Counters of messages/bytes that flowed through a channel.
-
-    ``n_dropped`` counts messages a bounded channel *rejected* (``put``
-    returned ``False``), making back-pressure observable in overhead reports.
-
-    The plain integer counters are the canonical record — they are what the
-    session snapshots and the overhead experiment read, and their
-    ``state_dict`` layout is frozen.  When :mod:`repro.telemetry` metrics
-    are enabled, :meth:`bind_metrics` additionally mirrors every update into
-    registry-backed, channel-labelled counters so live transport volume is
-    scrapeable (``repro_transport_messages_total{channel="data"}`` …)
-    without touching the canonical totals.
-    """
-
-    n_messages: int = 0
-    n_bytes: int = 0
-    max_depth: int = 0
-    n_dropped: int = 0
-
-    # Telemetry mirrors (not dataclass fields: never pickled/serialized,
-    # never part of the state_dict layout).  Null objects until bound.
-    _m_messages = NULL_COUNTER
-    _m_bytes = NULL_COUNTER
-    _m_dropped = NULL_COUNTER
-
-    def bind_metrics(self, channel: str) -> None:
-        """Mirror this channel's counters into the telemetry registry."""
-        registry = telemetry.metrics()
-        self._m_messages = registry.counter(
-            "repro_transport_messages_total", help="messages accounted per channel"
-        ).labels(channel=channel)
-        self._m_bytes = registry.counter(
-            "repro_transport_bytes_total", help="payload bytes accounted per channel"
-        ).labels(channel=channel)
-        self._m_dropped = registry.counter(
-            "repro_transport_dropped_total", help="messages rejected by bounded channels"
-        ).labels(channel=channel)
-
-    def record(self, message: Message, depth: int) -> None:
-        self.n_messages += 1
-        self._m_messages.inc()
-        if isinstance(message, TimeStepMessage):
-            self.n_bytes += message.nbytes
-            self._m_bytes.inc(message.nbytes)
-        self.max_depth = max(self.max_depth, depth)
-
-    def record_batch(self, messages: Sequence[Message], depth: int) -> None:
-        """Account a whole batch in one call.
-
-        Totals are exactly those of calling :meth:`record` per message at
-        the same ``depth`` — the counters are sums and a running max, so
-        batching is free of accounting drift.
-        """
-        if not messages:
-            return
-        n_bytes = sum(
-            message.nbytes for message in messages if isinstance(message, TimeStepMessage)
-        )
-        self.n_messages += len(messages)
-        self.n_bytes += n_bytes
-        self._m_messages.inc(len(messages))
-        self._m_bytes.inc(n_bytes)
-        if depth > self.max_depth:
-            self.max_depth = depth
-
-    def record_drop(self) -> None:
-        self.n_dropped += 1
-        self._m_dropped.inc()
-
-
-class Channel:
-    """A bounded FIFO message channel.
-
-    ``maxsize=0`` means unbounded.  ``put`` returns ``False`` when the channel
-    is full, mirroring the back-pressure the real framework applies to clients
-    when the server cannot keep up.
-    """
-
-    def __init__(self, name: str, maxsize: int = 0) -> None:
-        self.name = name
-        self.maxsize = maxsize
-        self._queue: Deque[Message] = deque()
-        self.stats = TransportStats()
-        if telemetry.metrics_enabled():
-            self.stats.bind_metrics(name)
-
-    def put(self, message: Message) -> bool:
-        if self.maxsize and len(self._queue) >= self.maxsize:
-            self.stats.record_drop()
-            return False
-        self._queue.append(message)
-        self.stats.record(message, len(self._queue))
-        return True
-
-    def account(self, message: Message) -> None:
-        """Record volume statistics for ``message`` without enqueueing it.
-
-        The in-process run loop hands messages straight to its local pending
-        queue; this path keeps the byte/message accounting of a real network
-        hop without the pointless ``put``/``get`` round-trip.
-        """
-        self.stats.record(message, len(self._queue))
-
-    def account_batch(self, messages: Sequence[Message]) -> None:
-        """Volume-account one batch of messages in a single call.
-
-        The batched equivalent of :meth:`account` — one trajectory chunk per
-        call instead of one call per message — with identical totals and
-        ``state_dict`` layout.
-        """
-        self.stats.record_batch(messages, len(self._queue))
-
-    def get(self) -> Optional[Message]:
-        if not self._queue:
-            return None
-        return self._queue.popleft()
-
-    def drain(self, limit: Optional[int] = None) -> List[Message]:
-        """Pop up to ``limit`` messages (all of them when ``limit`` is None)."""
-        out: List[Message] = []
-        while self._queue and (limit is None or len(out) < limit):
-            out.append(self._queue.popleft())
-        return out
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __iter__(self) -> Iterator[Message]:  # pragma: no cover - convenience
-        return iter(list(self._queue))
+__all__ = ["InProcessTransport"]
 
 
 class InProcessTransport:
-    """Named channels connecting the framework components."""
+    """Time-step and byte counters of the data channel (clients → server).
 
-    def __init__(self, data_channel_maxsize: int = 0) -> None:
-        self.channels: Dict[str, Channel] = {
-            # clients -> server (solution fields)
-            "data": Channel("data", maxsize=data_channel_maxsize),
-            # server -> launcher (steering requests)
-            "steering": Channel("steering"),
-            # launcher -> server (job lifecycle notifications)
-            "jobs": Channel("jobs"),
-        }
+    The two integers are the canonical record, snapshotted by the session;
+    the telemetry series ``repro_transport_{messages,bytes}_total{channel="data"}``
+    mirror them.
+    """
 
-    def channel(self, name: str) -> Channel:
-        if name not in self.channels:
-            self.channels[name] = Channel(name)
-        return self.channels[name]
+    def __init__(self) -> None:
+        self.n_messages = 0
+        self.n_bytes = 0
+        registry = telemetry.metrics()
+        self._m_messages = registry.counter(
+            "repro_transport_messages_total", help="time steps accounted per channel"
+        ).labels(channel="data")
+        self._m_bytes = registry.counter(
+            "repro_transport_bytes_total", help="payload bytes accounted per channel"
+        ).labels(channel="data")
 
-    @property
-    def data(self) -> Channel:
-        return self.channels["data"]
+    def account_batch(self, rows: np.ndarray, parameters: np.ndarray) -> None:
+        """Account one client's block of time steps (one row each) sent with its ``parameters``.
 
-    @property
-    def steering(self) -> Channel:
-        return self.channels["steering"]
-
-    @property
-    def jobs(self) -> Channel:
-        return self.channels["jobs"]
-
-    def account(self, message: Message) -> None:
-        """Volume-account a client→server message on the data channel."""
-        self.data.account(message)
-
-    def account_batch(self, messages: Sequence[Message]) -> None:
-        """Volume-account one client→server trajectory chunk on the data channel."""
-        self.data.account_batch(messages)
+        A time step costs its field, the parameter vector and 16 bytes of
+        header (simulation id and time step).
+        """
+        n_bytes = rows.nbytes + len(rows) * (parameters.nbytes + 16)
+        self.n_messages += len(rows)
+        self.n_bytes += n_bytes
+        self._m_messages.inc(len(rows))
+        self._m_bytes.inc(n_bytes)
 
     # ---------------------------------------------------------------- state
-    def state_dict(self) -> Dict[str, object]:
-        """Per-channel volume counters (in-flight queue contents are owned by
-        the session's pending queue and snapshotted there)."""
+    def state_dict(self) -> Dict[str, List[Dict[str, object]]]:
+        """The counters in the historic three-channel layout; steering and jobs never carried anything."""
+        counters = {"maxsize": 0, "n_messages": 0, "n_bytes": 0, "max_depth": 0, "n_dropped": 0}
         return {
             "channels": [
-                {
-                    "name": channel.name,
-                    "maxsize": channel.maxsize,
-                    "n_messages": channel.stats.n_messages,
-                    "n_bytes": channel.stats.n_bytes,
-                    "max_depth": channel.stats.max_depth,
-                    "n_dropped": channel.stats.n_dropped,
-                }
-                for channel in self.channels.values()
+                {"name": "data", **counters, "n_messages": self.n_messages, "n_bytes": self.n_bytes},
+                *({"name": name, **counters} for name in ("steering", "jobs")),
             ]
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        for payload in state["channels"]:  # type: ignore[union-attr]
-            channel = self.channel(str(payload["name"]))
-            channel.maxsize = int(payload["maxsize"])
-            channel.stats.n_messages = int(payload["n_messages"])
-            channel.stats.n_bytes = int(payload["n_bytes"])
-            channel.stats.max_depth = int(payload["max_depth"])
-            channel.stats.n_dropped = int(payload["n_dropped"])
-
-    def total_bytes(self) -> int:
-        return sum(c.stats.n_bytes for c in self.channels.values())
-
-    def total_messages(self) -> int:
-        return sum(c.stats.n_messages for c in self.channels.values())
-
-    def total_dropped(self) -> int:
-        return sum(c.stats.n_dropped for c in self.channels.values())
+    def load_state_dict(self, state: Dict[str, List[Dict[str, object]]]) -> None:
+        (data,) = (channel for channel in state["channels"] if channel["name"] == "data")
+        self.n_messages = int(data["n_messages"])  # type: ignore[call-overload]
+        self.n_bytes = int(data["n_bytes"])  # type: ignore[call-overload]

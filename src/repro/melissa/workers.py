@@ -40,14 +40,14 @@ import sys
 import threading
 import time
 from itertools import islice
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.solvers.base import Solver
 
-__all__ = ["MIN_TRAJECTORY_FLOATS", "SolverWorkerError", "SolverWorkers", "inline_reason",
-           "start_workers", "usable_cpus"]
+__all__ = ["MIN_TRAJECTORY_FLOATS", "RingStream", "SolverWorkerError", "SolverWorkers",
+           "inline_reason", "start_workers", "usable_cpus"]
 
 #: ``field_size × (n_timesteps + 1)`` below which a trajectory does not amortise
 #: a process (docs/PERFORMANCE.md "The second core": ``small``'s 7 936 loses,
@@ -298,8 +298,8 @@ class SolverWorkers:
             raise failures[0]
 
     # -------------------------------------------------------------- streaming
-    def stream(self, parameters: np.ndarray, skip: int = 0) -> Iterator[np.ndarray]:
-        """Dispatch one trajectory now; iterate its fields (copies) from row ``skip`` on."""
+    def stream(self, parameters: np.ndarray, skip: int = 0) -> "RingStream":
+        """Dispatch one trajectory now; its :class:`RingStream` reads rows from ``skip`` on."""
         if not self._free:
             raise SolverWorkerError(f"all {len(self._control)} ring slots are streaming")
         slot = min(self._free, key=lambda s: (self._load[s % self.n_workers], s))
@@ -309,33 +309,18 @@ class SolverWorkers:
         self._command(worker, ("stream", slot, self._epoch, np.asarray(parameters), skip))
         self._free.remove(slot)
         self._load[worker] += 1
-        return self._rows(slot, worker, self._epoch)
+        return RingStream(self, slot, self._epoch)
 
-    def _rows(self, slot: int, worker: int, epoch: int) -> Iterator[np.ndarray]:
-        control, ring, row, exhausted = self._control[slot], self._ring[slot], 0, False
-        try:
-            while self._wait(control, slot, epoch, row):
-                field = ring[row % self.ring_rows].copy()
-                row += 1
-                control[_CONSUMED] = row
-                # A worker that stopped on full windows is woken once one is half
-                # drained, not per row: waking an idle core costs ~50 µs here.
-                if self._asleep[worker] and control[_PRODUCED] - row <= self.ring_rows // 2:
-                    self._asleep[worker] = 0
-                    try:
-                        os.write(self._commands[worker], _WAKE)
-                    except (OSError, IndexError):
-                        pass  # dead or closed: the next wait says so
-                yield field
-            exhausted = True
-        finally:
-            if not exhausted and self.pids:  # abandoned mid-trajectory: stop the worker's share
-                try:
-                    self._command(worker, ("cancel", slot))
-                except SolverWorkerError:
-                    pass
-            self._load[worker] -= 1
-            self._free.append(slot)
+    def _release(self, slot: int, cancel: bool) -> None:
+        """Hand ``slot`` back; ``cancel`` stops the worker's share of an abandoned trajectory."""
+        worker = slot % self.n_workers
+        if cancel and self.pids:
+            try:
+                self._command(worker, ("cancel", slot))
+            except SolverWorkerError:
+                pass
+        self._load[worker] -= 1
+        self._free.append(slot)
 
     def _wait(self, control: np.ndarray, slot: int, epoch: int, row: int) -> bool:
         """Block until ``row`` is in the ring (True) or the trajectory ended before it."""
@@ -424,3 +409,56 @@ class SolverWorkers:
                     _send(replies, (None, None, None))
                 except Exception as error:  # noqa: BLE001 - reported to the parent, by name
                     _send(replies, (None, type(error).__name__, str(error)))
+
+
+class RingStream:
+    """One trajectory a worker streams through a ring slot (see :meth:`SolverWorkers.stream`).
+
+    :meth:`read` copies rows straight from the ring into the caller's array.
+    The slot is handed back when the trajectory ends, when a read raises, or
+    on :meth:`close`, which also cancels a trajectory abandoned mid-way.
+    """
+
+    def __init__(self, workers: SolverWorkers, slot: int, epoch: int) -> None:
+        self._workers, self._slot, self._epoch = workers, slot, epoch
+        self._row = 0
+        self._open = True
+
+    def read(self, out: np.ndarray) -> int:
+        """Copy the next rows into ``out``; fewer than ``len(out)`` only where the trajectory ends."""
+        workers, slot = self._workers, self._slot
+        control, ring, window = workers._control[slot], workers._ring[slot], workers.ring_rows
+        worker = slot % workers.n_workers
+        n = 0
+        try:
+            while n < len(out) and self._open:
+                if not workers._wait(control, slot, self._epoch, self._row):
+                    self._open = False
+                    workers._release(slot, cancel=False)
+                    break
+                take = min(len(out) - n, int(control[_PRODUCED]) - self._row)
+                start = self._row % window
+                head = min(take, window - start)  # the rest wraps to the ring's first rows
+                out[n : n + head] = ring[start : start + head]
+                out[n + head : n + take] = ring[: take - head]
+                n += take
+                self._row += take
+                control[_CONSUMED] = self._row
+                # A worker that stopped on full windows is woken once one is half
+                # drained, not per row: waking an idle core costs ~50 µs here.
+                if workers._asleep[worker] and control[_PRODUCED] - self._row <= window // 2:
+                    workers._asleep[worker] = 0
+                    try:
+                        os.write(workers._commands[worker], _WAKE)
+                    except (OSError, IndexError):
+                        pass  # dead or closed: the next wait says so
+        except BaseException:
+            self.close()
+            raise
+        return n
+
+    def close(self) -> None:
+        """Hand the slot back (idempotent), cancelling the trajectory if rows remain."""
+        if self._open:
+            self._open = False
+            self._workers._release(self._slot, cancel=True)

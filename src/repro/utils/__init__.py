@@ -1,4 +1,4 @@
-"""Shared utilities: RNG streams, smoothing, timers and structured logging."""
+"""Shared utilities: RNG streams, smoothing, a timer and structured logging."""
 
 from repro.utils.logging import EventLog, LogRecord, get_logger
 from repro.utils.moving_average import (
@@ -8,7 +8,7 @@ from repro.utils.moving_average import (
     moving_average,
 )
 from repro.utils.rng import RngStreams, default_rng, derive_seed
-from repro.utils.timer import Timer, TimerRegistry, timed
+from repro.utils.timer import Timer
 
 __all__ = [
     "EventLog",
@@ -22,6 +22,4 @@ __all__ = [
     "default_rng",
     "derive_seed",
     "Timer",
-    "TimerRegistry",
-    "timed",
 ]

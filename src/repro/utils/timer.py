@@ -1,31 +1,23 @@
-"""Lightweight wall-clock timing helpers for the framework and benchmarks.
+"""An accumulating wall-clock timer.
 
-Two layers of instrumentation build on these helpers:
+:class:`Timer` times Breed's steering decisions
+(:class:`repro.breed.controller.BreedController`, whose total the
+framework-overhead experiment ``repro.experiments.overhead`` reports) and
+the study executor's per-run wall time (:mod:`repro.workflow.executor`).
 
-* the training server's per-phase timers (``receive``/``train``/
-  ``acquisition``/``validation`` spans through a :class:`TimerRegistry`),
-  which feed the paper's framework-overhead measurement
-  (``repro.experiments.overhead``), and
-* the benchmark harness (:mod:`repro.bench`), whose scenario runner measures
-  whole timed bodies with :func:`time.perf_counter` directly but reports the
-  same wall-clock quantity these timers accumulate.
-
-All timers read :func:`time.perf_counter` (monotonic, sub-microsecond
-resolution); they measure wall time, not CPU time, because the quantity of
-interest throughout the project is end-to-end throughput.  Timing values are
-*measurement*, never state: checkpoints exclude them, and restored sessions
-restart every timer at zero (see
-:meth:`repro.melissa.server.TrainingServer.state_dict`).
+It reads :func:`time.perf_counter` (monotonic, sub-microsecond resolution)
+and measures wall time, not CPU time, because the quantity of interest
+throughout the project is end-to-end throughput.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from dataclasses import dataclass
+from typing import Iterator
 
-__all__ = ["Timer", "TimerRegistry", "timed"]
+__all__ = ["Timer"]
 
 
 @dataclass
@@ -94,60 +86,3 @@ class Timer:
             yield self
         finally:
             self.stop()
-
-
-@dataclass
-class TimerRegistry:
-    """Named collection of :class:`Timer` objects (per-phase instrumentation).
-
-    The registry creates timers on first use, so instrumented code needs no
-    up-front declaration::
-
-        timers = TimerRegistry()
-        with timers.span("train"):
-            ...
-        print("\\n".join(timers.summary()))
-
-    The training server keeps one registry per run; the overhead experiment
-    reads its totals to show steering cost is negligible next to training.
-    """
-
-    timers: Dict[str, Timer] = field(default_factory=dict)
-
-    def get(self, name: str) -> Timer:
-        """Return the timer registered under ``name``, creating it if new."""
-        if name not in self.timers:
-            self.timers[name] = Timer(name=name)
-        return self.timers[name]
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[Timer]:
-        """Time one span of the named phase (creates the timer on first use)."""
-        timer = self.get(name)
-        with timer.span():
-            yield timer
-
-    def summary(self) -> List[str]:
-        """One formatted line per timer (sorted by name): total/count/mean."""
-        lines = []
-        for name in sorted(self.timers):
-            t = self.timers[name]
-            lines.append(f"{name:<30s} total={t.total:10.4f}s count={t.count:6d} mean={t.mean:10.6f}s")
-        return lines
-
-
-@contextmanager
-def timed() -> Iterator[Timer]:
-    """One-shot timer: ``with timed() as t: ...; print(t.total)``.
-
-    Sugar for ad-hoc measurements in examples and benchmarks; the yielded
-    :class:`Timer` holds the elapsed wall time in ``t.total`` after the
-    block exits (also on exceptions).
-    """
-    t = Timer()
-    t.start()
-    try:
-        yield t
-    finally:
-        if t._start is not None:
-            t.stop()

@@ -18,7 +18,6 @@ from repro.melissa.client import ClientFactory
 from repro.melissa.reservoir import Reservoir
 from repro.melissa.scheduler import BatchScheduler, JobState
 from repro.melissa.transport import InProcessTransport
-from repro.melissa.messages import TimeStepMessage
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.utils.rng import RngStreams
 
@@ -69,7 +68,7 @@ class TestReservoir:
         rng = np.random.default_rng(seed)
         reservoir = Reservoir(capacity=20, watermark=5, rng=rng)
         for i in range(30):
-            reservoir.put(i % 7, i, rng.random(4), rng.random(9))
+            reservoir.put(i % 7, i, rng.random((1, 4)), rng.random((1, 9)))
             if i % 3 == 0 and reservoir.ready_for_training:
                 reservoir.sample_batch(4)
         return reservoir
@@ -140,17 +139,16 @@ class TestClient:
         factory = ClientFactory(solver=tiny_solver)
         params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
         original = factory.create(0, params)
-        first = original.produce(3)
+        original.produce(3)
         state = original.state_dict()
-        expected = [m.payload.tolist() for m in original.produce(2)]
+        assert state["next_timestep"] == state["n_produced"] == 3
+        expected = original.produce(2)
 
         resumed = factory.create(0, params)
         resumed.load_state_dict(state)
         assert resumed.n_produced == 3
-        got = resumed.produce(2)
-        assert [m.timestep for m in got] == [3, 4]
-        assert [m.payload.tolist() for m in got] == expected
-        assert first[0].timestep == 0
+        assert np.array_equal(resumed.produce(2), expected)
+        assert resumed.n_produced == 5
 
     def test_finished_client_stays_finished(self, tiny_solver):
         factory = ClientFactory(solver=tiny_solver)
@@ -161,7 +159,7 @@ class TestClient:
         resumed = factory.create(1, params)
         resumed.load_state_dict(client.state_dict())
         assert resumed.finished
-        assert resumed.produce(5) == []
+        assert len(resumed.produce(5)) == 0
 
     def test_simulation_id_mismatch_rejected(self, tiny_solver):
         factory = ClientFactory(solver=tiny_solver)
@@ -169,6 +167,13 @@ class TestClient:
         state = factory.create(1, params).state_dict()
         with pytest.raises(ValueError, match="simulation 1"):
             factory.create(2, params).load_state_dict(state)
+
+    def test_unequal_progress_keys_rejected(self, tiny_solver):
+        factory = ClientFactory(solver=tiny_solver)
+        params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
+        state = {**factory.create(1, params).state_dict(), "next_timestep": 2}
+        with pytest.raises(ValueError, match="inconsistent"):
+            factory.create(1, params).load_state_dict(state)
 
 
 class TestTracker:
@@ -317,11 +322,9 @@ class TestControllerAndTransport:
 
     def test_transport_stats_roundtrip(self):
         transport = InProcessTransport()
-        message = TimeStepMessage(simulation_id=1, parameters=np.ones(5), timestep=0, payload=np.ones(16))
         for _ in range(7):
-            transport.account(message)
+            transport.account_batch(np.ones((1, 16)), np.ones(5))
         target = InProcessTransport()
         target.load_state_dict(transport.state_dict())
-        assert target.total_bytes() == transport.total_bytes()
-        assert target.total_messages() == 7
-        assert target.total_dropped() == 0
+        assert target.n_bytes == transport.n_bytes == 7 * (128 + 40 + 16)
+        assert target.n_messages == 7

@@ -22,41 +22,38 @@ def params():
 class TestSolverClient:
     def test_streams_full_trajectory(self, tiny_solver, params):
         client = SolverClient(0, np.array(params), tiny_solver)
-        messages = client.produce(max_steps=100)
-        assert len(messages) == tiny_solver.n_timesteps + 1
+        rows = client.produce(max_steps=100)
+        assert rows.shape == (tiny_solver.n_timesteps + 1, tiny_solver.field_size)
         assert client.finished
-        assert client.n_produced == len(messages)
-        assert [m.timestep for m in messages] == list(range(len(messages)))
+        assert client.n_produced == len(rows)
 
     def test_incremental_production(self, tiny_solver, params):
         client = SolverClient(1, np.array(params), tiny_solver)
-        first = client.produce(2)
-        second = client.produce(2)
-        assert [m.timestep for m in first] == [0, 1]
-        assert [m.timestep for m in second] == [2, 3]
+        assert len(client.produce(2)) == 2 and client.n_produced == 2
+        assert len(client.produce(2)) == 2 and client.n_produced == 4
         assert not client.finished
 
     def test_payload_matches_direct_solve(self, tiny_solver, params):
         client = SolverClient(0, np.array(params), tiny_solver)
-        messages = client.produce(100)
+        rows = client.produce(100)
         reference = tiny_solver.solve(params)
-        np.testing.assert_allclose(messages[-1].payload, reference.final_field)
+        np.testing.assert_allclose(rows[-1], reference.final_field)
 
     def test_produce_after_finish_returns_empty(self, tiny_solver, params):
         client = SolverClient(0, np.array(params), tiny_solver)
         client.produce(100)
-        assert client.produce(5) == []
+        assert client.produce(5).shape == (0, tiny_solver.field_size)
+
+    def test_an_exact_fit_finishes_on_the_next_call(self, tiny_solver, params):
+        """``finished`` is set by the first short block, as the session's scheduling expects."""
+        client = SolverClient(0, np.array(params), tiny_solver)
+        assert len(client.produce(tiny_solver.n_timesteps + 1)) == tiny_solver.n_timesteps + 1
+        assert not client.finished
+        assert len(client.produce(3)) == 0 and client.finished
 
     def test_invalid_max_steps(self, tiny_solver, params):
         with pytest.raises(ValueError):
             SolverClient(0, np.array(params), tiny_solver).produce(0)
-
-    def test_finish_message(self, tiny_solver, params):
-        client = SolverClient(3, np.array(params), tiny_solver)
-        client.produce(100)
-        msg = client.finish_message()
-        assert msg.simulation_id == 3
-        assert msg.n_timesteps == client.n_produced
 
     def test_expected_timesteps(self, tiny_solver, params):
         assert SolverClient(0, np.array(params), tiny_solver).expected_timesteps == tiny_solver.n_timesteps + 1

@@ -1,169 +1,86 @@
-"""Tests for the message types and in-process transport."""
+"""Volume accounting of the client → server data stream (``InProcessTransport``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.melissa.messages import (
-    ParameterUpdate,
-    SimulationFinished,
-    SimulationStarted,
-    StopClient,
-    TimeStepMessage,
-)
-from repro.melissa.transport import Channel, InProcessTransport
+from repro import telemetry
+from repro.melissa.transport import InProcessTransport
+
+#: the snapshot layout of the transport: one entry per historic channel
+LAYOUT_KEYS = ["name", "maxsize", "n_messages", "n_bytes", "max_depth", "n_dropped"]
 
 
-class TestMessages:
-    def test_timestep_message_flattens_payload(self):
-        msg = TimeStepMessage(simulation_id=1, parameters=[1.0, 2.0], timestep=3, payload=np.ones((2, 2)))
-        assert msg.payload.shape == (4,)
-        assert msg.parameters.dtype == np.float64
-        assert msg.nbytes > 0
-
-    def test_simulation_started_finished(self):
-        started = SimulationStarted(simulation_id=2, parameters=[1.0])
-        finished = SimulationFinished(simulation_id=2, n_timesteps=10)
-        assert started.simulation_id == finished.simulation_id == 2
-        assert finished.n_timesteps == 10
-
-    def test_parameter_update_defaults(self):
-        update = ParameterUpdate(simulation_id=4, parameters=[1.0, 2.0])
-        assert update.source == "proposal"
-
-    def test_stop_client_broadcast(self):
-        assert StopClient().simulation_id is None
-
-    def test_messages_are_frozen(self):
-        msg = TimeStepMessage(simulation_id=1, timestep=0)
-        with pytest.raises(Exception):
-            msg.timestep = 5  # type: ignore[misc]
+def per_message_bytes(rows: np.ndarray, parameters: np.ndarray) -> int:
+    """What a time step cost when each one was a message: its field, its parameters and 16 bytes."""
+    return sum(row.nbytes + parameters.nbytes + 16 for row in rows)
 
 
-class TestChannel:
-    def test_fifo_order(self):
-        channel = Channel("test")
-        for i in range(3):
-            channel.put(TimeStepMessage(simulation_id=i, timestep=i))
-        assert [channel.get().simulation_id for _ in range(3)] == [0, 1, 2]
+class TestAccounting:
+    @pytest.mark.parametrize("k, field_size, parameter_dim", [(1, 16, 5), (7, 4096, 5), (3, 64, 2)])
+    def test_bytes_equal_the_per_message_sum(self, k, field_size, parameter_dim):
+        rows = np.zeros((k, field_size))
+        parameters = np.ones(parameter_dim)
+        transport = InProcessTransport()
+        transport.account_batch(rows, parameters)
+        assert transport.n_bytes == per_message_bytes(rows, parameters)
+        assert transport.n_bytes == k * (8 * field_size + 8 * parameter_dim + 16)
+        assert transport.n_messages == k
 
-    def test_get_empty_returns_none(self):
-        assert Channel("x").get() is None
+    def test_blocks_accumulate(self):
+        transport = InProcessTransport()
+        blocks = [(np.zeros((3, 50)), np.ones(5)), (np.zeros((2, 50)), np.ones(5)), (np.zeros((0, 50)), np.ones(5))]
+        for rows, parameters in blocks:
+            transport.account_batch(rows, parameters)
+        assert transport.n_messages == 5
+        assert transport.n_bytes == sum(per_message_bytes(rows, params) for rows, params in blocks)
 
-    def test_bounded_channel_backpressure(self):
-        channel = Channel("bounded", maxsize=2)
-        assert channel.put(TimeStepMessage(simulation_id=0))
-        assert channel.put(TimeStepMessage(simulation_id=1))
-        assert not channel.put(TimeStepMessage(simulation_id=2))
-        channel.get()
-        assert channel.put(TimeStepMessage(simulation_id=2))
-
-    def test_drain_with_limit(self):
-        channel = Channel("d")
-        for i in range(5):
-            channel.put(TimeStepMessage(simulation_id=i))
-        assert len(channel.drain(limit=3)) == 3
-        assert len(channel) == 2
-        assert len(channel.drain()) == 2
-
-    def test_rejected_put_counts_as_dropped(self):
-        channel = Channel("bounded", maxsize=1)
-        assert channel.put(TimeStepMessage(simulation_id=0))
-        assert not channel.put(TimeStepMessage(simulation_id=1))
-        assert not channel.put(TimeStepMessage(simulation_id=2))
-        assert channel.stats.n_dropped == 2
-        # Accepted messages are not counted as drops.
-        assert channel.stats.n_messages == 1
-        channel.get()
-        assert channel.put(TimeStepMessage(simulation_id=1))
-        assert channel.stats.n_dropped == 2
-
-    def test_unbounded_channel_never_drops(self):
-        channel = Channel("unbounded")
-        for i in range(10):
-            assert channel.put(TimeStepMessage(simulation_id=i))
-        assert channel.stats.n_dropped == 0
-
-    def test_stats_accumulate_bytes(self):
-        channel = Channel("stats")
-        channel.put(TimeStepMessage(simulation_id=0, payload=np.zeros(100)))
-        channel.put(TimeStepMessage(simulation_id=1, payload=np.zeros(100)))
-        assert channel.stats.n_messages == 2
-        assert channel.stats.n_bytes >= 2 * 100 * 8
-        assert channel.stats.max_depth == 2
+    def test_telemetry_mirrors_the_data_channel_only(self):
+        telemetry.configure(metrics=True)
+        try:
+            transport = InProcessTransport()
+            transport.account_batch(np.zeros((4, 10)), np.ones(5))
+            counters = telemetry.metrics().counter_values()
+        finally:
+            telemetry.disable()
+        assert counters['repro_transport_messages_total{channel="data"}'] == 4.0
+        assert counters['repro_transport_bytes_total{channel="data"}'] == float(transport.n_bytes)
+        assert not any("dropped" in name or "steering" in name or "jobs" in name for name in counters)
 
 
-class TestBatchedAccounting:
-    def _chunk(self, n: int) -> list:
-        # A realistic trajectory chunk: mostly payloads plus a lifecycle
-        # message, so the byte counter's isinstance filter is exercised.
-        messages = [
-            TimeStepMessage(simulation_id=0, timestep=t, payload=np.zeros(50))
-            for t in range(n)
-        ]
-        messages.append(SimulationFinished(simulation_id=0, n_timesteps=n))
-        return messages
+class TestStateLayout:
+    def test_three_channel_layout(self):
+        transport = InProcessTransport()
+        transport.account_batch(np.zeros((2, 8)), np.ones(5))
+        state = transport.state_dict()
+        assert [channel["name"] for channel in state["channels"]] == ["data", "steering", "jobs"]
+        assert all(list(channel) == LAYOUT_KEYS for channel in state["channels"])
+        assert state["channels"][0] == {
+            "name": "data", "maxsize": 0, "n_messages": 2, "n_bytes": 2 * (64 + 40 + 16),
+            "max_depth": 0, "n_dropped": 0,
+        }
+        for idle in state["channels"][1:]:
+            assert {key: value for key, value in idle.items() if key != "name"} == dict.fromkeys(LAYOUT_KEYS[1:], 0)
 
-    def test_account_batch_totals_match_per_message_accounting(self):
-        batched, sequential = Channel("b"), Channel("s")
-        chunk = self._chunk(7)
-        batched.account_batch(chunk)
-        for message in chunk:
-            sequential.account(message)
-        assert batched.stats == sequential.stats
-
-    def test_account_batch_counts_queue_depth(self):
-        channel = Channel("d")
-        channel.put(TimeStepMessage(simulation_id=0))
-        channel.put(TimeStepMessage(simulation_id=1))
-        channel.account_batch(self._chunk(3))
-        # account never enqueues: depth is the resident queue's, and the
-        # message/byte counters still advance.
-        assert len(channel) == 2
-        assert channel.stats.max_depth == 2
-        assert channel.stats.n_messages == 2 + 4
-
-    def test_account_batch_empty_is_a_noop(self):
-        channel = Channel("e")
-        channel.account_batch([])
-        assert channel.stats.n_messages == 0
-        assert channel.stats.max_depth == 0
-
-    def test_transport_account_batch_state_dict_layout_unchanged(self):
-        batched, sequential = InProcessTransport(), InProcessTransport()
-        chunk = self._chunk(5)
-        batched.account_batch(chunk)
-        for message in chunk:
-            sequential.account(message)
-        assert batched.state_dict() == sequential.state_dict()
-        # The layout round-trips through load_state_dict as before.
+    def test_layout_round_trips(self):
+        transport = InProcessTransport()
+        transport.account_batch(np.zeros((5, 50)), np.ones(5))
         restored = InProcessTransport()
-        restored.load_state_dict(batched.state_dict())
-        assert restored.state_dict() == batched.state_dict()
+        restored.load_state_dict(transport.state_dict())
+        assert restored.state_dict() == transport.state_dict()
+        assert (restored.n_messages, restored.n_bytes) == (transport.n_messages, transport.n_bytes)
 
-
-class TestInProcessTransport:
-    def test_default_channels_exist(self):
+    def test_a_state_written_before_blocks_loads(self):
+        # The layout the message-per-time-step transport wrote, data channel
+        # first; the next block is counted on top of it.
+        old = {"channels": [
+            {"name": "data", "maxsize": 0, "n_messages": 7, "n_bytes": 7 * 184, "max_depth": 0, "n_dropped": 0},
+            {"name": "steering", "maxsize": 0, "n_messages": 0, "n_bytes": 0, "max_depth": 0, "n_dropped": 0},
+            {"name": "jobs", "maxsize": 0, "n_messages": 0, "n_bytes": 0, "max_depth": 0, "n_dropped": 0},
+        ]}
         transport = InProcessTransport()
-        assert transport.data is transport.channel("data")
-        assert transport.steering.name == "steering"
-        assert transport.jobs.name == "jobs"
-
-    def test_channel_created_on_demand(self):
-        transport = InProcessTransport()
-        extra = transport.channel("monitoring")
-        assert transport.channel("monitoring") is extra
-
-    def test_total_counters(self):
-        transport = InProcessTransport()
-        transport.data.put(TimeStepMessage(simulation_id=0, payload=np.zeros(10)))
-        transport.jobs.put(SimulationStarted(simulation_id=0))
-        assert transport.total_messages() == 2
-        assert transport.total_bytes() > 0
-
-    def test_data_channel_maxsize(self):
-        transport = InProcessTransport(data_channel_maxsize=1)
-        assert transport.data.put(TimeStepMessage(simulation_id=0))
-        assert not transport.data.put(TimeStepMessage(simulation_id=1))
-        assert transport.total_dropped() == 1
+        transport.load_state_dict(old)
+        assert transport.state_dict() == old
+        transport.account_batch(np.zeros((1, 16)), np.ones(5))
+        assert transport.n_messages == 8 and transport.n_bytes == 8 * 184

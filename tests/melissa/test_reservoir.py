@@ -15,7 +15,8 @@ def make_reservoir(capacity=10, watermark=3, seed=0):
 
 
 def put_sample(reservoir, sim_id=0, timestep=0):
-    return reservoir.put(sim_id, timestep, x=np.array([float(sim_id), float(timestep)]), y=np.zeros(3))
+    """A one-row block; returns how many rows were stored (0 or 1)."""
+    return reservoir.put(sim_id, timestep, np.array([[float(sim_id), float(timestep)]]), np.zeros((1, 3)))
 
 
 class TestConstruction:
@@ -52,14 +53,14 @@ class TestPutAndEviction:
         assert len(reservoir) == 4
         assert reservoir.is_full
 
-    def test_rejects_when_full_of_unseen_samples(self):
+    def test_stores_nothing_when_full_of_unseen_samples(self):
         reservoir = make_reservoir(capacity=3, watermark=1)
         for i in range(3):
             put_sample(reservoir, i)
-        # Nothing has been consumed yet: back-pressure.
+        # Nothing has been consumed yet: back-pressure, the caller keeps the row.
         assert not reservoir.can_accept()
-        assert not put_sample(reservoir, 99)
-        assert reservoir.n_rejected == 1
+        assert put_sample(reservoir, 99) == 0
+        assert reservoir.n_received == 3 and reservoir.n_rejected == 0
         assert len(reservoir) == 3
 
     def test_evicts_only_seen_samples(self):
@@ -149,13 +150,16 @@ class TestReservoirInvariants:
         rng = np.random.default_rng(seed)
         watermark = max(1, capacity // 2)
         reservoir = Reservoir(capacity=capacity, watermark=watermark, rng=np.random.default_rng(seed + 1))
-        accepted = 0
-        rejected = 0
+        stored_total = 0
         for op in range(n_operations):
             if rng.random() < 0.6:
-                ok = reservoir.put(op, op, np.array([float(op)]), np.array([0.0]))
-                accepted += int(ok)
-                rejected += int(not ok)
+                k = int(rng.integers(1, 6))
+                stored = reservoir.put(op, 0, np.full((k, 1), float(op)), np.zeros((k, 1)))
+                assert 0 <= stored <= k
+                stored_total += stored
+                # A block stops short only at a buffer full of unseen samples.
+                if stored < k:
+                    assert len(reservoir) == capacity and reservoir.n_unseen == capacity
             else:
                 batch = reservoir.sample_batch(int(rng.integers(1, 8)))
                 if not reservoir.ready_for_training:
@@ -163,11 +167,8 @@ class TestReservoirInvariants:
             # Invariants.
             assert len(reservoir) <= capacity
             assert reservoir.n_unseen <= len(reservoir)
-            assert reservoir.n_received == accepted + rejected
-            assert reservoir.n_rejected == rejected
-            # A rejection may only ever happen when the buffer is full.
-            if rejected and len(reservoir) < capacity:
-                pytest.fail("sample rejected while the reservoir had free space")
+            assert reservoir.n_received == stored_total
+            assert reservoir.n_rejected == 0
 
 
 class _ReferenceReservoir:
@@ -178,6 +179,10 @@ class _ReferenceReservoir:
         self.watermark = watermark
         self._rng = rng
         self._entries = []
+        self.n_evicted = 0
+
+    def can_accept(self):
+        return len(self._entries) < self.capacity or any(e.seen_count > 0 for e in self._entries)
 
     def put(self, simulation_id, timestep, x, y):
         from repro.melissa.reservoir import ReservoirEntry
@@ -191,7 +196,16 @@ class _ReferenceReservoir:
             return False
         victim = int(self._rng.choice(seen_indices))
         self._entries[victim] = entry
+        self.n_evicted += 1
         return True
+
+    def put_block(self, simulation_id, first_timestep, xs, ys):
+        """The per-sample ingest loop a session ran: one row at a time while the buffer accepts."""
+        stored = 0
+        while stored < len(xs) and self.can_accept():
+            assert self.put(simulation_id, first_timestep + stored, xs[stored], ys[stored])
+            stored += 1
+        return stored
 
     def sample_batch(self, batch_size):
         if len(self._entries) < self.watermark or not self._entries:
@@ -221,7 +235,7 @@ class TestVectorisedBitIdentity:
                 if driver.random() < 0.6:
                     x = driver.random(3)
                     y = driver.random(5)
-                    assert reservoir.put(op, op % 11, x, y) == reference.put(op, op % 11, x, y)
+                    assert reservoir.put(op, op % 11, x[None], y[None]) == reference.put(op, op % 11, x, y)
                 else:
                     size = int(driver.integers(1, 9))
                     got = reservoir.sample_batch(size)
@@ -245,7 +259,7 @@ class TestVectorisedBitIdentity:
         for op in range(200):
             x = payload.random(4)
             y = payload.random(6)
-            assert reservoir.put(op, op % 13, x, y) == reference.put(op, op % 13, x, y)
+            assert reservoir.put(op, op % 13, x[None], y[None]) == reference.put(op, op % 13, x, y)
             if op % 3 == 2:
                 got = reservoir.sample_batch(4)
                 want = reference.sample_batch(4)
@@ -283,4 +297,75 @@ class TestVectorisedBitIdentity:
         reservoir = make_reservoir(capacity=4, watermark=1)
         put_sample(reservoir, 0)
         with pytest.raises(ValueError, match="buffer layout"):
-            reservoir.put(1, 0, x=np.zeros(7), y=np.zeros(3))
+            reservoir.put(1, 0, np.zeros((1, 7)), np.zeros((1, 3)))
+
+
+class TestBlockPutOracle:
+    """A block ``put`` equals the per-sample loop it replaced, row for row and draw for draw."""
+
+    @staticmethod
+    def pair(capacity, seed=4):
+        return (
+            Reservoir(capacity=capacity, watermark=1, rng=np.random.default_rng(seed)),
+            _ReferenceReservoir(capacity=capacity, watermark=1, rng=np.random.default_rng(seed)),
+        )
+
+    @staticmethod
+    def assert_same(reservoir, reference):
+        entries = reservoir.entries()
+        assert len(entries) == len(reference._entries)
+        for got, want in zip(entries, reference._entries):
+            assert (got.simulation_id, got.timestep, got.seen_count) == (
+                want.simulation_id, want.timestep, want.seen_count
+            )
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+        assert reservoir.n_evicted == reference.n_evicted
+        assert reservoir._rng.bit_generator.state == reference._rng.bit_generator.state
+
+    @staticmethod
+    def block(rng, k):
+        return rng.random((k, 3)), rng.random((k, 5))
+
+    def test_filling_then_stopping_mid_block_when_every_entry_is_unseen(self):
+        reservoir, reference = self.pair(capacity=10)
+        payload = np.random.default_rng(1)
+        for sim_id, k, want in [(0, 6, 6), (1, 6, 4), (2, 3, 0)]:
+            xs, ys = self.block(payload, k)
+            assert reservoir.put(sim_id, 5, xs, ys) == reference.put_block(sim_id, 5, xs, ys) == want
+            self.assert_same(reservoir, reference)
+        assert reservoir.n_received == 10 and reservoir.n_rejected == 0
+        assert [e.timestep for e in reservoir.entries()] == [5, 6, 7, 8, 9, 10, 5, 6, 7, 8]
+
+    def test_full_with_evictions_then_stopping_when_the_seen_entries_run_out(self):
+        reservoir, reference = self.pair(capacity=8)
+        payload = np.random.default_rng(2)
+        xs, ys = self.block(payload, 8)
+        reservoir.put(0, 0, xs, ys)
+        reference.put_block(0, 0, xs, ys)
+        reservoir.sample_batch(3)
+        reference.sample_batch(3)  # three entries seen: three evictions possible
+        xs, ys = self.block(payload, 2)
+        assert reservoir.put(1, 0, xs, ys) == reference.put_block(1, 0, xs, ys) == 2
+        self.assert_same(reservoir, reference)
+        xs, ys = self.block(payload, 4)
+        assert reservoir.put(2, 7, xs, ys) == reference.put_block(2, 7, xs, ys) == 1
+        self.assert_same(reservoir, reference)
+        assert reservoir.n_evicted == 3 and not reservoir.can_accept()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_blocks_and_draws(self, seed):
+        driver = np.random.default_rng(100 + seed)
+        reservoir, reference = self.pair(capacity=16, seed=seed)
+        for op in range(120):
+            if driver.random() < 0.5:
+                k = int(driver.integers(1, 9))
+                first = int(driver.integers(0, 50))
+                xs, ys = self.block(driver, k)
+                assert reservoir.put(op, first, xs, ys) == reference.put_block(op, first, xs, ys)
+            else:
+                size = int(driver.integers(1, 9))
+                got, want = reservoir.sample_batch(size), reference.sample_batch(size)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got.inputs, want[0]) and np.array_equal(got.timesteps, want[3])
+            self.assert_same(reservoir, reference)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import OnlineTrainingConfig, TrainingSession, workload_names
 from repro.breed.controller import BreedController
 from repro.breed.samplers import BreedConfig, BreedSampler, RandomSampler
-from repro.melissa.messages import TimeStepMessage
 from repro.melissa.reservoir import Reservoir
 from repro.melissa.server import TrainingServer
 from repro.nn.optim import Adam
 from repro.sampling.bounds import HEAT2D_BOUNDS
+from repro.solvers.heat2d import Heat2DConfig
 from repro.surrogate.model import DirectSurrogate, SurrogateConfig
 from repro.surrogate.validation import build_validation_set
 
@@ -59,14 +60,9 @@ def make_server(
 
 
 def feed_trajectory(server, tiny_solver, sim_id=0, params=(300.0, 100.0, 500.0, 200.0, 400.0)):
-    accepted = 0
-    for timestep, field in enumerate(tiny_solver.steps(np.array(params))):
-        message = TimeStepMessage(
-            simulation_id=sim_id, parameters=np.array(params), timestep=timestep, payload=field
-        )
-        if server.receive(message):
-            accepted += 1
-    return accepted
+    """Hand the server one whole trajectory as a block; returns how many rows it stored."""
+    params = np.array(params)
+    return server.receive(sim_id, params, 0, np.array(list(tiny_solver.steps(params))))
 
 
 class TestReception:
@@ -81,14 +77,33 @@ class TestReception:
 
     def test_backpressure_when_reservoir_saturated(self, tiny_solver, tiny_scalers):
         server = make_server(tiny_solver, tiny_scalers, capacity=4, watermark=2)
-        feed_trajectory(server, tiny_solver, sim_id=0)
-        # Buffer full of unseen samples -> further receives are rejected.
-        rejected_before = server.reservoir.n_rejected
-        assert not server.receive(
-            TimeStepMessage(simulation_id=1, parameters=np.full(5, 300.0), timestep=0,
-                            payload=np.full(tiny_solver.field_size, 300.0))
-        )
-        assert server.reservoir.n_rejected == rejected_before + 1
+        # The block stops where the buffer fills with unseen samples ...
+        assert feed_trajectory(server, tiny_solver, sim_id=0) == 4
+        # ... and stores nothing more until training has seen some of them.
+        assert server.receive(1, np.full(5, 300.0), 0, np.full((2, tiny_solver.field_size), 300.0)) == 0
+        assert server.n_samples_received == server.reservoir.n_received == 4
+        assert server.reservoir.n_rejected == 0
+
+
+@pytest.mark.parametrize("workload", workload_names())
+def test_block_receive_equals_per_sample_encodes(workload):
+    """One encode per block gives the bits one encode per time step gave, on every workload."""
+    config = OnlineTrainingConfig(
+        workload=workload, heat=Heat2DConfig(grid_size=8, n_timesteps=6), n_validation_trajectories=1
+    )
+    session = TrainingSession(config)
+    try:
+        params = session.launcher.records[0].parameters
+        trajectory = np.array(list(session.solver.steps(params)))
+        assert session.server.receive(3, params, 2, trajectory[2:]) == len(trajectory) - 2
+        scalers = session.model.scalers
+        entries = session.reservoir.entries()
+        assert [(e.simulation_id, e.timestep) for e in entries] == [(3, t) for t in range(2, len(trajectory))]
+        for entry in entries:
+            assert np.array_equal(entry.x, scalers.encode_input(params, entry.timestep))
+            assert np.array_equal(entry.y, scalers.encode_output(trajectory[entry.timestep]))
+    finally:
+        session.close()
 
 
 class TestTraining:

@@ -17,7 +17,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 import pytest
@@ -39,6 +39,18 @@ def _gone(pid: int) -> bool:
         return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
     except FileNotFoundError:
         return True
+
+
+def read_rows(stream, width: int, chunk: int = 1, limit: Optional[int] = None) -> np.ndarray:
+    """Rows of ``stream`` read ``chunk`` at a time: all remaining ones, or the next ``limit``."""
+    rows = []
+    while limit is None or len(rows) < limit:
+        out = np.empty((chunk if limit is None else min(chunk, limit - len(rows)), width))
+        n = stream.read(out)
+        rows.extend(out[:n])
+        if n < len(out):
+            break
+    return np.array(rows).reshape(-1, width)
 
 
 def _wait_until(predicate, seconds: float = 5.0) -> bool:
@@ -96,52 +108,62 @@ class _Unlisted(Exception):
 class TestStreaming:
     def test_concurrent_streams_give_the_solvers_own_fields(self, pool, tiny_solver):
         # Window of 2 rows, 6 rows per trajectory: back-pressure and wrap-around.
+        width = tiny_solver.field_size
         streams = [pool.stream(params) for params in PARAMETERS]
         rows = [[] for _ in streams]
         for _ in range(tiny_solver.n_timesteps + 1):  # consumed in lockstep, like a session
             for collected, stream in zip(rows, streams):
-                collected.append(next(stream))
+                collected.extend(read_rows(stream, width, limit=1))
         for collected, stream, params in zip(rows, streams, PARAMETERS):
-            with pytest.raises(StopIteration):
-                next(stream)
-            expected = list(tiny_solver.steps(params))
-            assert len(collected) == len(expected)
-            assert all(np.array_equal(a, b) for a, b in zip(collected, expected))
-        # copies, not views of the ring: a later trajectory must not rewrite them
-        assert not any(np.shares_memory(field, pool._ring) for field in rows[0])
+            assert stream.read(np.empty((1, width))) == 0  # the end, and it stays the end
+            assert stream.read(np.empty((1, width))) == 0
+            assert np.array_equal(np.array(collected), np.array(list(tiny_solver.steps(params))))
+
+    @pytest.mark.parametrize("chunk", [3, 4, 6, 7])
+    def test_a_block_read_crosses_the_ring_wrap(self, pool, tiny_solver, chunk):
+        # Blocks longer than the 2-row window: each read waits for the worker
+        # to refill the slot and copies across its wrap into one array.
+        expected = np.array(list(tiny_solver.steps(PARAMETERS[1])))
+        out = np.full((chunk, tiny_solver.field_size), np.nan)
+        stream = pool.stream(PARAMETERS[1])
+        assert stream.read(out) == min(chunk, 6)
+        assert np.array_equal(out[: min(chunk, 6)], expected[:chunk])
+        assert not np.shares_memory(out, pool._ring)
+        assert np.array_equal(read_rows(stream, tiny_solver.field_size, chunk=chunk), expected[chunk:])
 
     def test_skip_starts_mid_trajectory(self, pool, tiny_solver):
-        expected = list(tiny_solver.steps(PARAMETERS[0]))
-        assert all(
-            np.array_equal(a, b) for a, b in zip(pool.stream(PARAMETERS[0], skip=4), expected[4:])
-        )
-        assert list(pool.stream(PARAMETERS[0], skip=len(expected))) == []
+        width = tiny_solver.field_size
+        expected = np.array(list(tiny_solver.steps(PARAMETERS[0])))
+        assert np.array_equal(read_rows(pool.stream(PARAMETERS[0], skip=4), width), expected[4:])
+        assert len(read_rows(pool.stream(PARAMETERS[0], skip=len(expected)), width)) == 0
 
-    def test_a_finished_stream_frees_its_ring_slot(self, pool):
+    def test_a_finished_stream_frees_its_ring_slot(self, pool, tiny_solver):
+        width = tiny_solver.field_size
         streams = [pool.stream(PARAMETERS[0]) for _ in range(4)]
         with pytest.raises(SolverWorkerError, match="all 4 ring slots"):
             pool.stream(PARAMETERS[1])
-        assert len(list(streams[0])) == 6
-        assert len(list(pool.stream(PARAMETERS[1]))) == 6  # the freed slot, reused
+        assert len(read_rows(streams[0], width)) == 6
+        assert len(read_rows(pool.stream(PARAMETERS[1]), width)) == 6  # the freed slot, reused
 
     def test_an_abandoned_stream_is_cancelled_and_its_slot_reused(self, tiny_solver):
+        width = tiny_solver.field_size
         workers = SolverWorkers(tiny_solver, ring_slots=1, ring_rows=2, n_workers=1)
         try:
-            for _ in range(3):  # the same slot, abandoned at a different row each time
+            for rows in (1, 2, 3):  # the same slot, abandoned at a different row each time
                 abandoned = workers.stream(PARAMETERS[0])
-                next(abandoned)
+                assert len(read_rows(abandoned, width, limit=rows)) == rows
                 abandoned.close()
-            fields = list(workers.stream(PARAMETERS[1]))
+                abandoned.close()  # idempotent: the slot is handed back once
+            fields = read_rows(workers.stream(PARAMETERS[1]), width)
         finally:
             workers.close()
-        assert all(np.array_equal(a, b) for a, b in zip(fields, tiny_solver.steps(PARAMETERS[1])))
-        assert len(fields) == 6
+        assert np.array_equal(fields, np.array(list(tiny_solver.steps(PARAMETERS[1]))))
 
     def test_waiting_for_a_row_is_accounted(self):
         workers = SolverWorkers(_Scripted(), ring_slots=1, ring_rows=2, n_workers=1)
         try:
             assert workers.wait_seconds == 0.0
-            assert len(list(workers.stream(np.array([-1.0, 0.02])))) == 6
+            assert len(read_rows(workers.stream(np.array([-1.0, 0.02])), 3)) == 6
             assert 0.05 < workers.wait_seconds < 5.0
         finally:
             workers.close()
@@ -200,7 +222,7 @@ class TestLifecycle:
         faults_before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         workers = SolverWorkers(tiny_solver, ring_slots=2, ring_rows=2, n_workers=2)
         pids = workers.pids
-        next(workers.stream(PARAMETERS[0]))
+        assert len(read_rows(workers.stream(PARAMETERS[0]), tiny_solver.field_size, limit=1)) == 1
         workers.close()
         workers.close()
         assert workers.pids == []
@@ -213,13 +235,13 @@ class TestLifecycle:
         with pytest.raises(SolverWorkerError, match="gone"):
             workers.stream(PARAMETERS[0])
 
-    def test_a_forked_copy_does_not_close_the_owners_workers(self, pool):
+    def test_a_forked_copy_does_not_close_the_owners_workers(self, pool, tiny_solver):
         pid = os.fork()
         if pid == 0:
             pool.close()
             os._exit(0)
         os.waitpid(pid, 0)
-        assert len(list(pool.stream(PARAMETERS[0]))) == 6
+        assert len(read_rows(pool.stream(PARAMETERS[0]), tiny_solver.field_size)) == 6
 
     def test_dropping_the_pool_reaps_its_workers(self, tiny_solver):
         workers = SolverWorkers(tiny_solver, n_workers=1)
@@ -230,11 +252,12 @@ class TestLifecycle:
     def test_workers_exit_when_the_parent_dies(self, tmp_path):
         script = (
             "import os, signal, sys\n"
+            "import numpy as np\n"
             "from repro.melissa.workers import SolverWorkers\n"
             "from repro.solvers.heat2d import Heat2DConfig, Heat2DImplicitSolver\n"
             "pool = SolverWorkers(Heat2DImplicitSolver(Heat2DConfig(grid_size=6, n_timesteps=5)),\n"
             "                     ring_slots=2, ring_rows=2, n_workers=2)\n"
-            "next(pool.stream([300.0, 150.0, 450.0, 200.0, 400.0]))\n"
+            "pool.stream([300.0, 150.0, 450.0, 200.0, 400.0]).read(np.empty((1, 36)))\n"
             "print(*pool.pids, flush=True)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"  # no finally, no atexit, no __del__
         )
@@ -260,11 +283,12 @@ class TestFaults:
         try:
             failing = workers.stream(np.array([3.0, 0.0]))
             healthy = workers.stream(np.array([-1.0, 0.0]))
-            assert [float(field[0]) for field in (next(failing), next(failing), next(failing))] == [0, 1, 2]
+            assert read_rows(failing, 3, limit=3)[:, 0].tolist() == [0, 1, 2]
             with pytest.raises(ValueError, match=r"step 3 of \[3\.0, 0\.0\]"):
-                next(failing)
-            assert len(list(healthy)) == 6  # the worker and its other trajectory live on
-            assert len(list(workers.stream(np.array([-1.0, 0.0])))) == 6
+                failing.read(np.empty((1, 3)))
+            another = workers.stream(np.array([-1.0, 0.0]))  # the failed stream's slot, handed back
+            assert len(read_rows(healthy, 3)) == 6  # the worker and its other trajectory live on
+            assert len(read_rows(another, 3, chunk=4)) == 6
         finally:
             workers.close()
 
@@ -272,7 +296,7 @@ class TestFaults:
         workers = SolverWorkers(_Scripted(_Unlisted), ring_slots=1, ring_rows=2, n_workers=1)
         try:
             with pytest.raises(SolverWorkerError, match=r"_Unlisted: step 0 of"):
-                next(workers.stream(np.array([0.0, 0.0])))
+                workers.stream(np.array([0.0, 0.0])).read(np.empty((1, 3)))
         finally:
             workers.close()
 
@@ -294,12 +318,11 @@ class TestFaults:
         workers = SolverWorkers(_Scripted(), ring_slots=1, ring_rows=2, n_workers=1)
         try:
             stream = workers.stream(np.array([-1.0, 0.05]))
-            next(stream)
+            read_rows(stream, 3, limit=1)
             os.kill(workers.pids[0], signal.SIGKILL)  # mid-trajectory
             start = time.monotonic()
             with pytest.raises(SolverWorkerError, match="was killed by signal 9"):
-                for _ in stream:
-                    pass
+                read_rows(stream, 3)
             assert time.monotonic() - start < 2.0
             with pytest.raises(SolverWorkerError, match="gone"):
                 workers.stream(np.array([-1.0, 0.0]))
@@ -320,11 +343,10 @@ class TestFaults:
         workers = SolverWorkers(_Scripted(), ring_slots=1, ring_rows=2, n_workers=1)
         try:
             stream = workers.stream(np.array([-1.0, 0.0]))
-            next(stream)
+            read_rows(stream, 3, limit=1)
             os.kill(workers.pids[0], signal.SIGSTOP)  # alive, silent
             with pytest.raises(SolverWorkerError, match="published nothing for 0 s"):
-                for _ in stream:
-                    pass
+                read_rows(stream, 3)
         finally:
             workers.close()  # SIGKILL ends a stopped process too
 

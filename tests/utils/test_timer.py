@@ -1,10 +1,10 @@
-"""Tests for the timing utilities."""
+"""Tests for the accumulating timer."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.utils.timer import Timer, TimerRegistry, timed
+from repro.utils.timer import Timer
 
 
 class TestTimer:
@@ -56,60 +56,3 @@ class TestTimer:
         with pytest.raises(RuntimeError, match="'receive'"):
             timer.start()
 
-
-class TestTimerRegistry:
-    def test_get_creates_named_timer(self):
-        registry = TimerRegistry()
-        assert registry.get("train") is registry.get("train")
-
-    def test_span_records(self):
-        registry = TimerRegistry()
-        with registry.span("phase"):
-            pass
-        assert registry.get("phase").count == 1
-
-    def test_summary_lines(self):
-        registry = TimerRegistry()
-        with registry.span("b"):
-            pass
-        with registry.span("a"):
-            pass
-        lines = registry.summary()
-        assert len(lines) == 2
-        assert lines[0].startswith("a")  # sorted by name
-
-    def test_empty_registry_summary(self):
-        assert TimerRegistry().summary() == []
-
-    def test_summary_reports_count_and_mean(self):
-        registry = TimerRegistry()
-        for _ in range(3):
-            with registry.span("phase"):
-                pass
-        (line,) = registry.summary()
-        assert "count=     3" in line
-        assert "total=" in line and "mean=" in line
-
-    def test_nested_spans_of_distinct_timers(self):
-        registry = TimerRegistry()
-        with registry.span("outer"):
-            with registry.span("inner"):
-                pass
-        assert registry.get("outer").count == 1
-        assert registry.get("inner").count == 1
-        assert registry.get("outer").total >= registry.get("inner").total
-
-
-def test_timed_context_manager():
-    with timed() as t:
-        pass
-    assert t.count == 1
-    assert t.total >= 0.0
-
-
-def test_timed_records_on_exception():
-    with pytest.raises(RuntimeError):
-        with timed() as t:
-            raise RuntimeError("boom")
-    assert t.count == 1
-    assert t.total >= 0.0
