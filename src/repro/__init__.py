@@ -21,8 +21,7 @@ Package layout
     Finite-difference heat-equation solvers and analytic references
     (the numerical "oracle" producing training data).
 ``repro.sampling``
-    Parameter boxes, Halton/uniform/LHS sampling, Gaussian mixtures and
-    weighted resampling.
+    Parameter boxes, Halton and uniform sampling and weighted resampling.
 ``repro.melissa``
     In-process simulation of the Melissa DL on-line training framework
     (launcher, batch scheduler, clients, reservoir, server, steering).

@@ -11,7 +11,6 @@ from repro.analysis.curves import (
     LossCurve,
     curve_from_history,
     downsample_series,
-    overfit_metrics,
 )
 from repro.analysis.deviation import (
     DeviationHistogram,
@@ -21,10 +20,8 @@ from repro.analysis.deviation import (
 )
 from repro.analysis.report import (
     format_table,
-    render_correlation,
     render_histograms,
     render_loss_curves,
-    render_metrics,
 )
 
 __all__ = [
@@ -36,14 +33,11 @@ __all__ = [
     "LossCurve",
     "curve_from_history",
     "downsample_series",
-    "overfit_metrics",
     "DeviationHistogram",
     "compare_runs",
     "histogram_by_source",
     "parameter_vector_deviation",
     "format_table",
-    "render_correlation",
     "render_histograms",
     "render_loss_curves",
-    "render_metrics",
 ]

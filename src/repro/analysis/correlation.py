@@ -20,7 +20,7 @@ the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -75,19 +75,6 @@ class CorrelationMatrix:
             "batch_loss_vs_iteration": self.value("batch_loss", "iteration"),
             "sample_loss_vs_iteration": self.value("sample_loss", "iteration"),
         }
-
-    def rows(self) -> List[List[float]]:
-        return [[float(v) for v in row] for row in self.matrix]
-
-    def render(self) -> str:
-        """Lower-triangle text rendering matching the paper's figure layout."""
-        width = max(len(c) for c in self.columns) + 2
-        lines = []
-        for i, row_name in enumerate(self.columns):
-            cells = [f"{self.matrix[i, j]:+.2f}" for j in range(i + 1)]
-            lines.append(row_name.ljust(width) + "  ".join(cells))
-        lines.append(" " * width + "  ".join(c[:5].ljust(5) for c in self.columns))
-        return "\n".join(lines)
 
 
 def correlation_matrix(statistics: Sequence[SampleStatistic]) -> CorrelationMatrix:

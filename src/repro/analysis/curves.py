@@ -3,7 +3,7 @@
 The paper plots, per run, the training MSE smoothed with a 40-iteration moving
 window and the validation MSE evaluated periodically, both on a logarithmic
 y-axis, annotated with the last validation value.  :class:`LossCurve` carries
-exactly those series so the figure benches can print them.
+exactly those series.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "curve_from_history",
     "curve_from_series",
     "downsample_series",
-    "overfit_metrics",
 ]
 
 #: smoothing window used by the paper's Figure 3 ("a moving window of 40 iterations")
@@ -52,14 +51,6 @@ class LossCurve:
     def overfit_gap(self) -> float:
         """Final validation − final (smoothed) train loss; positive ⇒ overfitting."""
         return self.final_validation_loss - self.final_train_loss
-
-    def summary_row(self) -> Dict[str, float]:
-        return {
-            "final_train_loss": self.final_train_loss,
-            "final_validation_loss": self.final_validation_loss,
-            "overfit_gap": self.overfit_gap,
-            "n_iterations": float(self.train_iterations[-1]) if self.train_iterations.size else 0.0,
-        }
 
 
 def curve_from_history(
@@ -120,8 +111,3 @@ def downsample_series(iterations: Sequence[float], values: Sequence[float], n_po
         return list(zip(iters.tolist(), vals.tolist()))
     indices = np.linspace(0, iters.size - 1, n_points).round().astype(int)
     return [(float(iters[i]), float(vals[i])) for i in indices]
-
-
-def overfit_metrics(curves: Dict[str, LossCurve]) -> Dict[str, Dict[str, float]]:
-    """Summary comparison across runs: final losses and overfit gaps per label."""
-    return {label: curve.summary_row() for label, curve in curves.items()}

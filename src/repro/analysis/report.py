@@ -1,16 +1,13 @@
 """Plain-text rendering of the reproduced figures and tables.
 
-The benchmarks regenerate the paper's tables and figures as *text*: series of
-(iteration, loss) points, histogram rows and correlation coefficients.  This
-module centralises the formatting so all benches print consistent, easily
-diffable reports.
+The CLI and the examples print the paper's tables and figures as *text*:
+fixed-width tables, series of (iteration, loss) points and histogram rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
-from repro.analysis.correlation import CorrelationMatrix
 from repro.analysis.curves import LossCurve, downsample_series
 from repro.analysis.deviation import DeviationHistogram
 
@@ -18,8 +15,6 @@ __all__ = [
     "format_table",
     "render_loss_curves",
     "render_histograms",
-    "render_correlation",
-    "render_metrics",
 ]
 
 
@@ -69,24 +64,3 @@ def render_histograms(histograms: Mapping[str, DeviationHistogram], bar_width: i
             blocks.append(f"[{lo:7.2f}, {hi:7.2f})  {count:5d}  {bar}")
         blocks.append("")
     return "\n".join(blocks)
-
-
-def render_correlation(matrix: CorrelationMatrix) -> str:
-    """Correlation matrix (lower triangle) plus the Section-4.2 key findings."""
-    lines = [matrix.render(), "", "key findings:"]
-    for name, value in matrix.key_findings().items():
-        lines.append(f"  {name:<28s} {value:+.3f}")
-    return "\n".join(lines)
-
-
-def render_metrics(metrics: Mapping[str, Dict[str, float]]) -> str:
-    """Render a {label -> {metric -> value}} mapping as a table."""
-    all_keys: List[str] = []
-    for values in metrics.values():
-        for key in values:
-            if key not in all_keys:
-                all_keys.append(key)
-    rows = []
-    for label, values in metrics.items():
-        rows.append([label, *[values.get(k, float("nan")) for k in all_keys]])
-    return format_table(["run", *all_keys], rows)

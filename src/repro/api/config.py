@@ -290,30 +290,3 @@ class OnlineTrainingConfig:
         if "workload_options" in kwargs:
             kwargs["workload_options"] = dict(kwargs["workload_options"])
         return cls(**kwargs)
-
-    # ------------------------------------------------------------- presets
-    def paper_scale(self) -> "OnlineTrainingConfig":
-        """Return the full-size configuration used by the paper (expensive)."""
-        return OnlineTrainingConfig(
-            method=self.method,
-            breed=self.breed,
-            workload=self.workload,
-            heat=Heat2DConfig(grid_size=64, n_timesteps=100),
-            bounds=self.bounds,
-            workload_options=dict(self.workload_options),
-            n_simulations=800,
-            hidden_size=self.hidden_size,
-            n_hidden_layers=self.n_hidden_layers,
-            activation=self.activation,
-            architecture=self.architecture,
-            learning_rate=1e-3,
-            batch_size=128,
-            job_limit=10,
-            reservoir_capacity=4000,
-            reservoir_watermark=300,
-            max_iterations=5000,
-            validation_period=100,
-            n_validation_trajectories=200,
-            record_sample_statistics=self.record_sample_statistics,
-            seed=self.seed,
-        )

@@ -43,11 +43,6 @@ class ScenarioDelta:
     #: True when ``delta_pct`` exceeds the comparison threshold
     regressed: bool
 
-    @property
-    def speedup(self) -> float:
-        """Baseline/current wall-time ratio (> 1 ⇒ current is faster)."""
-        return self.baseline_seconds / self.current_seconds
-
 
 @dataclass(frozen=True)
 class Comparison:

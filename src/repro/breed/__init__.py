@@ -8,7 +8,6 @@ tests.
 """
 
 from repro.breed.acquisition import LossDeviationTracker, SampleLossObservation
-from repro.breed.adaptive import AdaptiveTrigger, PeriodicTrigger, ResamplingTrigger
 from repro.breed.amis import AMISConfig, AMISResult, AdaptiveImportanceSampler
 from repro.breed.controller import BreedController, SteeringRecord, SteeringTarget
 from repro.breed.mixing import MixingSchedule
@@ -24,9 +23,6 @@ from repro.breed.samplers import (
 __all__ = [
     "LossDeviationTracker",
     "SampleLossObservation",
-    "AdaptiveTrigger",
-    "PeriodicTrigger",
-    "ResamplingTrigger",
     "AMISConfig",
     "AMISResult",
     "AdaptiveImportanceSampler",

@@ -263,17 +263,3 @@ class LossDeviationTracker:
 
     def all_q_values(self) -> Dict[int, float]:
         return {sid: rec.q_value() for sid, rec in self._records.items() if rec.n_observations > 0}
-
-    def snapshot(self) -> Dict[str, float]:
-        """Summary statistics for logging/monitoring."""
-        q_values = list(self.all_q_values().values())
-        if not q_values:
-            return {"n_simulations": 0.0, "n_observations": float(self.n_observations)}
-        arr = np.asarray(q_values)
-        return {
-            "n_simulations": float(len(q_values)),
-            "n_observations": float(self.n_observations),
-            "q_mean": float(arr.mean()),
-            "q_std": float(arr.std()),
-            "q_max": float(arr.max()),
-        }

@@ -21,13 +21,12 @@ last ``N`` observed parameter vectors and their ``Q_j`` values:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro.sampling.bounds import ParameterBounds
-from repro.sampling.gaussian import GaussianMixture, IsotropicGaussian
 from repro.sampling.multinomial import (
     effective_sample_size,
     entropy,
@@ -93,8 +92,6 @@ class AMISResult:
     weight_entropy: float
     #: number of draws that exhausted retries and fell back to their location
     n_fallbacks: int = 0
-    #: the proposal mixture itself (None when K == 0)
-    proposal: Optional[GaussianMixture] = field(default=None, repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -192,7 +189,6 @@ class AdaptiveImportanceSampler:
         # out-of-bounds draws.
         samples = np.empty((n_samples, dim), dtype=np.float64)
         member_sigmas = np.empty(n_samples, dtype=np.float64)
-        components: List[IsotropicGaussian] = []
         n_fallbacks = 0
         for k, location_index in enumerate(resampled):
             center = locations[location_index]
@@ -210,7 +206,6 @@ class AdaptiveImportanceSampler:
                 n_fallbacks += 1
             samples[k] = accepted
             member_sigmas[k] = sigma
-            components.append(IsotropicGaussian(center.copy(), max(sigma, self.config.min_sigma)))
 
         # Exploration mixing: substitute with uniform points with prob. 1 - r.
         uniform_mask = rng.random(n_samples) >= concentrate_probability
@@ -218,7 +213,6 @@ class AdaptiveImportanceSampler:
         if n_uniform:
             samples[uniform_mask] = self.bounds.scale_from_unit(rng.random((n_uniform, dim)))
 
-        proposal = GaussianMixture(components) if components else None
         return AMISResult(
             samples=samples,
             from_uniform=uniform_mask,
@@ -228,5 +222,4 @@ class AdaptiveImportanceSampler:
             ess=ess,
             weight_entropy=weight_entropy,
             n_fallbacks=n_fallbacks,
-            proposal=proposal,
         )

@@ -57,11 +57,3 @@ class MixingSchedule:
             raise ValueError("resampling_iteration must be non-negative")
         fraction = min(resampling_iteration / self.breakpoint, 1.0)
         return self.r_start + (self.r_end - self.r_start) * fraction
-
-    def explore_probability(self, resampling_iteration: int) -> float:
-        """``1 − r(s)``: probability a proposed point is replaced by a uniform one."""
-        return 1.0 - self.concentrate_probability(resampling_iteration)
-
-    def schedule(self, n_iterations: int) -> list[float]:
-        """The full schedule for ``s = 0 .. n_iterations − 1`` (for plots/reports)."""
-        return [self.concentrate_probability(s) for s in range(n_iterations)]

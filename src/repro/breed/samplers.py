@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.breed.acquisition import LossDeviationTracker
-from repro.breed.adaptive import ResamplingTrigger
 from repro.breed.amis import AMISConfig, AMISResult, AdaptiveImportanceSampler
 from repro.breed.mixing import MixingSchedule
 from repro.sampling.bounds import ParameterBounds
@@ -174,19 +173,6 @@ class BreedConfig:
     def mixing_schedule(self) -> MixingSchedule:
         return MixingSchedule(self.r_start, self.r_end, self.r_breakpoint)
 
-    #: Table-1 presets (studies 1–3); see ``repro.experiments.table1``.
-    @classmethod
-    def study1(cls) -> "BreedConfig":
-        return cls(sigma=10.0, period=300, window=200, r_start=0.5, r_end=0.7, r_breakpoint=3)
-
-    @classmethod
-    def study2(cls) -> "BreedConfig":
-        return cls(sigma=5.0, period=200, window=200, r_start=0.5, r_end=0.9, r_breakpoint=3)
-
-    @classmethod
-    def study3(cls) -> "BreedConfig":
-        return cls(sigma=5.0, period=200, window=200, r_start=0.1, r_end=1.0, r_breakpoint=5)
-
 
 class BreedSampler(SteeringSampler):
     """Breed: loss-deviation tracking + one-step AMIS steering.
@@ -197,23 +183,11 @@ class BreedSampler(SteeringSampler):
         Parameter box ``Λ``.
     config:
         Breed hyper-parameters (defaults to the paper's study-1 values).
-    trigger:
-        Optional resampling trigger (see :mod:`repro.breed.adaptive`).  When
-        omitted, the paper's static periodic trigger (every ``config.period``
-        NN iterations) is used; passing an
-        :class:`~repro.breed.adaptive.AdaptiveTrigger` enables the ESS/entropy
-        based future-work extension.
     """
 
-    def __init__(
-        self,
-        bounds: ParameterBounds,
-        config: BreedConfig | None = None,
-        trigger: Optional[ResamplingTrigger] = None,
-    ) -> None:
+    def __init__(self, bounds: ParameterBounds, config: BreedConfig | None = None) -> None:
         super().__init__(bounds)
         self.config = config if config is not None else BreedConfig()
-        self.trigger = trigger
         self.tracker = LossDeviationTracker()
         self.amis = AdaptiveImportanceSampler(bounds, self.config.amis_config())
         self.mixing = self.config.mixing_schedule()
@@ -254,9 +228,6 @@ class BreedSampler(SteeringSampler):
         # Need at least one observed simulation to build a proposal.
         if len(self.tracker.observed_ids()) == 0:
             return False
-        if self.trigger is not None:
-            _, q_values, _ = self.tracker.window(self.config.window)
-            return self.trigger.should_fire(iteration, q_values)
         return iteration % self.config.period == 0
 
     def resample(
@@ -287,8 +258,6 @@ class BreedSampler(SteeringSampler):
         )
         self.decisions.append(decision)
         self.resampling_count += 1
-        if self.trigger is not None:
-            self.trigger.notify_fired(iteration)
         return decision
 
     # ---------------------------------------------------------------- state
@@ -302,7 +271,6 @@ class BreedSampler(SteeringSampler):
         return {
             "resampling_count": self.resampling_count,
             "last_trigger_iteration": self._last_trigger_iteration,
-            "trigger": None if self.trigger is None else self.trigger.state_dict(),
             "tracker": self.tracker.state_dict(),
             "decisions": [
                 {
@@ -316,11 +284,14 @@ class BreedSampler(SteeringSampler):
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output.
+
+        Older snapshots also carry ``"trigger": None`` (the state of a
+        resampling-trigger option no session ever set); it is ignored.
+        """
         self.resampling_count = int(state["resampling_count"])
         last = state["last_trigger_iteration"]
         self._last_trigger_iteration = None if last is None else int(last)
-        if self.trigger is not None and state.get("trigger") is not None:
-            self.trigger.load_state_dict(state["trigger"])
         self.tracker.load_state_dict(state["tracker"])
         self.decisions = [
             ResampleDecision(

@@ -40,7 +40,7 @@ from repro.experiments.cross_workload import (
 from repro.experiments.fig4 import Fig4Result, run_fig4
 from repro.experiments.fig6 import Fig6Result, run_fig6
 from repro.experiments.overhead import OverheadResult, run_overhead
-from repro.experiments.table1 import TABLE1, StudyConfiguration, breed_config_for_study, render_table1
+from repro.experiments.table1 import TABLE1, StudyConfiguration, render_table1
 
 __all__ = [
     "SCALES",
@@ -69,6 +69,5 @@ __all__ = [
     "run_overhead",
     "TABLE1",
     "StudyConfiguration",
-    "breed_config_for_study",
     "render_table1",
 ]

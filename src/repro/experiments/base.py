@@ -19,7 +19,7 @@ the first resampling triggers fire, exactly as in the full-size experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.api.config import OnlineTrainingConfig
@@ -36,7 +36,6 @@ __all__ = [
     "base_config",
     "scaled_breed_config",
     "shared_study_inputs",
-    "with_architecture",
 ]
 
 
@@ -60,12 +59,6 @@ class ExperimentScale:
     job_limit: int
     timesteps_per_tick: int
     train_iterations_per_tick: int
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}: grid={self.grid_size}x{self.grid_size}, T={self.n_timesteps}, "
-            f"S={self.n_simulations}, iterations={self.max_iterations}"
-        )
 
 
 SCALES: Dict[str, ExperimentScale] = {
@@ -178,11 +171,6 @@ def base_config(
         record_sample_statistics=record_sample_statistics,
         seed=seed,
     )
-
-
-def with_architecture(config: OnlineTrainingConfig, hidden_size: int, n_layers: int) -> OnlineTrainingConfig:
-    """Return a copy of ``config`` with a different MLP architecture."""
-    return replace(config, hidden_size=hidden_size, n_hidden_layers=n_layers)
 
 
 def shared_study_inputs(

@@ -85,10 +85,6 @@ class Fig3aResult:
             rows.extend(cell.summary_rows())
         return rows
 
-    def mean_overfit_gap(self, method: str) -> float:
-        gaps = [cell.overfit_gap(method) for cell in self.cells if method in cell.curves]
-        return sum(gaps) / len(gaps) if gaps else float("nan")
-
 
 def fig3a_configurations(
     hidden_sizes: Sequence[int] = PAPER_HIDDEN_SIZES,

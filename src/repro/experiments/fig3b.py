@@ -71,10 +71,6 @@ class Fig3bPanel:
             )
         return rows
 
-    def best_value(self) -> float:
-        """Varied value achieving the lowest final validation loss."""
-        return min(self.curves, key=lambda v: self.curves[v].final_validation_loss)
-
 
 @dataclass
 class Fig3bResult:

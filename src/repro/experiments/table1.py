@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.breed.samplers import BreedConfig
-
-__all__ = ["StudyConfiguration", "TABLE1", "render_table1", "breed_config_for_study"]
+__all__ = ["StudyConfiguration", "TABLE1", "render_table1"]
 
 
 @dataclass(frozen=True)
@@ -97,25 +95,8 @@ VARIED_VALUES: Dict[str, Dict[str, list]] = {
 }
 
 
-def breed_config_for_study(study: str, **overrides: float) -> BreedConfig:
-    """Build the BreedConfig of a Table-1 study (varied entries need overrides)."""
-    row = TABLE1[study]
-    values = {
-        "sigma": overrides.get("sigma", row.sigma),
-        "period": overrides.get("period", row.period),
-        "window": overrides.get("window", row.window),
-        "r_start": overrides.get("r_start", row.r_start),
-        "r_end": overrides.get("r_end", row.r_end),
-        "r_breakpoint": overrides.get("r_breakpoint", row.r_breakpoint),
-    }
-    missing = [k for k, v in values.items() if v is None]
-    if missing:
-        raise ValueError(f"study {study} varies {missing}; provide overrides for them")
-    return BreedConfig(**values)  # type: ignore[arg-type]
-
-
 def render_table1() -> str:
-    """Plain-text rendering of Table 1 (the bench's output)."""
+    """Plain-text rendering of Table 1 (``repro table1``)."""
     headers = ["study", "sigma", "P", "N", "r_s", "r_e", "r_c", "H", "L"]
     widths = [max(len(headers[i]), *(len(row.as_row()[i]) for row in TABLE1.values())) for i in range(len(headers))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]

@@ -97,14 +97,6 @@ class BatchScheduler:
         self._jobs[job_id] = job
         return job
 
-    def cancel(self, job_id: int) -> bool:
-        """Cancel a queued job (running jobs cannot be cancelled)."""
-        job = self._jobs.get(job_id)
-        if job is None or job.state != JobState.QUEUED:
-            return False
-        job.state = JobState.CANCELLED
-        return True
-
     def advance(self) -> List[int]:
         """Advance one tick and return the ids of jobs that started this tick.
 

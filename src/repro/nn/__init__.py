@@ -21,7 +21,6 @@ from repro.nn.grad_check import (
 from repro.nn.init import kaiming_normal, kaiming_uniform, xavier_normal, xavier_uniform
 from repro.nn.layers import (
     Conv2d,
-    Dropout,
     Identity,
     LeakyReLU,
     Linear,
@@ -31,17 +30,9 @@ from repro.nn.layers import (
     Sequential,
     Tanh,
 )
-from repro.nn.losses import BatchLossRecord, L1Loss, MSELoss, PerSampleLossTracker
+from repro.nn.losses import L1Loss, MSELoss
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import SGD, Adam, AdamW, Optimizer
-from repro.nn.schedulers import (
-    ConstantLR,
-    CosineAnnealingLR,
-    LRScheduler,
-    ReduceLROnPlateau,
-    StepLR,
-)
-from repro.nn.serialization import load_checkpoint, load_state_dict, save_checkpoint, save_state_dict
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.tensor import (
     Node,
     Tape,
@@ -70,7 +61,6 @@ __all__ = [
     "xavier_normal",
     "xavier_uniform",
     "Conv2d",
-    "Dropout",
     "Identity",
     "LeakyReLU",
     "Linear",
@@ -79,25 +69,12 @@ __all__ = [
     "Residual",
     "Sequential",
     "Tanh",
-    "BatchLossRecord",
     "L1Loss",
     "MSELoss",
-    "PerSampleLossTracker",
     "Module",
     "Parameter",
-    "SGD",
     "Adam",
-    "AdamW",
     "Optimizer",
-    "ConstantLR",
-    "CosineAnnealingLR",
-    "LRScheduler",
-    "ReduceLROnPlateau",
-    "StepLR",
-    "load_checkpoint",
-    "load_state_dict",
-    "save_checkpoint",
-    "save_state_dict",
     "Node",
     "Tape",
     "Tensor",

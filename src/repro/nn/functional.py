@@ -35,8 +35,6 @@ __all__ = [
     "mse_loss",
     "per_sample_mse",
     "l1_loss",
-    "softmax",
-    "dropout",
 ]
 
 
@@ -264,20 +262,3 @@ def l1_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tens
     if reduction == "none":
         return diff
     raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along ``axis`` (used in diagnostics only)."""
-    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout.  No-op when not training or when ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(mask)

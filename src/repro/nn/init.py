@@ -17,7 +17,6 @@ __all__ = [
     "kaiming_normal",
     "xavier_uniform",
     "xavier_normal",
-    "zeros",
     "uniform_bias",
 ]
 
@@ -65,10 +64,6 @@ def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarra
     fan_in, fan_out = _fan_in_out(shape)
     std = math.sqrt(2.0 / (fan_in + fan_out))
     return rng.normal(0.0, std, size=shape)
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)
 
 
 def uniform_bias(out_features: int, in_features: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "LeakyReLU",
     "Tanh",
     "Identity",
-    "Dropout",
     "Sequential",
 ]
 
@@ -213,20 +212,6 @@ class Identity(Module):
         return x
 
 
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, training=self.training)
-
-
 class Sequential(Module):
     """Ordered container applying sub-modules one after another."""
 
@@ -237,12 +222,6 @@ class Sequential(Module):
             name = f"layer{index}"
             self.add_module(name, module)
             self._order.append(name)
-
-    def append(self, module: Module) -> "Sequential":
-        name = f"layer{len(self._order)}"
-        self.add_module(name, module)
-        self._order.append(name)
-        return self
 
     def __iter__(self) -> Iterable[Module]:
         return iter(self._modules[name] for name in self._order)

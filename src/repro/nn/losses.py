@@ -1,28 +1,21 @@
 """Loss modules.
 
-The training server needs two views on the same loss computation:
-
-* the scalar batch loss used for the optimizer step, and
-* the per-sample losses used by Breed's acquisition metric (Eq. 4 of the
-  paper) — obtained *without* an extra forward pass.
-
-:class:`MSELoss` therefore exposes :meth:`per_sample`, and
-:class:`PerSampleLossTracker` packages the "compute batch loss + remember the
-per-sample values" pattern used by the on-line trainer.
+The training server needs two views on the same loss computation: the scalar
+batch loss used for the optimizer step, and the per-sample losses used by
+Breed's acquisition metric (Eq. 4 of the paper).  :class:`MSELoss` therefore
+exposes :meth:`per_sample`.  The server itself calls the fused
+:func:`~repro.nn.functional.per_sample_mse`; the modules wrap the composed
+:func:`~repro.nn.functional.mse_loss` / :func:`~repro.nn.functional.l1_loss`,
+the reference forms the loss tests compare against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["MSELoss", "L1Loss", "PerSampleLossTracker", "BatchLossRecord"]
+__all__ = ["MSELoss", "L1Loss"]
 
 
 class MSELoss(Module):
@@ -52,65 +45,3 @@ class L1Loss(Module):
 
     def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
         return F.l1_loss(prediction, target, reduction=self.reduction)
-
-
-@dataclass
-class BatchLossRecord:
-    """Per-sample losses of one training batch plus summary statistics.
-
-    Attributes
-    ----------
-    iteration:
-        NN training iteration ``i`` at which the batch was consumed.
-    sample_losses:
-        Per-sample loss values ``l^{(i)}_{jt}``.
-    mean, std:
-        Batch-loss mean ``mu(l^{(i)})`` and standard deviation ``sigma(l^{(i)})``
-        used by the Breed deviation statistic (Eq. 4).
-    """
-
-    iteration: int
-    sample_losses: np.ndarray
-    mean: float = field(init=False)
-    std: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        losses = np.asarray(self.sample_losses, dtype=np.float64)
-        self.sample_losses = losses
-        self.mean = float(losses.mean()) if losses.size else 0.0
-        self.std = float(losses.std()) if losses.size else 0.0
-
-    @property
-    def batch_loss(self) -> float:
-        """Scalar batch loss (mean of per-sample losses)."""
-        return self.mean
-
-    def deviations(self, epsilon: float = 1e-12) -> np.ndarray:
-        """Positive normalised deviations ``max(l - mu, 0) / sigma`` (Eq. 4)."""
-        sigma = self.std if self.std > epsilon else epsilon
-        return np.maximum(self.sample_losses - self.mean, 0.0) / sigma
-
-
-class PerSampleLossTracker:
-    """Computes a differentiable batch loss while recording per-sample values.
-
-    The tracker evaluates the per-sample MSE tensor once; the scalar batch loss
-    returned to the optimizer is its mean, and the detached per-sample values
-    are stored as a :class:`BatchLossRecord` for the Breed controller.
-    """
-
-    def __init__(self) -> None:
-        self.records: List[BatchLossRecord] = []
-
-    def batch_loss(self, prediction: Tensor, target: Tensor, iteration: int) -> Tensor:
-        per_sample = F.per_sample_mse(prediction, target)
-        record = BatchLossRecord(iteration=iteration, sample_losses=per_sample.data.copy())
-        self.records.append(record)
-        return per_sample.mean()
-
-    @property
-    def last(self) -> Optional[BatchLossRecord]:
-        return self.records[-1] if self.records else None
-
-    def clear(self) -> None:
-        self.records.clear()

@@ -24,15 +24,13 @@ class Module:
 
     Sub-modules and parameters assigned as attributes are registered
     automatically; :meth:`parameters` walks the tree.  Unlike PyTorch the
-    implementation is intentionally small: no hooks, no buffers-with-state
-    other than plain numpy arrays registered through :meth:`register_buffer`.
+    implementation is intentionally small: no hooks, no buffers and no
+    train/eval mode — the state dict is the parameters.
     """
 
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self.training = True
 
     # ----------------------------------------------------------- registration
     def __setattr__(self, name: str, value: Any) -> None:
@@ -41,11 +39,6 @@ class Module:
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Register a non-trainable array saved/restored with the state dict."""
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
-        object.__setattr__(self, name, self._buffers[name])
 
     def add_module(self, name: str, module: "Module") -> None:
         self._modules[name] = module
@@ -68,11 +61,6 @@ class Module:
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
-        for mod_name, module in self._modules.items():
-            yield from module.named_modules(prefix=f"{prefix}{mod_name}.")
-
     def num_parameters(self) -> int:
         """Total number of trainable scalars."""
         return int(sum(p.size for p in self.parameters()))
@@ -82,21 +70,10 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
     def state_dict(self, prefix: str = "") -> Dict[str, np.ndarray]:
         state: Dict[str, np.ndarray] = {}
         for name, param in self._parameters.items():
             state[f"{prefix}{name}"] = param.data.copy()
-        for name, buf in self._buffers.items():
-            state[f"{prefix}{name}"] = buf.copy()
         for mod_name, module in self._modules.items():
             state.update(module.state_dict(prefix=f"{prefix}{mod_name}."))
         return state
@@ -112,10 +89,6 @@ class Module:
                     f"shape mismatch for {key!r}: expected {param.data.shape}, got {value.shape}"
                 )
             param.data[...] = value
-        for name in self._buffers:
-            key = f"{prefix}{name}"
-            if key in state:
-                self._buffers[name][...] = np.asarray(state[key], dtype=np.float64)
         for mod_name, module in self._modules.items():
             module.load_state_dict(state, prefix=f"{prefix}{mod_name}.")
 

@@ -1,18 +1,18 @@
-"""First-order optimizers (SGD, Adam, AdamW).
+"""The Adam optimizer.
 
 The paper trains every surrogate with Adam at learning rate ``1e-3`` (Section
-4); SGD and AdamW are provided for the ablation benches.
+4).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -38,67 +38,6 @@ class Optimizer:
         self.step_count = int(state.get("step_count", 0))
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if momentum < 0:
-            raise ValueError("momentum must be non-negative")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["velocity"] = [None if v is None else v.copy() for v in self._velocity]
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
-        if "velocity" in state:
-            velocity = state["velocity"]  # type: ignore[assignment]
-            if len(velocity) != len(self._velocity):  # type: ignore[arg-type]
-                raise ValueError(
-                    f"velocity state has {len(velocity)} entries, "  # type: ignore[arg-type]
-                    f"optimizer has {len(self._velocity)} parameters"
-                )
-            self._velocity = [
-                None if v is None else np.array(v, dtype=np.float64, copy=True)
-                for v in velocity  # type: ignore[union-attr]
-            ]
-
-    def step(self) -> None:
-        self.step_count += 1
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                if self._velocity[index] is None:
-                    self._velocity[index] = np.zeros_like(param.data)
-                velocity = self._velocity[index]
-                velocity *= self.momentum
-                velocity += grad
-                grad = grad + self.momentum * velocity if self.nesterov else velocity
-            param.data -= self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
@@ -108,7 +47,6 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters)
         if lr <= 0:
@@ -120,18 +58,12 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
         self._v: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
         # Per-parameter scratch buffers: step() is the per-batch hot path and
         # would otherwise allocate ~6 temporaries per parameter per call.
         self._scratch: List[np.ndarray] = [np.empty_like(p.data) for p in self.parameters]
         self._scratch2: List[np.ndarray] = [np.empty_like(p.data) for p in self.parameters]
-
-    def _apply_weight_decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        if self.weight_decay:
-            return grad + self.weight_decay * param.data
-        return grad
 
     def step(self) -> None:
         """One Adam update over every parameter that has a gradient.
@@ -148,7 +80,7 @@ class Adam(Optimizer):
         for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
-            grad = self._apply_weight_decay(param, param.grad)
+            grad = param.grad
             m = self._m[index]
             v = self._v[index]
             s1 = self._scratch[index]
@@ -189,13 +121,3 @@ class Adam(Optimizer):
                 )
             for dst, src in zip(buffers, values):  # type: ignore[arg-type]
                 dst[...] = src
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def _apply_weight_decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        # Decoupled: decay applied directly to weights, not folded into grads.
-        if self.weight_decay:
-            param.data -= self.lr * self.weight_decay * param.data
-        return grad

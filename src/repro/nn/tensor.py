@@ -255,19 +255,8 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.item())
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but severed from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -1,26 +1,20 @@
-"""Sampling primitives: parameter boxes, Halton/uniform/Latin-hypercube
-generators, Gaussian proposals and weighted resampling."""
+"""Sampling primitives: parameter boxes, Halton and uniform generators and
+weighted resampling."""
 
 from repro.sampling.bounds import HEAT1D_BOUNDS, HEAT2D_BOUNDS, ParameterBounds
-from repro.sampling.gaussian import GaussianMixture, IsotropicGaussian, MultivariateNormal
 from repro.sampling.halton import first_primes, halton_in_bounds, halton_sequence, radical_inverse
 from repro.sampling.multinomial import (
     effective_sample_size,
     entropy,
     multinomial_resample,
     normalize_weights,
-    stratified_resample,
-    systematic_resample,
 )
-from repro.sampling.uniform import latin_hypercube_in_bounds, uniform_in_bounds
+from repro.sampling.uniform import uniform_in_bounds
 
 __all__ = [
     "HEAT1D_BOUNDS",
     "HEAT2D_BOUNDS",
     "ParameterBounds",
-    "GaussianMixture",
-    "IsotropicGaussian",
-    "MultivariateNormal",
     "first_primes",
     "halton_in_bounds",
     "halton_sequence",
@@ -29,8 +23,5 @@ __all__ = [
     "entropy",
     "multinomial_resample",
     "normalize_weights",
-    "stratified_resample",
-    "systematic_resample",
-    "latin_hypercube_in_bounds",
     "uniform_in_bounds",
 ]

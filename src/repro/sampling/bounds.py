@@ -95,23 +95,10 @@ class ParameterBounds:
             and np.all(pts <= self.high_array[None, :] + atol)
         )
 
-    def clip(self, points: np.ndarray) -> np.ndarray:
-        """Project points onto the box, component-wise."""
-        pts = np.asarray(points, dtype=np.float64)
-        return np.clip(pts, self.low_array, self.high_array)
-
-    def scale_to_unit(self, points: np.ndarray) -> np.ndarray:
-        """Map points from the box to the unit hyper-cube ``[0, 1]^d``."""
-        pts = np.asarray(points, dtype=np.float64)
-        return (pts - self.low_array) / self.widths
-
     def scale_from_unit(self, unit_points: np.ndarray) -> np.ndarray:
         """Map unit-cube points into the box."""
         pts = np.asarray(unit_points, dtype=np.float64)
         return self.low_array + pts * self.widths
-
-    def with_names(self, names: Sequence[str]) -> "ParameterBounds":
-        return ParameterBounds(self.low, self.high, tuple(names))
 
 
 #: Input-parameter space of the paper's 2D heat PDE study (Appendix B.1).

@@ -1,9 +1,7 @@
 """Weighted resampling utilities used by the AMIS/PMC step.
 
 The paper resamples proposal locations by trialling a multinomial distribution
-built from self-normalised importance weights (Eqs. 9–10).  Systematic and
-stratified resampling are provided as lower-variance alternatives exercised by
-the ablation benchmarks.
+built from self-normalised importance weights (Eqs. 9–10).
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ import numpy as np
 __all__ = [
     "normalize_weights",
     "multinomial_resample",
-    "systematic_resample",
-    "stratified_resample",
     "effective_sample_size",
     "entropy",
 ]
@@ -44,29 +40,11 @@ def multinomial_resample(weights: np.ndarray, n_draws: int, rng: np.random.Gener
     return rng.choice(probabilities.size, size=n_draws, replace=True, p=probabilities)
 
 
-def systematic_resample(weights: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Systematic (low-variance) resampling."""
-    probabilities = normalize_weights(weights)
-    positions = (rng.random() + np.arange(n_draws)) / n_draws
-    cumulative = np.cumsum(probabilities)
-    cumulative[-1] = 1.0  # guard against round-off
-    return np.searchsorted(cumulative, positions)
-
-
-def stratified_resample(weights: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Stratified resampling: one uniform draw per stratum."""
-    probabilities = normalize_weights(weights)
-    positions = (rng.random(n_draws) + np.arange(n_draws)) / n_draws
-    cumulative = np.cumsum(probabilities)
-    cumulative[-1] = 1.0
-    return np.searchsorted(cumulative, positions)
-
-
 def effective_sample_size(weights: np.ndarray) -> float:
     """Kish effective sample size ``(Σw)² / Σw²`` of a weight vector.
 
-    The paper leaves ESS-triggered resampling to future work; we expose the
-    metric so the adaptive-trigger extension bench can use it.
+    Recorded on every AMIS step as a diagnostic; the paper leaves
+    ESS-triggered resampling to future work.
     """
     w = np.asarray(weights, dtype=np.float64)
     total_sq = float(w.sum()) ** 2

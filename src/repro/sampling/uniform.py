@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.sampling.bounds import ParameterBounds
 
-__all__ = ["uniform_in_bounds", "latin_hypercube_in_bounds"]
+__all__ = ["uniform_in_bounds"]
 
 
 def uniform_in_bounds(
@@ -22,25 +22,4 @@ def uniform_in_bounds(
     if n_points < 0:
         raise ValueError("n_points must be non-negative")
     unit = rng.random((n_points, bounds.dim))
-    return bounds.scale_from_unit(unit)
-
-
-def latin_hypercube_in_bounds(
-    n_points: int,
-    bounds: ParameterBounds,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Latin-hypercube sample (stratified uniform), used in ablation benches.
-
-    Each dimension is divided into ``n_points`` equal strata; one point is
-    drawn per stratum and the strata are randomly permuted per dimension.
-    """
-    if n_points < 0:
-        raise ValueError("n_points must be non-negative")
-    if n_points == 0:
-        return np.empty((0, bounds.dim), dtype=np.float64)
-    unit = np.empty((n_points, bounds.dim), dtype=np.float64)
-    strata = (np.arange(n_points)[:, None] + rng.random((n_points, bounds.dim))) / n_points
-    for d in range(bounds.dim):
-        unit[:, d] = strata[rng.permutation(n_points), d]
     return bounds.scale_from_unit(unit)

@@ -31,10 +31,6 @@ class Grid1D:
     def coordinates(self) -> np.ndarray:
         return np.linspace(0.0, self.length, self.n_points)
 
-    @property
-    def n_interior(self) -> int:
-        return self.n_points - 2
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -67,35 +63,7 @@ class Grid2D:
         return self.n * self.n
 
     @property
-    def n_interior(self) -> int:
-        return (self.n - 2) * (self.n - 2)
-
-    @property
     def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
         """Meshgrid coordinate arrays ``(X1, X2)`` with shape ``(n, n)``."""
         axis = np.linspace(0.0, self.length, self.n)
         return np.meshgrid(axis, axis, indexing="ij")
-
-    def interior_index(self) -> np.ndarray:
-        """Boolean mask of interior (non-boundary) nodes, shape ``(n, n)``."""
-        mask = np.zeros((self.n, self.n), dtype=bool)
-        mask[1:-1, 1:-1] = True
-        return mask
-
-    def boundary_index(self) -> np.ndarray:
-        """Boolean mask of boundary nodes."""
-        return ~self.interior_index()
-
-    def flatten_field(self, field: np.ndarray) -> np.ndarray:
-        """Flatten a 2-D field into the surrogate's output vector (row-major)."""
-        field = np.asarray(field, dtype=np.float64)
-        if field.shape != self.shape:
-            raise ValueError(f"field shape {field.shape} does not match grid {self.shape}")
-        return field.reshape(-1)
-
-    def unflatten_field(self, vector: np.ndarray) -> np.ndarray:
-        """Reverse of :meth:`flatten_field`."""
-        vec = np.asarray(vector, dtype=np.float64)
-        if vec.size != self.n_total:
-            raise ValueError(f"vector has {vec.size} entries, expected {self.n_total}")
-        return vec.reshape(self.shape)

@@ -75,16 +75,6 @@ class Heat2DConfig:
     def grid(self) -> Grid2D:
         return Grid2D(n=self.grid_size, length=self.length)
 
-    def scaled(self, grid_size: int | None = None, n_timesteps: int | None = None) -> "Heat2DConfig":
-        """Return a copy with a different resolution (used by scaled-down benches)."""
-        return Heat2DConfig(
-            grid_size=grid_size if grid_size is not None else self.grid_size,
-            n_timesteps=n_timesteps if n_timesteps is not None else self.n_timesteps,
-            dt=self.dt,
-            alpha=self.alpha,
-            length=self.length,
-        )
-
 
 def apply_dirichlet_boundaries(field: np.ndarray, t1: float, t2: float, t3: float, t4: float) -> np.ndarray:
     """Impose the four Dirichlet boundary temperatures on a 2-D field in place.

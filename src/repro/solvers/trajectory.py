@@ -9,7 +9,7 @@ time step by time step, so the container also supports incremental appends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -83,14 +83,6 @@ class Trajectory:
         if not self.fields:
             return np.empty((0, 0), dtype=np.float64)
         return np.stack(self.fields, axis=0)
-
-    def sample_at(self, timestep: int) -> Optional[TimeStepSample]:
-        """Return the sample at a given time step, or ``None`` if absent."""
-        try:
-            index = self.timesteps.index(timestep)
-        except ValueError:
-            return None
-        return TimeStepSample(self.simulation_id, self.parameters, timestep, self.fields[index])
 
     @property
     def final_field(self) -> np.ndarray:

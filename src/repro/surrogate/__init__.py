@@ -2,7 +2,7 @@
 
 from repro.surrogate.dataset import BatchIterator, OfflineDataset, generate_offline_dataset
 from repro.surrogate.model import DirectSurrogate, SurrogateConfig, build_mlp
-from repro.surrogate.normalization import MinMaxScaler, StandardScaler, SurrogateScalers
+from repro.surrogate.normalization import MinMaxScaler, SurrogateScalers
 from repro.surrogate.validation import ValidationSet, build_validation_set, validation_loss
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "SurrogateConfig",
     "build_mlp",
     "MinMaxScaler",
-    "StandardScaler",
     "SurrogateScalers",
     "ValidationSet",
     "build_validation_set",

@@ -2,8 +2,8 @@
 
 The paper contrasts on-line training against the standard *off-line* pipeline
 (generate the full dataset with the solver, store it, read it back in
-epoch-based training).  These helpers implement that baseline so the examples
-and benches can compare both regimes on equal footing.
+epoch-based training).  These helpers implement that baseline so
+``examples/offline_vs_online.py`` can compare both regimes on equal footing.
 """
 
 from __future__ import annotations

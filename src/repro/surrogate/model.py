@@ -227,17 +227,6 @@ class DirectSurrogate(nn.Module):
             prediction = self.forward(Tensor(encoded[None, :]))
         return self.scalers.decode_output(prediction.data[0])
 
-    def predict_trajectory(self, parameters: Sequence[float], timesteps: Sequence[int]) -> np.ndarray:
-        """Predict several time steps of one trajectory, shape ``(T, output_dim)``."""
-        params = np.asarray(parameters, dtype=np.float64)
-        batch = self.scalers.encode_input(
-            np.repeat(params[None, :], len(timesteps), axis=0), np.asarray(timesteps, dtype=np.float64)
-        )
-        with nn.no_grad():
-            prediction = self.forward(Tensor(batch))
-        return self.scalers.decode_output(prediction.data)
-
-    # --------------------------------------------------------------- info
     def num_parameters(self) -> int:
         return self.mlp.num_parameters()
 

@@ -6,9 +6,6 @@ same Kelvin range.  Training an MLP directly on those scales is ill-
 conditioned, so inputs and targets are mapped to ``[0, 1]`` (min–max, with the
 bounds known a priori from the experiment configuration, so the scaler is
 identical for on-line and off-line training and never needs fitting on data).
-
-A fit-from-data standard scaler is also provided for the offline example and
-for ablations.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ import numpy as np
 
 from repro.sampling.bounds import ParameterBounds
 
-__all__ = ["MinMaxScaler", "StandardScaler", "SurrogateScalers"]
+__all__ = ["MinMaxScaler", "SurrogateScalers"]
 
 
 @dataclass
@@ -53,37 +50,8 @@ class MinMaxScaler:
         return arr * (self.high - self.low) + self.low
 
     @classmethod
-    def from_bounds(cls, bounds: ParameterBounds) -> "MinMaxScaler":
-        return cls(bounds.low_array, bounds.high_array)
-
-    @classmethod
     def scalar(cls, low: float, high: float) -> "MinMaxScaler":
         return cls(np.array([low]), np.array([high]))
-
-
-@dataclass
-class StandardScaler:
-    """Zero-mean / unit-variance scaler fit from data (offline pipelines)."""
-
-    mean: Optional[np.ndarray] = None
-    std: Optional[np.ndarray] = None
-
-    def fit(self, values: np.ndarray) -> "StandardScaler":
-        arr = np.asarray(values, dtype=np.float64)
-        self.mean = arr.mean(axis=0)
-        std = arr.std(axis=0)
-        self.std = np.where(std > 1e-12, std, 1.0)
-        return self
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        if self.mean is None or self.std is None:
-            raise RuntimeError("StandardScaler.transform called before fit")
-        return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
-
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        if self.mean is None or self.std is None:
-            raise RuntimeError("StandardScaler.inverse_transform called before fit")
-        return np.asarray(values, dtype=np.float64) * self.std + self.mean
 
 
 @dataclass
@@ -139,11 +107,6 @@ class SurrogateScalers:
             input_scaler=MinMaxScaler(input_low, input_high),
             output_scaler=MinMaxScaler.scalar(float(field_low), float(field_high)),
         )
-
-    @classmethod
-    def for_heat2d(cls, bounds: ParameterBounds, n_timesteps: int) -> "SurrogateScalers":
-        """Backward-compatible alias of :meth:`from_bounds`."""
-        return cls.from_bounds(bounds, n_timesteps)
 
     def encode_input(self, parameters: np.ndarray, timestep: float | np.ndarray) -> np.ndarray:
         """Build and normalise NN input rows from parameters and time steps.

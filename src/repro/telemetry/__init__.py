@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import atexit
 import os
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.telemetry.metrics import (
     NULL_COUNTER,
@@ -157,16 +157,6 @@ def disable(export_env: bool = True) -> None:
     if export_env:
         os.environ.pop(METRICS_ENV, None)
         os.environ.pop(TRACE_DIR_ENV, None)
-
-
-def worker_env() -> Dict[str, str]:
-    """The environment mirror of the current state (for explicit propagation)."""
-    env: Dict[str, str] = {}
-    if metrics_enabled():
-        env[METRICS_ENV] = "1"
-    if _tracer.enabled:
-        env[TRACE_DIR_ENV] = str(_tracer.directory)  # type: ignore[union-attr]
-    return env
 
 
 def _configure_from_env() -> None:

@@ -1,18 +1,17 @@
-"""Smoothing utilities used when rendering training curves.
+"""Smoothing and streaming-mean helpers.
 
 The paper's Figure 3 smooths training-loss curves with a moving window of 40
-iterations "for visibility".  We provide both a simple trailing moving average
-(matching the paper's presentation) and an exponential moving average used by
-the on-line monitors.
+iterations "for visibility" (:func:`moving_average`); Breed's acquisition
+tracker averages per-timestep deviations with :class:`OnlineMean`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["moving_average", "exponential_moving_average", "OnlineMean", "OnlineMeanVar"]
+__all__ = ["moving_average", "OnlineMean"]
 
 
 def moving_average(values: Sequence[float], window: int) -> np.ndarray:
@@ -49,19 +48,6 @@ def moving_average(values: Sequence[float], window: int) -> np.ndarray:
     return out
 
 
-def exponential_moving_average(values: Sequence[float], alpha: float) -> np.ndarray:
-    """Standard EMA: ``y[t] = alpha * x[t] + (1 - alpha) * y[t-1]``."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    arr = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(arr)
-    acc = 0.0
-    for i, x in enumerate(arr):
-        acc = x if i == 0 else alpha * x + (1.0 - alpha) * acc
-        out[i] = acc
-    return out
-
-
 class OnlineMean:
     """Numerically stable streaming mean."""
 
@@ -73,47 +59,5 @@ class OnlineMean:
         self.count += 1
         self.mean += (float(value) - self.mean) / self.count
 
-    def update_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.update(v)
-
     def __float__(self) -> float:
         return self.mean
-
-
-class OnlineMeanVar:
-    """Welford streaming mean/variance, used for batch-loss statistics."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = float(value) - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (float(value) - self.mean)
-
-    def update_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.update(v)
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the values seen so far (0 for < 2 samples)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
-
-    def as_tuple(self) -> tuple[float, float, int]:
-        return self.mean, self.std, self.count
-
-
-def as_list(values: Iterable[float]) -> List[float]:
-    """Materialise an iterable of floats (helper for analysis code)."""
-    return [float(v) for v in values]

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["RngStreams", "derive_seed", "default_rng"]
+__all__ = ["RngStreams", "derive_seed"]
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -50,11 +50,6 @@ def derive_seed(root_seed: int, name: str) -> int:
     payload = f"{int(root_seed)}::{name}".encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF
-
-
-def default_rng(seed: Optional[int] = None) -> np.random.Generator:
-    """Return a NumPy ``Generator``; thin wrapper kept for API symmetry."""
-    return np.random.default_rng(seed)
 
 
 class RngStreams:
@@ -83,13 +78,6 @@ class RngStreams:
         if name not in self._streams:
             self._streams[name] = np.random.default_rng(derive_seed(self._seed, name))
         return self._streams[name]
-
-    def reset(self, name: Optional[str] = None) -> None:
-        """Reset one stream (or all streams) back to its initial state."""
-        if name is None:
-            self._streams.clear()
-        elif name in self._streams:
-            del self._streams[name]
 
     def state_dict(self) -> Dict[str, object]:
         """Bit-generator states of every materialised stream (JSON-compatible).
@@ -122,14 +110,6 @@ class RngStreams:
             )
         for name, generator_state in state["streams"].items():  # type: ignore[union-attr]
             self.get(name).bit_generator.state = generator_state
-
-    def spawn(self, name: str) -> "RngStreams":
-        """Create a child registry whose root seed derives from ``name``.
-
-        Useful to hand a whole sub-system (e.g. one Melissa client) its own
-        namespace of streams.
-        """
-        return RngStreams(derive_seed(self._seed, f"spawn::{name}"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RngStreams(seed={self._seed}, streams={sorted(self._streams)})"

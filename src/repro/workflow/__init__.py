@@ -12,7 +12,7 @@ from repro.workflow.executor import (
     execute_spec,
     get_executor,
 )
-from repro.workflow.grid import ParameterGrid, one_factor_at_a_time
+from repro.workflow.grid import one_factor_at_a_time
 from repro.workflow.results import RunResult, StudyResults
 from repro.workflow.study import StudyRunner, apply_overrides
 
@@ -21,7 +21,6 @@ __all__ = [
     "Executor",
     "JsonlCheckpoint",
     "MultiprocessExecutor",
-    "ParameterGrid",
     "RunResult",
     "RunSpec",
     "SerialExecutor",

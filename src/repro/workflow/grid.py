@@ -1,62 +1,16 @@
-"""Parameter-grid generation (the Snakemake-configuration substitute).
+"""Study layouts (the Snakemake-configuration substitute).
 
 The paper's systematic studies are grids of Melissa run configurations: one
 axis varies (model size, or one Breed hyper-parameter) while everything else
-stays fixed (Table 1).  :class:`ParameterGrid` expands such grids into
-explicit configuration dictionaries, and :func:`one_factor_at_a_time` builds
-the paper's "vary one knob, fix the rest" study layout.
+stays fixed (Table 1).  :func:`one_factor_at_a_time` builds that "vary one
+knob, fix the rest" layout.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
-__all__ = ["ParameterGrid", "one_factor_at_a_time"]
-
-
-@dataclass
-class ParameterGrid:
-    """Cartesian product of named value lists plus fixed base values.
-
-    Example
-    -------
-    >>> grid = ParameterGrid(base={"seed": 0}, axes={"H": [16, 32], "L": [1, 2]})
-    >>> len(list(grid))
-    4
-    """
-
-    base: Dict[str, Any] = field(default_factory=dict)
-    axes: Dict[str, Sequence[Any]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name, values in self.axes.items():
-            if len(values) == 0:
-                raise ValueError(f"axis {name!r} has no values")
-            if name in self.base:
-                raise ValueError(f"axis {name!r} conflicts with a fixed base value")
-
-    def __len__(self) -> int:
-        total = 1
-        for values in self.axes.values():
-            total *= len(values)
-        return total
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        names = list(self.axes)
-        for combo in itertools.product(*(self.axes[name] for name in names)):
-            config = dict(self.base)
-            config.update(dict(zip(names, combo)))
-            yield config
-
-    def configurations(self) -> List[Dict[str, Any]]:
-        return list(self)
-
-    def with_base(self, **extra: Any) -> "ParameterGrid":
-        base = dict(self.base)
-        base.update(extra)
-        return ParameterGrid(base=base, axes=dict(self.axes))
+__all__ = ["one_factor_at_a_time"]
 
 
 def one_factor_at_a_time(

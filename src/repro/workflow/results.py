@@ -2,7 +2,7 @@
 
 Study runners return :class:`RunResult` records (one per executed
 configuration) grouped into a :class:`StudyResults` container that can render
-plain-text tables (the benches print these) and round-trip to JSON for
+plain-text tables (``examples/hyperparameter_study.py`` prints one) and round-trip to JSON for
 post-hoc analysis.
 """
 

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.api.config import OnlineTrainingConfig
 from repro.api.session import OnlineTrainingResult
-from repro.api.workloads import Workload
 from repro.solvers.base import Solver
 from repro.surrogate.validation import ValidationSet
 from repro.utils.logging import get_logger
@@ -72,15 +71,8 @@ class StudyRunner:
     full_results: Dict[str, OnlineTrainingResult] = field(default_factory=dict, repr=False)
     #: per-scenario cache of (solver, validation set) shared by serial runs
     _cache: StudyInputCache = field(default_factory=StudyInputCache, repr=False)
-    _workload: Optional[Workload] = field(default=None, repr=False)
 
     # -------------------------------------------------------------- sharing
-    def shared_workload(self) -> Workload:
-        """The base configuration's workload, built once per runner."""
-        if self._workload is None:
-            self._workload = self.base_config.build_workload()
-        return self._workload
-
     def shared_solver(self) -> Solver:
         """The (pre-factorised) solver shared by every run of the base scenario."""
         return self._cache.inputs(self.base_config)[0]

@@ -12,13 +12,7 @@ from repro.analysis.correlation import (
 )
 from repro.analysis.curves import curve_from_history
 from repro.analysis.deviation import compare_runs
-from repro.analysis.report import (
-    format_table,
-    render_correlation,
-    render_histograms,
-    render_loss_curves,
-    render_metrics,
-)
+from repro.analysis.report import format_table, render_histograms, render_loss_curves
 from repro.melissa.server import SampleStatistic, TrainingHistory
 
 
@@ -99,15 +93,6 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             correlation_matrix([])
 
-    def test_render_contains_all_rows(self):
-        text = correlation_matrix(synthetic_statistics()).render()
-        for column in CORRELATION_COLUMNS:
-            assert column in text
-
-    def test_rows_export(self):
-        rows = correlation_matrix(synthetic_statistics()).rows()
-        assert len(rows) == len(CORRELATION_COLUMNS)
-
 
 class TestReportRendering:
     def test_format_table(self):
@@ -134,12 +119,3 @@ class TestReportRendering:
         text = render_histograms(histograms)
         assert "Random" in text and "Breed" in text
         assert "mean deviation" in text
-
-    def test_render_correlation(self):
-        text = render_correlation(correlation_matrix(synthetic_statistics()))
-        assert "key findings" in text
-        assert "deviation_vs_sample_loss" in text
-
-    def test_render_metrics(self):
-        text = render_metrics({"run-a": {"loss": 0.1}, "run-b": {"loss": 0.2, "gap": 0.05}})
-        assert "run-a" in text and "gap" in text

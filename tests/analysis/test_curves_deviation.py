@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.curves import LossCurve, curve_from_history, downsample_series, overfit_metrics
+from repro.analysis.curves import curve_from_history, downsample_series
 from repro.analysis.deviation import (
     compare_runs,
     histogram_by_source,
@@ -42,14 +42,6 @@ class TestLossCurve:
         curve = curve_from_history(TrainingHistory(), "empty")
         assert np.isnan(curve.final_validation_loss)
         assert np.isnan(curve.final_train_loss)
-
-    def test_summary_row_keys(self):
-        row = curve_from_history(make_history(), "x").summary_row()
-        assert {"final_train_loss", "final_validation_loss", "overfit_gap", "n_iterations"} == set(row)
-
-    def test_overfit_metrics_mapping(self):
-        curves = {"a": curve_from_history(make_history(), "a")}
-        assert "a" in overfit_metrics(curves)
 
 
 class TestDownsample:

@@ -150,9 +150,6 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="architecture must be one of"):
             OnlineTrainingConfig(architecture="nope")
 
-    def test_paper_scale_preserves_architecture(self):
-        assert OnlineTrainingConfig(architecture="conv2d").paper_scale().architecture == "conv2d"
-
     def test_surrogate_config_carries_architecture(self):
         config = OnlineTrainingConfig(architecture="residual")
         assert config.surrogate_config.architecture == "residual"

@@ -24,7 +24,6 @@ class TestDeltas:
         comparison = compare_reports(baseline, current, threshold_pct=10.0)
         delta = {d.name: d for d in comparison.deltas}["a/x"]
         assert delta.delta_pct == pytest.approx(50.0)
-        assert delta.speedup == pytest.approx(0.100 / 0.150)
         assert delta.regressed
 
     def test_faster_scenario_has_negative_delta(self, synthetic_report):

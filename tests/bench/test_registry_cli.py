@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench import (
     REGRESSION_EXIT_CODE,
+    get_scenario,
     load_report,
     register_scenario,
     run_scenarios,
@@ -76,6 +77,18 @@ class TestSelectionDeterminism:
             register_scenario("reservoir/draw", units="x", description="dup")(lambda: None)
         with pytest.raises(ValueError, match="group/name"):
             register_scenario("nogroup", units="x", description="bad")(lambda: None)
+
+
+@pytest.mark.slow  # builds every scenario: study pools and a live service included
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_scenario_runs_once_with_positive_units(name):
+    """Each ``repro bench`` scenario builds, runs once and counts its work."""
+    run = get_scenario(name).build()
+    try:
+        assert run.fn() > 0
+    finally:
+        if run.cleanup is not None:
+            run.cleanup()
 
 
 class TestBenchCli:

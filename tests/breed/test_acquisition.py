@@ -134,14 +134,6 @@ class TestLossDeviationTracker:
         _, _, ids = tracker.window(10)
         assert ids == [1]
 
-    def test_snapshot_fields(self):
-        tracker = LossDeviationTracker()
-        assert tracker.snapshot()["n_simulations"] == 0.0
-        tracker.observe_batch(0, [0, 1], [0, 0], [0.2, 0.8], parameters=[np.zeros(2), np.ones(2)])
-        snap = tracker.snapshot()
-        assert snap["n_simulations"] == 2.0
-        assert snap["q_max"] >= snap["q_mean"] >= 0.0
-
     def test_all_q_values(self):
         tracker = LossDeviationTracker()
         tracker.observe_batch(0, [0, 1], [0, 0], [0.2, 0.8], parameters=[np.zeros(2), np.ones(2)])

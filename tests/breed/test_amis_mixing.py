@@ -46,14 +46,6 @@ class TestMixingSchedule:
         assert schedule.concentrate_probability(0) == pytest.approx(1.0)
         assert schedule.concentrate_probability(10) == pytest.approx(0.7)
 
-    def test_explore_is_complement(self):
-        schedule = MixingSchedule(0.5, 0.9, 2)
-        for s in range(5):
-            assert schedule.concentrate_probability(s) + schedule.explore_probability(s) == pytest.approx(1.0)
-
-    def test_schedule_list(self):
-        assert len(MixingSchedule().schedule(5)) == 5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MixingSchedule(r_start=-0.1)
@@ -168,13 +160,6 @@ class TestAdaptiveImportanceSampler:
             sampler.propose(locations[:, :3], q_values, 4, 0.5, rng)
         with pytest.raises(ValueError):
             sampler.propose(locations, -q_values - 1.0, 4, 0.5, rng)
-
-    def test_proposal_mixture_exposed(self, sampler, window, rng):
-        locations, q_values = window
-        result = sampler.propose(locations, q_values, 6, 1.0, rng)
-        assert result.proposal is not None
-        assert len(result.proposal) == 6
-        assert result.proposal.dim == 5
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -61,17 +61,11 @@ class TestRandomSampler:
 
 class TestBreedConfig:
     def test_defaults_match_paper_study1(self):
-        config = BreedConfig.study1()
+        config = BreedConfig()
         assert config.sigma == 10.0
         assert config.period == 300
         assert config.window == 200
         assert (config.r_start, config.r_end, config.r_breakpoint) == (0.5, 0.7, 3)
-
-    def test_study_presets_are_valid(self):
-        for preset in (BreedConfig.study1(), BreedConfig.study2(), BreedConfig.study3()):
-            assert preset.period >= 1
-            preset.amis_config()
-            preset.mixing_schedule()
 
     def test_validation(self):
         with pytest.raises(ValueError):

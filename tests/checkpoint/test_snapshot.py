@@ -155,6 +155,14 @@ class TestSnapshotDirectory:
         assert latest_snapshot(tmp_path / "absent") is None
         assert list_snapshots(tmp_path / "absent") == []
 
+    def test_compressed_snapshot_is_no_larger_than_plain(self, make_config, tmp_path):
+        session = self._session(make_config)
+        plain = save_session(session, tmp_path / "plain")
+        compressed = save_session(session, tmp_path / "compressed", compressed=True)
+        size = lambda root: sum(f.stat().st_size for f in root.rglob("*") if f.is_file())  # noqa: E731
+        assert size(compressed) <= size(plain)
+        assert restore_session(compressed).n_ticks == session.n_ticks
+
 
 class TestRestore:
     def test_restore_requires_matching_fingerprint(self, make_config, tmp_path):
@@ -254,6 +262,27 @@ class TestPolicy:
         restored = resume_or_start(config)
         policy = CheckpointPolicy(directory=tmp_path, every_n_batches=10).attach(restored)
         assert not policy.should_save(restored)
+
+    @pytest.mark.parametrize("every", [10, 100])
+    def test_snapshotting_leaves_the_run_unchanged(self, every, tmp_path):
+        """Snapshots are an observer: every 10 or every 100 batches, same history."""
+        from dataclasses import replace
+
+        from repro.experiments.base import base_config
+
+        config = replace(
+            base_config("smoke", method="breed", seed=0),
+            n_simulations=32,
+            max_iterations=200,
+            n_validation_trajectories=4,
+        )
+        reference = TrainingSession(config).run()
+        observed = TrainingSession(
+            replace(config, checkpoint_dir=str(tmp_path), checkpoint_every=every)
+        ).run()
+        assert list_snapshots(tmp_path)
+        assert observed.history.train_losses == reference.history.train_losses
+        assert observed.history.validation_losses == reference.history.validation_losses
 
     def test_session_run_attaches_policy_from_config(self, make_config, tmp_path):
         config = make_config(

@@ -258,54 +258,6 @@ class TestSamplers:
         assert target.resampling_count == source.resampling_count
 
 
-class TestTriggers:
-    def test_adaptive_trigger_state_roundtrip(self):
-        from repro.breed.adaptive import AdaptiveTrigger
-
-        source = AdaptiveTrigger(min_interval=10, max_interval=50, ess_fraction=0.4)
-        q = np.array([0.2, 0.9, 0.4])
-        source.should_fire(20, q)
-        source.notify_fired(20)
-        target = AdaptiveTrigger(min_interval=10, max_interval=50, ess_fraction=0.4)
-        target.load_state_dict(source.state_dict())
-        assert target._last_fired == 20
-        assert target.history == source.history
-        # the cool-down anchor governs behaviour: within min_interval → no fire
-        assert not target.should_fire(25, q)
-        # past max_interval since the restored firing → always fires
-        assert target.should_fire(71, q)
-
-    def test_breed_sampler_carries_trigger_state(self):
-        from repro.breed.adaptive import AdaptiveTrigger
-
-        rng = np.random.default_rng(5)
-        source = BreedSampler(
-            HEAT2D_BOUNDS, trigger=AdaptiveTrigger(min_interval=5, max_interval=30)
-        )
-        params = source.initial_parameters(8, rng)
-        source.observe_batch(1, [0, 1], [0, 0], [0.3, 0.8], parameters=params[:2])
-        assert source.should_resample(31)  # max_interval elapsed
-        source.resample(2, iteration=31, rng=rng)
-        source.trigger.notify_fired(31)
-
-        target = BreedSampler(
-            HEAT2D_BOUNDS, trigger=AdaptiveTrigger(min_interval=5, max_interval=30)
-        )
-        target.load_state_dict(source.state_dict())
-        assert target.trigger._last_fired == 31
-        # without the restored anchor this would fire (31+30 elapsed from 0)
-        assert not target.should_resample(33)
-
-    def test_periodic_trigger_state_roundtrip(self):
-        from repro.breed.adaptive import PeriodicTrigger
-
-        source = PeriodicTrigger(period=10)
-        source.notify_fired(30)
-        target = PeriodicTrigger(period=10)
-        target.load_state_dict(source.state_dict())
-        assert target._last_fired == 30
-
-
 class TestControllerAndTransport:
     def test_controller_records_roundtrip(self):
         rng = np.random.default_rng(0)

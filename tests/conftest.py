@@ -7,6 +7,7 @@ a second while still exercising the real code paths.
 
 from __future__ import annotations
 
+import signal
 import sys
 from pathlib import Path
 
@@ -26,6 +27,31 @@ from repro.api import OnlineTrainingConfig
 from repro.sampling.bounds import HEAT2D_BOUNDS, ParameterBounds
 from repro.solvers.heat2d import Heat2DConfig, Heat2DImplicitSolver
 from repro.surrogate.normalization import SurrogateScalers
+
+
+@pytest.fixture(autouse=True)
+def _restore_process_state():
+    """Registrations and signal handlers a test installs are undone after it.
+
+    Both are process-wide.  ``repro.bench`` derives one solver scenario per
+    workload when it is first imported, so a leaked test workload makes the
+    suite depend on test order.  ``repro.cli.main`` turns SIGTERM into
+    ``KeyboardInterrupt``; left installed, it is inherited by the study
+    workers later tests fork, and a worker terminated mid-run then exits
+    through its queue finalizers instead of dying, which can outlast the
+    driver's join.
+    """
+    from repro.api import registry
+
+    registries = (registry.WORKLOADS, registry.SAMPLERS, registry.ACTIVATIONS, registry.ARCHITECTURES)
+    saved = [(r, dict(r._factories)) for r in registries]
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)}
+    yield
+    for r, factories in saved:
+        r._factories.clear()
+        r._factories.update(factories)
+    for signum, handler in handlers.items():
+        signal.signal(signum, handler)
 
 
 @pytest.fixture
@@ -53,7 +79,7 @@ def tiny_solver(tiny_heat_config: Heat2DConfig) -> Heat2DImplicitSolver:
 
 @pytest.fixture(scope="session")
 def tiny_scalers(tiny_heat_config: Heat2DConfig) -> SurrogateScalers:
-    return SurrogateScalers.for_heat2d(HEAT2D_BOUNDS, tiny_heat_config.n_timesteps)
+    return SurrogateScalers.from_bounds(HEAT2D_BOUNDS, tiny_heat_config.n_timesteps)
 
 
 @pytest.fixture

@@ -1,9 +1,8 @@
 """Integration tests of the figure-reproduction harness (tiny scale).
 
 Each test runs the real experiment pipeline at a reduced size (fewer
-architecture cells / factor values than the benches) and checks the structural
-properties the paper reports.  Marked ``slow`` tests exercise the full smoke
-scale used by the benchmarks.
+architecture cells / factor values than ``repro fig3a|fig3b``) and checks the
+structural properties the paper reports.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ class TestFig3a:
         assert len(rows) == 2
         assert all(len(row) == 5 for row in rows)
 
-    def test_mean_overfit_gap_finite(self, result):
-        assert np.isfinite(result.mean_overfit_gap("Breed"))
-        assert np.isfinite(result.mean_overfit_gap("Random"))
-
     def test_missing_cell_raises(self, result):
         with pytest.raises(KeyError):
             result.cell(99, 9)
@@ -64,9 +59,6 @@ class TestFig3b:
         rows = result.summary_rows()
         assert len(rows) == 2
         assert all(row[0] == "sigma" for row in rows)
-
-    def test_best_value(self, result):
-        assert result.panel("sigma").best_value() in (1.0, 25.0)
 
     def test_missing_panel_raises(self, result):
         with pytest.raises(KeyError):
@@ -99,6 +91,14 @@ class TestFig4:
 
     def test_summary_keys(self, result):
         assert {"uniform_mean", "proposal_mean", "breed_mean_shift"} <= set(result.summary())
+
+    def test_mean_shift_over_four_seeds_is_positive(self, result):
+        # ~50 vectors per smoke run make one seed's shift noisy; the paper's
+        # claim is checked on the four-seed mean (EXPERIMENTS.md, Figure 4).
+        shifts = [result.breed_mean_shift] + [
+            run_fig4(scale="smoke", seed=seed).breed_mean_shift for seed in (0, 1, 2)
+        ]
+        assert sum(shifts) / len(shifts) > 0.0
 
 
 class TestFig6:

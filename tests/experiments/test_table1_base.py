@@ -4,15 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.breed.samplers import BreedConfig
-from repro.experiments.base import (
-    SCALES,
-    base_config,
-    scaled_breed_config,
-    shared_study_inputs,
-    with_architecture,
-)
-from repro.experiments.table1 import TABLE1, VARIED_VALUES, breed_config_for_study, render_table1
+from repro.experiments.base import SCALES, base_config, scaled_breed_config, shared_study_inputs
+from repro.experiments.table1 import TABLE1, VARIED_VALUES, render_table1
 
 
 class TestTable1:
@@ -36,21 +29,6 @@ class TestTable1:
         assert VARIED_VALUES["study2"]["sigma"] == [1.0, 5.0, 10.0, 25.0]
         assert VARIED_VALUES["study3"]["r_start"] == [0.1, 0.5, 0.8, 1.0]
 
-    def test_breed_config_for_study1(self):
-        config = breed_config_for_study("study1")
-        assert isinstance(config, BreedConfig)
-        assert config.sigma == 10.0 and config.period == 300
-
-    def test_breed_config_for_study_with_override(self):
-        config = breed_config_for_study("study2", sigma=25.0)
-        assert config.sigma == 25.0
-        assert config.r_end == pytest.approx(0.9)
-
-    def test_breed_config_missing_varied_value(self):
-        # Study 3 varies r_start/r_end/r_breakpoint but fixes them in the row,
-        # so it builds without overrides; a fully-specified study must not raise.
-        breed_config_for_study("study3")
-
     def test_render_table1_contains_rows_and_stars(self):
         text = render_table1()
         assert "Study (1)" in text and "Study (3)" in text
@@ -72,9 +50,6 @@ class TestScales:
         assert paper.n_validation_trajectories == 200
         assert paper.job_limit == 10
 
-    def test_describe(self):
-        assert "smoke" in SCALES["smoke"].describe()
-
     def test_base_config_round_trip(self):
         config = base_config("smoke", method="random", seed=3)
         assert config.method == "random"
@@ -93,10 +68,6 @@ class TestScales:
     def test_scaled_breed_config(self):
         config = scaled_breed_config(SCALES["paper"])
         assert config.sigma == 10.0 and config.period == 300 and config.window == 200
-
-    def test_with_architecture(self):
-        config = with_architecture(base_config("smoke"), hidden_size=64, n_layers=3)
-        assert config.hidden_size == 64 and config.n_hidden_layers == 3
 
 
 class TestSharedStudyInputs:

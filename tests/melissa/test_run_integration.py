@@ -35,13 +35,6 @@ class TestConfigValidation:
         assert surrogate.input_dim == 6
         assert surrogate.output_dim == tiny_run_config.heat.grid_size ** 2
 
-    def test_paper_scale_values(self, tiny_run_config):
-        paper = tiny_run_config.paper_scale()
-        assert paper.heat.grid_size == 64
-        assert paper.n_simulations == 800
-        assert paper.reservoir_watermark == 300
-        assert paper.batch_size == 128
-
     def test_build_helpers(self, tiny_run_config):
         solver = tiny_run_config.build_workload().build_solver()
         assert solver.field_size == tiny_run_config.heat.grid_size ** 2

@@ -95,22 +95,7 @@ class TestAdvance:
         assert reordered
 
 
-class TestCancelAndSummary:
-    def test_cancel_queued(self):
-        scheduler = make_scheduler()
-        scheduler.submit(0)
-        assert scheduler.cancel(0)
-        assert scheduler.job(0).state == JobState.CANCELLED
-
-    def test_cancel_running_fails(self):
-        scheduler = make_scheduler()
-        scheduler.submit(0)
-        scheduler.advance()
-        assert not scheduler.cancel(0)
-
-    def test_cancel_unknown_fails(self):
-        assert not make_scheduler().cancel(99)
-
+class TestSummary:
     def test_summary_counts(self):
         scheduler = make_scheduler(job_limit=1)
         scheduler.submit(0)

@@ -1,4 +1,4 @@
-"""Optimizer ``state_dict``/``load_state_dict`` round-trips.
+"""Adam ``state_dict``/``load_state_dict`` round-trips.
 
 The session checkpointing contract needs optimizers to restore *exactly*:
 after save → load, training one more step must produce bit-identical weights
@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.optim import SGD, Adam, AdamW
-from repro.nn.schedulers import StepLR
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 
@@ -36,17 +35,7 @@ def _weights(model: nn.Module) -> dict:
     return {k: v.copy() for k, v in model.state_dict().items()}
 
 
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda params: SGD(params, lr=1e-2),
-        lambda params: SGD(params, lr=1e-2, momentum=0.9),
-        lambda params: SGD(params, lr=1e-2, momentum=0.9, nesterov=True, weight_decay=1e-4),
-        lambda params: Adam(params, lr=1e-3),
-        lambda params: AdamW(params, lr=1e-3, weight_decay=1e-2),
-    ],
-    ids=["sgd", "sgd-momentum", "sgd-nesterov", "adam", "adamw"],
-)
+@pytest.mark.parametrize("factory", [lambda params: Adam(params, lr=1e-3)], ids=["adam"])
 def test_save_load_train_one_step_equivalence(factory):
     """Continuous training == save → load into fresh optimizer → train."""
     continuous_model = _model()
@@ -67,28 +56,16 @@ def test_save_load_train_one_step_equivalence(factory):
         np.testing.assert_array_equal(_weights(restored_model)[key], value)
 
 
-def test_sgd_state_dict_contents():
+def test_adam_state_dict_layout():
+    """Session snapshots store exactly these keys; the layout is a resume contract."""
     model = _model()
-    optimizer = SGD(model.parameters(), lr=1e-2, momentum=0.9)
-    _train_steps(model, optimizer, 3)
-    state = optimizer.state_dict()
-    assert state["step_count"] == 3
-    assert len(state["velocity"]) == len(optimizer.parameters)
-    assert all(isinstance(v, np.ndarray) for v in state["velocity"])
-    # copies, not views: mutating the state must not touch the optimizer
-    state["velocity"][0][...] = 0.0
-    assert not np.array_equal(state["velocity"][0], optimizer._velocity[0])
-
-
-def test_sgd_without_momentum_has_none_velocity():
-    model = _model()
-    optimizer = SGD(model.parameters(), lr=1e-2)
+    optimizer = Adam(model.parameters(), lr=1e-3)
     _train_steps(model, optimizer, 2)
     state = optimizer.state_dict()
-    assert state["velocity"] == [None] * len(optimizer.parameters)
-    fresh = SGD(model.parameters(), lr=1e-2)
-    fresh.load_state_dict(state)
-    assert fresh.step_count == 2
+    assert set(state) == {"step_count", "m", "v"}
+    assert state["step_count"] == 2
+    shapes = [p.data.shape for p in optimizer.parameters]
+    assert [m.shape for m in state["m"]] == [v.shape for v in state["v"]] == shapes
 
 
 def test_adam_moment_buffers_roundtrip():
@@ -112,49 +89,3 @@ def test_adam_length_mismatch_rejected():
     small = nn.Linear(2, 2, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="parameters"):
         Adam(small.parameters(), lr=1e-3).load_state_dict(state)
-
-
-def test_sgd_length_mismatch_rejected():
-    state = SGD(_model().parameters(), lr=1e-2, momentum=0.9).state_dict()
-    small = nn.Linear(2, 2, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match="parameters"):
-        SGD(small.parameters(), lr=1e-2, momentum=0.9).load_state_dict(state)
-
-
-def test_reduce_on_plateau_state_roundtrip():
-    from repro.nn.schedulers import ReduceLROnPlateau
-
-    model = _model()
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    scheduler = ReduceLROnPlateau(optimizer, factor=0.5, patience=1)
-    # two plateaus: 0.5 improves, then 0.5/0.5/0.5 stall twice past patience
-    for metric in (0.5, 0.5, 0.5, 0.5, 0.5, 0.5):
-        scheduler.step_metric(metric)
-    assert optimizer.lr < 1e-3
-    state = scheduler.state_dict()
-
-    fresh_opt = Adam(model.parameters(), lr=1e-3)
-    fresh = ReduceLROnPlateau(fresh_opt, factor=0.5, patience=1)
-    fresh.load_state_dict(state)
-    assert fresh._best == scheduler._best
-    assert fresh._bad_steps == scheduler._bad_steps
-    assert fresh._current == scheduler._current
-    # the restored plateau state governs the next step: no silent LR reset
-    assert fresh.step_metric(0.5) == scheduler.step_metric(0.5)
-    assert fresh_opt.lr == optimizer.lr
-
-
-def test_lr_scheduler_state_roundtrip():
-    model = _model()
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    scheduler = StepLR(optimizer, step_size=2, gamma=0.5)
-    for _ in range(5):
-        scheduler.step()
-    state = scheduler.state_dict()
-
-    fresh_opt = Adam(model.parameters(), lr=1e-3)
-    fresh = StepLR(fresh_opt, step_size=2, gamma=0.5)
-    fresh.load_state_dict(state)
-    assert fresh.last_step == 5
-    assert fresh_opt.lr == optimizer.lr
-    assert fresh.step() == scheduler.step()

@@ -25,18 +25,6 @@ class TestTensorBasics:
         assert t.size == 1
         assert t.ndim == 2
 
-    def test_detach_severs_graph(self):
-        a = Tensor([1.0], requires_grad=True)
-        b = (a * 2).detach()
-        assert not b.requires_grad
-
-    def test_copy_is_independent(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = a.copy()
-        b.data[0] = 99.0
-        assert a.data[0] == 1.0
-        assert b.requires_grad
-
     def test_equality_compares_values(self):
         assert Tensor([1.0, 2.0]) == Tensor([1.0, 2.0])
         assert not (Tensor([1.0]) == Tensor([2.0]))

@@ -33,10 +33,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ParameterBounds(low=(0.0,), high=(1.0,), names=("a", "b"))
 
-    def test_with_names(self):
-        b = ParameterBounds((0.0,), (1.0,)).with_names(["x"])
-        assert b.names == ("x",)
-
 
 class TestGeometry:
     def test_widths_volume_center(self):
@@ -61,18 +57,8 @@ class TestGeometry:
         assert b.contains_all(np.array([[0.1], [0.9]]))
         assert not b.contains_all(np.array([[0.1], [1.9]]))
 
-    def test_clip(self):
-        b = ParameterBounds(low=(0.0,), high=(1.0,))
-        np.testing.assert_allclose(b.clip(np.array([[-1.0], [2.0], [0.5]])), [[0.0], [1.0], [0.5]])
-
 
 class TestScaling:
-    def test_unit_roundtrip(self, rng):
-        pts = rng.uniform(100.0, 500.0, size=(20, 5))
-        unit = HEAT2D_BOUNDS.scale_to_unit(pts)
-        assert np.all((unit >= 0) & (unit <= 1))
-        np.testing.assert_allclose(HEAT2D_BOUNDS.scale_from_unit(unit), pts)
-
     def test_corners(self):
         np.testing.assert_allclose(HEAT2D_BOUNDS.scale_from_unit(np.zeros(5)), HEAT2D_BOUNDS.low_array)
         np.testing.assert_allclose(HEAT2D_BOUNDS.scale_from_unit(np.ones(5)), HEAT2D_BOUNDS.high_array)

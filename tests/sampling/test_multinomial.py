@@ -12,8 +12,6 @@ from repro.sampling.multinomial import (
     entropy,
     multinomial_resample,
     normalize_weights,
-    stratified_resample,
-    systematic_resample,
 )
 
 weight_lists = st.lists(
@@ -50,7 +48,7 @@ class TestNormalizeWeights:
         assert np.all(p >= 0.0)
 
 
-@pytest.mark.parametrize("resampler", [multinomial_resample, systematic_resample, stratified_resample])
+@pytest.mark.parametrize("resampler", [multinomial_resample])
 class TestResamplers:
     def test_indices_in_range(self, resampler, rng):
         indices = resampler(rng.random(10), 100, rng)

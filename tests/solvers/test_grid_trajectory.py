@@ -14,7 +14,6 @@ class TestGrid1D:
         grid = Grid1D(n_points=5, length=2.0)
         assert grid.dx == pytest.approx(0.5)
         np.testing.assert_allclose(grid.coordinates, [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert grid.n_interior == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -28,7 +27,6 @@ class TestGrid2D:
         grid = Grid2D(n=4, length=3.0)
         assert grid.shape == (4, 4)
         assert grid.n_total == 16
-        assert grid.n_interior == 4
         assert grid.dx == pytest.approx(1.0)
 
     def test_coordinates_meshgrid(self):
@@ -37,26 +35,6 @@ class TestGrid2D:
         assert x1.shape == (3, 3)
         assert x1[0, 0] == 0.0 and x1[-1, 0] == 1.0
         assert x2[0, -1] == 1.0
-
-    def test_interior_boundary_masks_are_complementary(self):
-        grid = Grid2D(n=5)
-        interior = grid.interior_index()
-        boundary = grid.boundary_index()
-        assert interior.sum() == 9
-        assert np.all(interior ^ boundary)
-
-    def test_flatten_unflatten_roundtrip(self, rng):
-        grid = Grid2D(n=6)
-        field = rng.normal(size=(6, 6))
-        np.testing.assert_array_equal(grid.unflatten_field(grid.flatten_field(field)), field)
-
-    def test_flatten_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            Grid2D(n=4).flatten_field(np.zeros((3, 3)))
-
-    def test_unflatten_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            Grid2D(n=4).unflatten_field(np.zeros(5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -97,13 +75,6 @@ class TestTrajectory:
 
     def test_as_array_empty(self):
         assert Trajectory(0, np.array([1.0])).as_array().size == 0
-
-    def test_sample_at(self):
-        traj = Trajectory(simulation_id=0, parameters=np.array([1.0]))
-        traj.append(0, np.zeros(2))
-        traj.append(3, np.ones(2))
-        assert traj.sample_at(3) is not None
-        assert traj.sample_at(2) is None
 
     def test_final_field(self):
         traj = Trajectory(simulation_id=0, parameters=np.array([1.0]))

@@ -36,11 +36,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             Heat2DConfig(alpha=-1.0)
 
-    def test_scaled(self):
-        scaled = Heat2DConfig().scaled(grid_size=8, n_timesteps=5)
-        assert scaled.grid_size == 8 and scaled.n_timesteps == 5
-        assert scaled.dt == Heat2DConfig().dt
-
 
 class TestBoundaries:
     def test_apply_dirichlet(self):
@@ -103,6 +98,14 @@ class TestImplicitSolver:
         analytic = steady_state_2d(config.grid.coordinates, *params[1:])
         interior = (slice(2, -2), slice(2, -2))
         assert np.abs(final[interior] - analytic[interior]).max() < 10.0  # Kelvin, coarse grid
+
+    def test_32_grid_after_600_steps_within_5_kelvin_of_steady_state(self):
+        config = Heat2DConfig(grid_size=32, n_timesteps=600)
+        params = [300.0, 100.0, 500.0, 200.0, 400.0]
+        final = Heat2DImplicitSolver(config).solve(params).final_field.reshape(32, 32)
+        analytic = steady_state_2d(config.grid.coordinates, *params[1:])
+        interior = (slice(2, -2), slice(2, -2))
+        assert np.abs(final[interior] - analytic[interior]).max() < 5.0
 
     def test_steady_state_solver_matches_analytic(self):
         config = Heat2DConfig(grid_size=24, n_timesteps=1)

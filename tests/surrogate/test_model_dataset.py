@@ -72,10 +72,6 @@ class TestDirectSurrogate:
         assert field.shape == (36,)
         assert np.all(np.isfinite(field))
 
-    def test_predict_trajectory(self, surrogate):
-        out = surrogate.predict_trajectory([300.0] * 5, timesteps=[0, 1, 2])
-        assert out.shape == (3, 36)
-
     def test_num_parameters_positive(self, surrogate):
         assert surrogate.num_parameters() > 0
 

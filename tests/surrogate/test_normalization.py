@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sampling.bounds import HEAT2D_BOUNDS
-from repro.surrogate.normalization import MinMaxScaler, StandardScaler, SurrogateScalers
+from repro.surrogate.normalization import MinMaxScaler, SurrogateScalers
 
 temps = st.floats(min_value=100.0, max_value=500.0, allow_nan=False)
 
@@ -20,7 +20,7 @@ class TestMinMaxScaler:
         np.testing.assert_allclose(scaler.transform(np.array([2.0, 20.0])), [1.0, 1.0])
 
     def test_roundtrip(self, rng):
-        scaler = MinMaxScaler.from_bounds(HEAT2D_BOUNDS)
+        scaler = MinMaxScaler(HEAT2D_BOUNDS.low_array, HEAT2D_BOUNDS.high_array)
         values = rng.uniform(100, 500, size=(10, 5))
         np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(values)), values)
 
@@ -37,40 +37,15 @@ class TestMinMaxScaler:
     @given(st.lists(temps, min_size=5, max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_property_maps_bounds_to_unit(self, values):
-        scaler = MinMaxScaler.from_bounds(HEAT2D_BOUNDS)
+        scaler = MinMaxScaler(HEAT2D_BOUNDS.low_array, HEAT2D_BOUNDS.high_array)
         out = scaler.transform(np.array(values))
         assert np.all(out >= -1e-12) and np.all(out <= 1.0 + 1e-12)
-
-
-class TestStandardScaler:
-    def test_fit_transform_statistics(self, rng):
-        data = rng.normal(loc=5.0, scale=2.0, size=(500, 3))
-        scaler = StandardScaler().fit(data)
-        out = scaler.transform(data)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
-
-    def test_roundtrip(self, rng):
-        data = rng.normal(size=(50, 4))
-        scaler = StandardScaler().fit(data)
-        np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(data)), data)
-
-    def test_constant_feature_does_not_divide_by_zero(self):
-        data = np.ones((10, 2))
-        out = StandardScaler().fit(data).transform(data)
-        assert np.all(np.isfinite(out))
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            StandardScaler().transform(np.zeros((2, 2)))
-        with pytest.raises(RuntimeError):
-            StandardScaler().inverse_transform(np.zeros((2, 2)))
 
 
 class TestSurrogateScalers:
     @pytest.fixture
     def scalers(self):
-        return SurrogateScalers.for_heat2d(HEAT2D_BOUNDS, n_timesteps=100)
+        return SurrogateScalers.from_bounds(HEAT2D_BOUNDS, n_timesteps=100)
 
     def test_input_dimensions(self, scalers):
         assert scalers.input_scaler.dim == 6

@@ -19,9 +19,6 @@ class TestDisabledDefaults:
         telemetry.metrics().counter("x_total").inc()
         assert telemetry.metrics().counter_values() == {}
 
-    def test_worker_env_empty_when_disabled(self):
-        assert telemetry.worker_env() == {}
-
 
 class TestConfigure:
     def test_enable_metrics_installs_shared_registry(self):
@@ -55,12 +52,6 @@ class TestConfigure:
             pass
         telemetry.tracer().flush()
         assert list(tmp_path.glob("trace-*.jsonl"))
-
-    def test_worker_env_mirrors_enabled_state(self, tmp_path):
-        telemetry.configure(metrics=True, trace_dir=tmp_path)
-        env = telemetry.worker_env()
-        assert env[telemetry.METRICS_ENV] == "1"
-        assert env[telemetry.TRACE_DIR_ENV] == str(tmp_path)
 
     def test_disable_resets_everything(self, tmp_path):
         telemetry.configure(metrics=True, trace_dir=tmp_path)

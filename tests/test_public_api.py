@@ -1,25 +1,29 @@
-"""Public-API smoke tests: every documented export resolves and is importable."""
+"""Public-API smoke tests: every module imports and every ``__all__`` resolves.
+
+The module list is derived from the package tree, so a package or module
+added later is checked without editing this file.
+"""
 
 from __future__ import annotations
 
 import importlib
+import pkgutil
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.api",
-    "repro.nn",
-    "repro.solvers",
-    "repro.sampling",
-    "repro.melissa",
-    "repro.breed",
-    "repro.surrogate",
-    "repro.workflow",
-    "repro.analysis",
-    "repro.experiments",
-    "repro.utils",
-]
+import repro
+
+MODULES = ["repro"] + sorted(info.name for info in pkgutil.walk_packages(repro.__path__, "repro."))
+PACKAGES = ["repro"] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+)
+
+
+def test_module_tree_is_discovered():
+    assert {"repro.telemetry", "repro.checkpoint", "repro.campaign", "repro.service", "repro.bench"} <= set(
+        PACKAGES
+    )
+    assert "repro.nn.tensor" in MODULES
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
@@ -34,6 +38,15 @@ def test_all_exports_resolve(package_name):
     exported = getattr(module, "__all__", [])
     for name in exported:
         assert hasattr(module, name), f"{package_name}.__all__ lists missing attribute {name!r}"
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_module_all_is_unique_and_resolves(module_name):
+    module = importlib.import_module(module_name)
+    exported = list(getattr(module, "__all__", []))
+    assert len(exported) == len(set(exported)), f"{module_name}.__all__ repeats a name"
+    missing = [name for name in exported if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ lists missing attributes {missing}"
 
 
 def test_top_level_convenience_exports():

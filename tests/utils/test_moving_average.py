@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.moving_average import (
-    OnlineMean,
-    OnlineMeanVar,
-    exponential_moving_average,
-    moving_average,
-)
+from repro.utils.moving_average import OnlineMean, moving_average
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -54,26 +49,12 @@ class TestMovingAverage:
         assert out.max() <= max(values) + 1e-9
 
 
-class TestExponentialMovingAverage:
-    def test_alpha_one_is_identity(self):
-        values = [1.0, 5.0, -2.0]
-        np.testing.assert_allclose(exponential_moving_average(values, 1.0), values)
-
-    def test_first_value_passthrough(self):
-        assert exponential_moving_average([7.0, 0.0], 0.5)[0] == 7.0
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            exponential_moving_average([1.0], 0.0)
-        with pytest.raises(ValueError):
-            exponential_moving_average([1.0], 1.5)
-
-
 class TestOnlineMean:
     def test_matches_numpy(self, rng):
         values = rng.normal(size=100)
         tracker = OnlineMean()
-        tracker.update_many(values)
+        for value in values:
+            tracker.update(value)
         assert tracker.mean == pytest.approx(values.mean())
         assert tracker.count == 100
 
@@ -81,31 +62,3 @@ class TestOnlineMean:
         tracker = OnlineMean()
         tracker.update(3.0)
         assert float(tracker) == 3.0
-
-
-class TestOnlineMeanVar:
-    def test_matches_numpy(self, rng):
-        values = rng.normal(loc=2.0, scale=3.0, size=200)
-        tracker = OnlineMeanVar()
-        tracker.update_many(values)
-        assert tracker.mean == pytest.approx(values.mean())
-        assert tracker.variance == pytest.approx(values.var(), rel=1e-9)
-        assert tracker.std == pytest.approx(values.std(), rel=1e-9)
-
-    def test_single_value_zero_variance(self):
-        tracker = OnlineMeanVar()
-        tracker.update(5.0)
-        assert tracker.variance == 0.0
-
-    def test_as_tuple(self):
-        tracker = OnlineMeanVar()
-        tracker.update_many([1.0, 2.0, 3.0])
-        mean, std, count = tracker.as_tuple()
-        assert count == 3
-        assert mean == pytest.approx(2.0)
-
-    @given(st.lists(finite_floats, min_size=2, max_size=50))
-    def test_variance_non_negative(self, values):
-        tracker = OnlineMeanVar()
-        tracker.update_many(values)
-        assert tracker.variance >= 0.0

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.rng import RngStreams, derive_seed, default_rng
+from repro.utils.rng import RngStreams, derive_seed
 
 
 class TestDeriveSeed:
@@ -47,36 +46,7 @@ class TestRngStreams:
         second = RngStreams(seed=7).get("x").random(5)
         np.testing.assert_array_equal(first, second)
 
-    def test_reset_single_stream(self):
-        streams = RngStreams(seed=3)
-        before = streams.get("x").random(4)
-        streams.reset("x")
-        after = streams.get("x").random(4)
-        np.testing.assert_array_equal(before, after)
-
-    def test_reset_all(self):
-        streams = RngStreams(seed=3)
-        before = streams.get("x").random(4)
-        streams.get("y").random(2)
-        streams.reset()
-        np.testing.assert_array_equal(streams.get("x").random(4), before)
-
-    def test_spawn_gives_different_namespace(self):
-        parent = RngStreams(seed=3)
-        child = parent.spawn("client-0")
-        assert child.seed != parent.seed
-        a = parent.get("x").random(5)
-        b = child.get("x").random(5)
-        assert not np.allclose(a, b)
-
-    def test_spawn_deterministic(self):
-        assert RngStreams(seed=3).spawn("c").seed == RngStreams(seed=3).spawn("c").seed
-
     def test_none_seed_records_entropy(self):
         streams = RngStreams(seed=None)
         assert isinstance(streams.seed, int)
         assert streams.seed >= 0
-
-    def test_default_rng_helper(self):
-        gen = default_rng(4)
-        assert isinstance(gen, np.random.Generator)

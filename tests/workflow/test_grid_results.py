@@ -4,33 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workflow.grid import ParameterGrid, one_factor_at_a_time
+from repro.workflow.grid import one_factor_at_a_time
 from repro.workflow.results import RunResult, StudyResults
-
-
-class TestParameterGrid:
-    def test_cartesian_product(self):
-        grid = ParameterGrid(base={"seed": 0}, axes={"H": [16, 32], "L": [1, 2, 3]})
-        configs = grid.configurations()
-        assert len(grid) == 6 and len(configs) == 6
-        assert all(c["seed"] == 0 for c in configs)
-        assert {(c["H"], c["L"]) for c in configs} == {(h, l) for h in (16, 32) for l in (1, 2, 3)}
-
-    def test_empty_axes_single_config(self):
-        grid = ParameterGrid(base={"x": 1})
-        assert grid.configurations() == [{"x": 1}]
-
-    def test_axis_conflicts_with_base(self):
-        with pytest.raises(ValueError):
-            ParameterGrid(base={"H": 16}, axes={"H": [16, 32]})
-
-    def test_empty_axis_values(self):
-        with pytest.raises(ValueError):
-            ParameterGrid(axes={"H": []})
-
-    def test_with_base(self):
-        grid = ParameterGrid(axes={"H": [1]}).with_base(seed=3)
-        assert grid.configurations()[0]["seed"] == 3
 
 
 class TestOneFactorAtATime:
