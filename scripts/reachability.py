@@ -152,13 +152,9 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.experiments.fig3a", "Fig3aCell.overfit_gap", ORACLE),
     ("repro.experiments.fig3a", "Fig3aResult.cell", ORACLE),
     ("repro.experiments.fig3b", "Fig3bResult.panel", ORACLE),
-    ("repro.melissa.client", "SolverClient._next_timestep", ORACLE),
     ("repro.melissa.client", "SolverClient.expected_timesteps", ORACLE),
     ("repro.melissa.reservoir", "Reservoir.entries", ORACLE),
     ("repro.melissa.reservoir", "ReservoirEntry.__post_init__", ORACLE),
-    ("repro.melissa.scheduler", "BatchScheduler.tick_count", ORACLE),
-    ("repro.melissa.scheduler", "BatchScheduler.job", ORACLE),
-    ("repro.melissa.scheduler", "BatchScheduler.summary", ORACLE),
     ("repro.nn.module", "Module.num_parameters", ORACLE),
     ("repro.nn.optim", "Optimizer.zero_grad", ORACLE),
     ("repro.nn.tensor", "is_grad_enabled", ORACLE),

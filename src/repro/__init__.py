@@ -24,7 +24,7 @@ Package layout
     Parameter boxes, Halton and uniform sampling and weighted resampling.
 ``repro.melissa``
     In-process simulation of the Melissa DL on-line training framework
-    (launcher, batch scheduler, clients, reservoir, server, steering).
+    (launcher, clients, reservoir, server, steering).
 ``repro.breed``
     The paper's contribution: loss-deviation acquisition metric, one-step
     AMIS/PMC proposal construction, concentrate–explore mixing, and the

@@ -3,8 +3,8 @@
 :class:`TrainingSession` decomposes the on-line training loop into named
 phases that mirror the asynchronous components of the real Melissa system:
 
-* :meth:`submit` — the launcher keeps the batch scheduler fed with at most
-  ``m`` client jobs,
+* :meth:`submit` — the launcher keeps at most ``m`` client jobs submitted or
+  running, and starts each once its scheduler start delay is over,
 * :meth:`produce` — each running client streams a block of a bounded number
   of time steps per tick (volume-accounted through the transport),
 * :meth:`receive` — pending blocks are drained into the reservoir while it
@@ -40,10 +40,8 @@ from repro.api.config import OnlineTrainingConfig
 from repro.api.workloads import Workload
 from repro.breed.controller import BreedController, SteeringRecord
 from repro.breed.samplers import ParameterSource
-from repro.melissa.client import ClientFactory
 from repro.melissa.launcher import Launcher
 from repro.melissa.reservoir import Reservoir
-from repro.melissa.scheduler import BatchScheduler
 from repro.melissa.server import TrainingHistory, TrainingServer
 from repro.melissa.transport import InProcessTransport
 from repro.melissa.workers import SolverWorkers, start_workers
@@ -216,16 +214,13 @@ class TrainingSession:
         initial_parameters = self.sampler.initial_parameters(
             config.n_simulations, self.streams.get("initial_sampling")
         )
-        self.scheduler = BatchScheduler(
+        self.launcher = Launcher(
+            initial_parameters=initial_parameters,
+            solver=self.solver,
             job_limit=config.job_limit,
             rng=self.streams.get("scheduler"),
             max_start_delay=config.scheduler_max_start_delay,
-        )
-        self.client_factory = ClientFactory(solver=self.solver, workers=self._workers)
-        self.launcher = Launcher(
-            initial_parameters=initial_parameters,
-            client_factory=self.client_factory,
-            scheduler=self.scheduler,
+            workers=self._workers,
             event_log=event_log,
         )
         self.reservoir = Reservoir(
@@ -306,9 +301,9 @@ class TrainingSession:
 
     # ---------------------------------------------------------------- phases
     def submit(self) -> List[int]:
-        """Phase 1 — keep the scheduler fed up to the job limit; start jobs."""
+        """Phase 1 — submit up to the job limit; start the jobs whose delay is over."""
         self.launcher.submit_available()
-        started = self.launcher.advance_scheduler()
+        started = self.launcher.advance()
         for client in started:
             record = self.launcher.records[client.simulation_id]
             uniform = record.source in (ParameterSource.INITIAL_UNIFORM, ParameterSource.MIX_UNIFORM)
@@ -475,8 +470,7 @@ class TrainingSession:
             "model": self.model.state_dict(),
             "optimizer": self.optimizer.state_dict(),
             "controller": self.controller.state_dict(),
-            "scheduler": self.scheduler.state_dict(),
-            "launcher": self.launcher.state_dict(),
+            **self.launcher.state_dict(),  # the "scheduler" and "launcher" subtrees
             "reservoir": self.reservoir.state_dict(),
             "transport": self.transport.state_dict(),
             "server": self.server.state_dict(),
@@ -509,8 +503,7 @@ class TrainingSession:
         self.model.load_state_dict(state["model"])  # type: ignore[arg-type]
         self.optimizer.load_state_dict(state["optimizer"])  # type: ignore[arg-type]
         self.controller.load_state_dict(state["controller"])  # type: ignore[arg-type]
-        self.scheduler.load_state_dict(state["scheduler"])  # type: ignore[arg-type]
-        self.launcher.load_state_dict(state["launcher"])  # type: ignore[arg-type]
+        self.launcher.load_state_dict(state)
         self.reservoir.load_state_dict(state["reservoir"])  # type: ignore[arg-type]
         self.transport.load_state_dict(state["transport"])  # type: ignore[arg-type]
         self.server.load_state_dict(state["server"])  # type: ignore[arg-type]

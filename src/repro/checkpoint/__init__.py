@@ -4,11 +4,12 @@ The paper's Melissa framework targets long-running, elastic studies where
 component failures are expected; this subsystem gives the reproduction the
 matching within-run durability.  A :class:`~repro.api.session.TrainingSession`
 can snapshot *everything it owns* — model weights, Adam moments, reservoir
-content and seen-counts, breed/sampler statistics, scheduler/launcher ledgers,
-mid-trajectory client progress, RNG stream states, transport counters — into a
-versioned on-disk :mod:`snapshot <repro.checkpoint.snapshot>` and later resume
-**bit-identically**: a run killed at any batch and restored from its latest
-snapshot produces exactly the metrics and series of an uninterrupted run.
+content and seen-counts, breed/sampler statistics, the launcher's simulation
+ledger, mid-trajectory client progress, RNG stream states, transport
+counters — into a versioned on-disk :mod:`snapshot <repro.checkpoint.snapshot>`
+and later resume **bit-identically**: a run killed at any batch and restored
+from its latest snapshot produces exactly the metrics and series of an
+uninterrupted run.
 
 Typical use::
 

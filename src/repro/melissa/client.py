@@ -10,9 +10,8 @@ NN training the way the asynchronous real system does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from repro.solvers.base import Solver
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.melissa.workers import RingStream, SolverWorkers
 
-__all__ = ["SolverClient", "ClientFactory"]
+__all__ = ["SolverClient"]
 
 
 class SolverClient:
@@ -53,11 +52,6 @@ class SolverClient:
         self._m_steps = telemetry.metrics().counter(
             "repro_solver_steps_total", help="solver time steps produced by clients"
         )
-
-    @property
-    def _next_timestep(self) -> int:
-        """Time step of the next produced row (rows are produced in order from 0)."""
-        return self.n_produced
 
     def start(self, skip: int = 0) -> None:
         """Open the trajectory at time step ``skip`` (a no-op once open).
@@ -150,30 +144,3 @@ class SolverClient:
         """Total number of time steps the client will produce (t = 0 .. T)."""
         return self.solver.n_timesteps + 1
 
-
-@dataclass
-class ClientFactory:
-    """Creates a :class:`SolverClient` per started simulation job.
-
-    A single solver instance is shared across clients: the implicit solver
-    pre-factorises its linear system once, and clients only differ by their
-    boundary/initial parameters, exactly like the in-house solver of the paper
-    where the factorisation depends on the mesh, not on ``λ``.
-    """
-
-    solver: Solver
-    created: List[int] = field(default_factory=list)
-    #: solver worker processes of the owning session (None → clients step inline)
-    workers: Optional["SolverWorkers"] = None
-
-    def create(
-        self, simulation_id: int, parameters: np.ndarray, state: Optional[dict] = None
-    ) -> SolverClient:
-        """A started client; with ``state`` (a client ``state_dict``), one resumed there."""
-        self.created.append(simulation_id)
-        client = SolverClient(simulation_id, parameters, self.solver, self.workers)
-        if state is not None:
-            client.load_state_dict(state)
-        else:
-            client.start()  # a worker reads ahead from now on; inline, nothing runs before produce()
-        return client

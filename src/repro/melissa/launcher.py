@@ -1,15 +1,21 @@
-"""Launcher: owns the simulation budget and talks to the batch scheduler.
+"""Launcher: the one ledger of every simulation, from pending to finished.
 
 Responsibilities reproduced from the paper (Section 2.2, 3.3 and Appendix A):
 
 * hold the full budget of ``S`` simulations and their input parameters,
-* submit client jobs to the scheduler while respecting the job limit ``m``
-  (only a subset of all clients is ever submitted at once),
+* submit client jobs in id order while respecting the job limit ``m`` (only
+  a subset of all clients is ever submitted at once),
+* play the batch scheduler (OAR on the real cluster): a submitted job waits a
+  random number of ticks, bounded by ``max_start_delay``, before it may start
+  ("the inherent uncertainty of the batch scheduler", Section 3.3), so jobs
+  can start in another order than they were submitted in,
+* start a :class:`SolverClient` for every started simulation; one solver is
+  shared by all of them, as the paper's solver factorises its system once per
+  mesh, not per ``λ``,
 * report which simulations are *steerable*: the server must only replace the
   parameters of simulations whose ids are at least ``k + m`` where ``k`` is
-  the highest simulation id already observed by the launcher — anything
-  closer may already have been handed to the scheduler and could start at any
-  moment,
+  the highest simulation id already submitted — anything closer may already
+  have been handed to the scheduler and could start at any moment,
 * apply :meth:`update_parameters` requests coming from the server's steering
   mechanism and remember the provenance of every parameter vector (needed by
   the Figure 4 analysis).
@@ -19,14 +25,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.breed.samplers import ParameterSource
-from repro.melissa.client import ClientFactory, SolverClient
-from repro.melissa.scheduler import BatchScheduler
+from repro.melissa.client import SolverClient
+from repro.solvers.base import Solver
 from repro.utils.logging import EventLog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.melissa.workers import SolverWorkers
 
 __all__ = ["SimulationState", "SimulationRecord", "Launcher"]
 
@@ -40,6 +49,14 @@ class SimulationState(enum.Enum):
     FINISHED = "finished"      # full trajectory streamed
 
 
+#: the scheduler's name of each submitted state, as the ``"scheduler"`` subtree writes it
+JOB_STATES = {
+    SimulationState.SUBMITTED: "queued",
+    SimulationState.RUNNING: "running",
+    SimulationState.FINISHED: "completed",
+}
+
+
 @dataclass
 class SimulationRecord:
     """Ledger entry of one simulation of the budget."""
@@ -49,25 +66,49 @@ class SimulationRecord:
     source: str = ParameterSource.INITIAL_UNIFORM
     state: SimulationState = SimulationState.PENDING
     client: Optional[SolverClient] = None
-    #: number of times steering replaced this simulation's parameters
-    n_updates: int = 0
-    #: history of (source, parameters) overwrites, most recent last
+    #: sources of the steering overwrites, most recent last
     history: List[str] = field(default_factory=list)
+    #: scheduler ticks of the job: submitted at, may start from, started at,
+    #: completed at (None until it happens)
+    submitted_tick: Optional[int] = None
+    eligible_tick: Optional[int] = None
+    started_tick: Optional[int] = None
+    completed_tick: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.parameters = np.asarray(self.parameters, dtype=np.float64).copy()
 
+    @property
+    def n_updates(self) -> int:
+        """Number of times steering replaced this simulation's parameters."""
+        return len(self.history)
+
+
+def _optional_int(value: object) -> Optional[int]:
+    return None if value is None else int(value)  # type: ignore[call-overload]
+
 
 class Launcher:
-    """Simulation-budget manager bridging the server and the batch scheduler."""
+    """Simulation-budget manager: submits, starts and steers the ``S`` simulations.
+
+    ``rng`` draws each submission's start delay; ``workers`` are the owning
+    session's solver worker processes (None: clients step the solver inline).
+    """
 
     def __init__(
         self,
         initial_parameters: np.ndarray,
-        client_factory: ClientFactory,
-        scheduler: BatchScheduler,
+        solver: Solver,
+        job_limit: int,
+        rng: np.random.Generator,
+        max_start_delay: int = 0,
+        workers: Optional["SolverWorkers"] = None,
         event_log: Optional[EventLog] = None,
     ) -> None:
+        if job_limit < 1:
+            raise ValueError("job_limit must be >= 1")
+        if max_start_delay < 0:
+            raise ValueError("max_start_delay must be non-negative")
         parameters = np.atleast_2d(np.asarray(initial_parameters, dtype=np.float64))
         if parameters.shape[0] == 0:
             raise ValueError("the simulation budget must contain at least one simulation")
@@ -75,13 +116,17 @@ class Launcher:
             sim_id: SimulationRecord(simulation_id=sim_id, parameters=row)
             for sim_id, row in enumerate(parameters)
         }
-        self.client_factory = client_factory
-        self.scheduler = scheduler
+        self.solver = solver
+        #: maximum number of simultaneously submitted or running clients ``m``
+        self.job_limit = job_limit
+        self.max_start_delay = max_start_delay
+        self._rng = rng
+        self.workers = workers
         self.event_log = event_log
-        #: highest simulation id ever submitted to the scheduler (-1 before any)
-        self.highest_submitted_id = -1
+        #: scheduler ticks advanced so far
+        self.tick = 0
         #: submission order is by increasing simulation id, as in Melissa
-        self._next_to_submit = 0
+        self.next_to_submit = 0
 
     # ---------------------------------------------------------------- sizes
     @property
@@ -90,51 +135,71 @@ class Launcher:
         return len(self.records)
 
     @property
-    def job_limit(self) -> int:
-        """Maximum number of simultaneously running clients ``m``."""
-        return self.scheduler.job_limit
+    def highest_submitted_id(self) -> int:
+        """The ``k`` of the steering rule: the newest submitted id (-1 before any)."""
+        return self.next_to_submit - 1
 
     def count_state(self, state: SimulationState) -> int:
         return sum(1 for rec in self.records.values() if rec.state == state)
+
+    def _submitted(self) -> List[SimulationRecord]:
+        """Every record handed to the scheduler so far, in submission (id) order."""
+        return [self.records[sim_id] for sim_id in range(self.next_to_submit)]
 
     @property
     def all_finished(self) -> bool:
         return all(rec.state == SimulationState.FINISHED for rec in self.records.values())
 
-    # ------------------------------------------------------------ submission
+    # ------------------------------------------------------------ lifecycle
     def submit_available(self) -> List[int]:
-        """Submit pending simulations (in id order) while the scheduler queue
-        plus running set stays within the job limit.
+        """Submit pending simulations (in id order) while submitted plus
+        running stay within the job limit; each draws its start delay.
 
         Mirrors Melissa's behaviour of keeping the scheduler fed with at most
         ``m`` outstanding client jobs.
         """
         submitted: List[int] = []
-        outstanding = self.scheduler.n_running + self.scheduler.n_queued
-        while self._next_to_submit < self.budget and outstanding < self.job_limit:
-            sim_id = self._next_to_submit
-            record = self.records[sim_id]
-            self.scheduler.submit(sim_id)
+        outstanding = len(
+            [rec for rec in self._submitted() if rec.state != SimulationState.FINISHED]
+        )
+        while self.next_to_submit < self.budget and outstanding < self.job_limit:
+            record = self.records[self.next_to_submit]
+            delay = int(self._rng.integers(0, self.max_start_delay + 1)) if self.max_start_delay else 0
             record.state = SimulationState.SUBMITTED
-            self.highest_submitted_id = max(self.highest_submitted_id, sim_id)
-            submitted.append(sim_id)
-            self._next_to_submit += 1
+            record.submitted_tick = self.tick
+            record.eligible_tick = self.tick + delay
+            submitted.append(record.simulation_id)
+            self.next_to_submit += 1
             outstanding += 1
             if self.event_log is not None:
-                self.event_log.emit("launcher", "submitted", simulation_id=sim_id)
+                self.event_log.emit("launcher", "submitted", simulation_id=record.simulation_id)
         return submitted
 
-    def advance_scheduler(self) -> List[SolverClient]:
-        """Advance the scheduler one tick; instantiate clients for started jobs."""
-        started_clients: List[SolverClient] = []
-        for sim_id in self.scheduler.advance():
-            record = self.records[sim_id]
+    def advance(self) -> List[SolverClient]:
+        """Advance one tick and start every submitted simulation now eligible.
+
+        They start in order of (eligible tick, id) — jitter in the eligible
+        tick is what shuffles the start order relative to the submission
+        order.  Submission keeps submitted plus running within ``m``, so every
+        eligible simulation has a slot.
+        """
+        self.tick += 1
+        eligible = sorted(
+            [
+                rec
+                for rec in self._submitted()
+                if rec.state == SimulationState.SUBMITTED and rec.eligible_tick <= self.tick  # type: ignore[operator]
+            ],
+            key=lambda rec: (rec.eligible_tick, rec.simulation_id),
+        )
+        for record in eligible:
             record.state = SimulationState.RUNNING
-            record.client = self.client_factory.create(sim_id, record.parameters)
-            started_clients.append(record.client)
+            record.started_tick = self.tick
+            record.client = SolverClient(record.simulation_id, record.parameters, self.solver, self.workers)
+            record.client.start()  # a worker reads ahead from now on; inline, nothing runs before produce()
             if self.event_log is not None:
-                self.event_log.emit("launcher", "started", simulation_id=sim_id)
-        return started_clients
+                self.event_log.emit("launcher", "started", simulation_id=record.simulation_id)
+        return [record.client for record in eligible]  # type: ignore[misc]
 
     def mark_finished(self, simulation_id: int) -> None:
         record = self.records[simulation_id]
@@ -143,7 +208,7 @@ class Launcher:
                 f"simulation {simulation_id} cannot finish from state {record.state}"
             )
         record.state = SimulationState.FINISHED
-        self.scheduler.complete(simulation_id)
+        record.completed_tick = self.tick
         if self.event_log is not None:
             self.event_log.emit("launcher", "finished", simulation_id=simulation_id)
 
@@ -178,7 +243,6 @@ class Launcher:
             )
         record.parameters = np.asarray(parameters, dtype=np.float64).copy()
         record.source = source
-        record.n_updates += 1
         record.history.append(source)
         if self.event_log is not None:
             self.event_log.emit(
@@ -186,52 +250,101 @@ class Launcher:
             )
 
     # ---------------------------------------------------------------- state
-    def state_dict(self) -> Dict[str, object]:
-        """Ledger of every simulation, including running clients' progress."""
+    def state_dict(self) -> Dict[str, Dict[str, object]]:
+        """The ledger as the snapshot's ``"scheduler"`` and ``"launcher"`` subtrees.
+
+        ``"scheduler"`` lists every submitted simulation's job ticks in
+        submission order; ``"launcher"`` every record, with running clients'
+        progress, and the clients' start order as ``factory_created``.
+        """
+        started = sorted(
+            (rec for rec in self._submitted() if rec.started_tick is not None),
+            key=lambda rec: (rec.started_tick, rec.eligible_tick, rec.simulation_id),
+        )
         return {
-            "highest_submitted_id": self.highest_submitted_id,
-            "next_to_submit": self._next_to_submit,
-            "factory_created": list(self.client_factory.created),
-            "records": [
-                {
-                    "simulation_id": record.simulation_id,
-                    "parameters": record.parameters.copy(),
-                    "source": record.source,
-                    "state": record.state.value,
-                    "n_updates": record.n_updates,
-                    "history": list(record.history),
-                    "client": None if record.client is None else record.client.state_dict(),
-                }
-                for record in self.records.values()
-            ],
+            "scheduler": {
+                "tick": self.tick,
+                "job_limit": self.job_limit,
+                "max_start_delay": self.max_start_delay,
+                "jobs": [
+                    {
+                        "job_id": rec.simulation_id,
+                        "submitted_tick": rec.submitted_tick,
+                        "eligible_tick": rec.eligible_tick,
+                        "state": JOB_STATES[rec.state],
+                        "started_tick": rec.started_tick,
+                        "completed_tick": rec.completed_tick,
+                    }
+                    for rec in self._submitted()
+                ],
+            },
+            "launcher": {
+                "highest_submitted_id": self.highest_submitted_id,
+                "next_to_submit": self.next_to_submit,
+                "factory_created": [rec.simulation_id for rec in started],
+                "records": [
+                    {
+                        "simulation_id": rec.simulation_id,
+                        "parameters": rec.parameters.copy(),
+                        "source": rec.source,
+                        "state": rec.state.value,
+                        "n_updates": rec.n_updates,
+                        "history": list(rec.history),
+                        "client": None if rec.client is None else rec.client.state_dict(),
+                    }
+                    for rec in self.records.values()
+                ],
+            },
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Rebuild the ledger; running clients are fast-forwarded in place."""
+        """Rebuild the ledger from the ``"scheduler"`` and ``"launcher"`` subtrees
+        of ``state``; running clients are fast-forwarded in place."""
+        scheduler: Dict = state["scheduler"]  # type: ignore[assignment]
+        launcher: Dict = state["launcher"]  # type: ignore[assignment]
+        if int(scheduler["job_limit"]) != self.job_limit:
+            raise ValueError(
+                f"scheduler job_limit mismatch: state has {scheduler['job_limit']}, "
+                f"launcher has {self.job_limit}"
+            )
+        next_to_submit = int(launcher["next_to_submit"])
+        if int(launcher["highest_submitted_id"]) != next_to_submit - 1:
+            raise ValueError(
+                f"launcher state is inconsistent: highest_submitted_id="
+                f"{launcher['highest_submitted_id']}, next_to_submit={next_to_submit}"
+            )
+        jobs = {int(job["job_id"]): job for job in scheduler["jobs"]}
         for record in self.records.values():
             if record.client is not None:
                 record.client.close()  # the ledger being replaced gives its streams up first
         records: Dict[int, SimulationRecord] = {}
-        for payload in state["records"]:  # type: ignore[union-attr]
+        for payload in launcher["records"]:
+            sim_id = int(payload["simulation_id"])
+            job = jobs.get(sim_id, {})
             record = SimulationRecord(
-                simulation_id=int(payload["simulation_id"]),
+                simulation_id=sim_id,
                 parameters=np.asarray(payload["parameters"], dtype=np.float64),
                 source=str(payload["source"]),
                 state=SimulationState(payload["state"]),
-                n_updates=int(payload["n_updates"]),
                 history=[str(item) for item in payload["history"]],
+                submitted_tick=_optional_int(job.get("submitted_tick")),
+                eligible_tick=_optional_int(job.get("eligible_tick")),
+                started_tick=_optional_int(job.get("started_tick")),
+                completed_tick=_optional_int(job.get("completed_tick")),
             )
-            if payload["client"] is not None:
-                record.client = self.client_factory.create(
-                    record.simulation_id, record.parameters, state=payload["client"]
+            if JOB_STATES.get(record.state) != job.get("state"):
+                raise ValueError(
+                    f"simulation {sim_id} is {record.state.value} in the launcher state "
+                    f"but {job.get('state')} in the scheduler state"
                 )
-            records[record.simulation_id] = record
+            if payload["client"] is not None:
+                record.client = SolverClient(sim_id, record.parameters, self.solver, self.workers)
+                record.client.load_state_dict(payload["client"])
+            records[sim_id] = record
         self.records = records
-        self.highest_submitted_id = int(state["highest_submitted_id"])  # type: ignore[arg-type]
-        self._next_to_submit = int(state["next_to_submit"])  # type: ignore[arg-type]
-        # Rebuilding clients above appended to the factory log; restore it to
-        # the snapshot's view so analysis counters stay faithful.
-        self.client_factory.created = [int(i) for i in state["factory_created"]]  # type: ignore[union-attr]
+        self.tick = int(scheduler["tick"])
+        self.max_start_delay = int(scheduler["max_start_delay"])
+        self.next_to_submit = next_to_submit
 
     # -------------------------------------------------------------- analysis
     def executed_parameters(self) -> tuple[np.ndarray, List[str]]:

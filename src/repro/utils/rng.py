@@ -100,7 +100,7 @@ class RngStreams:
         Components hold direct references to the :class:`numpy.random.Generator`
         objects handed out by :meth:`get`, so restoration mutates the existing
         generators' bit-generator state rather than replacing the objects —
-        every aliased holder (reservoir, scheduler, breed controller, …)
+        every aliased holder (reservoir, launcher, breed controller, …)
         continues from the restored state.
         """
         if int(state["seed"]) != self._seed:

@@ -131,7 +131,7 @@ def test_snapshot_crosses_the_selection(saved_on, restored_on, cpus, tmp_path):
         for _ in range(7):  # mid-run: clients part-way through their trajectories
             live.tick()
         assert any(
-            0 < client._next_timestep <= 100 and not client.finished
+            0 < client.n_produced <= 100 and not client.finished
             for client in live.launcher.running_clients()
         )
         snapshot = save_session(live, tmp_path)

@@ -14,11 +14,12 @@ import pytest
 from repro.breed.acquisition import LossDeviationTracker, SampleLossObservation
 from repro.breed.controller import BreedController
 from repro.breed.samplers import BreedSampler, RandomSampler
-from repro.melissa.client import ClientFactory
+from repro.melissa.client import SolverClient
+from repro.melissa.launcher import Launcher
 from repro.melissa.reservoir import Reservoir
-from repro.melissa.scheduler import BatchScheduler, JobState
 from repro.melissa.transport import InProcessTransport
 from repro.sampling.bounds import HEAT2D_BOUNDS
+from repro.sampling.uniform import uniform_in_bounds
 from repro.utils.rng import RngStreams
 
 
@@ -104,76 +105,100 @@ class TestReservoir:
         assert len(target) == 0 and not target.ready_for_training
 
 
-class TestScheduler:
-    def test_roundtrip_preserves_jobs_and_tick(self):
-        rng = np.random.default_rng(7)
-        scheduler = BatchScheduler(job_limit=3, rng=rng, max_start_delay=2)
-        for job_id in range(5):
-            scheduler.submit(job_id)
-        scheduler.advance()
-        started = scheduler.jobs_in_state(JobState.RUNNING)
-        if started:
-            scheduler.complete(started[0])
-        state = scheduler.state_dict()
-        rng_state = rng.bit_generator.state
-        summary_at_save = scheduler.summary()
-        expected = [scheduler.advance() for _ in range(3)]
+class TestLauncher:
+    @staticmethod
+    def _launcher(solver, rng: np.random.Generator, job_limit: int = 3) -> Launcher:
+        params = uniform_in_bounds(8, HEAT2D_BOUNDS, np.random.default_rng(1))
+        return Launcher(params, solver, job_limit, rng, max_start_delay=2)
 
+    def test_roundtrip_preserves_jobs_and_tick(self, tiny_solver):
+        rng = np.random.default_rng(7)
+        launcher = self._launcher(tiny_solver, rng)
+        launcher.submit_available()
+        launcher.advance()
+        running = launcher.running_clients()
+        if running:
+            running[0].produce(2)
+            launcher.mark_finished(running[0].simulation_id)
+        state = launcher.state_dict()
+        rng_state = rng.bit_generator.state
+        summary_at_save = launcher.summary()
+
+        def drive(target: Launcher) -> list:
+            ticks = []
+            for _ in range(3):
+                submitted = target.submit_available()
+                ticks.append((submitted, [client.simulation_id for client in target.advance()]))
+            return ticks
+
+        expected = drive(launcher)
         rng2 = np.random.default_rng(7)
-        restored = BatchScheduler(job_limit=3, rng=rng2, max_start_delay=2)
+        restored = self._launcher(tiny_solver, rng2)
         rng2.bit_generator.state = rng_state
         restored.load_state_dict(state)
-        assert restored.tick_count == int(state["tick"])
+        assert restored.tick == int(state["scheduler"]["tick"])
         assert restored.summary() == summary_at_save
-        assert [restored.advance() for _ in range(3)] == expected
+        assert drive(restored) == expected
 
-    def test_job_limit_mismatch_rejected(self):
-        scheduler = BatchScheduler(job_limit=3, rng=np.random.default_rng(0))
-        other = BatchScheduler(job_limit=4, rng=np.random.default_rng(0))
+    def test_job_limit_mismatch_rejected(self, tiny_solver):
+        launcher = self._launcher(tiny_solver, np.random.default_rng(0), job_limit=3)
+        other = self._launcher(tiny_solver, np.random.default_rng(0), job_limit=4)
         with pytest.raises(ValueError, match="job_limit"):
-            other.load_state_dict(scheduler.state_dict())
+            other.load_state_dict(launcher.state_dict())
+
+    def test_disagreeing_progress_counters_rejected(self, tiny_solver):
+        launcher = self._launcher(tiny_solver, np.random.default_rng(0))
+        launcher.submit_available()
+        state = launcher.state_dict()
+        state["launcher"]["highest_submitted_id"] = 0
+        with pytest.raises(ValueError, match="inconsistent"):
+            self._launcher(tiny_solver, np.random.default_rng(0)).load_state_dict(state)
+
+    def test_disagreeing_job_state_rejected(self, tiny_solver):
+        launcher = self._launcher(tiny_solver, np.random.default_rng(0))
+        launcher.submit_available()
+        state = launcher.state_dict()
+        state["scheduler"]["jobs"][0]["state"] = "running"
+        with pytest.raises(ValueError, match="simulation 0 is submitted"):
+            self._launcher(tiny_solver, np.random.default_rng(0)).load_state_dict(state)
 
 
 class TestClient:
     def test_fast_forward_resumes_mid_trajectory(self, tiny_solver):
-        factory = ClientFactory(solver=tiny_solver)
         params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
-        original = factory.create(0, params)
+        original = SolverClient(0, params, tiny_solver)
         original.produce(3)
         state = original.state_dict()
         assert state["next_timestep"] == state["n_produced"] == 3
         expected = original.produce(2)
 
-        resumed = factory.create(0, params)
+        resumed = SolverClient(0, params, tiny_solver)
         resumed.load_state_dict(state)
         assert resumed.n_produced == 3
         assert np.array_equal(resumed.produce(2), expected)
         assert resumed.n_produced == 5
 
     def test_finished_client_stays_finished(self, tiny_solver):
-        factory = ClientFactory(solver=tiny_solver)
         params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
-        client = factory.create(1, params)
+        client = SolverClient(1, params, tiny_solver)
         while not client.finished:
             client.produce(10)
-        resumed = factory.create(1, params)
+        resumed = SolverClient(1, params, tiny_solver)
         resumed.load_state_dict(client.state_dict())
         assert resumed.finished
         assert len(resumed.produce(5)) == 0
 
     def test_simulation_id_mismatch_rejected(self, tiny_solver):
-        factory = ClientFactory(solver=tiny_solver)
         params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
-        state = factory.create(1, params).state_dict()
+        state = SolverClient(1, params, tiny_solver).state_dict()
         with pytest.raises(ValueError, match="simulation 1"):
-            factory.create(2, params).load_state_dict(state)
+            SolverClient(2, params, tiny_solver).load_state_dict(state)
 
     def test_unequal_progress_keys_rejected(self, tiny_solver):
-        factory = ClientFactory(solver=tiny_solver)
         params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
-        state = {**factory.create(1, params).state_dict(), "next_timestep": 2}
+        state = {**SolverClient(1, params, tiny_solver).state_dict(), "next_timestep": 2}
         with pytest.raises(ValueError, match="inconsistent"):
-            factory.create(1, params).load_state_dict(state)
+            SolverClient(1, params, tiny_solver).load_state_dict(state)
 
 
 class TestTracker:

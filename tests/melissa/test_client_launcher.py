@@ -1,14 +1,15 @@
-"""Tests for the solver clients and the launcher's steering semantics."""
+"""Tests for the solver clients and the launcher: job limit, start jitter, steering."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.breed.samplers import ParameterSource
-from repro.melissa.client import ClientFactory, SolverClient
+from repro.melissa.client import SolverClient
 from repro.melissa.launcher import Launcher, SimulationState
-from repro.melissa.scheduler import BatchScheduler
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.sampling.uniform import uniform_in_bounds
 from repro.utils.logging import EventLog
@@ -58,18 +59,11 @@ class TestSolverClient:
     def test_expected_timesteps(self, tiny_solver, params):
         assert SolverClient(0, np.array(params), tiny_solver).expected_timesteps == tiny_solver.n_timesteps + 1
 
-    def test_factory_records_created_clients(self, tiny_solver, params):
-        factory = ClientFactory(solver=tiny_solver)
-        factory.create(0, np.array(params))
-        factory.create(1, np.array(params))
-        assert factory.created == [0, 1]
-
 
 def make_launcher(tiny_solver, n_simulations=12, job_limit=3, delay=0, seed=0, event_log=None):
     rng = np.random.default_rng(seed)
     params = uniform_in_bounds(n_simulations, HEAT2D_BOUNDS, rng)
-    scheduler = BatchScheduler(job_limit=job_limit, rng=rng, max_start_delay=delay)
-    return Launcher(params, ClientFactory(solver=tiny_solver), scheduler, event_log=event_log)
+    return Launcher(params, tiny_solver, job_limit, rng, max_start_delay=delay, event_log=event_log)
 
 
 class TestLauncherSubmission:
@@ -81,11 +75,13 @@ class TestLauncherSubmission:
 
     def test_empty_budget_rejected(self, tiny_solver):
         with pytest.raises(ValueError):
-            Launcher(
-                np.empty((0, 5)),
-                ClientFactory(solver=tiny_solver),
-                BatchScheduler(1, np.random.default_rng(0)),
-            )
+            Launcher(np.empty((0, 5)), tiny_solver, 1, np.random.default_rng(0))
+
+    def test_invalid_construction(self, tiny_solver):
+        with pytest.raises(ValueError, match="job_limit"):
+            make_launcher(tiny_solver, job_limit=0)
+        with pytest.raises(ValueError, match="max_start_delay"):
+            make_launcher(tiny_solver, delay=-1)
 
     def test_submit_respects_job_limit(self, tiny_solver):
         launcher = make_launcher(tiny_solver, job_limit=3)
@@ -98,7 +94,7 @@ class TestLauncherSubmission:
     def test_start_and_finish_lifecycle(self, tiny_solver):
         launcher = make_launcher(tiny_solver, job_limit=2)
         launcher.submit_available()
-        clients = launcher.advance_scheduler()
+        clients = launcher.advance()
         assert len(clients) == 2
         assert launcher.count_state(SimulationState.RUNNING) == 2
         launcher.mark_finished(clients[0].simulation_id)
@@ -114,13 +110,13 @@ class TestLauncherSubmission:
     def test_running_clients_listing(self, tiny_solver):
         launcher = make_launcher(tiny_solver, job_limit=2)
         launcher.submit_available()
-        launcher.advance_scheduler()
+        launcher.advance()
         assert len(launcher.running_clients()) == 2
 
     def test_all_finished(self, tiny_solver):
         launcher = make_launcher(tiny_solver, n_simulations=2, job_limit=2)
         launcher.submit_available()
-        clients = launcher.advance_scheduler()
+        clients = launcher.advance()
         for client in clients:
             launcher.mark_finished(client.simulation_id)
         assert launcher.all_finished
@@ -129,9 +125,128 @@ class TestLauncherSubmission:
         log = EventLog()
         launcher = make_launcher(tiny_solver, job_limit=1, event_log=log)
         launcher.submit_available()
-        launcher.advance_scheduler()
+        launcher.advance()
         assert log.filter(source="launcher", event="submitted")
         assert log.filter(source="launcher", event="started")
+
+
+class TestLauncherScheduling:
+    """The batch scheduler's two semantics: the job limit and the start jitter."""
+
+    def test_submit_leaves_jobs_queued(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, job_limit=3)
+        launcher.submit_available()
+        assert launcher.count_state(SimulationState.SUBMITTED) == 3
+        record = launcher.records[0]
+        assert (record.submitted_tick, record.eligible_tick, record.started_tick) == (0, 0, None)
+
+    def test_each_id_is_submitted_once_in_id_order(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, n_simulations=7, job_limit=2, delay=2)
+        submitted = []
+        while not launcher.all_finished:
+            submitted += launcher.submit_available()
+            for client in launcher.advance():
+                launcher.mark_finished(client.simulation_id)
+        assert submitted == list(range(7))
+        assert launcher.submit_available() == []
+
+    def test_starts_up_to_job_limit(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, n_simulations=5, job_limit=2)
+        launcher.submit_available()
+        assert len(launcher.advance()) == 2
+        assert launcher.count_state(SimulationState.RUNNING) == 2
+        assert launcher.count_state(SimulationState.PENDING) == 3
+
+    def test_completion_frees_slot(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, n_simulations=2, job_limit=1)
+        launcher.submit_available()
+        launcher.advance()
+        launcher.mark_finished(0)
+        assert launcher.records[0].completed_tick == 1
+        launcher.submit_available()
+        assert [client.simulation_id for client in launcher.advance()] == [1]
+
+    def test_submitted_job_cannot_finish(self, tiny_solver):
+        launcher = make_launcher(tiny_solver)
+        launcher.submit_available()
+        with pytest.raises(ValueError):
+            launcher.mark_finished(0)
+
+    def test_no_jobs_started_without_capacity(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, job_limit=1)
+        launcher.submit_available()
+        launcher.advance()
+        assert launcher.submit_available() == []
+        assert launcher.advance() == []
+
+    def test_start_delay_postpones_eligibility(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, n_simulations=20, job_limit=10, delay=5, seed=1)
+        launcher.submit_available()
+        first_wave = launcher.advance()
+        # With delays up to 5 ticks, not every submitted job is eligible on tick 1.
+        assert len(first_wave) < 10
+        for _ in range(6):
+            launcher.advance()
+        # After the delay window has elapsed, the running set fills the limit.
+        assert launcher.count_state(SimulationState.RUNNING) == 10
+
+    def test_jitter_can_reorder_start_order(self, tiny_solver):
+        # With a wide delay window some seed must start a later-submitted job first.
+        reordered = False
+        for seed in range(20):
+            launcher = make_launcher(tiny_solver, n_simulations=2, job_limit=2, delay=4, seed=seed)
+            launcher.submit_available()
+            for _ in range(6):
+                started = launcher.advance()
+                if started:
+                    reordered = started[0].simulation_id == 1
+                    break
+            if reordered:
+                break
+        assert reordered
+
+    def test_summary_counts(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, n_simulations=3, job_limit=1)
+        launcher.submit_available()
+        launcher.advance()
+        launcher.mark_finished(0)
+        launcher.submit_available()
+        summary = launcher.summary()
+        assert (summary["finished"], summary["submitted"], summary["pending"]) == (1, 1, 1)
+        assert summary["total"] == 3
+        assert launcher.tick == 1
+
+    def test_running_ids(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, job_limit=2)
+        launcher.submit_available()
+        launcher.advance()
+        assert {client.simulation_id for client in launcher.running_clients()} == {0, 1}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_running_never_exceeds_limit(self, tiny_solver, job_limit, delay, n_simulations, seed):
+        launcher = make_launcher(
+            tiny_solver, n_simulations=n_simulations, job_limit=job_limit, delay=delay, seed=seed
+        )
+        rng = np.random.default_rng(seed + 1)
+        completed = 0
+        for _ in range(400):
+            launcher.submit_available()
+            launcher.advance()
+            assert launcher.count_state(SimulationState.RUNNING) <= job_limit
+            # Randomly complete some running jobs.
+            for client in launcher.running_clients():
+                if rng.random() < 0.5:
+                    launcher.mark_finished(client.simulation_id)
+                    completed += 1
+            if completed == n_simulations:
+                break
+        assert completed == n_simulations and launcher.all_finished
 
 
 class TestLauncherSteering:
@@ -179,7 +294,7 @@ class TestLauncherSteering:
         started_params = None
         for _ in range(50):
             launcher.submit_available()
-            for client in launcher.advance_scheduler():
+            for client in launcher.advance():
                 if client.simulation_id == 4:
                     started_params = client.parameters
                 launcher.mark_finished(client.simulation_id)

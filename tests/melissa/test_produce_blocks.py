@@ -6,12 +6,12 @@ CPU count; under ``taskset -c 0`` the same file still covers both sides.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 import pytest
 
-from repro.melissa.client import ClientFactory
+from repro.melissa.client import SolverClient
 from repro.melissa.workers import SolverWorkers
 
 PARAMETERS = np.array([[300.0, 150.0, 450.0, 200.0, 400.0], [120.0, 480.0, 310.0, 260.0, 105.0]])
@@ -22,15 +22,15 @@ RING_ROWS = 4
 
 
 @pytest.fixture(params=["inline", "pooled"])
-def factory(request, tiny_solver) -> Iterator[ClientFactory]:
+def workers(request, tiny_solver) -> Iterator[Optional[SolverWorkers]]:
     if request.param == "inline":
-        yield ClientFactory(solver=tiny_solver)
+        yield None
         return
-    workers = SolverWorkers(tiny_solver, ring_slots=3, ring_rows=RING_ROWS, n_workers=2)
+    pool = SolverWorkers(tiny_solver, ring_slots=3, ring_rows=RING_ROWS, n_workers=2)
     try:
-        yield ClientFactory(solver=tiny_solver, workers=workers)
+        yield pool
     finally:
-        workers.close()
+        pool.close()
 
 
 def trajectory(solver, parameters) -> np.ndarray:
@@ -38,27 +38,29 @@ def trajectory(solver, parameters) -> np.ndarray:
 
 
 @pytest.mark.parametrize("max_steps", [1, 3, 5, 6, 7])
-def test_blocks_are_the_solver_rows(factory, tiny_solver, max_steps):
+def test_blocks_are_the_solver_rows(workers, tiny_solver, max_steps):
     expected = trajectory(tiny_solver, PARAMETERS[0])
-    client = factory.create(0, PARAMETERS[0])
+    client = SolverClient(0, PARAMETERS[0], tiny_solver, workers)
     sizes = []
     while not client.finished:
         first = client.n_produced
         block = client.produce(max_steps)
         assert block.shape == (len(block), tiny_solver.field_size) and block.dtype == np.float64
         assert np.array_equal(block, expected[first : first + len(block)])
-        if factory.workers is not None:
-            assert not np.shares_memory(block, factory.workers._ring)
+        if workers is not None:
+            assert not np.shares_memory(block, workers._ring)
         sizes.append(len(block))
     # full blocks, then the first short one (empty when the rows divide evenly) finishes
     full, rest = divmod(len(expected), max_steps)
     assert sizes == [max_steps] * full + [rest]
-    assert client.n_produced == client._next_timestep == len(expected)
+    assert client.n_produced == len(expected)
 
 
-def test_interleaved_clients_get_their_own_rows(factory, tiny_solver):
+def test_interleaved_clients_get_their_own_rows(workers, tiny_solver):
     """Two clients consumed a block at a time in turn, like a session's ticks."""
-    clients = [factory.create(index, params) for index, params in enumerate(PARAMETERS)]
+    clients = [SolverClient(index, params, tiny_solver, workers) for index, params in enumerate(PARAMETERS)]
+    for client in clients:
+        client.start()
     rows = [[], []]
     while not all(client.finished for client in clients):
         for collected, client in zip(rows, clients):
@@ -68,15 +70,17 @@ def test_interleaved_clients_get_their_own_rows(factory, tiny_solver):
 
 
 @pytest.mark.parametrize("produced", [0, 2, 5, 6])
-def test_a_restored_client_resumes_with_the_solver_rows(factory, tiny_solver, produced):
+def test_a_restored_client_resumes_with_the_solver_rows(workers, tiny_solver, produced):
     expected = trajectory(tiny_solver, PARAMETERS[1])
-    original = factory.create(1, PARAMETERS[1])
+    original = SolverClient(1, PARAMETERS[1], tiny_solver, workers)
+    original.start()
     if produced:
         assert len(original.produce(produced)) == produced
     state = original.state_dict()
     original.close()
 
-    resumed = factory.create(1, PARAMETERS[1], state=state)  # the solver or worker skips `produced`
+    resumed = SolverClient(1, PARAMETERS[1], tiny_solver, workers)
+    resumed.load_state_dict(state)  # the solver or worker skips `produced`
     assert resumed.n_produced == produced and not resumed.finished
     assert np.array_equal(resumed.produce(5), expected[produced : produced + 5])
     assert np.array_equal(resumed.produce(5), expected[produced + 5 : produced + 10])
