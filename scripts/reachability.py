@@ -80,6 +80,7 @@ KEEP: List[Tuple[str, str, str]] = [
     # the pooled solver path
     ("repro.melissa.workers", "*", TWO_CPU),
     ("repro.surrogate.validation", "_fill_share", TWO_CPU),
+    ("repro.surrogate.validation", "_sum_share", TWO_CPU),
     # reachable through a config value or registry name
     ("repro.api.registry", "sampler_names", REGISTRY),
     ("repro.api.registry", "activation_names", REGISTRY),

@@ -53,6 +53,7 @@ from repro.surrogate.validation import (
     validation_set_floats,
     validation_set_for_workload,
 )
+from repro.utils.heap import pin_heap
 from repro.utils.logging import EventLog
 from repro.utils.rng import RngStreams
 
@@ -158,7 +159,11 @@ class TrainingSession:
 
         # --- solver workers (None: this process steps the solver itself) ---
         # Forked now, while the process is small: the validation set and the
-        # reservoir do not exist yet, only the shared memory they will fill.
+        # reservoir do not exist yet, only the shared memory they will fill —
+        # or a set handed in, which the workers inherit to evaluate in place.
+        # The heap is pinned first: with the evaluation gone from this process,
+        # nothing else would free the large block that raises glibc's thresholds.
+        pin_heap()
         self._workers: Optional[SolverWorkers] = start_workers(
             self.solver,
             array_floats=0 if validation_set is not None else validation_set_floats(
@@ -166,6 +171,7 @@ class TrainingSession:
             ),
             ring_slots=config.job_limit,
             ring_rows=max(RING_TICKS * config.timesteps_per_tick, MIN_RING_ROWS),
+            inherit=() if validation_set is None else (validation_set.inputs, validation_set.targets),
         )
         self._solver_wait_seen = 0.0
         try:
@@ -239,6 +245,7 @@ class TrainingSession:
             validation_period=config.validation_period,
             record_sample_statistics=config.record_sample_statistics,
             event_log=event_log,
+            workers=self._workers,
         )
 
         #: produced rows not yet in the reservoir, one block per client and tick:

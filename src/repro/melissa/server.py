@@ -15,7 +15,7 @@ training thread "may operate more frequently than a receiving thread").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from repro.nn.tensor import Tensor
 from repro.surrogate.model import DirectSurrogate
 from repro.surrogate.validation import ValidationSet, validation_loss
 from repro.utils.logging import EventLog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.melissa.workers import SolverWorkers
 
 __all__ = ["SampleStatistic", "TrainingHistory", "TrainingServer"]
 
@@ -131,6 +134,7 @@ class TrainingServer:
         record_sample_statistics: bool = False,
         uniform_source_flags: Optional[dict[int, bool]] = None,
         event_log: Optional[EventLog] = None,
+        workers: Optional["SolverWorkers"] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -147,6 +151,8 @@ class TrainingServer:
         #: per-simulation flag: True when its parameters came from a uniform draw
         self.uniform_source_flags = dict(uniform_source_flags or {})
         self.event_log = event_log
+        #: the session's solver workers, which split each validation evaluation (None: inline)
+        self.workers = workers
         self.history = TrainingHistory()
         self.iteration = 0
         self.n_samples_received = 0
@@ -206,7 +212,7 @@ class TrainingServer:
         # Periodic validation.
         if self.validation_set is not None and self.iteration % self.validation_period == 0:
             with self._tracer.span("server.validation", cat="validation"):
-                val = validation_loss(self.model, self.validation_set)
+                val = validation_loss(self.model, self.validation_set, workers=self.workers)
             self.history.validation_losses.append(val)
             self.history.validation_iterations.append(self.iteration)
             if self.event_log is not None:
@@ -280,7 +286,7 @@ class TrainingServer:
         """Force a validation evaluation outside the periodic schedule."""
         if self.validation_set is None:
             return None
-        val = validation_loss(self.model, self.validation_set)
+        val = validation_loss(self.model, self.validation_set, workers=self.workers)
         self.history.validation_losses.append(val)
         self.history.validation_iterations.append(self.iteration)
         return val

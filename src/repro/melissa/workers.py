@@ -4,11 +4,18 @@ In Melissa (paper §2.2) every client is a separate job streaming time steps
 to a server that never waits for a solver.  :class:`SolverWorkers` gives the
 in-process simulation the same shape: one ``os.fork`` child per usable CPU,
 forked while the parent is still small, inheriting the factorised solver.
-Only parameter vectors and small commands cross a pipe; solution fields
-travel through anonymous shared ``mmap`` regions created before the fork:
+Parameter vectors, small commands and — for a split validation evaluation —
+the pickled model cross a pipe (0.56 MB of weights for the paper MLP, 1.1 MB
+with the gradient buffers a training step leaves); solution fields never
+do.  They travel through anonymous shared ``mmap`` regions created before
+the fork, or stay where the fork left them:
 
 * an *array arena* whose carve-outs (:meth:`SolverWorkers.allocate`) the
   workers fill in place (:meth:`SolverWorkers.run` — the validation set),
+* arrays *inherited* at fork time (``inherit=``: a validation set handed to
+  the session), which workers read as they were then; :meth:`SolverWorkers.handle`
+  names an array of either kind, and :meth:`SolverWorkers.run` hands back
+  each share's return value (the validation set's per-batch error sums),
 * a *ring* of ``ring_rows`` fields per running client
   (:meth:`SolverWorkers.stream`): the worker advances its trajectories
   round-robin, publishes a produced counter per row and stops ``ring_rows``
@@ -63,7 +70,8 @@ IDLE_POLL_SECONDS, FULL_POLL_SECONDS = 0.5, 0.02
 _PRODUCED, _DONE, _ACK, _CONSUMED = range(4)  # columns of the per-slot control block
 _RUNNING, _FAILED = -1, -2                    # ``_DONE`` before the row count is known
 
-#: a shared float64 array as workers address it: (offset in floats, shape)
+#: a float64 array as workers address it: (offset in floats, shape), the offset
+#: counted over the arena followed by each inherited array, end to end
 Handle = Tuple[int, Tuple[int, ...]]
 
 
@@ -98,9 +106,13 @@ def inline_reason(solver: Optional[Solver] = None) -> Optional[str]:
     return None
 
 
-def start_workers(solver: Solver, **sizes: int) -> Optional["SolverWorkers"]:
+def start_workers(solver: Solver, **options: Any) -> Optional["SolverWorkers"]:
     """Workers for ``solver`` when :func:`inline_reason` names no objection."""
-    return SolverWorkers(solver, **sizes) if inline_reason(solver) is None else None
+    return SolverWorkers(solver, **options) if inline_reason(solver) is None else None
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
 
 
 def _shared(dtype: type, shape: Tuple[int, ...]) -> np.ndarray:
@@ -150,7 +162,8 @@ class SolverWorkers:
     """``n_workers`` forked solver processes over shared memory (see module docstring)."""
 
     def __init__(self, solver: Solver, array_floats: int = 0, ring_slots: int = 0,
-                 ring_rows: int = 0, n_workers: Optional[int] = None) -> None:
+                 ring_rows: int = 0, n_workers: Optional[int] = None,
+                 inherit: Sequence[np.ndarray] = ()) -> None:
         self.solver = solver
         self.n_workers = n_workers if n_workers is not None else usable_cpus()
         self.ring_rows = ring_rows
@@ -163,6 +176,12 @@ class SolverWorkers:
         ring_shape = (ring_slots, ring_rows, solver.field_size)
         self._arena = _shared(np.float64, (max(0, array_floats),))
         self._allocated = 0
+        #: what a handle's offset counts over: the arena, then each inherited array
+        #: (only float64 C-ordered ones flatten to a view of themselves)
+        self._bases = [self._arena, *(
+            array.reshape(-1) for array in inherit
+            if array.dtype == np.float64 and array.flags.c_contiguous
+        )]
         self._ring = _shared(np.float64, ring_shape)
         self._control = _shared(np.int64, (ring_slots, 4))
         #: per worker: 1 while it sleeps on full windows and wants a wake-up when one drains
@@ -249,8 +268,8 @@ class SolverWorkers:
         except OSError as error:
             raise SolverWorkerError(f"solver worker {worker} does not take commands: {error}") from error
 
-    def _reply(self, worker: int) -> Tuple[Optional[int], Optional[str], Optional[str]]:
-        """Next ``(slot or None, exception type or None, message)`` a worker sent."""
+    def _reply(self, worker: int) -> Tuple[Optional[int], Optional[str], Any]:
+        """Next ``(slot or None, exception type or None, message or return value)`` a worker sent."""
         fd = self._replies[worker]
         while not select.select([fd], [], [], 0.05)[0]:
             self._check_alive(worker)
@@ -272,30 +291,54 @@ class SolverWorkers:
         self._allocated += size
         return handle, self._view(handle)
 
+    def handle(self, array: np.ndarray) -> Optional[Handle]:
+        """The handle workers read ``array`` by in place, or ``None``: do the work here.
+
+        ``array`` must be float64, C-ordered and lie inside the arena or an
+        array inherited at fork time; ``None`` too once the pool is closed.
+        """
+        if not self.pids or array.dtype != np.float64 or not array.flags.c_contiguous:
+            return None
+        address, offset = _address(array), 0
+        for base in self._bases:
+            start = _address(base)
+            if start <= address and address + array.nbytes <= start + base.nbytes:
+                return offset + (address - start) // 8, array.shape
+            offset += base.size
+        return None
+
     def _view(self, handle: Handle) -> np.ndarray:
         offset, shape = handle
-        return self._arena[offset : offset + int(np.prod(shape))].reshape(shape)
+        size = int(np.prod(shape))
+        for base in self._bases:
+            if offset + size <= base.size:
+                return base[offset : offset + size].reshape(shape)
+            offset -= base.size
+        raise ValueError(f"handle {handle} lies outside the arena and the inherited arrays")
 
-    def run(self, function: Callable[..., None], shares: Sequence[tuple]) -> None:
-        """``function(solver, view, *share)`` on one worker per share; returns when all have.
+    def run(self, function: Callable[..., Any], shares: Sequence[tuple]) -> List[Any]:
+        """``function(solver, view, *share)`` on one worker per share; their values, in share order.
 
-        ``view(handle)`` is the shared array of a :meth:`allocate` handle.  A
-        share that raised is raised here, by exception type and message.
+        ``view(handle)`` is the array of a :meth:`allocate` or :meth:`handle`
+        handle.  A share that raised is raised here, by exception type and
+        message, once every share has finished.
         """
         if len(shares) > self.n_workers:
             raise ValueError(f"{len(shares)} shares for {self.n_workers} workers")
         for worker, share in enumerate(shares):
             self._command(worker, ("run", function, share))
-        failures = []
+        values, failures = [], []
         for worker in range(len(shares)):
-            slot, kind, message = self._reply(worker)
+            slot, kind, value = self._reply(worker)
             while slot is not None:  # a streaming failure reported meanwhile
-                self._errors[slot] = (kind, message)
-                slot, kind, message = self._reply(worker)
+                self._errors[slot] = (kind, value)
+                slot, kind, value = self._reply(worker)
             if kind is not None:
-                failures.append(_remote_error(kind, message))
+                failures.append(_remote_error(kind, value))
+            values.append(value)
         if failures:
             raise failures[0]
+        return values
 
     # -------------------------------------------------------------- streaming
     def stream(self, parameters: np.ndarray, skip: int = 0) -> "RingStream":
@@ -405,8 +448,7 @@ class SolverWorkers:
             elif command[0] == "run":
                 _, function, share = command
                 try:
-                    function(self.solver, self._view, *share)
-                    _send(replies, (None, None, None))
+                    _send(replies, (None, None, function(self.solver, self._view, *share)))
                 except Exception as error:  # noqa: BLE001 - reported to the parent, by name
                     _send(replies, (None, type(error).__name__, str(error)))
 

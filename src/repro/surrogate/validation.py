@@ -8,8 +8,9 @@ the surrogate over every ``(λ, t)`` pair of that set.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -184,14 +185,39 @@ def validation_loss(
     model: DirectSurrogate,
     validation_set: ValidationSet,
     batch_size: int = 1024,
+    workers: Optional["SolverWorkers"] = None,
 ) -> float:
-    """MSE of the surrogate over the whole validation set (normalised units)."""
+    """MSE of the surrogate over the whole validation set (normalised units).
+
+    With ``workers`` that can read the set in place (:meth:`SolverWorkers.handle`),
+    more than one batch and a model that pickles, each worker sums the squared
+    errors of one contiguous run of batches.  The per-batch sums are added
+    here, in batch order and with the same ``+=`` the serial loop uses, so the
+    result is the same float.
+    """
+    inputs, targets = validation_set.inputs, validation_set.targets
+    starts = range(0, len(validation_set), batch_size)
+    shares = _shares(model, inputs, targets, starts, batch_size, workers)
+    if shares is None:
+        sums = _batch_sums(model, inputs, targets, starts, batch_size)
+    else:
+        sums = [batch for values in workers.run(_sum_share, shares) for batch in values]
     total = 0.0
     count = 0
-    inputs, targets = validation_set.inputs, validation_set.targets
+    for batch_total, batch_count in sums:
+        total += batch_total
+        count += batch_count
+    return total / count if count else float("nan")
+
+
+def _batch_sums(
+    model: nn.Module, inputs: np.ndarray, targets: np.ndarray, starts: range, batch_size: int
+) -> List[Tuple[float, int]]:
+    """``(sum of squared errors, element count)`` of each batch that begins at one of ``starts``."""
+    sums = []
     with nn.no_grad():
-        for start in range(0, len(validation_set), batch_size):
-            stop = min(start + batch_size, len(validation_set))
+        for start in starts:
+            stop = min(start + batch_size, len(inputs))
             prediction = model(Tensor(inputs[start:stop])).data
             expected = targets[start:stop]
             # One (1024, 4096) float64 array is 32 MiB: a second one beside the
@@ -202,9 +228,39 @@ def validation_loss(
             out = prediction if _may_overwrite(prediction, expected, inputs, model) else None
             diff = np.subtract(prediction, expected, out=out)
             np.multiply(diff, diff, out=diff)
-            total += float(np.sum(diff))
-            count += diff.size
-    return total / count if count else float("nan")
+            sums.append((float(np.sum(diff)), diff.size))
+    return sums
+
+
+def _shares(
+    model: nn.Module,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    starts: range,
+    batch_size: int,
+    workers: Optional["SolverWorkers"],
+) -> Optional[List[tuple]]:
+    """One contiguous run of batches per worker for :func:`_sum_share`, or ``None``: evaluate here."""
+    if workers is None or len(starts) < 2:
+        return None
+    handles = workers.handle(inputs), workers.handle(targets)
+    if None in handles:
+        return None
+    try:  # pickled once for every worker
+        pickled_model = pickle.dumps(model, pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError):  # e.g. a layer class local to a function
+        return None
+    share = -(-len(starts) // workers.n_workers)
+    return [
+        (pickled_model, *handles, starts[first : first + share], batch_size)
+        for first in range(0, len(starts), share)
+    ]
+
+
+def _sum_share(solver, view, pickled_model, inputs_handle, targets_handle, starts, batch_size):
+    """One worker's share of a split evaluation: :func:`_batch_sums` on the arrays in place."""
+    model = pickle.loads(pickled_model)
+    return _batch_sums(model, view(inputs_handle), view(targets_handle), starts, batch_size)
 
 
 def _may_overwrite(

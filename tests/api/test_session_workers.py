@@ -9,6 +9,7 @@ the solver on the training process.
 from __future__ import annotations
 
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,9 @@ from repro.api.session import OnlineTrainingResult, TrainingSession
 from repro.breed.samplers import BreedConfig
 from repro.checkpoint import restore_session, save_session
 from repro.api import OnlineTrainingConfig
-from repro.melissa.workers import MIN_TRAJECTORY_FLOATS, SolverWorkerError
+from repro.melissa.workers import MIN_TRAJECTORY_FLOATS, SolverWorkerError, SolverWorkers
 from repro.solvers.heat2d import Heat2DConfig
+from repro.surrogate.validation import validation_loss
 
 #: short runs on trajectories big enough for the size rule: the paper's own
 #: heat2d grid, heat1d, and one 1-D nonlinear workload
@@ -100,21 +102,47 @@ def no_child_left() -> bool:
     return False
 
 
-@pytest.mark.parametrize("workload", sorted(SHAPES))
+#: 21 trajectories × 101 rows: three 1024-row validation batches, split across the workers
+SPLIT = dict(n_validation_trajectories=21)
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Names of the functions sessions hand to their solver workers' ``run``."""
+    names = []
+    run = SolverWorkers.run
+
+    def recorded(self, function, shares):
+        names.append(function.__name__)
+        return run(self, function, shares)
+
+    monkeypatch.setattr(SolverWorkers, "run", recorded)
+    return names
+
+
+@pytest.mark.parametrize(
+    "workload, overrides",
+    [(name, {}) for name in sorted(SHAPES)] + [("heat2d", SPLIT)],
+    ids=[*sorted(SHAPES), "heat2d-split-validation"],
+)
 @pytest.mark.parametrize("method", ["breed", "random"])
-def test_pooled_run_equals_inline_run(workload, method, cpus):
-    config = make_config(workload, method)
+def test_pooled_run_equals_inline_run(workload, overrides, method, cpus, dispatched):
+    config = make_config(workload, method, **overrides)
     solver = config.build_workload().build_solver()
     assert solver.field_size * (solver.n_timesteps + 1) >= MIN_TRAJECTORY_FLOATS
 
     pooled_session = session_on(cpus, 2, config)
     pooled = pooled_session.run()
     assert no_child_left()
+    # the build; with three batches also one split evaluation every 8 of 24
+    # iterations and the final one (a one-batch set is evaluated inline)
+    assert dispatched == ["_fill_share"] + ["_sum_share"] * (4 if overrides else 0)
     inline_session = session_on(cpus, 1, config)
     inline = inline_session.run()
 
     assert_same_run(pooled, inline)
     assert pooled.history.train_iterations[-1] == config.max_iterations
+    assert len(pooled.history.validation_losses) == 4
     if method == "breed":
         assert pooled.steering_records  # the comparison covers steered parameters
     assert np.array_equal(pooled_session.validation_set.inputs, inline_session.validation_set.inputs)
@@ -160,13 +188,28 @@ def test_restoring_into_a_running_pooled_session_hands_the_rings_back(cpus, tmp_
     assert_same_run(session.run(), reference)
 
 
-def test_shared_inputs_given_to_a_pooled_session_are_used_as_they_are(cpus):
-    config = make_config("heat2d", "breed")
+@pytest.mark.parametrize("overrides", [{}, SPLIT], ids=["one-batch", "split-validation"])
+def test_shared_inputs_given_to_a_pooled_session_are_used_as_they_are(overrides, cpus, dispatched):
+    config = make_config("heat2d", "breed", **overrides)
     built = session_on(cpus, 1, config)
     shared = session_on(cpus, 2, config, solver=built.solver, validation_set=built.validation_set)
     assert shared.validation_set is built.validation_set
     assert shared._workers._arena.size == 0  # nothing reserved for a set that exists
+    assert shared._workers.handle(built.validation_set.targets) is not None  # inherited at the fork
     assert_same_run(shared.run(), built.run())
+    assert dispatched == ["_sum_share"] * (4 if overrides else 0)
+
+
+def test_result_after_close_evaluates_inline_with_the_live_value(cpus, dispatched):
+    session = session_on(cpus, 2, make_config("heat2d", "random", **SPLIT))
+    while session.tick():
+        pass
+    live = validation_loss(session.model, session.validation_set, workers=session._workers)
+    assert dispatched.count("_sum_share") == 4  # three periodic points, then the live value
+    session.close()
+    assert session.result().final_validation_loss == live
+    assert dispatched.count("_sum_share") == 4  # the final point ran on this process
+    assert no_child_left()
 
 
 class TestLifecycle:
@@ -208,14 +251,28 @@ class TestLifecycle:
             session.tick()
 
     def test_a_killed_worker_fails_the_session_by_name(self, cpus):
-        import signal
-
         session = session_on(cpus, 2, make_config("heat2d", "random", max_iterations=10_000))
         session.tick()
         os.kill(session._workers.pids[0], signal.SIGKILL)
         with pytest.raises(SolverWorkerError, match="was killed by signal 9"):
             session.run()
         assert no_child_left()
+
+    def test_a_worker_killed_mid_evaluation_fails_the_session_by_name(self, cpus, monkeypatch):
+        import repro.surrogate.validation as validation_module
+
+        session = session_on(cpus, 2, make_config("heat2d", "random", **SPLIT))
+        # resolved by name when the share is dispatched, so the workers run it
+        monkeypatch.setattr(validation_module, "_sum_share", _killed_mid_share)
+        with pytest.raises(SolverWorkerError, match="was killed by signal 9 mid-work"):
+            session.run()
+        assert session.server.iteration == 8  # the first validation point
+        assert no_child_left()
+
+
+def _killed_mid_share(solver, view, pickled_model, inputs_handle, targets_handle, starts, batch_size):
+    view(inputs_handle)[starts[0]]  # the set is there; then the worker dies
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestObservability:

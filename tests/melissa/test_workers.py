@@ -159,6 +159,16 @@ class TestStreaming:
             workers.close()
         assert np.array_equal(fields, np.array(list(tiny_solver.steps(PARAMETERS[1]))))
 
+    def test_run_returns_share_values_in_order_while_trajectories_stream(self, pool, tiny_solver):
+        width = tiny_solver.field_size
+        streams = [pool.stream(params) for params in PARAMETERS[:2]]
+        first = [read_rows(stream, width, limit=2) for stream in streams]  # both mid-trajectory
+        assert pool.run(_whoami, [("a",), ("b",)]) == [("a", pool.pids[0]), ("b", pool.pids[1])]
+        assert pool.run(_whoami, [("c",)]) == [("c", pool.pids[0])]
+        for head, stream, params in zip(first, streams, PARAMETERS):
+            rows = np.concatenate([head, read_rows(stream, width, chunk=3)])
+            assert np.array_equal(rows, np.array(list(tiny_solver.steps(params))))
+
     def test_waiting_for_a_row_is_accounted(self):
         workers = SolverWorkers(_Scripted(), ring_slots=1, ring_rows=2, n_workers=1)
         try:
@@ -187,6 +197,49 @@ def test_worker_count_and_ring_bytes(monkeypatch, tiny_solver):
             workers.allocate((1,))
     finally:
         workers.close()
+
+
+class TestHandles:
+    """Workers read arena carve-outs and arrays inherited at fork time in place."""
+
+    def test_arena_and_inherited_arrays_are_read_where_they_lie(self, tiny_solver):
+        inherited = np.arange(12.0).reshape(4, 3)
+        workers = SolverWorkers(tiny_solver, array_floats=6, n_workers=2, inherit=(inherited,))
+        try:
+            handle, carved = workers.allocate((2, 3))
+            carved[:] = -1.0
+            assert workers.handle(carved) == handle == (0, (2, 3))
+            assert workers.handle(carved[1]) == (3, (3,))
+            assert workers.handle(inherited) == (6, (4, 3))
+            assert workers.handle(inherited[2:]) == (12, (2, 3))
+            rows = workers.handle(inherited[1:3])
+            assert workers.run(_copy_of, [(handle,), (rows,)]) == [carved.tolist(), [[3, 4, 5], [6, 7, 8]]]
+        finally:
+            workers.close()
+
+    def test_what_workers_cannot_reach_has_no_handle(self, tiny_solver):
+        inherited = np.arange(12.0).reshape(4, 3)
+        workers = SolverWorkers(
+            tiny_solver, array_floats=6, n_workers=1,
+            inherit=(inherited, np.asfortranarray(inherited), inherited.astype(np.float32)),
+        )
+        try:
+            assert workers.handle(inherited.copy()) is None        # made after the fork
+            assert workers.handle(inherited[:, 1]) is None         # not C-ordered
+            assert workers.handle(inherited.view(np.int64)) is None
+            assert len(workers._bases) == 2                        # the arena and the first
+            assert workers.handle(inherited) is not None
+        finally:
+            workers.close()
+        assert workers.handle(inherited) is None  # closed: the caller does the work
+
+
+def _whoami(solver, view, tag):
+    return tag, os.getpid()
+
+
+def _copy_of(solver, view, handle):
+    return view(handle).tolist()
 
 
 def test_session_sizes_the_ring_by_window_not_trajectory(monkeypatch):

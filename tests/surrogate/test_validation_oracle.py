@@ -3,11 +3,13 @@
 The historical implementations — one encoded array per sample, ``np.stack``
 at the end; a fresh ``diff`` and ``diff * diff`` per batch — are replayed
 here and the in-place versions must reproduce them **bit-identically**
-(``np.array_equal`` / ``==``) on every registered workload.
+(``np.array_equal`` / ``==``) on every registered workload.  So must the
+parallel build and the evaluation split across solver workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterator
 
 import numpy as np
@@ -259,3 +261,150 @@ def test_parallel_build_needs_an_arena_that_fits(tiny_solver, tiny_scalers):
             build_validation_set(tiny_solver, HEAT2D_BOUNDS, tiny_scalers, 2, workers=workers)
     finally:
         workers.close()
+
+
+# ---------------------------------------------------------------------------
+# Split evaluation: solver workers sum the squared errors of contiguous runs
+# of batches where the set lies, the serial evaluation is the oracle (==).
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _pool(solver, validation_set=None, n_workers=2, arena_trajectories=0):
+    """Workers that inherit ``validation_set``, or whose arena holds a set to build."""
+    from repro.melissa.workers import SolverWorkers
+    from repro.surrogate.validation import validation_set_floats
+
+    inherit = () if validation_set is None else (validation_set.inputs, validation_set.targets)
+    workers = SolverWorkers(
+        solver,
+        array_floats=validation_set_floats(solver, arena_trajectories),
+        n_workers=n_workers,
+        inherit=inherit,
+    )
+    try:
+        yield workers
+    finally:
+        workers.close()
+
+
+def _split_loss(model, validation_set, batch_size, workers):
+    """``validation_loss`` on ``workers``, and the share count of every dispatch it made."""
+    dispatched = []
+    run = workers.run
+
+    def counted(function, shares):
+        dispatched.append(len(shares))
+        return run(function, shares)
+
+    workers.run = counted
+    try:
+        return validation_loss(model, validation_set, batch_size, workers=workers), dispatched
+    finally:
+        del workers.run
+
+
+def _model(workload, architecture="mlp", seed=2):
+    return DirectSurrogate(
+        workload.surrogate_config(hidden_size=8, n_hidden_layers=2, activation="relu",
+                                  architecture=architecture),
+        workload.build_scalers(),
+        rng=np.random.default_rng(seed),
+    )
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("where", ["arena", "inherited"])
+def test_split_loss_is_bit_identical_on_every_workload(name, n_workers, where):
+    workload = _workload(name)
+    solver = workload.build_solver()
+    serial_set = validation_set_for_workload(workload, 3, solver=solver)
+    model = _model(workload)
+    assert len(serial_set) >= 3 * 4  # batches of 4: at least one per worker
+    expected = reference_loss(model, serial_set, 4)
+    assert validation_loss(model, serial_set, 4) == expected
+    if where == "inherited":
+        with _pool(solver, serial_set, n_workers) as workers:
+            loss, dispatched = _split_loss(model, serial_set, 4, workers)
+    else:
+        with _pool(solver, n_workers=n_workers, arena_trajectories=3) as workers:
+            built = validation_set_for_workload(workload, 3, solver=solver, workers=workers)
+            loss, dispatched = _split_loss(model, built, 4, workers)
+    assert loss == expected
+    assert dispatched == [n_workers]
+
+
+@pytest.mark.parametrize(
+    "batch_size, shares",
+    [(7, [3]), (10, [2]), (4, [3]), (1024, [])],
+    ids=["ragged-last-batch", "fewer-batches-than-workers", "several-batches-a-share", "one-batch-inline"],
+)
+def test_split_loss_shares_contiguous_runs_of_batches(batch_size, shares):
+    workload = _workload("heat2d")
+    validation_set = validation_set_for_workload(workload, 3)
+    model = _model(workload)
+    with _pool(workload.build_solver(), validation_set, n_workers=3) as workers:
+        loss, dispatched = _split_loss(model, validation_set, batch_size, workers)
+    assert loss == reference_loss(model, validation_set, batch_size)
+    assert dispatched == shares
+
+
+@pytest.mark.parametrize("architecture", ["residual", "conv2d"])
+def test_split_loss_is_bit_identical_for_every_architecture(architecture):
+    workload = _workload("heat2d")
+    validation_set = validation_set_for_workload(workload, 3)
+    model = _model(workload, architecture)
+    with _pool(workload.build_solver(), validation_set) as workers:
+        loss, dispatched = _split_loss(model, validation_set, 5, workers)
+    assert loss == reference_loss(model, validation_set, 5)
+    assert dispatched == [2]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [nn.Identity(), _ParameterEcho(as_view=False), _ParameterEcho(as_view=True)],
+    ids=["identity", "the-parameter", "a-view-of-it"],
+)
+def test_split_loss_leaves_the_shared_set_alone(model, tiny_solver):
+    """Predictions that are views of the inputs or a parameter take a fresh array on workers too.
+
+    A worker that overwrote its copy of a parameter would corrupt its later
+    batches' predictions, so the loss catches that; the arena is checked directly.
+    """
+    validation_set = _square_set()
+    inputs, targets = validation_set.inputs.copy(), validation_set.targets.copy()
+    with _pool(tiny_solver, n_workers=2, arena_trajectories=2) as workers:
+        # the set in the shared arena: a worker's write there would reach this process
+        (_, shared_inputs), (_, shared_targets) = workers.allocate(inputs.shape), workers.allocate(targets.shape)
+        shared_inputs[:], shared_targets[:] = inputs, targets
+        shared = ValidationSet(shared_inputs, shared_targets, validation_set.parameters, 1, 10)
+        loss, dispatched = _split_loss(model, shared, 4, workers)
+    assert loss == reference_loss(model, validation_set, 4)
+    assert dispatched == [2]
+    assert np.array_equal(shared.inputs, inputs) and np.array_equal(shared.targets, targets)
+
+
+def test_a_set_the_workers_cannot_reach_is_evaluated_inline(tiny_solver):
+    workload = _workload("heat2d")
+    validation_set = validation_set_for_workload(workload, 3)
+    model = _model(workload)
+    expected = reference_loss(model, validation_set, 4)
+    with _pool(tiny_solver, n_workers=2) as workers:  # inherits nothing
+        assert workers.handle(validation_set.inputs) is None
+        assert _split_loss(model, validation_set, 4, workers) == (expected, [])
+    with _pool(tiny_solver, validation_set, n_workers=2) as workers:
+        assert workers.handle(validation_set.inputs) is not None
+    assert workers.handle(validation_set.inputs) is None  # closed
+    assert _split_loss(model, validation_set, 4, workers) == (expected, [])
+
+
+def test_a_model_that_does_not_pickle_is_evaluated_inline(tiny_solver):
+    class Local(nn.Module):  # a class local to a function does not pickle
+        def forward(self, x: Tensor) -> Tensor:
+            return Tensor(x.data * 2.0)
+
+    validation_set = _square_set()
+    with _pool(tiny_solver, validation_set, n_workers=2) as workers:
+        loss = _split_loss(Local(), validation_set, 4, workers)
+    assert loss == (reference_loss(Local(), validation_set, 4), [])
