@@ -12,8 +12,9 @@ This package is the composable surface over the Melissa/Breed machinery:
 * :class:`~repro.api.session.TrainingSession` — the training loop decomposed
   into explicit ``submit`` / ``produce`` / ``receive`` / ``train`` /
   ``should_stop`` phases with ``on_tick`` / ``on_steering`` /
-  ``on_validation`` hooks; :func:`~repro.api.session.run_online_training`
-  runs one to completion in a single call.
+  ``on_validation`` hooks (a point's fires when the point is recorded: ticks
+  later if solver workers evaluate it, in inline order and with inline values);
+  :func:`~repro.api.session.run_online_training` runs one to completion.
 * :func:`~repro.api.registry.register_workload`,
   :func:`~repro.api.registry.register_sampler`,
   :func:`~repro.api.registry.register_activation`,

@@ -173,11 +173,12 @@ class TrainingSession:
             ring_rows=max(RING_TICKS * config.timesteps_per_tick, MIN_RING_ROWS),
             inherit=() if validation_set is None else (validation_set.inputs, validation_set.targets),
         )
-        self._solver_wait_seen = 0.0
+        self._solver_wait_seen, self._validation_wait_seen, self._validations_seen = 0.0, 0.0, 0
         try:
             self._build(config, validation_set, event_log)
         except BaseException:
-            self.close()
+            if self._workers is not None:
+                self._workers.close()
             raise
 
     def _build(
@@ -268,11 +269,15 @@ class TrainingSession:
             "repro_session_steering_total", help="Breed steering decisions applied"
         )
         self._m_validations = registry.counter(
-            "repro_session_validations_total", help="validation evaluations performed"
+            "repro_session_validations_total", help="validation points recorded"
         )
         self._m_solver_wait = registry.counter(
             "repro_solver_wait_seconds_total",
             help="seconds produce() waited for a solver worker's next time step",
+        )
+        self._m_validation_wait = registry.counter(
+            "repro_validation_wait_seconds_total",
+            help="seconds the training process waited for the workers' validation point",
         )
         registry.gauge(
             "repro_solver_workers", help="solver worker processes of the latest session (0: inline)"
@@ -283,7 +288,8 @@ class TrainingSession:
         self.on_tick: List[TickHook] = []
         #: called with every new :class:`SteeringRecord` as it is applied
         self.on_steering: List[SteeringHook] = []
-        #: called with ``(session, iteration, loss)`` for every validation point
+        #: called with ``(session, iteration, loss)`` for every validation point when it is
+        #: recorded: ticks later if the solver workers evaluate it, in inline order and values
         self.on_validation: List[ValidationHook] = []
 
     # ----------------------------------------------------------------- hooks
@@ -295,11 +301,20 @@ class TrainingSession:
         hooks[event].append(callback)
         return callback
 
-    def _fire_validation(self, since: int) -> None:
+    def _report_validations(self) -> None:
+        """Count the validation points recorded since the last call and hand them to the hooks."""
         history = self.server.history
-        for index in range(since, len(history.validation_losses)):
+        seen, self._validations_seen = self._validations_seen, len(history.validation_losses)
+        if self._validations_seen > seen:
+            self._m_validations.inc(self._validations_seen - seen)
+        for index in range(seen, self._validations_seen):
             for hook in self.on_validation:
                 hook(self, history.validation_iterations[index], history.validation_losses[index])
+
+    def _count_validation_wait(self) -> None:
+        waited = self.server.validation_wait_seconds
+        self._m_validation_wait.inc(waited - self._validation_wait_seen)
+        self._validation_wait_seen = waited
 
     def _fire_steering(self, since: int) -> None:
         for record in self.controller.records[since:]:
@@ -360,27 +375,22 @@ class TrainingSession:
         if not self.server.ready:
             return losses
         iters_before = self.server.iteration
-        validations_before = len(self.server.history.validation_losses)
         steerings_before = len(self.controller.records)
         for _ in range(self.config.train_iterations_per_tick):
             if self.server.iteration >= self.config.max_iterations:
                 break
-            n_validation = len(self.server.history.validation_losses)
             n_steering = len(self.controller.records)
             loss = self.server.train_iteration(self.launcher)
             if loss is not None:
                 losses.append(loss)
-            if self.on_validation:
-                self._fire_validation(n_validation)
+            self._report_validations()
             if self.on_steering:
                 self._fire_steering(n_steering)
         # Counter mirrors as end-of-phase deltas: one float add per series
         # per tick instead of per iteration.
         if self.server.iteration > iters_before:
             self._m_train_iters.inc(self.server.iteration - iters_before)
-        new_validations = len(self.server.history.validation_losses) - validations_before
-        if new_validations:
-            self._m_validations.inc(new_validations)
+        self._count_validation_wait()
         new_steerings = len(self.controller.records) - steerings_before
         if new_steerings:
             self._m_steering.inc(new_steerings)
@@ -426,20 +436,26 @@ class TrainingSession:
                 if not self.tick():
                     break
             result = self.result()
-        finally:
-            self.close()
+        except BaseException:
+            if self._workers is not None:
+                self._workers.close()  # a failed run's pending point is not awaited
+            raise
+        self.close()
         self._tracer.flush()
         return result
 
     def close(self) -> None:
-        """Kill and reap the solver workers, if any (idempotent).
+        """Finish a pending validation point, then kill and reap the solver workers (idempotent).
 
         :meth:`run` closes on every exit; a session driven tick by tick should
         be closed by its driver.  A closed session can still report
         :meth:`result` and :meth:`state_dict`, but no longer :meth:`produce`.
         """
-        if self._workers is not None:
-            self._workers.close()
+        try:
+            self.server.finish_validation()
+        finally:
+            if self._workers is not None:
+                self._workers.close()
 
     def _ensure_checkpoint_policy(self) -> None:
         """Attach the configured periodic snapshot policy (once)."""
@@ -514,6 +530,7 @@ class TrainingSession:
         self.reservoir.load_state_dict(state["reservoir"])  # type: ignore[arg-type]
         self.transport.load_state_dict(state["transport"])  # type: ignore[arg-type]
         self.server.load_state_dict(state["server"])  # type: ignore[arg-type]
+        self._validations_seen = len(self.server.history.validation_losses)  # reported before the save
         self.pending_blocks = deque()
         n_pending = int(state["n_pending_messages"])  # type: ignore[arg-type]
         if n_pending:
@@ -533,19 +550,18 @@ class TrainingSession:
 
     # ---------------------------------------------------------------- result
     def result(self) -> OnlineTrainingResult:
-        """Finalise (one last validation point) and package the run's output."""
+        """Finalise (the pending, then one last validation point) and package the run's output."""
+        self.server.finish_validation()
         if not self._finalized:
             self._finalized = True
             if self.validation_set is not None:
-                n_validation = len(self.server.history.validation_losses)
                 with self._tracer.span("session.final_validation", cat="session"):
                     self.server.evaluate_validation()
-                self._m_validations.inc()
-                if self.on_validation:
-                    self._fire_validation(n_validation)
             # Ingest mirrors are draw-time synced; flush the tail so the
             # registry matches the canonical totals at run completion.
             self.reservoir.sync_metrics()
+        self._report_validations()
+        self._count_validation_wait()
         executed_parameters, sources = self.launcher.executed_parameters()
         return OnlineTrainingResult(
             config=self.config,

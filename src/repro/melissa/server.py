@@ -14,8 +14,9 @@ training thread "may operate more frequently than a receiving thread").
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repro.melissa.launcher import Launcher
 from repro.melissa.reservoir import Reservoir, ReservoirBatch
 from repro.nn.tensor import Tensor
 from repro.surrogate.model import DirectSurrogate
-from repro.surrogate.validation import ValidationSet, validation_loss
+from repro.surrogate.validation import ValidationSet, start_validation_loss, validation_loss
 from repro.utils.logging import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -151,8 +152,11 @@ class TrainingServer:
         #: per-simulation flag: True when its parameters came from a uniform draw
         self.uniform_source_flags = dict(uniform_source_flags or {})
         self.event_log = event_log
-        #: the session's solver workers, which split each validation evaluation (None: inline)
+        #: the session's solver workers, which evaluate each validation point (None: inline)
         self.workers = workers
+        #: the point the workers are evaluating: ``(iteration, poll)`` (see ``start_validation_loss``)
+        self._pending: Optional[Tuple[int, Callable[[bool], Optional[float]]]] = None
+        self.validation_wait_seconds = 0.0  # blocked on a pending point
         self.history = TrainingHistory()
         self.iteration = 0
         self.n_samples_received = 0
@@ -209,14 +213,17 @@ class TrainingServer:
         if self.record_sample_statistics:
             self._record_statistics(batch, per_sample, loss_value)
 
-        # Periodic validation.
+        # Periodic validation: recorded once the workers reply, or evaluated here.
         if self.validation_set is not None and self.iteration % self.validation_period == 0:
+            self.finish_validation()
             with self._tracer.span("server.validation", cat="validation"):
-                val = validation_loss(self.model, self.validation_set, workers=self.workers)
-            self.history.validation_losses.append(val)
-            self.history.validation_iterations.append(self.iteration)
-            if self.event_log is not None:
-                self.event_log.emit("server", "validation", step=self.iteration, loss=val)
+                poll = start_validation_loss(self.model, self.validation_set, self.workers)
+                if poll is None:
+                    loss = validation_loss(self.model, self.validation_set)
+                    poll = lambda block: loss  # recorded right below
+            self._pending = self.iteration, poll
+        if self._pending is not None:
+            self.finish_validation(block=False)
 
         # Steering trigger (no-op for the Random baseline).
         if launcher is not None:
@@ -262,7 +269,9 @@ class TrainingServer:
 
         The model, optimizer, reservoir and controller are snapshotted by
         their owners (see :meth:`repro.api.session.TrainingSession.state_dict`).
+        A pending validation point is finished first, so the history holds it.
         """
+        self.finish_validation()
         flags = sorted(self.uniform_source_flags.items())
         return {
             "iteration": self.iteration,
@@ -273,6 +282,7 @@ class TrainingServer:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        self.finish_validation()  # its shares are in flight: collect them, then overwrite the point
         self.iteration = int(state["iteration"])
         self.n_samples_received = int(state["n_samples_received"])
         self.uniform_source_flags = {
@@ -283,13 +293,33 @@ class TrainingServer:
 
     # ---------------------------------------------------------------- report
     def evaluate_validation(self) -> Optional[float]:
-        """Force a validation evaluation outside the periodic schedule."""
+        """Force a validation point after the pending one (reusing a point of this same model)."""
         if self.validation_set is None:
             return None
-        val = validation_loss(self.model, self.validation_set, workers=self.workers)
+        self.finish_validation()
+        if self.history.validation_iterations[-1:] == [self.iteration]:
+            val = self.history.validation_losses[-1]
+        else:
+            val = validation_loss(self.model, self.validation_set, workers=self.workers)
         self.history.validation_losses.append(val)
         self.history.validation_iterations.append(self.iteration)
         return val
+
+    def finish_validation(self, block: bool = True) -> None:
+        """Record the pending validation point once every share has replied (``block``: wait)."""
+        if self._pending is None:
+            return
+        (iteration, poll), self._pending = self._pending, None  # a failed point is not polled again
+        started = time.perf_counter()
+        loss = poll(block)
+        self.validation_wait_seconds += (time.perf_counter() - started) if block else 0.0
+        if loss is None:
+            self._pending = iteration, poll
+            return
+        self.history.validation_losses.append(loss)
+        self.history.validation_iterations.append(iteration)
+        if self.event_log is not None:
+            self.event_log.emit("server", "validation", step=iteration, loss=loss)
 
     def summary(self) -> dict[str, float]:
         return {

@@ -14,8 +14,8 @@ the fork, or stay where the fork left them:
   workers fill in place (:meth:`SolverWorkers.run` — the validation set),
 * arrays *inherited* at fork time (``inherit=``: a validation set handed to
   the session), which workers read as they were then; :meth:`SolverWorkers.handle`
-  names an array of either kind, and :meth:`SolverWorkers.run` hands back
-  each share's return value (the validation set's per-batch error sums),
+  names an array of either kind, and a :class:`ShareRun` hands back each
+  share's return value (the validation set's per-batch error sums),
 * a *ring* of ``ring_rows`` fields per running client
   (:meth:`SolverWorkers.stream`): the worker advances its trajectories
   round-robin, publishes a produced counter per row and stops ``ring_rows``
@@ -47,13 +47,13 @@ import sys
 import threading
 import time
 from itertools import islice
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.solvers.base import Solver
 
-__all__ = ["MIN_TRAJECTORY_FLOATS", "RingStream", "SolverWorkerError", "SolverWorkers",
+__all__ = ["MIN_TRAJECTORY_FLOATS", "RingStream", "ShareRun", "SolverWorkerError", "SolverWorkers",
            "inline_reason", "start_workers", "usable_cpus"]
 
 #: ``field_size × (n_timesteps + 1)`` below which a trajectory does not amortise
@@ -189,7 +189,10 @@ class SolverWorkers:
         self._free = list(range(ring_slots))
         self._load = [0] * self.n_workers
         self._epoch = 0
+        #: replies read: streaming failures by slot, and the running share run's by worker
         self._errors: Dict[int, Tuple[str, str]] = {}
+        self._done: Dict[int, Tuple[Optional[str], Any]] = {}
+        self._running: Optional[ShareRun] = None
         try:
             for index in range(self.n_workers):
                 self._fork(index)
@@ -268,15 +271,23 @@ class SolverWorkers:
         except OSError as error:
             raise SolverWorkerError(f"solver worker {worker} does not take commands: {error}") from error
 
-    def _reply(self, worker: int) -> Tuple[Optional[int], Optional[str], Any]:
-        """Next ``(slot or None, exception type or None, message or return value)`` a worker sent."""
+    def _file_reply(self, worker: int, block: bool = True) -> bool:
+        """File ``worker``'s next ``(slot or None, error type or None, value)``; False: none sent yet."""
+        self._check_alive(worker)
         fd = self._replies[worker]
-        while not select.select([fd], [], [], 0.05)[0]:
+        while not select.select([fd], [], [], 0.05 if block else 0)[0]:
+            if not block:
+                return False
             self._check_alive(worker)
         message = _receive(fd)
         if message is None:  # end of file: only a worker's exit closes its end
             self._check_alive(worker, dying=True)
-        return message
+        slot, kind, value = message
+        if slot is None:
+            self._done[worker] = (kind, value)
+        else:
+            self._errors[slot] = (kind, value)
+        return True
 
     # ---------------------------------------------------------- shared arrays
     def allocate(self, shape: Sequence[int]) -> Tuple[Handle, np.ndarray]:
@@ -316,29 +327,24 @@ class SolverWorkers:
             offset -= base.size
         raise ValueError(f"handle {handle} lies outside the arena and the inherited arrays")
 
-    def run(self, function: Callable[..., Any], shares: Sequence[tuple]) -> List[Any]:
-        """``function(solver, view, *share)`` on one worker per share; their values, in share order.
+    def start(self, function: Callable[..., Any], shares: Sequence[tuple],
+              in_flight: Optional[int] = None) -> "ShareRun":
+        """``function(solver, view, *share)`` on worker ``i`` for share ``i``, ``in_flight`` at once.
 
-        ``view(handle)`` is the array of a :meth:`allocate` or :meth:`handle`
-        handle.  A share that raised is raised here, by exception type and
-        message, once every share has finished.
+        ``view(handle)`` is the array of an :meth:`allocate` or :meth:`handle` handle.  A share
+        returning an iterator advances one item per pass of the worker's loop, between streaming
+        passes; its value is the items' list.  A run in flight is awaited first (replies go by worker).
         """
         if len(shares) > self.n_workers:
             raise ValueError(f"{len(shares)} shares for {self.n_workers} workers")
-        for worker, share in enumerate(shares):
-            self._command(worker, ("run", function, share))
-        values, failures = [], []
-        for worker in range(len(shares)):
-            slot, kind, value = self._reply(worker)
-            while slot is not None:  # a streaming failure reported meanwhile
-                self._errors[slot] = (kind, value)
-                slot, kind, value = self._reply(worker)
-            if kind is not None:
-                failures.append(_remote_error(kind, value))
-            values.append(value)
-        if failures:
-            raise failures[0]
-        return values
+        if self._running is not None:
+            self._running._collect(block=True)
+        self._running = ShareRun(self, function, shares, in_flight or len(shares))
+        return self._running
+
+    def run(self, function: Callable[..., Any], shares: Sequence[tuple]) -> List[Any]:
+        """Every share at once, awaited: ``start(function, shares).result()``."""
+        return self.start(function, shares).result()
 
     # -------------------------------------------------------------- streaming
     def stream(self, parameters: np.ndarray, skip: int = 0) -> "RingStream":
@@ -376,8 +382,7 @@ class SolverWorkers:
                     done = control[_DONE]
                     if done == _FAILED:
                         while slot not in self._errors:
-                            failed, kind, message = self._reply(slot % self.n_workers)
-                            self._errors[failed] = (kind, message)
+                            self._file_reply(slot % self.n_workers)
                         raise _remote_error(*self._errors.pop(slot))
                     if done >= 0:  # the count is published after the last row
                         return bool(row < done)
@@ -400,8 +405,19 @@ class SolverWorkers:
         """Worker main loop: commands in, trajectories advanced round-robin, until EOF."""
         control, ring, rows, asleep = self._control, self._ring, self.ring_rows, self._asleep
         active: Dict[int, list] = {}  # slot → [iterator, rows produced]
+        share: Optional[Tuple[Iterator, Any]] = None  # a running share: its iterator, its value
         while True:
-            advanced = False
+            advanced = share is not None
+            if share is not None:  # one item per pass, so the streams below keep flowing
+                try:
+                    item = next(share[0])  # a plain value's iterator is empty
+                    share[1].append(item)
+                except StopIteration:
+                    _send(replies, (None, None, share[1]))
+                    share = None
+                except Exception as error:  # noqa: BLE001 - reported to the parent, by name
+                    _send(replies, (None, type(error).__name__, str(error)))
+                    share = None
             for slot, entry in list(active.items()):
                 if entry[1] - control[slot, _CONSUMED] >= rows:
                     continue  # back-pressure: the window is full
@@ -446,11 +462,50 @@ class SolverWorkers:
             elif command[0] == "cancel":
                 active.pop(command[1], None)
             elif command[0] == "run":
-                _, function, share = command
+                _, function, arguments = command
                 try:
-                    _send(replies, (None, None, function(self.solver, self._view, *share)))
+                    value = function(self.solver, self._view, *arguments)
+                    share = (value, []) if isinstance(value, Iterator) else (iter(()), value)
                 except Exception as error:  # noqa: BLE001 - reported to the parent, by name
                     _send(replies, (None, type(error).__name__, str(error)))
+
+
+class ShareRun:
+    """The shares of one :meth:`SolverWorkers.start`: share ``i`` runs on worker ``i``."""
+
+    def __init__(self, workers: SolverWorkers, function: Callable[..., Any],
+                 shares: Sequence[tuple], in_flight: int) -> None:
+        self._workers, self._in_flight, self._sent = workers, in_flight, 0
+        self._commands = [("run", function, share) for share in shares]
+        self._replies = workers._done = {}  # where the pool files this run's replies
+        self._collect(block=False)  # dispatches the first shares
+
+    def _collect(self, block: bool) -> bool:
+        """Dispatch the shares that may run, then read the replies that are in (``block``: all)."""
+        while True:
+            while self._sent < len(self._commands) and self._sent - len(self._replies) < self._in_flight:
+                self._workers._command(self._sent, self._commands[self._sent])
+                self._sent += 1
+            replied = len(self._replies)
+            for worker in range(self._sent):
+                while worker not in self._replies and self._workers._file_reply(worker, block):
+                    pass  # a streaming failure filed meanwhile
+            if len(self._replies) == replied or self._sent == len(self._commands):
+                return len(self._replies) == len(self._commands)
+
+    def done(self) -> bool:
+        """Whether every share has replied; never blocks (a dead worker still raises)."""
+        return self._collect(block=False)
+
+    def result(self) -> List[Any]:
+        """Each share's value in share order; a share that raised is raised here, by name."""
+        self._in_flight = len(self._commands)  # the caller waits: its CPU is free for the rest
+        self._collect(block=True)
+        replies = [self._replies[worker] for worker in range(len(self._commands))]
+        for kind, value in replies:
+            if kind is not None:
+                raise _remote_error(kind, value)
+        return [value for _, value in replies]
 
 
 class RingStream:

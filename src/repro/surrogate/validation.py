@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "build_validation_set",
     "validation_set_floats",
     "validation_set_for_workload",
+    "start_validation_loss",
     "validation_loss",
 ]
 
@@ -195,28 +196,45 @@ def validation_loss(
     here, in batch order and with the same ``+=`` the serial loop uses, so the
     result is the same float.
     """
-    inputs, targets = validation_set.inputs, validation_set.targets
+    shares = _shares(model, validation_set, batch_size, workers)
+    if shares is not None:
+        return _mean(workers.run(_sum_share, shares))
     starts = range(0, len(validation_set), batch_size)
-    shares = _shares(model, inputs, targets, starts, batch_size, workers)
+    return _mean([_batch_sums(model, validation_set.inputs, validation_set.targets, starts, batch_size)])
+
+
+def start_validation_loss(
+    model: DirectSurrogate, validation_set: ValidationSet, workers: Optional["SolverWorkers"],
+    batch_size: int = 1024,
+) -> Optional[Callable[[bool], Optional[float]]]:
+    """:func:`validation_loss` split on ``workers`` and not awaited (``None``: evaluate inline).
+
+    ``n_workers − 1`` shares run at once, so the caller keeps a CPU to train
+    on.  ``poll(block)`` is the same float once every share replied, else ``None``.
+    """
+    shares = _shares(model, validation_set, batch_size, workers)
     if shares is None:
-        sums = _batch_sums(model, inputs, targets, starts, batch_size)
-    else:
-        sums = [batch for values in workers.run(_sum_share, shares) for batch in values]
-    total = 0.0
-    count = 0
-    for batch_total, batch_count in sums:
-        total += batch_total
-        count += batch_count
+        return None
+    run = workers.start(_sum_share, shares, in_flight=max(1, workers.n_workers - 1))
+    return lambda block: _mean(run.result()) if block or run.done() else None
+
+
+def _mean(share_sums: Iterable[Iterable[Tuple[float, int]]]) -> float:
+    """Each share's per-batch ``(sum, count)``, added in batch order with the serial ``+=``."""
+    total, count = 0.0, 0
+    for sums in share_sums:
+        for batch_total, batch_count in sums:
+            total += batch_total
+            count += batch_count
     return total / count if count else float("nan")
 
 
 def _batch_sums(
     model: nn.Module, inputs: np.ndarray, targets: np.ndarray, starts: range, batch_size: int
-) -> List[Tuple[float, int]]:
+) -> Iterator[Tuple[float, int]]:
     """``(sum of squared errors, element count)`` of each batch that begins at one of ``starts``."""
-    sums = []
-    with nn.no_grad():
-        for start in starts:
+    for start in starts:
+        with nn.no_grad():
             stop = min(start + batch_size, len(inputs))
             prediction = model(Tensor(inputs[start:stop])).data
             expected = targets[start:stop]
@@ -228,22 +246,22 @@ def _batch_sums(
             out = prediction if _may_overwrite(prediction, expected, inputs, model) else None
             diff = np.subtract(prediction, expected, out=out)
             np.multiply(diff, diff, out=diff)
-            sums.append((float(np.sum(diff)), diff.size))
-    return sums
+            batch = float(np.sum(diff)), diff.size
+            del prediction, expected, diff, out  # a worker streams between batches without them
+        yield batch  # outside no_grad: a suspended batch leaves the flag alone
 
 
 def _shares(
     model: nn.Module,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    starts: range,
+    validation_set: ValidationSet,
     batch_size: int,
     workers: Optional["SolverWorkers"],
 ) -> Optional[List[tuple]]:
     """One contiguous run of batches per worker for :func:`_sum_share`, or ``None``: evaluate here."""
+    starts = range(0, len(validation_set), batch_size)
     if workers is None or len(starts) < 2:
         return None
-    handles = workers.handle(inputs), workers.handle(targets)
+    handles = workers.handle(validation_set.inputs), workers.handle(validation_set.targets)
     if None in handles:
         return None
     try:  # pickled once for every worker
@@ -258,7 +276,7 @@ def _shares(
 
 
 def _sum_share(solver, view, pickled_model, inputs_handle, targets_handle, starts, batch_size):
-    """One worker's share of a split evaluation: :func:`_batch_sums` on the arrays in place."""
+    """One worker's share of a split evaluation: :func:`_batch_sums` on the arrays in place, lazily."""
     model = pickle.loads(pickled_model)
     return _batch_sums(model, view(inputs_handle), view(targets_handle), starts, batch_size)
 

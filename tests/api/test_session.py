@@ -171,6 +171,50 @@ class TestHooks:
             session.add_hook("bogus", lambda s: None)
 
 
+class TestFinalPoint:
+    """The final validation point is evaluated unless a periodic one saw the same model."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """One entry per validation-set evaluation the server makes."""
+        import repro.melissa.server as server_module
+
+        calls = []
+        evaluate = server_module.validation_loss
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "validation_loss", spy)
+        return calls
+
+    def test_a_final_point_on_the_last_periodic_one_reuses_its_loss(
+        self, heat1d_config, evaluations, tmp_path
+    ):
+        from repro.checkpoint import restore_session, save_session
+
+        assert heat1d_config.max_iterations % heat1d_config.validation_period == 0
+        session = TrainingSession(heat1d_config)
+        while session.tick():
+            pass
+        snapshot = save_session(session, tmp_path)  # at the final tick
+        result = session.result()
+        assert len(evaluations) == 4  # iterations 30, 60, 90, 120 — and not 120 again
+        assert result.history.validation_iterations == [30, 60, 90, 120, 120]
+        assert result.history.validation_losses[-1] == result.history.validation_losses[-2]
+
+        restored = restore_session(snapshot).run()
+        assert len(evaluations) == 4
+        assert restored.history.validation_iterations == result.history.validation_iterations
+        assert restored.history.validation_losses == result.history.validation_losses
+
+    def test_a_final_point_past_the_last_periodic_one_is_evaluated(self, heat1d_config, evaluations):
+        result = TrainingSession(replace(heat1d_config, max_iterations=100)).run()
+        assert len(evaluations) == 4
+        assert result.history.validation_iterations == [30, 60, 90, 100]
+
+
 class TestStudyRunnerIntegration:
     @pytest.mark.parametrize("workload", ["heat1d", "analytic"])
     def test_study_runner_drives_new_workloads(self, workload):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.checkpoint import restore_session, save_session
 from repro.api import OnlineTrainingConfig
 from repro.melissa.workers import MIN_TRAJECTORY_FLOATS, SolverWorkerError, SolverWorkers
 from repro.solvers.heat2d import Heat2DConfig
-from repro.surrogate.validation import validation_loss
+from repro.surrogate.validation import _sum_share, validation_loss
 
 #: short runs on trajectories big enough for the size rule: the paper's own
 #: heat2d grid, heat1d, and one 1-D nonlinear workload
@@ -108,15 +109,15 @@ SPLIT = dict(n_validation_trajectories=21)
 
 @pytest.fixture
 def dispatched(monkeypatch):
-    """Names of the functions sessions hand to their solver workers' ``run``."""
+    """Names of the functions sessions hand to their solver workers (``start``, which ``run`` calls)."""
     names = []
-    run = SolverWorkers.run
+    start = SolverWorkers.start
 
-    def recorded(self, function, shares):
+    def recorded(self, function, shares, *args, **kwargs):
         names.append(function.__name__)
-        return run(self, function, shares)
+        return start(self, function, shares, *args, **kwargs)
 
-    monkeypatch.setattr(SolverWorkers, "run", recorded)
+    monkeypatch.setattr(SolverWorkers, "start", recorded)
     return names
 
 
@@ -135,8 +136,9 @@ def test_pooled_run_equals_inline_run(workload, overrides, method, cpus, dispatc
     pooled = pooled_session.run()
     assert no_child_left()
     # the build; with three batches also one split evaluation every 8 of 24
-    # iterations and the final one (a one-batch set is evaluated inline)
-    assert dispatched == ["_fill_share"] + ["_sum_share"] * (4 if overrides else 0)
+    # iterations, the last of which the final point reuses (a one-batch set
+    # is evaluated inline)
+    assert dispatched == ["_fill_share"] + ["_sum_share"] * (3 if overrides else 0)
     inline_session = session_on(cpus, 1, config)
     inline = inline_session.run()
 
@@ -197,18 +199,19 @@ def test_shared_inputs_given_to_a_pooled_session_are_used_as_they_are(overrides,
     assert shared._workers._arena.size == 0  # nothing reserved for a set that exists
     assert shared._workers.handle(built.validation_set.targets) is not None  # inherited at the fork
     assert_same_run(shared.run(), built.run())
-    assert dispatched == ["_sum_share"] * (4 if overrides else 0)
+    assert dispatched == ["_sum_share"] * (3 if overrides else 0)
 
 
 def test_result_after_close_evaluates_inline_with_the_live_value(cpus, dispatched):
-    session = session_on(cpus, 2, make_config("heat2d", "random", **SPLIT))
+    # 20 iterations: the final point is not the last periodic one (16) again
+    session = session_on(cpus, 2, make_config("heat2d", "random", max_iterations=20, **SPLIT))
     while session.tick():
         pass
     live = validation_loss(session.model, session.validation_set, workers=session._workers)
-    assert dispatched.count("_sum_share") == 4  # three periodic points, then the live value
+    assert dispatched.count("_sum_share") == 3  # two periodic points, then the live value
     session.close()
     assert session.result().final_validation_loss == live
-    assert dispatched.count("_sum_share") == 4  # the final point ran on this process
+    assert dispatched.count("_sum_share") == 3  # the final point ran on this process
     assert no_child_left()
 
 
@@ -266,13 +269,110 @@ class TestLifecycle:
         monkeypatch.setattr(validation_module, "_sum_share", _killed_mid_share)
         with pytest.raises(SolverWorkerError, match="was killed by signal 9 mid-work"):
             session.run()
-        assert session.server.iteration == 8  # the first validation point
+        assert 8 <= session.server.iteration < 16  # after the first point, before the next
         assert no_child_left()
 
 
 def _killed_mid_share(solver, view, pickled_model, inputs_handle, targets_handle, starts, batch_size):
     view(inputs_handle)[starts[0]]  # the set is there; then the worker dies
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _slow_sum_share(*share):
+    """``_sum_share`` at a fifth of a second a batch: its point stays pending for ticks."""
+    for batch in _sum_share(*share):
+        time.sleep(0.2)
+        yield batch
+
+
+@pytest.fixture
+def slow_points(monkeypatch):
+    import repro.surrogate.validation as validation_module
+
+    # resolved by name when the share is dispatched, so the workers run it
+    monkeypatch.setattr(validation_module, "_sum_share", _slow_sum_share)
+
+
+def tick_until_pending(session: TrainingSession) -> int:
+    """Tick until a validation point is in flight on the workers; its iteration."""
+    while session.server._pending is None:
+        assert session.tick()
+    return session.server._pending[0]
+
+
+class TestPendingPoint:
+    """A validation point the workers evaluate while the session trains on."""
+
+    def test_a_snapshot_taken_while_a_point_is_pending_restores_equal_to_live(self, cpus, tmp_path):
+        config = make_config("heat2d", "breed", **SPLIT)
+        live = session_on(cpus, 2, config)
+        try:
+            assert tick_until_pending(live) == 8
+            snapshot = save_session(live, tmp_path)
+            assert live.server._pending is None  # finished into the snapshot's history
+            reference = live.run()
+        finally:
+            live.close()
+        restored = restore_session(snapshot, config=config)
+        assert restored.server.history.validation_iterations == [8]
+        assert_same_run(restored.run(), reference)
+        assert no_child_left()
+
+    def test_a_point_is_recorded_and_hooked_once_its_shares_replied_while_training_goes_on(
+        self, cpus, slow_points
+    ):
+        session = session_on(cpus, 2, make_config("heat2d", "random", **SPLIT))
+        fired = []
+        session.add_hook("validation", lambda s, it, loss: fired.append((it, s.server.iteration)))
+        try:
+            assert tick_until_pending(session) == 8
+            while not fired and session.server.iteration < 16:
+                time.sleep(0.6)  # share 0 is two 0.2 s batches, share 1 one
+                session.tick()  # polls: dispatches share 1, then records the point
+        finally:
+            session.close()
+        assert len(fired) == 1 and fired[0][0] == 8
+        assert 8 < fired[0][1] < 16  # fired iterations later, before the next point
+
+    def test_close_with_a_point_pending_leaves_no_child_and_result_reports_it(self, cpus):
+        config = make_config("heat2d", "random", **SPLIT)
+        session = session_on(cpus, 2, config)
+        assert tick_until_pending(session) == 8
+        session.close()
+        assert no_child_left()
+        result = session.result()
+        inline = session_on(cpus, 1, config)
+        for _ in range(session.n_ticks):
+            inline.tick()
+        expected = inline.result()
+        assert result.history.validation_iterations[0] == 8
+        assert result.history.validation_iterations == expected.history.validation_iterations
+        assert result.history.validation_losses == expected.history.validation_losses
+
+    def test_a_worker_killed_mid_share_fails_the_session_by_name_within_two_seconds(
+        self, cpus, slow_points
+    ):
+        session = session_on(cpus, 2, make_config("heat2d", "random", max_iterations=10_000, **SPLIT))
+        killed = []
+
+        def kill_the_evaluating_worker(s: TrainingSession) -> None:
+            if s.server._pending is not None and not killed:
+                os.kill(s._workers.pids[0], signal.SIGKILL)  # worker 0 has share 0
+                killed.append(time.monotonic())
+
+        session.add_hook("tick", kill_the_evaluating_worker)
+        with pytest.raises(SolverWorkerError, match="was killed by signal 9"):
+            session.run()
+        assert killed and time.monotonic() - killed[0] < 2.0
+        assert no_child_left()
+
+    def test_a_validation_period_shorter_than_an_evaluation_gives_the_inline_history(self, cpus):
+        config = make_config("heat2d", "breed", validation_period=1, max_iterations=12, **SPLIT)
+        pooled_session = session_on(cpus, 2, config)
+        pooled = pooled_session.run()
+        assert pooled_session.server.validation_wait_seconds > 0  # a new point waited for the last
+        assert pooled.history.validation_iterations == [*range(1, 13), 12]
+        assert_same_run(pooled, session_on(cpus, 1, config).run())
 
 
 class TestObservability:
@@ -296,6 +396,17 @@ class TestObservability:
 
         session_on(cpus, 1, config)
         assert "repro_solver_workers 0" in telemetry.metrics().render_prometheus()
+
+    def test_the_validation_wait_is_counted(self, cpus):
+        telemetry.configure(metrics=True)
+        config = make_config("heat2d", "random", validation_period=1, max_iterations=12, **SPLIT)
+        session = session_on(cpus, 2, config)
+        result = session.run()
+        counters = telemetry.metrics().counter_values()
+        waited = session.server.validation_wait_seconds
+        assert waited > 0 and counters["repro_validation_wait_seconds_total"] == pytest.approx(waited)
+        assert counters["repro_session_validations_total"] == len(result.history.validation_losses) == 13
+        assert "# TYPE repro_validation_wait_seconds_total counter" in telemetry.metrics().render_prometheus()
 
 
 def test_no_option_selects_the_path():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import resource
+import select
 import signal
 import subprocess
 import sys
@@ -240,6 +241,81 @@ def _whoami(solver, view, tag):
 
 def _copy_of(solver, view, handle):
     return view(handle).tolist()
+
+
+def _count_to(solver, view, n, nap):
+    """An iterator-returning share: ``n`` items, ``nap`` seconds each."""
+    for item in range(n):
+        time.sleep(nap)
+        yield item
+
+
+def _span(solver, view, nap):
+    """When this share ran, and where."""
+    started = time.monotonic()
+    time.sleep(nap)
+    return os.getpid(), started, time.monotonic()
+
+
+class TestShareRuns:
+    """``start`` hands shares out and returns; ``done`` polls, ``result`` waits."""
+
+    def test_an_iterator_share_runs_between_streaming_passes(self):
+        workers = SolverWorkers(_Scripted(), ring_slots=1, ring_rows=2, n_workers=1)
+        try:
+            run = workers.start(_count_to, [(40, 0.02)])  # 0.8 s, one item per pass
+            # the same worker streams a whole trajectory while the share is running
+            assert len(read_rows(workers.stream(np.array([-1.0, 0.0])), 3)) == 6
+            started = time.monotonic()
+            assert not run.done()
+            assert time.monotonic() - started < 0.05  # a poll, not a wait
+            assert run.result() == [list(range(40))]
+            assert run.done()
+        finally:
+            workers.close()
+
+    def test_share_i_runs_on_worker_i_at_most_in_flight_at_once(self, pool):
+        run = pool.start(_span, [(0.2,), (0.0,)], in_flight=1)
+        while not run.done():
+            time.sleep(0.01)
+        (pid_a, _, end_a), (pid_b, start_b, _) = run.result()
+        assert [pid_a, pid_b] == pool.pids
+        assert start_b >= end_a  # while polled, the second share waited for the first's reply
+        # a caller that waits leaves its CPU free: result() hands out the rest at once
+        (_, start_a, end_a), (_, start_b, _) = pool.start(_span, [(0.2,), (0.0,)], in_flight=1).result()
+        assert start_b < end_a
+
+    def test_a_run_in_flight_is_awaited_before_the_next_starts(self, pool):
+        first = pool.start(_span, [(0.2,)])
+        second = pool.start(_whoami, [("b",)])
+        assert first.done()  # collected, not lost: its reply is filed by worker
+        assert first.result()[0][0] == pool.pids[0]
+        assert second.result() == [("b", pool.pids[0])]
+
+    def test_a_streaming_failure_while_a_share_is_in_flight_keeps_the_share(self):
+        workers = SolverWorkers(_Scripted(), ring_slots=1, ring_rows=2, n_workers=1)
+        try:
+            failing = workers.stream(np.array([3.0, 0.0]))
+            run = workers.start(_whoami, [("a",)])
+            # the share's reply is in the pipe ahead of the failure the read below provokes
+            assert _wait_until(lambda: select.select([workers._replies[0]], [], [], 0)[0])
+            assert read_rows(failing, 3, limit=3)[:, 0].tolist() == [0, 1, 2]
+            with pytest.raises(ValueError, match=r"step 3 of \[3\.0, 0\.0\]"):
+                failing.read(np.empty((1, 3)))
+            assert run.done()
+            assert run.result() == [("a", workers.pids[0])]
+        finally:
+            workers.close()
+
+    def test_a_worker_killed_mid_share_is_raised_by_a_poll(self, pool):
+        run = pool.start(_span, [(30.0,)])
+        assert not run.done()
+        os.kill(pool.pids[0], signal.SIGKILL)
+        killed = time.monotonic()
+        with pytest.raises(SolverWorkerError, match="was killed by signal 9"):
+            while not run.done():
+                time.sleep(0.01)
+        assert time.monotonic() - killed < 2.0
 
 
 def test_session_sizes_the_ring_by_window_not_trajectory(monkeypatch):

@@ -8,10 +8,14 @@ through the study executor rides the same runs.
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+
 import numpy as np
 
 from repro import telemetry
 from repro.api.session import TrainingSession
+from repro.solvers.heat2d import Heat2DConfig
 from repro.workflow.study import StudyRunner
 
 GRID = [{"method": "breed"}, {"method": "random"}]
@@ -59,6 +63,25 @@ class TestSessionBitIdentity:
         assert len(trace_files) == 1
         names = {line.split('"')[3] for line in trace_files[0].read_text().splitlines()}
         assert {"session.tick", "session.final_validation", "server.validation"} <= names
+
+    def test_a_pooled_run_counts_every_validation_point(self, tiny_run_config, monkeypatch):
+        """Points the solver workers evaluate are counted when recorded, inside result() too."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config = replace(
+            tiny_run_config,
+            heat=Heat2DConfig(grid_size=64, n_timesteps=100),  # a trajectory worth a worker
+            n_validation_trajectories=21,  # three 1024-row batches: evaluated by the workers
+        )
+        telemetry.configure(metrics=True)
+        session = TrainingSession(config)
+        assert session._workers is not None
+        result = session.run()
+
+        counters = telemetry.metrics().counter_values()
+        assert counters["repro_session_validations_total"] == float(
+            len(result.history.validation_losses)
+        )
+        assert counters["repro_validation_wait_seconds_total"] >= 0.0
 
 
 class TestPerRunAttribution:
