@@ -1,11 +1,13 @@
-"""``repro.bench`` — the performance-regression harness.
+"""``repro.bench`` — micro-scenarios for the hot paths the repo benchmark does not time.
 
-The subsystem turns "is it fast?" into a testable contract: a registry of
-named, deterministic benchmark scenarios covering every measured hot path
-(solver stepping for all workloads, NN forward/backward/optimizer, reservoir
-ingest/draw, checkpoint save/restore, end-to-end sessions, study
-throughput), a runner with warmup/repeat control emitting schema-versioned
-``BENCH_*.json`` reports, and a comparer with a configurable
+Claims are made with the repo benchmark, ``benchmarks/e2e``, whose traced
+layers time the training step, the validation set, the reservoir,
+checkpoints, studies and the service.  This subsystem keeps what none of
+those layers reaches: a registry of named, deterministic scenarios (solver
+stepping for every workload, the explicit heat2d stencil, the composed loss
+primitives, the conv surrogate, the tape-recording A/B probe, a small
+session and campaign orchestration), a runner with warmup/repeat control
+emitting schema-versioned JSON reports, and a comparer with a configurable
 percent-slowdown threshold whose non-zero exit code CI jobs can gate on.
 
 Typical use::
@@ -17,11 +19,11 @@ or programmatically::
 
     from repro.bench import run_scenarios, compare_reports
 
-    report = run_scenarios(groups=["reservoir"])
+    report = run_scenarios(groups=["solver"])
     comparison = compare_reports(baseline_report, report, threshold_pct=10.0)
     assert not comparison.has_regressions
 
-See ``docs/PERFORMANCE.md`` for the measured hot-path inventory and the
+See ``docs/PERFORMANCE.md`` for the scenario inventory and the
 regression-threshold policy, and ``docs/BENCHMARKS.md`` for authoring new
 scenarios.
 """

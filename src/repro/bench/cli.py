@@ -4,13 +4,14 @@ Dispatched by :func:`repro.cli.main` so the one entry point covers
 experiments *and* performance measurement::
 
     python -m repro.cli bench --list-scenarios
-    python -m repro.cli bench --out BENCH_pr5.json
-    python -m repro.cli bench --group nn --group reservoir --repeats 5
-    python -m repro.cli bench --compare benchmarks/baselines/BENCH_pr5.json
+    python -m repro.cli bench --out BENCH.json
+    python -m repro.cli bench --group nn --group solver --repeats 5
+    python -m repro.cli bench --compare BENCH.json
 
 With ``--compare`` the exit code is :data:`repro.bench.compare.REGRESSION_EXIT_CODE`
 when any scenario is slower than ``--threshold`` percent — wire it straight
-into CI.
+into CI.  A baseline that shares no scenario with the run exits 2, like an
+unknown scenario: an empty comparison must not read as "no regressions".
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         comparison = compare_reports(
             load_report(args.compare), report, threshold_pct=args.threshold
         )
+        if not comparison.deltas:
+            print(
+                f"repro bench: {args.compare} shares no scenario with this run\n"
+                f"  baseline: {', '.join(comparison.only_in_baseline)}\n"
+                f"  current:  {', '.join(comparison.only_in_current)}",
+                file=sys.stderr,
+            )
+            return 2
         print(format_comparison(comparison, baseline_label=args.compare))
         if comparison.has_regressions:
             return REGRESSION_EXIT_CODE

@@ -7,7 +7,7 @@ number of work units it processed (solver steps, training batches, samples…),
 from which the runner derives a throughput.
 
 Scenarios are registered with the :func:`register_scenario` decorator and
-addressed by ``group/name`` keys (``solver/heat2d``, ``nn/train_step``);
+addressed by ``group/name`` keys (``solver/heat2d``, ``nn/tape_overhead``);
 selection by explicit names or whole groups is deterministic — the same
 request always yields the same scenarios in the same (sorted) order, which
 keeps ``bench --compare`` tables stable across machines and runs.
@@ -53,7 +53,7 @@ class BenchScenario:
     Attributes
     ----------
     name:
-        Unique ``group/short-name`` key, e.g. ``"reservoir/draw"``.
+        Unique ``group/short-name`` key, e.g. ``"solver/heat1d"``.
     group:
         The part before the ``/`` — selected together via ``--group``.
     units:

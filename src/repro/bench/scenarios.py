@@ -1,34 +1,26 @@
-"""Built-in benchmark scenarios covering every measured hot path.
+"""Built-in benchmark scenarios: the hot paths no ``benchmarks/e2e`` layer times.
 
 Importing this module registers the scenarios (see
 :mod:`repro.bench.registry`); nothing here runs at import time.  The groups:
 
 * ``solver/*`` — per-workload trajectory stepping for all registered
-  workloads (plus the explicit heat2d stencil, whose fused step is a
-  measured optimisation target),
-* ``nn/*`` — surrogate forward, forward+backward+Adam training step, the
-  loss node alone at paper shape (``nn/loss_step``), the composed
-  ``mse_loss``/``l1_loss`` primitives at the same shape
-  (``nn/composed_loss_step``), the bare optimizer update, the
-  conv-surrogate forward, and the tape-overhead A/B probe (``nn/tape_overhead`` re-runs the training step under an
-  explicit ``Tape`` recording when ``REPRO_TAPE_EXPLICIT=1``, so
-  ``--compare`` between a dark and an enabled report bounds the cost of
-  graph recording),
-* ``validation/*`` — the fixed validation set at paper shape (64×64 grid,
-  T=100): building 20 trajectories and one evaluation pass over them,
-* ``reservoir/*`` — buffer ingest (with eviction) and batch draws,
-* ``checkpoint/*`` — full-session snapshot save and restore,
-* ``session/*`` — a small end-to-end on-line training run,
-* ``telemetry/*`` — the same session body with metrics + tracing fully
-  enabled, so ``--compare`` against ``session/online_smoke`` bounds the
-  observability overhead,
-* ``study/*`` — tiny study throughput through the serial and process
-  executor backends, plus validation-heavy throughput and worker scaling of
-  the process backend,
-* ``service/*`` — HTTP round-trips against a live study service (submit,
-  poll progress, wait for completion),
+  workloads (plus the explicit heat2d stencil, which no session runs),
+* ``nn/*`` — the composed ``mse_loss``/``l1_loss`` primitives at paper
+  shape (``nn/composed_loss_step``), the conv-surrogate forward, and the
+  tape-overhead A/B probe (``nn/tape_overhead`` times a forward + backward +
+  Adam step, under an explicit ``Tape`` recording when
+  ``REPRO_TAPE_EXPLICIT=1``, so ``--compare`` between a dark and an enabled
+  report bounds the cost of graph recording),
+* ``session/*`` — a small end-to-end on-line training run; run again with
+  ``REPRO_METRICS``/``REPRO_TRACE_DIR`` set, ``--compare`` against the dark
+  report bounds the observability overhead,
 * ``campaign/*`` — DAG-of-studies orchestration overhead over a pre-warmed
   artifact cache (scheduling + manifest + cache splice, zero runs executed).
+
+The forward, loss, backward and optimizer steps, the validation set, the
+reservoir, checkpoints, studies and the service have no scenario: the repo
+benchmark, ``benchmarks/e2e``, times each as a traced layer (see
+docs/PERFORMANCE.md).
 
 Scenario workloads are deterministic (fixed seeds, fixed work per call) so
 two reports from the same machine measure the same computation.
@@ -67,10 +59,10 @@ def _trajectory_parameters(bounds, n: int) -> np.ndarray:
     return low[None, :] + fractions * (high - low)[None, :]
 
 
-def _tiny_session_config(seed: int = 0, **overrides):
+def _tiny_session_config(**overrides):
     from repro.experiments.base import base_config
 
-    config = base_config("smoke", method="breed", seed=seed)
+    config = base_config("smoke", method="breed", seed=0)
     fields = dict(
         n_simulations=16,
         max_iterations=60,
@@ -132,93 +124,6 @@ def _heat2d_explicit() -> ScenarioRun:
 # ------------------------------------------------------------------------- nn
 
 
-def _surrogate(hidden: int = 64, layers: int = 3):
-    from repro.api.workloads import Heat2DWorkload
-    from repro.solvers.heat2d import Heat2DConfig
-    from repro.surrogate.model import DirectSurrogate
-
-    rng = np.random.default_rng(0)
-    workload = Heat2DWorkload(heat=Heat2DConfig(grid_size=64, n_timesteps=100))
-    model = DirectSurrogate(
-        workload.surrogate_config(hidden_size=hidden, n_hidden_layers=layers, activation="relu"),
-        workload.build_scalers(),
-        rng=rng,
-    )
-    inputs = rng.random((128, 6))
-    targets = rng.random((128, 64 * 64))
-    return model, inputs, targets
-
-
-@register_scenario(
-    "nn/forward",
-    units="samples",
-    description="surrogate MLP forward pass (H=64, L=3, batch 128, output 4096)",
-)
-def _nn_forward() -> ScenarioRun:
-    from repro import nn
-    from repro.nn.tensor import Tensor
-
-    model, inputs, _ = _surrogate()
-    x = Tensor(inputs)
-    inner = 20
-
-    def fn() -> int:
-        with nn.no_grad():
-            for _ in range(inner):
-                model(x)
-        return inner * 128
-
-    return ScenarioRun(fn=fn)
-
-
-@register_scenario(
-    "nn/train_step",
-    units="batches",
-    description="full training step: forward + backward + Adam (H=64, L=3, batch 128)",
-)
-def _nn_train_step() -> ScenarioRun:
-    from repro import nn
-    from repro.nn.tensor import Tensor
-
-    model, inputs, targets = _surrogate()
-    optimizer = nn.Adam(model.parameters(), lr=1e-3)
-    x, y = Tensor(inputs), Tensor(targets)
-    inner = 10
-
-    def fn() -> int:
-        for _ in range(inner):
-            model.zero_grad()
-            loss = nn.functional.per_sample_mse(model(x), y).mean()
-            loss.backward()
-            optimizer.step()
-        return inner
-
-    return ScenarioRun(fn=fn)
-
-
-@register_scenario(
-    "nn/loss_step",
-    units="batches",
-    description="per-sample MSE forward + backward into the prediction (batch 128, output 4096)",
-)
-def _nn_loss_step() -> ScenarioRun:
-    from repro import nn
-    from repro.nn.tensor import Tensor
-
-    rng = np.random.default_rng(4)
-    prediction = Tensor(rng.random((128, 64 * 64)), requires_grad=True)
-    target = Tensor(rng.random((128, 64 * 64)))
-    inner = 20
-
-    def fn() -> int:
-        for _ in range(inner):
-            prediction.zero_grad()
-            nn.functional.per_sample_mse(prediction, target).mean().backward()
-        return inner
-
-    return ScenarioRun(fn=fn)
-
-
 @register_scenario(
     "nn/composed_loss_step",
     units="batches",
@@ -244,42 +149,30 @@ def _nn_composed_loss_step() -> ScenarioRun:
 
 
 @register_scenario(
-    "nn/optimizer_step",
-    units="steps",
-    description="bare Adam update over the surrogate parameter set (grads pre-filled)",
-)
-def _nn_optimizer_step() -> ScenarioRun:
-    from repro import nn
-
-    model, _, _ = _surrogate()
-    optimizer = nn.Adam(model.parameters(), lr=1e-3)
-    rng = np.random.default_rng(1)
-    for param in model.parameters():
-        param.grad = rng.standard_normal(param.shape)
-    inner = 50
-
-    def fn() -> int:
-        for _ in range(inner):
-            optimizer.step()
-        return inner
-
-    return ScenarioRun(fn=fn)
-
-
-@register_scenario(
     "nn/tape_overhead",
     units="batches",
-    description="nn/train_step body; REPRO_TAPE_EXPLICIT=1 wraps each step in an explicit Tape "
+    description="training step: forward + backward + Adam (H=64, L=3, batch 128); "
+                "REPRO_TAPE_EXPLICIT=1 wraps each step in an explicit Tape "
                 "(A/B probe bounding the graph-recording overhead)",
 )
 def _nn_tape_overhead() -> ScenarioRun:
     import os
 
     from repro import nn
+    from repro.api.workloads import Heat2DWorkload
     from repro.nn.tensor import Tape, Tensor
+    from repro.solvers.heat2d import Heat2DConfig
+    from repro.surrogate.model import DirectSurrogate
 
     explicit = os.environ.get("REPRO_TAPE_EXPLICIT", "") not in ("", "0")
-    model, inputs, targets = _surrogate()
+    rng = np.random.default_rng(0)
+    workload = Heat2DWorkload(heat=Heat2DConfig(grid_size=64, n_timesteps=100))
+    model = DirectSurrogate(
+        workload.surrogate_config(hidden_size=64, n_hidden_layers=3, activation="relu"),
+        workload.build_scalers(),
+        rng=rng,
+    )
+    inputs, targets = rng.random((128, 6)), rng.random((128, 64 * 64))
     optimizer = nn.Adam(model.parameters(), lr=1e-3)
     x, y = Tensor(inputs), Tensor(targets)
     inner = 10
@@ -334,157 +227,6 @@ def _nn_conv_forward() -> ScenarioRun:
     return ScenarioRun(fn=fn)
 
 
-# ----------------------------------------------------------------- validation
-
-
-def _paper_workload():
-    from repro.experiments.base import base_config
-
-    return base_config("paper").build_workload()
-
-
-@register_scenario(
-    "validation/build",
-    units="samples",
-    description="validation-set build at paper shape (20 Halton trajectories, 64x64 grid, T=100)",
-)
-def _validation_build() -> ScenarioRun:
-    from repro.surrogate.validation import validation_set_for_workload
-
-    workload = _paper_workload()
-    solver = workload.build_solver()
-
-    def fn() -> int:
-        return len(validation_set_for_workload(workload, 20, solver=solver))
-
-    return ScenarioRun(fn=fn)
-
-
-@register_scenario(
-    "validation/eval",
-    units="samples",
-    description="one validation_loss pass over a 2020-row paper-shape set (MLP 6-16-4096)",
-)
-def _validation_eval() -> ScenarioRun:
-    from repro.surrogate.validation import validation_loss, validation_set_for_workload
-
-    validation_set = validation_set_for_workload(_paper_workload(), 20)
-    model, _, _ = _surrogate(hidden=16, layers=1)
-
-    def fn() -> int:
-        validation_loss(model, validation_set)
-        return len(validation_set)
-
-    return ScenarioRun(fn=fn)
-
-
-# ------------------------------------------------------------------ reservoir
-
-
-def _reservoir(capacity: int = 512, watermark: int = 32, y_dim: int = 64):
-    from repro.melissa.reservoir import Reservoir
-
-    rng = np.random.default_rng(2)
-    reservoir = Reservoir(capacity=capacity, watermark=watermark, rng=rng)
-    payload_rng = np.random.default_rng(3)
-    xs = payload_rng.random((capacity, 6))
-    ys = payload_rng.random((capacity, y_dim))
-    return reservoir, xs, ys
-
-
-@register_scenario(
-    "reservoir/ingest",
-    units="samples",
-    description="reservoir put() of 8-step trajectory chunks incl. eviction "
-    "(capacity 512, interleaved draws)",
-)
-def _reservoir_ingest() -> ScenarioRun:
-    reservoir, xs, ys = _reservoir()
-    n_chunks, chunk = 250, 8  # a session's block per client and tick
-
-    def fn() -> int:
-        stored = 0
-        for i in range(n_chunks):
-            rows = slice(i * chunk % 512, i * chunk % 512 + chunk)
-            stored += reservoir.put(i, i * chunk % 101, xs[rows], ys[rows])
-            if i % 2 == 1:
-                reservoir.sample_batch(32)
-        return stored
-
-    return ScenarioRun(fn=fn)
-
-
-@register_scenario(
-    "reservoir/draw",
-    units="batches",
-    description="reservoir batch draws from a full buffer (capacity 512, batch 64)",
-)
-def _reservoir_draw() -> ScenarioRun:
-    reservoir, xs, ys = _reservoir()
-    reservoir.put(0, 0, xs, ys)
-    inner = 200
-
-    def fn() -> int:
-        for _ in range(inner):
-            reservoir.sample_batch(64)
-        return inner
-
-    return ScenarioRun(fn=fn)
-
-
-# ----------------------------------------------------------------- checkpoint
-
-
-@register_scenario(
-    "checkpoint/save",
-    units="snapshots",
-    description="full-session snapshot save (tiny mid-run session, uncompressed)",
-)
-def _checkpoint_save() -> ScenarioRun:
-    from repro.api.session import TrainingSession
-    from repro.checkpoint import save_session
-
-    session = TrainingSession(_tiny_session_config())
-    while session.server.iteration < 20 and session.tick():
-        pass
-    tmp = Path(tempfile.mkdtemp(prefix="repro-bench-save-"))
-    counter = [0]
-    inner = 5
-
-    def fn() -> int:
-        for _ in range(inner):
-            counter[0] += 1
-            save_session(session, tmp / f"snap-{counter[0]}")
-        return inner
-
-    return ScenarioRun(fn=fn, cleanup=lambda: shutil.rmtree(tmp, ignore_errors=True))
-
-
-@register_scenario(
-    "checkpoint/restore",
-    units="restores",
-    description="full-session snapshot restore incl. session rebuild (tiny session)",
-)
-def _checkpoint_restore() -> ScenarioRun:
-    from repro.api.session import TrainingSession
-    from repro.checkpoint import restore_session, save_session
-
-    config = _tiny_session_config()
-    session = TrainingSession(config)
-    while session.server.iteration < 20 and session.tick():
-        pass
-    tmp = Path(tempfile.mkdtemp(prefix="repro-bench-restore-"))
-    snapshot = save_session(session, tmp)
-    inner = 3
-
-    def fn() -> int:
-        for _ in range(inner):
-            restore_session(snapshot, config)
-        return inner
-
-    return ScenarioRun(fn=fn, cleanup=lambda: shutil.rmtree(tmp, ignore_errors=True))
-
-
 # -------------------------------------------------------------------- session
 
 
@@ -503,174 +245,6 @@ def _session_online() -> ScenarioRun:
         return int(result.server_summary["iterations"])
 
     return ScenarioRun(fn=fn)
-
-
-# ---------------------------------------------------------------- telemetry
-
-
-@register_scenario(
-    "telemetry/overhead",
-    units="iterations",
-    description="session/online_smoke body with metrics + tracing fully enabled (overhead probe)",
-)
-def _telemetry_overhead() -> ScenarioRun:
-    from repro import telemetry
-    from repro.api.session import TrainingSession
-
-    config = _tiny_session_config()
-    trace_dir = Path(tempfile.mkdtemp(prefix="repro-bench-trace-"))
-    already_on = telemetry.metrics_enabled() or telemetry.tracing_enabled()
-    telemetry.configure(metrics=True, trace_dir=str(trace_dir), process_name="bench telemetry/overhead")
-
-    def fn() -> int:
-        result = TrainingSession(config).run()
-        return int(result.server_summary["iterations"])
-
-    def cleanup() -> None:
-        if not already_on:
-            telemetry.disable()
-        shutil.rmtree(trace_dir, ignore_errors=True)
-
-    return ScenarioRun(fn=fn, cleanup=cleanup)
-
-
-# ---------------------------------------------------------------------- study
-
-
-def _study_scenario(backend: str) -> ScenarioRun:
-    from repro.workflow.study import StudyRunner
-
-    config = _tiny_session_config(max_iterations=40)
-    configurations = [{"method": "breed"}, {"method": "random"}]
-
-    def fn() -> int:
-        runner = StudyRunner(
-            base_config=config,
-            study_name=f"bench-{backend}",
-            backend=backend,
-            max_workers=2,
-        )
-        results = runner.run_all(configurations, name_key="method")
-        return int(results.timing_summary()["runs"])
-
-    return ScenarioRun(fn=fn)
-
-
-@register_scenario(
-    "study/serial",
-    units="runs",
-    description="tiny 2-run study through the serial executor backend",
-)
-def _study_serial() -> ScenarioRun:
-    return _study_scenario("serial")
-
-
-@register_scenario(
-    "study/process",
-    units="runs",
-    description="tiny 2-run study through the process-pool executor backend",
-)
-def _study_process() -> ScenarioRun:
-    return _study_scenario("process")
-
-
-def _study_throughput_scenario(backend: str, max_workers: int, n_runs: int = 8) -> ScenarioRun:
-    """Validation-heavy study throughput of one parallel backend.
-
-    The scenario is built so the dominant study input — the fixed validation
-    set, 256 full solver trajectories — dwarfs any single run: the driver
-    builds it once and the forked workers inherit it, so the worker-count
-    scenarios measure how the runs themselves scale.
-    """
-    from repro.workflow.study import StudyRunner
-
-    config = _tiny_session_config(
-        n_simulations=8,
-        max_iterations=30,
-        n_validation_trajectories=256,
-    )
-    configurations = [{"seed": seed} for seed in range(n_runs)]
-
-    def fn() -> int:
-        runner = StudyRunner(
-            base_config=config,
-            study_name=f"bench-{backend}-tp{max_workers}",
-            backend=backend,
-            max_workers=max_workers,
-        )
-        return len(runner.run_all(configurations))
-
-    return ScenarioRun(fn=fn)
-
-
-@register_scenario(
-    "study/process_throughput",
-    units="runs",
-    description="validation-heavy 8-run study, process backend, 4 workers",
-)
-def _study_process_throughput() -> ScenarioRun:
-    return _study_throughput_scenario("process", max_workers=4)
-
-
-@register_scenario(
-    "study/process_workers1",
-    units="runs",
-    description="validation-heavy 8-run study, process backend, 1 worker (scaling base)",
-)
-def _study_process_workers1() -> ScenarioRun:
-    return _study_throughput_scenario("process", max_workers=1)
-
-
-@register_scenario(
-    "study/process_workers2",
-    units="runs",
-    description="validation-heavy 8-run study, process backend, 2 workers",
-)
-def _study_process_workers2() -> ScenarioRun:
-    return _study_throughput_scenario("process", max_workers=2)
-
-
-# -------------------------------------------------------------------- service
-
-
-@register_scenario(
-    "service/submit_roundtrip",
-    units="requests",
-    description="HTTP submit -> first progress event -> completed job against a live service",
-)
-def _service_submit_roundtrip() -> ScenarioRun:
-    from repro.service import ServiceClient, StudyService
-
-    root = Path(tempfile.mkdtemp(prefix="repro-bench-service-"))
-    service = StudyService(root, port=0, n_workers=1, checkpoint_every=0).start()
-    client = ServiceClient(service.url, timeout=60.0)
-    config = _tiny_session_config(max_iterations=40).to_dict()
-    # each call submits a distinct single-run study (the seed changes), so
-    # dedupe never short-circuits the measured path
-    seed_counter = iter(range(10_000))
-
-    def fn() -> int:
-        seed = next(seed_counter)
-        job = client.submit(
-            "bench-service",
-            dict(config, seed=seed),
-            configurations=[{}],
-        )
-        requests = 1
-        events = client.events(job["id"])
-        requests += 1
-        record = client.wait(job["id"], timeout=120.0, poll_seconds=0.05)
-        requests += 1  # wait()'s final poll observed the terminal state
-        if record["state"] != "done":
-            raise RuntimeError(f"bench job ended {record['state']!r}: {record['error']}")
-        assert events is not None
-        return requests
-
-    def cleanup() -> None:
-        service.stop()
-        shutil.rmtree(root, ignore_errors=True)
-
-    return ScenarioRun(fn=fn, cleanup=cleanup)
 
 
 # ------------------------------------------------------------------ campaign

@@ -22,13 +22,14 @@ across *every* registered workload (or the repeated ``--workload`` flags)::
     python -m repro.cli cross --scale smoke --jobs 4
     python -m repro.cli cross --workload advection1d --workload fisher
 
-``bench`` is the performance subcommand (see :mod:`repro.bench`): it runs
-registered benchmark scenarios with warmup/repeat control, writes
-schema-versioned ``BENCH_*.json`` reports, and gates on a regression
-threshold against a baseline report::
+``bench`` is the micro-benchmark subcommand (see :mod:`repro.bench`): it
+runs the registered scenarios the repo benchmark (``benchmarks/e2e``) does
+not time, with warmup/repeat control, writes schema-versioned JSON reports,
+and gates on a regression threshold against a report made earlier on the
+same machine::
 
     python -m repro.cli bench --out BENCH.json
-    python -m repro.cli bench --compare benchmarks/baselines/BENCH_pr5.json
+    python -m repro.cli bench --compare BENCH.json
 
 ``serve`` starts the long-running study service (see :mod:`repro.service`):
 an HTTP server with a persistent job queue that accepts study submissions,

@@ -108,29 +108,6 @@ class StudyResults:
         key = lambda r: r.metric(metric)  # noqa: E731
         return min(self.runs, key=key) if minimize else max(self.runs, key=key)
 
-    def timing_summary(self) -> Dict[str, float]:
-        """Wall-clock summary over the runs' ``elapsed_seconds`` metric.
-
-        Returns run count plus total/mean/max per-run wall seconds — the
-        quantities the study-throughput bench scenarios and EXPERIMENTS
-        runtime notes report.  Timing metrics are *measurement*, never part
-        of any equality contract (see ``TIMING_METRICS`` in
-        :mod:`repro.workflow.executor`): under the process backend the total
-        is summed worker time, not the study's wall-clock span.
-        """
-        elapsed = [
-            r.metric("elapsed_seconds") for r in self.runs if "elapsed_seconds" in r.metrics
-        ]
-        if not elapsed:
-            return {"runs": float(len(self.runs)), "total_seconds": 0.0,
-                    "mean_seconds": 0.0, "max_seconds": 0.0}
-        return {
-            "runs": float(len(self.runs)),
-            "total_seconds": float(sum(elapsed)),
-            "mean_seconds": float(sum(elapsed) / len(elapsed)),
-            "max_seconds": float(max(elapsed)),
-        }
-
     def telemetry_summary(self) -> Dict[str, float]:
         """Merged per-run telemetry counters, accumulated in spec order.
 

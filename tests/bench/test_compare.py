@@ -83,15 +83,15 @@ class TestCompareCLI:
         # lacks one the current run has (new) — both must warn, neither may
         # fail the gate.  A huge baseline best keeps the matched scenario
         # from ever regressing on a slow machine.
-        baseline = synthetic_report(names=("reservoir/draw", "study/retired"))
+        baseline = synthetic_report(names=("solver/heat1d", "study/retired"))
         for entry in baseline["results"]:
             entry["best_seconds"] = 1000.0
         path = tmp_path / "BENCH_base.json"
         path.write_text(json.dumps(baseline))
         code = bench_main(
             [
-                "--scenario", "reservoir/draw",
-                "--scenario", "reservoir/ingest",
+                "--scenario", "solver/heat1d",
+                "--scenario", "solver/analytic",
                 "--repeats", "1",
                 "--warmup", "0",
                 "--compare", str(path),
@@ -100,8 +100,28 @@ class TestCompareCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "warning: study/retired only in baseline" in out
-        assert "warning: reservoir/ingest only in current report" in out
+        assert "warning: solver/analytic only in current report" in out
         assert "no regressions" in out
+
+    def test_baseline_sharing_no_scenario_exits_two(self, synthetic_report, tmp_path, capsys):
+        import json
+
+        from repro.bench.cli import bench_main
+
+        # A report of retired scenarios only: an empty table must not pass
+        # as "no regressions".  Both name sets are printed.
+        baseline = synthetic_report(names=("reservoir/draw", "nn/train_step"))
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps(baseline))
+        code = bench_main(
+            ["--scenario", "solver/heat1d", "--repeats", "1", "--warmup", "0", "--compare", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "shares no scenario" in captured.err
+        assert "nn/train_step, reservoir/draw" in captured.err
+        assert "solver/heat1d" in captured.err
+        assert "no regressions" not in captured.out
 
 
 class TestFormatting:

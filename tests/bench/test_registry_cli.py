@@ -28,18 +28,18 @@ class TestSelectionDeterminism:
         assert first == scenario_names()
 
     def test_selection_order_is_independent_of_request_order(self):
-        a = [s.name for s in select_scenarios(names=["reservoir/draw", "nn/forward"])]
-        b = [s.name for s in select_scenarios(names=["nn/forward", "reservoir/draw"])]
-        assert a == b == ["nn/forward", "reservoir/draw"]
+        a = [s.name for s in select_scenarios(names=["solver/heat1d", "nn/conv_forward"])]
+        b = [s.name for s in select_scenarios(names=["nn/conv_forward", "solver/heat1d"])]
+        assert a == b == ["nn/conv_forward", "solver/heat1d"]
 
     def test_group_selection_expands_every_member(self):
-        selected = {s.name for s in select_scenarios(groups=["reservoir"])}
-        assert selected == {n for n in scenario_names() if n.startswith("reservoir/")}
+        selected = {s.name for s in select_scenarios(groups=["solver"])}
+        assert selected == {n for n in scenario_names() if n.startswith("solver/")}
 
     def test_groups_and_names_union_without_duplicates(self):
         selected = [
             s.name
-            for s in select_scenarios(names=["reservoir/draw"], groups=["reservoir"])
+            for s in select_scenarios(names=["solver/heat1d"], groups=["solver"])
         ]
         assert selected == sorted(set(selected))
 
@@ -50,20 +50,8 @@ class TestSelectionDeterminism:
             select_scenarios(groups=["nope"])
 
     def test_expected_groups_are_registered(self):
-        assert {"solver", "nn", "reservoir", "checkpoint", "session", "study"} <= set(
-            scenario_groups()
-        )
-
-    def test_study_scenarios_time_each_executor_once(self):
-        # "shm" is an alias of the process backend: no scenario times it twice.
-        study = {n for n in scenario_names() if n.startswith("study/")}
-        assert {
-            "study/serial",
-            "study/process",
-            "study/process_workers1",
-            "study/process_workers2",
-        } <= study
-        assert not any(n.startswith("study/shm") for n in study)
+        # What the repo benchmark's traced layers time has no scenario here.
+        assert set(scenario_groups()) == {"campaign", "nn", "session", "solver"}
 
     def test_every_workload_has_a_solver_scenario(self):
         from repro.api.registry import workload_names
@@ -74,12 +62,12 @@ class TestSelectionDeterminism:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_scenario("reservoir/draw", units="x", description="dup")(lambda: None)
+            register_scenario("solver/heat1d", units="x", description="dup")(lambda: None)
         with pytest.raises(ValueError, match="group/name"):
             register_scenario("nogroup", units="x", description="bad")(lambda: None)
 
 
-@pytest.mark.slow  # builds every scenario: study pools and a live service included
+@pytest.mark.slow  # builds every scenario: a training session and a campaign included
 @pytest.mark.parametrize("name", scenario_names())
 def test_every_scenario_runs_once_with_positive_units(name):
     """Each ``repro bench`` scenario builds, runs once and counts its work."""
@@ -92,18 +80,18 @@ def test_every_scenario_runs_once_with_positive_units(name):
 
 
 class TestBenchCli:
-    FAST = ["--scenario", "reservoir/draw", "--repeats", "1", "--warmup", "0"]
+    FAST = ["--scenario", "solver/heat1d", "--repeats", "1", "--warmup", "0"]
 
     def test_list_scenarios_exits_zero(self, capsys):
         assert cli_main(["bench", "--list-scenarios"]) == 0
         out = capsys.readouterr().out
-        assert "reservoir/draw" in out and "solver/heat2d" in out
+        assert "campaign/cache_hit" in out and "solver/heat2d" in out
 
     def test_out_writes_schema_valid_json(self, tmp_path, capsys):
         out = tmp_path / "BENCH.json"
         assert cli_main(["bench", *self.FAST, "--out", str(out)]) == 0
         report = load_report(out)
-        assert [e["name"] for e in report["results"]] == ["reservoir/draw"]
+        assert [e["name"] for e in report["results"]] == ["solver/heat1d"]
         assert report["settings"] == {"repeats": 1, "warmup": 0}
 
     def test_unknown_scenario_exits_two(self, capsys):
@@ -111,7 +99,7 @@ class TestBenchCli:
         assert "unknown scenario" in capsys.readouterr().err
 
     def test_compare_ok_exits_zero(self, tmp_path, capsys):
-        baseline = run_scenarios(names=["reservoir/draw"], repeats=1, warmup=0)
+        baseline = run_scenarios(names=["solver/heat1d"], repeats=1, warmup=0)
         # A generous baseline (10x slower) can never flag a regression.
         for entry in baseline["results"]:
             entry["best_seconds"] *= 10.0
@@ -122,7 +110,7 @@ class TestBenchCli:
 
     def test_compare_flags_injected_slowdown(self, tmp_path, capsys):
         """A baseline doctored 100x faster makes the current run 'regress'."""
-        baseline = run_scenarios(names=["reservoir/draw"], repeats=1, warmup=0)
+        baseline = run_scenarios(names=["solver/heat1d"], repeats=1, warmup=0)
         for entry in baseline["results"]:
             entry["best_seconds"] /= 100.0
             entry["wall_times"] = [entry["best_seconds"]]
@@ -134,7 +122,7 @@ class TestBenchCli:
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_compare_rejects_wrong_schema_version(self, tmp_path):
-        baseline = run_scenarios(names=["reservoir/draw"], repeats=1, warmup=0)
+        baseline = run_scenarios(names=["solver/heat1d"], repeats=1, warmup=0)
         baseline["schema_version"] = 999
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(baseline))

@@ -95,10 +95,10 @@ class TestRoundTrip:
 class TestRealRun:
     def test_tiny_real_run_is_schema_valid(self, tmp_path):
         """One real scenario through the runner produces a valid report."""
-        report = run_scenarios(names=["reservoir/draw"], repeats=1, warmup=0)
+        report = run_scenarios(names=["solver/heat1d"], repeats=1, warmup=0)
         validate_report(report)
         path = write_report(report, tmp_path / "BENCH_real.json")
         loaded = load_report(path)
         (entry,) = loaded["results"]
-        assert entry["name"] == "reservoir/draw"
+        assert entry["name"] == "solver/heat1d"
         assert entry["units_per_second"] > 0

@@ -79,12 +79,18 @@ class TestStudyResults:
         assert len(table.splitlines()) == 5  # header + separator + 3 rows
 
     def test_json_roundtrip(self, tmp_path):
+        # A resumed study reloads completed runs from JSON: every metric,
+        # the wall-clock elapsed_seconds included, must come back unchanged.
         results = self._results()
+        results.runs[0].metrics["elapsed_seconds"] = 2.0
+        results.runs[1].metrics["elapsed_seconds"] = 0.5
         path = results.save_json(tmp_path / "study.json")
         loaded = StudyResults.load_json(path)
         assert loaded.study == "demo"
         assert len(loaded) == 3
         assert loaded.best("loss").name == "b"
+        assert [run.metrics for run in loaded] == [run.metrics for run in results]
+        assert loaded.runs[0].metric("elapsed_seconds") == 2.0
 
     def test_workload_and_seed_round_trip(self, tmp_path):
         # Multi-workload study JSON stays self-describing: each run records
@@ -137,56 +143,6 @@ class TestStudyResults:
         run = RunResult.from_dict({"name": "old", "config": {}, "metrics": {"loss": 1.0}})
         assert run.workload == "heat2d"
         assert run.seed == 0
-
-
-class TestTimingSummary:
-    def test_summarises_elapsed_seconds(self):
-        results = StudyResults(study="s")
-        results.add(RunResult(name="a", config={}, metrics={"elapsed_seconds": 2.0}))
-        results.add(RunResult(name="b", config={}, metrics={"elapsed_seconds": 4.0}))
-        results.add(RunResult(name="c", config={}, metrics={}))  # no timing recorded
-        summary = results.timing_summary()
-        assert summary == {
-            "runs": 3.0,
-            "total_seconds": 6.0,
-            "mean_seconds": 3.0,
-            "max_seconds": 4.0,
-        }
-
-    def test_empty_results(self):
-        summary = StudyResults(study="s").timing_summary()
-        assert summary == {
-            "runs": 0.0,
-            "total_seconds": 0.0,
-            "mean_seconds": 0.0,
-            "max_seconds": 0.0,
-        }
-
-    def test_single_run(self):
-        results = StudyResults(study="s")
-        results.add(RunResult(name="a", config={}, metrics={"elapsed_seconds": 1.5}))
-        summary = results.timing_summary()
-        assert summary["runs"] == 1.0
-        assert summary["total_seconds"] == summary["mean_seconds"] == summary["max_seconds"] == 1.5
-
-    def test_runs_without_timing_only(self):
-        # All-resumed study where no attempt recorded wall time: counts runs,
-        # zeros the aggregates instead of dividing by zero.
-        results = StudyResults(study="s")
-        results.add(RunResult(name="a", config={}, metrics={}))
-        results.add(RunResult(name="b", config={}, metrics={}))
-        summary = results.timing_summary()
-        assert summary["runs"] == 2.0
-        assert summary["mean_seconds"] == 0.0
-
-    def test_survives_json_resume_round_trip(self, tmp_path):
-        # A resumed study reloads completed runs from JSON; their restored
-        # elapsed_seconds must summarise identically to the live objects.
-        results = StudyResults(study="s")
-        results.add(RunResult(name="a", config={}, metrics={"elapsed_seconds": 2.0}))
-        results.add(RunResult(name="b", config={}, metrics={"elapsed_seconds": 0.5}))
-        loaded = StudyResults.load_json(results.save_json(tmp_path / "study.json"))
-        assert loaded.timing_summary() == results.timing_summary()
 
 
 class TestTelemetrySummary:
