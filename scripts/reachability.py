@@ -58,7 +58,6 @@ REGISTRY = "registry: reached through an accepted config value or registry name"
 VJP = "registry: builds or differentiates an op of the VJP registry"
 SAMPLER_API = "registry: default a sampler registered with register_sampler inherits"
 NULL_OBJECT = "registry: the telemetry-off stand-in of a kept metrics or tracing method"
-EVENT_LOG = "registry: reached through the event_log= argument of a session"
 REFERENCE = "reference: an implementation tests compare against"
 OFFLINE = "offline: the offline-training path of examples/offline_vs_online.py"
 HTTP = "http: ServiceClient method or HTTP route"
@@ -75,7 +74,6 @@ KEEP: List[Tuple[str, str, str]] = [
     # data model methods of kept classes
     *[("*", f"*.__{name}__", DATA_MODEL)
       for name in ("len", "iter", "contains", "repr", "eq", "hash", "float")],
-    ("repro.utils.logging", "LogRecord.__getitem__", DATA_MODEL),
     ("repro.nn.layers", "Sequential.__getitem__", DATA_MODEL),
     # the pooled solver path
     ("repro.melissa.workers", "*", TWO_CPU),
@@ -109,7 +107,6 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.breed.samplers", "SteeringSampler.*", SAMPLER_API),
     ("repro.telemetry.metrics", "_NullSeries.*", NULL_OBJECT),
     ("repro.telemetry.tracing", "NullTracer.*", NULL_OBJECT),
-    ("repro.utils.logging", "*", EVENT_LOG),
     # reference implementations
     ("repro.nn.grad_check", "*", REFERENCE),
     ("repro.nn.losses", "*", REFERENCE),
@@ -175,7 +172,6 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.telemetry.metrics", "*.values", ORACLE),
     ("repro.telemetry.tracing", "Tracer.depth", ORACLE),
     ("repro.utils.rng", "RngStreams.seed", ORACLE),
-    ("repro.utils.timer", "Timer.mean", ORACLE),
     ("repro.workflow.executor", "JsonlCheckpoint.exists", ORACLE),
     ("repro.workflow.study", "StudyRunner.shared_*", ORACLE),
     ("repro.workflow.study", "StudyRunner.run_one", ORACLE),

@@ -15,9 +15,15 @@ phases that mirror the asynchronous components of the real Melissa system:
 
 :meth:`tick` runs one submit→produce→receive→train round, :meth:`run` loops
 until termination and returns the :class:`OnlineTrainingResult`
-(:func:`run_online_training` is the one-call form).  Observers
+(:func:`run_online_training` is the one-call form).
+
+Each part records what it did in its own ledger: the launcher's
+:class:`~repro.melissa.launcher.SimulationRecord` per simulation (state,
+scheduler ticks, steering ``history``), the controller's
+:class:`~repro.breed.controller.SteeringRecord` per applied steering, and the
+server's :class:`~repro.melissa.server.TrainingHistory`.  Live observers
 subscribe through the hook lists :attr:`on_tick`, :attr:`on_steering` and
-:attr:`on_validation` instead of patching the loop.
+:attr:`on_validation` instead of patching the loop, or read the telemetry.
 
 The session is workload-agnostic: every scenario dependency (solver, bounds,
 scalers, surrogate geometry) comes from the :class:`~repro.api.workloads.Workload`
@@ -37,7 +43,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.api.config import OnlineTrainingConfig
-from repro.api.workloads import Workload
 from repro.breed.controller import BreedController, SteeringRecord
 from repro.breed.samplers import ParameterSource
 from repro.melissa.launcher import Launcher
@@ -54,7 +59,6 @@ from repro.surrogate.validation import (
     validation_set_for_workload,
 )
 from repro.utils.heap import pin_heap
-from repro.utils.logging import EventLog
 from repro.utils.rng import RngStreams
 
 __all__ = ["OnlineTrainingResult", "TrainingSession", "run_online_training"]
@@ -126,34 +130,24 @@ class TrainingSession:
     ----------
     config:
         The run configuration; ``config.workload`` selects the scenario.
-    workload:
-        Optional pre-built workload (overrides the registry lookup, e.g. for
-        ad-hoc scenarios that are not registered).
     solver:
         Optional pre-built solver (sharing one across runs avoids re-factorising
         the implicit system when sweeping hyper-parameters).
     validation_set:
         Optional pre-built validation set (reusable across runs of a study
         since the paper keeps it fixed).
-    event_log:
-        Optional structured event log for debugging / tests.
     """
 
     def __init__(
         self,
         config: OnlineTrainingConfig,
-        workload: Optional[Workload] = None,
         solver: Optional[Solver] = None,
         validation_set: Optional[ValidationSet] = None,
-        event_log: Optional[EventLog] = None,
     ) -> None:
         self.config = config
-        self.event_log = event_log
         self.streams = RngStreams(config.seed)
-        # Report the registry key the run was configured with; fall back to
-        # the class-level name only for injected ad-hoc workload objects.
-        self.workload_name = workload.name if workload is not None else config.workload
-        self.workload = workload if workload is not None else config.build_workload()
+        self.workload_name = config.workload
+        self.workload = config.build_workload()
         self.solver = solver if solver is not None else self.workload.build_solver()
         self.scalers = self.workload.build_scalers()
 
@@ -175,7 +169,7 @@ class TrainingSession:
         )
         self._solver_wait_seen, self._validation_wait_seen, self._validations_seen = 0.0, 0.0, 0
         try:
-            self._build(config, validation_set, event_log)
+            self._build(config, validation_set)
         except BaseException:
             if self._workers is not None:
                 self._workers.close()
@@ -185,7 +179,6 @@ class TrainingSession:
         self,
         config: OnlineTrainingConfig,
         validation_set: Optional[ValidationSet],
-        event_log: Optional[EventLog],
     ) -> None:
         """Everything the constructor builds once the solver (and workers) exist."""
         # --- validation set (fixed, Halton-sequence parameters) -----------
@@ -213,9 +206,7 @@ class TrainingSession:
 
         # --- steering ------------------------------------------------------
         self.sampler = config.build_sampler(self.workload)
-        self.controller = BreedController(
-            sampler=self.sampler, rng=self.streams.get("breed"), event_log=event_log
-        )
+        self.controller = BreedController(sampler=self.sampler, rng=self.streams.get("breed"))
 
         # --- framework ------------------------------------------------------
         initial_parameters = self.sampler.initial_parameters(
@@ -228,7 +219,6 @@ class TrainingSession:
             rng=self.streams.get("scheduler"),
             max_start_delay=config.scheduler_max_start_delay,
             workers=self._workers,
-            event_log=event_log,
         )
         self.reservoir = Reservoir(
             capacity=config.reservoir_capacity,
@@ -245,7 +235,6 @@ class TrainingSession:
             validation_set=self.validation_set,
             validation_period=config.validation_period,
             record_sample_statistics=config.record_sample_statistics,
-            event_log=event_log,
             workers=self._workers,
         )
 
@@ -576,7 +565,7 @@ class TrainingSession:
             server_summary=self.server.summary(),
             transport_bytes=self.transport.n_bytes,
             n_ticks=self.n_ticks,
-            steering_seconds=self.controller.total_steering_seconds,
+            steering_seconds=self.controller.steering_seconds,
             workload=self.workload_name,
         )
 
@@ -585,16 +574,11 @@ def run_online_training(
     config: OnlineTrainingConfig,
     solver: Optional[Solver] = None,
     validation_set: Optional[ValidationSet] = None,
-    event_log: Optional[EventLog] = None,
 ) -> OnlineTrainingResult:
     """Run one complete on-line training experiment and return its results.
 
     ``solver`` / ``validation_set`` are optional pre-built run inputs —
     sharing them across the runs of a study avoids re-factorising the
-    implicit system and rebuilding the fixed validation set per run;
-    ``event_log`` is an optional structured event log for debugging / tests.
+    implicit system and rebuilding the fixed validation set per run.
     """
-    session = TrainingSession(
-        config, solver=solver, validation_set=validation_set, event_log=event_log
-    )
-    return session.run()
+    return TrainingSession(config, solver=solver, validation_set=validation_set).run()

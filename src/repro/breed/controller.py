@@ -14,18 +14,22 @@ The :class:`BreedController` is what the Melissa server owns.  Its job is to
 The controller is sampler-agnostic: with a :class:`~repro.breed.samplers.RandomSampler`
 it simply never triggers, reproducing the paper's baseline behaviour with the
 identical code path (so overhead comparisons are fair).
+
+Every triggered decision is timed with a :func:`time.perf_counter` pair:
+``steering_seconds`` and ``steering_count`` grow whether the decision is
+applied, finds no steerable simulation, comes back empty or raises.  Each
+:class:`SteeringRecord` carries the running total when it was applied.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.breed.samplers import ParameterSource, ResampleDecision, SteeringSampler
-from repro.utils.logging import EventLog
-from repro.utils.timer import Timer
+from repro.breed.samplers import ResampleDecision, SteeringSampler
 
 __all__ = ["SteeringTarget", "SteeringRecord", "BreedController"]
 
@@ -61,10 +65,11 @@ class BreedController:
 
     sampler: SteeringSampler
     rng: np.random.Generator
-    event_log: Optional[EventLog] = None
-    #: accumulated wall-clock time spent inside resampling (overhead metric)
-    steering_timer: Timer = field(default_factory=lambda: Timer(name="steering"))
     records: List[SteeringRecord] = field(default_factory=list)
+    #: accumulated wall-clock seconds spent inside triggered steerings (overhead metric)
+    steering_seconds: float = field(default=0.0, init=False)
+    #: triggered steerings timed, applied or not
+    steering_count: int = field(default=0, init=False)
 
     # ---------------------------------------------------------------- losses
     def observe_batch(
@@ -83,16 +88,18 @@ class BreedController:
         """Trigger-and-apply: called by the server after every NN iteration."""
         if not self.sampler.should_resample(iteration):
             return None
-        with self.steering_timer.span():
+        start = time.perf_counter()
+        try:
             steerable = target.steerable_simulation_ids()
             if not steerable:
-                if self.event_log is not None:
-                    self.event_log.emit("breed", "steering_skipped", step=iteration, reason="no pending simulations")
                 return None
             decision = self.sampler.resample(len(steerable), iteration, self.rng)
             if decision is None or len(decision) == 0:
                 return None
             n_applied = self._apply(decision, steerable, target)
+        finally:
+            self.steering_seconds += time.perf_counter() - start
+            self.steering_count += 1
         record = SteeringRecord(
             iteration=iteration,
             resampling_index=decision.resampling_index,
@@ -100,18 +107,9 @@ class BreedController:
             sources=list(decision.sources[:n_applied]),
             n_requested=len(steerable),
             n_applied=n_applied,
-            elapsed_seconds=self.steering_timer.total,
+            elapsed_seconds=self.steering_seconds,
         )
         self.records.append(record)
-        if self.event_log is not None:
-            self.event_log.emit(
-                "breed",
-                "steering_applied",
-                step=iteration,
-                n_applied=n_applied,
-                n_uniform=sum(1 for s in record.sources if s == ParameterSource.MIX_UNIFORM),
-                n_proposal=sum(1 for s in record.sources if s == ParameterSource.PROPOSAL),
-            )
         return record
 
     def _apply(self, decision: ResampleDecision, steerable: List[int], target: SteeringTarget) -> int:
@@ -130,14 +128,14 @@ class BreedController:
     def state_dict(self) -> dict:
         """Sampler state plus applied-steering bookkeeping.
 
-        The steering timer's accumulated wall-clock total is carried over so
+        The accumulated steering wall-clock total is carried over so
         overhead reports cover the whole (interrupted) run; it is measurement,
         not behaviour, and stays excluded from bit-identity contracts.
         """
         return {
             "sampler": self.sampler.state_dict(),
-            "steering_total_seconds": self.steering_timer.total,
-            "steering_count": self.steering_timer.count,
+            "steering_total_seconds": self.steering_seconds,
+            "steering_count": self.steering_count,
             "records": [
                 {
                     "iteration": record.iteration,
@@ -154,8 +152,8 @@ class BreedController:
 
     def load_state_dict(self, state: dict) -> None:
         self.sampler.load_state_dict(state["sampler"])
-        self.steering_timer.total = float(state["steering_total_seconds"])
-        self.steering_timer.count = int(state["steering_count"])
+        self.steering_seconds = float(state["steering_total_seconds"])
+        self.steering_count = int(state["steering_count"])
         self.records = [
             SteeringRecord(
                 iteration=int(payload["iteration"]),
@@ -170,11 +168,6 @@ class BreedController:
         ]
 
     # ------------------------------------------------------------- overhead
-    @property
-    def total_steering_seconds(self) -> float:
-        """Total wall-clock time spent choosing new parameters (paper: negligible)."""
-        return self.steering_timer.total
-
     @property
     def n_steering_events(self) -> int:
         return len(self.records)

@@ -7,7 +7,7 @@ upstream sweep's results into the downstream refinement node's run
 configurations.  Execution is a deterministic topological walk with
 
 * an **artifact cache** keyed by the effective-configuration fingerprint
-  (:func:`repro.workflow.executor.config_digest`), so a run shared by two
+  (:meth:`repro.api.config.OnlineTrainingConfig.digest`), so a run shared by two
   nodes executes exactly once (hits are counted by the
   ``repro_campaign_cache_hits_total`` telemetry counter),
 * **failure domains** — a failed node (after its per-node retries) only

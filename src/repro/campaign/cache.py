@@ -2,7 +2,7 @@
 
 Two campaign nodes that expand to the same *effective* configuration (base
 config ∘ overrides, metadata keys excluded — exactly what
-:func:`repro.workflow.executor.config_digest` fingerprints) describe the same
+:meth:`repro.api.config.OnlineTrainingConfig.digest` fingerprints) describe the same
 deterministic computation, so the second node splices the first node's
 record instead of re-executing it.  Entries are one atomic JSON file per
 digest under ``<root>/<digest>.json`` — crash-safe by construction (a kill

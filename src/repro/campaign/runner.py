@@ -24,7 +24,6 @@ after a kill at *any* point re-enters bit-identically, exactly like
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
@@ -43,9 +42,9 @@ from repro.campaign.spec import (
 from repro.utils.durable import atomic_write
 from repro.utils.logging import get_logger
 from repro.workflow import faults
-from repro.workflow.executor import JsonlCheckpoint, StudyInputCache, config_digest
+from repro.workflow.executor import JsonlCheckpoint, StudyInputCache
 from repro.workflow.results import RunResult, StudyResults
-from repro.workflow.study import StudyRunner
+from repro.workflow.study import StudyRunner, path_safe_name
 
 __all__ = ["CampaignResult", "CampaignResumeError", "CampaignRunner"]
 
@@ -89,10 +88,6 @@ class CampaignResult:
                 for name, results in self.results.items()
             },
         }
-
-
-def _sanitize(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._=+-]+", "_", name)
 
 
 class CampaignRunner:
@@ -150,7 +145,7 @@ class CampaignRunner:
 
     # ----------------------------------------------------------- plumbing
     def node_dir(self, name: str) -> Path:
-        return self.root / "nodes" / _sanitize(name)
+        return self.root / "nodes" / path_safe_name(name)
 
     def _emit(self, event: str, **payload: Any) -> None:
         self.manifest.append(event, **payload)
@@ -319,7 +314,7 @@ class CampaignRunner:
             record = already.get(spec.name)
             if record is not None and StudyRunner._record_matches_spec(record, spec):
                 continue  # completed by a previous invocation of this node
-            digest = config_digest(spec.build_config())
+            digest = spec.build_config().digest()
             cached = self.cache.get(digest)
             if cached is None:
                 continue

@@ -3,10 +3,9 @@
 The :class:`CheckpointPolicy` is an observer — it never changes what the
 training loop computes, it only persists the loop's state at tick boundaries.
 ``every_n_batches`` counts *training iterations* (the paper's unit of
-progress); ``every_n_ticks`` counts driver rounds, useful for the data-
-production phase before the reservoir watermark is reached, when no batches
-run yet.  Both may be combined; a snapshot is written whenever either period
-elapses, at most once per tick.
+progress); a snapshot is written at the first tick boundary after each
+period elapses, at most once per tick.  Before the reservoir watermark no
+batch runs, so nothing is saved while data is only being produced.
 """
 
 from __future__ import annotations
@@ -25,13 +24,11 @@ __all__ = ["CheckpointPolicy"]
 
 @dataclass
 class CheckpointPolicy:
-    """Save a session snapshot every N training batches and/or ticks."""
+    """Save a session snapshot every N training batches."""
 
     directory: str | Path
-    #: snapshot period in training iterations (0 disables the batch trigger)
-    every_n_batches: int = 0
-    #: snapshot period in session ticks (0 disables the tick trigger)
-    every_n_ticks: int = 0
+    #: snapshot period in training iterations
+    every_n_batches: int
     #: retention: number of most-recent snapshots kept in ``directory``
     keep: int = 3
     #: write compressed ``.npz`` archives (slower saves, smaller snapshots)
@@ -41,13 +38,10 @@ class CheckpointPolicy:
     #: path of the most recent snapshot written by this policy
     last_path: Optional[Path] = field(default=None, init=False)
     _batch_marker: int = field(default=0, init=False, repr=False)
-    _tick_marker: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.every_n_batches < 0 or self.every_n_ticks < 0:
-            raise ValueError("snapshot periods must be non-negative")
-        if self.every_n_batches == 0 and self.every_n_ticks == 0:
-            raise ValueError("at least one of every_n_batches/every_n_ticks must be > 0")
+        if self.every_n_batches < 1:
+            raise ValueError("every_n_batches must be >= 1")
         if self.keep < 1:
             raise ValueError("keep must be >= 1")
 
@@ -55,28 +49,17 @@ class CheckpointPolicy:
     def attach(self, session: "TrainingSession") -> "CheckpointPolicy":
         """Subscribe to ``session.on_tick``; returns the policy for chaining.
 
-        The period markers start from the session's *current* counters, so a
+        The period marker starts from the session's *current* iteration, so a
         freshly restored session does not immediately re-save the snapshot it
         was just restored from.
         """
-        self._batch_marker = self._period_index(session.server.iteration, self.every_n_batches)
-        self._tick_marker = self._period_index(session.n_ticks, self.every_n_ticks)
+        self._batch_marker = session.server.iteration // self.every_n_batches
         session.on_tick.append(self.on_tick)
         return self
 
-    @staticmethod
-    def _period_index(counter: int, period: int) -> int:
-        return counter // period if period > 0 else 0
-
     def should_save(self, session: "TrainingSession") -> bool:
-        """Whether the session just crossed a batch/tick snapshot period."""
-        if self.every_n_batches > 0:
-            if self._period_index(session.server.iteration, self.every_n_batches) > self._batch_marker:
-                return True
-        if self.every_n_ticks > 0:
-            if self._period_index(session.n_ticks, self.every_n_ticks) > self._tick_marker:
-                return True
-        return False
+        """Whether the session just crossed a snapshot period."""
+        return session.server.iteration // self.every_n_batches > self._batch_marker
 
     def on_tick(self, session: "TrainingSession") -> None:
         """Tick hook: save when a period elapsed since the last snapshot."""
@@ -84,12 +67,11 @@ class CheckpointPolicy:
             self.save(session)
 
     def save(self, session: "TrainingSession") -> Path:
-        """Write one snapshot now and advance the period markers."""
+        """Write one snapshot now and advance the period marker."""
         path = save_session(
             session, self.directory, keep=self.keep, compressed=self.compressed
         )
-        self._batch_marker = self._period_index(session.server.iteration, self.every_n_batches)
-        self._tick_marker = self._period_index(session.n_ticks, self.every_n_ticks)
+        self._batch_marker = session.server.iteration // self.every_n_batches
         self.n_saved += 1
         self.last_path = path
         return path

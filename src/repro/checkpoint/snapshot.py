@@ -39,6 +39,8 @@ import json
 import os
 import shutil
 import time
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
@@ -238,7 +240,8 @@ def save_session(
 
     The snapshot is named after the session's tick counter; saving twice at
     the same tick is idempotent (the existing snapshot wins — it describes
-    the same state).  ``keep`` bounds the number of retained snapshots.
+    the same state — unless its archive cannot be read).  ``keep`` bounds
+    the number of retained snapshots.
     """
     start = time.perf_counter()
     with telemetry.tracer().span("checkpoint.save", cat="checkpoint", tick=session.n_ticks):
@@ -276,12 +279,14 @@ def _save_session(
     }
     if final.exists():
         # Same-tick resave: idempotent only when the existing snapshot really
-        # is ours.  A leftover from a *different* configuration (stale
-        # directory reuse) must be replaced, or the latest pointer would
+        # is ours and readable.  A leftover from a *different* configuration
+        # (stale directory reuse) must be replaced, or the latest pointer would
         # advertise our fingerprint over a foreign snapshot and every future
-        # restore would fail the mismatch check.
+        # restore would fail the mismatch check; one whose archive cannot be
+        # read (a resume skipped it) must be replaced, or it stays unrestorable.
         try:
             existing = load_manifest(final)
+            _load_arrays(final)
         except SnapshotError:
             existing = None
         if existing is not None and existing.get("fingerprint") == manifest["fingerprint"]:
@@ -314,7 +319,6 @@ def restore_session(
     config: Optional[OnlineTrainingConfig] = None,
     solver=None,
     validation_set=None,
-    event_log=None,
 ) -> "TrainingSession":
     """Rebuild a :class:`TrainingSession` bit-identical to a saved snapshot.
 
@@ -326,12 +330,12 @@ def restore_session(
         Optional configuration the caller *expects* the snapshot to belong
         to; a fingerprint mismatch raises :class:`SnapshotMismatchError`.
         When omitted, the configuration embedded in the manifest is used.
-    solver / validation_set / event_log:
+    solver / validation_set:
         Optional pre-built run inputs, exactly as for ``TrainingSession``.
     """
     start = time.perf_counter()
     with telemetry.tracer().span("checkpoint.restore", cat="checkpoint"):
-        session = _restore_session(snapshot, config, solver, validation_set, event_log)
+        session = _restore_session(snapshot, config, solver, validation_set)
     registry = telemetry.metrics()
     registry.counter("repro_checkpoint_restores_total", help="session snapshots restored").inc()
     registry.histogram(
@@ -345,7 +349,6 @@ def _restore_session(
     config: Optional[OnlineTrainingConfig],
     solver,
     validation_set,
-    event_log,
 ) -> "TrainingSession":
     from repro.api.session import TrainingSession
 
@@ -358,15 +361,8 @@ def _restore_session(
         )
     if config is None:
         config = OnlineTrainingConfig.from_dict(manifest["config"])
-    arrays_path = snapshot / _ARRAYS_NAME
-    if not arrays_path.exists():
-        raise SnapshotError(f"snapshot {snapshot} has no {_ARRAYS_NAME}")
-    with np.load(arrays_path) as archive:
-        arrays = {key: archive[key].copy() for key in archive.files}
-    state = decode_state(manifest["state"], arrays)
-    session = TrainingSession(
-        config, solver=solver, validation_set=validation_set, event_log=event_log
-    )
+    state = decode_state(manifest["state"], _load_arrays(snapshot))
+    session = TrainingSession(config, solver=solver, validation_set=validation_set)
     try:
         session.load_state_dict(state)
     except BaseException:
@@ -379,45 +375,56 @@ def resume_or_start(
     config: OnlineTrainingConfig,
     solver=None,
     validation_set=None,
-    event_log=None,
     directory: Optional[str | Path] = None,
 ) -> "TrainingSession":
-    """Restore the latest matching snapshot, or start a fresh session.
+    """Restore the newest snapshot that loads, or start a fresh session.
 
-    ``directory`` defaults to ``config.checkpoint_dir``.  A snapshot written
-    by a *different* configuration (stale directory reuse) is not restored:
-    a warning is logged and the run starts from scratch, which is always
-    correct — just slower.
+    ``directory`` defaults to ``config.checkpoint_dir``.  The retained
+    snapshots are tried newest first (the ``latest.json`` target before the
+    rest); one that cannot be restored — written by a *different*
+    configuration (stale directory reuse), or with an unreadable manifest or
+    archive — is skipped with a warning.  When none loads the run starts
+    from scratch, which is always correct — just slower.
     """
     from repro.api.session import TrainingSession
 
     directory = directory if directory is not None else config.checkpoint_dir
-    if directory:
-        snapshot = latest_snapshot(directory)
-        if snapshot is not None:
-            try:
-                session = restore_session(
-                    snapshot,
-                    config=config,
-                    solver=solver,
-                    validation_set=validation_set,
-                    event_log=event_log,
-                )
-            except SnapshotMismatchError:
-                _LOGGER.warning(
-                    "snapshot %s belongs to a different configuration; starting fresh",
-                    snapshot,
-                )
-            except SnapshotError as error:
-                _LOGGER.warning("cannot restore snapshot %s (%s); starting fresh", snapshot, error)
-            else:
-                _LOGGER.info(
-                    "resuming session from %s (tick %d, iteration %d)",
-                    snapshot,
-                    session.n_ticks,
-                    session.server.iteration,
-                )
-                return session
-    return TrainingSession(
-        config, solver=solver, validation_set=validation_set, event_log=event_log
-    )
+    for snapshot in _newest_first(Path(directory)) if directory else []:
+        try:
+            session = restore_session(
+                snapshot, config=config, solver=solver, validation_set=validation_set
+            )
+        except SnapshotMismatchError:
+            _LOGGER.warning(
+                "snapshot %s belongs to a different configuration; skipping it", snapshot
+            )
+        except SnapshotError as error:
+            _LOGGER.warning("cannot restore snapshot %s (%s); skipping it", snapshot, error)
+        else:
+            _LOGGER.info(
+                "resuming session from %s (tick %d, iteration %d)",
+                snapshot,
+                session.n_ticks,
+                session.server.iteration,
+            )
+            return session
+    return TrainingSession(config, solver=solver, validation_set=validation_set)
+
+
+def _newest_first(directory: Path) -> list[Path]:
+    """The retained snapshots in restore order: the latest pointer's, then newest to oldest."""
+    latest = latest_snapshot(directory)
+    older = [snapshot for snapshot in reversed(list_snapshots(directory)) if snapshot != latest]
+    return ([latest] if latest is not None else []) + older
+
+
+def _load_arrays(snapshot: Path) -> Dict[str, np.ndarray]:
+    """Every array of a snapshot's archive; ``SnapshotError`` when it is missing or unreadable."""
+    arrays_path = snapshot / _ARRAYS_NAME
+    if not arrays_path.exists():
+        raise SnapshotError(f"snapshot {snapshot} has no {_ARRAYS_NAME}")
+    try:
+        with np.load(arrays_path) as archive:
+            return {key: archive[key].copy() for key in archive.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as error:
+        raise SnapshotError(f"snapshot archive {arrays_path} is unreadable: {error}") from error

@@ -32,7 +32,6 @@ import numpy as np
 from repro.breed.samplers import ParameterSource
 from repro.melissa.client import SolverClient
 from repro.solvers.base import Solver
-from repro.utils.logging import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.melissa.workers import SolverWorkers
@@ -103,7 +102,6 @@ class Launcher:
         rng: np.random.Generator,
         max_start_delay: int = 0,
         workers: Optional["SolverWorkers"] = None,
-        event_log: Optional[EventLog] = None,
     ) -> None:
         if job_limit < 1:
             raise ValueError("job_limit must be >= 1")
@@ -122,7 +120,6 @@ class Launcher:
         self.max_start_delay = max_start_delay
         self._rng = rng
         self.workers = workers
-        self.event_log = event_log
         #: scheduler ticks advanced so far
         self.tick = 0
         #: submission order is by increasing simulation id, as in Melissa
@@ -171,8 +168,6 @@ class Launcher:
             submitted.append(record.simulation_id)
             self.next_to_submit += 1
             outstanding += 1
-            if self.event_log is not None:
-                self.event_log.emit("launcher", "submitted", simulation_id=record.simulation_id)
         return submitted
 
     def advance(self) -> List[SolverClient]:
@@ -197,8 +192,6 @@ class Launcher:
             record.started_tick = self.tick
             record.client = SolverClient(record.simulation_id, record.parameters, self.solver, self.workers)
             record.client.start()  # a worker reads ahead from now on; inline, nothing runs before produce()
-            if self.event_log is not None:
-                self.event_log.emit("launcher", "started", simulation_id=record.simulation_id)
         return [record.client for record in eligible]  # type: ignore[misc]
 
     def mark_finished(self, simulation_id: int) -> None:
@@ -209,8 +202,6 @@ class Launcher:
             )
         record.state = SimulationState.FINISHED
         record.completed_tick = self.tick
-        if self.event_log is not None:
-            self.event_log.emit("launcher", "finished", simulation_id=simulation_id)
 
     def running_clients(self) -> List[SolverClient]:
         return [
@@ -244,10 +235,6 @@ class Launcher:
         record.parameters = np.asarray(parameters, dtype=np.float64).copy()
         record.source = source
         record.history.append(source)
-        if self.event_log is not None:
-            self.event_log.emit(
-                "launcher", "parameters_updated", simulation_id=simulation_id, origin=source
-            )
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, Dict[str, object]]:

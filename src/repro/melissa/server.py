@@ -27,7 +27,6 @@ from repro.melissa.reservoir import Reservoir, ReservoirBatch
 from repro.nn.tensor import Tensor
 from repro.surrogate.model import DirectSurrogate
 from repro.surrogate.validation import ValidationSet, start_validation_loss, validation_loss
-from repro.utils.logging import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.melissa.workers import SolverWorkers
@@ -133,8 +132,6 @@ class TrainingServer:
         validation_set: Optional[ValidationSet] = None,
         validation_period: int = 50,
         record_sample_statistics: bool = False,
-        uniform_source_flags: Optional[dict[int, bool]] = None,
-        event_log: Optional[EventLog] = None,
         workers: Optional["SolverWorkers"] = None,
     ) -> None:
         if batch_size < 1:
@@ -150,8 +147,7 @@ class TrainingServer:
         self.validation_period = validation_period
         self.record_sample_statistics = record_sample_statistics
         #: per-simulation flag: True when its parameters came from a uniform draw
-        self.uniform_source_flags = dict(uniform_source_flags or {})
-        self.event_log = event_log
+        self.uniform_source_flags: dict[int, bool] = {}
         #: the session's solver workers, which evaluate each validation point (None: inline)
         self.workers = workers
         #: the point the workers are evaluating: ``(iteration, poll)`` (see ``start_validation_loss``)
@@ -318,8 +314,6 @@ class TrainingServer:
             return
         self.history.validation_losses.append(loss)
         self.history.validation_iterations.append(iteration)
-        if self.event_log is not None:
-            self.event_log.emit("server", "validation", step=iteration, loss=loss)
 
     def summary(self) -> dict[str, float]:
         return {
@@ -328,6 +322,6 @@ class TrainingServer:
             "final_train_loss": self.history.final_train_loss(),
             "final_validation_loss": self.history.final_validation_loss(),
             "steering_events": float(self.controller.n_steering_events),
-            "steering_seconds": self.controller.total_steering_seconds,
+            "steering_seconds": self.controller.steering_seconds,
             **{f"reservoir_{k}": v for k, v in self.reservoir.summary().items()},
         }

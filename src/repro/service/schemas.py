@@ -15,7 +15,7 @@ agree on one vocabulary:
   message on any problem (the server maps it to HTTP 400).
 * :func:`job_fingerprint` — the submission identity used for deduplication,
   derived from the *effective* per-run configuration fingerprints
-  (:func:`repro.workflow.executor.config_digest`), so two submissions that
+  (:meth:`repro.api.config.OnlineTrainingConfig.digest`), so two submissions that
   describe the same runs dedupe even when their payloads differ cosmetically
   (key order, omitted defaults).
 
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.api.config import OnlineTrainingConfig
-from repro.workflow.executor import BACKENDS, apply_overrides, config_digest
+from repro.workflow.executor import BACKENDS, apply_overrides
 
 __all__ = [
     "JOB_STATES",
@@ -210,7 +210,7 @@ def validate_campaign_submission(payload: Any) -> JobSpec:
 
 
 def run_digests(spec: JobSpec) -> List[tuple]:
-    """``(run_name, config_digest)`` per run of the submission, in run order.
+    """``(run_name, config digest)`` per run of the submission, in run order.
 
     Uses the same name derivation and override application as the study
     engine, so the fingerprint below describes exactly the runs the worker
@@ -220,7 +220,7 @@ def run_digests(spec: JobSpec) -> List[tuple]:
 
     runner = StudyRunner(base_config=spec.build_base_config(), study_name=spec.study_name)
     return [
-        (s.name, config_digest(s.build_config()))
+        (s.name, s.build_config().digest())
         for s in runner.build_specs(spec.configurations, spec.name_key)
     ]
 

@@ -42,6 +42,9 @@ __all__ = ["DEFAULT_CHECKPOINT_EVERY", "JobCancelled", "ServiceShutdown", "Worke
 
 _LOGGER = get_logger("service")
 
+#: seconds an idle worker waits on the store before re-checking the stop event
+POLL_SECONDS = 0.5
+
 #: mid-run snapshot period (training batches) used when a submission does not
 #: choose its own — restart-safe resume is the service's default posture
 DEFAULT_CHECKPOINT_EVERY = 25
@@ -68,13 +71,11 @@ class Worker(threading.Thread):
         stop_event: threading.Event,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         name: Optional[str] = None,
-        poll_seconds: float = 0.5,
     ) -> None:
         super().__init__(name=name or "service-worker", daemon=True)
         self.store = store
         self.stop_event = stop_event
         self.checkpoint_every = checkpoint_every
-        self.poll_seconds = poll_seconds
         #: merged telemetry counters of the job currently executing (a worker
         #: runs one job at a time; reset per claim)
         self._job_telemetry: dict = {}
@@ -82,7 +83,7 @@ class Worker(threading.Thread):
     # ---------------------------------------------------------------- loop
     def run(self) -> None:  # pragma: no cover - exercised via live services
         while not self.stop_event.is_set():
-            record = self.store.claim_next(timeout=self.poll_seconds, stop=self.stop_event)
+            record = self.store.claim_next(timeout=POLL_SECONDS, stop=self.stop_event)
             if record is None:
                 continue
             if self.stop_event.is_set():
@@ -204,8 +205,7 @@ class Worker(threading.Thread):
 
     def _write_result(self, job_id: str, results) -> None:
         """Persist the final StudyResults atomically."""
-        payload = {"study": results.study, "runs": [run.to_dict() for run in results.runs]}
-        atomic_write(self.store.result_path(job_id), json.dumps(payload, indent=2))
+        results.save_json(self.store.result_path(job_id))
         # The spec-order merge over the *complete* run list also covers runs
         # resumed from runs.jsonl in earlier attempts.
         merged = results.telemetry_summary()

@@ -110,9 +110,6 @@ def build_validation_set(
     bounds: ParameterBounds,
     scalers: SurrogateScalers,
     n_trajectories: int,
-    skip: int = 1,
-    rng: Optional[np.random.Generator] = None,
-    scramble: bool = False,
     workers: Optional["SolverWorkers"] = None,
 ) -> ValidationSet:
     """Generate the fixed Halton-sequence validation set by running the solver.
@@ -123,7 +120,8 @@ def build_validation_set(
     """
     if n_trajectories <= 0:
         raise ValueError("n_trajectories must be positive")
-    vectors = halton_in_bounds(n_trajectories, bounds, skip=skip, rng=rng, scramble=scramble)
+    # the paper's fixed set: the Halton points after the origin, unscrambled
+    vectors = halton_in_bounds(n_trajectories, bounds, skip=1, rng=None, scramble=False)
     rows = solver.n_timesteps + 1
     shape = (n_trajectories * rows, vectors.shape[1] + 1), (n_trajectories * rows, solver.field_size)
     if workers is None:
@@ -152,9 +150,6 @@ def validation_set_for_workload(
     workload: "Workload",
     n_trajectories: int,
     solver: Optional[Solver] = None,
-    skip: int = 1,
-    rng: Optional[np.random.Generator] = None,
-    scramble: bool = False,
     workers: Optional["SolverWorkers"] = None,
 ) -> Optional[ValidationSet]:
     """Fixed validation set of a :class:`~repro.api.workloads.Workload`.
@@ -175,9 +170,6 @@ def validation_set_for_workload(
         bounds=workload.bounds,
         scalers=workload.build_scalers(),
         n_trajectories=n_trajectories,
-        skip=skip,
-        rng=rng,
-        scramble=scramble,
         workers=workers,
     )
 

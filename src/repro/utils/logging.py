@@ -1,95 +1,16 @@
-"""Small logging facade.
+"""Namespaced access to the standard :mod:`logging` module.
 
-The framework's components (launcher, server, clients, Breed controller) emit
-structured events.  For the reproduction we keep logging dependency-free: a
-:class:`EventLog` collects structured records in memory (so tests and the
-analysis modules can assert on them) and can optionally echo human-readable
-lines through the standard :mod:`logging` module.
+Every component logs through ``repro.<name>`` loggers, so an application
+configures the whole package with one ``logging.getLogger("repro")``.
 """
 
 from __future__ import annotations
 
 import logging as _stdlib_logging
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["EventLog", "LogRecord", "format_record", "get_logger"]
+__all__ = ["get_logger"]
 
 
 def get_logger(name: str) -> _stdlib_logging.Logger:
     """Return a namespaced stdlib logger (``repro.<name>``)."""
     return _stdlib_logging.getLogger(f"repro.{name}")
-
-
-def format_record(record: "LogRecord") -> str:
-    """Render one structured event as a stable, grep-friendly line.
-
-    ``[source] event step=N key=value …`` — floats in shortest-repr form,
-    payload keys in insertion order, ``step=`` omitted when unset.  This is
-    the single human-readable rendering of a :class:`LogRecord`; the echo
-    path and any log-file writer share it, so a format change cannot fork
-    the two.
-    """
-    parts = [f"[{record.source}]", record.event]
-    if record.step is not None:
-        parts.append(f"step={record.step}")
-    for key, value in record.payload.items():
-        if isinstance(value, float):
-            parts.append(f"{key}={value!r}")
-        else:
-            parts.append(f"{key}={value}")
-    return " ".join(parts)
-
-
-@dataclass
-class LogRecord:
-    """One structured event."""
-
-    source: str
-    event: str
-    payload: Dict[str, Any] = field(default_factory=dict)
-    step: Optional[int] = None
-
-    def __getitem__(self, key: str) -> Any:
-        return self.payload[key]
-
-
-class EventLog:
-    """In-memory structured event log with simple filtering."""
-
-    def __init__(self, echo: bool = False) -> None:
-        self._records: List[LogRecord] = []
-        self._echo = echo
-        self._logger = get_logger("events")
-
-    def emit(self, source: str, event: str, step: Optional[int] = None, **payload: Any) -> LogRecord:
-        record = LogRecord(source=source, event=event, payload=dict(payload), step=step)
-        self._records.append(record)
-        if self._echo:
-            self._logger.info("%s", format_record(record))
-        return record
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
-
-    def filter(self, source: Optional[str] = None, event: Optional[str] = None) -> List[LogRecord]:
-        out = []
-        for rec in self._records:
-            if source is not None and rec.source != source:
-                continue
-            if event is not None and rec.event != event:
-                continue
-            out.append(rec)
-        return out
-
-    def last(self, event: str) -> Optional[LogRecord]:
-        for rec in reversed(self._records):
-            if rec.event == event:
-                return rec
-        return None
-
-    def clear(self) -> None:
-        self._records.clear()

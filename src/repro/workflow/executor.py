@@ -35,6 +35,7 @@ import json
 import os
 import pickle
 import queue
+import time
 import traceback
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
@@ -54,7 +55,6 @@ from repro.surrogate.validation import (
 )
 from repro.utils.durable import AppendLog
 from repro.utils.logging import get_logger
-from repro.utils.timer import Timer
 from repro.workflow import faults
 from repro.workflow.results import RunResult
 
@@ -69,7 +69,6 @@ __all__ = [
     "TIMING_METRICS",
     "WorkerTraceback",
     "apply_overrides",
-    "config_digest",
     "effective_worker_count",
     "execute_spec",
     "get_executor",
@@ -157,19 +156,6 @@ class RunSpec:
         return config
 
 
-def config_digest(config: OnlineTrainingConfig) -> str:
-    """Short stable fingerprint of an effective run configuration.
-
-    Stamped onto each :class:`RunResult` so checkpoint/resume can detect that
-    a record was produced by a different configuration — run names omit the
-    base config entirely, and the override dict only covers the varied keys.
-    Delegates to :meth:`OnlineTrainingConfig.digest`, which excludes the
-    checkpoint-plumbing fields, so a run fingerprints identically whether or
-    not it snapshots itself.
-    """
-    return config.digest()
-
-
 # ---------------------------------------------------------------------------
 # Shared-input cache
 # ---------------------------------------------------------------------------
@@ -243,7 +229,6 @@ def execute_spec(
     faults.maybe_inject("run", spec.name)
     config = spec.build_config()
     solver, validation = (cache if cache is not None else StudyInputCache()).inputs(config)
-    timer = Timer(name=spec.name)
     # Per-run telemetry attribution: counter snapshots around the run turn the
     # process-wide registry into per-run increments (workers run specs
     # sequentially, so every increment between the snapshots belongs to this
@@ -251,7 +236,8 @@ def execute_spec(
     metrics_on = telemetry.metrics_enabled()
     counters_before = telemetry.metrics().counter_values() if metrics_on else {}
     tracer = telemetry.tracer()
-    with timer.span(), tracer.span("study.run", cat="study", run=spec.name):
+    start = time.perf_counter()
+    with tracer.span("study.run", cat="study", run=spec.name):
         if config.checkpoint_dir:
             # Fault-tolerant path: re-enter a partially completed run from its
             # latest session snapshot instead of restarting it, and keep
@@ -262,6 +248,7 @@ def execute_spec(
             result = session.run()
         else:
             result = run_online_training(config, solver=solver, validation_set=validation)
+    elapsed_seconds = time.perf_counter() - start
     run_telemetry: Dict[str, float] = {}
     if metrics_on:
         run_telemetry = telemetry.counter_delta(
@@ -281,7 +268,7 @@ def execute_spec(
             "parameter_overwrites": float(result.launcher_summary.get("overwrites", 0)),
             "uniform_fraction": result.uniform_fraction(),
             "steering_seconds": result.steering_seconds,
-            "elapsed_seconds": timer.total,
+            "elapsed_seconds": elapsed_seconds,
         },
         series={
             "train_iterations": [float(i) for i in result.history.train_iterations],
@@ -291,7 +278,7 @@ def execute_spec(
         },
         workload=config.workload,
         seed=config.seed,
-        digest=config_digest(config),
+        digest=config.digest(),
         telemetry=run_telemetry,
     )
     return record, result
@@ -326,9 +313,8 @@ class SerialExecutor:
     the study completes.  Nothing needs to be picklable on this path.
     """
 
-    def __init__(self, cache: Optional[StudyInputCache] = None, keep_full_results: bool = True) -> None:
+    def __init__(self, cache: Optional[StudyInputCache] = None) -> None:
         self.cache = cache if cache is not None else StudyInputCache()
-        self.keep_full_results = keep_full_results
         self.full_results: Dict[str, OnlineTrainingResult] = {}
 
     def execute(
@@ -337,8 +323,7 @@ class SerialExecutor:
         records: List[RunResult] = []
         for index, spec in enumerate(specs):
             record, full = execute_spec(spec, self.cache)
-            if self.keep_full_results:
-                self.full_results[spec.name] = full
+            self.full_results[spec.name] = full
             if on_record is not None:
                 on_record(index, record)
             records.append(record)

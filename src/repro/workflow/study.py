@@ -14,7 +14,9 @@ workers that inherit the study inputs the driver built, streaming picklable
 :class:`~repro.workflow.results.RunResult` records back.  Either way
 ``run_all`` can checkpoint completed runs to a JSONL file as they finish
 and, given ``resume=``, skip the runs a previous (interrupted) invocation
-already completed.
+already completed.  With ``checkpoint_every`` each run also snapshots its
+session into ``<checkpoint>.snapshots/<index>-<name>/``, the name passed
+through :func:`path_safe_name` (which also names campaign node directories).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.workflow.executor import (
     SerialExecutor,
     StudyInputCache,
     apply_overrides,
-    config_digest,
     execute_spec,
     get_executor,
 )
@@ -45,6 +46,11 @@ from repro.workflow.results import RunResult, StudyResults
 __all__ = ["StudyRunner", "apply_overrides"]
 
 _LOGGER = get_logger("workflow")
+
+
+def path_safe_name(name: str) -> str:
+    """``name`` with every run of characters unsafe in a path replaced by ``_``."""
+    return re.sub(r"[^A-Za-z0-9._=+-]+", "_", name)
 
 
 @dataclass
@@ -118,25 +124,21 @@ class StudyRunner:
 
     @staticmethod
     def _snapshot_root(
-        checkpoint: Optional[Union[str, Path]],
-        resume: Optional[Union[str, Path]],
-        snapshot_dir: Optional[Union[str, Path]],
+        checkpoint: Optional[Union[str, Path]], resume: Optional[Union[str, Path]]
     ) -> Path:
         """Directory holding the per-run session snapshots of a study.
 
-        Defaults to a ``<checkpoint>.snapshots/`` sibling of the study's JSONL
-        checkpoint so ``run_all(cfgs, resume=path, checkpoint_every=N)`` with
+        The ``<checkpoint>.snapshots/`` sibling of the study's JSONL
+        checkpoint, so ``run_all(cfgs, resume=path, checkpoint_every=N)`` with
         the same ``path`` finds both the completed-run records *and* the
         mid-run snapshots of the interrupted ones.
         """
-        if snapshot_dir is not None:
-            return Path(snapshot_dir)
         anchor = checkpoint if checkpoint is not None else resume
         if anchor is None:
             raise ValueError(
                 "checkpoint_every needs somewhere to put session snapshots: "
-                "pass snapshot_dir=, or a checkpoint=/resume= JSONL path to "
-                "derive the default <checkpoint>.snapshots/ directory from"
+                "pass a checkpoint=/resume= JSONL path to derive the "
+                "<checkpoint>.snapshots/ directory from"
             )
         anchor = Path(anchor)
         return anchor.parent / f"{anchor.name}.snapshots"
@@ -150,7 +152,7 @@ class StudyRunner:
         invocations because specs are derived deterministically from the
         configuration list.
         """
-        return root / f"{index:04d}-{re.sub(r'[^A-Za-z0-9._=+-]+', '_', name)}"
+        return root / f"{index:04d}-{path_safe_name(name)}"
 
     @staticmethod
     def _record_matches_spec(record: RunResult, spec: RunSpec) -> bool:
@@ -167,7 +169,7 @@ class StudyRunner:
         """
         config = spec.build_config()
         if record.digest:
-            return record.digest == config_digest(config)
+            return record.digest == config.digest()
         if record.seed != config.seed or record.workload != config.workload:
             return False
         canonical = lambda d: json.dumps(d, sort_keys=True, default=str)  # noqa: E731
@@ -190,7 +192,6 @@ class StudyRunner:
         checkpoint: Optional[Union[str, Path]] = None,
         resume: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
-        snapshot_dir: Optional[Union[str, Path]] = None,
     ) -> StudyResults:
         """Run every configuration of a study and collect the results.
 
@@ -216,20 +217,17 @@ class StudyRunner:
         checkpoint_every:
             Optional *mid-run* snapshot period in training batches.  Each run
             then snapshots its full session state every N batches into a
-            per-run directory under ``snapshot_dir`` (default:
-            ``<checkpoint>.snapshots/``), and a resumed study re-enters
-            partially completed runs from their latest snapshot — bit-
-            identically — instead of restarting them from scratch.
-        snapshot_dir:
-            Root directory of the per-run session snapshots (only meaningful
-            with ``checkpoint_every``).
+            per-run directory under ``<checkpoint>.snapshots/``, and a resumed
+            study re-enters partially completed runs from their latest
+            snapshot — bit-identically — instead of restarting them from
+            scratch.
 
         Results are ordered by configuration index regardless of the order
         runs complete in.
         """
         specs = self.build_specs(configurations, name_key)
         if checkpoint_every is not None and checkpoint_every > 0:
-            root = self._snapshot_root(checkpoint, resume, snapshot_dir)
+            root = self._snapshot_root(checkpoint, resume)
             specs = [
                 replace(
                     spec,

@@ -14,7 +14,9 @@ from repro.api import (
     register_architecture,
 )
 from repro.api.registry import ARCHITECTURES
+from repro.campaign.spec import CampaignSpec, campaign_digest
 from repro.nn.tensor import Tensor
+from repro.service.schemas import job_fingerprint, validate_campaign_submission, validate_submission
 from repro.solvers.heat2d import Heat2DConfig
 from repro.surrogate.model import (
     DirectSurrogate,
@@ -30,6 +32,27 @@ from repro.surrogate.model import (
 # snapshot validation all compare these fingerprints across versions).
 FROZEN_DEFAULT_DIGEST = "0cabaa189b3e0c9a"
 FROZEN_HEAT1D_DIGEST = "ec230ce495fe680d"
+
+# The fingerprints built on top of the config digest: a campaign's (compact
+# JSON separators) and a service submission's, in its study and its campaign
+# form.  Campaign manifests and the service's dedupe index store them, so a
+# change would orphan every existing root and job.
+FROZEN_CAMPAIGN_DIGEST = "a06c517aeedf9eb3"
+FROZEN_STUDY_JOB_FINGERPRINT = "9dab883ac4c8ea93"
+FROZEN_CAMPAIGN_JOB_FINGERPRINT = "3dd64c773cfb8a5e"
+
+
+def _pinned_campaign() -> dict:
+    return {
+        "name": "pinned",
+        "config": OnlineTrainingConfig().to_dict(),
+        "nodes": [
+            {"name": "sweep", "configurations": [{"seed": 1}, {"seed": 2}]},
+            {"name": "refine", "depends_on": ["sweep"],
+             "select": {"type": "top_k", "node": "sweep", "metric": "final_validation_loss",
+                        "k": 1, "overrides": {"max_iterations": 24}}},
+        ],
+    }
 
 
 class TestRegistry:
@@ -138,6 +161,20 @@ class TestConfigPlumbing:
     def test_heat1d_digest_frozen(self):
         config = OnlineTrainingConfig(workload="heat1d", method="random", seed=3)
         assert config.digest() == FROZEN_HEAT1D_DIGEST
+
+    def test_campaign_digest_frozen(self):
+        assert campaign_digest(CampaignSpec.from_dict(_pinned_campaign())) == FROZEN_CAMPAIGN_DIGEST
+
+    def test_study_job_fingerprint_frozen(self):
+        spec = validate_submission(
+            {"study_name": "pinned", "config": OnlineTrainingConfig().to_dict(),
+             "configurations": [{"seed": 1}, {"seed": 2}]}
+        )
+        assert job_fingerprint(spec) == FROZEN_STUDY_JOB_FINGERPRINT
+
+    def test_campaign_job_fingerprint_frozen(self):
+        spec = validate_campaign_submission(_pinned_campaign())
+        assert job_fingerprint(spec) == FROZEN_CAMPAIGN_JOB_FINGERPRINT
 
     def test_non_default_architecture_changes_digest(self):
         assert OnlineTrainingConfig(architecture="conv2d").digest() != FROZEN_DEFAULT_DIGEST

@@ -64,6 +64,13 @@ class TestHeat1DEndToEnd:
     def test_steering_happened(self, result):
         assert len(result.steering_records) >= 1
 
+    def test_steering_seconds_cover_every_record(self, result):
+        # each record carries the running total when it was applied
+        elapsed = [record.elapsed_seconds for record in result.steering_records]
+        assert 0.0 < elapsed[0] and elapsed == sorted(elapsed)
+        assert result.steering_seconds >= elapsed[-1]
+        assert result.server_summary["steering_seconds"] == result.steering_seconds
+
 
 class TestAnalyticWorkload:
     def test_analytic_end_to_end(self):

@@ -14,7 +14,6 @@ from repro.breed.samplers import (
     ResampleDecision,
 )
 from repro.sampling.bounds import HEAT2D_BOUNDS
-from repro.utils.logging import EventLog
 
 
 class FakeLauncher:
@@ -166,7 +165,7 @@ class TestBreedController:
         sampler = BreedSampler(HEAT2D_BOUNDS, BreedConfig(sigma=20.0, period=period, window=50))
         rng = np.random.default_rng(3)
         sampler.initial_parameters(30, rng)
-        return BreedController(sampler=sampler, rng=rng, event_log=EventLog()), sampler
+        return BreedController(sampler=sampler, rng=rng), sampler
 
     def test_no_steer_before_period(self):
         controller, sampler = self._controller()
@@ -193,15 +192,61 @@ class TestBreedController:
         launcher = FakeLauncher(steerable=[])
         assert controller.maybe_steer(10, launcher) is None
 
-    def test_records_and_timer_accumulate(self):
+    def test_records_and_steering_time_accumulate(self):
         controller, sampler = self._controller()
         feed_losses(sampler)
         launcher = FakeLauncher(steerable=[25, 26])
+        controller.maybe_steer(5, launcher)  # between periods: not timed
+        assert (controller.steering_seconds, controller.steering_count) == (0.0, 0)
         controller.maybe_steer(10, launcher)
+        first = controller.steering_seconds
+        assert first > 0.0 and controller.steering_count == 1
+        assert controller.records[-1].elapsed_seconds == first
+        controller.maybe_steer(15, launcher)
+        assert (controller.steering_seconds, controller.steering_count) == (first, 1)
         feed_losses(sampler, iteration=15)
         controller.maybe_steer(20, launcher)
+        assert controller.steering_seconds > first and controller.steering_count == 2
         assert controller.n_steering_events == 2
-        assert controller.total_steering_seconds >= 0.0
+        state = controller.state_dict()
+        assert state["steering_total_seconds"] == controller.steering_seconds
+        assert state["steering_count"] == 2
+        restored, _ = self._controller()
+        restored.load_state_dict(state)
+        assert (restored.steering_seconds, restored.steering_count) == (controller.steering_seconds, 2)
+
+    def test_steering_time_counts_a_decision_with_no_steerable_simulation(self):
+        controller, sampler = self._controller()
+        feed_losses(sampler)
+        assert controller.maybe_steer(10, FakeLauncher(steerable=[])) is None
+        assert controller.steering_count == 1 and controller.steering_seconds > 0.0
+        assert controller.records == []
+
+    def test_steering_time_counts_an_empty_decision(self):
+        class TriggeringRandom(RandomSampler):
+            def should_resample(self, iteration):
+                return True
+
+        rng = np.random.default_rng(0)
+        sampler = TriggeringRandom(HEAT2D_BOUNDS)
+        sampler.initial_parameters(4, rng)
+        controller = BreedController(sampler=sampler, rng=rng)
+        launcher = FakeLauncher(steerable=[2, 3])
+        assert controller.maybe_steer(1, launcher) is None
+        assert controller.steering_count == 1 and controller.steering_seconds > 0.0
+        assert controller.records == [] and launcher.updates == {}
+
+    def test_steering_time_counts_a_raising_decision(self):
+        class BrokenLauncher(FakeLauncher):
+            def steerable_simulation_ids(self):
+                raise RuntimeError("launcher gone")
+
+        controller, sampler = self._controller()
+        feed_losses(sampler)
+        with pytest.raises(RuntimeError, match="launcher gone"):
+            controller.maybe_steer(10, BrokenLauncher(steerable=[]))
+        assert controller.steering_count == 1 and controller.steering_seconds > 0.0
+        assert controller.records == []
 
     def test_observe_batch_forwards_to_sampler(self):
         controller, sampler = self._controller()

@@ -16,7 +16,7 @@ from typing import Any, Dict, List
 import pytest
 
 from repro.api.config import OnlineTrainingConfig
-from repro.workflow.executor import apply_overrides, config_digest
+from repro.workflow.executor import apply_overrides
 from repro.campaign import (
     CampaignCycleError,
     CampaignRunner,
@@ -130,7 +130,7 @@ def expected_accounting(spec: CampaignSpec):
     for node in spec.nodes:
         for overrides in node.configurations or ({},):
             total += 1
-            digests.add(config_digest(apply_overrides(base, dict(overrides))))
+            digests.add(apply_overrides(base, dict(overrides)).digest())
     return total, len(digests)
 
 

@@ -33,6 +33,16 @@ def comparable(run):
     }
 
 
+def test_node_directories_use_the_study_run_naming(tmp_path):
+    from repro.campaign import CampaignSpec
+    from repro.workflow.study import path_safe_name
+
+    runner = CampaignRunner(CampaignSpec.from_dict(TOPOLOGIES["chain"][0]()), root=tmp_path)
+    name = "sweep: sigma=0.1/odd"
+    assert runner.node_dir(name) == tmp_path / "nodes" / path_safe_name(name)
+    assert runner.node_dir(name).name == "sweep_sigma=0.1_odd"
+
+
 class TestCacheAccounting:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     def test_shared_runs_execute_exactly_once(self, topology, tmp_path):

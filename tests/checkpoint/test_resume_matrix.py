@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from repro.api.session import OnlineTrainingResult, TrainingSession
-from repro.checkpoint import CheckpointPolicy, restore_session, resume_or_start, save_session
+from repro.checkpoint import (
+    CheckpointPolicy,
+    list_snapshots,
+    restore_session,
+    resume_or_start,
+    save_session,
+)
 
 
 def _drive_to_completion(session: TrainingSession) -> OnlineTrainingResult:
@@ -158,3 +164,77 @@ def test_sample_statistics_survive_resume(make_config, tmp_path):
         (s.iteration, s.simulation_id, s.timestep, s.sample_loss, s.uniform, s.batch_loss, s.deviation)
         for s in reference.history.sample_statistics
     ]
+
+
+class TestUnreadableArchive:
+    """A truncated ``arrays.npz`` (a disk filled mid-copy, a torn backup) costs
+    the ticks since the snapshot before it, never the run."""
+
+    @staticmethod
+    def _crashed_run(config, directory):
+        class SimulatedCrash(RuntimeError):
+            pass
+
+        session = TrainingSession(config)
+        CheckpointPolicy(directory=directory, every_n_batches=8).attach(session)
+
+        def crash(s: TrainingSession) -> None:
+            if s.server.iteration >= 30:
+                raise SimulatedCrash
+
+        session.on_tick.append(crash)
+        with pytest.raises(SimulatedCrash):
+            session.run()
+        return list_snapshots(directory)
+
+    @staticmethod
+    def _truncate(snapshot):
+        archive = snapshot / "arrays.npz"
+        data = archive.read_bytes()
+        archive.write_bytes(data[: len(data) // 2])
+
+    def test_resume_skips_a_truncated_newest_archive(self, make_config, tmp_path, caplog):
+        config = make_config(seed=13, checkpoint_dir=str(tmp_path), checkpoint_every=8)
+        reference = TrainingSession(make_config(seed=13)).run()
+        snapshots = self._crashed_run(config, tmp_path)
+        assert len(snapshots) >= 2
+        self._truncate(snapshots[-1])
+
+        with caplog.at_level("WARNING", logger="repro.checkpoint"):
+            resumed_session = resume_or_start(config)
+        skipped = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(skipped) == 1
+        assert snapshots[-1].name in skipped[0].getMessage()
+        assert "arrays.npz" in skipped[0].getMessage()
+        assert resumed_session.n_ticks == int(snapshots[-2].name.split("-")[1])
+        assert_bit_identical(resumed_session.run(), reference)
+
+    def test_every_archive_unreadable_starts_fresh(self, make_config, tmp_path, caplog):
+        config = make_config(seed=13, checkpoint_dir=str(tmp_path), checkpoint_every=8)
+        snapshots = self._crashed_run(config, tmp_path)
+        for snapshot in snapshots:
+            self._truncate(snapshot)
+
+        with caplog.at_level("WARNING", logger="repro.checkpoint"):
+            session = resume_or_start(config)
+        assert session.n_ticks == 0 and session.server.iteration == 0
+        skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(skipped) == len(snapshots)
+        for snapshot, message in zip(reversed(snapshots), skipped):  # newest first
+            assert snapshot.name in message
+
+    def test_a_save_at_the_skipped_tick_rewrites_it(self, make_config, tmp_path):
+        config = make_config(seed=13, checkpoint_dir=str(tmp_path), checkpoint_every=8)
+        snapshots = self._crashed_run(config, tmp_path)
+        skipped = snapshots[-1]
+        self._truncate(skipped)
+
+        session = resume_or_start(config)
+        while session.n_ticks < int(skipped.name.split("-")[1]):
+            session.tick()
+        assert save_session(session, tmp_path) == skipped
+        rewritten = restore_session(skipped, config=config)
+        assert rewritten.n_ticks == session.n_ticks
+        assert rewritten.server.iteration == session.server.iteration
+        session.close()
+        rewritten.close()

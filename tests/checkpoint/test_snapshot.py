@@ -193,6 +193,25 @@ class TestRestore:
         with pytest.raises(SnapshotError, match="schema version"):
             restore_session(path)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: b"",
+            lambda data: b"not an archive",
+            lambda data: data[: len(data) // 2],
+            lambda data: data[:-200] + bytes(b ^ 0xFF for b in data[-200:-190]) + data[-190:],
+        ],
+        ids=["empty", "not-an-archive", "truncated", "flipped-bytes"],
+    )
+    def test_restore_unreadable_arrays_rejected(self, make_config, tmp_path, damage):
+        session = TrainingSession(make_config())
+        session.tick()
+        path = save_session(session, tmp_path)
+        archive = path / "arrays.npz"
+        archive.write_bytes(damage(archive.read_bytes()))
+        with pytest.raises(SnapshotError, match="arrays.npz"):
+            restore_session(path)
+
     def test_restore_missing_arrays_rejected(self, make_config, tmp_path):
         session = TrainingSession(make_config())
         session.tick()
@@ -227,13 +246,82 @@ class TestResumeOrStart:
         assert session.n_ticks == 0
         assert "different configuration" in caplog.text
 
+    def test_foreign_newest_snapshot_falls_back_to_an_older_match(
+        self, make_config, tmp_path, caplog
+    ):
+        config = make_config(seed=2, checkpoint_dir=str(tmp_path))
+        ours = TrainingSession(config)
+        for _ in range(3):
+            ours.tick()
+        save_session(ours, tmp_path)
+        stale = TrainingSession(make_config(seed=1))
+        for _ in range(6):
+            stale.tick()
+        save_session(stale, tmp_path)  # newest by name and by pointer
+        with caplog.at_level("WARNING", logger="repro.checkpoint"):
+            session = resume_or_start(config)
+        assert session.n_ticks == 3
+        assert caplog.text.count("different configuration") == 1
+
+    def test_corrupt_newest_manifest_falls_back(self, make_config, tmp_path, caplog):
+        config = make_config(checkpoint_dir=str(tmp_path))
+        session = TrainingSession(config)
+        for _ in range(3):
+            session.tick()
+        save_session(session, tmp_path)
+        for _ in range(2):
+            session.tick()
+        newest = save_session(session, tmp_path)
+        (newest / "manifest.json").write_text("{ torn")
+        with caplog.at_level("WARNING", logger="repro.checkpoint"):
+            resumed = resume_or_start(config)
+        assert resumed.n_ticks == 3
+        assert newest.name in caplog.text and "corrupt" in caplog.text
+
+    def test_latest_pointer_target_is_tried_before_newer_names(
+        self, make_config, tmp_path, caplog
+    ):
+        # Stale directory reuse: a foreign run left higher-numbered snapshots,
+        # and this run's save moved the pointer to its own lower tick.
+        foreign = TrainingSession(make_config(seed=1))
+        for _ in range(6):
+            foreign.tick()
+        save_session(foreign, tmp_path)
+        config = make_config(seed=2, checkpoint_dir=str(tmp_path))
+        ours = TrainingSession(config)
+        for _ in range(2):
+            ours.tick()
+        save_session(ours, tmp_path)
+        assert latest_snapshot(tmp_path).name == "step-00000002"
+        with caplog.at_level("WARNING", logger="repro.checkpoint"):
+            assert resume_or_start(config).n_ticks == 2
+        assert caplog.text == ""  # the foreign step-00000006 was never tried
+
+    def test_manifest_names_the_configured_workload(self, make_config, tmp_path):
+        session = TrainingSession(make_config(workload="heat1d"))
+        session.tick()
+        assert session.workload_name == "heat1d"
+        assert load_manifest(save_session(session, tmp_path))["workload"] == "heat1d"
+
 
 class TestPolicy:
     def test_policy_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            CheckpointPolicy(directory=tmp_path)  # no period at all
+            CheckpointPolicy(directory=tmp_path, every_n_batches=0)  # no period at all
+        with pytest.raises(ValueError, match="every_n_batches"):
+            CheckpointPolicy(directory=tmp_path, every_n_batches=-3)
         with pytest.raises(ValueError):
             CheckpointPolicy(directory=tmp_path, every_n_batches=5, keep=0)
+
+    def test_nothing_is_saved_before_the_first_batch_period(self, make_config, tmp_path):
+        # The period counts training batches: while the reservoir fills below
+        # its watermark no batch runs, so no snapshot is written.
+        session = TrainingSession(make_config(reservoir_watermark=120))
+        policy = CheckpointPolicy(directory=tmp_path, every_n_batches=1).attach(session)
+        for _ in range(5):
+            session.tick()
+        assert session.server.iteration == 0
+        assert policy.n_saved == 0 and list_snapshots(tmp_path) == []
 
     def test_policy_snapshots_on_batch_period(self, make_config, tmp_path):
         session = TrainingSession(make_config())
@@ -242,16 +330,6 @@ class TestPolicy:
         assert policy.n_saved >= 2
         assert latest_snapshot(tmp_path) == policy.last_path
         assert len(list_snapshots(tmp_path)) <= policy.keep
-
-    def test_tick_period_fires_before_watermark(self, make_config, tmp_path):
-        # A pure-tick policy snapshots during the data-production phase even
-        # when no training batch has run yet.
-        session = TrainingSession(make_config(reservoir_watermark=120))
-        policy = CheckpointPolicy(directory=tmp_path, every_n_ticks=2).attach(session)
-        for _ in range(5):
-            session.tick()
-        assert session.server.iteration == 0
-        assert policy.n_saved >= 2
 
     def test_attached_policy_does_not_resave_restored_state(self, make_config, tmp_path):
         config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every=10)

@@ -287,15 +287,21 @@ class TestControllerAndTransport:
     def test_controller_records_roundtrip(self):
         rng = np.random.default_rng(0)
         source = BreedController(sampler=RandomSampler(HEAT2D_BOUNDS), rng=rng)
-        source.steering_timer.total = 1.25
-        source.steering_timer.count = 3
+        source.steering_seconds = 1.25
+        source.steering_count = 3
         state = source.state_dict()
         target = BreedController(
             sampler=RandomSampler(HEAT2D_BOUNDS), rng=np.random.default_rng(0)
         )
         target.load_state_dict(state)
-        assert target.total_steering_seconds == 1.25
+        assert (target.steering_seconds, target.steering_count) == (1.25, 3)
         assert target.records == []
+
+    def test_controller_state_keys_unchanged(self):
+        controller = BreedController(sampler=RandomSampler(HEAT2D_BOUNDS), rng=np.random.default_rng(0))
+        assert set(controller.state_dict()) == {
+            "sampler", "steering_total_seconds", "steering_count", "records"
+        }
 
     def test_transport_stats_roundtrip(self):
         transport = InProcessTransport()

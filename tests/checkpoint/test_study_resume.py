@@ -8,7 +8,7 @@ import pytest
 from repro.api.session import TrainingSession
 from repro.checkpoint import latest_snapshot, list_snapshots, save_session
 from repro.workflow.executor import RunSpec, TIMING_METRICS, execute_spec
-from repro.workflow.study import StudyRunner
+from repro.workflow.study import StudyRunner, path_safe_name
 
 
 CONFIGS = [
@@ -113,19 +113,6 @@ class TestStudyRunnerResume:
         with pytest.raises(ValueError, match="snapshot"):
             _runner(make_config).run_all(CONFIGS, name_key="_name", checkpoint_every=10)
 
-    def test_explicit_snapshot_dir(self, make_config, tmp_path):
-        results = _runner(make_config).run_all(
-            CONFIGS[:1],
-            name_key="_name",
-            checkpoint=tmp_path / "s.jsonl",
-            checkpoint_every=10,
-            snapshot_dir=tmp_path / "elsewhere",
-        )
-        assert len(results) == 1
-        run_dirs = sorted(p for p in (tmp_path / "elsewhere").iterdir() if p.is_dir())
-        assert len(run_dirs) == 1 and run_dirs[0].name.startswith("0000-")
-        assert latest_snapshot(run_dirs[0]) is not None
-
     def test_snapshot_free_study_unchanged(self, make_config, tmp_path):
         # Determinism contract: enabling snapshots must not change results.
         plain = _runner(make_config).run_all(CONFIGS, name_key="_name")
@@ -141,6 +128,19 @@ class TestStudyRunnerResume:
         dir_a = StudyRunner._run_snapshot_dir(tmp_path, 3, "fig3b:sigma=2.5/odd name")
         assert dir_a.name == "0003-fig3b_sigma=2.5_odd_name"
         assert StudyRunner._run_snapshot_dir(tmp_path, 3, "fig3b:sigma=2.5/odd name") == dir_a
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("plain-run_1.0+x", "plain-run_1.0+x"),
+        ("a  //b", "a_b"),
+        ("\u03bb=0.1", "_=0.1"),
+    ],
+)
+def test_path_safe_name_is_stable(name, expected):
+    """Snapshot and campaign node directories are named by it: old roots must resume."""
+    assert path_safe_name(name) == expected
 
 
 def test_executed_parameters_identical_after_study_resume(make_config, tmp_path):

@@ -12,7 +12,6 @@ from repro.melissa.client import SolverClient
 from repro.melissa.launcher import Launcher, SimulationState
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.sampling.uniform import uniform_in_bounds
-from repro.utils.logging import EventLog
 
 
 @pytest.fixture
@@ -60,10 +59,10 @@ class TestSolverClient:
         assert SolverClient(0, np.array(params), tiny_solver).expected_timesteps == tiny_solver.n_timesteps + 1
 
 
-def make_launcher(tiny_solver, n_simulations=12, job_limit=3, delay=0, seed=0, event_log=None):
+def make_launcher(tiny_solver, n_simulations=12, job_limit=3, delay=0, seed=0):
     rng = np.random.default_rng(seed)
     params = uniform_in_bounds(n_simulations, HEAT2D_BOUNDS, rng)
-    return Launcher(params, tiny_solver, job_limit, rng, max_start_delay=delay, event_log=event_log)
+    return Launcher(params, tiny_solver, job_limit, rng, max_start_delay=delay)
 
 
 class TestLauncherSubmission:
@@ -121,13 +120,16 @@ class TestLauncherSubmission:
             launcher.mark_finished(client.simulation_id)
         assert launcher.all_finished
 
-    def test_events_emitted(self, tiny_solver):
-        log = EventLog()
-        launcher = make_launcher(tiny_solver, job_limit=1, event_log=log)
+    def test_ledger_ticks_record_each_event(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, job_limit=1)
         launcher.submit_available()
-        launcher.advance()
-        assert log.filter(source="launcher", event="submitted")
-        assert log.filter(source="launcher", event="started")
+        (client,) = launcher.advance()
+        record = launcher.records[client.simulation_id]
+        assert (record.submitted_tick, record.started_tick, record.completed_tick) == (0, 1, None)
+        launcher.mark_finished(client.simulation_id)
+        assert record.completed_tick == 1
+        untouched = [r for r in launcher.records.values() if r is not record]
+        assert all(r.submitted_tick is None and r.started_tick is None for r in untouched)
 
 
 class TestLauncherScheduling:

@@ -32,7 +32,6 @@ from repro.melissa.client import SolverClient
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.sampling.uniform import uniform_in_bounds
 from repro.solvers.base import Solver
-from repro.utils.logging import EventLog
 
 # ---------------------------------------------------------------------------
 # The reference: batch scheduler, client factory and launcher, verbatim
@@ -255,7 +254,6 @@ class Launcher:
         initial_parameters: np.ndarray,
         client_factory: ClientFactory,
         scheduler: BatchScheduler,
-        event_log: Optional[EventLog] = None,
     ) -> None:
         parameters = np.atleast_2d(np.asarray(initial_parameters, dtype=np.float64))
         if parameters.shape[0] == 0:
@@ -266,7 +264,6 @@ class Launcher:
         }
         self.client_factory = client_factory
         self.scheduler = scheduler
-        self.event_log = event_log
         #: highest simulation id ever submitted to the scheduler (-1 before any)
         self.highest_submitted_id = -1
         #: submission order is by increasing simulation id, as in Melissa
@@ -309,8 +306,6 @@ class Launcher:
             submitted.append(sim_id)
             self._next_to_submit += 1
             outstanding += 1
-            if self.event_log is not None:
-                self.event_log.emit("launcher", "submitted", simulation_id=sim_id)
         return submitted
 
     def advance_scheduler(self) -> List[SolverClient]:
@@ -321,8 +316,6 @@ class Launcher:
             record.state = SimulationState.RUNNING
             record.client = self.client_factory.create(sim_id, record.parameters)
             started_clients.append(record.client)
-            if self.event_log is not None:
-                self.event_log.emit("launcher", "started", simulation_id=sim_id)
         return started_clients
 
     def mark_finished(self, simulation_id: int) -> None:
@@ -333,8 +326,6 @@ class Launcher:
             )
         record.state = SimulationState.FINISHED
         self.scheduler.complete(simulation_id)
-        if self.event_log is not None:
-            self.event_log.emit("launcher", "finished", simulation_id=simulation_id)
 
     def running_clients(self) -> List[SolverClient]:
         return [
@@ -369,10 +360,6 @@ class Launcher:
         record.source = source
         record.n_updates += 1
         record.history.append(source)
-        if self.event_log is not None:
-            self.event_log.emit(
-                "launcher", "parameters_updated", simulation_id=simulation_id, origin=source
-            )
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, object]:

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from repro.breed.samplers import ParameterSource
-from repro.api import OnlineTrainingConfig, run_online_training
+from repro.api import OnlineTrainingConfig, TrainingSession, run_online_training
 from repro.sampling.bounds import HEAT2D_BOUNDS
-from repro.utils.logging import EventLog
 
 
 class TestConfigValidation:
@@ -155,11 +154,22 @@ class TestEdgeCases:
         assert result.history.train_iterations == []
         assert result.launcher_summary["finished"] == 2
 
-    def test_event_log_collects_framework_events(self, tiny_run_config, tiny_solver):
-        log = EventLog()
-        run_online_training(tiny_run_config, solver=tiny_solver, event_log=log)
-        assert log.filter(source="launcher", event="submitted")
-        assert log.filter(source="launcher", event="finished")
+    def test_ledger_records_framework_events(self, tiny_run_config, tiny_solver):
+        session = TrainingSession(tiny_run_config, solver=tiny_solver)
+        result = session.run()
+        records = session.launcher.records.values()
+        submitted = [r for r in records if r.submitted_tick is not None]
+        started = [r for r in records if r.started_tick is not None]
+        finished = [r for r in records if r.completed_tick is not None]
+        assert submitted and started and finished
+        summary = result.launcher_summary
+        assert len(finished) == summary["finished"]
+        assert len(started) == summary["running"] + summary["finished"]
+        assert len(submitted) == summary["submitted"] + len(started)
+        for record in started:  # each event happens once, in lifecycle order
+            assert record.submitted_tick <= record.eligible_tick <= record.started_tick
+        for record in finished:
+            assert record.started_tick <= record.completed_tick
 
     def test_shared_validation_set_reused(self, tiny_run_config, tiny_solver, tiny_scalers):
         from repro.surrogate.validation import build_validation_set

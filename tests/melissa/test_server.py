@@ -168,6 +168,17 @@ class TestTraining:
         server.train_iteration()
         assert all(not s.uniform for s in server.history.sample_statistics)
 
+    def test_uniform_source_flags_start_empty_and_survive_state_dict(self, tiny_solver, tiny_scalers):
+        server = make_server(tiny_solver, tiny_scalers)
+        assert server.uniform_source_flags == {}
+        server.mark_parameter_source(3, uniform=False)
+        server.mark_parameter_source(1, uniform=True)
+        state = server.state_dict()
+        assert list(state["uniform_flag_ids"]) == [1, 3]
+        restored = make_server(tiny_solver, tiny_scalers)
+        restored.load_state_dict(state)
+        assert restored.uniform_source_flags == {1: True, 3: False}
+
     def test_summary_keys(self, tiny_solver, tiny_scalers):
         server = make_server(tiny_solver, tiny_scalers)
         feed_trajectory(server, tiny_solver)

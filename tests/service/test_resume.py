@@ -117,6 +117,13 @@ class TestInterruptedJobResume:
         served = StudyResults.load_json(fresh_store.result_path(record.id))
         assert _comparable(served) == _comparable(reference)
 
+    def test_result_file_is_the_study_results_json(self, submitted, tmp_path):
+        store, _, record = submitted
+        Worker(store, threading.Event(), checkpoint_every=8).execute(store.claim_next(timeout=0))
+        served = store.result_path(record.id)
+        StudyResults.load_json(served).save_json(tmp_path / "again.json")
+        assert served.read_bytes() == (tmp_path / "again.json").read_bytes()
+
     def test_mid_run_session_snapshots_are_written(self, submitted):
         store, spec, record = submitted
         stop_event = threading.Event()

@@ -1,98 +1,9 @@
-"""Tests for the structured event log."""
+"""Tests for the namespaced logger helper."""
 
 from __future__ import annotations
 
-import logging
-
-from repro.utils.logging import EventLog, LogRecord, format_record, get_logger
-
-
-class TestEventLog:
-    def test_emit_and_len(self):
-        log = EventLog()
-        log.emit("server", "validation", step=10, loss=0.5)
-        assert len(log) == 1
-
-    def test_record_payload_access(self):
-        log = EventLog()
-        record = log.emit("server", "validation", loss=0.25)
-        assert record["loss"] == 0.25
-        assert record.source == "server"
-
-    def test_filter_by_source_and_event(self):
-        log = EventLog()
-        log.emit("launcher", "submitted", simulation_id=1)
-        log.emit("launcher", "started", simulation_id=1)
-        log.emit("server", "validation", loss=0.1)
-        assert len(log.filter(source="launcher")) == 2
-        assert len(log.filter(event="validation")) == 1
-        assert len(log.filter(source="launcher", event="started")) == 1
-
-    def test_last_returns_most_recent(self):
-        log = EventLog()
-        log.emit("server", "validation", loss=1.0)
-        log.emit("server", "validation", loss=0.5)
-        last = log.last("validation")
-        assert last is not None and last["loss"] == 0.5
-
-    def test_last_missing_event(self):
-        assert EventLog().last("nothing") is None
-
-    def test_clear(self):
-        log = EventLog()
-        log.emit("a", "b")
-        log.clear()
-        assert len(log) == 0
-
-    def test_iteration(self):
-        log = EventLog()
-        log.emit("a", "x")
-        log.emit("a", "y")
-        assert [r.event for r in log] == ["x", "y"]
-
-
-class TestFormatRecord:
-    def test_basic_shape(self):
-        record = LogRecord(source="server", event="validation", payload={"loss": 0.25}, step=40)
-        assert format_record(record) == "[server] validation step=40 loss=0.25"
-
-    def test_step_omitted_when_unset(self):
-        record = LogRecord(source="launcher", event="submitted", payload={"simulation_id": 3})
-        assert format_record(record) == "[launcher] submitted simulation_id=3"
-
-    def test_floats_use_shortest_repr(self):
-        record = LogRecord(source="s", event="e", payload={"ratio": 0.1})
-        assert format_record(record) == "[s] e ratio=0.1"
-
-    def test_payload_insertion_order_preserved(self):
-        record = LogRecord(source="s", event="e", payload={"b": 1, "a": 2})
-        assert format_record(record).endswith("b=1 a=2")
-
-    def test_empty_payload(self):
-        assert format_record(LogRecord(source="s", event="started")) == "[s] started"
-
-
-class TestEcho:
-    def test_echo_routes_formatted_record_through_stdlib_logging(self, caplog):
-        log = EventLog(echo=True)
-        with caplog.at_level(logging.INFO, logger="repro.events"):
-            record = log.emit("server", "validation", step=20, loss=0.5)
-        assert len(caplog.records) == 1
-        assert caplog.records[0].getMessage() == format_record(record)
-
-    def test_no_echo_by_default(self, caplog):
-        log = EventLog()
-        with caplog.at_level(logging.INFO, logger="repro.events"):
-            log.emit("server", "validation", loss=0.5)
-        assert caplog.records == []
-        assert len(log) == 1  # still collected in memory
+from repro.utils.logging import get_logger
 
 
 def test_get_logger_namespacing():
     assert get_logger("server").name == "repro.server"
-
-
-def test_log_record_defaults():
-    record = LogRecord(source="s", event="e")
-    assert record.payload == {}
-    assert record.step is None
