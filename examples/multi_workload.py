@@ -26,13 +26,13 @@ import argparse
 from repro.api import (
     OnlineTrainingConfig,
     TrainingSession,
+    Workload,
     register_workload,
     workload_names,
 )
-from repro.api.workloads import Heat1DWorkload
 from repro.breed.samplers import BreedConfig
 from repro.sampling.bounds import ParameterBounds
-from repro.solvers.heat1d import Heat1DConfig
+from repro.solvers.heat1d import Heat1DConfig, Heat1DImplicitSolver
 from repro.workflow.study import StudyRunner
 
 
@@ -113,12 +113,14 @@ def custom_workload_demo(seed: int) -> None:
     """Plug in a user-defined scenario without touching the framework."""
 
     @register_workload("heat1d-hires", overwrite=True)
-    def _hires(config: OnlineTrainingConfig) -> Heat1DWorkload:
-        return Heat1DWorkload(
-            heat=Heat1DConfig(n_points=96, n_timesteps=config.heat.n_timesteps),
-            parameter_bounds=ParameterBounds(
+    def _hires(config: OnlineTrainingConfig) -> Workload:
+        return Workload(
+            bounds=ParameterBounds(
                 low=(200.0,) * 3, high=(400.0,) * 3, names=("T0", "T_left", "T_right")
             ),
+            solver_class=Heat1DImplicitSolver,
+            solver_config=Heat1DConfig(n_points=96, n_timesteps=config.heat.n_timesteps),
+            output_dim=96,
         )
 
     config = OnlineTrainingConfig(

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro import nn
 from repro.api import OnlineTrainingConfig, run_online_training
-from repro.api.workloads import Heat2DWorkload
 from repro.breed.samplers import BreedConfig
 from repro.nn.tensor import Tensor
 from repro.sampling.bounds import HEAT2D_BOUNDS
@@ -73,7 +72,7 @@ def train_offline(
 def main() -> None:
     heat = Heat2DConfig(grid_size=10, n_timesteps=15)
     n_simulations = 48
-    workload = Heat2DWorkload(heat=heat)
+    workload = OnlineTrainingConfig(heat=heat).build_workload()
     solver = workload.build_solver()
     scalers = workload.build_scalers()
     validation = build_validation_set(solver, workload.bounds, scalers, n_trajectories=8)

@@ -6,8 +6,8 @@ Package layout
 --------------
 ``repro.api``
     The public on-line training surface: the :class:`~repro.api.workloads.Workload`
-    protocol (solver + parameter bounds + scalers + surrogate geometry) with
-    registered ``"heat2d"`` / ``"heat1d"`` / ``"analytic"`` scenarios, the
+    value (solver class and config + parameter bounds + output size + field
+    range) with seven registered scenarios (``"heat2d"``, ``"heat1d"``, …), the
     serialisable :class:`~repro.api.config.OnlineTrainingConfig`
     (``to_dict``/``from_dict``), the phase-decomposed
     :class:`~repro.api.session.TrainingSession` (``submit`` → ``produce`` →

@@ -2,10 +2,11 @@
 
 This package is the composable surface over the Melissa/Breed machinery:
 
-* :class:`~repro.api.workloads.Workload` — one simulation scenario (solver +
-  parameter bounds + scalers + surrogate geometry); built-ins: ``"heat2d"``
-  (the paper's case), ``"heat1d"``, ``"analytic"``, ``"advection1d"``,
-  ``"advection2d"``, ``"burgers"`` and ``"fisher"``.
+* :class:`~repro.api.workloads.Workload` — one simulation scenario as a
+  value: solver class and config + parameter bounds + output size + optional
+  field range; built-ins: ``"heat2d"`` (the paper's case), ``"heat1d"``,
+  ``"analytic"``, ``"advection1d"``, ``"advection2d"``, ``"burgers"`` and
+  ``"fisher"``.
 * :class:`~repro.api.config.OnlineTrainingConfig` — a fully serialisable run
   description (:meth:`to_dict` / :meth:`from_dict`) referencing workloads,
   steering methods and activations by registry name.
@@ -46,16 +47,7 @@ from repro.api.registry import (
     sampler_names,
     workload_names,
 )
-from repro.api.workloads import (
-    AdvectionDiffusion1DWorkload,
-    AdvectionDiffusion2DWorkload,
-    AnalyticWorkload,
-    BurgersWorkload,
-    FisherKPPWorkload,
-    Heat1DWorkload,
-    Heat2DWorkload,
-    Workload,
-)
+from repro.api.workloads import Heat2DWorkload, Workload
 from repro.api.config import OnlineTrainingConfig
 from repro.api.session import OnlineTrainingResult, TrainingSession, run_online_training
 
@@ -72,12 +64,6 @@ __all__ = [
     "register_workload",
     "sampler_names",
     "workload_names",
-    "AdvectionDiffusion1DWorkload",
-    "AdvectionDiffusion2DWorkload",
-    "AnalyticWorkload",
-    "BurgersWorkload",
-    "FisherKPPWorkload",
-    "Heat1DWorkload",
     "Heat2DWorkload",
     "Workload",
     "OnlineTrainingConfig",

@@ -5,11 +5,11 @@ NN activations — is resolved through a named registry, so a configuration is
 just strings and numbers: fully serialisable, storable in JSON/YAML study
 files, and extensible from user code without touching the framework::
 
-    from repro.api import register_workload
+    from repro.api import Workload, register_workload
 
     @register_workload("my-pde")
     def _my_pde(config):
-        return MyPdeWorkload(...)
+        return Workload(bounds, MyPdeSolver, MyPdeConfig(...), output_dim)
 
     run_online_training(OnlineTrainingConfig(workload="my-pde"))
 

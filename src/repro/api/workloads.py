@@ -1,12 +1,13 @@
 """Workloads: the pluggable "physics" side of the on-line training API.
 
-A :class:`Workload` bundles everything the training session needs to know
-about one simulation scenario:
+A :class:`Workload` is a value: everything the training session needs to
+know about one simulation scenario, and nothing Breed would read beyond it:
 
-* the solver that produces trajectories (the data "oracle"),
+* the solver class and its config, which produce trajectories (the data
+  "oracle"),
 * the input-parameter box ``Λ`` the steering samplers draw from,
-* the surrogate input/output dimensions and the a-priori normalisation
-  scalers.
+* the surrogate output size and, for fields that do not share the
+  parameters' range, the a-priori field range of the normalisation scalers.
 
 Seven workloads ship with the reproduction, spanning four physics families:
 
@@ -22,17 +23,17 @@ Seven workloads ship with the reproduction, spanning four physics families:
 * ``"fisher"`` — the Fisher–KPP reaction–diffusion equation.
 
 New workloads are plugged in through
-:func:`repro.api.registry.register_workload`; the factory receives the full
-:class:`~repro.api.config.OnlineTrainingConfig` so it can derive its
-resolution from the shared ``heat``/``workload_options`` knobs.  See
-``docs/WORKLOADS.md`` for a step-by-step authoring guide.
+:func:`repro.api.registry.register_workload`: a factory receives the full
+:class:`~repro.api.config.OnlineTrainingConfig`, so it can derive its
+resolution from the shared ``heat``/``workload_options`` knobs, and returns a
+``Workload(...)``.  See ``docs/WORKLOADS.md`` for a step-by-step authoring
+guide.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.api.registry import register_workload
 from repro.sampling.bounds import (
@@ -54,7 +55,7 @@ from repro.solvers.analytic import Analytic1DConfig, Analytic1DSolver
 from repro.solvers.base import Solver
 from repro.solvers.burgers import Burgers1DConfig, Burgers1DSolver
 from repro.solvers.heat1d import Heat1DConfig, Heat1DImplicitSolver
-from repro.solvers.heat2d import Heat2DConfig, Heat2DImplicitSolver
+from repro.solvers.heat2d import Heat2DImplicitSolver
 from repro.solvers.reaction_diffusion import FisherKPPConfig, FisherKPPSolver
 from repro.surrogate.model import SurrogateConfig
 from repro.surrogate.normalization import SurrogateScalers
@@ -62,51 +63,45 @@ from repro.surrogate.normalization import SurrogateScalers
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.config import OnlineTrainingConfig
 
-__all__ = [
-    "Workload",
-    "Heat2DWorkload",
-    "Heat1DWorkload",
-    "AnalyticWorkload",
-    "AdvectionDiffusion1DWorkload",
-    "AdvectionDiffusion2DWorkload",
-    "BurgersWorkload",
-    "FisherKPPWorkload",
-]
+__all__ = ["Workload", "Heat2DWorkload"]
 
 
-class Workload(abc.ABC):
-    """One simulation scenario: solver + parameter box + surrogate geometry."""
+@dataclass(frozen=True)
+class Workload:
+    """One simulation scenario: solver + parameter box + surrogate geometry.
 
-    #: registry key of the workload (implementations override)
-    name: str = "workload"
+    ``solver_config`` must carry ``n_timesteps`` (time steps per trajectory,
+    excluding ``t = 0``); ``output_dim`` is the flattened field length the
+    solver yields.  ``field_range`` is the a-priori ``(low, high)`` range of
+    the field values; left ``None``, the fields are taken to share the
+    parameters' range (true of the heat workloads, whose every parameter is a
+    temperature).
+    """
 
-    @property
-    @abc.abstractmethod
-    def bounds(self) -> ParameterBounds:
-        """Input-parameter space ``Λ`` sampled by the steering methods."""
+    bounds: ParameterBounds
+    solver_class: Callable[[Any], Solver]
+    solver_config: Any
+    output_dim: int
+    field_range: Optional[Tuple[float, float]] = None
 
     @property
-    @abc.abstractmethod
     def n_timesteps(self) -> int:
-        """Number of solver time steps per trajectory (excluding ``t = 0``)."""
-
-    @property
-    @abc.abstractmethod
-    def output_dim(self) -> int:
-        """Flattened solution-field length (the surrogate output size)."""
-
-    @abc.abstractmethod
-    def build_solver(self) -> Solver:
-        """Construct the solver shared by every client of a run."""
+        return self.solver_config.n_timesteps
 
     @property
     def input_dim(self) -> int:
         """Surrogate input size: the parameter vector plus the time step."""
         return self.bounds.dim + 1
 
+    def build_solver(self) -> Solver:
+        """Construct the solver shared by every client of a run."""
+        return self.solver_class(self.solver_config)
+
     def build_scalers(self) -> SurrogateScalers:
-        """A-priori min-max scalers; override for unbounded fields."""
-        return SurrogateScalers.from_bounds(self.bounds, self.n_timesteps)
+        """A-priori min-max scalers over the parameter box and field range."""
+        if self.field_range is None:
+            return SurrogateScalers.from_bounds(self.bounds, self.n_timesteps)
+        return SurrogateScalers.from_field_range(self.bounds, self.n_timesteps, *self.field_range)
 
     def surrogate_config(
         self,
@@ -125,209 +120,16 @@ class Workload(abc.ABC):
             architecture=architecture,
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"{self.__class__.__name__}(dim={self.bounds.dim}, "
-            f"T={self.n_timesteps}, output_dim={self.output_dim})"
-        )
 
-
-@dataclass(frozen=True)
 class Heat2DWorkload(Workload):
-    """The paper's 2-D heat PDE scenario (Appendix B.1)."""
+    """The paper's 2-D heat PDE scenario (Appendix B.1).
 
-    heat: Heat2DConfig = field(default_factory=Heat2DConfig)
-    parameter_bounds: ParameterBounds = HEAT2D_BOUNDS
+    Behaves as a plain :class:`Workload`; the subclass gives profilers one
+    ``build_solver`` to wrap that only the heat2d workload calls.
+    """
 
-    name = "heat2d"
-
-    @property
-    def bounds(self) -> ParameterBounds:
-        return self.parameter_bounds
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.heat.n_timesteps
-
-    @property
-    def output_dim(self) -> int:
-        return self.heat.grid_size**2
-
-    def build_solver(self) -> Heat2DImplicitSolver:
-        return Heat2DImplicitSolver(self.heat)
-
-
-@dataclass(frozen=True)
-class Heat1DWorkload(Workload):
-    """1-D heat PDE scenario: ~100× cheaper trajectories than ``heat2d``."""
-
-    heat: Heat1DConfig = field(default_factory=Heat1DConfig)
-    parameter_bounds: ParameterBounds = HEAT1D_BOUNDS
-
-    name = "heat1d"
-
-    @property
-    def bounds(self) -> ParameterBounds:
-        return self.parameter_bounds
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.heat.n_timesteps
-
-    @property
-    def output_dim(self) -> int:
-        return self.heat.n_points
-
-    def build_solver(self) -> Heat1DImplicitSolver:
-        return Heat1DImplicitSolver(self.heat)
-
-
-@dataclass(frozen=True)
-class AnalyticWorkload(Workload):
-    """Closed-form 1-D transient scenario: exact fields, no solver error."""
-
-    analytic: Analytic1DConfig = field(default_factory=Analytic1DConfig)
-    parameter_bounds: ParameterBounds = HEAT1D_BOUNDS
-
-    name = "analytic"
-
-    @property
-    def bounds(self) -> ParameterBounds:
-        return self.parameter_bounds
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.analytic.n_timesteps
-
-    @property
-    def output_dim(self) -> int:
-        return self.analytic.n_points
-
-    def build_solver(self) -> Analytic1DSolver:
-        return Analytic1DSolver(self.analytic)
-
-
-@dataclass(frozen=True)
-class AdvectionDiffusion1DWorkload(Workload):
-    """1-D periodic advection–diffusion of a Gaussian pulse."""
-
-    advection: AdvectionDiffusion1DConfig = field(default_factory=AdvectionDiffusion1DConfig)
-    parameter_bounds: ParameterBounds = ADVECTION1D_BOUNDS
-
-    name = "advection1d"
-
-    @property
-    def bounds(self) -> ParameterBounds:
-        return self.parameter_bounds
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.advection.n_timesteps
-
-    @property
-    def output_dim(self) -> int:
-        return self.advection.n_points
-
-    def build_solver(self) -> AdvectionDiffusion1DSolver:
-        return AdvectionDiffusion1DSolver(self.advection)
-
-    def build_scalers(self) -> SurrogateScalers:
-        # Field values live in [0, amplitude] (maximum principle); the other
-        # parameters are geometric and must not pollute the output range.
-        return SurrogateScalers.from_field_range(
-            self.bounds, self.n_timesteps, 0.0, self.bounds.high[0]
-        )
-
-
-@dataclass(frozen=True)
-class AdvectionDiffusion2DWorkload(Workload):
-    """2-D periodic advection–diffusion of a Gaussian blob."""
-
-    advection: AdvectionDiffusion2DConfig = field(default_factory=AdvectionDiffusion2DConfig)
-    parameter_bounds: ParameterBounds = ADVECTION2D_BOUNDS
-
-    name = "advection2d"
-
-    @property
-    def bounds(self) -> ParameterBounds:
-        return self.parameter_bounds
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.advection.n_timesteps
-
-    @property
-    def output_dim(self) -> int:
-        return self.advection.grid_size**2
-
-    def build_solver(self) -> AdvectionDiffusion2DSolver:
-        return AdvectionDiffusion2DSolver(self.advection)
-
-    def build_scalers(self) -> SurrogateScalers:
-        return SurrogateScalers.from_field_range(
-            self.bounds, self.n_timesteps, 0.0, self.bounds.high[0]
-        )
-
-
-@dataclass(frozen=True)
-class BurgersWorkload(Workload):
-    """Viscous Burgers fronts (nonlinear, Cole–Hopf-validated)."""
-
-    burgers: Burgers1DConfig = field(default_factory=Burgers1DConfig)
-    parameter_bounds: ParameterBounds = BURGERS_BOUNDS
-
-    name = "burgers"
-
-    @property
-    def bounds(self) -> ParameterBounds:
-        return self.parameter_bounds
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.burgers.n_timesteps
-
-    @property
-    def output_dim(self) -> int:
-        return self.burgers.n_points
-
-    def build_solver(self) -> Burgers1DSolver:
-        return Burgers1DSolver(self.burgers)
-
-    def build_scalers(self) -> SurrogateScalers:
-        # The viscous maximum principle bounds fields by the far-field
-        # states: [min u_right, max u_left] over the parameter box.
-        return SurrogateScalers.from_field_range(
-            self.bounds, self.n_timesteps, self.bounds.low[1], self.bounds.high[0]
-        )
-
-
-@dataclass(frozen=True)
-class FisherKPPWorkload(Workload):
-    """Fisher–KPP reaction–diffusion fronts."""
-
-    fisher: FisherKPPConfig = field(default_factory=FisherKPPConfig)
-    parameter_bounds: ParameterBounds = FISHER_BOUNDS
-
-    name = "fisher"
-
-    @property
-    def bounds(self) -> ParameterBounds:
-        return self.parameter_bounds
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.fisher.n_timesteps
-
-    @property
-    def output_dim(self) -> int:
-        return self.fisher.n_points
-
-    def build_solver(self) -> FisherKPPSolver:
-        return FisherKPPSolver(self.fisher)
-
-    def build_scalers(self) -> SurrogateScalers:
-        # [0, 1] is the invariant region of the logistic reaction.
-        return SurrogateScalers.from_field_range(self.bounds, self.n_timesteps, 0.0, 1.0)
+    def build_solver(self) -> Solver:
+        return super().build_solver()
 
 
 # --------------------------------------------------------------------------
@@ -342,10 +144,8 @@ def _options(config: "OnlineTrainingConfig", **defaults: Any) -> Dict[str, Any]:
     return merged
 
 
-def _workload_bounds(
-    config: "OnlineTrainingConfig", default: ParameterBounds, description: str
-) -> ParameterBounds:
-    """Honour a user-supplied parameter box for a non-heat2d workload.
+def _workload_bounds(config: "OnlineTrainingConfig", default: ParameterBounds) -> ParameterBounds:
+    """Honour a user-supplied parameter box.
 
     The config's ``bounds`` field defaults to the 5-dim heat2d box; when left
     at that default the workload's canonical box is used.  An explicitly
@@ -356,106 +156,99 @@ def _workload_bounds(
         return default
     if config.bounds.dim != default.dim:
         raise ValueError(
-            f"workload {config.workload!r} takes {default.dim} parameters {description}; "
-            f"got bounds with dim={config.bounds.dim}"
+            f"workload {config.workload!r} takes {default.dim} parameters "
+            f"({', '.join(default.names)}); got bounds with dim={config.bounds.dim}"
         )
     return config.bounds
 
 
-def _bounds_1d(config: "OnlineTrainingConfig") -> ParameterBounds:
-    """Parameter box of the 1-D heat workloads (see :func:`_workload_bounds`)."""
-    return _workload_bounds(config, HEAT1D_BOUNDS, "(T0, T_left, T_right)")
+def _heat1d_options(config: "OnlineTrainingConfig") -> Dict[str, Any]:
+    """The 1-D heat workloads' solver knobs, defaulting to the shared ``heat``."""
+    return _options(
+        config,
+        n_points=max(config.heat.grid_size, 3),
+        n_timesteps=config.heat.n_timesteps,
+        dt=config.heat.dt,
+        alpha=config.heat.alpha,
+        length=config.heat.length,
+    )
 
 
 @register_workload("heat2d")
 def _build_heat2d(config: "OnlineTrainingConfig") -> Heat2DWorkload:
-    return Heat2DWorkload(heat=config.heat, parameter_bounds=config.bounds)
+    return Heat2DWorkload(
+        bounds=_workload_bounds(config, HEAT2D_BOUNDS),
+        solver_class=Heat2DImplicitSolver,
+        solver_config=config.heat,
+        output_dim=config.heat.grid_size**2,
+    )
 
 
 @register_workload("heat1d")
-def _build_heat1d(config: "OnlineTrainingConfig") -> Heat1DWorkload:
-    opts = _options(
-        config,
-        n_points=max(config.heat.grid_size, 3),
-        n_timesteps=config.heat.n_timesteps,
-        dt=config.heat.dt,
-        alpha=config.heat.alpha,
-        length=config.heat.length,
-    )
-    return Heat1DWorkload(heat=Heat1DConfig(**opts), parameter_bounds=_bounds_1d(config))
+def _build_heat1d(config: "OnlineTrainingConfig") -> Workload:
+    heat = Heat1DConfig(**_heat1d_options(config))
+    return Workload(_workload_bounds(config, HEAT1D_BOUNDS), Heat1DImplicitSolver, heat, heat.n_points)
 
 
 @register_workload("analytic")
-def _build_analytic(config: "OnlineTrainingConfig") -> AnalyticWorkload:
-    opts = _options(
-        config,
-        n_points=max(config.heat.grid_size, 3),
-        n_timesteps=config.heat.n_timesteps,
-        dt=config.heat.dt,
-        alpha=config.heat.alpha,
-        length=config.heat.length,
+def _build_analytic(config: "OnlineTrainingConfig") -> Workload:
+    analytic = Analytic1DConfig(**_heat1d_options(config))
+    return Workload(
+        _workload_bounds(config, HEAT1D_BOUNDS), Analytic1DSolver, analytic, analytic.n_points
     )
-    return AnalyticWorkload(analytic=Analytic1DConfig(**opts), parameter_bounds=_bounds_1d(config))
 
 
 # The multi-physics factories reuse the shared resolution/budget knobs
 # (``grid_size`` → ``n_points``, ``n_timesteps``) but keep their own ``dt``
 # defaults: the explicit transport schemes have CFL stability limits that the
 # heat workloads' implicit ``dt`` need not satisfy.  Everything remains
-# overridable through ``workload_options`` (e.g. ``{"dt": 0.001}``).
+# overridable through ``workload_options`` (e.g. ``{"dt": 0.001}``).  Their
+# fields do not share the parameters' range, so each states its own.
 
 
 @register_workload("advection1d")
-def _build_advection1d(config: "OnlineTrainingConfig") -> AdvectionDiffusion1DWorkload:
-    opts = _options(
-        config,
-        n_points=max(config.heat.grid_size, 4),
-        n_timesteps=config.heat.n_timesteps,
+def _build_advection1d(config: "OnlineTrainingConfig") -> Workload:
+    advection = AdvectionDiffusion1DConfig(
+        **_options(config, n_points=max(config.heat.grid_size, 4), n_timesteps=config.heat.n_timesteps)
     )
-    return AdvectionDiffusion1DWorkload(
-        advection=AdvectionDiffusion1DConfig(**opts),
-        parameter_bounds=_workload_bounds(
-            config, ADVECTION1D_BOUNDS, "(amplitude, center, width)"
-        ),
+    bounds = _workload_bounds(config, ADVECTION1D_BOUNDS)
+    # Field values live in [0, amplitude] (maximum principle); the other
+    # parameters are geometric and must not pollute the output range.
+    return Workload(
+        bounds, AdvectionDiffusion1DSolver, advection, advection.n_points, (0.0, bounds.high[0])
     )
 
 
 @register_workload("advection2d")
-def _build_advection2d(config: "OnlineTrainingConfig") -> AdvectionDiffusion2DWorkload:
-    opts = _options(
-        config,
-        grid_size=max(config.heat.grid_size, 4),
-        n_timesteps=config.heat.n_timesteps,
+def _build_advection2d(config: "OnlineTrainingConfig") -> Workload:
+    advection = AdvectionDiffusion2DConfig(
+        **_options(config, grid_size=max(config.heat.grid_size, 4), n_timesteps=config.heat.n_timesteps)
     )
-    return AdvectionDiffusion2DWorkload(
-        advection=AdvectionDiffusion2DConfig(**opts),
-        parameter_bounds=_workload_bounds(
-            config, ADVECTION2D_BOUNDS, "(amplitude, center_x, center_y, width)"
-        ),
+    bounds = _workload_bounds(config, ADVECTION2D_BOUNDS)
+    return Workload(
+        bounds, AdvectionDiffusion2DSolver, advection, advection.grid_size**2, (0.0, bounds.high[0])
     )
 
 
 @register_workload("burgers")
-def _build_burgers(config: "OnlineTrainingConfig") -> BurgersWorkload:
-    opts = _options(
-        config,
-        n_points=max(config.heat.grid_size, 4),
-        n_timesteps=config.heat.n_timesteps,
+def _build_burgers(config: "OnlineTrainingConfig") -> Workload:
+    burgers = Burgers1DConfig(
+        **_options(config, n_points=max(config.heat.grid_size, 4), n_timesteps=config.heat.n_timesteps)
     )
-    return BurgersWorkload(
-        burgers=Burgers1DConfig(**opts),
-        parameter_bounds=_workload_bounds(config, BURGERS_BOUNDS, "(u_left, u_right, x0)"),
+    bounds = _workload_bounds(config, BURGERS_BOUNDS)
+    # The viscous maximum principle bounds fields by the far-field states:
+    # [min u_right, max u_left] over the parameter box.
+    return Workload(
+        bounds, Burgers1DSolver, burgers, burgers.n_points, (bounds.low[1], bounds.high[0])
     )
 
 
 @register_workload("fisher")
-def _build_fisher(config: "OnlineTrainingConfig") -> FisherKPPWorkload:
-    opts = _options(
-        config,
-        n_points=max(config.heat.grid_size, 4),
-        n_timesteps=config.heat.n_timesteps,
+def _build_fisher(config: "OnlineTrainingConfig") -> Workload:
+    fisher = FisherKPPConfig(
+        **_options(config, n_points=max(config.heat.grid_size, 4), n_timesteps=config.heat.n_timesteps)
     )
-    return FisherKPPWorkload(
-        fisher=FisherKPPConfig(**opts),
-        parameter_bounds=_workload_bounds(config, FISHER_BOUNDS, "(rate, amplitude, center)"),
+    # [0, 1] is the invariant region of the logistic reaction.
+    return Workload(
+        _workload_bounds(config, FISHER_BOUNDS), FisherKPPSolver, fisher, fisher.n_points, (0.0, 1.0)
     )

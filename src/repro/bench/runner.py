@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.bench.registry import BenchScenario, select_scenarios
 from repro.bench.schema import BENCH_SCHEMA_VERSION, validate_report
+from repro.utils.durable import atomic_write
 
 __all__ = [
     "env_fingerprint",
@@ -143,11 +144,7 @@ def run_scenarios(
 def write_report(report: Dict[str, Any], path: str | Path) -> Path:
     """Validate and write a report as pretty-printed JSON; returns the path."""
     validate_report(report)
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return path
+    return atomic_write(path, json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
 def load_report(path: str | Path) -> Dict[str, Any]:

@@ -159,14 +159,14 @@ def _nn_tape_overhead() -> ScenarioRun:
     import os
 
     from repro import nn
-    from repro.api.workloads import Heat2DWorkload
+    from repro.api import OnlineTrainingConfig
     from repro.nn.tensor import Tape, Tensor
     from repro.solvers.heat2d import Heat2DConfig
     from repro.surrogate.model import DirectSurrogate
 
     explicit = os.environ.get("REPRO_TAPE_EXPLICIT", "") not in ("", "0")
     rng = np.random.default_rng(0)
-    workload = Heat2DWorkload(heat=Heat2DConfig(grid_size=64, n_timesteps=100))
+    workload = OnlineTrainingConfig(heat=Heat2DConfig(grid_size=64, n_timesteps=100)).build_workload()
     model = DirectSurrogate(
         workload.surrogate_config(hidden_size=64, n_hidden_layers=3, activation="relu"),
         workload.build_scalers(),

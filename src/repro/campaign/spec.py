@@ -226,10 +226,10 @@ class CampaignSpec:
                     f"node {node.name!r} selects from {node.select.node!r} "
                     "which is not in its depends_on list"
                 )
-        # The base configuration must round-trip — fail at parse time, not
-        # mid-campaign inside a worker.
+        # The base configuration must round-trip and its workload build —
+        # fail at parse time, not mid-campaign inside a worker.
         try:
-            OnlineTrainingConfig.from_dict(self.config)
+            OnlineTrainingConfig.from_dict(self.config).build_workload()
         except Exception as exc:
             raise CampaignSpecError(f"invalid base config: {exc}") from exc
 

@@ -62,6 +62,7 @@ from typing import Callable, Dict, List, Optional
 from repro import __version__
 from repro.analysis.report import format_table
 from repro.experiments.base import SCALES
+from repro.utils.durable import atomic_write
 from repro.workflow.executor import BACKENDS
 
 __all__ = ["EXPERIMENTS", "Experiment", "main", "serve_main"]
@@ -127,8 +128,7 @@ def _save_study(args: argparse.Namespace, experiment: str, study) -> Path:
 
 def _save_summary(args: argparse.Namespace, experiment: str, summary: Dict[str, object]) -> Path:
     path = _out_dir(args) / f"{experiment}_{args.scale}.json"
-    path.write_text(json.dumps(summary, indent=2, default=float))
-    return path
+    return atomic_write(path, json.dumps(summary, indent=2, default=float))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +292,7 @@ def _run_table1(args: argparse.Namespace) -> Dict[str, object]:
 
     table = render_table1()
     print(table)
-    path = _out_dir(args) / "table1.txt"
-    path.write_text(table + "\n")
+    path = atomic_write(_out_dir(args) / "table1.txt", table + "\n")
     return {"experiment": "table1", "results": str(path)}
 
 
@@ -345,13 +344,12 @@ def _write_interrupt_marker(args: argparse.Namespace, experiment: Experiment) ->
         if experiment.parallel
         else f"python -m repro.cli {experiment.name} --scale {args.scale} --out {args.out}"
     )
-    marker.write_text(json.dumps({
+    return atomic_write(marker, json.dumps({
         "experiment": experiment.name,
         "scale": args.scale,
         "clean": True,
         "resume": hint,
     }, indent=2) + "\n")
-    return marker
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +565,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.metrics:
         from repro import telemetry
 
-        path = _out_dir(args) / f"{experiment.name}_{args.scale}.metrics.txt"
-        path.write_text(telemetry.metrics().render_prometheus())
+        path = atomic_write(
+            _out_dir(args) / f"{experiment.name}_{args.scale}.metrics.txt",
+            telemetry.metrics().render_prometheus(),
+        )
         outcome["metrics"] = str(path)
     if args.trace:
         from repro import telemetry

@@ -120,9 +120,11 @@ def validate_submission(payload: Any) -> JobSpec:
 
     The base configuration and *every* override dictionary are materialised
     once (through :meth:`OnlineTrainingConfig.from_dict` and
-    :func:`~repro.workflow.executor.apply_overrides`) so malformed
-    submissions fail here, at the HTTP boundary, with a message naming the
-    offending key — not minutes later inside a worker thread.
+    :func:`~repro.workflow.executor.apply_overrides`) and their workloads
+    built (configs only, no solver) so malformed submissions — an unknown
+    ``workload_options`` knob, a CFL-violating ``dt`` — fail here, at the HTTP
+    boundary, with a message naming the problem — not minutes later inside a
+    worker thread.
     """
     if not isinstance(payload, Mapping):
         raise SubmissionError("submission must be a JSON object")
@@ -159,11 +161,12 @@ def validate_submission(payload: Any) -> JobSpec:
 
     try:
         base = OnlineTrainingConfig.from_dict(dict(config))
+        base.build_workload()
     except (TypeError, ValueError, KeyError) as exc:
         raise SubmissionError(f"invalid config: {exc}") from exc
     for index, overrides in enumerate(configurations):
         try:
-            apply_overrides(base, dict(overrides))
+            apply_overrides(base, dict(overrides)).build_workload()
         except (TypeError, ValueError, KeyError) as exc:
             raise SubmissionError(f"invalid configurations[{index}]: {exc}") from exc
 

@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.utils.durable import AppendLog
+from repro.utils.durable import AppendLog, atomic_write
 
 __all__ = ["NULL_TRACER", "NullTracer", "Tracer", "to_chrome"]
 
@@ -223,5 +223,4 @@ def to_chrome(jsonl_path: str | Path, out_path: Optional[str | Path] = None) -> 
     jsonl_path = Path(jsonl_path)
     events = AppendLog(jsonl_path).read()
     out = Path(out_path) if out_path is not None else jsonl_path.with_suffix(".json")
-    out.write_text(json.dumps({"traceEvents": events}))
-    return out
+    return atomic_write(out, json.dumps({"traceEvents": events}))

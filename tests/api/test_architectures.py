@@ -141,9 +141,7 @@ class TestBuilders:
     def test_direct_surrogate_keeps_mlp_attribute_name(self):
         # State-dict keys are `mlp.layerN.*` for every architecture — a
         # checkpoint-format contract.
-        from repro.api.workloads import Heat2DWorkload
-
-        workload = Heat2DWorkload(heat=Heat2DConfig(grid_size=6, n_timesteps=5))
+        workload = OnlineTrainingConfig(heat=Heat2DConfig(grid_size=6, n_timesteps=5)).build_workload()
         model = DirectSurrogate(
             workload.surrogate_config(
                 hidden_size=4, n_hidden_layers=1, activation="relu", architecture="residual"

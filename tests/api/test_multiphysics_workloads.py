@@ -6,12 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api import OnlineTrainingConfig, TrainingSession, workload_names
-from repro.api.workloads import (
-    AdvectionDiffusion1DWorkload,
-    AdvectionDiffusion2DWorkload,
-    BurgersWorkload,
-    FisherKPPWorkload,
-)
 from repro.sampling.bounds import (
     ADVECTION1D_BOUNDS,
     ADVECTION2D_BOUNDS,
@@ -19,6 +13,9 @@ from repro.sampling.bounds import (
     FISHER_BOUNDS,
     ParameterBounds,
 )
+from repro.solvers.advection import AdvectionDiffusion1DSolver, AdvectionDiffusion2DSolver
+from repro.solvers.burgers import Burgers1DSolver
+from repro.solvers.reaction_diffusion import FisherKPPSolver
 
 NEW_WORKLOADS = ["advection1d", "advection2d", "burgers", "fisher"]
 
@@ -52,17 +49,17 @@ class TestRegistry:
         for name in NEW_WORKLOADS:
             assert name in names
 
-    def test_factories_build_the_right_workload(self):
+    def test_factories_build_the_right_solver(self):
         expected = {
-            "advection1d": AdvectionDiffusion1DWorkload,
-            "advection2d": AdvectionDiffusion2DWorkload,
-            "burgers": BurgersWorkload,
-            "fisher": FisherKPPWorkload,
+            "advection1d": AdvectionDiffusion1DSolver,
+            "advection2d": AdvectionDiffusion2DSolver,
+            "burgers": Burgers1DSolver,
+            "fisher": FisherKPPSolver,
         }
         for name, cls in expected.items():
             workload = tiny_config(name).build_workload()
-            assert isinstance(workload, cls)
-            assert workload.name == name
+            assert workload.solver_class is cls
+            assert isinstance(workload.build_solver(), cls)
 
     def test_resolution_derives_from_heat_knobs(self):
         workload = tiny_config("burgers").build_workload()
@@ -74,12 +71,23 @@ class TestRegistry:
         config = tiny_config("fisher", workload_options={"n_points": 20, "dt": 0.02})
         workload = config.build_workload()
         assert workload.output_dim == 20
-        assert workload.fisher.dt == 0.02
+        assert workload.solver_config.dt == 0.02
 
     def test_cfl_violating_options_raise_the_solver_error(self):
         config = tiny_config("advection1d", workload_options={"n_points": 256, "dt": 0.05})
         with pytest.raises(ValueError, match="CFL violation"):
             config.build_workload()
+
+
+class TestDeclaredGeometry:
+    @pytest.mark.parametrize("name", workload_names())
+    def test_declared_geometry_matches_the_solver(self, name):
+        workload = tiny_config(name).build_workload()
+        solver = workload.build_solver()
+        assert workload.output_dim == solver.field_size
+        assert workload.n_timesteps == solver.n_timesteps
+        first_field = next(iter(solver.steps(workload.bounds.center)))
+        assert len(first_field) == workload.output_dim
 
 
 class TestBoundsResolution:
@@ -143,7 +151,7 @@ class TestEndToEnd:
         config = tiny_config("burgers", workload_options={"nu": 0.02})
         rebuilt = OnlineTrainingConfig.from_dict(config.to_dict())
         assert rebuilt == config
-        assert rebuilt.build_workload().burgers.nu == 0.02
+        assert rebuilt.build_workload().solver_config.nu == 0.02
 
     @pytest.mark.parametrize("workload", ["advection1d", "burgers", "fisher"])
     def test_runs_are_deterministic(self, workload):

@@ -81,12 +81,15 @@ class TestDefaultRegistrations:
 class TestCustomWorkloadRegistration:
     def test_registered_workload_usable_from_config(self):
         from repro.api import OnlineTrainingConfig
-        from repro.api.workloads import Heat1DWorkload
-        from repro.solvers.heat1d import Heat1DConfig
+        from repro.api.workloads import Workload
+        from repro.sampling.bounds import HEAT1D_BOUNDS
+        from repro.solvers.heat1d import Heat1DConfig, Heat1DImplicitSolver
 
         reg.register_workload(
             "test-tiny-1d",
-            lambda config: Heat1DWorkload(heat=Heat1DConfig(n_points=8, n_timesteps=4)),
+            lambda config: Workload(
+                HEAT1D_BOUNDS, Heat1DImplicitSolver, Heat1DConfig(n_points=8, n_timesteps=4), 8
+            ),
             overwrite=True,
         )
         config = OnlineTrainingConfig(workload="test-tiny-1d")

@@ -72,7 +72,7 @@ class TestHeat1DEndToEnd:
         assert result.server_summary["steering_seconds"] == result.steering_seconds
 
 
-class TestAnalyticWorkload:
+class TestAnalyticScenario:
     def test_analytic_end_to_end(self):
         config = OnlineTrainingConfig(
             workload="analytic",
@@ -308,14 +308,30 @@ class TestBoundsPlumbing:
         with pytest.raises(ValueError, match="3 parameters"):
             OnlineTrainingConfig(workload="heat1d", bounds=custom_5d).build_workload()
 
+    def test_heat2d_rejects_wrong_dim_bounds_at_build_time(self):
+        from repro.sampling.bounds import ParameterBounds
+
+        custom_3d = ParameterBounds(low=(200.0,) * 3, high=(300.0,) * 3)
+        with pytest.raises(ValueError, match="'heat2d' takes 5 parameters"):
+            OnlineTrainingConfig(workload="heat2d", bounds=custom_3d).build_workload()
+
+    def test_heat2d_honours_a_custom_5dim_box(self):
+        from repro.sampling.bounds import ParameterBounds
+
+        custom_5d = ParameterBounds(low=(150.0,) * 5, high=(450.0,) * 5)
+        assert OnlineTrainingConfig(bounds=custom_5d).build_workload().bounds == custom_5d
+
     def test_result_workload_reports_registry_key(self):
         from repro.api import register_workload
-        from repro.api.workloads import Heat1DWorkload
-        from repro.solvers.heat1d import Heat1DConfig
+        from repro.api.workloads import Workload
+        from repro.sampling.bounds import HEAT1D_BOUNDS
+        from repro.solvers.heat1d import Heat1DConfig, Heat1DImplicitSolver
 
         register_workload(
             "test-key-echo",
-            lambda config: Heat1DWorkload(heat=Heat1DConfig(n_points=8, n_timesteps=4)),
+            lambda config: Workload(
+                HEAT1D_BOUNDS, Heat1DImplicitSolver, Heat1DConfig(n_points=8, n_timesteps=4), 8
+            ),
             overwrite=True,
         )
         config = OnlineTrainingConfig(

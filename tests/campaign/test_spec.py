@@ -83,6 +83,11 @@ class TestParsing:
         with pytest.raises(CampaignSpecError, match="invalid base config"):
             CampaignSpec.from_dict(dict(chain_spec(), config={"no_such_field": 1}))
 
+    def test_rejects_a_base_config_whose_workload_cannot_be_built(self):
+        config = {"workload": "burgers", "workload_options": {"no_such_knob": 1}}
+        with pytest.raises(CampaignSpecError, match="invalid base config: .*no_such_knob"):
+            CampaignSpec.from_dict(dict(chain_spec(), config=config))
+
 
 class TestDigest:
     def test_stable_across_key_order(self):

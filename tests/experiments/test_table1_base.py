@@ -88,7 +88,7 @@ class TestSharedStudyInputs:
             n_validation_trajectories=4,
         )
         workload, solver, validation = shared_study_inputs(config)
-        assert workload.name == config.workload
+        assert workload == config.build_workload()
         _, cached = StudyInputCache().inputs(config)
         serial = validation_set_for_workload(workload, 4, solver=solver)
         for reference in (cached, serial):

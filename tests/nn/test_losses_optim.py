@@ -79,12 +79,12 @@ class TestAdam:
     @pytest.mark.parametrize("hidden,layers", [(16, 1), (64, 3)])
     def test_paper_surrogate_step_is_finite(self, hidden, layers):
         """One Adam step on the paper's surrogate (batch 128, 64x64 output field)."""
-        from repro.api.workloads import Heat2DWorkload
+        from repro.api import OnlineTrainingConfig
         from repro.solvers.heat2d import Heat2DConfig
         from repro.surrogate.model import DirectSurrogate
 
         rng = np.random.default_rng(0)
-        workload = Heat2DWorkload(heat=Heat2DConfig(grid_size=64, n_timesteps=100))
+        workload = OnlineTrainingConfig(heat=Heat2DConfig(grid_size=64, n_timesteps=100)).build_workload()
         model = DirectSurrogate(
             workload.surrogate_config(hidden_size=hidden, n_hidden_layers=layers, activation="relu"),
             workload.build_scalers(),

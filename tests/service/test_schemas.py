@@ -56,6 +56,26 @@ class TestValidation:
         with pytest.raises(SubmissionError, match=r"configurations\[1\]"):
             validate_submission(payload)
 
+    @pytest.mark.parametrize(
+        "workload_fields,problem",
+        [
+            ({"workload": "advection1d", "workload_options": {"n_points": 256, "dt": 0.05}},
+             "CFL violation"),
+            ({"workload": "burgers", "workload_options": {"no_such_knob": 1}}, "no_such_knob"),
+        ],
+    )
+    def test_unbuildable_workload_rejected_at_the_boundary(
+        self, make_payload, workload_fields, problem
+    ):
+        payload = make_payload()
+        payload["config"].update(workload_fields)
+        with pytest.raises(SubmissionError, match=rf"invalid config: .*{problem}"):
+            validate_submission(payload)
+        payload = make_payload()
+        payload["configurations"] = [{}, workload_fields]
+        with pytest.raises(SubmissionError, match=rf"configurations\[1\]: .*{problem}"):
+            validate_submission(payload)
+
     def test_unknown_backend_rejected(self, make_payload):
         with pytest.raises(SubmissionError, match="backend"):
             validate_submission(dict(make_payload(), backend="gpu"))
