@@ -5,8 +5,9 @@ Records every function entry with :func:`sys.setprofile` while driving, in
 this one process, the paths a user or the benchmark can take:
 
 * every ``repro`` experiment at ``--scale smoke`` on the serial backend, one
-  of them with ``--metrics --trace`` and one with ``--checkpoint-every`` and
-  then ``--restore``;
+  of them with ``--metrics --trace``, one with ``--checkpoint-every`` and
+  then ``--restore``, and one over two ``--seeds`` that ``repro compare``
+  then reads;
 * ``repro bench``: every scenario once, then a ``--compare``;
 * a ``repro campaign`` on a tiny spec;
 * an in-process :class:`~repro.service.StudyService`: submit, dedupe
@@ -174,7 +175,6 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.utils.rng", "RngStreams.seed", ORACLE),
     ("repro.workflow.executor", "JsonlCheckpoint.exists", ORACLE),
     ("repro.workflow.study", "StudyRunner.shared_*", ORACLE),
-    ("repro.workflow.study", "StudyRunner.run_one", ORACLE),
 ]
 
 Key = Tuple[str, int]
@@ -327,6 +327,11 @@ def drive_experiments(work: Path) -> None:
              "--checkpoint-every", "20"]
     expect(main(fig3a) == 0, "repro fig3a --checkpoint-every")
     expect(main(fig3a + ["--restore"]) == 0, "repro fig3a --restore")
+    expect(main(["fig4", "--scale", "smoke", "--seeds", "0-1", "--out", str(out / "seeds")]) == 0,
+           "repro fig4 --seeds 0-1")
+    runs = str(out / "seeds" / "fig4_smoke.runs.jsonl")
+    expect(main(["compare", runs]) == 0, "repro compare")
+    expect(main(["compare", runs, "--json"]) == 0, "repro compare --json")
 
 
 def drive_bench(work: Path) -> None:

@@ -35,6 +35,7 @@ loop.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -144,6 +145,9 @@ class TrainingSession:
         solver: Optional[Solver] = None,
         validation_set: Optional[ValidationSet] = None,
     ) -> None:
+        self._wall_start = time.perf_counter()
+        #: wall-clock seconds of the run's segments before a restore (timing, not behaviour)
+        self.earlier_wall_seconds = 0.0
         self.config = config
         self.streams = RngStreams(config.seed)
         self.workload_name = config.workload
@@ -462,6 +466,11 @@ class TrainingSession:
             compressed=self.config.checkpoint_compressed,
         ).attach(self)
 
+    @property
+    def wall_seconds(self) -> float:
+        """Wall-clock seconds the run has taken, summed over every segment a restore resumed."""
+        return self.earlier_wall_seconds + time.perf_counter() - self._wall_start
+
     # ---------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, object]:
         """Everything the training loop owns, as one nested state tree.
@@ -488,6 +497,9 @@ class TrainingSession:
             "server": self.server.state_dict(),
             # one entry per pending row (time step), the layout the snapshots have always had
             "n_pending_messages": n_pending,
+            # measurement, like the controller's steering total: carried over so
+            # a resumed run's steering share covers the same span as its wall time
+            "wall_seconds": self.wall_seconds,
         }
         if n_pending:
             state["pending_simulation_ids"] = np.concatenate(
@@ -536,6 +548,8 @@ class TrainingSession:
                 )
         self.n_ticks = int(state["n_ticks"])  # type: ignore[arg-type]
         self._finalized = bool(state["finalized"])
+        # absent from snapshots written before it was kept
+        self.earlier_wall_seconds = float(state.get("wall_seconds", 0.0))  # type: ignore[arg-type]
 
     # ---------------------------------------------------------------- result
     def result(self) -> OnlineTrainingResult:

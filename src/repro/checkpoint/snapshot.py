@@ -97,39 +97,41 @@ class SnapshotMismatchError(SnapshotError):
 def encode_state(state: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
     """Split a state tree into a JSON-compatible tree plus an array mapping."""
     arrays: Dict[str, np.ndarray] = {}
+    return _encode(state, "$", arrays), arrays
 
-    def visit(value: Any, path: str) -> Any:
-        if isinstance(value, np.ndarray):
-            key = f"a{len(arrays):05d}"
-            arrays[key] = value
-            return {_ARRAY_SENTINEL: key}
-        if isinstance(value, np.bool_):
-            return bool(value)
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return float(value)
-        if isinstance(value, dict):
-            encoded = {}
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(
-                        f"state key {key!r} at {path!r} is {type(key).__name__}; "
-                        "state_dict keys must be strings"
-                    )
-                if key == _ARRAY_SENTINEL:
-                    raise TypeError(f"reserved key {_ARRAY_SENTINEL!r} used at {path!r}")
-                encoded[key] = visit(item, f"{path}.{key}")
-            return encoded
-        if isinstance(value, (list, tuple)):
-            return [visit(item, f"{path}[{index}]") for index, item in enumerate(value)]
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return value
-        raise TypeError(
-            f"cannot snapshot value of type {type(value).__name__} at {path!r}"
-        )
 
-    return visit(state, "$"), arrays
+def _encode(value: Any, path: str, arrays: Dict[str, np.ndarray]) -> Any:
+    # A module-level function, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which would keep ``arrays`` (a copy of the
+    # reservoir, 125 MiB at the paper preset) alive until the cycle collector
+    # happened to run.
+    if isinstance(value, np.ndarray):
+        key = f"a{len(arrays):05d}"
+        arrays[key] = value
+        return {_ARRAY_SENTINEL: key}
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, dict):
+        encoded = {}
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"state key {key!r} at {path!r} is {type(key).__name__}; "
+                    "state_dict keys must be strings"
+                )
+            if key == _ARRAY_SENTINEL:
+                raise TypeError(f"reserved key {_ARRAY_SENTINEL!r} used at {path!r}")
+            encoded[key] = _encode(item, f"{path}.{key}", arrays)
+        return encoded
+    if isinstance(value, (list, tuple)):
+        return [_encode(item, f"{path}[{index}]", arrays) for index, item in enumerate(value)]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"cannot snapshot value of type {type(value).__name__} at {path!r}")
 
 
 def decode_state(encoded: Any, arrays: Dict[str, np.ndarray]) -> Any:

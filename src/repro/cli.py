@@ -10,9 +10,13 @@ and resume interrupted studies from their JSONL checkpoints::
     python -m repro.cli table1
     repro --list                       # installed console script
 
-Study-shaped experiments (fig3a, fig3b, cross) honour ``--jobs``/``--backend``
-and checkpoint each run as it finishes; the single/dual-run experiments (fig4,
-fig6, overhead) need the full in-process results and always run serially.
+Every experiment but ``table1`` is a study grid plus an analysis of its run
+records: each honours ``--jobs``/``--backend``, checkpoints each run as it
+finishes and repeats over ``--seeds A-B`` (or a comma list).  ``compare``
+pairs a study's runs seed by seed (median, IQR, wins, exact sign test)::
+
+    python -m repro.cli fig4 --scale smoke --jobs 2 --seeds 0-9
+    python -m repro.cli compare results/fig4_smoke.runs.jsonl --by method
 
 ``--workload NAME`` points an experiment at any registered workload
 (``heat2d`` by default); the ``cross`` experiment compares Breed vs Random
@@ -65,7 +69,7 @@ from repro.experiments.base import SCALES
 from repro.utils.durable import atomic_write
 from repro.workflow.executor import BACKENDS
 
-__all__ = ["EXPERIMENTS", "Experiment", "main", "serve_main"]
+__all__ = ["EXPERIMENTS", "Experiment", "compare_main", "main", "serve_main"]
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,8 @@ class Experiment:
     name: str
     help: str
     run: Callable[[argparse.Namespace], Dict[str, object]]
-    #: whether --jobs/--backend/--resume apply (study-shaped experiments)
-    parallel: bool = False
+    #: what the printed tables make of several seeds ({runs}: the runs file)
+    seeds_view: str = ""
 
 
 def _resolve_backend(args: argparse.Namespace) -> tuple[str, Optional[int]]:
@@ -120,15 +124,56 @@ def _checkpoint_path(args: argparse.Namespace, experiment: str) -> Path:
     return path
 
 
-def _save_study(args: argparse.Namespace, experiment: str, study) -> Path:
-    path = _out_dir(args) / f"{experiment}_{args.scale}.json"
-    study.save_json(path)
-    return path
+def _engine(args: argparse.Namespace, experiment: str) -> Dict[str, object]:
+    """The study-engine knobs of this invocation, as :func:`run_study` takes them."""
+    backend, jobs = _resolve_backend(args)
+    return {
+        "seeds": args.seeds,
+        "backend": backend,
+        "max_workers": jobs,
+        "checkpoint": _checkpoint_path(args, experiment),
+        "resume": args.resume,
+        "checkpoint_every": args.checkpoint_every,
+    }
 
 
-def _save_summary(args: argparse.Namespace, experiment: str, summary: Dict[str, object]) -> Path:
+def _study_kwargs(args: argparse.Namespace, experiment: str) -> Dict[str, object]:
+    """Keyword arguments of a single-workload experiment's ``run_*`` function."""
+    return {
+        "scale": args.scale,
+        "seed": args.seed,
+        "workload": _single_workload(args, experiment),
+        "architecture": args.architecture,
+        **_engine(args, experiment),
+    }
+
+
+def _seed_list(text: str) -> List[int]:
+    """Seeds from ``A-B`` (inclusive) or a comma list, e.g. ``0-9`` or ``0,3,5``."""
+    seeds: List[int] = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
+
+
+def _save(args: argparse.Namespace, experiment: str, study, summary: Optional[Dict] = None) -> Dict:
+    """Write ``<experiment>_<scale>.json``: the summary when there is one, else the study."""
     path = _out_dir(args) / f"{experiment}_{args.scale}.json"
-    return atomic_write(path, json.dumps(summary, indent=2, default=float))
+    if summary is None:
+        study.save_json(path)
+    else:
+        atomic_write(path, json.dumps(summary, indent=2, default=float))
+    return {"experiment": experiment, "runs": len(study.runs), "results": str(path)}
+
+
+def _print_losses(columns: List[str], rows) -> None:
+    print(format_table(
+        [*columns, "train MSE", "validation MSE", "gap (val-train)"],
+        [(a, b, f"{train:.5f}", f"{val:.5f}", f"{gap:+.5f}") for a, b, train, val, gap in rows],
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -154,106 +199,65 @@ def _single_workload(args: argparse.Namespace, experiment: str) -> str:
 def _run_fig3a(args: argparse.Namespace) -> Dict[str, object]:
     from repro.experiments.fig3a import PAPER_HIDDEN_SIZES, PAPER_LAYER_COUNTS, run_fig3a
 
-    backend, jobs = _resolve_backend(args)
-    hidden_sizes = args.hidden or list(PAPER_HIDDEN_SIZES)
-    layer_counts = args.layers or list(PAPER_LAYER_COUNTS)
     result = run_fig3a(
-        scale=args.scale,
-        hidden_sizes=hidden_sizes,
-        layer_counts=layer_counts,
-        seed=args.seed,
-        backend=backend,
-        max_workers=jobs,
-        checkpoint=_checkpoint_path(args, "fig3a"),
-        resume=args.resume,
-        checkpoint_every=args.checkpoint_every,
-        workload=_single_workload(args, "fig3a"),
-        architecture=args.architecture,
+        hidden_sizes=args.hidden or list(PAPER_HIDDEN_SIZES),
+        layer_counts=args.layers or list(PAPER_LAYER_COUNTS),
+        **_study_kwargs(args, "fig3a"),
     )
-    print(format_table(
-        ["architecture", "method", "train MSE", "validation MSE", "gap (val-train)"],
-        [
-            (label, method, f"{train:.5f}", f"{val:.5f}", f"{gap:+.5f}")
-            for label, method, train, val, gap in result.summary_rows()
-        ],
-    ))
-    path = _save_study(args, "fig3a", result.study)
-    return {"experiment": "fig3a", "runs": len(result.study.runs), "results": str(path)}
+    _print_losses(["architecture", "method"], result.summary_rows())
+    return _save(args, "fig3a", result.study)
 
 
 def _run_fig3b(args: argparse.Namespace) -> Dict[str, object]:
     from repro.experiments.fig3b import PAPER_FACTORS, SMOKE_FACTORS, run_fig3b
 
-    backend, jobs = _resolve_backend(args)
     factors = dict(SMOKE_FACTORS if args.scale == "smoke" else PAPER_FACTORS)
     if args.factor:
         unknown = sorted(set(args.factor) - set(factors))
         if unknown:
             raise SystemExit(f"unknown factor(s) {unknown}; options: {sorted(factors)}")
         factors = {name: factors[name] for name in args.factor}
-    result = run_fig3b(
-        scale=args.scale,
-        factors=factors,
-        seed=args.seed,
-        backend=backend,
-        max_workers=jobs,
-        checkpoint=_checkpoint_path(args, "fig3b"),
-        resume=args.resume,
-        checkpoint_every=args.checkpoint_every,
-        workload=_single_workload(args, "fig3b"),
-        architecture=args.architecture,
+    result = run_fig3b(factors=factors, **_study_kwargs(args, "fig3b"))
+    _print_losses(
+        ["hyper-parameter", "value"], [(f, f"{v:g}", *rest) for f, v, *rest in result.summary_rows()]
     )
-    print(format_table(
-        ["hyper-parameter", "value", "train MSE", "validation MSE", "gap (val-train)"],
-        [
-            (factor, f"{value:g}", f"{train:.5f}", f"{val:.5f}", f"{gap:+.5f}")
-            for factor, value, train, val, gap in result.summary_rows()
-        ],
-    ))
-    path = _save_study(args, "fig3b", result.study)
-    return {"experiment": "fig3b", "runs": len(result.study.runs), "results": str(path)}
+    return _save(args, "fig3b", result.study)
 
 
 def _run_fig4(args: argparse.Namespace) -> Dict[str, object]:
     from repro.experiments.fig4 import run_fig4
 
-    result = run_fig4(scale=args.scale, seed=args.seed, workload=_single_workload(args, "fig4"))
+    result = run_fig4(**_study_kwargs(args, "fig4"))
     summary = result.summary()
     print(format_table(["metric", "value"], [(k, f"{v:.5f}") for k, v in summary.items()]))
-    path = _save_summary(args, "fig4", summary)
-    return {"experiment": "fig4", "results": str(path)}
+    return _save(args, "fig4", result.study, summary)
 
 
 def _run_fig6(args: argparse.Namespace) -> Dict[str, object]:
     from repro.experiments.fig6 import run_fig6
 
-    result = run_fig6(scale=args.scale, seed=args.seed, workload=_single_workload(args, "fig6"))
+    result = run_fig6(**_study_kwargs(args, "fig6"))
     findings = result.key_findings()
     checks = result.checks()
     print(format_table(["correlation", "value"], [(k, f"{v:+.3f}") for k, v in findings.items()]))
     print(format_table(["check", "ok"], [(k, str(v)) for k, v in checks.items()]))
-    path = _save_summary(args, "fig6", {"key_findings": findings, "checks": checks})
-    return {"experiment": "fig6", "results": str(path)}
+    return _save(args, "fig6", result.study, {"key_findings": findings, "checks": checks})
 
 
 def _run_overhead(args: argparse.Namespace) -> Dict[str, object]:
     from repro.experiments.overhead import run_overhead
 
-    result = run_overhead(
-        scale=args.scale, seed=args.seed, workload=_single_workload(args, "overhead")
-    )
+    result = run_overhead(**_study_kwargs(args, "overhead"))
     summary = result.summary()
     print(format_table(["metric", "value"], [(k, f"{v:.5f}") for k, v in summary.items()]))
     print(f"overhead negligible: {result.overhead_is_negligible}")
-    path = _save_summary(args, "overhead", summary)
-    return {"experiment": "overhead", "results": str(path)}
+    return _save(args, "overhead", result.study, summary)
 
 
 def _run_cross(args: argparse.Namespace) -> Dict[str, object]:
     from repro.api.registry import workload_names
     from repro.experiments.cross_workload import run_cross_workload
 
-    backend, jobs = _resolve_backend(args)
     # The registry resolves keys case-insensitively; normalise before
     # validating so `--workload Burgers` is accepted, not falsely rejected.
     workloads = [name.lower() for name in args.workload] if args.workload else None
@@ -265,26 +269,15 @@ def _run_cross(args: argparse.Namespace) -> Dict[str, object]:
         scale=args.scale,
         workloads=workloads,
         seed=args.seed,
-        backend=backend,
-        max_workers=jobs,
-        checkpoint=_checkpoint_path(args, "cross"),
-        resume=args.resume,
-        checkpoint_every=args.checkpoint_every,
         architecture=args.architecture,
+        **_engine(args, "cross"),
     )
-    print(format_table(
-        ["workload", "method", "train MSE", "validation MSE", "gap (val-train)"],
-        [
-            (workload, method, f"{train:.5f}", f"{val:.5f}", f"{gap:+.5f}")
-            for workload, method, train, val, gap in result.summary_rows()
-        ],
-    ))
+    _print_losses(["workload", "method"], result.summary_rows())
     print(format_table(
         ["workload", "breed improvement"],
         [(w, f"{imp:+.1%}") for w, imp in result.improvement_rows()],
     ))
-    path = _save_study(args, "cross", result.study)
-    return {"experiment": "cross", "runs": len(result.study.runs), "results": str(path)}
+    return _save(args, "cross", result.study)
 
 
 def _run_table1(args: argparse.Namespace) -> Dict[str, object]:
@@ -296,15 +289,21 @@ def _run_table1(args: argparse.Namespace) -> Dict[str, object]:
     return {"experiment": "table1", "results": str(path)}
 
 
+_COMPARE_HINT = "; `repro compare {runs}` pairs the runs seed by seed"
+
 EXPERIMENTS: Dict[str, Experiment] = {
-    "fig3a": Experiment("fig3a", "architecture study, Breed vs Random", _run_fig3a, parallel=True),
-    "fig3b": Experiment("fig3b", "Breed hyper-parameter study", _run_fig3b, parallel=True),
-    "cross": Experiment(
-        "cross", "Breed vs Random across every registered workload", _run_cross, parallel=True
-    ),
-    "fig4": Experiment("fig4", "input-parameter deviation histograms", _run_fig4),
-    "fig6": Experiment("fig6", "training-statistics correlation matrix", _run_fig6),
-    "overhead": Experiment("overhead", "steering-overhead measurement", _run_overhead),
+    "fig3a": Experiment("fig3a", "architecture study, Breed vs Random", _run_fig3a,
+                        "the table shows each cell's last seed" + _COMPARE_HINT),
+    "fig3b": Experiment("fig3b", "Breed hyper-parameter study", _run_fig3b,
+                        "the table shows each value's last seed"),
+    "cross": Experiment("cross", "Breed vs Random across every registered workload", _run_cross,
+                        "the tables show medians over seeds" + _COMPARE_HINT),
+    "fig4": Experiment("fig4", "input-parameter deviation histograms", _run_fig4,
+                       "the summary pools every seed's parameter vectors" + _COMPARE_HINT),
+    "fig6": Experiment("fig6", "training-statistics correlation matrix", _run_fig6,
+                       "the correlations are the mean of the seeds' matrices"),
+    "overhead": Experiment("overhead", "steering-overhead measurement", _run_overhead,
+                           "the summary shows medians over seeds" + _COMPARE_HINT),
     "table1": Experiment("table1", "fixed hyper-parameters per study", _run_table1),
 }
 
@@ -339,16 +338,11 @@ def _install_signal_handlers() -> None:
 def _write_interrupt_marker(args: argparse.Namespace, experiment: Experiment) -> Path:
     """Record a clean interruption of a study next to its checkpoint files."""
     marker = _out_dir(args) / f"{experiment.name}_{args.scale}.interrupted.json"
-    hint = (
-        f"python -m repro.cli {experiment.name} --scale {args.scale} --out {args.out} --restore"
-        if experiment.parallel
-        else f"python -m repro.cli {experiment.name} --scale {args.scale} --out {args.out}"
-    )
     return atomic_write(marker, json.dumps({
         "experiment": experiment.name,
         "scale": args.scale,
         "clean": True,
-        "resume": hint,
+        "resume": f"python -m repro.cli {experiment.name} --scale {args.scale} --out {args.out} --restore",
     }, indent=2) + "\n")
 
 
@@ -426,6 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true", help="list registered experiments and exit")
     parser.add_argument("--scale", default="smoke", choices=sorted(SCALES), help="experiment scale preset")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seeds", type=_seed_list, default=None, metavar="A-B",
+                        help="seed axis: run the grid once per seed, A-B inclusive or a comma "
+                             "list (wins over --seed); several seeds suffix run names -s<seed>")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker count; N > 1 implies --backend process")
     parser.add_argument("--backend", choices=list(BACKENDS), default=None,
@@ -448,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "heat2d); repeatable for 'cross', which defaults to every "
                              "registered workload")
     parser.add_argument("--architecture", default="mlp", metavar="NAME",
-                        help="surrogate-architecture registry key for the study experiments "
-                             "(fig3a, fig3b, cross): mlp (default), residual, conv2d, or any "
+                        help="surrogate-architecture registry key of every run: mlp "
+                             "(default), residual, conv2d, or any "
                              "repro.api.register_architecture key")
     parser.add_argument("--factor", action="append", default=None, metavar="NAME",
                         help="fig3b: restrict to this hyper-parameter (repeatable)")
@@ -469,15 +466,72 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_experiments() -> str:
-    rows = [
-        (name, "study" if exp.parallel else "single", exp.help)
-        for name, exp in sorted(EXPERIMENTS.items())
-    ]
-    rows.append(("bench", "perf", "benchmark harness (see `bench --help` / --list-scenarios)"))
-    rows.append(("serve", "service", "long-running study server (see `serve --help` / docs/SERVICE.md)"))
-    rows.append(("doctor", "ops", "diagnose service/campaign/checkpoint residue (see `doctor --help`)"))
-    rows.append(("campaign", "study", "resumable DAG-of-studies (see `campaign --help` / docs/CAMPAIGNS.md)"))
-    return format_table(["experiment", "kind", "description"], rows)
+    rows = [(name, exp.help) for name, exp in sorted(EXPERIMENTS.items())]
+    rows.append(("bench", "benchmark harness (see `bench --help` / --list-scenarios)"))
+    rows.append(("serve", "long-running study server (see `serve --help` / docs/SERVICE.md)"))
+    rows.append(("doctor", "diagnose service/campaign/checkpoint residue (see `doctor --help`)"))
+    rows.append(("campaign", "resumable DAG-of-studies (see `campaign --help` / docs/CAMPAIGNS.md)"))
+    rows.append(("compare", "paired seed-by-seed comparison of a study (see `compare --help`)"))
+    return format_table(["experiment", "description"], rows)
+
+
+# ---------------------------------------------------------------------------
+# compare — paired statistics of a study's runs
+# ---------------------------------------------------------------------------
+
+
+def build_compare_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro compare",
+        description="Compare a study's groups of runs seed by seed: median, IQR, per-seed "
+                    "ratio, wins and an exact two-sided sign test per cell, with a "
+                    "verdict on the claim that the metric is lower (holds: p < 0.05 in "
+                    "that direction; does not hold: p < 0.05 against it; otherwise "
+                    "unresolved).",
+    )
+    parser.add_argument("results", metavar="RESULTS",
+                        help="study results JSON (<experiment>_<scale>.json) or its JSONL "
+                             "checkpoint (<experiment>_<scale>.runs.jsonl)")
+    parser.add_argument("--by", default="method", metavar="KEY",
+                        help="override whose values form the groups; each is paired against "
+                             "the last in sorted order (default: method, i.e. against random)")
+    parser.add_argument("--metric", default="final_validation_loss", metavar="NAME",
+                        help="record metric to compare (default: final_validation_loss)")
+    parser.add_argument("--json", action="store_true", help="print the comparisons as JSON")
+    return parser
+
+
+def compare_main(argv: Optional[List[str]] = None) -> int:
+    """Entry point of ``python -m repro.cli compare``."""
+    from repro.workflow.executor import JsonlCheckpoint
+    from repro.workflow.results import StudyResults
+
+    args = build_compare_parser().parse_args(argv)
+    path = Path(args.results)
+    if path.suffix == ".jsonl":
+        study = StudyResults(study=path.name, runs=list(JsonlCheckpoint(path).load().values()))
+    elif "runs" not in json.loads(path.read_text()):
+        # fig4, fig6 and overhead write their figure's summary there
+        raise SystemExit(
+            f"{path} is a figure summary, not study results: compare "
+            f"{path.with_name(path.stem + '.runs.jsonl')} instead"
+        )
+    else:
+        study = StudyResults.load_json(path)
+    missing = [run.name for run in study if args.metric not in run.metrics]
+    if missing:
+        raise SystemExit(f"metric {args.metric!r} missing from run(s) {missing}")
+    comparisons = study.paired(args.metric, by=args.by)
+    if args.json:
+        print(json.dumps([c.to_dict() for c in comparisons], indent=2))
+        return 0
+    rows = [(c.cell or "-", f"{c.group} vs {c.baseline}", *c.text_cells()) for c in comparisons]
+    print(format_table(
+        ["cell", "pair", "median (IQR)", "baseline median (IQR)", "median ratio", "wins",
+         "sign-test p", f"verdict (lower {args.metric})"],
+        rows,
+    ))
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -500,6 +554,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.campaign.cli import campaign_main
 
         return campaign_main(argv[1:])
+    if argv and argv[0] == "compare":
+        return compare_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
@@ -510,36 +566,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("repro: specify an experiment or --list", file=sys.stderr)
         return 2
     experiment = EXPERIMENTS[args.experiment]
-    if experiment.parallel and args.restore and args.resume is None:
+    if args.restore and args.resume is None:
         # --restore without an explicit --resume continues this invocation's
         # default checkpoint: the JSONL written under --out by the previous,
         # interrupted run of the same experiment and scale.
         args.resume = str(_out_dir(args) / f"{experiment.name}_{args.scale}.runs.jsonl")
-    if experiment.parallel and args.restore and args.checkpoint_every is None:
+    if args.restore and args.checkpoint_every is None:
         print(
             "note: --restore without --checkpoint-every splices completed runs only; "
             "repeat --checkpoint-every N to re-enter partially completed runs from "
             "their session snapshots",
             file=sys.stderr,
         )
-    if not experiment.parallel:
-        ignored = [
-            flag
-            for flag, value in (
-                ("--jobs", args.jobs is not None and args.jobs > 1),
-                ("--backend", args.backend in ("process", "shm")),
-                ("--resume", args.resume is not None),
-                ("--restore", args.restore),
-                ("--checkpoint-every", args.checkpoint_every is not None),
-            )
-            if value
-        ]
-        if ignored:
-            print(
-                f"note: {experiment.name} needs full in-process results; "
-                f"running serially from scratch ({', '.join(ignored)} ignored)",
-                file=sys.stderr,
-            )
     if args.metrics or args.trace:
         from repro import telemetry
 
@@ -559,8 +597,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         hint = json.loads(marker.read_text())["resume"]
         print(f"\ninterrupted cleanly — checkpoints are intact (marker: {marker})",
               file=sys.stderr)
-        if experiment.parallel:
-            print(f"resume with: {hint}", file=sys.stderr)
+        print(f"resume with: {hint}", file=sys.stderr)
         return 0
     if args.metrics:
         from repro import telemetry
@@ -575,6 +612,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         telemetry.tracer().flush()
         outcome["trace"] = str(args.trace)
+    if experiment.seeds_view and len(set(args.seeds or [])) > 1:
+        runs = _out_dir(args) / f"{experiment.name}_{args.scale}.runs.jsonl"
+        print(f"note: {len(set(args.seeds))} seeds ran; "
+              + experiment.seeds_view.format(runs=runs), file=sys.stderr)
     print(json.dumps(outcome))
     return 0
 

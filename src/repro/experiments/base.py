@@ -15,12 +15,16 @@ The per-tick production/training rates of each preset are chosen so the
 scaled-down runs preserve the *overlap* between data creation and training
 that Breed relies on: most of the simulation budget must still be pending when
 the first resampling triggers fire, exactly as in the full-size experiments.
+
+Every experiment but Table 1 is a study grid run by :func:`run_study`, the one
+driver of the study engine, plus an analysis of the grid's
+:class:`~repro.workflow.results.RunResult` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import OnlineTrainingConfig
 from repro.api.workloads import Workload
@@ -29,11 +33,14 @@ from repro.solvers.base import Solver
 from repro.solvers.heat2d import Heat2DConfig
 from repro.surrogate.validation import ValidationSet
 from repro.workflow.executor import StudyInputCache
+from repro.workflow.results import StudyResults
+from repro.workflow.study import StudyRunner
 
 __all__ = [
     "ExperimentScale",
     "SCALES",
     "base_config",
+    "run_study",
     "scaled_breed_config",
     "shared_study_inputs",
 ]
@@ -185,3 +192,29 @@ def shared_study_inputs(
     can.
     """
     return (config.build_workload(), *StudyInputCache().inputs(config))
+
+
+def run_study(
+    template: OnlineTrainingConfig,
+    study_name: str,
+    configurations: List[Dict[str, Any]],
+    seeds: Optional[Sequence[int]] = None,
+    backend: str = "serial",
+    max_workers: Optional[int] = None,
+    **run_all: Any,
+) -> StudyResults:
+    """Run an experiment's grid through the study engine, naming runs by ``_name``.
+
+    ``run_all`` takes :meth:`StudyRunner.run_all`'s ``checkpoint``,
+    ``resume`` and ``checkpoint_every``.  ``seeds`` is the seed axis: one
+    seed runs the grid as it is with that seed (names and records as without
+    the axis); several run configurations × seeds (see
+    :meth:`StudyRunner.build_specs`).
+    """
+    seeds = list(dict.fromkeys(int(seed) for seed in seeds)) if seeds else None
+    if seeds is not None and len(seeds) == 1:
+        template = replace(template, seed=seeds[0])
+        configurations = [dict(c, seed=seeds[0]) if "seed" in c else c for c in configurations]
+        seeds = None
+    runner = StudyRunner(template, study_name, backend=backend, max_workers=max_workers)
+    return runner.run_all(configurations, name_key="_name", seeds=seeds, **run_all)

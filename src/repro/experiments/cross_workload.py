@@ -17,17 +17,16 @@ executable on any backend.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.config import OnlineTrainingConfig
 from repro.api.registry import workload_names
-from repro.experiments.base import base_config
+from repro.experiments.base import base_config, run_study
 from repro.workflow.results import StudyResults
-from repro.workflow.study import StudyRunner
 
 __all__ = ["CrossWorkloadResult", "cross_workload_configurations", "run_cross_workload"]
 
@@ -61,14 +60,19 @@ class CrossWorkloadResult:
     #: raw study records behind the summary (serializable via ``save_json``)
     study: Optional[StudyResults] = None
 
+    def _methods(self, workload: str) -> List[str]:
+        return list(dict.fromkeys(run.config["method"] for run in self.study.filter(workload=workload)))
+
+    def _median(self, workload: str, method: str, metric: str) -> float:
+        """``metric``'s median over the seeds of one workload and method."""
+        runs = self.study.filter(workload=workload, method=method)
+        return statistics.median(run.metric(metric) for run in runs)
+
     def losses(self, workload: str) -> Dict[str, float]:
-        """Final validation MSE per method for one workload."""
+        """Final validation MSE per method for one workload (median over seeds)."""
         if self.study is None:
             return {}
-        out: Dict[str, float] = {}
-        for run in self.study.filter(workload=workload):
-            out[run.config["method"]] = run.metric("final_validation_loss")
-        return out
+        return {m: self._median(workload, m, "final_validation_loss") for m in self._methods(workload)}
 
     def breed_improvement(self, workload: str) -> float:
         """Relative validation-MSE improvement of Breed over Random.
@@ -82,22 +86,17 @@ class CrossWorkloadResult:
         return (losses["random"] - losses["breed"]) / losses["random"]
 
     def summary_rows(self) -> List[Tuple[str, str, float, float, float]]:
-        """``(workload, method, train MSE, validation MSE, overfit gap)`` rows."""
-        rows: List[Tuple[str, str, float, float, float]] = []
+        """``(workload, method, train MSE, validation MSE, overfit gap)`` rows, medians over seeds."""
         if self.study is None:
-            return rows
-        for workload in self.workloads:
-            for run in self.study.filter(workload=workload):
-                rows.append(
-                    (
-                        workload,
-                        run.config["method"],
-                        run.metric("final_train_loss"),
-                        run.metric("final_validation_loss"),
-                        run.metric("overfit_gap"),
-                    )
-                )
-        return rows
+            return []
+        return [
+            (workload, method, *(
+                self._median(workload, method, metric)
+                for metric in ("final_train_loss", "final_validation_loss", "overfit_gap")
+            ))
+            for workload in self.workloads
+            for method in self._methods(workload)
+        ]
 
     def improvement_rows(self) -> List[Tuple[str, float]]:
         """``(workload, breed improvement)`` rows for the summary table."""
@@ -134,12 +133,8 @@ def run_cross_workload(
     workloads: Optional[Sequence[str]] = None,
     methods: Sequence[str] = METHODS,
     seed: int = 0,
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    resume: Optional[Union[str, Path]] = None,
-    checkpoint_every: Optional[int] = None,
     architecture: str = "mlp",
+    **engine: Any,
 ) -> CrossWorkloadResult:
     """Run the Breed-vs-Random comparison across workloads.
 
@@ -152,24 +147,18 @@ def run_cross_workload(
         workload (built-ins plus any user registrations).
     methods:
         Steering-method registry keys compared on each workload.
-    backend, max_workers, checkpoint, resume, checkpoint_every:
-        Study-engine knobs, identical to the other study experiments —
-        the grid parallelises over a process pool and checkpoints/resumes
-        through JSONL files and per-run session snapshots.
     architecture:
         Surrogate-architecture registry key applied to every run.
+    engine:
+        Study-engine knobs of :func:`run_study` (``seeds``, ``backend``,
+        ``max_workers``, ``checkpoint``, ``resume``, ``checkpoint_every``).
+        With several seeds, :meth:`CrossWorkloadResult.losses` reports the
+        last seed's runs; the study keeps every run.
     """
     names = list(workloads) if workloads is not None else workload_names()
     template = base_config(scale, method="breed", seed=seed, architecture=architecture)
     sigmas = {name: _scaled_sigma(template, name) for name in names}
-    runner = StudyRunner(
-        base_config=template, study_name="cross", backend=backend, max_workers=max_workers
-    )
-    study = runner.run_all(
-        cross_workload_configurations(names, methods, sigmas=sigmas),
-        name_key="_name",
-        checkpoint=checkpoint,
-        resume=resume,
-        checkpoint_every=checkpoint_every,
+    study = run_study(
+        template, "cross", cross_workload_configurations(names, methods, sigmas=sigmas), **engine
     )
     return CrossWorkloadResult(workloads=names, scale=scale, study=study)

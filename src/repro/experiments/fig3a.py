@@ -8,21 +8,19 @@ most visibly for ``H=16, L=3``) while Breed's two curves stay close.
 
 This module regenerates the same grid of runs (at a configurable scale) and
 summarises, per cell, the final train/validation losses and the overfit gap.
-The grid is executed through the :class:`~repro.workflow.study.StudyRunner`
-engine, so it can fan out over a process pool (``backend="process"``) and
-checkpoint/resume through JSONL files.
+The grid is executed through :func:`~repro.experiments.base.run_study`, so it
+can fan out over a process pool (``backend="process"``), checkpoint/resume
+through JSONL files and repeat over a seed axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.curves import LossCurve, curve_from_series
-from repro.experiments.base import base_config
+from repro.experiments.base import base_config, run_study
 from repro.workflow.results import StudyResults
-from repro.workflow.study import StudyRunner
 
 __all__ = ["Fig3aCell", "Fig3aResult", "fig3a_configurations", "run_fig3a"]
 
@@ -113,35 +111,24 @@ def run_fig3a(
     layer_counts: Sequence[int] = PAPER_LAYER_COUNTS,
     methods: Sequence[str] = ("breed", "random"),
     seed: int = 0,
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    resume: Optional[Union[str, Path]] = None,
-    checkpoint_every: Optional[int] = None,
     workload: str = "heat2d",
     architecture: str = "mlp",
+    **engine: Any,
 ) -> Fig3aResult:
     """Run the architecture study and return its loss curves.
 
-    ``checkpoint_every`` enables mid-run session snapshots: a resumed study
-    re-enters partially completed runs at the batch they were killed at;
     ``workload`` runs the whole grid against another registered scenario and
-    ``architecture`` swaps the surrogate body (registry key).
+    ``architecture`` swaps the surrogate body (registry key).  ``engine``
+    holds the study-engine knobs of :func:`run_study` (``seeds``,
+    ``backend``, ``max_workers``, ``checkpoint``, ``resume``,
+    ``checkpoint_every``).  With several seeds each cell's curves are the
+    last seed's; the study keeps every run.
     """
     template = base_config(
         scale, method="breed", seed=seed, workload=workload, architecture=architecture
     )
-    runner = StudyRunner(
-        base_config=template, study_name="fig3a", backend=backend, max_workers=max_workers
-    )
     configurations = fig3a_configurations(hidden_sizes, layer_counts, methods)
-    study = runner.run_all(
-        configurations,
-        name_key="_name",
-        checkpoint=checkpoint,
-        resume=resume,
-        checkpoint_every=checkpoint_every,
-    )
+    study = run_study(template, "fig3a", configurations, **engine)
 
     cells: List[Fig3aCell] = []
     for hidden in hidden_sizes:

@@ -6,8 +6,8 @@ and the mixing triplet ``(r_s, r_e, r_c)``.  Each configuration is one Breed
 run whose train/validation curves are reported with the varied value as the
 legend entry.
 
-The one-factor-at-a-time grid is executed through the
-:class:`~repro.workflow.study.StudyRunner` engine — every configuration is an
+The one-factor-at-a-time grid is executed through
+:func:`~repro.experiments.base.run_study` — every configuration is an
 independent run, so ``backend="process"`` parallelises the whole figure and
 ``resume=`` restarts a killed study where it left off.
 """
@@ -15,13 +15,11 @@ independent run, so ``backend="process"`` parallelises the whole figure and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.curves import LossCurve, curve_from_series
-from repro.experiments.base import base_config
+from repro.experiments.base import base_config, run_study
 from repro.workflow.results import StudyResults
-from repro.workflow.study import StudyRunner
 
 __all__ = [
     "PAPER_FACTORS",
@@ -119,33 +117,25 @@ def run_fig3b(
     scale: str = "smoke",
     factors: Mapping[str, Sequence[float]] | None = None,
     seed: int = 0,
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    resume: Optional[Union[str, Path]] = None,
-    checkpoint_every: Optional[int] = None,
     workload: str = "heat2d",
     architecture: str = "mlp",
+    **engine: Any,
 ) -> Fig3bResult:
     """Run the hyper-parameter study (one factor at a time).
 
-    ``checkpoint_every`` enables mid-run session snapshots: a resumed study
-    re-enters partially completed runs at the batch they were killed at;
     ``workload`` runs the whole grid against another registered scenario and
-    ``architecture`` swaps the surrogate body (registry key).
+    ``architecture`` swaps the surrogate body (registry key).  ``engine``
+    holds the study-engine knobs of :func:`run_study` (``seeds``,
+    ``backend``, ``max_workers``, ``checkpoint``, ``resume``,
+    ``checkpoint_every``).
     """
     if factors is None:
         factors = SMOKE_FACTORS if scale == "smoke" else PAPER_FACTORS
     template = base_config(
         scale, method="breed", seed=seed, workload=workload, architecture=architecture
     )
-    runner = StudyRunner(
-        base_config=template, study_name="fig3b", backend=backend, max_workers=max_workers
-    )
     configurations = fig3b_configurations(factors, seed=seed)
-    study = runner.run_all(
-        configurations, checkpoint=checkpoint, resume=resume, checkpoint_every=checkpoint_every
-    )
+    study = run_study(template, "fig3b", configurations, **engine)
 
     panels: List[Fig3bPanel] = []
     for factor in factors:

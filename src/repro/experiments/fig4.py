@@ -1,10 +1,10 @@
 """Figure 4: distribution of the chosen input parameters.
 
-Two comparisons built from the executed parameter vectors of complete runs:
+Two comparisons built from the executed parameter vectors of run records:
 
-* **4a** — within one Breed run, the deviation histogram of uniform-sourced
+* **4a** — within the Breed runs, the deviation histogram of uniform-sourced
   vectors vs proposal-sourced vectors,
-* **4b** — the deviation histogram of a whole Random run vs a whole Breed run.
+* **4b** — the deviation histogram of the Random runs vs the Breed runs.
 
 The expected shape (the paper's "central insight"): the proposal/Breed
 distributions have their mean shifted towards *higher* parameter-vector
@@ -15,25 +15,39 @@ dissimilar, i.e. where trajectories are most dynamic and hardest to learn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
+
+import numpy as np
 
 from repro.analysis.deviation import DeviationHistogram, compare_runs, histogram_by_source
-from repro.experiments.base import base_config
-from repro.api.session import OnlineTrainingResult
-from repro.workflow.study import StudyRunner
+from repro.experiments.base import base_config, run_study
+from repro.workflow.results import StudyResults
 
 __all__ = ["Fig4Result", "run_fig4"]
 
 
 @dataclass
 class Fig4Result:
-    """Histograms of both panels plus the underlying runs."""
+    """Histograms of both panels plus the run records behind them."""
 
     by_source: Dict[str, DeviationHistogram]
     by_method: Dict[str, DeviationHistogram]
-    breed_run: OnlineTrainingResult
-    random_run: OnlineTrainingResult
     scale: str
+    study: StudyResults
+
+    @classmethod
+    def from_study(cls, study: StudyResults, scale: str = "", n_bins: int = 16) -> "Fig4Result":
+        """Both panels from the pooled Breed and Random runs of any study with ``method`` overrides."""
+        breed, random = study.filter(method="breed"), study.filter(method="random")
+        if not breed or not random:
+            raise ValueError(f"study {study.study!r} needs both breed and random runs")
+        random_parameters, breed_parameters = (
+            np.concatenate([run.analysis("executed_parameters") for run in runs]) for runs in (random, breed)
+        )
+        sources = [s for run in breed for s in run.analysis("parameter_sources")]
+        by_method = compare_runs({"Random": random_parameters, "Breed": breed_parameters}, n_bins=n_bins)
+        by_source = histogram_by_source(breed_parameters, sources, n_bins=n_bins)
+        return cls(by_source=by_source, by_method=by_method, scale=scale, study=study)
 
     @property
     def proposal_mean_shift(self) -> float:
@@ -42,7 +56,7 @@ class Fig4Result:
 
     @property
     def breed_mean_shift(self) -> float:
-        """Mean deviation of the Breed run minus the Random run (4b)."""
+        """Mean deviation of the Breed runs minus the Random runs (4b)."""
         return self.by_method["Breed"].mean - self.by_method["Random"].mean
 
     def summary(self) -> Dict[str, float]:
@@ -58,36 +72,16 @@ class Fig4Result:
         }
 
 
-def run_fig4(scale: str = "smoke", seed: int = 0, n_bins: int = 16, workload: str = "heat2d") -> Fig4Result:
-    """Run one Random and one Breed experiment and build the Figure-4 histograms.
-
-    The histograms need the executed parameter vectors of the full
-    :class:`OnlineTrainingResult`, so both runs go through the study engine's
-    serial backend, which keeps them in-process.
-    """
-    breed_config = base_config(scale, method="breed", seed=seed, workload=workload)
-    runner = StudyRunner(base_config=breed_config, study_name="fig4")
-    runner.run_all(
-        [{"_name": "breed", "method": "breed"}, {"_name": "random", "method": "random"}],
-        name_key="_name",
-    )
-    breed_run = runner.full_results["fig4:breed"]
-    random_run = runner.full_results["fig4:random"]
-
-    by_source = histogram_by_source(
-        breed_run.executed_parameters, breed_run.parameter_sources, n_bins=n_bins
-    )
-    by_method = compare_runs(
-        {
-            "Random": random_run.executed_parameters,
-            "Breed": breed_run.executed_parameters,
-        },
-        n_bins=n_bins,
-    )
-    return Fig4Result(
-        by_source=by_source,
-        by_method=by_method,
-        breed_run=breed_run,
-        random_run=random_run,
-        scale=scale,
-    )
+def run_fig4(
+    scale: str = "smoke",
+    seed: int = 0,
+    n_bins: int = 16,
+    workload: str = "heat2d",
+    architecture: str = "mlp",
+    **engine: Any,
+) -> Fig4Result:
+    """Run one Random and one Breed experiment (``engine``: :func:`run_study`'s knobs)."""
+    template = base_config(scale, method="breed", seed=seed, workload=workload, architecture=architecture)
+    configurations = [{"_name": "breed", "method": "breed"}, {"_name": "random", "method": "random"}]
+    study = run_study(template, "fig4", configurations, **engine)
+    return Fig4Result.from_study(study, scale=scale, n_bins=n_bins)

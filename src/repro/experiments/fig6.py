@@ -2,7 +2,8 @@
 
 One Breed run is executed with per-sample statistics recording enabled; the
 correlation matrix over (NN iteration, parameter index, time step, per-sample
-loss, uniform indicator, batch loss, loss deviation) is then computed.
+loss, uniform indicator, batch loss, loss deviation) is computed where the run
+executes and read from its record.
 
 Qualitative expectations from Section 4.2 of the paper:
 
@@ -17,12 +18,13 @@ Qualitative expectations from Section 4.2 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
-from repro.analysis.correlation import CorrelationMatrix, correlation_matrix
-from repro.experiments.base import base_config
-from repro.api.session import OnlineTrainingResult
-from repro.workflow.study import StudyRunner
+import numpy as np
+
+from repro.analysis.correlation import CORRELATION_COLUMNS, CorrelationMatrix
+from repro.experiments.base import base_config, run_study
+from repro.workflow.results import StudyResults
 
 __all__ = ["Fig6Result", "run_fig6"]
 
@@ -30,8 +32,14 @@ __all__ = ["Fig6Result", "run_fig6"]
 @dataclass
 class Fig6Result:
     matrix: CorrelationMatrix
-    run: OnlineTrainingResult
     scale: str
+    study: StudyResults
+
+    @classmethod
+    def from_study(cls, study: StudyResults, scale: str = "") -> "Fig6Result":
+        """The mean of the runs' recorded correlation matrices (one run: its own)."""
+        matrix = np.mean([run.analysis("sample_correlations") for run in study], axis=0)
+        return cls(CorrelationMatrix(columns=CORRELATION_COLUMNS, matrix=matrix), scale, study)
 
     def key_findings(self) -> Dict[str, float]:
         return self.matrix.key_findings()
@@ -48,16 +56,12 @@ class Fig6Result:
         }
 
 
-def run_fig6(scale: str = "smoke", seed: int = 0, workload: str = "heat2d") -> Fig6Result:
-    """Run one Breed experiment with statistics recording and build the matrix.
-
-    The correlation matrix needs the full per-sample statistics history, so
-    the run goes through the study engine's serial backend, which keeps the
-    complete :class:`OnlineTrainingResult` in-process.
-    """
-    config = base_config(scale, method="breed", seed=seed, workload=workload, record_sample_statistics=True)
-    runner = StudyRunner(base_config=config, study_name="fig6")
-    runner.run_all([{"_name": "breed"}], name_key="_name")
-    run = runner.full_results["fig6:breed"]
-    matrix = correlation_matrix(run.history.sample_statistics)
-    return Fig6Result(matrix=matrix, run=run, scale=scale)
+def run_fig6(
+    scale: str = "smoke", seed: int = 0, workload: str = "heat2d", architecture: str = "mlp", **engine: Any
+) -> Fig6Result:
+    """Run one Breed experiment with statistics recording (``engine``: :func:`run_study`'s knobs)."""
+    config = base_config(
+        scale, seed=seed, record_sample_statistics=True, workload=workload, architecture=architecture
+    )
+    study = run_study(config, "fig6", [{"_name": "breed"}], **engine)
+    return Fig6Result.from_study(study, scale=scale)

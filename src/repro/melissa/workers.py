@@ -248,7 +248,9 @@ class SolverWorkers:
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass  # gone already; nothing left to reap
-        self._pids, self._commands, self._replies = [], [], []
+        # The last run refers back to the pool: drop it, or the cycle keeps the
+        # shared arena mapped until the cycle collector happens to run.
+        self._pids, self._commands, self._replies, self._running = [], [], [], None
 
     __del__ = close
 

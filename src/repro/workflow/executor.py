@@ -12,12 +12,12 @@ is the in-Python equivalent of that workflow engine:
   factorisation, fixed Halton validation set), keyed by scenario so
   multi-workload studies still share them across runs.
 * :class:`SerialExecutor` / :class:`MultiprocessExecutor` — the two
-  :class:`Executor` backends.  The serial backend keeps the full
-  :class:`~repro.api.session.OnlineTrainingResult` (model included)
-  in-process; the multiprocess backend forks workers that inherit the
-  driver's study inputs and ships only the picklable
-  :class:`~repro.workflow.results.RunResult` back.  The backend name
-  ``"shm"`` is an alias of ``"process"``.
+  :class:`Executor` backends.  The serial backend runs in-process; the
+  multiprocess backend forks workers that inherit the driver's study
+  inputs.  Both hand back the same picklable
+  :class:`~repro.workflow.results.RunResult` records, which carry
+  everything the experiment analyses read.  The backend name ``"shm"`` is
+  an alias of ``"process"``.
 * :class:`JsonlCheckpoint` — an append-only JSONL record of completed runs,
   written as results finish (in completion order) and read back by
   ``StudyRunner.run_all(..., resume=...)`` to skip completed runs after a
@@ -35,6 +35,7 @@ import json
 import os
 import pickle
 import queue
+import signal
 import time
 import traceback
 from dataclasses import dataclass, field, replace
@@ -43,6 +44,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro import telemetry
+from repro.analysis.correlation import correlation_matrix
 from repro.api.config import OnlineTrainingConfig
 from repro.api.session import OnlineTrainingResult, run_online_training
 from repro.breed.samplers import BreedConfig
@@ -221,7 +223,10 @@ def execute_spec(
     """Execute one run spec and package its :class:`RunResult` record.
 
     This is the single run-execution path of the engine: the serial backend
-    calls it in-process, the multiprocess backend inside each worker.
+    calls it in-process, the multiprocess backend inside each worker.  The
+    full :class:`OnlineTrainingResult` (trained model included) is returned
+    beside the record for in-process callers; the backends keep only the
+    record.
     """
     # Deterministic crash point for the kill-and-resume matrix: fires in
     # whichever process executes the run (driver or worker).  One env lookup
@@ -237,6 +242,7 @@ def execute_spec(
     counters_before = telemetry.metrics().counter_values() if metrics_on else {}
     tracer = telemetry.tracer()
     start = time.perf_counter()
+    earlier_seconds = 0.0
     with tracer.span("study.run", cat="study", run=spec.name):
         if config.checkpoint_dir:
             # Fault-tolerant path: re-enter a partially completed run from its
@@ -245,10 +251,13 @@ def execute_spec(
             from repro.checkpoint import resume_or_start
 
             session = resume_or_start(config, solver=solver, validation_set=validation)
+            # A resumed run's steering_seconds includes its snapshotted
+            # segments (the controller carries the total), so its wall time does too.
+            earlier_seconds = session.earlier_wall_seconds
             result = session.run()
         else:
             result = run_online_training(config, solver=solver, validation_set=validation)
-    elapsed_seconds = time.perf_counter() - start
+    elapsed_seconds = earlier_seconds + time.perf_counter() - start
     run_telemetry: Dict[str, float] = {}
     if metrics_on:
         run_telemetry = telemetry.counter_delta(
@@ -280,6 +289,13 @@ def execute_spec(
         seed=config.seed,
         digest=config.digest(),
         telemetry=run_telemetry,
+        executed_parameters=result.executed_parameters.tolist(),
+        parameter_sources=list(result.parameter_sources),
+        sample_correlations=(
+            correlation_matrix(result.history.sample_statistics).matrix.tolist()
+            if result.history.sample_statistics
+            else []
+        ),
     )
     return record, result
 
@@ -305,25 +321,17 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """In-process backend: one run after another, full results retained.
-
-    ``full_results`` maps run name → :class:`OnlineTrainingResult` for every
-    spec executed by this instance — experiments that need the trained model
-    or the executed parameter vectors (fig4, fig6, overhead) read it after
-    the study completes.  Nothing needs to be picklable on this path.
-    """
+    """In-process backend: one run after another."""
 
     def __init__(self, cache: Optional[StudyInputCache] = None) -> None:
         self.cache = cache if cache is not None else StudyInputCache()
-        self.full_results: Dict[str, OnlineTrainingResult] = {}
 
     def execute(
         self, specs: Sequence[RunSpec], on_record: Optional[OnRecord] = None
     ) -> List[RunResult]:
         records: List[RunResult] = []
         for index, spec in enumerate(specs):
-            record, full = execute_spec(spec, self.cache)
-            self.full_results[spec.name] = full
+            record, _ = execute_spec(spec, self.cache)
             if on_record is not None:
                 on_record(index, record)
             records.append(record)
@@ -367,6 +375,9 @@ def _worker_main(task_queue, result_queue, cache: Optional[StudyInputCache], dri
     worker whose driver (pid ``driver``) died exits instead of waiting for
     a sentinel nobody will send.
     """
+    # The driver stops workers with SIGTERM: die by it, whatever handler the
+    # driver had installed before forking (the CLI's raises KeyboardInterrupt).
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     cache = cache if cache is not None else StudyInputCache()
     while True:
         try:

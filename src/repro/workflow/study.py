@@ -7,14 +7,14 @@ all runs of a scenario — as they are in the paper, where the validation set is
 fixed — which also avoids re-factorising the implicit solver per run.
 
 Execution is delegated to a pluggable :mod:`repro.workflow.executor` backend:
-``backend="serial"`` runs in-process (and retains the full
-:class:`~repro.api.session.OnlineTrainingResult` per run),
-``backend="process"`` (alias ``"shm"``) fans the runs out over forked
-workers that inherit the study inputs the driver built, streaming picklable
-:class:`~repro.workflow.results.RunResult` records back.  Either way
-``run_all`` can checkpoint completed runs to a JSONL file as they finish
-and, given ``resume=``, skip the runs a previous (interrupted) invocation
-already completed.  With ``checkpoint_every`` each run also snapshots its
+``backend="serial"`` runs in-process, ``backend="process"`` (alias ``"shm"``)
+fans the runs out over forked workers that inherit the study inputs the
+driver built.  Both return the same picklable
+:class:`~repro.workflow.results.RunResult` records, which every experiment
+analysis reads.  Either way ``run_all`` can checkpoint completed runs to a
+JSONL file as they finish and, given ``resume=``, skip the runs a previous
+(interrupted) invocation already completed.  ``seeds=`` adds a seed axis to
+the grid.  With ``checkpoint_every`` each run also snapshots its
 session into ``<checkpoint>.snapshots/<index>-<name>/``, the name passed
 through :func:`path_safe_name` (which also names campaign node directories).
 """
@@ -25,20 +25,17 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.api.config import OnlineTrainingConfig
-from repro.api.session import OnlineTrainingResult
 from repro.solvers.base import Solver
 from repro.surrogate.validation import ValidationSet
 from repro.utils.logging import get_logger
 from repro.workflow.executor import (
     JsonlCheckpoint,
     RunSpec,
-    SerialExecutor,
     StudyInputCache,
     apply_overrides,
-    execute_spec,
     get_executor,
 )
 from repro.workflow.results import RunResult, StudyResults
@@ -59,10 +56,7 @@ class StudyRunner:
 
     ``backend`` selects the executor (``"serial"``, or ``"process"`` and its
     alias ``"shm"``); ``max_workers`` bounds the worker pool of the parallel
-    backend.  After a serial ``run_all``/``run_one``, :attr:`full_results`
-    maps run name → :class:`OnlineTrainingResult` for experiments that need
-    the trained model or parameter vectors; the parallel backend leaves it
-    empty (only the lightweight records cross back from the workers).
+    backend.
     """
 
     base_config: OnlineTrainingConfig
@@ -73,8 +67,6 @@ class StudyRunner:
     max_workers: Optional[int] = None
     #: optional callback invoked after each run, e.g. for progress reporting
     on_result: Optional[Callable[[RunResult], None]] = None
-    #: full per-run results of the last serial execution, keyed by run name
-    full_results: Dict[str, OnlineTrainingResult] = field(default_factory=dict, repr=False)
     #: per-scenario cache of (solver, validation set) shared by serial runs
     _cache: StudyInputCache = field(default_factory=StudyInputCache, repr=False)
 
@@ -113,13 +105,25 @@ class StudyRunner:
         return names
 
     def build_specs(
-        self, configurations: List[Dict[str, Any]], name_key: Optional[str] = None
+        self,
+        configurations: List[Dict[str, Any]],
+        name_key: Optional[str] = None,
+        seeds: Optional[Sequence[int]] = None,
     ) -> List[RunSpec]:
-        """Expand configurations into named, picklable :class:`RunSpec`\\ s."""
+        """Expand configurations into named, picklable :class:`RunSpec`\\ s.
+
+        ``seeds`` crosses the grid with a seed axis: each configuration runs
+        once per seed, with ``seed`` as an override and ``-s<seed>`` appended
+        to its name.
+        """
         base = self.base_config.to_dict()
+        names = self.run_names(configurations, name_key)
+        if seeds is not None:
+            names = [f"{name}-s{seed}" for name in names for seed in seeds]
+            configurations = [dict(c, seed=int(seed)) for c in configurations for seed in seeds]
         return [
             RunSpec(name=name, config=base, overrides=dict(overrides))
-            for name, overrides in zip(self.run_names(configurations, name_key), configurations)
+            for name, overrides in zip(names, configurations)
         ]
 
     @staticmethod
@@ -176,15 +180,6 @@ class StudyRunner:
         return canonical(record.config) == canonical(spec.overrides)
 
     # -------------------------------------------------------------- running
-    def run_one(self, name: str, overrides: Dict[str, Any]) -> tuple[RunResult, OnlineTrainingResult]:
-        """Run a single configuration in-process and return its records."""
-        spec = RunSpec(name=name, config=self.base_config.to_dict(), overrides=dict(overrides))
-        record, result = execute_spec(spec, self._cache)
-        self.full_results[name] = result
-        if self.on_result is not None:
-            self.on_result(record)
-        return record, result
-
     def run_all(
         self,
         configurations: List[Dict[str, Any]],
@@ -192,6 +187,7 @@ class StudyRunner:
         checkpoint: Optional[Union[str, Path]] = None,
         resume: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
+        seeds: Optional[Sequence[int]] = None,
     ) -> StudyResults:
         """Run every configuration of a study and collect the results.
 
@@ -221,11 +217,13 @@ class StudyRunner:
             study re-enters partially completed runs from their latest
             snapshot — bit-identically — instead of restarting them from
             scratch.
+        seeds:
+            Optional seed axis (see :meth:`build_specs`).
 
         Results are ordered by configuration index regardless of the order
         runs complete in.
         """
-        specs = self.build_specs(configurations, name_key)
+        specs = self.build_specs(configurations, name_key, seeds)
         if checkpoint_every is not None and checkpoint_every > 0:
             root = self._snapshot_root(checkpoint, resume)
             specs = [
@@ -273,7 +271,6 @@ class StudyRunner:
                 sink.append(record)
 
         executor = get_executor(self.backend, max_workers=self.max_workers, cache=self._cache)
-        self.full_results = {}
         n_finished = 0
 
         def on_record(index: int, record: RunResult) -> None:
@@ -288,8 +285,6 @@ class StudyRunner:
                 self.on_result(record)
 
         records = executor.execute(pending, on_record)
-        if isinstance(executor, SerialExecutor):
-            self.full_results = executor.full_results
 
         by_name = dict(completed)
         by_name.update({record.name: record for record in records})

@@ -280,11 +280,11 @@ class TestStudyRunnerIntegration:
             seed=1,
         )
         runner = StudyRunner(base_config=base, study_name="mixed")
-        record, result = runner.run_one(
-            "mixed:heat1d", {"workload": "heat1d", "workload_options": {"n_points": 10, "n_timesteps": 4}}
+        (record,) = runner.run_all(
+            [{"workload": "heat1d", "workload_options": {"n_points": 10, "n_timesteps": 4}}]
         )
-        assert result.workload == "heat1d"
-        assert result.executed_parameters.shape[1] == 3
+        assert record.workload == "heat1d"
+        assert {len(p) for p in record.executed_parameters} == {3}
         assert np.isfinite(record.metric("final_validation_loss"))
 
 

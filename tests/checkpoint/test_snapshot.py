@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -67,6 +69,20 @@ class TestStateEncoding:
         value = float(np.nextafter(0.1, 1.0))
         encoded, _ = encode_state({"x": value})
         assert json.loads(json.dumps(encoded))["x"] == value
+
+    def test_arrays_die_with_their_last_reference(self):
+        # A snapshot's arrays are copies of the session state (125 MiB of
+        # reservoir at the paper preset): no reference cycle may keep them
+        # alive until the cycle collector happens to run.
+        array = np.zeros(4)
+        alive = weakref.ref(array)
+        gc.disable()
+        try:
+            encoded, arrays = encode_state({"reservoir": {"ys": array}})
+            del array, encoded, arrays
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestSnapshotDirectory:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.api.session import TrainingSession
 from repro.checkpoint import latest_snapshot, list_snapshots, save_session
+from repro.experiments.overhead import NEGLIGIBLE_SHARE, OverheadResult
 from repro.workflow.executor import RunSpec, TIMING_METRICS, execute_spec
 from repro.workflow.study import StudyRunner, path_safe_name
 
@@ -70,6 +73,44 @@ class TestRunSpecCheckpointing:
             resumed_record, _ = execute_spec(spec)
         assert "resuming session" in caplog.text
         assert resumed_record.series == reference.series
+
+
+    def test_resumed_run_wall_time_covers_its_snapshotted_segment(self, make_config, tmp_path):
+        # The controller carries the steering total across a restore; the
+        # run's wall time must too, or the steering share of a resumed run
+        # divides a whole run's steering by one segment's time.
+        spec = RunSpec(
+            name="r",
+            config=make_config().to_dict(),
+            overrides={},
+            checkpoint_dir=str(tmp_path / "snaps"),
+            checkpoint_every=10,
+        )
+        partial = TrainingSession(spec.build_config())
+        while not partial.controller.records:
+            assert partial.tick(), "the run ended before its first steering"
+        # as if the first segment had steered for 4 s out of 100 s
+        partial.controller.steering_seconds = 4.0
+        partial.earlier_wall_seconds = 100.0 - (partial.wall_seconds - partial.earlier_wall_seconds)
+        save_session(partial, tmp_path / "snaps")
+        record, _ = execute_spec(spec)
+        steering, elapsed = record.metrics["steering_seconds"], record.metrics["elapsed_seconds"]
+        assert 100.0 <= elapsed < 160.0
+        # the second segment steered within its own wall time
+        assert 0.0 <= steering - 4.0 <= elapsed - 100.0
+        assert OverheadResult.steering_share(record) < NEGLIGIBLE_SHARE  # ≈ 4 / 100
+
+    def test_snapshots_without_a_wall_time_restore_with_none_earlier(self, make_config):
+        session = TrainingSession(make_config())
+        session.tick()
+        state = session.state_dict()
+        assert state["wall_seconds"] > 0.0
+        restored = TrainingSession(make_config())
+        restored.load_state_dict(state)
+        assert restored.earlier_wall_seconds == state["wall_seconds"]
+        del state["wall_seconds"]
+        restored.load_state_dict(state)
+        assert restored.earlier_wall_seconds == 0.0
 
 
 class TestStudyRunnerResume:
@@ -144,23 +185,19 @@ def test_path_safe_name_is_stable(name, expected):
 
 
 def test_executed_parameters_identical_after_study_resume(make_config, tmp_path):
-    """Full-result path: serial executor keeps models; compare weights too."""
-    runner = _runner(make_config)
-    reference = runner.run_all(CONFIGS[:1], name_key="_name")
-    ref_model = runner.full_results[reference.runs[0].name].model
+    """A run re-entered from its study snapshot ends with the same weights and parameters."""
+    spec = _runner(make_config).build_specs(CONFIGS[:1], name_key="_name")[0]
+    ref_record, reference = execute_spec(spec)
 
-    jsonl = tmp_path / "one.jsonl"
-    specs = runner.build_specs(CONFIGS[:1], name_key="_name")
-    run_dir = StudyRunner._run_snapshot_dir(tmp_path / "one.jsonl.snapshots", 0, specs[0].name)
-    partial = TrainingSession(specs[0].build_config())
+    run_dir = StudyRunner._run_snapshot_dir(tmp_path / "one.jsonl.snapshots", 0, spec.name)
+    partial = TrainingSession(spec.build_config())
     for _ in range(5):
         partial.tick()
     save_session(partial, run_dir)
 
-    resumed_runner = _runner(make_config)
-    resumed = resumed_runner.run_all(
-        CONFIGS[:1], name_key="_name", checkpoint=jsonl, checkpoint_every=10
-    )
-    res_model = resumed_runner.full_results[resumed.runs[0].name].model
-    for key, value in ref_model.state_dict().items():
-        np.testing.assert_array_equal(res_model.state_dict()[key], value)
+    resumed_spec = replace(spec, checkpoint_dir=str(run_dir), checkpoint_every=10)
+    res_record, resumed = execute_spec(resumed_spec)
+    for key, value in reference.model.state_dict().items():
+        np.testing.assert_array_equal(resumed.model.state_dict()[key], value)
+    assert res_record.executed_parameters == ref_record.executed_parameters
+    assert res_record.parameter_sources == ref_record.parameter_sources

@@ -15,6 +15,7 @@ from repro.experiments.cross_workload import (
 )
 from repro.experiments.base import base_config
 from repro.workflow.executor import TIMING_METRICS
+from repro.workflow.results import RunResult, StudyResults
 
 #: cheap 1-D workloads used to keep these integration runs fast
 FAST_WORKLOADS = ["advection1d", "burgers", "fisher"]
@@ -69,6 +70,40 @@ class TestStudy:
 
     def test_runs_record_their_workload(self, result):
         assert {run.workload for run in result.study.runs} == set(FAST_WORKLOADS)
+
+
+class TestSeveralSeeds:
+    @staticmethod
+    def _result(losses):
+        """A two-method burgers study, one run per ``(method, seed, validation MSE)``."""
+        study = StudyResults(study="cross", runs=[
+            RunResult(
+                name=f"cross:burgers-{method}-s{seed}",
+                config={"workload": "burgers", "method": method, "seed": seed},
+                metrics={"final_train_loss": 0.5 * value, "final_validation_loss": value,
+                         "overfit_gap": 0.5 * value},
+                workload="burgers",
+                seed=seed,
+            )
+            for method, seed, value in losses
+        ])
+        return CrossWorkloadResult(workloads=["burgers"], scale="smoke", study=study)
+
+    def test_summaries_are_medians_over_seeds(self):
+        result = self._result([
+            ("breed", 0, 1.0), ("breed", 1, 2.0), ("breed", 2, 9.0),
+            ("random", 0, 4.0), ("random", 1, 4.0), ("random", 2, 0.5),
+        ])
+        assert result.losses("burgers") == {"breed": 2.0, "random": 4.0}
+        assert result.breed_improvement("burgers") == 0.5
+        assert result.summary_rows() == [
+            ("burgers", "breed", 1.0, 2.0, 1.0), ("burgers", "random", 2.0, 4.0, 2.0),
+        ]
+
+    def test_one_seed_reports_its_own_values(self):
+        result = self._result([("breed", 3, 0.25), ("random", 3, 0.5)])
+        assert result.losses("burgers") == {"breed": 0.25, "random": 0.5}
+        assert len(result.summary_rows()) == 2
 
 
 @pytest.mark.slow  # three full cross-workload studies per backend

@@ -8,6 +8,7 @@ patching ``os.sched_getaffinity``, never through an option.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import resource
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -377,6 +379,20 @@ class TestLifecycle:
         (pid,) = workers.pids
         del workers
         assert not Path(f"/proc/{pid}").exists()
+
+    def test_a_closed_pool_dies_with_its_last_reference(self, tiny_solver):
+        # the pool maps its shared arena: no reference cycle may keep it alive
+        # until the cycle collector happens to run
+        workers = SolverWorkers(tiny_solver, n_workers=2)
+        assert len(workers.run(_whoami, [("a",), ("b",)])) == 2
+        workers.close()
+        alive = weakref.ref(workers)
+        gc.disable()
+        try:
+            del workers
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_workers_exit_when_the_parent_dies(self, tmp_path):
         script = (

@@ -7,7 +7,34 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.workflow.executor import TIMING_METRICS, JsonlCheckpoint
 from repro.workflow.results import StudyResults
+
+#: ``fig4_smoke.json`` / ``fig6_smoke.json`` at ``--seed 0``, as written when
+#: fig4 and fig6 still kept their runs' full in-process results: reading the
+#: run records instead must not move a byte
+FIG4_SMOKE_SEED0 = (
+    '{\n  "uniform_mean": 102.31193742653608,\n  "proposal_mean": 88.55659603547528,'
+    '\n  "proposal_mean_shift": -13.755341391060796,\n  "random_run_mean": 97.16925545086762,'
+    '\n  "breed_run_mean": 93.71484905712309,\n  "breed_mean_shift": -3.4544063937445344,'
+    '\n  "n_proposal_vectors": 30.0,\n  "n_uniform_vectors": 18.0\n}'
+)
+FIG6_SMOKE_SEED0 = (
+    '{\n  "key_findings": {\n    "deviation_vs_iteration": -0.019523391631568285,'
+    '\n    "deviation_vs_sample_loss": 0.3551015272182645,'
+    '\n    "batch_loss_vs_iteration": -0.9009279511564522,'
+    '\n    "sample_loss_vs_iteration": -0.7460313308678479\n  },\n  "checks": {'
+    '\n    "deviation_weakly_coupled_to_iteration": true,'
+    '\n    "deviation_positively_tracks_sample_loss": true,'
+    '\n    "losses_decrease_with_iteration": true\n  }\n}'
+)
+PINNED_SUMMARIES = {"fig4": FIG4_SMOKE_SEED0, "fig6": FIG6_SMOKE_SEED0}
+OVERHEAD_KEYS = [
+    "random_steering_seconds", "breed_steering_seconds", "breed_steering_events",
+    "breed_iterations", "breed_batches", "steering_seconds_per_event",
+    "random_final_validation", "breed_final_validation",
+    "random_dropped_messages", "breed_dropped_messages",
+]
 
 
 class TestParser:
@@ -174,6 +201,126 @@ class TestCliRuns:
         assert main(args) == 0  # no --resume: fresh invocation, fresh checkpoint
         checkpoint = tmp_path / "fig3b_smoke.runs.jsonl"
         assert len(checkpoint.read_text().splitlines()) == 2  # not 4
+
+
+class TestRecordAnalyses:
+    """fig4, fig6 and overhead are study grids read from run records."""
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig6"])
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+    def test_summary_bytes_pinned(self, experiment, jobs, tmp_path, capsys):
+        assert main([experiment, "--scale", "smoke", "--seed", "0", "--out", str(tmp_path), *jobs]) == 0
+        assert (tmp_path / f"{experiment}_smoke.json").read_text() == PINNED_SUMMARIES[experiment]
+
+    def test_overhead_keeps_its_summary_keys(self, tmp_path, capsys):
+        assert main(["overhead", "--scale", "smoke", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "overhead_smoke.json").read_text())
+        assert list(summary) == OVERHEAD_KEYS
+
+    @pytest.mark.parametrize("experiment, n_runs", [("fig4", 2), ("fig6", 1), ("overhead", 2)])
+    def test_engine_flags_apply(self, experiment, n_runs, tmp_path, capsys, monkeypatch):
+        from repro.workflow.executor import MultiprocessExecutor
+
+        calls = []
+        execute = MultiprocessExecutor.execute
+        monkeypatch.setattr(
+            MultiprocessExecutor, "execute",
+            lambda self, specs, on_record=None: calls.append(len(specs)) or execute(self, specs, on_record),
+        )
+        args = [experiment, "--scale", "smoke", "--out", str(tmp_path), "--jobs", "2",
+                "--checkpoint-every", "30"]
+        assert main(args) == 0
+        assert calls == [n_runs]
+        checkpoint = tmp_path / f"{experiment}_smoke.runs.jsonl"
+        first = checkpoint.read_text()
+        assert len(first.splitlines()) == n_runs
+        run_dirs = list((tmp_path / f"{experiment}_smoke.runs.jsonl.snapshots").iterdir())
+        assert len(run_dirs) == n_runs
+        # --restore and --resume splice every completed run: nothing re-runs
+        assert main(args + ["--restore"]) == 0
+        assert main(args[:-2] + ["--resume", str(checkpoint)]) == 0
+        assert checkpoint.read_text() == first
+        assert calls == [n_runs, 0, 0]
+
+    def test_fig4_restore_after_one_checkpointed_run_matches_a_fresh_run(self, tmp_path, capsys):
+        args = ["fig4", "--scale", "smoke", "--out", str(tmp_path), "--checkpoint-every", "30"]
+        assert main(args) == 0
+        checkpoint = tmp_path / "fig4_smoke.runs.jsonl"
+        first_run = checkpoint.read_text().splitlines()[0]
+        checkpoint.write_text(first_run + "\n")  # killed after the first run finished
+        assert main(args + ["--restore"]) == 0
+        assert checkpoint.read_text().splitlines()[0] == first_run
+        assert (tmp_path / "fig4_smoke.json").read_text() == FIG4_SMOKE_SEED0
+
+    def test_seed_axis_doubles_the_runs_and_matches_single_seed_records(self, tmp_path, capsys):
+        assert main(["fig4", "--scale", "smoke", "--seeds", "0-1", "--out", str(tmp_path / "axis")]) == 0
+        note = capsys.readouterr().err
+        assert "note: 2 seeds ran; the summary pools" in note and "fig4_smoke.runs.jsonl" in note
+        axis = JsonlCheckpoint(tmp_path / "axis" / "fig4_smoke.runs.jsonl").load()
+        assert sorted(axis) == ["fig4:breed-s0", "fig4:breed-s1", "fig4:random-s0", "fig4:random-s1"]
+        for seed in (0, 1):
+            out = tmp_path / f"seed{seed}"
+            assert main(["fig4", "--scale", "smoke", "--seeds", str(seed), "--out", str(out)]) == 0
+            assert "seeds ran" not in capsys.readouterr().err
+            single = JsonlCheckpoint(out / "fig4_smoke.runs.jsonl").load()
+            assert sorted(single) == ["fig4:breed", "fig4:random"]  # one seed: names unchanged
+            for name, record in single.items():
+                twin = axis[f"{name}-s{seed}"]
+                assert twin.config == {**record.config, "seed": seed}
+                for key in ("series", "workload", "seed", "digest", "executed_parameters",
+                            "parameter_sources", "sample_correlations"):
+                    assert getattr(twin, key) == getattr(record, key), (name, key)
+                for run in (twin, record):
+                    for key in TIMING_METRICS:
+                        run.metrics.pop(key)
+                assert twin.metrics == record.metrics
+
+    def test_seed_list_forms(self):
+        parser = build_parser()
+        assert parser.parse_args(["fig4", "--seeds", "0-3"]).seeds == [0, 1, 2, 3]
+        assert parser.parse_args(["fig4", "--seeds", "5"]).seeds == [5]
+        assert parser.parse_args(["fig4", "--seeds", "0,3,7-8"]).seeds == [0, 3, 7, 8]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fig4", "--seeds", "a-b"])
+
+
+class TestCompare:
+    @pytest.fixture
+    def runs_file(self, tmp_path):
+        from repro.workflow.results import RunResult
+
+        checkpoint = JsonlCheckpoint(tmp_path / "planted.runs.jsonl")
+        for seed in range(10):
+            base = 1.0 + 0.1 * seed
+            for method, value in (("breed", 0.95 * base), ("random", base)):
+                checkpoint.append(RunResult(
+                    name=f"s:{method}-s{seed}",
+                    config={"_name": f"{method}-s{seed}", "method": method, "seed": seed},
+                    metrics={"final_validation_loss": value},
+                    seed=seed,
+                ))
+        return checkpoint.path
+
+    def test_table_names_the_verdict(self, runs_file, capsys):
+        assert main(["compare", str(runs_file), "--by", "method"]) == 0
+        out = capsys.readouterr().out
+        assert "breed vs random" in out and "10/10" in out and "holds" in out
+
+    def test_json_output(self, runs_file, capsys):
+        assert main(["compare", str(runs_file), "--json", "--metric", "final_validation_loss"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert (row["group"], row["baseline"], row["wins"], row["losses"]) == ("breed", "random", 10, 0)
+        assert row["verdict"] == "holds"
+
+    def test_unknown_metric_rejected(self, runs_file):
+        with pytest.raises(SystemExit, match="missing"):
+            main(["compare", str(runs_file), "--metric", "nope"])
+
+    def test_figure_summary_points_to_its_runs_file(self, tmp_path):
+        summary = tmp_path / "fig4_smoke.json"
+        summary.write_text(json.dumps({"breed_mean_shift": -3.45}))
+        with pytest.raises(SystemExit, match=r"figure summary.*fig4_smoke\.runs\.jsonl"):
+            main(["compare", str(summary)])
 
 
 class TestWorkloadFlag:

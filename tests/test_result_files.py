@@ -21,6 +21,7 @@ from repro import cli
 from repro.bench.runner import write_report
 from repro.telemetry.tracing import to_chrome
 from repro.utils.durable import AppendLog
+from repro.workflow.results import StudyResults
 
 
 def _disk_full() -> OSError:
@@ -101,7 +102,10 @@ def _chrome_trace(tmp_path: Path) -> None:
 
 
 WRITERS = {
-    "summary": ("fig4_smoke.json", lambda tmp: cli._save_summary(_cli_args(tmp), "fig4", {"a": 1.0})),
+    "summary": (
+        "fig4_smoke.json",
+        lambda tmp: cli._save(_cli_args(tmp), "fig4", StudyResults(study="fig4"), {"a": 1.0}),
+    ),
     "table1": ("table1.txt", lambda tmp: cli._run_table1(_cli_args(tmp))),
     "interrupt_marker": (
         "fig3b_smoke.interrupted.json",

@@ -122,13 +122,13 @@ class TestExecutorBackends:
         assert isinstance(first.cache, StudyInputCache)
         assert first.cache is not second.cache
 
-    def test_serial_retains_full_results(self, tiny_run_config):
+    def test_serial_records_carry_the_analysis_fields(self, tiny_run_config):
         executor = SerialExecutor()
         specs = [RunSpec(name="r0", config=tiny_run_config.to_dict(), overrides={})]
-        records = executor.execute(specs)
-        assert len(records) == 1
-        assert set(executor.full_results) == {"r0"}
-        assert executor.full_results["r0"].method in ("Breed", "Random")
+        (record,) = executor.execute(specs)
+        assert len(record.executed_parameters) == tiny_run_config.n_simulations
+        assert len(record.parameter_sources) == tiny_run_config.n_simulations
+        assert record.sample_correlations == []  # record_sample_statistics is off
 
     def test_process_backend_bit_identical_to_serial(self, tiny_run_config):
         serial = StudyRunner(base_config=tiny_run_config, study_name="det").run_all(GRID)
@@ -143,6 +143,20 @@ class TestExecutorBackends:
             assert _comparable_metrics(serial_run) == _comparable_metrics(process_run)
             assert serial_run.workload == process_run.workload
             assert serial_run.seed == process_run.seed
+
+    def test_analysis_fields_identical_across_backends(self, tiny_run_config):
+        from dataclasses import replace
+
+        config = replace(tiny_run_config, record_sample_statistics=True)
+        serial = StudyRunner(base_config=config, study_name="fields").run_all(GRID)
+        process = StudyRunner(
+            base_config=config, study_name="fields", backend="process", max_workers=2
+        ).run_all(GRID)
+        for serial_run, process_run in zip(serial, process):
+            assert serial_run.executed_parameters
+            assert len(serial_run.sample_correlations) == 7
+            for key in ("executed_parameters", "parameter_sources", "sample_correlations"):
+                assert getattr(serial_run, key) == getattr(process_run, key), key
 
     def test_completion_order_reordered_to_spec_order(self, tiny_run_config):
         seen = []
@@ -266,6 +280,29 @@ class TestWorkerLoop:
         executor_module._worker_main(queue.Queue(), results, None, -1)
         assert results.cancelled
         assert results.empty()
+
+    def test_a_terminated_worker_dies_by_sigterm_whatever_the_driver_handler(self, tiny_run_config):
+        import signal
+
+        def raising(signum, frame):  # what the CLI installs in the driver
+            raise KeyboardInterrupt
+
+        ctx = multiprocessing.get_context("fork")
+        tasks, results = ctx.Queue(), ctx.Queue()
+        previous = signal.signal(signal.SIGTERM, raising)
+        try:
+            worker = ctx.Process(
+                target=executor_module._worker_main, args=(tasks, results, None, os.getpid())
+            )
+            worker.start()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        bad = RunSpec(name="bad", config=tiny_run_config.to_dict(), overrides={"activation": "nope"})
+        tasks.put((0, bad))
+        assert results.get(timeout=60)[0] == 0  # the worker is in its loop
+        worker.terminate()
+        worker.join(timeout=10)
+        assert worker.exitcode == -signal.SIGTERM  # not 1 from a KeyboardInterrupt traceback
 
     def test_inherited_cache_is_used_without_rebuilding(self, tiny_run_config, tmp_path, monkeypatch):
         cache = StudyInputCache()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.workflow.grid import one_factor_at_a_time
-from repro.workflow.results import RunResult, StudyResults
+from repro.workflow.results import RunResult, StudyResults, sign_test_p, verdict
 
 
 class TestOneFactorAtATime:
@@ -170,3 +170,88 @@ class TestTelemetrySummary:
     def test_legacy_payload_without_telemetry_defaults_empty(self):
         run = RunResult.from_dict({"name": "old", "config": {}, "metrics": {}})
         assert run.telemetry == {}
+
+
+def _planted(effect: float, wobble: float = 0.0) -> StudyResults:
+    """Ten seeds of breed/random pairs; breed = random × (1 − effect) ± wobble."""
+    study = StudyResults(study="planted")
+    for seed in range(10):
+        random = 1.0 + 0.37 * ((seed * 7) % 10)
+        breed = random * (1.0 - effect + (wobble if seed % 2 else -wobble))
+        for method, value in (("breed", breed), ("random", random)):
+            study.add(RunResult(
+                name=f"planted:{method}-s{seed}",
+                config={"_name": f"{method}-s{seed}", "method": method, "seed": seed},
+                metrics={"final_validation_loss": value},
+                seed=seed,
+            ))
+    return study
+
+
+class TestPairedStatistics:
+    def test_sign_test_exact_values(self):
+        assert sign_test_p(10, 0) == pytest.approx(2 / 1024)
+        assert sign_test_p(0, 10) == sign_test_p(10, 0)
+        assert sign_test_p(8, 2) == pytest.approx(2 * (1 + 10 + 45) / 1024)
+        assert sign_test_p(5, 5) == 1.0
+        assert sign_test_p(0, 0) == 1.0  # nothing but ties
+
+    def test_planted_five_percent_effect_is_detected(self):
+        (comparison,) = _planted(0.05).paired("final_validation_loss", by="method")
+        assert (comparison.group, comparison.baseline) == ("breed", "random")
+        assert comparison.seeds == list(range(10))
+        assert comparison.ratios == pytest.approx([0.95] * 10)
+        assert (comparison.wins, comparison.losses) == (10, 0)
+        assert comparison.p < 0.05
+        assert comparison.verdict() == "holds"
+
+    @pytest.mark.parametrize("wobble", [0.0, 0.01])
+    def test_planted_zero_effect_is_unresolved(self, wobble):
+        (comparison,) = _planted(0.0, wobble).paired("final_validation_loss", by="method")
+        assert comparison.wins == comparison.losses  # ties count for neither side
+        assert comparison.p == 1.0
+        assert comparison.verdict() == "unresolved"
+
+    def test_verdict_rule(self):
+        # 5 of 5 seeds give p = 0.0625: not enough seeds to settle the claim
+        assert [verdict(5, 0), verdict(6, 0), verdict(0, 6), verdict(8, 2)] == [
+            "unresolved", "holds", "does not hold", "unresolved"
+        ]
+
+    def test_effect_against_the_claim_does_not_hold(self):
+        (comparison,) = _planted(0.05).paired("final_validation_loss", better="higher")
+        assert comparison.verdict() == "does not hold"
+
+    def test_cells_pair_separately_and_a_metric_can_be_a_function(self):
+        study = _planted(0.05)
+        for run in study:
+            run.config["hidden_size"] = 16 if run.seed < 5 else 32
+        comparisons = study.paired(lambda run: -run.metric("final_validation_loss"), better="higher")
+        assert [c.cell for c in comparisons] == ["hidden_size=16", "hidden_size=32"]
+        assert [c.wins for c in comparisons] == [5, 5]
+        row = comparisons[0].to_dict()
+        assert row["metric"] == "<lambda>"
+        assert {"median", "iqr", "baseline_median", "baseline_iqr", "p", "verdict"} <= set(row)
+
+    def test_runs_without_the_grouping_key_are_named(self):
+        study = StudyResults(study="x", runs=[RunResult(name="x:0", config={}, metrics={})])
+        with pytest.raises(ValueError, match="x:0"):
+            study.paired()
+
+
+class TestAnalysisFields:
+    def test_old_records_load_and_analyses_name_the_run(self):
+        old = RunResult.from_dict({"name": "fig4:breed", "config": {}, "metrics": {}})
+        assert old.executed_parameters == [] and old.sample_correlations == []
+        with pytest.raises(ValueError, match="fig4:breed.*executed_parameters"):
+            old.analysis("executed_parameters")
+        with pytest.raises(ValueError, match="record_sample_statistics"):
+            old.analysis("sample_correlations")
+
+    def test_fields_round_trip(self):
+        record = RunResult(
+            name="r", config={}, metrics={},
+            executed_parameters=[[1.5, 2.0]], parameter_sources=["proposal"],
+            sample_correlations=[[1.0]],
+        )
+        assert RunResult.from_dict(record.to_dict()) == record

@@ -39,14 +39,14 @@ class TestApplyOverrides:
 
 
 class TestStudyRunner:
-    def test_run_one_produces_metrics_and_series(self, tiny_run_config):
+    def test_single_run_produces_metrics_and_series(self, tiny_run_config):
         runner = StudyRunner(base_config=tiny_run_config, study_name="unit")
-        record, result = runner.run_one("unit:0", {"hidden_size": 8})
+        (record,) = runner.run_all([{"hidden_size": 8}])
         assert record.name == "unit:0"
         for key in ("final_train_loss", "final_validation_loss", "overfit_gap", "elapsed_seconds"):
             assert key in record.metrics
         assert len(record.series["train_losses"]) == len(record.series["train_iterations"])
-        assert result.method in ("Breed", "Random")
+        assert record.config == {"hidden_size": 8}
 
     def test_run_all_with_factor_names(self, tiny_run_config):
         runner = StudyRunner(base_config=tiny_run_config, study_name="fig3b")
@@ -61,8 +61,8 @@ class TestStudyRunner:
     def test_on_result_callback(self, tiny_run_config):
         seen = []
         runner = StudyRunner(base_config=tiny_run_config, study_name="cb", on_result=seen.append)
-        runner.run_one("cb:0", {})
-        assert len(seen) == 1
+        runner.run_all([{}])
+        assert [record.name for record in seen] == ["cb:0"]
 
     def test_shared_solver_and_validation_cached(self, tiny_run_config):
         runner = StudyRunner(base_config=tiny_run_config, study_name="cache")
