@@ -17,7 +17,14 @@ Driver mode (no ``--mode``) orchestrates the whole scenario in one command::
 3. check the victim died from SIGKILL and left complete snapshots behind,
 4. resume the run from its latest snapshot and drive it to completion,
 5. assert the resumed and uninterrupted runs' final metrics and full loss
-   series are **bit-identical**.
+   series are **bit-identical**,
+6. spawn a second victim that SIGKILLs itself *inside* the write of the
+   newest snapshot the first victim left — archive and manifest on disk, the
+   rename not done (the ``snapshot`` fault point of
+   :mod:`repro.workflow.faults`) — and check that it left an orphan tmp
+   directory and no such snapshot,
+7. resume it from the snapshot before, assert bit-identity again, and check
+   that the resumed run's next save pruned the orphan.
 
 Exit code 0 means the fault-tolerance contract holds.
 """
@@ -32,6 +39,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from typing import Dict, Optional
 
 
 #: snapshot interval (training batches) of the victim/resume configurations
@@ -71,8 +79,11 @@ def metrics_of(result) -> dict:
     }
 
 
-def run_victim(workdir: Path, kill_at_iteration: int) -> None:
-    """Run with checkpointing and SIGKILL ourselves at the given iteration."""
+def run_victim(workdir: Path, kill_at_iteration: Optional[int]) -> None:
+    """Run with checkpointing and SIGKILL ourselves at the given iteration.
+
+    Without an iteration only an armed fault (``REPRO_FAULT_TOKEN``) kills it.
+    """
     from repro.checkpoint import resume_or_start
 
     config = build_config(str(workdir / "snapshots"), checkpoint_every=CHECKPOINT_EVERY)
@@ -82,7 +93,8 @@ def run_victim(workdir: Path, kill_at_iteration: int) -> None:
         if s.server.iteration >= kill_at_iteration:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    session.on_tick.append(kill)
+    if kill_at_iteration is not None:
+        session.on_tick.append(kill)
     resumed_at = session.server.iteration
     session.run()
     raise SystemExit(
@@ -134,43 +146,79 @@ def derive_kill_iteration(reference: dict) -> int:
     return max(floor, iterations // 2)
 
 
+def spawn_victim(workdir: Path, env: Dict[str, str], *args: str) -> bool:
+    """Run a victim subprocess; True when it died from SIGKILL."""
+    victim = subprocess.run(
+        [sys.executable, __file__, "--mode", "victim", "--workdir", str(workdir), *args], env=env
+    )
+    if victim.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL):
+        return True
+    print(f"FAIL: victim exited with {victim.returncode}, expected SIGKILL")
+    return False
+
+
+def resume_matches(workdir: Path, reference: dict) -> bool:
+    """Resume the victim's run to completion and compare it with the reference."""
+    run_resume(workdir, workdir / "resumed.json")
+    resumed = json.loads((workdir / "resumed.json").read_text())
+    mismatches = [key for key in reference if resumed.get(key) != reference[key]]
+    if mismatches:
+        print(f"FAIL: resumed run differs from the reference in {mismatches}")
+    return not mismatches
+
+
 def drive(workdir: Path) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
-    print("[1/4] running the uninterrupted reference (also sizes the kill point)")
+    print("[1/6] running the uninterrupted reference (also sizes the kill point)")
     run_reference(workdir / "reference.json")
     reference = json.loads((workdir / "reference.json").read_text())
     kill_at = derive_kill_iteration(reference)
 
-    print(f"[2/4] spawning victim (SIGKILL at iteration {kill_at} "
+    print(f"[2/6] spawning victim (SIGKILL at iteration {kill_at} "
           f"of {int(reference['iterations'])}) in {workdir}")
-    victim = subprocess.run(
-        [sys.executable, __file__, "--mode", "victim", "--workdir", str(workdir),
-         "--kill-at-iteration", str(kill_at)],
-        env=dict(os.environ),
-    )
-    if victim.returncode != -signal.SIGKILL and victim.returncode != 128 + signal.SIGKILL:
-        print(f"FAIL: victim exited with {victim.returncode}, expected SIGKILL")
+    if not spawn_victim(workdir, dict(os.environ), "--kill-at-iteration", str(kill_at)):
         return 1
     snapshots = sorted((workdir / "snapshots").glob("step-*"))
-    print(f"[3/4] victim SIGKILLed; snapshots left behind: {[p.name for p in snapshots]}")
+    print(f"[3/6] victim SIGKILLed; snapshots left behind: {[p.name for p in snapshots]}")
     if not snapshots:
         print("FAIL: the victim left no snapshots")
         return 1
 
-    print("[4/4] resuming from the latest snapshot")
-    run_resume(workdir, workdir / "resumed.json")
-
-    resumed = json.loads((workdir / "resumed.json").read_text())
-    reference = json.loads((workdir / "reference.json").read_text())
-    mismatches = [key for key in reference if resumed.get(key) != reference[key]]
-    if mismatches:
-        print(f"FAIL: resumed run differs from the reference in {mismatches}")
+    print("[4/6] resuming from the latest snapshot")
+    if not resume_matches(workdir, reference):
         return 1
     print(
         "OK: kill-and-resume is bit-identical "
         f"(final validation MSE {reference['final_validation_loss']:.6f}, "
         f"{reference['iterations']:.0f} iterations)"
     )
+
+    if len(snapshots) < 2:
+        print("FAIL: a kill inside a snapshot write needs an earlier snapshot to resume from")
+        return 1
+    target = snapshots[-1].name
+    write_kill = workdir / "write-kill"
+    print(f"[5/6] spawning victim that SIGKILLs inside the write of {target} in {write_kill}")
+    env = dict(os.environ, REPRO_FAULT_TOKEN=f"snapshot:{target}", REPRO_FAULT_MODE="sigkill")
+    env.pop("REPRO_FAULT_ARM", None)
+    if not spawn_victim(write_kill, env):
+        return 1
+    directory = write_kill / "snapshots"
+    orphans = [p.name for p in directory.glob(".tmp-*")]
+    left = [p.name for p in sorted(directory.glob("step-*"))]
+    print(f"      left behind: snapshots {left}, orphans {orphans}")
+    if not orphans or target in left or not left:
+        print(f"FAIL: expected an orphan tmp directory, no {target} and an earlier snapshot")
+        return 1
+
+    print(f"[6/6] resuming from {left[-1]}")
+    if not resume_matches(write_kill, reference):
+        return 1
+    leftovers = [p.name for p in directory.glob(".tmp-*")]
+    if leftovers:
+        print(f"FAIL: the resumed run's saves left the orphans {leftovers}")
+        return 1
+    print(f"OK: a kill inside the write of {target} resumes bit-identically and its orphan is pruned")
     return 0
 
 
@@ -178,7 +226,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", choices=["victim", "resume", "reference"], default=None)
     parser.add_argument("--workdir", default="results/kill_resume_smoke")
-    parser.add_argument("--kill-at-iteration", type=int, default=60)
+    parser.add_argument("--kill-at-iteration", type=int, default=None)
     args = parser.parse_args()
     workdir = Path(args.workdir)
     if args.mode == "victim":

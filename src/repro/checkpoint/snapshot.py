@@ -7,42 +7,58 @@ A snapshot is a *directory* capturing everything a
         step-00000042/          # named by the session tick counter
             manifest.json       # schema version, config + fingerprint, counters,
                                 # and the state tree with array placeholders
-            arrays.npz          # every numpy array of the state tree
+            arrays.npz          # the state tree's arrays (zip CRCs guard every member)
         step-00000063/
         latest.json             # atomic pointer to the newest snapshot
 
 The state tree comes from ``TrainingSession.state_dict()``: nested dicts /
 lists of JSON scalars and numpy arrays.  :func:`encode_state` lifts the arrays
-out into a flat ``{key: array}`` mapping (stored as one ``.npz``) and replaces
-them with ``{"__ndarray__": key}`` placeholders, so the manifest itself is
-plain JSON — floats round-trip exactly (``repr`` shortest-float encoding) and
-the RNG bit-generator states are arbitrary-precision integers, which JSON
-also preserves exactly.  Restores are therefore *bit-identical*: a run killed
-at any batch and restored from its latest snapshot produces the same metrics
-and series as an uninterrupted run.
+out in one walk of the tree and replaces each with a placeholder, so the
+manifest itself is plain JSON — floats round-trip exactly (``repr``
+shortest-float encoding) and the RNG bit-generator states are
+arbitrary-precision integers, which JSON also preserves exactly.  Restores are
+therefore *bit-identical*: a run killed at any batch and restored from its
+latest snapshot produces the same metrics and series as an uninterrupted run.
+
+Archive layout (schema 2).  A state tree holds thousands of small arrays (the
+Breed tracker's per-simulation records, the launcher's ledger) and a handful
+of large ones (reservoir rows, weights, Adam moments, pending payloads).
+Every array of rank ≤ 1 is packed into one contiguous *pool* per dtype,
+stored as the member ``pool-<dtype>``, and its placeholder is
+``{"__ndarray__": [pool, offset, shape]}``; restoring copies its elements out
+of the pool.  Every array of higher rank is its own member ``aNNNNN`` with the
+placeholder ``{"__ndarray__": "aNNNNN"}``, handed to the components as
+loaded, without a further copy.  Schema-1 snapshots stored every array as its
+own member; their placeholders are all of the second kind, so they load
+unchanged.  The manifest is written compact.
 
 Write protocol (crash safety):
 
-1. the snapshot is assembled in a ``.tmp-…`` sibling directory,
-2. ``os.rename`` moves it to its final ``step-…`` name (atomic on POSIX),
+1. the snapshot is assembled in a ``.tmp-…`` sibling directory; its archive,
+   its manifest and the directory itself are ``fsync``-ed,
+2. ``os.rename`` moves it to its final ``step-…`` name (atomic on POSIX), and
+   the checkpoint directory is ``fsync``-ed so the rename is durable,
 3. ``latest.json`` is replaced atomically (:func:`~repro.utils.durable.atomic_write`),
 4. snapshots beyond the retention budget — and stale tmp directories left by
    crashed writers — are pruned last.
 
-A crash between any two steps leaves either the previous consistent snapshot
-set, or the previous set plus one complete new snapshot.
+A crash (or power loss) between any two steps leaves either the previous
+consistent snapshot set, or the previous set plus one complete new snapshot.
+The fault point ``snapshot:step-XXXXXXXX`` of :mod:`repro.workflow.faults`
+fires between steps 1 and 2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import time
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -71,7 +87,9 @@ __all__ = [
 _LOGGER = get_logger("checkpoint")
 
 #: bump when the manifest layout or any component state_dict changes shape
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+#: schema 1 differs only in giving every array its own archive member
+_READABLE_SCHEMAS = (1, 2)
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"
@@ -79,6 +97,7 @@ _LATEST_NAME = "latest.json"
 _STEP_PREFIX = "step-"
 _TMP_PREFIX = ".tmp-"
 _ARRAY_SENTINEL = "__ndarray__"
+_POOL_PREFIX = "pool-"
 
 
 class SnapshotError(RuntimeError):
@@ -95,20 +114,40 @@ class SnapshotMismatchError(SnapshotError):
 
 
 def encode_state(state: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
-    """Split a state tree into a JSON-compatible tree plus an array mapping."""
+    """Split a state tree into a JSON-compatible tree plus an array mapping.
+
+    Arrays of rank ≤ 1 are packed into one ``pool-<dtype>`` entry per dtype;
+    each array of higher rank is an entry of its own.
+    """
     arrays: Dict[str, np.ndarray] = {}
-    return _encode(state, "$", arrays), arrays
+    pools: Dict[str, List[np.ndarray]] = {}
+    encoded = _encode(state, "$", arrays, pools, {})
+    for name, parts in pools.items():
+        arrays[name] = np.concatenate(parts)
+    return encoded, arrays
 
 
-def _encode(value: Any, path: str, arrays: Dict[str, np.ndarray]) -> Any:
+def _encode(
+    value: Any,
+    path: str,
+    arrays: Dict[str, np.ndarray],
+    pools: Dict[str, List[np.ndarray]],
+    pool_sizes: Dict[str, int],
+) -> Any:
     # A module-level function, not a recursive closure: a closure that calls
     # itself is a reference cycle, which would keep ``arrays`` (a copy of the
     # reservoir, 125 MiB at the paper preset) alive until the cycle collector
     # happened to run.
     if isinstance(value, np.ndarray):
-        key = f"a{len(arrays):05d}"
-        arrays[key] = value
-        return {_ARRAY_SENTINEL: key}
+        if value.ndim > 1:
+            key = f"a{len(arrays):05d}"
+            arrays[key] = value
+            return {_ARRAY_SENTINEL: key}
+        name = _POOL_PREFIX + value.dtype.name
+        offset = pool_sizes.get(name, 0)
+        pools.setdefault(name, []).append(value.ravel())
+        pool_sizes[name] = offset + value.size
+        return {_ARRAY_SENTINEL: [name, offset, list(value.shape)]}
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -125,20 +164,31 @@ def _encode(value: Any, path: str, arrays: Dict[str, np.ndarray]) -> Any:
                 )
             if key == _ARRAY_SENTINEL:
                 raise TypeError(f"reserved key {_ARRAY_SENTINEL!r} used at {path!r}")
-            encoded[key] = _encode(item, f"{path}.{key}", arrays)
+            encoded[key] = _encode(item, f"{path}.{key}", arrays, pools, pool_sizes)
         return encoded
     if isinstance(value, (list, tuple)):
-        return [_encode(item, f"{path}[{index}]", arrays) for index, item in enumerate(value)]
+        return [
+            _encode(item, f"{path}[{index}]", arrays, pools, pool_sizes)
+            for index, item in enumerate(value)
+        ]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise TypeError(f"cannot snapshot value of type {type(value).__name__} at {path!r}")
 
 
 def decode_state(encoded: Any, arrays: Dict[str, np.ndarray]) -> Any:
-    """Inverse of :func:`encode_state` (array placeholders resolved)."""
+    """Inverse of :func:`encode_state` (array placeholders resolved).
+
+    A pooled array is copied out of its pool, so no restored component pins
+    the pool; an array with an entry of its own is returned as it is.
+    """
     if isinstance(encoded, dict):
         if set(encoded) == {_ARRAY_SENTINEL}:
-            return arrays[encoded[_ARRAY_SENTINEL]]
+            ref = encoded[_ARRAY_SENTINEL]
+            if isinstance(ref, str):  # an entry of its own (every array of schema 1)
+                return arrays[ref]
+            name, offset, shape = ref
+            return arrays[name][offset : offset + math.prod(shape)].reshape(shape).copy()
         return {key: decode_state(item, arrays) for key, item in encoded.items()}
     if isinstance(encoded, list):
         return [decode_state(item, arrays) for item in encoded]
@@ -196,10 +246,10 @@ def load_manifest(snapshot: str | Path) -> Dict[str, Any]:
     except json.JSONDecodeError as error:
         raise SnapshotError(f"snapshot manifest {manifest_path} is corrupt: {error}") from error
     schema = manifest.get("schema")
-    if schema != SCHEMA_VERSION:
+    if schema not in _READABLE_SCHEMAS:
         raise SnapshotError(
             f"snapshot {snapshot} has schema version {schema}, "
-            f"this code reads version {SCHEMA_VERSION}"
+            f"this code reads versions {', '.join(map(str, _READABLE_SCHEMAS))}"
         )
     return manifest
 
@@ -303,17 +353,46 @@ def _save_session(
     tmp.mkdir()
     try:
         saver = np.savez_compressed if compressed else np.savez
-        with open(tmp / _ARRAYS_NAME, "wb") as stream:
-            saver(stream, **arrays)
-        (tmp / _MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+        _write_synced(tmp / _ARRAYS_NAME, lambda stream: saver(stream, **arrays))
+        # no indent: only then does json use its C encoder (5x faster here)
+        text = json.dumps(manifest, separators=(",", ":"))
+        _write_synced(tmp / _MANIFEST_NAME, lambda stream: stream.write(text.encode()))
+        _sync_directory(tmp)
+        _fault_point(name)
         os.rename(tmp, final)
     finally:
         if tmp.exists():  # failed save: leave no half-written directory behind
             shutil.rmtree(tmp, ignore_errors=True)
+    _sync_directory(directory)
     _write_latest(directory, manifest, name)
     if keep is not None:
         _prune(directory, keep)
     return final
+
+
+def _write_synced(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    with open(path, "wb") as stream:
+        write(stream)
+        stream.flush()
+        os.fsync(stream.fileno())
+
+
+def _sync_directory(path: Path) -> None:
+    """``fsync`` a directory, making the entries created or renamed in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _fault_point(name: str) -> None:
+    """The kill tests' ``snapshot:<name>`` fault (:mod:`repro.workflow.faults`)."""
+    # the workflow package takes ~30 ms to import: only when a fault is armed
+    if "REPRO_FAULT_TOKEN" in os.environ:
+        from repro.workflow.faults import maybe_inject
+
+        maybe_inject("snapshot", name)
 
 
 def restore_session(
@@ -426,7 +505,7 @@ def _load_arrays(snapshot: Path) -> Dict[str, np.ndarray]:
     if not arrays_path.exists():
         raise SnapshotError(f"snapshot {snapshot} has no {_ARRAYS_NAME}")
     try:
-        with np.load(arrays_path) as archive:
-            return {key: archive[key].copy() for key in archive.files}
+        with np.load(arrays_path) as archive:  # every member read is a fresh array
+            return {key: archive[key] for key in archive.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as error:
         raise SnapshotError(f"snapshot archive {arrays_path} is unreadable: {error}") from error

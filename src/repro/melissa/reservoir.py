@@ -193,19 +193,26 @@ class Reservoir:
         timesteps = np.arange(first_timestep, first_timestep + stored)
         self._store(slice(self._n, self._n + stored), simulation_id, timesteps, xs[:stored], ys[:stored])
         self._n += stored
-        while stored < len(xs):
-            seen_indices = np.flatnonzero(self._seen[: self._n] > 0)
-            if seen_indices.size == 0:
-                break
-            victim = int(self._rng.choice(seen_indices))
-            self._store(victim, simulation_id, first_timestep + stored, xs[stored], ys[stored])
-            self.n_evicted += 1
-            stored += 1
+        if stored < len(xs):
+            # One scan per block: a victim becomes unseen, so popping it from
+            # the (sorted) seen list leaves exactly what a rescan would find,
+            # and ``integers(len(seen))`` is the draw ``Generator.choice(seen)``
+            # makes: victims and RNG state are those of a per-row choice.
+            seen = np.flatnonzero(self._seen[: self._n] > 0).tolist()
+            victims = [
+                seen.pop(int(self._rng.integers(len(seen))))
+                for _ in range(min(len(xs) - stored, len(seen)))
+            ]
+            end = stored + len(victims)
+            timesteps = np.arange(first_timestep + stored, first_timestep + end)
+            self._store(victims, simulation_id, timesteps, xs[stored:end], ys[stored:end])
+            self.n_evicted += len(victims)
+            stored = end
         self.n_received += stored
         return stored
 
     def _store(self, index, simulation_id: int, timesteps, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Write entries at ``index`` (a slot, or a slice of slots with one row each), unseen."""
+        """Write entries at ``index`` (a slice or a list of distinct slots, one row each), unseen."""
         assert self._xs is not None and self._ys is not None
         self._xs[index] = xs
         self._ys[index] = ys
@@ -294,9 +301,10 @@ class Reservoir:
         self._n = n
         if n == 0:
             return
-        xs = np.array(state["xs"], dtype=np.float64, copy=True)
-        ys = np.array(state["ys"], dtype=np.float64, copy=True)
-        self._allocate(xs.shape[1], ys.shape[1])
+        # The rows are copied once, straight into the buffer: a snapshot's
+        # reservoir is most of its bytes (125 MiB at the paper preset).
+        xs, ys = state["xs"], state["ys"]
+        self._allocate(np.shape(xs)[1], np.shape(ys)[1])
         assert self._xs is not None and self._ys is not None
         self._xs[:n] = xs
         self._ys[:n] = ys

@@ -10,8 +10,9 @@ module is the single injection point:
   :func:`maybe_inject` is called with a matching point/name.  Points wired
   into the engine: ``run`` (top of
   :func:`~repro.workflow.executor.execute_spec`, i.e. in whichever process
-  executes the run) and ``record`` (the campaign driver, after a run's
-  record is durable).
+  executes the run), ``record`` (the campaign driver, after a run's
+  record is durable) and ``snapshot`` (a session snapshot write, named
+  ``step-XXXXXXXX``, after its files are synced and before the rename).
 * ``REPRO_FAULT_MODE`` — ``"sigkill"`` (default: the hosting process dies
   mid-flight, nothing flushes) or ``"raise"`` (an :class:`InjectedFault`
   propagates through the normal error paths; it lives here, importable from

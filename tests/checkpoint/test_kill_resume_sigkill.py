@@ -3,7 +3,8 @@
 Unlike the in-process matrix tests, this drives the actual failure mode: a
 subprocess training with periodic snapshots is SIGKILLed mid-run (no cleanup,
 no atexit — the same signal an OOM killer or a preempted node delivers), and
-the resumed run must match an uninterrupted reference exactly.  The scenario
+the resumed run must match an uninterrupted reference exactly — once for a
+kill between snapshots and once for a kill inside a snapshot write.  The scenario
 is implemented by ``scripts/kill_resume_smoke.py`` so CI can run the same
 smoke outside pytest.
 """
@@ -38,3 +39,5 @@ def test_sigkill_and_resume_is_bit_identical(tmp_path):
     assert "OK: kill-and-resume is bit-identical" in completed.stdout
     # the victim really was SIGKILLed and really left snapshots behind
     assert "SIGKILLed" in completed.stdout
+    # the second victim died inside a snapshot write and resumed from the one before
+    assert "resumes bit-identically and its orphan is pruned" in completed.stdout

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import gc
 import json
+import mmap
+import os
 import weakref
+import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.api.session import TrainingSession
+from repro.checkpoint import snapshot
+from repro.experiments.base import base_config
+from repro.solvers.heat2d import Heat2DConfig
 from repro.checkpoint import (
     SCHEMA_VERSION,
     CheckpointPolicy,
@@ -65,6 +72,29 @@ class TestStateEncoding:
         with pytest.raises(TypeError, match="__ndarray__"):
             encode_state({"__ndarray__": "nope"})
 
+    def test_small_arrays_share_one_pool_per_dtype(self):
+        state = {
+            "ids": np.arange(3),
+            "scalar": np.array(2.5),
+            "mixed": [np.ones(2), np.arange(4.0).reshape(2, 2)],
+            "flags": np.zeros(0, dtype=bool),
+        }
+        encoded, arrays = encode_state(state)
+        assert sorted(arrays) == ["a00000", "pool-bool", "pool-float64", "pool-int64"]
+        assert encoded["scalar"] == {"__ndarray__": ["pool-float64", 0, []]}
+        assert encoded["mixed"] == [
+            {"__ndarray__": ["pool-float64", 1, [2]]},
+            {"__ndarray__": "a00000"},
+        ]
+        np.testing.assert_array_equal(arrays["pool-float64"], [2.5, 1.0, 1.0])
+        decoded = decode_state(json.loads(json.dumps(encoded)), arrays)
+        assert decoded["scalar"].shape == () and decoded["scalar"] == 2.5
+        assert decoded["flags"].dtype == bool and decoded["flags"].shape == (0,)
+        np.testing.assert_array_equal(decoded["ids"], [0, 1, 2])
+        # copied out of its pool, so no restored component pins the pool
+        assert decoded["mixed"][0].base is None
+        assert decoded["mixed"][1] is arrays["a00000"]
+
     def test_float_bits_survive_json(self):
         value = float(np.nextafter(0.1, 1.0))
         encoded, _ = encode_state({"x": value})
@@ -102,6 +132,50 @@ class TestSnapshotDirectory:
         assert manifest["n_ticks"] == session.n_ticks
         assert manifest["iteration"] == session.server.iteration
         assert (path / "arrays.npz").exists()
+
+    def test_archive_has_one_member_per_pool_and_per_array_of_rank_two(self, tmp_path):
+        config = replace(base_config("smoke", method="breed", seed=0), n_validation_trajectories=4)
+        session = TrainingSession(config)
+        while not session.controller.records or not session.reservoir.n_evicted:
+            assert session.tick(), "the run ended before its first steering and eviction"
+        leaves = list(_array_leaves(session.state_dict()))
+        pools = {f"pool-{array.dtype.name}.npy" for array in leaves if array.ndim <= 1}
+        n_large = sum(array.ndim > 1 for array in leaves)
+        path = save_session(session, tmp_path)
+        with zipfile.ZipFile(path / "arrays.npz") as archive:
+            names = archive.namelist()
+        assert len(leaves) > 100  # tracker and launcher records: one member each in schema 1
+        assert len(names) == len(pools) + n_large
+        assert pools <= set(names)
+        assert load_manifest(path)["n_arrays"] == len(names)
+
+    def test_save_syncs_the_snapshot_before_the_rename_and_the_directory_after(
+        self, make_config, tmp_path, monkeypatch
+    ):
+        session = self._session(make_config)
+        events = []
+        real_fsync, real_rename = os.fsync, os.rename
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def rename(source, target):
+            events.append(("rename", os.fspath(target)))
+            real_rename(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "rename", rename)
+        path = save_session(session, tmp_path)
+        inode = lambda p: p.stat().st_ino  # noqa: E731  (a rename keeps the inode)
+        assert events == [
+            ("fsync", inode(path / "arrays.npz")),
+            ("fsync", inode(path / "manifest.json")),
+            ("fsync", inode(path)),
+            ("rename", os.fspath(path)),
+            ("fsync", inode(tmp_path)),
+            ("fsync", inode(tmp_path / "latest.json")),
+        ]
 
     def test_latest_pointer_and_scan_fallback(self, make_config, tmp_path):
         session = self._session(make_config)
@@ -178,6 +252,103 @@ class TestSnapshotDirectory:
         size = lambda root: sum(f.stat().st_size for f in root.rglob("*") if f.is_file())  # noqa: E731
         assert size(compressed) <= size(plain)
         assert restore_session(compressed).n_ticks == session.n_ticks
+
+
+def _array_leaves(tree):
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, dict):
+        for item in tree.values():
+            yield from _array_leaves(item)
+    elif isinstance(tree, (list, tuple)):
+        for item in tree:
+            yield from _array_leaves(item)
+
+
+class TestNoCycleHoldsASnapshotBuffer:
+    """A snapshot's buffers are freed by reference counting alone, never by the collector."""
+
+    @staticmethod
+    def _spy(monkeypatch, name, arrays_of):
+        """Wrap ``snapshot.<name>``; returns weak references to the arrays each call produced."""
+        refs = []
+        real = getattr(snapshot, name)
+
+        def spy(*args):
+            result = real(*args)
+            refs.extend(weakref.ref(array) for array in arrays_of(result).values())
+            return result
+
+        monkeypatch.setattr(snapshot, name, spy)
+        return refs
+
+    def test_encoded_arrays_die_when_save_returns(self, make_config, tmp_path, monkeypatch):
+        session = TrainingSession(make_config())
+        for _ in range(8):
+            session.tick()
+        refs = self._spy(monkeypatch, "encode_state", lambda result: result[1])
+        gc.disable()
+        try:
+            save_session(session, tmp_path)
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_loaded_arrays_die_when_restore_returns(self, make_config, tmp_path, monkeypatch):
+        session = TrainingSession(make_config())
+        for _ in range(8):
+            session.tick()
+        assert not session.pending_blocks  # pending rows would rightly keep viewing theirs
+        path = save_session(session, tmp_path)
+        refs = self._spy(monkeypatch, "_load_arrays", lambda result: result)
+        gc.disable()
+        try:
+            restored = restore_session(path)
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        assert restored.n_ticks == session.n_ticks
+
+    def test_pooled_save_and_restore_leave_no_buffer_to_the_collector(
+        self, make_config, tmp_path, monkeypatch
+    ):
+        # Solver workers share buffers with mmap; the collector's garbage must
+        # hold none of them, nor any array.  Arrays are not tracked by the
+        # collector, so the check follows every untracked object the garbage
+        # refers to (tuples and dicts of atoms are untracked too).
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config = make_config(heat=Heat2DConfig(grid_size=64, n_timesteps=100))
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            session = TrainingSession(config)
+            assert session._workers is not None
+            for _ in range(6):
+                session.tick()
+            restored = restore_session(save_session(session, tmp_path))
+            assert restored._workers is not None
+            restored.run()
+            session.close()
+            restored.close()
+            del session, restored
+            gc.collect()
+            buffers = []
+            seen = set()
+            pending = list(gc.garbage)
+            while pending:
+                item = pending.pop()
+                if id(item) in seen:
+                    continue
+                seen.add(id(item))
+                if isinstance(item, (np.ndarray, mmap.mmap)):
+                    buffers.append(item)
+                for referent in gc.get_referents(item):
+                    if isinstance(referent, (np.ndarray, mmap.mmap)) or not gc.is_tracked(referent):
+                        pending.append(referent)
+            assert buffers == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
 
 
 class TestRestore:

@@ -369,3 +369,74 @@ class TestBlockPutOracle:
                 if got is not None:
                     assert np.array_equal(got.inputs, want[0]) and np.array_equal(got.timesteps, want[3])
             self.assert_same(reservoir, reference)
+
+
+class _RowLoopReservoir(Reservoir):
+    """``Reservoir`` with the row-at-a-time eviction loop ``put`` ran before it evicted per block."""
+
+    def put(self, simulation_id, first_timestep, xs, ys):
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if self._xs is None:
+            self._allocate(xs.shape[1], ys.shape[1])
+        assert self._xs is not None and self._ys is not None
+        if xs.shape[1] != self._xs.shape[1] or ys.shape[1] != self._ys.shape[1]:
+            raise ValueError(
+                f"sample dimensions ({xs.shape[1]}, {ys.shape[1]}) do not match the "
+                f"buffer layout ({self._xs.shape[1]}, {self._ys.shape[1]})"
+            )
+        stored = min(len(xs), self.capacity - self._n)
+        timesteps = np.arange(first_timestep, first_timestep + stored)
+        self._store(slice(self._n, self._n + stored), simulation_id, timesteps, xs[:stored], ys[:stored])
+        self._n += stored
+        while stored < len(xs):
+            seen_indices = np.flatnonzero(self._seen[: self._n] > 0)
+            if seen_indices.size == 0:
+                break
+            victim = int(self._rng.choice(seen_indices))
+            self._store(victim, simulation_id, first_timestep + stored, xs[stored], ys[stored])
+            self.n_evicted += 1
+            stored += 1
+        self.n_received += stored
+        return stored
+
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(1, 12), st.integers(0, 40)),
+        st.tuples(st.just("draw"), st.integers(1, 10), st.just(0)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestBlockEvictionOracle:
+    """Block eviction replays the row-at-a-time loop: same victims, same RNG state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 16),
+        watermark_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        operations=_OPERATIONS,
+    )
+    def test_random_puts_and_draws_match_the_row_loop(self, capacity, watermark_share, seed, operations):
+        watermark = max(1, round(capacity * watermark_share))
+        reservoir = Reservoir(capacity, watermark, np.random.default_rng(seed))
+        oracle = _RowLoopReservoir(capacity, watermark, np.random.default_rng(seed))
+        payload = np.random.default_rng(seed + 1)
+        for sim_id, (kind, size, first) in enumerate(operations):
+            if kind == "put":
+                xs, ys = payload.random((size, 2)), payload.random((size, 3))
+                assert reservoir.put(sim_id, first, xs, ys) == oracle.put(sim_id, first, xs, ys)
+            else:
+                got, want = reservoir.sample_batch(size), oracle.sample_batch(size)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got.inputs, want.inputs)
+            # buffers, ids, time steps, seen counts and every counter
+            got, want = reservoir.state_dict(), oracle.state_dict()
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[key], want[key]) for key in want)
+            assert reservoir._rng.bit_generator.state == oracle._rng.bit_generator.state
