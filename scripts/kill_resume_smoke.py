@@ -24,7 +24,13 @@ Driver mode (no ``--mode``) orchestrates the whole scenario in one command::
    :mod:`repro.workflow.faults`) — and check that it left an orphan tmp
    directory and no such snapshot,
 7. resume it from the snapshot before, assert bit-identity again, and check
-   that the resumed run's next save pruned the orphan.
+   that the resumed run's next save pruned the orphan,
+8. resume a resumed run: a third victim is SIGKILLed just after its first
+   snapshot, a fourth resumes it and is SIGKILLed after writing snapshots of
+   its own, and the run resumed from those finishes bit-identically.  The
+   reservoir is full before the first snapshot, so the fourth victim adopts
+   the loaded rows as its buffer and writes into it, and the final restore
+   reads a snapshot written from that buffer.
 
 Exit code 0 means the fault-tolerance contract holds.
 """
@@ -45,6 +51,9 @@ from typing import Dict, Optional
 #: snapshot interval (training batches) of the victim/resume configurations
 CHECKPOINT_EVERY = 20
 
+#: reservoir rows; the run fills them at iteration 18, before its first snapshot
+RESERVOIR_CAPACITY = 80
+
 
 def build_config(checkpoint_dir: str | None = None, checkpoint_every: int = 0):
     from repro.experiments.base import base_config
@@ -57,6 +66,7 @@ def build_config(checkpoint_dir: str | None = None, checkpoint_every: int = 0):
         n_simulations=24,
         max_iterations=120,
         n_validation_trajectories=4,
+        reservoir_capacity=RESERVOIR_CAPACITY,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
     )
@@ -88,6 +98,9 @@ def run_victim(workdir: Path, kill_at_iteration: Optional[int]) -> None:
 
     config = build_config(str(workdir / "snapshots"), checkpoint_every=CHECKPOINT_EVERY)
     session = resume_or_start(config)
+    if session.server.iteration > 0:  # a resumed victim: record what it resumed for step 7
+        resumed = {"iteration": session.server.iteration, "reservoir_full": session.reservoir.is_full}
+        (workdir / "victim-resumed.json").write_text(json.dumps(resumed))
 
     def kill(s) -> None:
         if s.server.iteration >= kill_at_iteration:
@@ -169,22 +182,22 @@ def resume_matches(workdir: Path, reference: dict) -> bool:
 
 def drive(workdir: Path) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
-    print("[1/6] running the uninterrupted reference (also sizes the kill point)")
+    print("[1/8] running the uninterrupted reference (also sizes the kill point)")
     run_reference(workdir / "reference.json")
     reference = json.loads((workdir / "reference.json").read_text())
     kill_at = derive_kill_iteration(reference)
 
-    print(f"[2/6] spawning victim (SIGKILL at iteration {kill_at} "
+    print(f"[2/8] spawning victim (SIGKILL at iteration {kill_at} "
           f"of {int(reference['iterations'])}) in {workdir}")
     if not spawn_victim(workdir, dict(os.environ), "--kill-at-iteration", str(kill_at)):
         return 1
     snapshots = sorted((workdir / "snapshots").glob("step-*"))
-    print(f"[3/6] victim SIGKILLed; snapshots left behind: {[p.name for p in snapshots]}")
+    print(f"[3/8] victim SIGKILLed; snapshots left behind: {[p.name for p in snapshots]}")
     if not snapshots:
         print("FAIL: the victim left no snapshots")
         return 1
 
-    print("[4/6] resuming from the latest snapshot")
+    print("[4/8] resuming from the latest snapshot")
     if not resume_matches(workdir, reference):
         return 1
     print(
@@ -198,7 +211,7 @@ def drive(workdir: Path) -> int:
         return 1
     target = snapshots[-1].name
     write_kill = workdir / "write-kill"
-    print(f"[5/6] spawning victim that SIGKILLs inside the write of {target} in {write_kill}")
+    print(f"[5/8] spawning victim that SIGKILLs inside the write of {target} in {write_kill}")
     env = dict(os.environ, REPRO_FAULT_TOKEN=f"snapshot:{target}", REPRO_FAULT_MODE="sigkill")
     env.pop("REPRO_FAULT_ARM", None)
     if not spawn_victim(write_kill, env):
@@ -211,7 +224,7 @@ def drive(workdir: Path) -> int:
         print(f"FAIL: expected an orphan tmp directory, no {target} and an earlier snapshot")
         return 1
 
-    print(f"[6/6] resuming from {left[-1]}")
+    print(f"[6/8] resuming from {left[-1]}")
     if not resume_matches(write_kill, reference):
         return 1
     leftovers = [p.name for p in directory.glob(".tmp-*")]
@@ -219,6 +232,30 @@ def drive(workdir: Path) -> int:
         print(f"FAIL: the resumed run's saves left the orphans {leftovers}")
         return 1
     print(f"OK: a kill inside the write of {target} resumes bit-identically and its orphan is pruned")
+
+    first_kill, second_kill = CHECKPOINT_EVERY + 5, max(2 * CHECKPOINT_EVERY + 5, kill_at)
+    if second_kill >= int(reference["iterations"]):
+        print(f"FAIL: a second kill at iteration {second_kill} needs a longer run")
+        return 1
+    twice = workdir / "twice-killed"
+    print(f"[7/8] spawning a victim SIGKILLed at iteration {first_kill}, then resuming it in a "
+          f"second victim SIGKILLed at iteration {second_kill}, in {twice}")
+    if not spawn_victim(twice, dict(os.environ), "--kill-at-iteration", str(first_kill)):
+        return 1
+    first_left = sorted((twice / "snapshots").glob("step-*"))
+    if not spawn_victim(twice, dict(os.environ), "--kill-at-iteration", str(second_kill)):
+        return 1
+    resumed = json.loads((twice / "victim-resumed.json").read_text())
+    left = sorted((twice / "snapshots").glob("step-*"))
+    print(f"      the second victim resumed at iteration {resumed['iteration']} "
+          f"(reservoir full: {resumed['reservoir_full']}) and left {[p.name for p in left]}")
+    if not first_left or not resumed["reservoir_full"] or left[-1] in first_left:
+        print("FAIL: expected the second victim to resume a full reservoir and save after it")
+        return 1
+    print(f"[8/8] resuming from {left[-1].name}, written by the resumed victim")
+    if not resume_matches(twice, reference):
+        return 1
+    print("OK: a resumed run killed again resumes bit-identically")
     return 0
 
 

@@ -476,9 +476,13 @@ class TrainingSession:
         """Everything the training loop owns, as one nested state tree.
 
         The tree contains only JSON-compatible scalars/containers and numpy
-        arrays, each a copy that later ticks leave untouched, so the tree can
-        be kept in memory and loaded back; :func:`repro.checkpoint.save_session`
-        splits it into an ``arrays.npz`` + JSON manifest snapshot.  Static run inputs — the
+        arrays that later ticks leave untouched, so the tree can be kept in
+        memory and loaded back.  The arrays are copies, except the
+        reservoir's rows: read-only views of its live buffer, which the
+        reservoir copies before writing while any of them is alive.
+        :func:`repro.checkpoint.save_session` splits the tree into an
+        ``arrays.npz`` + JSON manifest snapshot, writing the rows straight
+        from the buffer.  Static run inputs — the
         workload, solver factorisation and Halton validation set — are
         deterministic functions of the configuration and are rebuilt on
         restore instead of being persisted.

@@ -220,15 +220,14 @@ class BreedSampler(SteeringSampler):
         self.tracker.observe_batch(iteration, simulation_ids, timesteps, sample_losses, parameters)
 
     def should_resample(self, iteration: int) -> bool:
-        if iteration <= 0:
+        if iteration <= 0 or iteration % self.config.period != 0:
             return False
         # Guard against multiple triggers within the same iteration.
         if self._last_trigger_iteration == iteration:
             return False
-        # Need at least one observed simulation to build a proposal.
-        if len(self.tracker.observed_ids()) == 0:
-            return False
-        return iteration % self.config.period == 0
+        # Need at least one observed simulation to build a proposal; tested
+        # last, because it walks every record.
+        return len(self.tracker.observed_ids()) > 0
 
     def resample(
         self, n_pending: int, iteration: int, rng: np.random.Generator

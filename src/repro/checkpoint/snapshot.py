@@ -28,9 +28,12 @@ stored as the member ``pool-<dtype>``, and its placeholder is
 ``{"__ndarray__": [pool, offset, shape]}``; restoring copies its elements out
 of the pool.  Every array of higher rank is its own member ``aNNNNN`` with the
 placeholder ``{"__ndarray__": "aNNNNN"}``, handed to the components as
-loaded, without a further copy.  Schema-1 snapshots stored every array as its
-own member; their placeholders are all of the second kind, so they load
-unchanged.  The manifest is written compact.
+loaded.  The reservoir adopts its loaded rows as its buffer when it is
+full, so a restore holds them once; a save writes them straight from the
+live buffer, through the read-only views its state tree exports.
+Schema-1 snapshots stored every array as its own member; their
+placeholders are all of the second kind, so they load unchanged.  The
+manifest is written compact.
 
 Write protocol (crash safety):
 

@@ -20,10 +20,19 @@ live in preallocated contiguous arrays, so the per-batch hot path
 seen-count increment instead of a Python loop over entry objects — measured
 severalfold faster at paper-scale batch sizes (see ``docs/PERFORMANCE.md``)
 and bit-identical: the RNG call sequence and every stored float are unchanged.
+
+The rows (inputs and targets, 131 MB at the paper preset) are held once:
+:meth:`Reservoir.state_dict` exports read-only views of the live buffer and
+:meth:`Reservoir.load_state_dict` adopts a full loaded block as its buffer.
+One rule keeps both safe: the reservoir never writes into row memory that
+anything else can reach.  Every array derived from a buffer references the
+array that owns its memory, so :meth:`Reservoir._store` counts those
+references and, when another holder is alive, first swaps in a private copy.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -32,6 +41,39 @@ import numpy as np
 from repro import telemetry
 
 __all__ = ["ReservoirEntry", "ReservoirBatch", "Reservoir"]
+
+
+def _owner_refs(rows: np.ndarray) -> int:
+    """References to the array that owns the memory of ``rows``, a view of it."""
+    return sys.getrefcount(rows.base)
+
+
+#: what :func:`_owner_refs` reads for a buffer held through one view and
+#: nothing else; measured, because the interpreter's own count differs
+#: between Python versions
+_PRIVATE_REFS = _owner_refs(np.empty(1).view())
+
+
+def _unshared(rows: np.ndarray) -> np.ndarray:
+    """``rows``, or a private copy of them while anything else views their memory (copy on write)."""
+    return rows if _owner_refs(rows) <= _PRIVATE_REFS else rows.copy().view()
+
+
+def _adoptable(rows: object, shape: Tuple[int, int]) -> bool:
+    """Whether ``rows`` can become a buffer as it is.
+
+    It must be a writeable, C-ordered float64 block of ``shape`` that owns
+    its memory or views an array that does (as ``np.load`` hands them out).
+    """
+    if not isinstance(rows, np.ndarray) or rows.shape != shape or rows.dtype != np.float64:
+        return False
+    owner = rows if rows.base is None else rows.base
+    return (
+        rows.flags.c_contiguous
+        and rows.flags.writeable
+        and isinstance(owner, np.ndarray)
+        and owner.flags.owndata
+    )
 
 
 @dataclass
@@ -88,6 +130,8 @@ class Reservoir:
         self._rng = rng
         # Struct-of-arrays storage; the payload arrays are allocated lazily on
         # the first put() (their width is the workload's encoding dimension).
+        # They are always views of the array that owns their memory, so the
+        # references to that owner are the buffer's own view plus any other.
         self._n = 0
         self._xs: Optional[np.ndarray] = None
         self._ys: Optional[np.ndarray] = None
@@ -166,8 +210,8 @@ class Reservoir:
 
     # ---------------------------------------------------------------- writes
     def _allocate(self, x_dim: int, y_dim: int) -> None:
-        self._xs = np.empty((self.capacity, x_dim), dtype=np.float64)
-        self._ys = np.empty((self.capacity, y_dim), dtype=np.float64)
+        self._xs = np.empty((self.capacity, x_dim), dtype=np.float64).view()
+        self._ys = np.empty((self.capacity, y_dim), dtype=np.float64).view()
 
     def put(self, simulation_id: int, first_timestep: int, xs: np.ndarray, ys: np.ndarray) -> int:
         """Store consecutive time steps of one simulation, in order, while :meth:`can_accept` holds.
@@ -214,6 +258,10 @@ class Reservoir:
     def _store(self, index, simulation_id: int, timesteps, xs: np.ndarray, ys: np.ndarray) -> None:
         """Write entries at ``index`` (a slice or a list of distinct slots, one row each), unseen."""
         assert self._xs is not None and self._ys is not None
+        # a view exported by state_dict, or the caller's array adopted by
+        # load_state_dict, must not see these rows change
+        self._xs = _unshared(self._xs)
+        self._ys = _unshared(self._ys)
         self._xs[index] = xs
         self._ys[index] = ys
         self._simulation_ids[index] = simulation_id
@@ -265,7 +313,12 @@ class Reservoir:
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
-        """Full buffer content and counters (entries stacked into arrays)."""
+        """Full buffer content and counters (entries stacked into arrays).
+
+        ``xs``/``ys`` are read-only views of the live buffer, not copies; the
+        next write swaps in a private copy while any of them is alive, so
+        they never change.  The small arrays are copies.
+        """
         n = self._n
         state: dict = {
             "capacity": self.capacity,
@@ -281,12 +334,21 @@ class Reservoir:
             state["simulation_ids"] = self._simulation_ids[:n].copy()
             state["timesteps"] = self._timesteps[:n].copy()
             state["seen_counts"] = self.seen_counts()
-            state["xs"] = self._xs[:n].copy()
-            state["ys"] = self._ys[:n].copy()
+            state["xs"] = self._xs[:n]
+            state["ys"] = self._ys[:n]
+            state["xs"].flags.writeable = False
+            state["ys"].flags.writeable = False
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore the buffer in entry order (eviction indices depend on it)."""
+        """Restore the buffer in entry order (eviction indices depend on it).
+
+        A full reservoir's ``xs``/``ys`` are adopted as the buffer when
+        :func:`_adoptable`, as a snapshot's freshly loaded rows are; otherwise
+        they are copied into a new one.  Either way the state's arrays never
+        change: an adopted array that its caller still holds is copied before
+        the next write.
+        """
         if int(state["capacity"]) != self.capacity or int(state["watermark"]) != self.watermark:
             raise ValueError(
                 "reservoir geometry mismatch: state has "
@@ -301,13 +363,17 @@ class Reservoir:
         self._n = n
         if n == 0:
             return
-        # The rows are copied once, straight into the buffer: a snapshot's
-        # reservoir is most of its bytes (125 MiB at the paper preset).
+        # A snapshot's reservoir is most of its bytes (125 MiB at the paper
+        # preset): its rows are adopted, or copied once, straight into the buffer.
         xs, ys = state["xs"], state["ys"]
-        self._allocate(np.shape(xs)[1], np.shape(ys)[1])
-        assert self._xs is not None and self._ys is not None
-        self._xs[:n] = xs
-        self._ys[:n] = ys
+        x_dim, y_dim = np.shape(xs)[1], np.shape(ys)[1]
+        if _adoptable(xs, (self.capacity, x_dim)) and _adoptable(ys, (self.capacity, y_dim)):
+            self._xs, self._ys = xs.view(), ys.view()
+        else:
+            self._allocate(x_dim, y_dim)
+            assert self._xs is not None and self._ys is not None
+            self._xs[:n] = xs
+            self._ys[:n] = ys
         self._simulation_ids[:n] = np.asarray(state["simulation_ids"], dtype=np.int64)
         self._timesteps[:n] = np.asarray(state["timesteps"], dtype=np.int64)
         self._seen[:n] = np.asarray(state["seen_counts"], dtype=np.int64)

@@ -100,6 +100,18 @@ class TestBreedSampler:
         sampler.initial_parameters(20, rng)
         assert not sampler.should_resample(10)
 
+    def test_observed_records_are_walked_only_at_a_period_boundary(self, sampler, rng, monkeypatch):
+        sampler.initial_parameters(20, rng)
+        feed_losses(sampler)
+        walks = []
+        observed_ids = sampler.tracker.observed_ids
+        monkeypatch.setattr(
+            sampler.tracker, "observed_ids", lambda: walks.append(1) or observed_ids()
+        )
+        decisions = [sampler.should_resample(iteration) for iteration in range(1, 61)]
+        assert len(walks) == 60 // sampler.config.period
+        assert [i + 1 for i, fire in enumerate(decisions) if fire] == [10, 20, 30, 40, 50, 60]
+
     def test_resample_returns_decision(self, sampler, rng):
         sampler.initial_parameters(20, rng)
         feed_losses(sampler)

@@ -10,6 +10,8 @@ seconds) are measurement, not state, and are the only exclusion.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.checkpoint import (
     resume_or_start,
     save_session,
 )
+from repro.melissa.reservoir import Reservoir
 
 
 def _drive_to_completion(session: TrainingSession) -> OnlineTrainingResult:
@@ -103,6 +106,59 @@ def test_double_interruption(make_config, tmp_path):
         resumed_once.tick()
     resumed_twice = restore_session(save_session(resumed_once, tmp_path / "b"))
     assert_bit_identical(_drive_to_completion(resumed_twice), reference)
+
+
+def test_double_interruption_through_an_adopted_buffer(make_config, tmp_path, monkeypatch):
+    """Restore a full reservoir, tick, save, restore again, finish: the live run's bits.
+
+    The first restore adopts the loaded rows as the reservoir's buffer; the
+    ticks after it write into that buffer, and the second snapshot is
+    written from it.
+    """
+    config = make_config(seed=11, reservoir_capacity=24, reservoir_watermark=12)
+    reference = TrainingSession(config).run()
+
+    first = TrainingSession(config)
+    while not first.reservoir.is_full:
+        assert first.tick()
+    for _ in range(3):  # evictions under way before the first kill
+        first.tick()
+    allocations = []
+    allocate = Reservoir._allocate
+    monkeypatch.setattr(
+        Reservoir, "_allocate", lambda self, *dims: allocations.append(dims) or allocate(self, *dims)
+    )
+    resumed_once = restore_session(save_session(first, tmp_path / "a"))
+    del first
+    evicted = resumed_once.reservoir.n_evicted
+    for _ in range(5):
+        resumed_once.tick()
+    assert resumed_once.reservoir.n_evicted > evicted  # rows written into the adopted buffer
+    resumed_twice = restore_session(save_session(resumed_once, tmp_path / "b"))
+    assert allocations == []  # both restores adopted the loaded rows
+    assert_bit_identical(_drive_to_completion(resumed_twice), reference)
+
+
+def test_a_kept_state_survives_evictions_and_rewinds_the_session(make_config):
+    """``state_dict()`` exports the reservoir's live rows; later writes must not reach them."""
+    config = make_config(seed=11, reservoir_capacity=24, reservoir_watermark=12)
+    reference = TrainingSession(config).run()
+
+    session = TrainingSession(config)
+    while not session.reservoir.is_full:
+        assert session.tick()
+    state = session.state_dict()
+    rows = session.state_dict()["reservoir"]["ys"][5:9]  # a slice outliving its own tree
+    expected, expected_rows = copy.deepcopy(state), rows.copy()
+    evicted = session.reservoir.n_evicted
+    for _ in range(10):
+        session.tick()
+    assert session.reservoir.n_evicted > evicted  # rows were overwritten in the buffer
+    for key in ("xs", "ys", "simulation_ids", "timesteps", "seen_counts"):
+        np.testing.assert_array_equal(state["reservoir"][key], expected["reservoir"][key])
+    np.testing.assert_array_equal(rows, expected_rows)
+    session.load_state_dict(state)
+    assert_bit_identical(_drive_to_completion(session), reference)
 
 
 def test_policy_driven_crash_resume(make_config, tmp_path):

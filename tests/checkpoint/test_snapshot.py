@@ -16,7 +16,9 @@ import pytest
 from repro.api.session import TrainingSession
 from repro.checkpoint import snapshot
 from repro.experiments.base import base_config
+from repro.service import ServiceClient, StudyService
 from repro.solvers.heat2d import Heat2DConfig
+from repro.workflow.study import StudyRunner
 from repro.checkpoint import (
     SCHEMA_VERSION,
     CheckpointPolicy,
@@ -265,6 +267,37 @@ def _array_leaves(tree):
             yield from _array_leaves(item)
 
 
+def _buffers_left_to_the_collector(run) -> list:
+    """Run ``run()`` with the collector saving its garbage; the arrays and mmaps that garbage holds.
+
+    Arrays are not tracked by the collector, so the sweep follows every
+    untracked object the garbage refers to (tuples and dicts of atoms are
+    untracked too).
+    """
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        buffers = []
+        seen = set()
+        pending = list(gc.garbage)
+        while pending:
+            item = pending.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            if isinstance(item, (np.ndarray, mmap.mmap)):
+                buffers.append(item)
+            for referent in gc.get_referents(item):
+                if isinstance(referent, (np.ndarray, mmap.mmap)) or not gc.is_tracked(referent):
+                    pending.append(referent)
+        return buffers
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 class TestNoCycleHoldsASnapshotBuffer:
     """A snapshot's buffers are freed by reference counting alone, never by the collector."""
 
@@ -349,6 +382,89 @@ class TestNoCycleHoldsASnapshotBuffer:
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "shm"])
+    def test_a_checkpointed_study_leaves_no_buffer_to_the_collector(
+        self, backend, make_config, tmp_path
+    ):
+        configurations = [{"method": "breed"}, {"method": "random"}]
+
+        def run():
+            runner = StudyRunner(
+                base_config=make_config(), study_name="gc", backend=backend, max_workers=2
+            )
+            records = runner.run_all(
+                configurations, checkpoint=tmp_path / "gc.runs.jsonl", checkpoint_every=10
+            )
+            assert len(records) == 2
+
+        assert _buffers_left_to_the_collector(run) == []
+
+    def test_a_service_job_leaves_no_buffer_to_the_collector(self, make_config, tmp_path):
+        config = make_config()
+
+        def run():
+            service = StudyService(tmp_path / "svc", port=0, n_workers=1, checkpoint_every=10)
+            service.start()
+            try:
+                client = ServiceClient(service.url, timeout=30.0)
+                job = client.submit("gc", config.to_dict(), [{"hidden_size": 8}])
+                assert client.wait(job["id"], timeout=120.0)["state"] == "done"
+            finally:
+                service.stop()
+
+        assert _buffers_left_to_the_collector(run) == []
+
+    def test_the_next_put_after_a_save_writes_the_live_buffer(self, make_config, tmp_path):
+        # The snapshot is written from views of the live buffer; once the save
+        # returns, reference counting alone has dropped them, so the reservoir
+        # writes on in place instead of copying 125 MiB at the paper preset.
+        session = TrainingSession(make_config())
+        for _ in range(8):
+            session.tick()
+        reservoir = session.reservoir
+        gc.disable()
+        try:
+            save_session(session, tmp_path)
+            buffers = id(reservoir._xs), id(reservoir._ys)  # ids: holding them would force a copy
+            received = reservoir.n_received
+            session.tick()
+            assert reservoir.n_received > received  # the tick stored rows
+            assert (id(reservoir._xs), id(reservoir._ys)) == buffers
+        finally:
+            gc.enable()
+
+    def test_a_full_reservoir_is_restored_into_the_loaded_rows(
+        self, make_config, tmp_path, monkeypatch
+    ):
+        session = TrainingSession(make_config(reservoir_capacity=24, reservoir_watermark=12))
+        for _ in range(40):
+            if len(session.reservoir) == 24:
+                break
+            session.tick()
+        assert session.reservoir.is_full
+        path = save_session(session, tmp_path)
+        owners = []  # ids of the memory the loaded members view
+        real = snapshot._load_arrays
+
+        def spy(*args):
+            arrays = real(*args)
+            owners.extend(id(array.base) for array in arrays.values() if array.base is not None)
+            return arrays
+
+        monkeypatch.setattr(snapshot, "_load_arrays", spy)
+        restored = restore_session(path)
+        reservoir = restored.reservoir
+        assert id(reservoir._xs.base) in owners and id(reservoir._ys.base) in owners
+        buffers = id(reservoir._xs), id(reservoir._ys)
+        received = reservoir.n_received
+        for _ in range(20):
+            if reservoir.n_received > received:
+                break
+            restored.tick()
+        assert reservoir.n_received > received
+        assert (id(reservoir._xs), id(reservoir._ys)) == buffers  # nothing else holds the rows
+        assert restored.state_dict()["reservoir"]["n_entries"] == 24
 
 
 class TestRestore:

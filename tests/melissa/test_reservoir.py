@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -440,3 +443,110 @@ class TestBlockEvictionOracle:
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[key], want[key]) for key in want)
             assert reservoir._rng.bit_generator.state == oracle._rng.bit_generator.state
+
+
+def _full_reservoir(capacity=8, seed=0):
+    """A full reservoir whose every entry is seen, and the generator of its further rows."""
+    reservoir = make_reservoir(capacity=capacity, watermark=2, seed=seed)
+    rows = np.random.default_rng(seed + 1)
+    reservoir.put(0, 0, rows.random((capacity, 2)), rows.random((capacity, 3)))
+    return reservoir, rows
+
+
+def _evict_rows(reservoir, rows, simulation_id, n=3):
+    """Mark every entry seen, then store ``n`` rows over seen ones."""
+    reservoir.sample_batch(len(reservoir))
+    assert reservoir.put(simulation_id, 0, rows.random((n, 2)), rows.random((n, 3))) == n
+
+
+def _buffer_ids(reservoir):
+    # ids, not the buffers: a reference held here would itself force a copy
+    return id(reservoir._xs), id(reservoir._ys)
+
+
+class TestRowsAreHeldOnce:
+    """Exports are read-only views, full restores adopt, and a write first copies a shared buffer."""
+
+    def test_a_kept_state_and_a_slice_of_it_survive_later_writes(self):
+        reservoir, rows = _full_reservoir()
+        state = reservoir.state_dict()
+        expected = copy.deepcopy(state)
+        part = reservoir.state_dict()["ys"][5:8]  # only the slice outlives its tree
+        expected_part = part.copy()
+        for simulation_id in range(1, 20):
+            _evict_rows(reservoir, rows, simulation_id)
+        for key, value in expected.items():
+            np.testing.assert_array_equal(state[key], value)
+        np.testing.assert_array_equal(part, expected_part)
+        assert not np.array_equal(reservoir.state_dict()["ys"], expected["ys"])
+
+    def test_exported_rows_are_read_only(self):
+        reservoir, _ = _full_reservoir()
+        state = reservoir.state_dict()
+        for key in ("xs", "ys"):
+            with pytest.raises(ValueError, match="read-only"):
+                state[key][0, 0] = 1.0
+
+    def test_the_buffer_is_copied_only_while_an_export_is_alive(self):
+        reservoir, rows = _full_reservoir()
+        private = _buffer_ids(reservoir)
+        reservoir.state_dict()  # dropped at once
+        for simulation_id in range(1, 10):
+            _evict_rows(reservoir, rows, simulation_id)
+        assert _buffer_ids(reservoir) == private
+        state = reservoir.state_dict()
+        _evict_rows(reservoir, rows, 10)
+        copied = _buffer_ids(reservoir)
+        assert copied[0] != private[0] and copied[1] != private[1]
+        _evict_rows(reservoir, rows, 11)  # the copy is private: no second one
+        assert _buffer_ids(reservoir) == copied
+        assert state["ys"].shape == (8, 3)
+
+    def test_a_full_restore_adopts_the_rows_np_load_hands_out(self):
+        reservoir, rows = _full_reservoir()
+        state = reservoir.state_dict()
+        archive = io.BytesIO()
+        np.savez(archive, xs=state["xs"], ys=state["ys"])
+        archive.seek(0)
+        with np.load(archive) as loaded:
+            state = dict(state, xs=loaded["xs"], ys=loaded["ys"])
+        owners = id(state["xs"].base), id(state["ys"].base)  # np.load returns reshape views
+        restored = make_reservoir(capacity=8, watermark=2)
+        restored.load_state_dict(state)
+        del state
+        assert (id(restored._xs.base), id(restored._ys.base)) == owners  # no second allocation
+        adopted = _buffer_ids(restored)
+        _evict_rows(restored, rows, 1)
+        assert _buffer_ids(restored) == adopted  # nothing else holds the loaded rows
+
+    def test_an_adopted_state_its_caller_keeps_never_changes(self):
+        reservoir, rows = _full_reservoir()
+        state = copy.deepcopy(reservoir.state_dict())
+        expected = copy.deepcopy(state)
+        restored = make_reservoir(capacity=8, watermark=2)
+        restored.load_state_dict(state)
+        assert restored._xs.base is state["xs"] and restored._ys.base is state["ys"]
+        for simulation_id in range(1, 6):
+            _evict_rows(restored, rows, simulation_id)
+        for key, value in expected.items():
+            np.testing.assert_array_equal(state[key], value)
+        restored.load_state_dict(state)  # loading it a second time is as good as the first
+        np.testing.assert_array_equal(restored.state_dict()["ys"], expected["ys"])
+
+    @pytest.mark.parametrize("case", ["partial", "read-only", "float32"])
+    def test_other_rows_are_copied_into_a_new_buffer(self, case):
+        if case == "partial":
+            reservoir = make_reservoir(capacity=8, watermark=2)
+            reservoir.put(0, 0, np.ones((5, 2)), np.ones((5, 3)))
+        else:
+            reservoir, _ = _full_reservoir()
+        state = reservoir.state_dict()  # read-only views of the live buffer
+        if case != "read-only":
+            state = copy.deepcopy(state)
+        if case == "float32":
+            state["xs"] = state["xs"].astype(np.float32)
+        restored = make_reservoir(capacity=8, watermark=2)
+        restored.load_state_dict(state)
+        assert restored._xs.shape == (8, 2) and restored._xs.dtype == np.float64
+        assert restored._xs.base is not state["xs"] and restored._xs.base is not state["xs"].base
+        np.testing.assert_array_equal(restored.state_dict()["xs"], state["xs"])
