@@ -97,6 +97,22 @@ class TestWorkloadGeometry:
         assert OnlineTrainingConfig(method="random").build_sampler().name == "Random"
 
 
+class TestRetiredKey:
+    #: ``base_config("smoke").digest()``, pinned while ``record_sample_statistics``
+    #: was still a field (and hashed)
+    SMOKE_DIGEST = "6c5f44dbdd5129bf"
+
+    @pytest.mark.parametrize("value", [False, "absent"])
+    def test_smoke_digest_unchanged(self, value):
+        from repro.experiments.base import base_config
+
+        data = base_config("smoke").to_dict()
+        data.pop("record_sample_statistics", None)
+        if value != "absent":
+            data["record_sample_statistics"] = value
+        assert OnlineTrainingConfig.from_dict(data).digest() == self.SMOKE_DIGEST
+
+
 class TestHashability:
     def test_config_remains_hashable(self):
         a = OnlineTrainingConfig()

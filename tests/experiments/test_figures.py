@@ -18,6 +18,26 @@ from repro.experiments.fig6 import run_fig6
 from repro.experiments.overhead import OverheadResult, run_overhead
 from repro.workflow.results import RunResult, StudyResults
 
+#: ``run_fig6(scale="smoke", seed=3)``'s matrix, one exact float repr per
+#: coefficient: pinned when the statistics were recorded as one object per
+#: sample, so reading them as columns must not move a bit
+FIG6_SMOKE_SEED3 = [
+    [1.0, 0.6365082608870787, 0.07459804580429095, -0.8241328364322582,
+     -0.41917647754045484, -0.9258442271975075, -0.008612030406772856],
+    [0.6365082608870787, 1.0, -0.019041213293888703, -0.49650444186469167,
+     -0.6407717942959426, -0.5714399986842306, 0.04654494128157441],
+    [0.07459804580429095, -0.019041213293888703, 1.0, -0.05451784518479932,
+     0.0013581694809735863, -0.0837574690683423, -0.11469601604503034],
+    [-0.8241328364322582, -0.49650444186469167, -0.05451784518479932, 1.0,
+     0.31985659938916233, 0.8901420046943258, 0.317820279905452],
+    [-0.41917647754045484, -0.6407717942959426, 0.0013581694809735863, 0.31985659938916233,
+     1.0, 0.3715568214479121, 0.05967191911113422],
+    [-0.9258442271975075, -0.5714399986842306, -0.0837574690683423, 0.8901420046943258,
+     0.3715568214479121, 1.0, 0.009660658326075568],
+    [-0.008612030406772856, 0.04654494128157441, -0.11469601604503034, 0.317820279905452,
+     0.05967191911113422, 0.009660658326075568, 1.0],
+]
+
 
 class TestFig3a:
     @pytest.fixture(scope="class")
@@ -110,6 +130,9 @@ class TestFig6:
 
     def test_matrix_dimensions(self, result):
         assert result.matrix.matrix.shape == (7, 7)
+
+    def test_matrix_is_pinned(self, result):
+        assert result.matrix.matrix.tolist() == FIG6_SMOKE_SEED3
 
     def test_matrix_read_from_the_run_record(self, result):
         (run,) = result.study.runs
