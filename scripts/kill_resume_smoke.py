@@ -16,8 +16,9 @@ Driver mode (no ``--mode``) orchestrates the whole scenario in one command::
    OOM kill or node failure,
 3. check the victim died from SIGKILL and left complete snapshots behind,
 4. resume the run from its latest snapshot and drive it to completion,
-5. assert the resumed and uninterrupted runs' final metrics and full loss
-   series are **bit-identical**,
+5. assert the resumed and uninterrupted runs' final metrics, full loss
+   series and Fig. 6 correlation matrix (built from the per-sample
+   statistics every snapshot carries) are **bit-identical**,
 6. spawn a second victim that SIGKILLs itself *inside* the write of the
    newest snapshot the first victim left — archive and manifest on disk, the
    rename not done (the ``snapshot`` fault point of
@@ -73,6 +74,8 @@ def build_config(checkpoint_dir: str | None = None, checkpoint_every: int = 0):
 
 
 def metrics_of(result) -> dict:
+    from repro.analysis.correlation import correlation_matrix
+
     return {
         "final_train_loss": result.final_train_loss,
         "final_validation_loss": result.final_validation_loss,
@@ -86,6 +89,7 @@ def metrics_of(result) -> dict:
         "train_iterations": list(result.history.train_iterations),
         "validation_losses": list(result.history.validation_losses),
         "validation_iterations": list(result.history.validation_iterations),
+        "sample_correlations": correlation_matrix(result.history.sample_statistics).matrix.tolist(),
     }
 
 

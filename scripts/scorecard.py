@@ -149,7 +149,8 @@ def main() -> int:
             "pooled": Fig4Result.from_study(stage1).summary(),
             "paired_mean_deviation": [c.to_dict() for c in deviation],
         },
-        "finding3_fig6": "not run (stage 2): needs record_sample_statistics, another config digest",
+        "finding3_fig6": "not run: read from the confirmatory and stage-2 Breed runs "
+                         "(stage 1's records predate the Fig. 6 columns)",
         "finding4_overhead": overhead_finding(stage1),
     }
     (docs / "findings.json").write_text(json.dumps(findings, indent=2) + "\n")

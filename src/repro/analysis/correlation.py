@@ -1,6 +1,6 @@
 """Correlation analysis of the training statistics (Figure 6 of the paper).
 
-During a Breed run every training-batch sample yields one observation row with
+Every sample of every training batch of a run yields one observation row with
 the columns of the paper's correlation matrix:
 
 * ``i`` — NN iteration,
@@ -20,11 +20,9 @@ the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
-
-from repro.melissa.server import SampleStatistic
 
 __all__ = ["CORRELATION_COLUMNS", "CorrelationMatrix", "correlation_matrix", "pearson_correlation"]
 
@@ -77,20 +75,11 @@ class CorrelationMatrix:
         }
 
 
-def correlation_matrix(statistics: Sequence[SampleStatistic]) -> CorrelationMatrix:
-    """Compute the Figure-6 correlation matrix from recorded sample statistics."""
-    if not statistics:
-        raise ValueError("no sample statistics were recorded; "
-                         "run with record_sample_statistics=True")
-    data = {
-        "iteration": np.array([s.iteration for s in statistics], dtype=np.float64),
-        "simulation_id": np.array([s.simulation_id for s in statistics], dtype=np.float64),
-        "timestep": np.array([s.timestep for s in statistics], dtype=np.float64),
-        "sample_loss": np.array([s.sample_loss for s in statistics], dtype=np.float64),
-        "uniform": np.array([1.0 if s.uniform else 0.0 for s in statistics], dtype=np.float64),
-        "batch_loss": np.array([s.batch_loss for s in statistics], dtype=np.float64),
-        "deviation": np.array([s.deviation for s in statistics], dtype=np.float64),
-    }
+def correlation_matrix(statistics: np.ndarray) -> CorrelationMatrix:
+    """The Figure-6 matrix of :data:`~repro.melissa.server.SAMPLE_STATISTICS` rows."""
+    if len(statistics) == 0:
+        raise ValueError("no sample statistics were recorded")
+    data = {name: statistics[name].astype(np.float64) for name in CORRELATION_COLUMNS}
     n = len(CORRELATION_COLUMNS)
     matrix = np.eye(n)
     for a in range(n):

@@ -41,7 +41,7 @@ import repro.api.workloads  # noqa: F401  (imported for registration side effect
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.workloads import Workload
 
-__all__ = ["CHECKPOINT_FIELDS", "OnlineTrainingConfig"]
+__all__ = ["CHECKPOINT_FIELDS", "OnlineTrainingConfig", "RETIRED_FIELD"]
 
 #: configuration fields that control mid-run snapshotting but not the training
 #: mathematics — excluded from :meth:`OnlineTrainingConfig.digest` so a run is
@@ -49,6 +49,12 @@ __all__ = ["CHECKPOINT_FIELDS", "OnlineTrainingConfig"]
 CHECKPOINT_FIELDS = frozenset(
     {"checkpoint_every", "checkpoint_dir", "checkpoint_keep", "checkpoint_compressed"}
 )
+
+#: the retired switch of the Figure-6 statistics, which every run now records:
+#: ``from_dict`` and ``apply_overrides`` drop it whatever its value, so old configs,
+#: snapshot manifests and HTTP submissions load, and ``digest`` hashes it as
+#: ``False``, so every digest computed while it existed holds
+RETIRED_FIELD = "record_sample_statistics"
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +142,6 @@ class OnlineTrainingConfig:
     #: write snapshot arrays with ``np.savez_compressed`` (slower, smaller)
     checkpoint_compressed: bool = False
     # --- bookkeeping -------------------------------------------------------
-    record_sample_statistics: bool = False
     seed: int = 0
     max_ticks: int = 1_000_000
 
@@ -237,7 +242,6 @@ class OnlineTrainingConfig:
             "checkpoint_dir",
             "checkpoint_keep",
             "checkpoint_compressed",
-            "record_sample_statistics",
             "seed",
             "max_ticks",
         ):
@@ -256,7 +260,8 @@ class OnlineTrainingConfig:
         The default ``architecture="mlp"`` is likewise dropped from the
         payload, so every fingerprint computed before the architecture
         registry existed stays valid; non-default architectures *do*
-        contribute (they change the training mathematics).
+        contribute (they change the training mathematics).  The
+        :data:`RETIRED_FIELD` is hashed at its old default for the same reason.
         """
         import hashlib
         import json
@@ -264,6 +269,7 @@ class OnlineTrainingConfig:
         payload = {k: v for k, v in self.to_dict().items() if k not in CHECKPOINT_FIELDS}
         if payload.get("architecture") == "mlp":
             payload.pop("architecture")
+        payload[RETIRED_FIELD] = False
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True, default=str).encode()
         ).hexdigest()[:16]
@@ -273,9 +279,11 @@ class OnlineTrainingConfig:
         """Rebuild a configuration from :meth:`to_dict` output.
 
         Unknown keys raise ``TypeError`` (they would silently change the run
-        otherwise); nested sections may be omitted to take the defaults.
+        otherwise); nested sections may be omitted to take the defaults, and
+        the :data:`RETIRED_FIELD` is dropped.
         """
         kwargs = dict(data)
+        kwargs.pop(RETIRED_FIELD, None)
         if "breed" in kwargs:
             kwargs["breed"] = BreedConfig(**kwargs["breed"])
         if "heat" in kwargs:

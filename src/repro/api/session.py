@@ -238,7 +238,6 @@ class TrainingSession:
             batch_size=config.batch_size,
             validation_set=self.validation_set,
             validation_period=config.validation_period,
-            record_sample_statistics=config.record_sample_statistics,
             workers=self._workers,
         )
 

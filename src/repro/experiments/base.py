@@ -144,7 +144,6 @@ def base_config(
     scale_name: str = "smoke",
     method: str = "breed",
     seed: int = 0,
-    record_sample_statistics: bool = False,
     workload: str = "heat2d",
     architecture: str = "mlp",
     **breed_overrides: float,
@@ -175,7 +174,6 @@ def base_config(
         max_iterations=scale.max_iterations,
         validation_period=scale.validation_period,
         n_validation_trajectories=scale.n_validation_trajectories,
-        record_sample_statistics=record_sample_statistics,
         seed=seed,
     )
 

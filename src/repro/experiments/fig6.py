@@ -1,6 +1,6 @@
 """Figure 6: correlation matrix of the per-sample training statistics.
 
-One Breed run is executed with per-sample statistics recording enabled; the
+One Breed run is executed (every run records the per-sample statistics); the
 correlation matrix over (NN iteration, parameter index, time step, per-sample
 loss, uniform indicator, batch loss, loss deviation) is computed where the run
 executes and read from its record.
@@ -59,9 +59,7 @@ class Fig6Result:
 def run_fig6(
     scale: str = "smoke", seed: int = 0, workload: str = "heat2d", architecture: str = "mlp", **engine: Any
 ) -> Fig6Result:
-    """Run one Breed experiment with statistics recording (``engine``: :func:`run_study`'s knobs)."""
-    config = base_config(
-        scale, seed=seed, record_sample_statistics=True, workload=workload, architecture=architecture
-    )
+    """Run one Breed experiment and read its statistics' matrix (``engine``: :func:`run_study`'s knobs)."""
+    config = base_config(scale, seed=seed, workload=workload, architecture=architecture)
     study = run_study(config, "fig6", [{"_name": "breed"}], **engine)
     return Fig6Result.from_study(study, scale=scale)

@@ -15,7 +15,7 @@ The session wiring these parts together, its configuration and its result
 from repro.melissa.client import SolverClient
 from repro.melissa.launcher import Launcher, SimulationRecord, SimulationState
 from repro.melissa.reservoir import Reservoir, ReservoirBatch, ReservoirEntry
-from repro.melissa.server import SampleStatistic, TrainingHistory, TrainingServer
+from repro.melissa.server import TrainingHistory, TrainingServer
 from repro.melissa.transport import InProcessTransport
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "Reservoir",
     "ReservoirBatch",
     "ReservoirEntry",
-    "SampleStatistic",
     "TrainingHistory",
     "TrainingServer",
     "InProcessTransport",

@@ -31,38 +31,66 @@ from repro.surrogate.validation import ValidationSet, start_validation_loss, val
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.melissa.workers import SolverWorkers
 
-__all__ = ["SampleStatistic", "TrainingHistory", "TrainingServer"]
+__all__ = ["SAMPLE_STATISTICS", "TrainingHistory", "TrainingServer"]
 
+#: one row per sample of every training batch, the raw material of Figure 6:
+#: NN iteration ``i``, parameter index ``j``, time step ``t``, per-sample loss
+#: ``l^{(i)}_{jt}``, whether the sample's simulation parameters came from the
+#: uniform mixture, batch loss ``μ(l^{(i)})`` and the loss deviation ``δ^{(i)}_{jt}``;
+#: each column with the snapshot key it is stored under
+_STATISTIC_COLUMNS = (
+    ("iteration", np.int64, "stat_iterations"),
+    ("simulation_id", np.int64, "stat_simulation_ids"),
+    ("timestep", np.int64, "stat_timesteps"),
+    ("sample_loss", np.float64, "stat_sample_losses"),
+    ("uniform", np.bool_, "stat_uniform"),
+    ("batch_loss", np.float64, "stat_batch_losses"),
+    ("deviation", np.float64, "stat_deviations"),
+)
+SAMPLE_STATISTICS = np.dtype([(name, dtype) for name, dtype, _ in _STATISTIC_COLUMNS])
 
-@dataclass(frozen=True)
-class SampleStatistic:
-    """Per-sample training statistics row (the raw material of Figure 6).
-
-    One row is recorded for every sample of every training batch:
-    NN iteration ``i``, parameter index ``j``, time step ``t``, per-sample
-    loss ``l^{(i)}_{jt}``, whether the sample's simulation parameters came from
-    the uniform mixture, batch loss ``μ(l^{(i)})`` and the loss deviation
-    ``δ^{(i)}_{jt}``.
-    """
-
-    iteration: int
-    simulation_id: int
-    timestep: int
-    sample_loss: float
-    uniform: bool
-    batch_loss: float
-    deviation: float
+#: rows per statistics chunk, 49 MiB of address space: above glibc's largest
+#: mmap threshold, so a chunk is a mapping of its own whose pages become
+#: resident only as rows are written.  One small block per batch would instead
+#: split the heap the training step's temporaries reuse (+9 MB peak RSS on the
+#: benchmark's four-run study grid).
+_CHUNK_ROWS = 1 << 20
 
 
 @dataclass
 class TrainingHistory:
-    """Loss curves and event counters accumulated during a run."""
+    """Loss curves, event counters and per-sample statistics accumulated during a run."""
 
     train_losses: List[float] = field(default_factory=list)
     train_iterations: List[int] = field(default_factory=list)
     validation_losses: List[float] = field(default_factory=list)
     validation_iterations: List[int] = field(default_factory=list)
-    sample_statistics: List[SampleStatistic] = field(default_factory=list)
+    #: :data:`SAMPLE_STATISTICS` chunks (read :attr:`sample_statistics`); all
+    #: but the last are full, and the last holds ``_filled`` rows
+    statistic_chunks: List[np.ndarray] = field(default_factory=list, repr=False, compare=False)
+    _filled: int = field(default=0, repr=False, compare=False)
+
+    def new_statistics(self, n: int) -> np.ndarray:
+        """The next ``n`` rows of :attr:`sample_statistics`, for the caller to fill."""
+        chunks = self.statistic_chunks
+        if not chunks or self._filled + n > len(chunks[-1]):
+            if chunks:
+                chunks[-1] = chunks[-1][: self._filled]
+            chunks.append(np.empty(max(n, _CHUNK_ROWS), SAMPLE_STATISTICS))
+            self._filled = 0
+        self._filled += n
+        return chunks[-1][self._filled - n : self._filled]
+
+    @property
+    def sample_statistics(self) -> np.recarray:
+        """Every recorded statistics row in recording order (``row.iteration`` …).
+
+        More rows than one chunk holds are merged once, replacing the chunks."""
+        if len(self.statistic_chunks) > 1:
+            merged = np.concatenate([*self.statistic_chunks[:-1], self.statistic_chunks[-1][: self._filled]])
+            self.statistic_chunks, self._filled = [merged], len(merged)
+        rows = self.statistic_chunks[0] if self.statistic_chunks else np.empty(0, SAMPLE_STATISTICS)
+        return rows[: self._filled].view(np.recarray)
 
     def final_validation_loss(self) -> float:
         return self.validation_losses[-1] if self.validation_losses else float("nan")
@@ -80,23 +108,17 @@ class TrainingHistory:
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
-        """Loss curves (and optional per-sample statistics) as stacked arrays."""
+        """Loss curves and the per-sample statistics, one rank-1 array per column."""
+        rows = self.sample_statistics
         state: dict = {
             "train_losses": np.asarray(self.train_losses, dtype=np.float64),
             "train_iterations": np.asarray(self.train_iterations, dtype=np.int64),
             "validation_losses": np.asarray(self.validation_losses, dtype=np.float64),
             "validation_iterations": np.asarray(self.validation_iterations, dtype=np.int64),
-            "n_sample_statistics": len(self.sample_statistics),
+            "n_sample_statistics": len(rows),
         }
-        if self.sample_statistics:
-            stats = self.sample_statistics
-            state["stat_iterations"] = np.array([s.iteration for s in stats], dtype=np.int64)
-            state["stat_simulation_ids"] = np.array([s.simulation_id for s in stats], dtype=np.int64)
-            state["stat_timesteps"] = np.array([s.timestep for s in stats], dtype=np.int64)
-            state["stat_sample_losses"] = np.array([s.sample_loss for s in stats], dtype=np.float64)
-            state["stat_uniform"] = np.array([s.uniform for s in stats], dtype=np.bool_)
-            state["stat_batch_losses"] = np.array([s.batch_loss for s in stats], dtype=np.float64)
-            state["stat_deviations"] = np.array([s.deviation for s in stats], dtype=np.float64)
+        if len(rows):
+            state.update({key: rows[name] for name, _, key in _STATISTIC_COLUMNS})
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -104,19 +126,10 @@ class TrainingHistory:
         self.train_iterations = [int(v) for v in state["train_iterations"]]
         self.validation_losses = [float(v) for v in state["validation_losses"]]
         self.validation_iterations = [int(v) for v in state["validation_iterations"]]
-        self.sample_statistics = []
-        for index in range(int(state["n_sample_statistics"])):
-            self.sample_statistics.append(
-                SampleStatistic(
-                    iteration=int(state["stat_iterations"][index]),
-                    simulation_id=int(state["stat_simulation_ids"][index]),
-                    timestep=int(state["stat_timesteps"][index]),
-                    sample_loss=float(state["stat_sample_losses"][index]),
-                    uniform=bool(state["stat_uniform"][index]),
-                    batch_loss=float(state["stat_batch_losses"][index]),
-                    deviation=float(state["stat_deviations"][index]),
-                )
-            )
+        self.statistic_chunks, self._filled = [], 0
+        rows = self.new_statistics(int(state["n_sample_statistics"]))
+        for name, _, key in _STATISTIC_COLUMNS:
+            rows[name] = state.get(key, ())  # no keys when no rows
 
 
 class TrainingServer:
@@ -131,7 +144,6 @@ class TrainingServer:
         batch_size: int,
         validation_set: Optional[ValidationSet] = None,
         validation_period: int = 50,
-        record_sample_statistics: bool = False,
         workers: Optional["SolverWorkers"] = None,
     ) -> None:
         if batch_size < 1:
@@ -145,7 +157,6 @@ class TrainingServer:
         self.batch_size = batch_size
         self.validation_set = validation_set
         self.validation_period = validation_period
-        self.record_sample_statistics = record_sample_statistics
         #: per-simulation flag: True when its parameters came from a uniform draw
         self.uniform_source_flags: dict[int, bool] = {}
         #: the session's solver workers, which evaluate each validation point (None: inline)
@@ -206,8 +217,16 @@ class TrainingServer:
             sample_losses=per_sample,
             parameters=None,
         )
-        if self.record_sample_statistics:
-            self._record_statistics(batch, per_sample, loss_value)
+        # The batch's Figure-6 rows (analysis only: training never reads them).
+        std = float(per_sample.std())
+        rows = self.history.new_statistics(len(per_sample))
+        rows["iteration"] = self.iteration
+        rows["simulation_id"] = batch.simulation_ids
+        rows["timestep"] = batch.timesteps
+        rows["sample_loss"] = per_sample
+        rows["uniform"] = [self.uniform_source_flags.get(sid, True) for sid in batch.simulation_ids.tolist()]
+        rows["batch_loss"] = loss_value
+        rows["deviation"] = np.maximum(per_sample - loss_value, 0.0) / (std if std > 1e-12 else 1e-12)
 
         # Periodic validation: recorded once the workers reply, or evaluated here.
         if self.validation_set is not None and self.iteration % self.validation_period == 0:
@@ -239,25 +258,6 @@ class TrainingServer:
         loss.backward()
         self.optimizer.step()
         return float(loss.item()), per_sample_tensor.data.copy()
-
-    def _record_statistics(
-        self, batch: ReservoirBatch, per_sample: np.ndarray, batch_loss: float
-    ) -> None:
-        std = float(per_sample.std())
-        sigma = std if std > 1e-12 else 1e-12
-        for sim_id, timestep, sample_loss in zip(batch.simulation_ids, batch.timesteps, per_sample):
-            deviation = max(float(sample_loss) - batch_loss, 0.0) / sigma
-            self.history.sample_statistics.append(
-                SampleStatistic(
-                    iteration=self.iteration,
-                    simulation_id=int(sim_id),
-                    timestep=int(timestep),
-                    sample_loss=float(sample_loss),
-                    uniform=self.uniform_source_flags.get(int(sim_id), True),
-                    batch_loss=batch_loss,
-                    deviation=deviation,
-                )
-            )
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:

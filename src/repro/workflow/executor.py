@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 
 from repro import telemetry
 from repro.analysis.correlation import correlation_matrix
-from repro.api.config import OnlineTrainingConfig
+from repro.api.config import RETIRED_FIELD, OnlineTrainingConfig
 from repro.api.session import OnlineTrainingResult, run_online_training
 from repro.breed.samplers import BreedConfig
 from repro.melissa.workers import start_workers
@@ -93,13 +93,14 @@ def apply_overrides(base: OnlineTrainingConfig, overrides: Dict[str, Any]) -> On
     Keys matching Breed hyper-parameters (any field of :class:`BreedConfig`,
     e.g. ``sigma``, ``period``, ``window``, ``r_start``) are applied to the
     nested breed configuration; keys starting with ``_`` are study metadata
-    and are ignored; everything else must be a field of
+    and are ignored, like the :data:`~repro.api.config.RETIRED_FIELD`;
+    everything else must be a field of
     :class:`~repro.api.config.OnlineTrainingConfig` (including ``workload``).
     """
     run_kwargs: Dict[str, Any] = {}
     breed_kwargs: Dict[str, Any] = {}
     for key, value in overrides.items():
-        if key.startswith("_"):
+        if key.startswith("_") or key == RETIRED_FIELD:
             continue
         if key in _BREED_KEYS:
             breed_kwargs[key] = value
@@ -265,6 +266,7 @@ def execute_spec(
         )
         run_telemetry["_worker_pid"] = float(os.getpid())
     tracer.flush()
+    statistics = result.history.sample_statistics
     record = RunResult(
         name=spec.name,
         config=dict(spec.overrides),
@@ -291,9 +293,11 @@ def execute_spec(
         telemetry=run_telemetry,
         executed_parameters=result.executed_parameters.tolist(),
         parameter_sources=list(result.parameter_sources),
+        # [] unless the statistics cover the whole run: a run resumed from a snapshot
+        # written before every run recorded them holds only the later iterations
         sample_correlations=(
-            correlation_matrix(result.history.sample_statistics).matrix.tolist()
-            if result.history.sample_statistics
+            correlation_matrix(statistics).matrix.tolist()
+            if len(statistics) and statistics.iteration[0] == 1
             else []
         ),
     )
@@ -331,7 +335,8 @@ class SerialExecutor:
     ) -> List[RunResult]:
         records: List[RunResult] = []
         for index, spec in enumerate(specs):
-            record, _ = execute_spec(spec, self.cache)
+            # Drop the run's full result now, not when the next run rebinds it.
+            record = execute_spec(spec, self.cache)[0]
             if on_record is not None:
                 on_record(index, record)
             records.append(record)
@@ -391,7 +396,7 @@ def _worker_main(task_queue, result_queue, cache: Optional[StudyInputCache], dri
             return
         index, spec = task
         try:
-            record, _ = execute_spec(spec, cache)
+            record = execute_spec(spec, cache)[0]
         except Exception as error:  # noqa: BLE001 - the driver re-raises it
             trace = traceback.format_exc()
             try:

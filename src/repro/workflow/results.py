@@ -64,7 +64,7 @@ class RunResult:
     executed_parameters: List[List[float]] = field(default_factory=list)
     parameter_sources: List[str] = field(default_factory=list)
     #: the Fig. 6 correlation matrix of the per-sample training statistics,
-    #: only for runs with ``record_sample_statistics``
+    #: empty when they do not cover the whole run
     sample_correlations: List[List[float]] = field(default_factory=list)
 
     def metric(self, key: str, default: float = float("nan")) -> float:
@@ -76,7 +76,7 @@ class RunResult:
         if not value:
             raise ValueError(
                 f"run {self.name!r} carries no {key}: its record predates the field, or "
-                f"(sample_correlations) the run did not record_sample_statistics"
+                f"(sample_correlations) its statistics miss part of the run"
             )
         return value
 

@@ -13,7 +13,7 @@ from repro.analysis.correlation import (
 from repro.analysis.curves import curve_from_history
 from repro.analysis.deviation import compare_runs
 from repro.analysis.report import format_table, render_histograms, render_loss_curves
-from repro.melissa.server import SampleStatistic, TrainingHistory
+from repro.melissa.server import SAMPLE_STATISTICS, TrainingHistory
 
 
 class TestPearson:
@@ -39,24 +39,22 @@ class TestPearson:
 def synthetic_statistics(n=500, seed=0):
     """Statistics rows with the qualitative structure of a training run."""
     rng = np.random.default_rng(seed)
-    stats = []
+    rows = np.empty(n, SAMPLE_STATISTICS)
     for i in range(n):
         iteration = i + 1
         batch_loss = 1.0 / (1.0 + 0.01 * iteration)           # decreasing with iteration
         sample_loss = batch_loss * (1.0 + 0.5 * rng.random())
         deviation = max(sample_loss - batch_loss, 0.0) / (0.2 * batch_loss + 1e-9)
-        stats.append(
-            SampleStatistic(
-                iteration=iteration,
-                simulation_id=int(rng.integers(0, 50)),
-                timestep=int(rng.integers(0, 20)),
-                sample_loss=sample_loss,
-                uniform=bool(rng.random() < 0.5),
-                batch_loss=batch_loss,
-                deviation=deviation,
-            )
+        rows[i] = (
+            iteration,
+            int(rng.integers(0, 50)),
+            int(rng.integers(0, 20)),
+            sample_loss,
+            bool(rng.random() < 0.5),
+            batch_loss,
+            deviation,
         )
-    return stats
+    return rows
 
 
 class TestCorrelationMatrix:

@@ -174,6 +174,19 @@ class TestConfigPlumbing:
         spec = validate_campaign_submission(_pinned_campaign())
         assert job_fingerprint(spec) == FROZEN_CAMPAIGN_JOB_FINGERPRINT
 
+    def test_fingerprints_ignore_the_retired_key(self):
+        # Submissions and campaign specs written while record_sample_statistics
+        # was a field still load, and keep the pinned fingerprints.
+        config = dict(OnlineTrainingConfig().to_dict(), record_sample_statistics=True)
+        spec = validate_submission(
+            {"study_name": "pinned", "config": config,
+             "configurations": [{"seed": 1, "record_sample_statistics": True}, {"seed": 2}]}
+        )
+        assert job_fingerprint(spec) == FROZEN_STUDY_JOB_FINGERPRINT
+        campaign = dict(_pinned_campaign(), config=config)
+        assert campaign_digest(CampaignSpec.from_dict(campaign)) == FROZEN_CAMPAIGN_DIGEST
+        assert job_fingerprint(validate_campaign_submission(campaign)) == FROZEN_CAMPAIGN_JOB_FINGERPRINT
+
     def test_non_default_architecture_changes_digest(self):
         assert OnlineTrainingConfig(architecture="conv2d").digest() != FROZEN_DEFAULT_DIGEST
 

@@ -99,10 +99,11 @@ class TestWorkloadGeometry:
 
 class TestRetiredKey:
     #: ``base_config("smoke").digest()``, pinned while ``record_sample_statistics``
-    #: was still a field (and hashed)
+    #: was still a field (and hashed): a config naming the retired key loads,
+    #: whatever its value, and keeps the digest of the default
     SMOKE_DIGEST = "6c5f44dbdd5129bf"
 
-    @pytest.mark.parametrize("value", [False, "absent"])
+    @pytest.mark.parametrize("value", [True, False, "absent"])
     def test_smoke_digest_unchanged(self, value):
         from repro.experiments.base import base_config
 
@@ -111,6 +112,12 @@ class TestRetiredKey:
         if value != "absent":
             data["record_sample_statistics"] = value
         assert OnlineTrainingConfig.from_dict(data).digest() == self.SMOKE_DIGEST
+
+    def test_retired_key_is_neither_a_field_nor_written(self):
+        from repro.api.config import RETIRED_FIELD
+
+        assert RETIRED_FIELD not in OnlineTrainingConfig.__dataclass_fields__
+        assert RETIRED_FIELD not in OnlineTrainingConfig().to_dict()
 
 
 class TestHashability:

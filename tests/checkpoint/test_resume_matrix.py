@@ -204,8 +204,8 @@ def test_restore_at_final_tick_adds_no_extra_tick(make_config, tmp_path):
 
 
 def test_sample_statistics_survive_resume(make_config, tmp_path):
-    """record_sample_statistics=True (the Fig. 6 payload) also resumes exactly."""
-    config = make_config(seed=17, record_sample_statistics=True)
+    """The Fig. 6 statistics every run records also resume exactly."""
+    config = make_config(seed=17)
     reference = TrainingSession(config).run()
 
     killed = TrainingSession(config)

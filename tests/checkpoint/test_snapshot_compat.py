@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import shutil
 import zipfile
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.api.session import TrainingSession
 from repro.breed.samplers import BreedConfig, BreedSampler
 from repro.checkpoint import load_manifest, restore_session, save_session
 from repro.sampling.bounds import HEAT2D_BOUNDS
+from repro.workflow.executor import RunSpec, execute_spec
 
 SAMPLER_KEYS = {"resampling_count", "last_trigger_iteration", "tracker", "decisions"}
 
@@ -110,3 +112,22 @@ def test_schema1_snapshot_restores_and_runs_bit_identical(make_config):
     restored = restore_session(SCHEMA1_SNAPSHOT, config=config)
     assert restored.n_ticks == 7 and restored.pending_blocks
     assert_bit_identical(restored.run(), TrainingSession(config).run())
+
+
+def test_a_run_resumed_from_a_schema1_snapshot_publishes_no_partial_matrix(make_config, tmp_path):
+    """The fixture predates the statistics columns, so the resumed run holds
+    them from iteration 5 on only: its record carries no Fig. 6 matrix."""
+    snapshots = tmp_path / "snapshots"
+    shutil.copytree(SCHEMA1_SNAPSHOT.parent, snapshots)
+    spec = RunSpec(
+        name="schema1-resumed",
+        config=make_config(**SCHEMA1_CONFIG).to_dict(),
+        checkpoint_dir=str(snapshots),
+        checkpoint_every=10_000,
+    )
+    record, result = execute_spec(spec)
+    assert result.history.sample_statistics.iteration[0] == 5
+    assert record.metrics["iterations"] == 60.0
+    assert record.sample_correlations == []
+    with pytest.raises(ValueError, match="schema1-resumed.*sample_correlations"):
+        record.analysis("sample_correlations")

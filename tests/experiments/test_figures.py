@@ -134,6 +134,17 @@ class TestFig6:
     def test_matrix_is_pinned(self, result):
         assert result.matrix.matrix.tolist() == FIG6_SMOKE_SEED3
 
+    def test_run_is_its_fig3a_twin(self, result):
+        # Analysis is not configuration: the fig3a H16-L1 Breed run is the same
+        # run, under the same digest, and its record carries the same matrix.
+        (run,) = result.study.runs
+        twin = run_fig3a(
+            scale="smoke", hidden_sizes=[16], layer_counts=[1], methods=("breed",), seed=3
+        ).study.runs[0]
+        assert twin.name == "fig3a:H16-L1-breed"
+        assert run.digest == twin.digest
+        assert run.sample_correlations == twin.sample_correlations
+
     def test_matrix_read_from_the_run_record(self, result):
         (run,) = result.study.runs
         np.testing.assert_array_equal(result.matrix.matrix, np.asarray(run.sample_correlations))

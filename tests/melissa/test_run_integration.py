@@ -63,7 +63,6 @@ class TestBreedRun:
             max_iterations=60,
             validation_period=20,
             n_validation_trajectories=3,
-            record_sample_statistics=True,
             seed=5,
         )
         return run_online_training(config, solver=tiny_solver)

@@ -9,7 +9,7 @@ from repro.api import OnlineTrainingConfig, TrainingSession, workload_names
 from repro.breed.controller import BreedController
 from repro.breed.samplers import BreedConfig, BreedSampler, RandomSampler
 from repro.melissa.reservoir import Reservoir
-from repro.melissa.server import TrainingServer
+from repro.melissa.server import TrainingHistory, TrainingServer
 from repro.nn.optim import Adam
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.solvers.heat2d import Heat2DConfig
@@ -25,7 +25,6 @@ def make_server(
     watermark=6,
     capacity=64,
     with_validation=False,
-    record_stats=False,
     seed=0,
 ):
     rng = np.random.default_rng(seed)
@@ -54,7 +53,6 @@ def make_server(
         batch_size=batch_size,
         validation_set=validation,
         validation_period=5,
-        record_sample_statistics=record_stats,
     )
     return server
 
@@ -152,7 +150,7 @@ class TestTraining:
         assert len(sampler.tracker.observed_ids()) >= 1  # type: ignore[attr-defined]
 
     def test_sample_statistics_recorded(self, tiny_solver, tiny_scalers):
-        server = make_server(tiny_solver, tiny_scalers, record_stats=True, batch_size=4)
+        server = make_server(tiny_solver, tiny_scalers, batch_size=4)
         feed_trajectory(server, tiny_solver)
         server.train_iteration()
         stats = server.history.sample_statistics
@@ -161,8 +159,47 @@ class TestTraining:
         assert row.iteration == 1
         assert np.isfinite(row.sample_loss) and row.deviation >= 0.0
 
+    def test_statistics_rows_equal_the_per_sample_loop(self, tiny_solver, tiny_scalers):
+        # The rows are computed vectorised; the loop they replaced is the reference.
+        server = make_server(tiny_solver, tiny_scalers, batch_size=8)
+        server.mark_parameter_source(1, uniform=False)
+        feed_trajectory(server, tiny_solver, sim_id=0)
+        feed_trajectory(server, tiny_solver, sim_id=1, params=(200.0, 300.0, 400.0, 100.0, 500.0))
+        for _ in range(3):
+            server.train_iteration()
+        stats = server.history.sample_statistics
+        for iteration, batch_loss in zip(server.history.train_iterations, server.history.train_losses):
+            rows = stats[stats.iteration == iteration]
+            std = float(rows.sample_loss.std())
+            sigma = std if std > 1e-12 else 1e-12
+            assert list(rows.batch_loss) == [batch_loss] * 8
+            assert list(rows.deviation) == [
+                max(float(loss) - batch_loss, 0.0) / sigma for loss in rows.sample_loss
+            ]
+            assert list(rows.uniform) == [sid != 1 for sid in rows.simulation_id]
+
+    def test_statistics_longer_than_a_chunk_read_and_restore_in_order(
+        self, tiny_solver, tiny_scalers, monkeypatch
+    ):
+        import repro.melissa.server as server_module
+
+        monkeypatch.setattr(server_module, "_CHUNK_ROWS", 10)
+        server = make_server(tiny_solver, tiny_scalers, batch_size=4)
+        feed_trajectory(server, tiny_solver)
+        for _ in range(3):
+            server.train_iteration()  # the third batch does not fit the first chunk's last 2 rows
+        assert len(server.history.statistic_chunks) == 2
+        assert list(server.history.sample_statistics.iteration) == [1] * 4 + [2] * 4 + [3] * 4
+        assert len(server.history.statistic_chunks) == 1  # merged once
+        server.train_iteration()
+        stats = server.history.sample_statistics
+        assert list(stats.iteration) == [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4
+        restored = TrainingHistory()
+        restored.load_state_dict(server.history.state_dict())
+        assert restored.sample_statistics.tolist() == stats.tolist()
+
     def test_mark_parameter_source_used_in_statistics(self, tiny_solver, tiny_scalers):
-        server = make_server(tiny_solver, tiny_scalers, record_stats=True, batch_size=4)
+        server = make_server(tiny_solver, tiny_scalers, batch_size=4)
         server.mark_parameter_source(0, uniform=False)
         feed_trajectory(server, tiny_solver, sim_id=0)
         server.train_iteration()

@@ -48,6 +48,16 @@ class TestSubmitAndInspect:
         assert second["id"] == first["id"]
         assert len(client.jobs()) == 1
 
+    def test_the_retired_config_key_is_accepted_and_dedupes(self, client, make_payload):
+        payload = make_payload()
+        first = client.submit(payload["study_name"], payload["config"], payload["configurations"])
+        config = dict(payload["config"], record_sample_statistics=True)
+        head, *rest = payload["configurations"]
+        configurations = [dict(head, record_sample_statistics=True), *rest]
+        second = client.submit(payload["study_name"], config, configurations)
+        assert second["deduplicated"]
+        assert second["id"] == first["id"]  # the id is the job fingerprint
+
     def test_jobs_listing_and_single_job_agree(self, client, make_payload):
         payload = make_payload()
         job = client.submit(payload["study_name"], payload["config"], payload["configurations"])

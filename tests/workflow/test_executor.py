@@ -128,7 +128,18 @@ class TestExecutorBackends:
         (record,) = executor.execute(specs)
         assert len(record.executed_parameters) == tiny_run_config.n_simulations
         assert len(record.parameter_sources) == tiny_run_config.n_simulations
-        assert record.sample_correlations == []  # record_sample_statistics is off
+        # every run records the Fig. 6 statistics, so every record carries their matrix
+        assert [len(row) for row in record.sample_correlations] == [7] * 7
+
+    def test_a_run_that_never_trains_carries_no_matrix(self, tiny_run_config):
+        from dataclasses import replace
+
+        starved = replace(
+            tiny_run_config, n_simulations=2, reservoir_watermark=tiny_run_config.reservoir_capacity
+        )
+        record, _ = execute_spec(RunSpec(name="starved", config=starved.to_dict()))
+        assert record.metrics["iterations"] == 0.0
+        assert record.sample_correlations == []
 
     def test_process_backend_bit_identical_to_serial(self, tiny_run_config):
         serial = StudyRunner(base_config=tiny_run_config, study_name="det").run_all(GRID)
@@ -145,12 +156,9 @@ class TestExecutorBackends:
             assert serial_run.seed == process_run.seed
 
     def test_analysis_fields_identical_across_backends(self, tiny_run_config):
-        from dataclasses import replace
-
-        config = replace(tiny_run_config, record_sample_statistics=True)
-        serial = StudyRunner(base_config=config, study_name="fields").run_all(GRID)
+        serial = StudyRunner(base_config=tiny_run_config, study_name="fields").run_all(GRID)
         process = StudyRunner(
-            base_config=config, study_name="fields", backend="process", max_workers=2
+            base_config=tiny_run_config, study_name="fields", backend="process", max_workers=2
         ).run_all(GRID)
         for serial_run, process_run in zip(serial, process):
             assert serial_run.executed_parameters

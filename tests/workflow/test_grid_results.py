@@ -245,7 +245,7 @@ class TestAnalysisFields:
         assert old.executed_parameters == [] and old.sample_correlations == []
         with pytest.raises(ValueError, match="fig4:breed.*executed_parameters"):
             old.analysis("executed_parameters")
-        with pytest.raises(ValueError, match="record_sample_statistics"):
+        with pytest.raises(ValueError, match="fig4:breed.*sample_correlations"):
             old.analysis("sample_correlations")
 
     def test_fields_round_trip(self):
