@@ -7,8 +7,10 @@ One command orchestrates the whole scenario::
 
     PYTHONPATH=src python scripts/campaign_smoke.py [--backend serial|shm]
 
-1. run the campaign (a diamond DAG whose ``right`` node shares a
-   configuration with ``left``) uninterrupted in-process — the reference,
+1. run the campaign (a diamond DAG whose ``left`` node runs each of its
+   configurations on seeds 5 and 6, and whose ``right`` node shares one
+   configuration and seed with ``left``) uninterrupted in-process — the
+   reference,
 2. launch ``python -m repro.cli campaign`` as a subprocess with a
    deterministic fault armed through the ``repro.workflow.faults`` env
    protocol: SIGKILL the driver when it reaches the chosen node/run — no
@@ -46,8 +48,8 @@ SRC = str(REPO_ROOT / "src")
 
 CAMPAIGN_NAME = "campaign-smoke"
 
-#: node whose run the fault lands on, per backend (mid-DAG in both cases)
-FAULT = {"serial": ("run", "left", 1), "shm": ("record", "left", 1)}
+#: run the fault lands on, per backend (mid-DAG in both cases): left's third, a seeded name
+FAULT = {"serial": ("run", "left:1-s5"), "shm": ("record", "left:1-s5")}
 
 
 def campaign_payload(backend: str) -> dict:
@@ -71,9 +73,9 @@ def campaign_payload(backend: str) -> dict:
         "nodes": [
             {"name": "src", "configurations": [{"sigma": 0.1}]},
             {"name": "left", "depends_on": ["src"],
-             "configurations": [{"sigma": 0.3}, {"sigma": 0.5}]},
+             "configurations": [{"sigma": 0.3}, {"sigma": 0.5}], "seeds": [5, 6]},
             {"name": "right", "depends_on": ["src"],
-             "configurations": [{"sigma": 0.5}]},  # shared with left -> cache
+             "configurations": [{"sigma": 0.5}]},  # left:1-s5's digest -> cache
             {"name": "join", "depends_on": ["left", "right"],
              "select": {"type": "top_k", "node": "left",
                         "metric": "final_validation_loss", "k": 1,
@@ -142,8 +144,8 @@ def main() -> int:
     assert reference.ok, f"reference failed: {reference.states}"
     reference_nodes = comparable_nodes(reference.to_dict())
 
-    point, node, run_index = FAULT[args.backend]
-    token = f"{point}:{node}:{run_index}"
+    point, run = FAULT[args.backend]
+    token = f"{point}:{run}"
     root = workdir / "victim"
     print(f"[2/5] victim campaign, SIGKILL armed at {token}")
     victim = launch([spec_file, "--root", root], {TOKEN_ENV: token, MODE_ENV: "sigkill"})
@@ -175,7 +177,7 @@ def main() -> int:
     manifest = CampaignManifest(root / "manifest.jsonl")
     counts = manifest.executed_run_counts()
     assert counts and all(c == 1 for c in counts.values()), counts
-    assert len(counts) == 4, f"expected 4 executed digests, got {sorted(counts)}"
+    assert len(counts) == 6, f"expected 6 executed digests, got {sorted(counts)}"
     cached = [
         e for e in manifest.load() if e["event"] == "run_finished" and e.get("cached")
     ]

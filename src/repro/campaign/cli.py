@@ -88,13 +88,11 @@ def _load_spec(args: argparse.Namespace) -> CampaignSpec:
 def _schedule_table(spec: CampaignSpec) -> str:
     rows = []
     for node in topological_order(spec):
-        runs = max(1, len(node.configurations))
         if node.select is not None:
-            runs *= node.select.k
             source = f"top-{node.select.k} of {node.select.node} by {node.select.metric}"
         else:
             source = "literal configurations"
-        rows.append((node.name, ", ".join(node.depends_on) or "-", str(runs), source))
+        rows.append((node.name, ", ".join(node.depends_on) or "-", str(node.run_count()), source))
     return format_table(["node", "depends on", "runs", "configurations"], rows)
 
 

@@ -287,6 +287,7 @@ class CampaignRunner:
             name_key=node.name_key,
             resume=runs_path,
             checkpoint_every=self.checkpoint_every or None,
+            seeds=list(node.seeds) or None,
         )
         results.save_json(node_dir / "result.json")
         return results
@@ -307,7 +308,7 @@ class CampaignRunner:
         The record is relabelled with this node's run name and overrides; the
         digest (the identity that matters) is unchanged.
         """
-        specs = runner.build_specs(configurations, node.name_key)
+        specs = runner.build_specs(configurations, node.name_key, list(node.seeds) or None)
         sink = JsonlCheckpoint(runs_path)
         already = sink.load()
         for spec in specs:

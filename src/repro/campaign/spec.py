@@ -122,9 +122,11 @@ class NodeSpec:
     :meth:`StudyRunner.run_all`); ``select`` pulls additional base overrides
     from an upstream node's results.  With both, the node runs the cross
     product *selected × literal*; with neither, the node is a single run of
-    the campaign's base configuration.  ``max_retries`` re-executes a failed
-    node (resuming its completed runs from the node checkpoint) before the
-    node is declared failed and its descendants are skipped.
+    the campaign's base configuration.  ``seeds`` crosses the node's runs
+    with a seed axis, as ``StudyRunner.run_all(seeds=)`` does: each run once
+    per seed, named ``<node>:<name>-s<seed>``.  ``max_retries`` re-executes a
+    failed node (resuming its completed runs from the node checkpoint) before
+    the node is declared failed and its descendants are skipped.
     """
 
     name: str
@@ -133,6 +135,12 @@ class NodeSpec:
     select: Optional[TopK] = None
     name_key: Optional[str] = None
     max_retries: int = 0
+    seeds: Tuple[int, ...] = ()
+
+    def run_count(self) -> int:
+        """Static upper-bound run count (a selector contributes ``k`` bases)."""
+        bases = self.select.k if self.select is not None else 1
+        return bases * max(1, len(self.configurations)) * max(1, len(self.seeds))
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"name": self.name}
@@ -146,6 +154,8 @@ class NodeSpec:
             payload["name_key"] = self.name_key
         if self.max_retries:
             payload["max_retries"] = self.max_retries
+        if self.seeds:
+            payload["seeds"] = list(self.seeds)
         return payload
 
     @classmethod
@@ -157,6 +167,7 @@ class NodeSpec:
             "select",
             "name_key",
             "max_retries",
+            "seeds",
         }
         if unknown:
             raise CampaignSpecError(f"unknown node key(s): {sorted(unknown)}")
@@ -172,6 +183,13 @@ class NodeSpec:
         max_retries = int(payload.get("max_retries", 0))
         if max_retries < 0:
             raise CampaignSpecError(f"node {name!r}: max_retries must be >= 0")
+        seeds = payload.get("seeds", [])
+        if (
+            not isinstance(seeds, (list, tuple))
+            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
+            or len(set(seeds)) != len(seeds)
+        ):
+            raise CampaignSpecError(f"node {name!r}: 'seeds' must be a list of distinct ints")
         return cls(
             name=name,
             depends_on=tuple(str(d) for d in payload.get("depends_on", [])),
@@ -179,6 +197,7 @@ class NodeSpec:
             select=TopK.from_dict(select) if select is not None else None,
             name_key=payload.get("name_key"),
             max_retries=max_retries,
+            seeds=tuple(seeds),
         )
 
 
@@ -240,12 +259,8 @@ class CampaignSpec:
         raise KeyError(name)
 
     def estimated_runs(self) -> int:
-        """Static upper-bound run count (selectors contribute ``k`` bases)."""
-        total = 0
-        for node in self.nodes:
-            bases = node.select.k if node.select is not None else 1
-            total += bases * max(1, len(node.configurations))
-        return total
+        """Static upper-bound run count of every node (:meth:`NodeSpec.run_count`)."""
+        return sum(node.run_count() for node in self.nodes)
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {

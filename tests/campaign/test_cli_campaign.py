@@ -29,6 +29,18 @@ class TestDryRun:
         assert not (tmp_path / "camp").exists()  # nothing ran, nothing written
 
 
+    def test_counts_the_seeds_of_a_node(self, tmp_path):
+        payload = fanout_spec()
+        payload["nodes"][1]["seeds"] = [0, 1, 2]
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(payload))
+        rc, out, err = run_campaign_cli([path, "--dry-run"], cwd=tmp_path)
+        assert rc == 0, err
+        assert "estimated runs: 6" in out
+        (f1_row,) = [line for line in out.splitlines() if line.split()[:1] == ["f1"]]
+        assert f1_row.split()[2] == "3"
+
+
 class TestSpecErrors:
     def test_missing_spec_file_is_usage_error(self, tmp_path):
         rc, _out, err = run_campaign_cli(["nope.json"], cwd=tmp_path)

@@ -204,3 +204,48 @@ class TestFailureDomains:
         # across both invocations no digest ever executed twice
         counts = CampaignManifest(tmp_path / "camp" / "manifest.jsonl").executed_run_counts()
         assert all(count == 1 for count in counts.values())
+
+
+class TestSeededNodes:
+    def test_a_seeded_node_is_the_study_with_that_seed_axis(self, tmp_path):
+        from repro.api.config import OnlineTrainingConfig
+        from repro.workflow.study import StudyRunner
+        from topologies import C1, C2, tiny_config_dict
+
+        payload = {
+            "name": "seeded",
+            "config": tiny_config_dict(),
+            "nodes": [{"name": "grid", "configurations": [C1, C2], "seeds": [0, 1]}],
+        }
+        node = run_campaign(payload, tmp_path / "camp").run().results["grid"]
+        study = StudyRunner(OnlineTrainingConfig.from_dict(tiny_config_dict()), "grid").run_all(
+            [C1, C2], seeds=[0, 1]
+        )
+        assert [run.name for run in node] == [run.name for run in study] == [
+            "grid:0-s0", "grid:0-s1", "grid:1-s0", "grid:1-s1"
+        ]
+        assert [(run.config, comparable(run)) for run in node] == [
+            (run.config, comparable(run)) for run in study
+        ]
+
+    def test_a_seed_shared_across_nodes_executes_once(self, tmp_path):
+        from topologies import C1, tiny_config_dict
+
+        payload = {
+            "name": "seeded-splice",
+            "config": tiny_config_dict(),
+            "nodes": [
+                {"name": "a", "configurations": [C1], "seeds": [0, 1]},
+                {"name": "b", "depends_on": ["a"], "configurations": [C1], "seeds": [1, 2]},
+            ],
+        }
+        outcome = run_campaign(payload, tmp_path / "camp").run()
+        assert (outcome.runs_executed, outcome.cache_hits) == (3, 1)
+        a, b = outcome.results["a"], outcome.results["b"]
+        assert [run.name for run in b] == ["b:0-s1", "b:0-s2"]
+        assert b.runs[0].digest == a.runs[1].digest
+        assert comparable(b.runs[0]) == comparable(a.runs[1])
+        assert b.runs[0].config == {"sigma": 0.1, "seed": 1}
+
+        again = run_campaign(payload, tmp_path / "camp").run(resume=True)
+        assert (again.runs_executed, again.cache_hits, again.runs_resumed) == (0, 0, 4)

@@ -40,6 +40,11 @@ class TestValidation:
         assert spec.configurations == []
         assert spec.total_runs() == 4
 
+    def test_runs_total_counts_the_seeds_of_a_node(self):
+        payload = fanout_spec()
+        payload["nodes"][3]["seeds"] = [4, 5]
+        assert validate_campaign_submission(payload).total_runs() == 5
+
     def test_cycle_is_a_submission_error(self):
         payload = fanout_spec()
         payload["nodes"][0]["depends_on"] = ["f3"]

@@ -206,3 +206,32 @@ class TestResolveConfigurations:
                         select=TopK(node="up", metric="loss"))
         with pytest.raises(CampaignSpecError, match="has no results"):
             resolve_configurations(node, {})
+
+
+class TestSeeds:
+    def _payload(self, seeds):
+        payload = chain_spec()
+        payload["nodes"][0]["seeds"] = seeds
+        return payload
+
+    def test_round_trips_and_counts_every_seed(self):
+        spec = CampaignSpec.from_dict(self._payload([0, 1, 2]))
+        assert spec.nodes[0].seeds == (0, 1, 2)
+        assert CampaignSpec.from_dict(spec.to_dict()) == spec
+        assert spec.nodes[0].run_count() == 2 * 3
+        assert spec.estimated_runs() == 6 + 1 + 1
+
+    def test_an_empty_seed_list_leaves_the_node_and_its_digest_as_without(self):
+        assert "seeds" not in NodeSpec(name="n").to_dict()
+        assert campaign_digest(CampaignSpec.from_dict(self._payload([]))) == campaign_digest(
+            CampaignSpec.from_dict(chain_spec())
+        )
+
+    def test_seeds_are_part_of_the_identity(self):
+        digests = {campaign_digest(CampaignSpec.from_dict(self._payload(s))) for s in ([0, 1], [0, 2], [])}
+        assert len(digests) == 3
+
+    @pytest.mark.parametrize("seeds", [3, "0-9", [0, 0], [0, 1.5], [True], [None]])
+    def test_rejects_anything_but_a_list_of_distinct_ints(self, seeds):
+        with pytest.raises(CampaignSpecError, match="'seeds' must be a list of distinct ints"):
+            CampaignSpec.from_dict(self._payload(seeds))
