@@ -19,8 +19,9 @@ One command orchestrates the whole scenario::
 4. assert the final ``result.json`` is **bit-identical** to the reference
    (wall-clock timing metrics excluded), that the manifest ledger shows
    every executed run digest exactly once across BOTH invocations (completed
-   runs were spliced, never re-executed), and that the shared configuration
-   was satisfied from the artifact cache (one ``cached`` run event),
+   runs were spliced, never re-executed), that the shared configuration
+   was spliced from a node checkpoint (one ``cached`` run event), and that
+   the root keeps no ``cache/`` directory,
 5. run ``repro doctor`` between kill and resume: the abandoned campaign must
    be flagged with the exact resume command.
 
@@ -182,6 +183,7 @@ def main() -> int:
         e for e in manifest.load() if e["event"] == "run_finished" and e.get("cached")
     ]
     assert len(cached) == 1, f"expected exactly one cache-spliced run, got {len(cached)}"
+    assert not (root / "cache").exists(), "the node checkpoints are the only record store"
 
     print(f"campaign kill-and-resume smoke passed ({args.backend}): "
           f"{len(counts)} digests executed once, 1 cache hit, bit-identical resume")

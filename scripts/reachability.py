@@ -9,7 +9,7 @@ this one process, the paths a user or the benchmark can take:
   then ``--restore``, and one over two ``--seeds`` that ``repro compare``
   then reads;
 * ``repro bench``: every scenario once, then a ``--compare``;
-* a ``repro campaign`` on a tiny spec;
+* a ``repro campaign`` on a tiny spec, then a ``--resume`` of its finished root;
 * an in-process :class:`~repro.service.StudyService`: submit, dedupe
   resubmit, events, stream, result and a campaign job;
 * ``repro serve`` until a SIGINT;
@@ -131,8 +131,6 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.service.store", "JobStore.mark_failed", SAFETY),
     ("repro.cli", "_write_interrupt_marker", SAFETY),
     ("repro.doctor", "_pid_alive", SAFETY),
-    ("repro.campaign.runner", "CampaignRunner._load_node_results", SAFETY),
-    ("repro.campaign.manifest", "CampaignManifest.spec_digest", SAFETY),
     ("repro.workflow.results", "StudyResults.load_json", SAFETY),
     ("repro.telemetry", "disable", SAFETY),
     ("repro.telemetry.tracing", "Tracer.close", SAFETY),  # the atexit flush runs after the profiler stops
@@ -146,7 +144,6 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.breed.acquisition", "LossDeviationTracker.parameters", ORACLE),
     ("repro.breed.acquisition", "LossDeviationTracker.all_q_values", ORACLE),
     ("repro.breed.amis", "AMISResult.n_*", ORACLE),
-    ("repro.campaign.cache", "ArtifactCache.digests", ORACLE),
     ("repro.campaign.manifest", "CampaignManifest.executed_run_counts", ORACLE),
     ("repro.campaign.spec", "CampaignSpec.node", ORACLE),
     ("repro.experiments.fig3a", "Fig3aCell.overfit_gap", ORACLE),
@@ -370,7 +367,9 @@ def drive_campaign(work: Path) -> None:
 
     spec_file = work / "campaign.json"
     spec_file.write_text(json.dumps(_tiny_campaign()))
-    expect(main(["campaign", str(spec_file), "--root", str(work / "campaign")]) == 0, "repro campaign")
+    root = str(work / "campaign")
+    expect(main(["campaign", str(spec_file), "--root", root]) == 0, "repro campaign")
+    expect(main(["campaign", "--root", root, "--resume"]) == 0, "repro campaign --resume")
 
 
 def drive_service(work: Path) -> None:

@@ -14,8 +14,8 @@ Importing this module registers the scenarios (see
 * ``session/*`` — a small end-to-end on-line training run; run again with
   ``REPRO_METRICS``/``REPRO_TRACE_DIR`` set, ``--compare`` against the dark
   report bounds the observability overhead,
-* ``campaign/*`` — DAG-of-studies orchestration overhead over a pre-warmed
-  artifact cache (scheduling + manifest + cache splice, zero runs executed).
+* ``campaign/*`` — DAG-of-studies orchestration overhead over pre-warmed
+  node checkpoints (scheduling + manifest + splice, zero runs executed).
 
 The forward, loss, backward and optimizer steps, the validation set, the
 reservoir, checkpoints, studies and the service have no scenario: the repo
@@ -253,44 +253,48 @@ def _session_online() -> ScenarioRun:
 @register_scenario(
     "campaign/cache_hit",
     units="runs",
-    description="DAG orchestration over a pre-warmed artifact cache (zero runs executed)",
+    description="DAG orchestration over pre-warmed node checkpoints (zero runs executed)",
 )
 def _campaign_cache_hit() -> ScenarioRun:
-    """Pure campaign overhead: scheduling, manifest, cache splice — no training.
+    """Pure campaign overhead: scheduling, manifest, checkpoint splice — no training.
 
-    Setup executes a tiny two-node campaign once to warm its artifact cache;
-    each timed call replays the identical campaign over a fresh root seeded
-    with a *copy* of that cache, so every run resolves through the
-    cache-splice path (``runs_executed`` must stay 0).  The measured quantity
-    is therefore the fixed per-run cost the campaign layer adds on top of
-    the study engine — the number that should stay flat as campaigns grow.
+    Setup executes a tiny two-node campaign once; each timed call replays it
+    under renamed nodes over a fresh root seeded with a *copy* of the warm
+    root's node checkpoints, so every run resolves through the splice path
+    (``runs_executed`` must stay 0).  The measured quantity is therefore the
+    fixed per-run cost the campaign layer adds on top of the study engine —
+    the number that should stay flat as campaigns grow.
     """
     from repro.campaign import CampaignRunner, CampaignSpec
 
     base = _tiny_session_config(max_iterations=20, n_simulations=4).to_dict()
-    payload = {
-        "name": "bench",
-        "config": base,
-        "nodes": [
-            {"name": "a", "configurations": [{"sigma": 0.1}, {"sigma": 0.3}]},
-            {"name": "b", "depends_on": ["a"], "configurations": [{"sigma": 0.1}]},
-        ],
-    }
-    spec = CampaignSpec.from_dict(payload)
+
+    def spec(suffix: str) -> CampaignSpec:
+        return CampaignSpec.from_dict({
+            "name": "bench",
+            "config": base,
+            "nodes": [
+                {"name": f"a{suffix}", "configurations": [{"sigma": 0.1}, {"sigma": 0.3}]},
+                {"name": f"b{suffix}", "depends_on": [f"a{suffix}"],
+                 "configurations": [{"sigma": 0.1}]},
+            ],
+        })
+
     tmp = Path(tempfile.mkdtemp(prefix="repro-bench-campaign-"))
-    warm = CampaignRunner(spec, tmp / "warm").run()
+    warm = CampaignRunner(spec(""), tmp / "warm").run()
     if not warm.ok:  # pragma: no cover - setup failure is a bench bug
-        raise RuntimeError(f"cache warm-up failed: {warm.states}")
+        raise RuntimeError(f"checkpoint warm-up failed: {warm.states}")
+    replay = spec("2")
     counter = [0]
 
     def fn() -> int:
         counter[0] += 1
         root = tmp / f"replay-{counter[0]}"
-        shutil.copytree(tmp / "warm" / "cache", root / "cache")
-        outcome = CampaignRunner(spec, root).run()
+        shutil.copytree(tmp / "warm" / "nodes", root / "nodes")
+        outcome = CampaignRunner(replay, root).run()
         if outcome.runs_executed or outcome.cache_hits != 3:
             raise RuntimeError(
-                f"expected a pure cache replay, executed={outcome.runs_executed} "
+                f"expected a pure splice replay, executed={outcome.runs_executed} "
                 f"hits={outcome.cache_hits}"
             )
         shutil.rmtree(root, ignore_errors=True)

@@ -6,10 +6,12 @@ machinery, and edges can carry data — a :class:`TopK` selector turns an
 upstream sweep's results into the downstream refinement node's run
 configurations.  Execution is a deterministic topological walk with
 
-* an **artifact cache** keyed by the effective-configuration fingerprint
-  (:meth:`repro.api.config.OnlineTrainingConfig.digest`), so a run shared by two
-  nodes executes exactly once (hits are counted by the
-  ``repro_campaign_cache_hits_total`` telemetry counter),
+* **execute-exactly-once** — the node checkpoints, indexed by the
+  effective-configuration fingerprint
+  (:meth:`repro.api.config.OnlineTrainingConfig.digest`), are the only record
+  store, so a run shared by two nodes executes once and is spliced into the
+  other (splices are counted by the ``repro_campaign_cache_hits_total``
+  telemetry counter),
 * **failure domains** — a failed node (after its per-node retries) only
   blocks its descendants; independent branches still complete,
 * a campaign-level ``manifest.jsonl`` that resumes exactly like the study
@@ -20,7 +22,6 @@ Surfaced through ``python -m repro.cli campaign <spec.json>`` and the
 service's ``POST /v1/campaigns`` route.  See ``docs/CAMPAIGNS.md``.
 """
 
-from repro.campaign.cache import ArtifactCache
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.runner import CampaignResult, CampaignResumeError, CampaignRunner
 from repro.campaign.spec import (
@@ -34,7 +35,6 @@ from repro.campaign.spec import (
 )
 
 __all__ = [
-    "ArtifactCache",
     "CampaignCycleError",
     "CampaignManifest",
     "CampaignResult",

@@ -7,7 +7,7 @@
     $ repro campaign --root results/screen --resume               # spec recalled
     $ repro campaign screen.json --dry-run                        # schedule only
 
-The root keeps everything (`manifest.jsonl`, artifact cache, per-node
+The root keeps everything (`manifest.jsonl` and the per-node
 checkpoints), so `--resume` over the same root re-enters bit-identically at
 any kill point; a root with history refuses a non-resume launch unless
 ``--fresh`` wipes it first.  See ``docs/CAMPAIGNS.md``.
@@ -43,8 +43,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
                         help="campaign spec file; optional with --resume when the "
                              "root already holds the campaign.json it was started with")
     parser.add_argument("--root", default=None, metavar="DIR",
-                        help="campaign root directory holding manifest, artifact cache "
-                             "and per-node checkpoints "
+                        help="campaign root directory holding the manifest "
+                             "and the per-node checkpoints "
                              "(default: results/campaigns/<name>)")
     parser.add_argument("--resume", action="store_true",
                         help="continue a previous invocation over the same root: "
@@ -123,6 +123,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         backend=args.backend,
         max_workers=args.jobs,
         checkpoint_every=args.checkpoint_every,
+        on_result=lambda run: print(f"finished {run.name}", flush=True),
     )
     _install_signal_handlers()
     try:

@@ -16,10 +16,10 @@ Event vocabulary (``event`` key):
     node lifecycle; ``node_failed`` carries the attempt number and error,
     ``node_skipped`` the upstream failures blocking it.
 ``node_resumed``
-    a completed node was spliced from its persisted results on resume.
+    a completed node was spliced from its checkpoint records on resume.
 ``run_finished``
     one run of a node completed, with its config digest and whether it was
-    satisfied from the artifact cache (``cached: true``) or executed.
+    spliced from another record of that digest (``cached: true``) or executed.
 ``campaign_finished``
     closes an invocation with the final node-state map.
 """

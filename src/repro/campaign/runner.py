@@ -7,18 +7,19 @@ One :class:`CampaignRunner` owns a campaign *root* directory:
     <root>/
       campaign.json        # the spec as launched (doctor's resume hint)
       manifest.jsonl       # append-only event ledger (CampaignManifest)
-      cache/<digest>.json  # artifact cache keyed by config fingerprint
       nodes/<node>/
         runs.jsonl         # the node's study checkpoint (JsonlCheckpoint)
         runs.jsonl.snapshots/   # mid-run session snapshots (checkpoint_every)
-        result.json        # the node's StudyResults, written atomically
       result.json          # campaign summary (states, cache accounting)
 
-Resume is layered on the existing study machinery: node-level progress lives
-in the manifest, run-level progress in each node's ``runs.jsonl``, and
-mid-run progress in the per-run session snapshots — so ``run(resume=True)``
-after a kill at *any* point re-enters bit-identically, exactly like
-``StudyRunner.run_all(resume=...)`` and the service queue do.
+The node checkpoints are the only store of run records.  Resume is layered
+on the existing study machinery: node-level progress lives in the manifest,
+run-level progress in each node's ``runs.jsonl`` (a finished node's results
+are read back from it), and mid-run progress in the per-run session
+snapshots — so ``run(resume=True)`` after a kill at *any* point re-enters
+bit-identically, exactly like ``StudyRunner.run_all(resume=...)`` and the
+service queue do.  The same checkpoints, indexed by config digest, let a
+node splice any run another node already finished.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro import telemetry
 from repro.api.config import OnlineTrainingConfig
-from repro.campaign.cache import ArtifactCache
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.spec import (
     CampaignSpec,
@@ -65,7 +65,7 @@ class CampaignResult:
     campaign: str
     states: Dict[str, str] = field(default_factory=dict)
     results: Dict[str, StudyResults] = field(default_factory=dict)
-    #: runs satisfied from the artifact cache this invocation
+    #: runs spliced from another node's record of the same digest this invocation
     cache_hits: int = 0
     #: runs actually executed this invocation
     runs_executed: int = 0
@@ -98,7 +98,7 @@ class CampaignRunner:
     spec:
         The campaign DAG.
     root:
-        Directory owning manifest, cache and per-node artifacts.
+        Directory owning the manifest and the per-node checkpoints.
     backend / max_workers / checkpoint_every:
         Launch-time overrides of the spec's execution defaults.
     on_result:
@@ -137,7 +137,8 @@ class CampaignRunner:
         self.on_event = on_event
         self.propagate = tuple(propagate)
         self.manifest = CampaignManifest(self.root / "manifest.jsonl")
-        self.cache = ArtifactCache(self.root / "cache")
+        #: config digest -> the first record of it in any node checkpoint
+        self._by_digest: Dict[str, RunResult] = {}
         self._input_cache = StudyInputCache()
         self.cache_hits = 0
         self.runs_executed = 0
@@ -176,6 +177,13 @@ class CampaignRunner:
                 )
         completed = self.manifest.completed_nodes() if resume else set()
         self.root.mkdir(parents=True, exist_ok=True)
+        checkpoints = {
+            path: JsonlCheckpoint(path).load() for path in sorted(self.root.glob("nodes/*/runs.jsonl"))
+        }
+        for records in checkpoints.values():
+            for record in records.values():
+                if record.digest:
+                    self._by_digest.setdefault(record.digest, record)
         atomic_write(self.root / "campaign.json", json.dumps(self.spec.to_dict(), indent=2))
         self._emit(
             "campaign_started",
@@ -195,15 +203,16 @@ class CampaignRunner:
                 self._emit("node_skipped", node=node.name, blocked_by=blocked_by)
                 continue
             if node.name in completed:
-                spliced = self._load_node_results(node)
+                records = checkpoints.get(self.node_dir(node.name) / "runs.jsonl", {})
+                spliced = self._finished_node_results(node, results, records)
                 if spliced is not None:
                     states[node.name] = "done"
                     results[node.name] = spliced
                     self.runs_resumed += len(spliced)
                     self._emit("node_resumed", node=node.name, runs=len(spliced))
                     continue
-                # node_finished was durable but result.json was not — fall
-                # through and re-run; its runs splice from runs.jsonl/cache.
+                # a record is missing or stale — fall through and re-run; its
+                # finished runs splice from the checkpoints.
             state, node_results = self._run_node_with_retries(node, results)
             states[node.name] = state
             if node_results is not None:
@@ -228,15 +237,36 @@ class CampaignRunner:
         return outcome
 
     # -------------------------------------------------------------- nodes
-    def _load_node_results(self, node: NodeSpec) -> Optional[StudyResults]:
-        path = self.node_dir(node.name) / "result.json"
-        if not path.exists():
-            return None
-        try:
-            return StudyResults.load_json(path)
-        except (json.JSONDecodeError, KeyError):
-            _LOGGER.warning("unreadable node result %s; re-running node", path)
-            return None
+    def _study_runner(self, node: NodeSpec) -> StudyRunner:
+        return StudyRunner(
+            base_config=OnlineTrainingConfig.from_dict(self.spec.config),
+            study_name=node.name,
+            backend=self.backend,
+            max_workers=self.max_workers,
+            on_result=self._make_on_result(node.name),
+            _cache=self._input_cache,
+        )
+
+    def _finished_node_results(
+        self,
+        node: NodeSpec,
+        upstream: Dict[str, StudyResults],
+        records: Dict[str, RunResult],
+    ) -> Optional[StudyResults]:
+        """A finished node's results from its checkpoint ``records``, in spec order.
+
+        None when a run's record is missing or no longer matches its spec.
+        """
+        configurations = resolve_configurations(node, upstream)
+        results = StudyResults(study=node.name)
+        for spec in self._study_runner(node).build_specs(
+            configurations, node.name_key, list(node.seeds) or None
+        ):
+            record = records.get(spec.name)
+            if record is None or not StudyRunner._record_matches_spec(record, spec):
+                return None
+            results.add(record)
+        return results
 
     def _run_node_with_retries(
         self, node: NodeSpec, upstream: Dict[str, StudyResults]
@@ -272,25 +302,15 @@ class CampaignRunner:
         node_dir = self.node_dir(node.name)
         node_dir.mkdir(parents=True, exist_ok=True)
         runs_path = node_dir / "runs.jsonl"
-
-        runner = StudyRunner(
-            base_config=OnlineTrainingConfig.from_dict(self.spec.config),
-            study_name=node.name,
-            backend=self.backend,
-            max_workers=self.max_workers,
-            on_result=self._make_on_result(node.name),
-            _cache=self._input_cache,
-        )
+        runner = self._study_runner(node)
         self._splice_cache_hits(runner, node, configurations, runs_path)
-        results = runner.run_all(
+        return runner.run_all(
             configurations,
             name_key=node.name_key,
             resume=runs_path,
             checkpoint_every=self.checkpoint_every or None,
             seeds=list(node.seeds) or None,
         )
-        results.save_json(node_dir / "result.json")
-        return results
 
     def _splice_cache_hits(
         self,
@@ -299,12 +319,13 @@ class CampaignRunner:
         configurations: List[Dict[str, Any]],
         runs_path: Path,
     ) -> None:
-        """Append cached records for this node's runs into its checkpoint.
+        """Append already-finished records for this node's runs into its checkpoint.
 
-        Any spec whose effective-config digest is already in the artifact
-        cache — because another node (or a previous invocation) executed it —
-        is written into the node's ``runs.jsonl`` *before* ``run_all`` loads
-        it for resume, so the study engine splices it like any completed run.
+        Any spec whose effective-config digest is already in a node
+        checkpoint — because another node (or a previous invocation) finished
+        it, even inside a node that later failed — is written into the node's
+        ``runs.jsonl`` *before* ``run_all`` loads it for resume, so the study
+        engine splices it like any completed run.
         The record is relabelled with this node's run name and overrides; the
         digest (the identity that matters) is unchanged.
         """
@@ -316,7 +337,7 @@ class CampaignRunner:
             if record is not None and StudyRunner._record_matches_spec(record, spec):
                 continue  # completed by a previous invocation of this node
             digest = spec.build_config().digest()
-            cached = self.cache.get(digest)
+            cached = self._by_digest.get(digest)
             if cached is None:
                 continue
             relabelled = replace(cached, name=spec.name, config=dict(spec.overrides))
@@ -324,7 +345,7 @@ class CampaignRunner:
             self.cache_hits += 1
             self._counter(
                 "repro_campaign_cache_hits_total",
-                "campaign runs satisfied from the artifact cache",
+                "campaign runs spliced from an earlier record of the same config digest",
             ).inc()
             self._emit(
                 "run_finished", node=node.name, run=spec.name, digest=digest, cached=True
@@ -335,13 +356,14 @@ class CampaignRunner:
     def _make_on_result(self, node_name: str) -> Callable[[RunResult], None]:
         def _on_result(record: RunResult) -> None:
             # Durability order: runs.jsonl (run_all's sink, already written) →
-            # artifact cache → manifest → caller.  A propagated exception from
-            # the caller's callback therefore never loses this run.
-            self.cache.put(record)
+            # manifest → caller.  A propagated exception from the caller's
+            # callback therefore never loses this run.
+            if record.digest:
+                self._by_digest.setdefault(record.digest, record)
             self.runs_executed += 1
             self._counter(
                 "repro_campaign_runs_executed_total",
-                "campaign runs actually executed (artifact-cache misses)",
+                "campaign runs actually executed (not spliced)",
             ).inc()
             self._emit(
                 "run_finished",

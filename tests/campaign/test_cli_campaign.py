@@ -91,3 +91,17 @@ class TestRunResumeFresh:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["runs_executed"] == 3
         assert summary["runs_resumed"] == 0
+
+
+def test_prints_one_finished_line_per_run_before_the_table(spec_file, tmp_path):
+    """Catches a silent campaign: each run reports as it finishes, not at the end."""
+    rc, out, err = run_campaign_cli(
+        [spec_file, "--root", tmp_path / "camp", "--json"], cwd=tmp_path
+    )
+    assert rc == 0, err
+    lines = out.splitlines()
+    finished = [line for line in lines if line.startswith("finished ")]
+    assert sorted(finished) == [f"finished {name}:0" for name in ("f1", "f2", "f3", "root")]
+    table = next(i for i, line in enumerate(lines) if line.split()[:2] == ["node", "state"])
+    assert max(lines.index(line) for line in finished) < table
+    assert json.loads(lines[-1])["ok"] is True

@@ -7,7 +7,6 @@ import pytest
 from faults import TOKEN_ENV, CrashAt, InjectedFault, arm_file
 from repro import telemetry
 from repro.campaign import (
-    ArtifactCache,
     CampaignManifest,
     CampaignResumeError,
     CampaignRunner,
@@ -132,7 +131,9 @@ class TestResume:
         outcome = run_campaign(make_campaign("diamond"), root).run(resume=True)
         assert outcome.ok and outcome.runs_executed == 1  # join's run only
         counts = CampaignManifest(root / "manifest.jsonl").executed_run_counts()
-        assert counts == {digest: 1 for digest in ArtifactCache(root / "cache").digests()}
+        assert counts == {
+            run.digest: 1 for results in outcome.results.values() for run in results.runs
+        }
         assert len(counts) == TOPOLOGIES["diamond"][1]
 
     def test_existing_manifest_without_resume_is_refused(self, make_campaign, tmp_path):

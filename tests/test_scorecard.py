@@ -12,7 +12,7 @@ import pytest
 from repro.api.config import OnlineTrainingConfig
 from repro.campaign import CampaignResumeError
 from repro.campaign.spec import resolve_configurations
-from repro.workflow.results import StudyResults
+from repro.workflow.results import RunResult, StudyResults
 from repro.workflow.study import StudyRunner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -97,10 +97,12 @@ def test_a_smoke_scorecard_renders_and_a_rerun_executes_nothing(smoke):
 
 
 def _studies(root):
-    nodes = root / "out" / "scorecard-paper" / "nodes"
-    small = root / "out" / "scorecard-small" / "nodes" / "cross" / "result.json"
-    return (StudyResults.load_json(small), StudyResults.load_json(nodes / "fig3a" / "result.json"),
-            StudyResults.load_json(nodes / "confirmatory" / "result.json"))
+    def node(campaign, name):
+        runs = json.loads((root / "out" / campaign / "result.json").read_text())["nodes"][name]
+        return StudyResults(study=name, runs=[RunResult.from_dict(run) for run in runs])
+
+    return (node("scorecard-small", "cross"), node("scorecard-paper", "fig3a"),
+            node("scorecard-paper", "confirmatory"))
 
 
 def test_only_a_planned_endpoint_gets_a_verdict(smoke):
