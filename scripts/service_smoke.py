@@ -39,6 +39,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 #: mid-run session-snapshot interval (training batches) used by the service
 CHECKPOINT_EVERY = 10
@@ -173,7 +174,7 @@ def kill_on_first_run(url: str, job_id: str, proc: subprocess.Popen) -> None:
 # ---------------------------------------------------------------------- driver
 
 
-def drive(workdir: Path, backend: str = "serial") -> int:
+def drive(workdir: Path, backend: Optional[str] = None) -> int:
     from repro.service import ServiceClient
 
     workdir.mkdir(parents=True, exist_ok=True)
@@ -184,7 +185,7 @@ def drive(workdir: Path, backend: str = "serial") -> int:
     reference = run_reference()
 
     print(f"[2/5] starting the server and submitting the study (plus a duplicate, "
-          f"backend={backend})")
+          f"backend={backend or 'the service default'})")
     proc = start_server(root)
     url = discover_url(root, proc)
     client = ServiceClient(url, timeout=120.0)
@@ -212,7 +213,8 @@ def drive(workdir: Path, backend: str = "serial") -> int:
     url = discover_url(root, proc)
     client = ServiceClient(url, timeout=120.0)
     # Mid-job observability check: the resumed job is live right now, so the
-    # scrape must serve a well-formed exposition including study counters.
+    # scrape must serve a well-formed exposition (runs in study-worker
+    # processes add their counters to it as each finishes).
     exposition = scrape_metrics(url)
     (workdir / "metrics_midjob.txt").write_text(exposition)
     print(f"      /v1/metrics exposition well-formed mid-job "
@@ -254,11 +256,12 @@ def drive(workdir: Path, backend: str = "serial") -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="results/service_smoke")
-    parser.add_argument("--backend", default="serial",
-                        help="executor backend the submitted job runs through "
-                             "(serial/process/shm); the in-process reference "
-                             "always runs serially, so any backend must match "
-                             "it bit-identically")
+    parser.add_argument("--backend", default=None,
+                        help="executor backend the submitted job names "
+                             "(serial/process/shm; default: none, so the "
+                             "service's default applies); the in-process "
+                             "reference always runs serially, so any backend "
+                             "must match it bit-identically")
     args = parser.parse_args()
     return drive(Path(args.workdir), backend=args.backend)
 

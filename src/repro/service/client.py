@@ -93,7 +93,12 @@ class ServiceClient:
         checkpoint_every: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Submit a study; returns the job record (``deduplicated`` flags an
-        identical submission that mapped onto an existing job)."""
+        identical submission that mapped onto an existing job).
+
+        ``backend=None`` sends no backend, so the service's default applies:
+        the ``process`` backend, whose ``run_finished`` events arrive in
+        completion order.  ``"serial"`` runs the study in the service process.
+        """
         payload: Dict[str, Any] = {
             "study_name": study_name,
             "config": config,

@@ -76,9 +76,12 @@ class JobSpec:
     configurations: List[Dict[str, Any]] = field(default_factory=list)
     #: optional override key whose value names each run (``run_all`` semantics)
     name_key: Optional[str] = None
-    #: executor backend the worker drives the study through
-    backend: str = "serial"
-    #: worker-pool size of the parallel backends (None → CPU count)
+    #: executor backend the worker drives the study through: by default the
+    #: study's runs execute in forked worker processes, beside each other and
+    #: outside the HTTP server's interpreter lock
+    backend: str = "process"
+    #: worker-pool size of the parallel backends (None → the service's share
+    #: of the usable CPUs)
     max_workers: Optional[int] = None
     #: mid-run session-snapshot period in batches (None → server default)
     checkpoint_every: Optional[int] = None
@@ -108,7 +111,7 @@ class JobSpec:
             config=dict(data.get("config", {})),
             configurations=[dict(c) for c in data.get("configurations", [])],
             name_key=data.get("name_key"),
-            backend=str(data.get("backend", "serial")),
+            backend=str(data.get("backend", "process")),
             max_workers=data.get("max_workers"),
             checkpoint_every=data.get("checkpoint_every"),
             campaign=dict(data["campaign"]) if data.get("campaign") is not None else None,
@@ -144,7 +147,7 @@ def validate_submission(payload: Any) -> JobSpec:
         raise SubmissionError("configurations must be a non-empty list of override dicts")
     if not all(isinstance(c, Mapping) for c in configurations):
         raise SubmissionError("every entry of configurations must be an object")
-    backend = payload.get("backend", "serial")
+    backend = payload.get("backend", "process")
     if backend not in BACKENDS:
         raise SubmissionError(f"backend must be one of {list(BACKENDS)}, got {backend!r}")
     max_workers = payload.get("max_workers")

@@ -358,7 +358,9 @@ class StudyService:
 
         Queue/uptime gauges are point-in-time observations set at scrape
         time; everything else in the registry (session, reservoir, transport,
-        checkpoint series) accumulates as the in-process workers run studies.
+        checkpoint series) accumulates as studies run.  A run in a study-worker
+        process counts in that process; its worker thread adds the counters
+        to this registry when the run finishes.
         """
         registry = telemetry.metrics()
         health = self.health()

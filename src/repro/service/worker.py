@@ -27,10 +27,13 @@ either exception.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import traceback
 from typing import List, Optional
 
+from repro import telemetry
+from repro.melissa.workers import usable_cpus
 from repro.service.schemas import JobSpec
 from repro.service.store import JobRecord, JobStore
 from repro.utils.durable import atomic_write
@@ -71,11 +74,15 @@ class Worker(threading.Thread):
         stop_event: threading.Event,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         name: Optional[str] = None,
+        max_workers: Optional[int] = None,
     ) -> None:
         super().__init__(name=name or "service-worker", daemon=True)
         self.store = store
         self.stop_event = stop_event
         self.checkpoint_every = checkpoint_every
+        #: study-worker processes of a job that does not choose its own
+        #: (None → every usable CPU)
+        self.max_workers = max_workers
         #: merged telemetry counters of the job currently executing (a worker
         #: runs one job at a time; reset per claim)
         self._job_telemetry: dict = {}
@@ -126,8 +133,8 @@ class Worker(threading.Thread):
             base_config=spec.build_base_config(),
             study_name=spec.study_name,
             backend=spec.backend,
-            max_workers=spec.max_workers,
-            on_result=lambda run: self._on_run_finished(record.id, run),
+            max_workers=spec.max_workers if spec.max_workers is not None else self.max_workers,
+            on_result=lambda run: self._on_run_finished(record.id, run, fold_counters=True),
         )
         checkpoint_every = (
             spec.checkpoint_every if spec.checkpoint_every is not None else self.checkpoint_every
@@ -181,23 +188,30 @@ class Worker(threading.Thread):
         """Persist the campaign summary (states, cache accounting, per-node runs)."""
         atomic_write(self.store.result_path(job_id), json.dumps(outcome.to_dict(), indent=2))
 
-    def _on_run_finished(self, job_id: str, run: RunResult) -> None:
+    def _on_run_finished(self, job_id: str, run: RunResult, fold_counters: bool = False) -> None:
         """Per-run callback: stream progress, then honour stop/cancel requests.
 
         Ordering matters: ``run_all`` appended the record to ``runs.jsonl``
         *before* invoking this callback, so raising here never drops the run
         that just finished.
+
+        ``fold_counters`` marks a run this job just executed (a study job's;
+        a campaign's record may be a cache hit that executed nothing).  When
+        it ran in a study-worker process, its counter deltas are added to the
+        service's registry, so ``/v1/metrics`` counts it as it counts a run
+        executed in-process — once.
         """
         metrics = {k: run.metrics[k] for k in _EVENT_METRICS if k in run.metrics}
         self.store.record_run_finished(job_id, run.name, metrics)
         if run.telemetry:
+            deltas = {k: float(v) for k, v in run.telemetry.items() if not k.startswith("_")}
             # Live mid-job snapshot: merge this run's counter deltas and
             # persist, so GET /v1/jobs/<id> shows telemetry while running.
-            for key, value in run.telemetry.items():
-                if key.startswith("_"):
-                    continue
-                self._job_telemetry[key] = self._job_telemetry.get(key, 0.0) + float(value)
+            for key, value in deltas.items():
+                self._job_telemetry[key] = self._job_telemetry.get(key, 0.0) + value
             self.store.write_metrics(job_id, self._job_telemetry)
+            if fold_counters and run.telemetry.get("_worker_pid") != os.getpid():
+                telemetry.metrics().add_counter_values(deltas)
         if self.stop_event.is_set():
             raise ServiceShutdown(job_id)
         if self.store.cancel_requested(job_id):
@@ -226,12 +240,16 @@ class WorkerPool:
             raise ValueError("n_workers must be >= 1")
         self.store = store
         self.stop_event = threading.Event()
+        # Each worker's jobs get an equal share of the CPUs for their study
+        # workers, so N service workers do not start N x CPUs processes.
+        max_workers = max(1, usable_cpus() // n_workers)
         self.workers: List[Worker] = [
             Worker(
                 store,
                 self.stop_event,
                 checkpoint_every=checkpoint_every,
                 name=f"service-worker-{i}",
+                max_workers=max_workers,
             )
             for i in range(n_workers)
         ]

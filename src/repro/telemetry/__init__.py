@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import threading
 from typing import Optional, Union
 
 from repro.telemetry.metrics import (
@@ -171,5 +172,21 @@ def _configure_from_env() -> None:
         )
 
 
+def _reset_locks_in_child() -> None:
+    """Give a forked child fresh process-wide telemetry locks.
+
+    A fork copies a lock that another thread holds (an HTTP thread rendering
+    ``/v1/metrics``, say) as held, and that thread does not exist in the
+    child to release it: the child's first counter or span would wait
+    forever.
+    """
+    if _metrics is not None:
+        _metrics._lock = threading.RLock()
+    if isinstance(_tracer, Tracer):
+        _tracer._lock = threading.Lock()
+
+
 _configure_from_env()
 atexit.register(lambda: _tracer.close())
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_locks_in_child)

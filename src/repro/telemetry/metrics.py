@@ -24,8 +24,9 @@ bit-identical (no RNG draws, no numeric reuse).
 
 from __future__ import annotations
 
+import re
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -49,6 +50,10 @@ def _format_value(value: float) -> str:
     if as_float.is_integer() and abs(as_float) < 1e15:
         return str(int(as_float))
     return repr(as_float)
+
+
+#: one ``key="value"`` pair of a flat series key's label suffix
+_LABEL_PAIR = re.compile(r'(\w+)="([^"]*)"')
 
 
 def _label_suffix(labels: Tuple[Tuple[str, str], ...]) -> str:
@@ -261,7 +266,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
-        self._lock = threading.Lock()
+        #: re-entrant: add_counter_values creates families while holding it
+        self._lock = threading.RLock()
 
     # ----------------------------------------------------------- factories
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Family:  # noqa: A002
@@ -305,6 +311,21 @@ class MetricsRegistry:
             if isinstance(family, Counter):
                 out.update(family.values())
         return out
+
+    def add_counter_values(self, values: Mapping[str, float]) -> None:
+        """Add flat ``name{labels} -> amount`` increments to counter series.
+
+        The inverse of :meth:`counter_values`: a process folds the
+        :func:`counter_delta` of work done in another process (a study
+        worker) into its own counters.  Threads fold one at a time, since a
+        series' ``+=`` is not atomic.
+        """
+        with self._lock:
+            for key, amount in values.items():
+                name, _, labels = key.partition("{")
+                family = self.counter(name)
+                series = family.labels(**dict(_LABEL_PAIR.findall(labels))) if labels else family
+                series.inc(amount)
 
     def values(self) -> Dict[str, float]:
         """Flat snapshot of every touched series of every kind."""

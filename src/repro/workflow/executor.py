@@ -31,11 +31,13 @@ metrics and series for the same specs — except for the wall-clock
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import pickle
 import queue
 import signal
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field, replace
@@ -48,7 +50,7 @@ from repro.analysis.correlation import correlation_matrix
 from repro.api.config import RETIRED_FIELD, OnlineTrainingConfig
 from repro.api.session import OnlineTrainingResult, run_online_training
 from repro.breed.samplers import BreedConfig
-from repro.melissa.workers import start_workers
+from repro.melissa.workers import start_workers, usable_cpus
 from repro.solvers.base import Solver
 from repro.surrogate.validation import (
     ValidationSet,
@@ -348,18 +350,20 @@ def effective_worker_count(
 ) -> int:
     """Resolve a worker-pool size and log it once per study.
 
-    ``None`` defaults to ``os.cpu_count()``; either way the count is clamped
-    to ``[1, n_specs]`` — more workers than runs only cost startup time.  The
-    single log line is what makes scaling numbers readable off study logs.
+    ``None`` defaults to :func:`~repro.melissa.workers.usable_cpus` (the
+    affinity mask, not the machine's CPU count); either way the count is
+    clamped to ``[1, n_specs]`` — more workers than runs only cost startup
+    time.  The single log line is what makes scaling numbers readable off
+    study logs.
     """
-    workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
+    workers = max_workers if max_workers is not None else usable_cpus()
     workers = max(1, min(int(workers), n_specs))
     _LOGGER.info(
         "%s backend: %d worker(s) for %d run(s)%s",
         backend,
         workers,
         n_specs,
-        "" if max_workers is not None else " (defaulted to CPU count)",
+        "" if max_workers is not None else " (defaulted to usable CPUs)",
     )
     return workers
 
@@ -372,17 +376,44 @@ class WorkerTraceback(Exception):
     """
 
 
+#: ``prctl`` option asking Linux for a signal when the parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_driver() -> None:
+    """On Linux, have the kernel SIGKILL this worker when its driver dies.
+
+    The signal follows the *thread* that forked the worker, not the process:
+    a worker forked by a service worker thread dies when that thread ends.
+    :meth:`MultiprocessExecutor.execute` stops its workers before it returns,
+    so the forking thread always outlives them.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        libc = ctypes.CDLL(None)
+        libc.prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0)
+    except (OSError, AttributeError):  # no usable libc: the between-task poll remains
+        pass
+
+
 def _worker_main(task_queue, result_queue, cache: Optional[StudyInputCache], driver: int) -> None:
     """Study worker: run ``(index, spec)`` tasks until the ``None`` sentinel.
 
     ``cache`` is the driver's, inherited copy-on-write through ``fork``;
     ``None`` (no ``fork`` here) makes the worker build its own inputs.  A
-    worker whose driver (pid ``driver``) died exits instead of waiting for
-    a sentinel nobody will send.
+    worker whose driver (pid ``driver``) died is killed with it on Linux,
+    mid-run, so it writes nothing more into the driver's directories; on
+    other platforms it exits at the next task instead of waiting for a
+    sentinel nobody will send.
     """
     # The driver stops workers with SIGTERM: die by it, whatever handler the
     # driver had installed before forking (the CLI's raises KeyboardInterrupt).
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _die_with_driver()
+    if os.getppid() != driver:  # the driver died before the request took hold
+        result_queue.cancel_join_thread()
+        return
     cache = cache if cache is not None else StudyInputCache()
     while True:
         try:

@@ -400,7 +400,10 @@ class TestNoCycleHoldsASnapshotBuffer:
 
         assert _buffers_left_to_the_collector(run) == []
 
-    def test_a_service_job_leaves_no_buffer_to_the_collector(self, make_config, tmp_path):
+    # serial runs the job in this process; the default forks study workers,
+    # which leaves this process the driver's side to check
+    @pytest.mark.parametrize("backend", ["serial", None])
+    def test_a_service_job_leaves_no_buffer_to_the_collector(self, backend, make_config, tmp_path):
         config = make_config()
 
         def run():
@@ -408,7 +411,7 @@ class TestNoCycleHoldsASnapshotBuffer:
             service.start()
             try:
                 client = ServiceClient(service.url, timeout=30.0)
-                job = client.submit("gc", config.to_dict(), [{"hidden_size": 8}])
+                job = client.submit("gc", config.to_dict(), [{"hidden_size": 8}], backend=backend)
                 assert client.wait(job["id"], timeout=120.0)["state"] == "done"
             finally:
                 service.stop()

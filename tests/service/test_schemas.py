@@ -18,7 +18,7 @@ class TestValidation:
         spec = validate_submission(make_payload(n_runs=3))
         assert spec.study_name == "svc-test"
         assert len(spec.configurations) == 3
-        assert spec.backend == "serial"
+        assert spec.backend == "process"  # a submission naming no backend runs in study workers
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_non_object_rejected(self):

@@ -97,8 +97,9 @@ class TestProgress:
         assert [e["event"] for e in streamed] == [
             "queued", "started", "run_finished", "run_finished", "done",
         ]
-        assert streamed[2]["run"] == "svc-test:0"
-        assert "final_train_loss" in streamed[2]["metrics"]
+        # the default (process) backend reports runs in completion order
+        assert {e["run"] for e in streamed[2:4]} == {"svc-test:0", "svc-test:1"}
+        assert all("final_train_loss" in e["metrics"] for e in streamed[2:4])
 
     def test_stream_with_since_replays_only_the_tail(self, client, make_payload):
         payload = make_payload()

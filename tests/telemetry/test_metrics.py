@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.telemetry.metrics import (
@@ -132,6 +135,42 @@ class TestCounterDelta:
     def test_keys_filter(self):
         after = {"a_total": 1.0, "b_total": 2.0}
         assert counter_delta({}, after, keys=["b_total", "missing"]) == {"b_total": 2.0}
+
+
+class TestAddCounterValues:
+    def test_round_trips_counter_values_with_labels(self):
+        source = MetricsRegistry()
+        source.counter("a_total").inc(2)
+        source.counter("b_total").labels(channel="data").inc(3)
+        target = MetricsRegistry()
+        target.counter("a_total").inc(1)
+        target.add_counter_values(source.counter_values())
+        assert target.counter_values() == {"a_total": 3.0, 'b_total{channel="data"}': 3.0}
+
+    def test_concurrent_folds_lose_no_increment(self):
+        # More folding threads than cores, switching as often as the
+        # interpreter allows: an unguarded `+=` loses increments here.
+        registry = MetricsRegistry()
+        delta = {"a_total": 1.0, 'b_total{channel="data"}': 2.0}
+        n_threads, n_folds = 8, 2000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [registry.add_counter_values(delta) for _ in range(n_folds)]
+                )
+                for _ in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        total = n_threads * n_folds
+        assert registry.counter_values() == {"a_total": total, 'b_total{channel="data"}': 2 * total}
 
 
 class TestNullSeries:

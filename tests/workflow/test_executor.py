@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import queue
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,15 +176,20 @@ class TestExecutorBackends:
         assert [r.name for r in records] == [s.name for s in specs]
         assert sorted(seen) == sorted(s.name for s in specs)
 
-    def test_default_worker_count_is_cpu_count_clamped_to_specs(self, monkeypatch, caplog):
+    def test_default_worker_count_is_usable_cpus_clamped_to_specs(self, monkeypatch, caplog):
         import repro.workflow.executor as executor_module
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(executor_module, "usable_cpus", lambda: 8)
         with caplog.at_level(logging.INFO, logger="repro.workflow"):
             assert effective_worker_count(None, 3, backend="process") == 3
         logged = [r for r in caplog.records if "worker(s)" in r.getMessage()]
         assert len(logged) == 1
-        assert "defaulted to CPU count" in logged[0].getMessage()
+        assert "defaulted to usable CPUs" in logged[0].getMessage()
+
+    def test_default_worker_count_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert effective_worker_count(None, 4, backend="process") == 1
 
     def test_explicit_worker_count_clamped_to_at_least_one(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.workflow"):
@@ -194,6 +200,7 @@ class TestExecutorBackends:
     def test_cpu_count_none_falls_back_to_one_worker(self, monkeypatch):
         import repro.workflow.executor as executor_module
 
+        monkeypatch.delattr(executor_module.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: None)
         assert effective_worker_count(None, 4, backend="process") == 1
 
@@ -560,6 +567,76 @@ class TestProcessBackendWorkers:
             except ProcessLookupError:
                 pass
         assert driver.returncode == -signal.SIGKILL
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+    def test_workers_die_with_the_driver_mid_run(self, tiny_run_config, tmp_path):
+        # SIGKILL the driver while both workers are inside runs that would
+        # last about a minute: the workers must be gone within 2 s, not
+        # write on into the driver's directories until their runs end.
+        import signal
+        import subprocess
+        import textwrap
+        import time
+
+        import repro
+
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        script = tmp_path / "driver.py"
+        script.write_text(textwrap.dedent("""
+            import json, os, sys
+            import repro.workflow.executor as executor
+            from repro.workflow.executor import MultiprocessExecutor, RunSpec
+            config, pids = json.loads(sys.argv[1]), sys.argv[2]
+            worker_main = executor._worker_main
+            def recorded(*args):
+                open(os.path.join(pids, str(os.getpid())), "w").close()
+                worker_main(*args)
+            executor._worker_main = recorded
+            overrides = {"method": "random", "max_iterations": 200000}
+            specs = [RunSpec(name=f"r{i}", config=config, overrides=dict(overrides, seed=i))
+                     for i in range(4)]
+            MultiprocessExecutor(max_workers=2).execute(specs)
+        """))
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        driver = subprocess.Popen(
+            [sys.executable, str(script), json.dumps(tiny_run_config.to_dict()), str(pids)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+
+        def alive(pid: int) -> bool:
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except (FileNotFoundError, ProcessLookupError):
+                return False
+            return state not in ("Z", "X")
+
+        workers: list = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                workers = [int(p.name) for p in pids.iterdir()]
+                time.sleep(0.05)
+            assert len(workers) == 2, "the driver never started its two workers"
+            time.sleep(1.0)  # well inside the first runs
+            assert all(alive(pid) for pid in workers)
+            driver.kill()
+            driver.wait(timeout=10)
+            deadline = time.monotonic() + 2.0
+            while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if alive(pid)] == []
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            try:
+                os.killpg(driver.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
     def test_worker_crash_raises_and_leaks_nothing(self, tiny_run_config, monkeypatch):
         runner = StudyRunner(
