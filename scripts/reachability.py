@@ -65,7 +65,7 @@ HTTP = "http: ServiceClient method or HTTP route"
 SURFACE = "surface: a CLI flag or documented helper no driven path passes"
 SAFETY = "safety: an error, interrupt, resume or cleanup path"
 TWO_CPU = "two-cpu: the pooled path a session takes with two usable CPUs; this script pins one"
-DATA_MODEL = "data model: a len/iter/repr/eq/hash/float method of a kept class"
+DATA_MODEL = "data model: a len/iter/repr/eq/hash method of a kept class"
 ORACLE = "oracle: a read-only view or entry point tests check kept code through"
 
 #: (module pattern, qualname pattern, reason) — first match wins; patterns
@@ -74,7 +74,7 @@ ORACLE = "oracle: a read-only view or entry point tests check kept code through"
 KEEP: List[Tuple[str, str, str]] = [
     # data model methods of kept classes
     *[("*", f"*.__{name}__", DATA_MODEL)
-      for name in ("len", "iter", "contains", "repr", "eq", "hash", "float")],
+      for name in ("len", "iter", "contains", "repr", "eq", "hash")],
     ("repro.nn.layers", "Sequential.__getitem__", DATA_MODEL),
     # the pooled solver path
     ("repro.melissa.workers", "*", TWO_CPU),
@@ -141,7 +141,6 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.bench.registry", "scenario_groups", SURFACE),
     # views tests read kept state through
     ("repro.breed.acquisition", "LossDeviationTracker.q_value", ORACLE),
-    ("repro.breed.acquisition", "LossDeviationTracker.parameters", ORACLE),
     ("repro.breed.acquisition", "LossDeviationTracker.all_q_values", ORACLE),
     ("repro.breed.amis", "AMISResult.n_*", ORACLE),
     ("repro.campaign.manifest", "CampaignManifest.executed_run_counts", ORACLE),

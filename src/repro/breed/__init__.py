@@ -7,7 +7,7 @@ driven by the on-line framework, by the offline examples, or directly by unit
 tests.
 """
 
-from repro.breed.acquisition import LossDeviationTracker, SampleLossObservation
+from repro.breed.acquisition import LossDeviationTracker, loss_deviations
 from repro.breed.amis import AMISConfig, AMISResult, AdaptiveImportanceSampler
 from repro.breed.controller import BreedController, SteeringRecord, SteeringTarget
 from repro.breed.mixing import MixingSchedule
@@ -22,7 +22,7 @@ from repro.breed.samplers import (
 
 __all__ = [
     "LossDeviationTracker",
-    "SampleLossObservation",
+    "loss_deviations",
     "AMISConfig",
     "AMISResult",
     "AdaptiveImportanceSampler",

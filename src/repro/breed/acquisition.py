@@ -17,90 +17,124 @@ O(1) memory per seen sample.  The paper's construction:
       Q_j = (1/T) Σ_t (1/|I_{jt}|) Σ_{i∈I_{jt}} δ^{(i)}_{jt}
 
 Both averages are maintained incrementally ("Not to store all the values, we
-iteratively update the statistic upon the availability of new values").
+iteratively update the statistic upon the availability of new values"), as
+columns.  :func:`loss_deviations` is Eq. 4 for a whole batch, called once per
+batch by the training server.  :class:`LossDeviationTracker` keeps, per
+simulation, the parameter row, its last-update order (the AMIS window's
+recency), its observation count and, per time step in first-seen order, the
+Eq. 5 running mean and count; ``Q_j`` is ``np.mean`` of those means, so ``T``
+counts the time steps seen so far.  Bit-identical resumes depend on three
+choices: that first-seen order (the order ``Q_j`` sums in, and the order
+snapshots store), ``σ`` with ``ddof=0``, and the floor ``ε`` = 1e-12.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.moving_average import OnlineMean
+__all__ = ["EPSILON", "LossDeviationTracker", "loss_deviations"]
 
-__all__ = ["SampleLossObservation", "LossDeviationTracker"]
-
-
-@dataclass(frozen=True)
-class SampleLossObservation:
-    """One per-sample loss observation from one training batch.
-
-    Attributes
-    ----------
-    simulation_id:
-        Parameter-vector index ``j``.
-    timestep:
-        Time step ``t`` of the sample within its trajectory.
-    iteration:
-        NN training iteration ``i`` of the batch.
-    sample_loss:
-        ``l^{(i)}_{jt}``.
-    batch_mean, batch_std:
-        ``μ(l^{(i)})`` and ``σ(l^{(i)})`` of the batch the sample belonged to.
-    """
-
-    simulation_id: int
-    timestep: int
-    iteration: int
-    sample_loss: float
-    batch_mean: float
-    batch_std: float
-
-    def deviation(self, epsilon: float = 1e-12) -> float:
-        """Eq. 4: positive deviation normalised by the batch standard deviation."""
-        sigma = self.batch_std if self.batch_std > epsilon else epsilon
-        return max(self.sample_loss - self.batch_mean, 0.0) / sigma
+#: floor of the batch standard deviation in Eq. 4
+EPSILON = 1e-12
 
 
-@dataclass
-class _SimulationRecord:
-    """Incremental statistics for one parameter vector ``λ_j``."""
+def loss_deviations(sample_losses: Sequence[float]) -> Tuple[float, float, np.ndarray]:
+    """Eq. 4 for one batch: its loss mean ``μ``, std ``σ`` and every sample's ``δ``."""
+    losses = np.asarray(sample_losses, dtype=np.float64)
+    mean = float(losses.mean())
+    std = float(losses.std())
+    deviations = np.maximum(losses - mean, 0.0) / (std if std > EPSILON else EPSILON)
+    return mean, std, deviations
 
-    parameters: np.ndarray
-    per_timestep: Dict[int, OnlineMean] = field(default_factory=dict)
-    last_update_order: int = -1
-    n_observations: int = 0
 
-    def q_value(self) -> float:
-        """Eq. 5–6: average of the per-timestep mean deviations."""
-        if not self.per_timestep:
-            return 0.0
-        return float(np.mean([m.mean for m in self.per_timestep.values()]))
+def _grown(column: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``column`` copied into the leading corner of a zeroed array of ``shape``."""
+    out = np.zeros(shape, dtype=column.dtype)
+    out[tuple(slice(0, n) for n in column.shape)] = column
+    return out
+
+
+def _runs(*sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal key tuples starts, and each element's index in its run."""
+    head = np.ones(len(sorted_keys[0]), dtype=bool)
+    head[1:] = sorted_keys[0][1:] != sorted_keys[0][:-1]
+    for key in sorted_keys[1:]:
+        head[1:] |= key[1:] != key[:-1]
+    index = np.arange(head.size)
+    return head, index - np.maximum.accumulate(np.where(head, index, 0))
 
 
 class LossDeviationTracker:
     """Maintains ``Q_j`` for every parameter vector whose samples were trained on.
 
-    The tracker also keeps the order in which simulations last received an
-    update, which the AMIS step uses to select its *window* (the last ``N``
-    simulations "in order of Q_j value updates", Section 3.2).
+    Row ``r`` of every column is the ``r``-th registered simulation.  Its
+    slots (``_steps``, ``_means``, ``_counts``) fill from the left in
+    first-seen order; a slot is in use while its count is positive, so a
+    row's observation count is the sum of its counts.  Rows and slots grow by
+    doubling.  The update order is what the AMIS step selects its *window* by
+    (the last ``N`` simulations "in order of Q_j value updates", Section 3.2).
     """
 
-    def __init__(self, epsilon: float = 1e-12) -> None:
-        self._records: Dict[int, _SimulationRecord] = {}
-        self._epsilon = epsilon
+    def __init__(self) -> None:
+        self._clear()
+
+    def _clear(self) -> None:
+        #: simulation id -> row, in registration order
+        self._rows: Dict[int, int] = {}
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._parameters = np.zeros((0, 0))
+        self._last_update = np.zeros(0, dtype=np.int64)
+        self._steps = np.zeros((0, 1), dtype=np.int64)
+        self._means = np.zeros((0, 1))
+        self._counts = np.zeros((0, 1), dtype=np.int64)
         self._update_counter = 0
         #: total number of per-sample observations ingested
         self.n_observations = 0
 
+    # ------------------------------------------------------------- columns
+    def _add_row(self, simulation_id: int, parameters: np.ndarray) -> int:
+        values = np.asarray(parameters, dtype=np.float64)
+        row = len(self._rows)
+        if row == len(self._ids):
+            size = max(16, 2 * row)
+            self._ids, self._last_update = _grown(self._ids, (size,)), _grown(self._last_update, (size,))
+            self._parameters = _grown(self._parameters, (size, values.size))
+            self._grow_slots(size, self._means.shape[1])
+        self._rows[simulation_id] = row
+        self._ids[row] = simulation_id
+        self._reset_row(row, values)
+        return row
+
+    def _reset_row(self, row: int, parameters: np.ndarray) -> None:
+        self._parameters[row] = parameters
+        self._last_update[row] = -1
+        self._means[row] = 0.0
+        self._counts[row] = 0
+
+    def _grow_slots(self, rows: int, width: int) -> None:
+        self._steps, self._means, self._counts = (
+            _grown(column, (rows, width)) for column in (self._steps, self._means, self._counts)
+        )
+
+    def _ensure_width(self, width: int) -> None:
+        if width > self._means.shape[1]:
+            self._grow_slots(len(self._ids), max(width, 2 * self._means.shape[1]))
+
+    def _q_values(self, rows: np.ndarray) -> np.ndarray:
+        """Eq. 6 for observed ``rows``: each one's slot means averaged in slot order."""
+        used = np.count_nonzero(self._counts[rows], axis=1)
+        return np.array([self._means[row, :k].mean() for row, k in zip(rows.tolist(), used.tolist())])
+
+    def _observed_rows(self) -> np.ndarray:
+        return np.flatnonzero(self._counts[: len(self._rows), 0])
+
     # -------------------------------------------------------------- ingest
     def register_parameters(self, simulation_id: int, parameters: np.ndarray) -> None:
         """Associate a parameter vector with a simulation id (idempotent)."""
-        if simulation_id not in self._records:
-            self._records[simulation_id] = _SimulationRecord(
-                parameters=np.asarray(parameters, dtype=np.float64).copy()
-            )
+        if simulation_id not in self._rows:
+            self._add_row(simulation_id, parameters)
 
     def reassign_parameters(self, simulation_id: int, parameters: np.ndarray) -> None:
         """Overwrite a simulation's parameter vector after a steering update.
@@ -109,131 +143,115 @@ class LossDeviationTracker:
         previously accumulated statistics for the id belong to the *old*
         parameters and are discarded along with them.
         """
-        record = self._records.get(simulation_id)
-        params = np.asarray(parameters, dtype=np.float64).copy()
-        if record is None:
-            self._records[simulation_id] = _SimulationRecord(parameters=params)
+        row = self._rows.get(simulation_id)
+        if row is None:
+            self._add_row(simulation_id, parameters)
             return
-        self.n_observations -= record.n_observations
-        self._records[simulation_id] = _SimulationRecord(parameters=params)
-
-    def observe(self, observation: SampleLossObservation, parameters: Optional[np.ndarray] = None) -> float:
-        """Ingest one observation; returns the deviation value δ (Eq. 4)."""
-        record = self._records.get(observation.simulation_id)
-        if record is None:
-            if parameters is None:
-                raise KeyError(
-                    f"simulation {observation.simulation_id} unknown; "
-                    "call register_parameters first or pass parameters"
-                )
-            self.register_parameters(observation.simulation_id, parameters)
-            record = self._records[observation.simulation_id]
-        deviation = observation.deviation(self._epsilon)
-        tracker = record.per_timestep.get(observation.timestep)
-        if tracker is None:
-            tracker = OnlineMean()
-            record.per_timestep[observation.timestep] = tracker
-        tracker.update(deviation)
-        self._update_counter += 1
-        record.last_update_order = self._update_counter
-        record.n_observations += 1
-        self.n_observations += 1
-        return deviation
+        self.n_observations -= int(self._counts[row].sum())
+        self._reset_row(row, np.asarray(parameters, dtype=np.float64))
 
     def observe_batch(
-        self,
-        iteration: int,
-        simulation_ids: Sequence[int],
-        timesteps: Sequence[int],
-        sample_losses: Sequence[float],
-        parameters: Optional[Sequence[np.ndarray]] = None,
-    ) -> Tuple[float, float]:
-        """Ingest a whole training batch at once.
+        self, simulation_ids: Sequence[int], timesteps: Sequence[int], deviations: Sequence[float]
+    ) -> None:
+        """Fold one batch's deviations ``δ`` (Eq. 4) into the Eq. 5 running means.
 
-        Returns the batch mean/std used for the deviations (convenient for
-        logging and for the Fig. 6 correlation analysis).
+        Samples apply in batch order: a (simulation, time step) pair repeated
+        within the batch updates its mean once per occurrence, in order, and a
+        simulation's update order is that of its last sample.  An unregistered
+        simulation id raises ``KeyError`` before anything changes.
         """
-        losses = np.asarray(sample_losses, dtype=np.float64)
-        if losses.size == 0:
-            return 0.0, 0.0
-        mean = float(losses.mean())
-        std = float(losses.std())
-        for index, (sim_id, timestep, loss) in enumerate(zip(simulation_ids, timesteps, losses)):
-            params = None if parameters is None else parameters[index]
-            self.observe(
-                SampleLossObservation(
-                    simulation_id=int(sim_id),
-                    timestep=int(timestep),
-                    iteration=int(iteration),
-                    sample_loss=float(loss),
-                    batch_mean=mean,
-                    batch_std=std,
-                ),
-                parameters=params,
-            )
-        return mean, std
+        rows = np.array([self._rows[sid] for sid in np.asarray(simulation_ids).tolist()], dtype=np.int64)
+        n = rows.size
+        if n == 0:
+            return
+        steps = np.asarray(timesteps, dtype=np.int64)
+        deviations = np.asarray(deviations, dtype=np.float64)
+
+        # Group the samples by (row, time step); the stable sort keeps batch order in a group.
+        order = np.lexsort((steps, rows))
+        rows, steps, deviations = rows[order], steps[order], deviations[order]
+        head, repeat = _runs(rows, steps)
+        group_rows, group_steps = rows[head], steps[head]
+
+        # Each group's slot: the one its time step already has, or the next free one.
+        known = (self._steps[group_rows] == group_steps[:, None]) & (self._counts[group_rows] > 0)
+        group_slots = np.where(known.any(axis=1), known.argmax(axis=1), -1)
+        new = np.flatnonzero(group_slots < 0)
+        if new.size:
+            # A row's new time steps take its free slots in the order the batch first shows them.
+            new = new[np.lexsort((order[head][new], group_rows[new]))]
+            new_rows = group_rows[new]
+            group_slots[new] = np.count_nonzero(self._counts[new_rows], axis=1) + _runs(new_rows)[1]
+            self._ensure_width(int(group_slots.max()) + 1)
+            self._steps[new_rows, group_slots[new]] = group_steps[new]
+
+        # Running means, one pass per repeat so a repeated pair updates in batch order.
+        slots = group_slots[np.cumsum(head) - 1]
+        for k in range(int(repeat.max()) + 1):
+            sel = repeat == k
+            r, s = rows[sel], slots[sel]
+            self._counts[r, s] += 1
+            self._means[r, s] += (deviations[sel] - self._means[r, s]) / self._counts[r, s]
+
+        np.maximum.at(self._last_update, rows, self._update_counter + 1 + order)
+        self._update_counter += n
+        self.n_observations += n
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
-        """Every per-simulation statistic, preserving both dict orders.
+        """Every row's statistics, rows in registration order, slots in first-seen order.
 
-        Record order and per-timestep order are preserved exactly:
-        :meth:`window` feeds ``q_value`` means into AMIS, and
-        :meth:`_SimulationRecord.q_value` averages ``per_timestep`` values in
-        insertion order — floating-point summation order is part of the
-        bit-identical resume contract.
+        Both orders are part of the bit-identical resume contract:
+        :meth:`window` feeds ``Q_j`` values into AMIS, and ``Q_j`` averages a
+        row's slot means in slot order.
         """
+        counts = self._counts[: len(self._rows)]
         return {
             "update_counter": self._update_counter,
             "n_observations": self.n_observations,
             "records": [
                 {
                     "simulation_id": sid,
-                    "parameters": record.parameters.copy(),
-                    "last_update_order": record.last_update_order,
-                    "n_observations": record.n_observations,
-                    "timesteps": np.array(list(record.per_timestep), dtype=np.int64),
-                    "means": np.array([m.mean for m in record.per_timestep.values()], dtype=np.float64),
-                    "counts": np.array([m.count for m in record.per_timestep.values()], dtype=np.int64),
+                    "parameters": self._parameters[row].copy(),
+                    "last_update_order": int(self._last_update[row]),
+                    "n_observations": int(counts[row].sum()),
+                    "timesteps": self._steps[row, :k].copy(),
+                    "means": self._means[row, :k].copy(),
+                    "counts": counts[row, :k].copy(),
                 }
-                for sid, record in self._records.items()
+                for (sid, row), k in zip(self._rows.items(), np.count_nonzero(counts, axis=1).tolist())
             ],
         }
 
     def load_state_dict(self, state: dict) -> None:
+        self._clear()
+        for payload in state["records"]:
+            row = self._add_row(int(payload["simulation_id"]), payload["parameters"])
+            k = len(payload["timesteps"])
+            self._ensure_width(k)
+            self._steps[row, :k] = payload["timesteps"]
+            self._means[row, :k] = payload["means"]
+            self._counts[row, :k] = payload["counts"]
+            self._last_update[row] = int(payload["last_update_order"])
         self._update_counter = int(state["update_counter"])
         self.n_observations = int(state["n_observations"])
-        self._records = {}
-        for payload in state["records"]:
-            record = _SimulationRecord(
-                parameters=np.asarray(payload["parameters"], dtype=np.float64).copy(),
-                last_update_order=int(payload["last_update_order"]),
-                n_observations=int(payload["n_observations"]),
-            )
-            for timestep, mean, count in zip(payload["timesteps"], payload["means"], payload["counts"]):
-                tracker = OnlineMean()
-                tracker.mean = float(mean)
-                tracker.count = int(count)
-                record.per_timestep[int(timestep)] = tracker
-            self._records[int(payload["simulation_id"])] = record
 
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __contains__(self, simulation_id: int) -> bool:
-        return simulation_id in self._records
+        return simulation_id in self._rows
 
     def q_value(self, simulation_id: int) -> float:
-        record = self._records.get(simulation_id)
-        return record.q_value() if record is not None else 0.0
-
-    def parameters(self, simulation_id: int) -> np.ndarray:
-        return self._records[simulation_id].parameters
+        row = self._rows.get(simulation_id)
+        if row is None or self._counts[row, 0] == 0:
+            return 0.0
+        return float(self._q_values(np.array([row]))[0])
 
     def observed_ids(self) -> List[int]:
         """Simulation ids with at least one ingested observation."""
-        return [sid for sid, rec in self._records.items() if rec.n_observations > 0]
+        return self._ids[self._observed_rows()].tolist()
 
     def window(self, size: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
         """Return the last ``size`` observed simulations by update recency.
@@ -249,17 +267,12 @@ class LossDeviationTracker:
         """
         if size <= 0:
             raise ValueError("window size must be positive")
-        observed = [
-            (rec.last_update_order, sid, rec) for sid, rec in self._records.items() if rec.n_observations > 0
-        ]
-        observed.sort(key=lambda item: item[0], reverse=True)
-        selected = observed[:size]
-        if not selected:
+        observed = self._observed_rows()
+        if observed.size == 0:
             return np.empty((0, 0)), np.empty((0,)), []
-        ids = [sid for _, sid, _ in selected]
-        locations = np.stack([rec.parameters for _, _, rec in selected], axis=0)
-        q_values = np.array([rec.q_value() for _, _, rec in selected], dtype=np.float64)
-        return locations, q_values, ids
+        selected = observed[np.argsort(-self._last_update[observed], kind="stable")[:size]]
+        return self._parameters[selected], self._q_values(selected), self._ids[selected].tolist()
 
     def all_q_values(self) -> Dict[int, float]:
-        return {sid: rec.q_value() for sid, rec in self._records.items() if rec.n_observations > 0}
+        observed = self._observed_rows()
+        return dict(zip(self._ids[observed].tolist(), self._q_values(observed).tolist()))

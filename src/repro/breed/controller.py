@@ -2,7 +2,7 @@
 
 The :class:`BreedController` is what the Melissa server owns.  Its job is to
 
-* forward per-sample training losses into the steering sampler,
+* forward each batch's per-sample loss deviations into the steering sampler,
 * decide, after every NN iteration, whether a resampling should be triggered,
 * when triggered, ask the launcher for a consistent view of which simulations
   can still be re-parameterised (everything from ``S_{k+m}`` onwards, where
@@ -73,15 +73,10 @@ class BreedController:
 
     # ---------------------------------------------------------------- losses
     def observe_batch(
-        self,
-        iteration: int,
-        simulation_ids: Sequence[int],
-        timesteps: Sequence[int],
-        sample_losses: Sequence[float],
-        parameters: Optional[Sequence[np.ndarray]] = None,
+        self, simulation_ids: Sequence[int], timesteps: Sequence[int], deviations: Sequence[float]
     ) -> None:
-        """Forward per-sample losses of one training batch to the sampler."""
-        self.sampler.observe_batch(iteration, simulation_ids, timesteps, sample_losses, parameters)
+        """Forward one training batch's loss deviations ``δ`` (Eq. 4) to the sampler."""
+        self.sampler.observe_batch(simulation_ids, timesteps, deviations)
 
     # -------------------------------------------------------------- steering
     def maybe_steer(self, iteration: int, target: SteeringTarget) -> Optional[SteeringRecord]:

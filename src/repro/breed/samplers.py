@@ -5,8 +5,8 @@ steering mechanism talks to:
 
 * :meth:`SteeringSampler.initial_parameters` draws the initial budget
   ``Λ_J`` (the paper samples it uniformly for both methods),
-* :meth:`SteeringSampler.observe_batch` ingests the per-sample losses of each
-  training batch (a no-op for Random),
+* :meth:`SteeringSampler.observe_batch` ingests the per-sample loss
+  deviations ``δ`` (Eq. 4) of each training batch (a no-op for Random),
 * :meth:`SteeringSampler.should_resample` implements the periodic trigger
   (every ``P`` NN iterations for Breed, never for Random),
 * :meth:`SteeringSampler.resample` produces replacement parameter vectors for
@@ -80,14 +80,9 @@ class SteeringSampler(abc.ABC):
         """Draw the initial budget of parameter vectors ``Λ_J``."""
 
     def observe_batch(
-        self,
-        iteration: int,
-        simulation_ids: Sequence[int],
-        timesteps: Sequence[int],
-        sample_losses: Sequence[float],
-        parameters: Optional[Sequence[np.ndarray]] = None,
+        self, simulation_ids: Sequence[int], timesteps: Sequence[int], deviations: Sequence[float]
     ) -> None:
-        """Ingest per-sample training losses (default: ignore them)."""
+        """Ingest a batch's per-sample loss deviations (default: ignore them)."""
 
     def should_resample(self, iteration: int) -> bool:
         """Whether a resampling should be triggered at this NN iteration."""
@@ -210,14 +205,9 @@ class BreedSampler(SteeringSampler):
         self.tracker.reassign_parameters(simulation_id, parameters)
 
     def observe_batch(
-        self,
-        iteration: int,
-        simulation_ids: Sequence[int],
-        timesteps: Sequence[int],
-        sample_losses: Sequence[float],
-        parameters: Optional[Sequence[np.ndarray]] = None,
+        self, simulation_ids: Sequence[int], timesteps: Sequence[int], deviations: Sequence[float]
     ) -> None:
-        self.tracker.observe_batch(iteration, simulation_ids, timesteps, sample_losses, parameters)
+        self.tracker.observe_batch(simulation_ids, timesteps, deviations)
 
     def should_resample(self, iteration: int) -> bool:
         if iteration <= 0 or iteration % self.config.period != 0:

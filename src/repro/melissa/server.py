@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro import nn, telemetry
+from repro.breed.acquisition import loss_deviations
 from repro.breed.controller import BreedController
 from repro.melissa.launcher import Launcher
 from repro.melissa.reservoir import Reservoir, ReservoirBatch
@@ -209,16 +210,10 @@ class TrainingServer:
         self.history.train_losses.append(loss_value)
         self.history.train_iterations.append(self.iteration)
 
-        # Feed the per-sample losses into the steering sampler (Breed's input).
-        self.controller.observe_batch(
-            iteration=self.iteration,
-            simulation_ids=batch.simulation_ids,
-            timesteps=batch.timesteps,
-            sample_losses=per_sample,
-            parameters=None,
-        )
+        # Eq. 4 once: the deviations are Breed's input and the Figure-6 column.
+        _, _, deviations = loss_deviations(per_sample)
+        self.controller.observe_batch(batch.simulation_ids, batch.timesteps, deviations)
         # The batch's Figure-6 rows (analysis only: training never reads them).
-        std = float(per_sample.std())
         rows = self.history.new_statistics(len(per_sample))
         rows["iteration"] = self.iteration
         rows["simulation_id"] = batch.simulation_ids
@@ -226,7 +221,7 @@ class TrainingServer:
         rows["sample_loss"] = per_sample
         rows["uniform"] = [self.uniform_source_flags.get(sid, True) for sid in batch.simulation_ids.tolist()]
         rows["batch_loss"] = loss_value
-        rows["deviation"] = np.maximum(per_sample - loss_value, 0.0) / (std if std > 1e-12 else 1e-12)
+        rows["deviation"] = deviations
 
         # Periodic validation: recorded once the workers reply, or evaluated here.
         if self.validation_set is not None and self.iteration % self.validation_period == 0:

@@ -172,21 +172,22 @@ def _configure_from_env() -> None:
         )
 
 
-def _reset_locks_in_child() -> None:
-    """Give a forked child fresh process-wide telemetry locks.
+def _reset_in_child() -> None:
+    """Give a forked child fresh telemetry locks and a trace file of its own.
 
     A fork copies a lock that another thread holds (an HTTP thread rendering
     ``/v1/metrics``, say) as held, and that thread does not exist in the
     child to release it: the child's first counter or span would wait
-    forever.
+    forever.  The tracer is restarted in place, so references cached before
+    the fork write the child's spans to ``trace-<child pid>.jsonl`` too.
     """
     if _metrics is not None:
         _metrics._lock = threading.RLock()
     if isinstance(_tracer, Tracer):
-        _tracer._lock = threading.Lock()
+        _tracer.start_process()
 
 
 _configure_from_env()
 atexit.register(lambda: _tracer.close())
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_locks_in_child)
+    os.register_at_fork(after_in_child=_reset_in_child)

@@ -122,6 +122,16 @@ class Tracer:
     def __init__(self, directory: str | Path, process_name: str = "repro") -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.process_name = process_name
+        self.start_process()
+
+    def start_process(self) -> None:
+        """Write as this process: its pid, its own file, a fresh lock and buffer.
+
+        A forked child calls this (``telemetry`` registers it at fork) so that it
+        neither flushes its parent's buffered events a second time nor appends
+        its own to the parent's file under the parent's pid.
+        """
         self.pid = os.getpid()
         self.path = self.directory / f"trace-{self.pid}.jsonl"
         self._log = AppendLog(self.path)
@@ -138,7 +148,7 @@ class Tracer:
                     "ph": "M",
                     "pid": self.pid,
                     "tid": 0,
-                    "args": {"name": process_name},
+                    "args": {"name": self.process_name},
                 }
             )
         )

@@ -1,12 +1,11 @@
 """Shared utilities: RNG streams, smoothing and namespaced logging."""
 
 from repro.utils.logging import get_logger
-from repro.utils.moving_average import OnlineMean, moving_average
+from repro.utils.moving_average import moving_average
 from repro.utils.rng import RngStreams, derive_seed
 
 __all__ = [
     "get_logger",
-    "OnlineMean",
     "moving_average",
     "RngStreams",
     "derive_seed",

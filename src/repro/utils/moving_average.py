@@ -1,8 +1,7 @@
-"""Smoothing and streaming-mean helpers.
+"""Smoothing helper.
 
 The paper's Figure 3 smooths training-loss curves with a moving window of 40
-iterations "for visibility" (:func:`moving_average`); Breed's acquisition
-tracker averages per-timestep deviations with :class:`OnlineMean`.
+iterations "for visibility" (:func:`moving_average`).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["moving_average", "OnlineMean"]
+__all__ = ["moving_average"]
 
 
 def moving_average(values: Sequence[float], window: int) -> np.ndarray:
@@ -46,18 +45,3 @@ def moving_average(values: Sequence[float], window: int) -> np.ndarray:
     if n > w:
         out[w:] = (cumsum[w:] - cumsum[:-w]) / w
     return out
-
-
-class OnlineMean:
-    """Numerically stable streaming mean."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        self.mean += (float(value) - self.mean) / self.count
-
-    def __float__(self) -> float:
-        return self.mean

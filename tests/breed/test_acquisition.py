@@ -7,26 +7,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.breed.acquisition import LossDeviationTracker, SampleLossObservation
+from repro.breed.acquisition import EPSILON, LossDeviationTracker, loss_deviations
 
 loss_lists = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False), min_size=2, max_size=32
 )
 
 
-def make_observation(sim_id=0, t=0, i=0, loss=1.0, mean=0.5, std=0.5):
-    return SampleLossObservation(
-        simulation_id=sim_id, timestep=t, iteration=i, sample_loss=loss, batch_mean=mean, batch_std=std
-    )
+def observe_losses(tracker, simulation_ids, timesteps, losses):
+    """Feed one batch of losses through Eq. 4 into ``tracker``."""
+    _, _, deviations = loss_deviations(losses)
+    tracker.observe_batch(simulation_ids, timesteps, deviations)
 
 
-class TestSampleLossObservation:
+def registered(*simulation_ids, dim=2):
+    tracker = LossDeviationTracker()
+    for sim_id in simulation_ids:
+        tracker.register_parameters(sim_id, np.full(dim, sim_id, dtype=float))
+    return tracker
+
+
+class TestLossDeviations:
     def test_deviation_positive_part(self):
-        assert make_observation(loss=1.0, mean=0.5, std=0.5).deviation() == pytest.approx(1.0)
-        assert make_observation(loss=0.2, mean=0.5, std=0.5).deviation() == 0.0
+        # μ = 1, σ = 0.5: δ = (1.5 − 1) / 0.5 for the top sample, 0 below the mean
+        _, _, deviations = loss_deviations([0.5, 1.0, 1.5])
+        sigma = np.std([0.5, 1.0, 1.5])
+        assert deviations.tolist() == [0.0, 0.0, 0.5 / sigma]
+
+    def test_returns_batch_mean_and_population_std(self):
+        losses = [1.0, 2.0, 3.0]
+        mean, std, deviations = loss_deviations(losses)
+        assert mean == 2.0
+        assert std == np.std(losses, ddof=0)
+        assert deviations.shape == (3,)
 
     def test_deviation_zero_std_is_finite(self):
-        assert np.isfinite(make_observation(loss=1.0, mean=0.0, std=0.0).deviation())
+        mean, std, deviations = loss_deviations([2.0, 2.0])
+        assert (mean, std) == (2.0, 0.0)
+        assert np.all(np.isfinite(deviations)) and deviations.tolist() == [0.0, 0.0]
+
+    def test_epsilon_floors_a_tiny_std(self):
+        losses = np.array([1.0, 1.0 + 1e-15])
+        mean, std, deviations = loss_deviations(losses)
+        assert 0.0 < std < EPSILON
+        assert deviations[1] == (losses[1] - mean) / EPSILON
 
 
 class TestLossDeviationTracker:
@@ -37,85 +61,85 @@ class TestLossDeviationTracker:
         assert 4 not in tracker
         assert len(tracker) == 1
 
-    def test_observe_unknown_simulation_requires_parameters(self):
-        tracker = LossDeviationTracker()
-        with pytest.raises(KeyError):
-            tracker.observe(make_observation(sim_id=9))
-        tracker.observe(make_observation(sim_id=9), parameters=np.array([1.0]))
-        assert 9 in tracker
+    def test_observe_unknown_simulation_raises(self):
+        tracker = registered(0)
+        with pytest.raises(KeyError, match="9"):
+            tracker.observe_batch([0, 9], [0, 0], [1.0, 1.0])
+        assert tracker.n_observations == 0
 
     def test_q_value_single_observation(self):
-        tracker = LossDeviationTracker()
-        tracker.register_parameters(0, np.zeros(2))
-        deviation = tracker.observe(make_observation(loss=1.5, mean=0.5, std=0.5))
-        assert deviation == pytest.approx(2.0)
-        assert tracker.q_value(0) == pytest.approx(2.0)
+        tracker = registered(0)
+        tracker.observe_batch([0], [0], [2.0])
+        assert tracker.q_value(0) == 2.0
 
     def test_q_value_averages_across_timesteps(self):
-        tracker = LossDeviationTracker()
-        tracker.register_parameters(0, np.zeros(2))
-        tracker.observe(make_observation(t=0, loss=1.5, mean=0.5, std=0.5))  # delta = 2
-        tracker.observe(make_observation(t=1, loss=0.5, mean=0.5, std=0.5))  # delta = 0
-        assert tracker.q_value(0) == pytest.approx(1.0)
+        tracker = registered(0)
+        tracker.observe_batch([0, 0], [0, 1], [2.0, 0.0])
+        assert tracker.q_value(0) == 1.0
 
     def test_q_value_averages_across_repeated_batches(self):
-        tracker = LossDeviationTracker()
-        tracker.register_parameters(0, np.zeros(2))
-        tracker.observe(make_observation(t=0, i=0, loss=1.5, mean=0.5, std=0.5))  # 2
-        tracker.observe(make_observation(t=0, i=1, loss=1.0, mean=0.5, std=0.5))  # 1
-        assert tracker.q_value(0) == pytest.approx(1.5)
+        tracker = registered(0)
+        tracker.observe_batch([0], [0], [2.0])
+        tracker.observe_batch([0], [0], [1.0])
+        assert tracker.q_value(0) == 1.5
+
+    def test_repeated_pair_in_one_batch_is_one_mean(self):
+        # Eq. 5 averages every occurrence; Eq. 6 then sees one time step, not two
+        tracker = registered(0)
+        tracker.observe_batch([0, 0, 0], [4, 4, 7], [2.0, 1.0, 0.0])
+        assert tracker.q_value(0) == 0.75
+        record = tracker.state_dict()["records"][0]
+        assert record["timesteps"].tolist() == [4, 7]
+        assert record["counts"].tolist() == [2, 1]
 
     def test_q_value_unknown_simulation_is_zero(self):
         assert LossDeviationTracker().q_value(42) == 0.0
 
-    def test_observe_batch_returns_batch_statistics(self):
-        tracker = LossDeviationTracker()
-        losses = [1.0, 2.0, 3.0]
-        mean, std = tracker.observe_batch(
-            iteration=5,
-            simulation_ids=[0, 1, 2],
-            timesteps=[0, 0, 0],
-            sample_losses=losses,
-            parameters=[np.zeros(2)] * 3,
-        )
-        assert mean == pytest.approx(2.0)
-        assert std == pytest.approx(np.std(losses))
+    def test_observe_batch_counts_observations(self):
+        tracker = registered(0, 1, 2)
+        observe_losses(tracker, [0, 1, 2], [0, 0, 0], [1.0, 2.0, 3.0])
         assert len(tracker.observed_ids()) == 3
+        assert tracker.n_observations == 3
 
     def test_observe_empty_batch(self):
-        tracker = LossDeviationTracker()
-        assert tracker.observe_batch(0, [], [], []) == (0.0, 0.0)
+        tracker = registered(0)
+        tracker.observe_batch([], [], [])
+        assert tracker.n_observations == 0 and tracker.observed_ids() == []
 
     def test_only_above_mean_samples_have_positive_q(self):
-        tracker = LossDeviationTracker()
-        tracker.observe_batch(
-            iteration=0,
-            simulation_ids=[0, 1],
-            timesteps=[0, 0],
-            sample_losses=[0.1, 0.9],
-            parameters=[np.zeros(2), np.ones(2)],
-        )
+        tracker = registered(0, 1)
+        observe_losses(tracker, [0, 1], [0, 0], [0.1, 0.9])
         assert tracker.q_value(0) == 0.0
         assert tracker.q_value(1) > 0.0
 
+    def test_reassign_discards_the_old_statistics(self):
+        tracker = registered(0, 1)
+        tracker.observe_batch([0, 1, 1], [0, 0, 1], [1.0, 2.0, 3.0])
+        tracker.reassign_parameters(1, np.array([9.0, 9.0]))
+        assert tracker.n_observations == 1
+        assert tracker.observed_ids() == [0]
+        assert tracker.q_value(1) == 0.0
+        tracker.reassign_parameters(5, np.array([5.0, 5.0]))
+        assert 5 in tracker and len(tracker) == 3
+
     def test_window_ordering_by_recency(self):
-        tracker = LossDeviationTracker()
+        tracker = registered(*range(5))
         for sim_id in range(5):
-            tracker.observe_batch(
-                iteration=sim_id,
-                simulation_ids=[sim_id],
-                timesteps=[0],
-                sample_losses=[1.0],
-                parameters=[np.full(2, sim_id, dtype=float)],
-            )
+            tracker.observe_batch([sim_id], [0], [1.0])
         locations, q_values, ids = tracker.window(3)
         assert ids == [4, 3, 2]          # most recently updated first
         assert locations.shape == (3, 2)
+        np.testing.assert_array_equal(locations[:, 0], [4.0, 3.0, 2.0])
         assert q_values.shape == (3,)
 
+    def test_window_recency_is_a_simulations_last_sample_in_the_batch(self):
+        tracker = registered(0, 1, 2)
+        tracker.observe_batch([0, 1, 2, 0], [0, 0, 0, 1], [1.0, 1.0, 1.0, 1.0])
+        assert tracker.window(3)[2] == [0, 2, 1]
+
     def test_window_smaller_population(self):
-        tracker = LossDeviationTracker()
-        tracker.observe_batch(0, [0], [0], [1.0], parameters=[np.zeros(2)])
+        tracker = registered(0)
+        tracker.observe_batch([0], [0], [1.0])
         locations, q_values, ids = tracker.window(10)
         assert len(ids) == 1
 
@@ -128,43 +152,39 @@ class TestLossDeviationTracker:
             LossDeviationTracker().window(0)
 
     def test_registered_but_unobserved_excluded_from_window(self):
-        tracker = LossDeviationTracker()
-        tracker.register_parameters(0, np.zeros(2))
-        tracker.observe_batch(0, [1], [0], [1.0], parameters=[np.ones(2)])
+        tracker = registered(0, 1)
+        tracker.observe_batch([1], [0], [1.0])
         _, _, ids = tracker.window(10)
         assert ids == [1]
 
     def test_all_q_values(self):
-        tracker = LossDeviationTracker()
-        tracker.observe_batch(0, [0, 1], [0, 0], [0.2, 0.8], parameters=[np.zeros(2), np.ones(2)])
+        tracker = registered(0, 1)
+        observe_losses(tracker, [0, 1], [0, 0], [0.2, 0.8])
         q = tracker.all_q_values()
         assert set(q) == {0, 1}
+
+    def test_many_rows_and_time_steps_grow_the_columns(self):
+        tracker = registered(*range(40))
+        ids = np.repeat(np.arange(40), 30)
+        timesteps = np.tile(np.arange(30), 40)
+        tracker.observe_batch(ids, timesteps, np.ones(ids.size))
+        assert tracker.n_observations == 1200
+        assert all(q == 1.0 for q in tracker.all_q_values().values())
+        assert tracker.state_dict()["records"][39]["timesteps"].tolist() == list(range(30))
 
     @given(loss_lists)
     @settings(max_examples=40, deadline=None)
     def test_property_q_values_non_negative(self, losses):
-        tracker = LossDeviationTracker()
-        tracker.observe_batch(
-            iteration=0,
-            simulation_ids=list(range(len(losses))),
-            timesteps=[0] * len(losses),
-            sample_losses=losses,
-            parameters=[np.zeros(1)] * len(losses),
-        )
+        tracker = registered(*range(len(losses)), dim=1)
+        observe_losses(tracker, list(range(len(losses))), [0] * len(losses), losses)
         assert all(q >= 0.0 for q in tracker.all_q_values().values())
 
     @given(loss_lists)
     @settings(max_examples=40, deadline=None)
     def test_property_below_mean_samples_have_zero_q(self, losses):
-        tracker = LossDeviationTracker()
+        tracker = registered(*range(len(losses)), dim=1)
         arr = np.array(losses)
-        tracker.observe_batch(
-            iteration=0,
-            simulation_ids=list(range(len(losses))),
-            timesteps=[0] * len(losses),
-            sample_losses=losses,
-            parameters=[np.zeros(1)] * len(losses),
-        )
+        observe_losses(tracker, list(range(len(losses))), [0] * len(losses), losses)
         for sim_id, loss in enumerate(arr):
             if loss <= arr.mean():
                 assert tracker.q_value(sim_id) == 0.0

@@ -48,6 +48,7 @@ from typing import Dict
 import numpy as np
 import pytest
 
+from repro.breed.acquisition import loss_deviations
 from repro.breed.samplers import BreedConfig, BreedSampler, ParameterSource
 from repro.sampling.bounds import ParameterBounds
 
@@ -122,12 +123,13 @@ def steer(seed: int) -> Dict[str, float]:
             iteration += 1
             order = rng.permutation(WAVE)
             losses = bump * corner[order] + EPS * rng.random(WAVE)
-            mean, std = losses.mean(), losses.std()
+            mean, std, delta = loss_deviations(losses)
             if bump:
                 assert np.all(losses[~corner[order]] <= mean)  # δ = 0 outside the corner
+                assert np.all(delta[~corner[order]] == 0.0)
                 deviations.extend((losses[corner[order]] - mean) / std)
             timesteps = rng.integers(0, N_TIMESTEPS, WAVE)
-            sampler.observe_batch(iteration, wave[order], timesteps, losses)
+            sampler.observe_batch(wave[order], timesteps, delta)
         decision = sampler.resample(DRAWS, iteration, rng)
         hits = in_corner(decision.parameters)
         if not bump:

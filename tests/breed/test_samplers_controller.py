@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.breed.acquisition import loss_deviations
 from repro.breed.controller import BreedController
 from repro.breed.samplers import (
     BreedConfig,
@@ -30,16 +31,11 @@ class FakeLauncher:
         self.updates[simulation_id] = (np.asarray(parameters), source)
 
 
-def feed_losses(sampler, n_sims=10, iteration=1):
-    """Push one batch of synthetic per-sample losses into a sampler."""
+def feed_losses(sampler, n_sims=10):
+    """Push one batch of synthetic per-sample losses, as Eq. 4 deviations, into a sampler."""
     rng = np.random.default_rng(0)
-    sampler.observe_batch(
-        iteration=iteration,
-        simulation_ids=list(range(n_sims)),
-        timesteps=[0] * n_sims,
-        sample_losses=rng.random(n_sims).tolist(),
-        parameters=[rng.uniform(100, 500, 5) for _ in range(n_sims)],
-    )
+    _, _, deviations = loss_deviations(rng.random(n_sims))
+    sampler.observe_batch(list(range(n_sims)), [0] * n_sims, deviations)
 
 
 class TestRandomSampler:
@@ -129,7 +125,7 @@ class TestBreedSampler:
         assert sampler.should_resample(10)
         sampler.resample(5, 10, rng)
         assert not sampler.should_resample(10)
-        feed_losses(sampler, iteration=15)
+        feed_losses(sampler)
         assert sampler.should_resample(20)
 
     def test_resample_zero_pending_returns_none(self, sampler, rng):
@@ -144,9 +140,9 @@ class TestBreedSampler:
         sampler.initial_parameters(20, rng)
         feed_losses(sampler)
         first = sampler.resample(200, 5, rng)
-        feed_losses(sampler, iteration=7)
+        feed_losses(sampler)
         second = sampler.resample(200, 10, rng)
-        feed_losses(sampler, iteration=12)
+        feed_losses(sampler)
         third = sampler.resample(200, 15, rng)
         # r grows 0 -> 0.5 -> 1, so the uniform fraction must drop.
         frac = [
@@ -216,7 +212,7 @@ class TestBreedController:
         assert controller.records[-1].elapsed_seconds == first
         controller.maybe_steer(15, launcher)
         assert (controller.steering_seconds, controller.steering_count) == (first, 1)
-        feed_losses(sampler, iteration=15)
+        feed_losses(sampler)
         controller.maybe_steer(20, launcher)
         assert controller.steering_seconds > first and controller.steering_count == 2
         assert controller.n_steering_events == 2
@@ -262,7 +258,7 @@ class TestBreedController:
 
     def test_observe_batch_forwards_to_sampler(self):
         controller, sampler = self._controller()
-        controller.observe_batch(1, [0, 1], [0, 0], [0.1, 0.9])
+        controller.observe_batch([0, 1], [0, 0], [0.0, 1.0])
         assert len(sampler.tracker.observed_ids()) == 2
 
     def test_random_sampler_never_steers(self):
@@ -281,4 +277,5 @@ class TestBreedController:
         launcher = FakeLauncher(steerable=[28])
         controller.maybe_steer(10, launcher)
         applied, _ = launcher.updates[28]
-        np.testing.assert_array_equal(sampler.tracker.parameters(28), applied)
+        records = {r["simulation_id"]: r for r in sampler.tracker.state_dict()["records"]}
+        np.testing.assert_array_equal(records[28]["parameters"], applied)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.breed.acquisition import LossDeviationTracker, SampleLossObservation
+from repro.breed.acquisition import LossDeviationTracker, loss_deviations
 from repro.breed.controller import BreedController
 from repro.breed.samplers import BreedSampler, RandomSampler
 from repro.melissa.client import SolverClient
@@ -208,17 +208,10 @@ class TestTracker:
         for sim_id in range(6):
             tracker.register_parameters(sim_id, rng.random(5))
         for iteration in range(1, 8):
-            for sim_id in (iteration % 6, (iteration + 2) % 6):
-                tracker.observe(
-                    SampleLossObservation(
-                        simulation_id=sim_id,
-                        timestep=iteration % 3,
-                        iteration=iteration,
-                        sample_loss=float(rng.random()),
-                        batch_mean=0.4,
-                        batch_std=0.2,
-                    )
-                )
+            # simulation 0 first sees time steps 0, 2, 1 in that order: not sorted
+            sim_ids = [iteration % 6, (iteration + 2) % 6, (iteration + 4) % 6]
+            _, _, deviations = loss_deviations(rng.random(3))
+            tracker.observe_batch(sim_ids, [(iteration + 1) % 3] * 3, deviations)
         return tracker
 
     def test_roundtrip_preserves_window_and_q_values(self):
@@ -239,8 +232,17 @@ class TestTracker:
         source = self._observed()
         target = LossDeviationTracker()
         target.load_state_dict(source.state_dict())
-        for sid, record in source._records.items():
-            assert list(target._records[sid].per_timestep) == list(record.per_timestep)
+        source_records = source.state_dict()["records"]
+        assert source_records[0]["timesteps"].tolist() == [0, 2, 1]
+        for before, after in zip(source_records, target.state_dict()["records"]):
+            assert after["timesteps"].tolist() == before["timesteps"].tolist()
+            assert after["means"].tobytes() == before["means"].tobytes()
+        assert [target.q_value(sid) for sid in range(6)] == [source.q_value(sid) for sid in range(6)]
+        # and the restored slots keep taking updates where the source's do
+        for tracker in (source, target):
+            tracker.observe_batch([0, 0], [0, 5], [0.25, 3.0])
+        assert target.state_dict()["records"][0]["timesteps"].tolist() == [0, 2, 1, 5]
+        assert target.q_value(0) == source.q_value(0)
 
 
 class TestSamplers:
@@ -254,9 +256,7 @@ class TestSamplers:
         source = BreedSampler(HEAT2D_BOUNDS)
         params = source.initial_parameters(12, rng)
         for iteration in range(1, 5):
-            source.observe_batch(
-                iteration, [0, 1, 2], [0, 1, 2], [0.5, 0.9, 0.1], parameters=params[:3]
-            )
+            source.observe_batch([0, 1, 2], [0, 1, 2], loss_deviations([0.5, 0.9, 0.1])[2])
         state = source.state_dict()
         rng_state = rng.bit_generator.state
         expected = source.resample(4, iteration=10, rng=rng)
@@ -274,7 +274,7 @@ class TestSamplers:
         rng = np.random.default_rng(3)
         source = BreedSampler(HEAT2D_BOUNDS)
         params = source.initial_parameters(8, rng)
-        source.observe_batch(1, [0], [0], [0.7], parameters=params[:1])
+        source.observe_batch([0], [0], [0.7])
         source.resample(2, iteration=5, rng=rng)
         target = BreedSampler(HEAT2D_BOUNDS)
         target.load_state_dict(source.state_dict())

@@ -86,3 +86,48 @@ def test_a_study_forked_beside_a_held_lock_finishes(which, tiny_run_config, tmp_
     assert driver.returncode == 0, stderr
     ticks = json.loads(stdout.splitlines()[-1])
     assert len(ticks) == 2 and all(t > 0 for t in ticks)
+
+
+_TRACE_DRIVER = textwrap.dedent("""
+    import os, sys
+    from repro import telemetry
+
+    telemetry.configure(trace_dir=sys.argv[1], process_name="driver")
+    tracer = telemetry.tracer()  # cached before the fork, as sessions cache it
+    with tracer.span("before.fork"):
+        pass  # buffered, not yet on disk
+    child = os.fork()
+    if child == 0:
+        with tracer.span("in.child"):
+            pass
+        tracer.flush()
+        os._exit(0)
+    os.waitpid(child, 0)
+    tracer.flush()
+    print(os.getpid(), child)
+""")
+
+
+def test_a_forked_child_traces_to_its_own_file(tmp_path):
+    script = tmp_path / "driver.py"
+    script.write_text(_TRACE_DRIVER)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    env.pop("REPRO_METRICS", None)
+    env.pop("REPRO_TRACE_DIR", None)
+    done = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "trace")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    driver, child = map(int, done.stdout.split())
+
+    def events(pid):
+        lines = (tmp_path / "trace" / f"trace-{pid}.jsonl").read_text().splitlines()
+        return [json.loads(line) for line in lines]
+
+    # the driver's buffered span is written once, by the driver
+    assert [e["name"] for e in events(driver)] == ["process_name", "before.fork"]
+    spans = events(child)
+    assert [e["name"] for e in spans] == ["process_name", "in.child"]
+    assert {e["pid"] for e in spans} == {child}
+    assert spans[0]["args"] == {"name": "driver"}

@@ -1,4 +1,4 @@
-"""Tests for smoothing and streaming-statistics helpers."""
+"""Tests for the smoothing helper."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.moving_average import OnlineMean, moving_average
+from repro.utils.moving_average import moving_average
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -47,18 +47,3 @@ class TestMovingAverage:
         out = moving_average(values, window)
         assert out.min() >= min(values) - 1e-9
         assert out.max() <= max(values) + 1e-9
-
-
-class TestOnlineMean:
-    def test_matches_numpy(self, rng):
-        values = rng.normal(size=100)
-        tracker = OnlineMean()
-        for value in values:
-            tracker.update(value)
-        assert tracker.mean == pytest.approx(values.mean())
-        assert tracker.count == 100
-
-    def test_float_conversion(self):
-        tracker = OnlineMean()
-        tracker.update(3.0)
-        assert float(tracker) == 3.0
