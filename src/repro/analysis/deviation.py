@@ -94,9 +94,7 @@ def histogram_by_source(
     if params.shape[0] != len(sources):
         raise ValueError("parameters and sources must have the same length")
     deviations = parameter_vector_deviation(params)
-    uniform_mask = np.array(
-        [s in (ParameterSource.INITIAL_UNIFORM, ParameterSource.MIX_UNIFORM) for s in sources]
-    )
+    uniform_mask = np.array([s in ParameterSource.UNIFORM for s in sources])
     uniform_dev = deviations[uniform_mask]
     proposal_dev = deviations[~uniform_mask]
     bins = _default_bins([uniform_dev, proposal_dev], n_bins)

@@ -94,8 +94,6 @@ class OnlineTrainingResult:
     n_ticks: int
     steering_seconds: float
     workload: str = "heat2d"
-    #: always 0: the in-process transport queues nothing, so it drops nothing
-    transport_dropped: int = 0
 
     @property
     def final_validation_loss(self) -> float:
@@ -116,11 +114,7 @@ class OnlineTrainingResult:
         """Fraction of executed parameter vectors that came from a uniform draw."""
         if not self.parameter_sources:
             return float("nan")
-        uniform = sum(
-            1
-            for s in self.parameter_sources
-            if s in (ParameterSource.INITIAL_UNIFORM, ParameterSource.MIX_UNIFORM)
-        )
+        uniform = sum(s in ParameterSource.UNIFORM for s in self.parameter_sources)
         return uniform / len(self.parameter_sources)
 
 
@@ -242,8 +236,8 @@ class TrainingSession:
         )
 
         #: produced rows not yet in the reservoir, one block per client and tick:
-        #: ``(simulation_id, parameters, first_timestep, rows)``
-        self.pending_blocks: Deque[Tuple[int, np.ndarray, int, np.ndarray]] = deque()
+        #: ``(simulation_id, first_timestep, rows)``; the parameters are the launcher record's
+        self.pending_blocks: Deque[Tuple[int, int, np.ndarray]] = deque()
         self.n_ticks = 0
         self._finalized = False
         self._checkpoint_policy = None  # attached lazily by run()
@@ -317,12 +311,7 @@ class TrainingSession:
     def submit(self) -> List[int]:
         """Phase 1 — submit up to the job limit; start the jobs whose delay is over."""
         self.launcher.submit_available()
-        started = self.launcher.advance()
-        for client in started:
-            record = self.launcher.records[client.simulation_id]
-            uniform = record.source in (ParameterSource.INITIAL_UNIFORM, ParameterSource.MIX_UNIFORM)
-            self.server.mark_parameter_source(client.simulation_id, uniform)
-        return [client.simulation_id for client in started]
+        return [client.simulation_id for client in self.launcher.advance()]
 
     def produce(self) -> int:
         """Phase 2 — each running client streams a few time steps; returns count."""
@@ -334,9 +323,7 @@ class TrainingSession:
             rows = client.produce(self.config.timesteps_per_tick)
             if len(rows):
                 self.transport.account_batch(rows, client.parameters)
-                self.pending_blocks.append(
-                    (client.simulation_id, client.parameters, first_timestep, rows)
-                )
+                self.pending_blocks.append((client.simulation_id, first_timestep, rows))
                 produced += len(rows)
             if client.finished:
                 self.launcher.mark_finished(client.simulation_id)
@@ -349,14 +336,14 @@ class TrainingSession:
     def receive(self) -> int:
         """Phase 3 — drain pending blocks while the reservoir accepts their rows."""
         received = 0
+        records = self.launcher.records
         while self.pending_blocks:
-            simulation_id, parameters, first_timestep, rows = self.pending_blocks[0]
+            simulation_id, first_timestep, rows = self.pending_blocks[0]
+            parameters = records[simulation_id].parameters
             stored = self.server.receive(simulation_id, parameters, first_timestep, rows)
             received += stored
             if stored < len(rows):  # the reservoir is full of unseen samples
-                self.pending_blocks[0] = (
-                    simulation_id, parameters, first_timestep + stored, rows[stored:]
-                )
+                self.pending_blocks[0] = (simulation_id, first_timestep + stored, rows[stored:])
                 break
             self.pending_blocks.popleft()
         return received
@@ -507,13 +494,10 @@ class TrainingSession:
         }
         if n_pending:
             state["pending_simulation_ids"] = np.concatenate(
-                [np.full(len(rows), sid, dtype=np.int64) for sid, _, _, rows in blocks]
+                [np.full(len(rows), sid, dtype=np.int64) for sid, _, rows in blocks]
             )
             state["pending_timesteps"] = np.concatenate(
-                [np.arange(first, first + len(rows), dtype=np.int64) for _, _, first, rows in blocks]
-            )
-            state["pending_parameters"] = np.concatenate(
-                [np.broadcast_to(params, (len(rows), len(params))) for _, params, _, rows in blocks]
+                [np.arange(first, first + len(rows), dtype=np.int64) for _, first, rows in blocks]
             )
             state["pending_payloads"] = np.concatenate([rows for *_, rows in blocks])
         return state
@@ -526,6 +510,8 @@ class TrainingSession:
         loading overwrites all mutable state — including the RNG stream
         states, in place, so components sharing a generator stay aliased —
         which makes the restored session bit-identical to the saved one.
+        Older snapshots also carry ``"pending_parameters"`` (the pending
+        rows' copy of their launcher records' parameters); it is ignored.
         """
         self.streams.load_state_dict(state["streams"])  # type: ignore[arg-type]
         self.model.load_state_dict(state["model"])  # type: ignore[arg-type]
@@ -541,15 +527,12 @@ class TrainingSession:
         if n_pending:
             ids = np.asarray(state["pending_simulation_ids"], dtype=np.int64)
             timesteps = np.asarray(state["pending_timesteps"], dtype=np.int64)
-            parameters = np.asarray(state["pending_parameters"], dtype=np.float64)
             payloads = np.asarray(state["pending_payloads"], dtype=np.float64)
             # A simulation's adjacent pending rows are consecutive time steps:
             # each run of one id becomes one block again.
             cuts = np.flatnonzero(np.diff(ids) != 0) + 1
             for start, stop in zip([0, *cuts], [*cuts, n_pending]):
-                self.pending_blocks.append(
-                    (int(ids[start]), parameters[start], int(timesteps[start]), payloads[start:stop])
-                )
+                self.pending_blocks.append((int(ids[start]), int(timesteps[start]), payloads[start:stop]))
         self.n_ticks = int(state["n_ticks"])  # type: ignore[arg-type]
         self._finalized = bool(state["finalized"])
         # absent from snapshots written before it was kept

@@ -43,6 +43,8 @@ class ParameterSource:
     INITIAL_UNIFORM = "initial_uniform"
     MIX_UNIFORM = "mix_uniform"
     PROPOSAL = "proposal"
+    #: the tags of vectors drawn from the uniform distribution over ``Λ``
+    UNIFORM = frozenset((INITIAL_UNIFORM, MIX_UNIFORM))
 
 
 @dataclass
@@ -190,8 +192,6 @@ class BreedSampler(SteeringSampler):
         self.resampling_count = 0
         #: iteration of the last triggered resampling (-inf semantics via None)
         self._last_trigger_iteration: Optional[int] = None
-        #: history of resampling decisions (analysis / Fig. 4)
-        self.decisions: List[ResampleDecision] = []
 
     # ------------------------------------------------------------ interface
     def initial_parameters(self, n_simulations: int, rng: np.random.Generator) -> np.ndarray:
@@ -245,52 +245,33 @@ class BreedSampler(SteeringSampler):
             resampling_index=self.resampling_count,
             amis=result,
         )
-        self.decisions.append(decision)
         self.resampling_count += 1
         return decision
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
-        """Tracker statistics, resampling counters and past decisions.
+        """Tracker statistics and resampling counters.
 
-        Decision history keeps the fields the analyses read (parameters,
-        sources, iteration indices); the per-decision AMIS diagnostics are
-        derived artefacts and are not carried across a restore.
+        What each decision applied is kept by the launcher's records and the
+        controller's steering records.
         """
         return {
             "resampling_count": self.resampling_count,
             "last_trigger_iteration": self._last_trigger_iteration,
             "tracker": self.tracker.state_dict(),
-            "decisions": [
-                {
-                    "parameters": decision.parameters.copy(),
-                    "sources": list(decision.sources),
-                    "iteration": decision.iteration,
-                    "resampling_index": decision.resampling_index,
-                }
-                for decision in self.decisions
-            ],
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output.
 
         Older snapshots also carry ``"trigger": None`` (the state of a
-        resampling-trigger option no session ever set); it is ignored.
+        resampling-trigger option no session ever set) and ``"decisions"``
+        (a list of past decisions no code read); both are ignored.
         """
         self.resampling_count = int(state["resampling_count"])
         last = state["last_trigger_iteration"]
         self._last_trigger_iteration = None if last is None else int(last)
         self.tracker.load_state_dict(state["tracker"])
-        self.decisions = [
-            ResampleDecision(
-                parameters=np.asarray(payload["parameters"], dtype=np.float64),
-                sources=[str(s) for s in payload["sources"]],
-                iteration=int(payload["iteration"]),
-                resampling_index=int(payload["resampling_index"]),
-            )
-            for payload in state["decisions"]
-        ]
 
     @property
     def name(self) -> str:

@@ -20,9 +20,9 @@ arbitrary-precision integers, which JSON also preserves exactly.  Restores are
 therefore *bit-identical*: a run killed at any batch and restored from its
 latest snapshot produces the same metrics and series as an uninterrupted run.
 
-Archive layout (schema 2).  A state tree holds thousands of small arrays (the
-Breed tracker's per-simulation records, the launcher's ledger) and a handful
-of large ones (reservoir rows, weights, Adam moments, pending payloads).
+Archive layout (schemas 2 and 3).  A state tree holds thousands of small
+arrays (the Breed tracker's per-simulation records, the launcher's ledger) and
+a handful of large ones (reservoir rows, weights, Adam moments, pending payloads).
 Every array of rank ≤ 1 is packed into one contiguous *pool* per dtype,
 stored as the member ``pool-<dtype>``, and its placeholder is
 ``{"__ndarray__": [pool, offset, shape]}``; restoring copies its elements out
@@ -34,6 +34,16 @@ live buffer, through the read-only views its state tree exports.
 Schema-1 snapshots stored every array as its own member; their
 placeholders are all of the second kind, so they load unchanged.  The
 manifest is written compact.
+
+Schema versions.  Schema 3 keeps each value of the state tree once, with its
+owner.  Schema-2 trees also carry copies, which the loaders ignore: the
+server's ``n_samples_received`` (the reservoir's count) and
+``uniform_flag_ids``/``uniform_flag_values`` (the launcher records'
+sources), the Breed sampler's ``decisions`` (what the launcher and the
+steering records keep), the session's ``pending_parameters`` (the pending
+rows' launcher parameters) and the transport's ``steering`` and ``jobs``
+channels and queue counters, which never counted anything.  Schema 1 has the
+tree of schema 2, with every array its own archive member.
 
 Write protocol (crash safety):
 
@@ -90,9 +100,9 @@ __all__ = [
 _LOGGER = get_logger("checkpoint")
 
 #: bump when the manifest layout or any component state_dict changes shape
-SCHEMA_VERSION = 2
-#: schema 1 differs only in giving every array its own archive member
-_READABLE_SCHEMAS = (1, 2)
+SCHEMA_VERSION = 3
+#: schema 2 adds copies the loaders ignore, schema 1 its own archive layout
+_READABLE_SCHEMAS = (1, 2, 3)
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"

@@ -18,7 +18,12 @@ Responsibilities reproduced from the paper (Section 2.2, 3.3 and Appendix A):
   have been handed to the scheduler and could start at any moment,
 * apply :meth:`update_parameters` requests coming from the server's steering
   mechanism and remember the provenance of every parameter vector (needed by
-  the Figure 4 analysis).
+  the Figure 4 analysis and the Figure 6 ``uniform`` column).
+
+A record is the only store of its simulation's parameters and provenance:
+the session reads a pending block's parameters from it, and the server each
+training sample's provenance.  Both are fixed once the simulation starts, as
+only pending simulations are steered.
 """
 
 from __future__ import annotations
@@ -334,6 +339,11 @@ class Launcher:
         self.next_to_submit = next_to_submit
 
     # -------------------------------------------------------------- analysis
+    def from_uniform(self, simulation_ids: np.ndarray) -> List[bool]:
+        """Whether each simulation's parameters came from a uniform draw."""
+        records, uniform = self.records, ParameterSource.UNIFORM
+        return [records[sim_id].source in uniform for sim_id in simulation_ids.tolist()]
+
     def executed_parameters(self) -> tuple[np.ndarray, List[str]]:
         """Parameters and provenance of every simulation, in id order.
 

@@ -158,8 +158,6 @@ class TrainingServer:
         self.batch_size = batch_size
         self.validation_set = validation_set
         self.validation_period = validation_period
-        #: per-simulation flag: True when its parameters came from a uniform draw
-        self.uniform_source_flags: dict[int, bool] = {}
         #: the session's solver workers, which evaluate each validation point (None: inline)
         self.workers = workers
         #: the point the workers are evaluating: ``(iteration, poll)`` (see ``start_validation_loss``)
@@ -167,7 +165,6 @@ class TrainingServer:
         self.validation_wait_seconds = 0.0  # blocked on a pending point
         self.history = TrainingHistory()
         self.iteration = 0
-        self.n_samples_received = 0
         self._tracer = telemetry.tracer()
 
     # ---------------------------------------------------------------- receive
@@ -186,13 +183,7 @@ class TrainingServer:
             np.broadcast_to(parameters, (len(rows), parameters.shape[0])), timesteps
         )
         y = self.model.scalers.encode_output(rows)
-        stored = self.reservoir.put(simulation_id, first_timestep, x, y)
-        self.n_samples_received += stored
-        return stored
-
-    def mark_parameter_source(self, simulation_id: int, uniform: bool) -> None:
-        """Record whether a simulation's parameters came from a uniform draw."""
-        self.uniform_source_flags[simulation_id] = uniform
+        return self.reservoir.put(simulation_id, first_timestep, x, y)
 
     # ------------------------------------------------------------------ train
     @property
@@ -201,7 +192,11 @@ class TrainingServer:
         return self.reservoir.ready_for_training
 
     def train_iteration(self, launcher: Optional[Launcher] = None) -> Optional[float]:
-        """One optimisation step; returns the batch loss (or None if not ready)."""
+        """One optimisation step; returns the batch loss (or None if not ready).
+
+        ``launcher`` is steered and says which samples' simulations had
+        uniform-drawn parameters; without one, every row counts as uniform.
+        """
         batch = self.reservoir.sample_batch(self.batch_size)
         if batch is None:
             return None
@@ -219,7 +214,7 @@ class TrainingServer:
         rows["simulation_id"] = batch.simulation_ids
         rows["timestep"] = batch.timesteps
         rows["sample_loss"] = per_sample
-        rows["uniform"] = [self.uniform_source_flags.get(sid, True) for sid in batch.simulation_ids.tolist()]
+        rows["uniform"] = True if launcher is None else launcher.from_uniform(batch.simulation_ids)
         rows["batch_loss"] = loss_value
         rows["deviation"] = deviations
 
@@ -256,30 +251,24 @@ class TrainingServer:
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
-        """Server counters, history and per-simulation provenance flags.
+        """The iteration counter and the history.
 
         The model, optimizer, reservoir and controller are snapshotted by
         their owners (see :meth:`repro.api.session.TrainingSession.state_dict`).
         A pending validation point is finished first, so the history holds it.
         """
         self.finish_validation()
-        flags = sorted(self.uniform_source_flags.items())
-        return {
-            "iteration": self.iteration,
-            "n_samples_received": self.n_samples_received,
-            "uniform_flag_ids": np.array([sid for sid, _ in flags], dtype=np.int64),
-            "uniform_flag_values": np.array([bool(v) for _, v in flags], dtype=np.bool_),
-            "history": self.history.state_dict(),
-        }
+        return {"iteration": self.iteration, "history": self.history.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output.
+
+        Older snapshots also carry ``"n_samples_received"`` (the reservoir's
+        count) and ``"uniform_flag_ids"``/``"uniform_flag_values"`` (the
+        launcher records' provenance); they are ignored.
+        """
         self.finish_validation()  # its shares are in flight: collect them, then overwrite the point
         self.iteration = int(state["iteration"])
-        self.n_samples_received = int(state["n_samples_received"])
-        self.uniform_source_flags = {
-            int(sid): bool(value)
-            for sid, value in zip(state["uniform_flag_ids"], state["uniform_flag_values"])
-        }
         self.history.load_state_dict(state["history"])
 
     # ---------------------------------------------------------------- report
@@ -313,7 +302,7 @@ class TrainingServer:
     def summary(self) -> dict[str, float]:
         return {
             "iterations": float(self.iteration),
-            "samples_received": float(self.n_samples_received),
+            "samples_received": float(self.reservoir.n_received),
             "final_train_loss": self.history.final_train_loss(),
             "final_validation_loss": self.history.final_validation_loss(),
             "steering_events": float(self.controller.n_steering_events),

@@ -52,14 +52,12 @@ class InProcessTransport:
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, List[Dict[str, object]]]:
-        """The counters in the historic three-channel layout; steering and jobs never carried anything."""
-        counters = {"maxsize": 0, "n_messages": 0, "n_bytes": 0, "max_depth": 0, "n_dropped": 0}
-        return {
-            "channels": [
-                {"name": "data", **counters, "n_messages": self.n_messages, "n_bytes": self.n_bytes},
-                *({"name": name, **counters} for name in ("steering", "jobs")),
-            ]
-        }
+        """The counters as the one ``data`` channel.
+
+        Older snapshots also list ``steering`` and ``jobs`` channels and zero
+        queue counters, none of which ever carried anything; loading skips them.
+        """
+        return {"channels": [{"name": "data", "n_messages": self.n_messages, "n_bytes": self.n_bytes}]}
 
     def load_state_dict(self, state: Dict[str, List[Dict[str, object]]]) -> None:
         (data,) = (channel for channel in state["channels"] if channel["name"] == "data")

@@ -168,7 +168,7 @@ class Worker(threading.Thread):
             campaign,
             root=self.store.job_dir(record.id) / "campaign",
             backend=spec.backend,
-            max_workers=spec.max_workers,
+            max_workers=spec.max_workers if spec.max_workers is not None else self.max_workers,
             checkpoint_every=checkpoint_every,
             on_result=lambda run: self._on_run_finished(record.id, run),
             on_event=lambda event, payload: (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import OnlineTrainingConfig, TrainingSession, run_online_training
-from repro.breed.samplers import BreedConfig
+from repro.breed.samplers import BreedConfig, ParameterSource
 from repro.sampling.bounds import HEAT1D_BOUNDS
 
 
@@ -146,6 +146,20 @@ class TestPhases:
         assert session.server.iteration == heat1d_config.max_iterations
         result = session.result()
         assert result.n_ticks == session.n_ticks
+
+
+class TestProvenance:
+    def test_uniform_column_is_each_rows_launcher_source(self, heat1d_config):
+        """In a steered run, a Fig. 6 row is uniform exactly when its simulation's parameters are."""
+        session = TrainingSession(heat1d_config)
+        session.run()
+        records = session.launcher.records
+        started = [r for r in records.values() if r.started_tick is not None]
+        assert any(r.source == ParameterSource.PROPOSAL for r in started)
+        rows = session.server.history.sample_statistics
+        uniform = (ParameterSource.INITIAL_UNIFORM, ParameterSource.MIX_UNIFORM)
+        assert list(rows.uniform) == [records[sid].source in uniform for sid in rows.simulation_id.tolist()]
+        assert not rows.uniform.all()
 
 
 class TestHooks:

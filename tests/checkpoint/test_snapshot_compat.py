@@ -6,6 +6,9 @@
 * Schema-1 snapshots gave every array its own archive member; schema 2 pools
   the small ones.  ``fixtures/schema1`` holds one written by the schema-1
   writer.
+* Schema-2 trees carry copies that schema 3 keeps once, with their owner
+  (:data:`RETIRED_KEYS`); loaders ignore them.  ``fixtures/schema2`` holds a
+  snapshot written by the schema-2 writer.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.checkpoint import load_manifest, restore_session, save_session
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.workflow.executor import RunSpec, execute_spec
 
-SAMPLER_KEYS = {"resampling_count", "last_trigger_iteration", "tracker", "decisions"}
+SAMPLER_KEYS = {"resampling_count", "last_trigger_iteration", "tracker"}
 
 
 @pytest.fixture
@@ -111,7 +114,7 @@ def test_schema1_snapshot_restores_and_runs_bit_identical(make_config):
     config = make_config(**SCHEMA1_CONFIG)
     restored = restore_session(SCHEMA1_SNAPSHOT, config=config)
     assert restored.n_ticks == 7 and restored.pending_blocks
-    assert_bit_identical(restored.run(), TrainingSession(config).run())
+    assert_bit_identical(restored.run(), TrainingSession(config).run(), rows_from=5)
 
 
 def test_a_run_resumed_from_a_schema1_snapshot_publishes_no_partial_matrix(make_config, tmp_path):
@@ -131,3 +134,57 @@ def test_a_run_resumed_from_a_schema1_snapshot_publishes_no_partial_matrix(make_
     assert record.sample_correlations == []
     with pytest.raises(ValueError, match="schema1-resumed.*sample_correlations"):
         record.analysis("sample_correlations")
+
+
+#: written by the schema-2 writer from ``SCHEMA1_CONFIG`` at tick 18 (iteration
+#: 15): three steerings, pending rows, and started simulations whose
+#: parameters came from the AMIS proposal
+SCHEMA2_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema2" / "step-00000018"
+#: the keys schema 3 no longer writes, by subtree ("" is the session's own)
+RETIRED_KEYS = {
+    "": {"pending_parameters"},
+    "server": {"n_samples_received", "uniform_flag_ids", "uniform_flag_values"},
+    "sampler": {"decisions"},
+    "channel": {"maxsize", "max_depth", "n_dropped"},
+}
+
+
+def subtrees(state: dict) -> dict:
+    return {
+        "": state,
+        "server": state["server"],
+        "sampler": state["controller"]["sampler"],
+        "channel": state["transport"]["channels"][0],
+    }
+
+
+def test_schema2_fixture_is_what_it_claims(make_config):
+    manifest = load_manifest(SCHEMA2_SNAPSHOT)
+    assert manifest["schema"] == 2
+    assert manifest["fingerprint"] == make_config(**SCHEMA1_CONFIG).digest()
+    state = manifest["state"]
+    for name, tree in subtrees(state).items():
+        assert RETIRED_KEYS[name] <= set(tree), name
+    assert [channel["name"] for channel in state["transport"]["channels"]] == ["data", "steering", "jobs"]
+    assert len(state["controller"]["sampler"]["decisions"]) == state["controller"]["steering_count"] == 3
+    assert state["n_pending_messages"] > 0
+
+
+def test_schema2_snapshot_restores_and_runs_bit_identical(make_config):
+    config = make_config(**SCHEMA1_CONFIG)
+    restored = restore_session(SCHEMA2_SNAPSHOT, config=config)
+    assert restored.n_ticks == 18 and restored.pending_blocks
+    assert not restored.server.history.sample_statistics.uniform.all()  # proposal rows already trained on
+    assert_bit_identical(restored.run(), TrainingSession(config).run())
+
+
+def test_a_new_snapshot_writes_no_retired_key(make_config, tmp_path):
+    session = restore_session(SCHEMA2_SNAPSHOT, config=make_config(**SCHEMA1_CONFIG))
+    manifest = load_manifest(save_session(session, tmp_path))
+    session.close()
+    assert manifest["schema"] == 3
+    state = manifest["state"]
+    assert state["n_pending_messages"] > 0 and state["controller"]["steering_count"] == 3
+    for name, tree in subtrees(state).items():
+        assert not RETIRED_KEYS[name] & set(tree), name
+    assert [channel["name"] for channel in state["transport"]["channels"]] == ["data"]

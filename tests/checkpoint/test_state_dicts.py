@@ -13,7 +13,7 @@ import pytest
 
 from repro.breed.acquisition import LossDeviationTracker, loss_deviations
 from repro.breed.controller import BreedController
-from repro.breed.samplers import BreedSampler, RandomSampler
+from repro.breed.samplers import BreedConfig, BreedSampler, RandomSampler
 from repro.melissa.client import SolverClient
 from repro.melissa.launcher import Launcher
 from repro.melissa.reservoir import Reservoir
@@ -270,17 +270,17 @@ class TestSamplers:
         assert got.sources == expected.sources
         assert got.resampling_index == expected.resampling_index
 
-    def test_breed_decisions_survive_roundtrip(self):
+    def test_breed_resampling_counters_survive_roundtrip(self):
         rng = np.random.default_rng(3)
-        source = BreedSampler(HEAT2D_BOUNDS)
-        params = source.initial_parameters(8, rng)
+        source = BreedSampler(HEAT2D_BOUNDS, BreedConfig(period=5))
+        source.initial_parameters(8, rng)
         source.observe_batch([0], [0], [0.7])
         source.resample(2, iteration=5, rng=rng)
-        target = BreedSampler(HEAT2D_BOUNDS)
+        target = BreedSampler(HEAT2D_BOUNDS, BreedConfig(period=5))
         target.load_state_dict(source.state_dict())
-        assert len(target.decisions) == 1
-        np.testing.assert_array_equal(target.decisions[0].parameters, source.decisions[0].parameters)
-        assert target.resampling_count == source.resampling_count
+        assert target.resampling_count == source.resampling_count == 1
+        assert not target.should_resample(5)  # the trigger already fired at iteration 5
+        assert target.should_resample(10)
 
 
 class TestControllerAndTransport:

@@ -8,8 +8,13 @@ import pytest
 from repro import telemetry
 from repro.melissa.transport import InProcessTransport
 
-#: the snapshot layout of the transport: one entry per historic channel
-LAYOUT_KEYS = ["name", "maxsize", "n_messages", "n_bytes", "max_depth", "n_dropped"]
+#: the layout snapshots before schema 3 wrote: two idle channels beside the
+#: data channel, and zero queue counters in each
+OLD_LAYOUT = {"channels": [
+    {"name": "data", "maxsize": 0, "n_messages": 7, "n_bytes": 7 * 184, "max_depth": 0, "n_dropped": 0},
+    {"name": "steering", "maxsize": 0, "n_messages": 0, "n_bytes": 0, "max_depth": 0, "n_dropped": 0},
+    {"name": "jobs", "maxsize": 0, "n_messages": 0, "n_bytes": 0, "max_depth": 0, "n_dropped": 0},
+]}
 
 
 def per_message_bytes(rows: np.ndarray, parameters: np.ndarray) -> int:
@@ -50,18 +55,14 @@ class TestAccounting:
 
 
 class TestStateLayout:
-    def test_three_channel_layout(self):
+    def test_data_channel_layout_and_the_old_one_loads(self):
         transport = InProcessTransport()
         transport.account_batch(np.zeros((2, 8)), np.ones(5))
-        state = transport.state_dict()
-        assert [channel["name"] for channel in state["channels"]] == ["data", "steering", "jobs"]
-        assert all(list(channel) == LAYOUT_KEYS for channel in state["channels"])
-        assert state["channels"][0] == {
-            "name": "data", "maxsize": 0, "n_messages": 2, "n_bytes": 2 * (64 + 40 + 16),
-            "max_depth": 0, "n_dropped": 0,
+        assert transport.state_dict() == {
+            "channels": [{"name": "data", "n_messages": 2, "n_bytes": 2 * (64 + 40 + 16)}]
         }
-        for idle in state["channels"][1:]:
-            assert {key: value for key, value in idle.items() if key != "name"} == dict.fromkeys(LAYOUT_KEYS[1:], 0)
+        transport.load_state_dict(OLD_LAYOUT)
+        assert transport.state_dict() == {"channels": [{"name": "data", "n_messages": 7, "n_bytes": 7 * 184}]}
 
     def test_layout_round_trips(self):
         transport = InProcessTransport()
@@ -72,15 +73,9 @@ class TestStateLayout:
         assert (restored.n_messages, restored.n_bytes) == (transport.n_messages, transport.n_bytes)
 
     def test_a_state_written_before_blocks_loads(self):
-        # The layout the message-per-time-step transport wrote, data channel
-        # first; the next block is counted on top of it.
-        old = {"channels": [
-            {"name": "data", "maxsize": 0, "n_messages": 7, "n_bytes": 7 * 184, "max_depth": 0, "n_dropped": 0},
-            {"name": "steering", "maxsize": 0, "n_messages": 0, "n_bytes": 0, "max_depth": 0, "n_dropped": 0},
-            {"name": "jobs", "maxsize": 0, "n_messages": 0, "n_bytes": 0, "max_depth": 0, "n_dropped": 0},
-        ]}
+        # The layout the message-per-time-step transport wrote; the next
+        # block is counted on top of it.
         transport = InProcessTransport()
-        transport.load_state_dict(old)
-        assert transport.state_dict() == old
+        transport.load_state_dict(OLD_LAYOUT)
         transport.account_batch(np.zeros((1, 16)), np.ones(5))
         assert transport.n_messages == 8 and transport.n_bytes == 8 * 184

@@ -7,7 +7,8 @@ import pytest
 
 from repro.api import OnlineTrainingConfig, TrainingSession, workload_names
 from repro.breed.controller import BreedController
-from repro.breed.samplers import BreedConfig, BreedSampler, RandomSampler
+from repro.breed.samplers import BreedConfig, BreedSampler, ParameterSource, RandomSampler
+from repro.melissa.launcher import Launcher
 from repro.melissa.reservoir import Reservoir
 from repro.melissa.server import TrainingHistory, TrainingServer
 from repro.nn.optim import Adam
@@ -79,7 +80,7 @@ class TestReception:
         assert feed_trajectory(server, tiny_solver, sim_id=0) == 4
         # ... and stores nothing more until training has seen some of them.
         assert server.receive(1, np.full(5, 300.0), 0, np.full((2, tiny_solver.field_size), 300.0)) == 0
-        assert server.n_samples_received == server.reservoir.n_received == 4
+        assert server.summary()["samples_received"] == server.reservoir.n_received == 4
         assert server.reservoir.n_rejected == 0
 
 
@@ -158,15 +159,18 @@ class TestTraining:
         row = stats[0]
         assert row.iteration == 1
         assert np.isfinite(row.sample_loss) and row.deviation >= 0.0
+        assert stats.uniform.all()  # no launcher says otherwise
 
     def test_statistics_rows_equal_the_per_sample_loop(self, tiny_solver, tiny_scalers):
         # The rows are computed vectorised; the loop they replaced is the reference.
         server = make_server(tiny_solver, tiny_scalers, batch_size=8)
-        server.mark_parameter_source(1, uniform=False)
+        launcher = Launcher(np.full((2, 5), 300.0), tiny_solver, job_limit=1, rng=np.random.default_rng(0))
+        proposal = (200.0, 300.0, 400.0, 100.0, 500.0)
+        launcher.update_parameters(1, np.array(proposal), ParameterSource.PROPOSAL)
         feed_trajectory(server, tiny_solver, sim_id=0)
-        feed_trajectory(server, tiny_solver, sim_id=1, params=(200.0, 300.0, 400.0, 100.0, 500.0))
+        feed_trajectory(server, tiny_solver, sim_id=1, params=proposal)
         for _ in range(3):
-            server.train_iteration()
+            server.train_iteration(launcher)
         stats = server.history.sample_statistics
         for iteration, batch_loss in zip(server.history.train_iterations, server.history.train_losses):
             rows = stats[stats.iteration == iteration]
@@ -198,23 +202,20 @@ class TestTraining:
         restored.load_state_dict(server.history.state_dict())
         assert restored.sample_statistics.tolist() == stats.tolist()
 
-    def test_mark_parameter_source_used_in_statistics(self, tiny_solver, tiny_scalers):
-        server = make_server(tiny_solver, tiny_scalers, batch_size=4)
-        server.mark_parameter_source(0, uniform=False)
-        feed_trajectory(server, tiny_solver, sim_id=0)
-        server.train_iteration()
-        assert all(not s.uniform for s in server.history.sample_statistics)
-
-    def test_uniform_source_flags_start_empty_and_survive_state_dict(self, tiny_solver, tiny_scalers):
+    def test_state_holds_the_iteration_and_the_history_only(self, tiny_solver, tiny_scalers):
         server = make_server(tiny_solver, tiny_scalers)
-        assert server.uniform_source_flags == {}
-        server.mark_parameter_source(3, uniform=False)
-        server.mark_parameter_source(1, uniform=True)
+        feed_trajectory(server, tiny_solver)
+        server.train_iteration()
         state = server.state_dict()
-        assert list(state["uniform_flag_ids"]) == [1, 3]
+        assert set(state) == {"iteration", "history"}
+        # the counters and flags older snapshots also carry are ignored
+        old = dict(
+            state, n_samples_received=7, uniform_flag_ids=np.array([0]), uniform_flag_values=np.array([False])
+        )
         restored = make_server(tiny_solver, tiny_scalers)
-        restored.load_state_dict(state)
-        assert restored.uniform_source_flags == {1: True, 3: False}
+        restored.load_state_dict(old)
+        assert restored.iteration == 1
+        assert restored.history.sample_statistics.tolist() == server.history.sample_statistics.tolist()
 
     def test_summary_keys(self, tiny_solver, tiny_scalers):
         server = make_server(tiny_solver, tiny_scalers)

@@ -12,9 +12,11 @@ import re
 
 import pytest
 
+from topologies import chain_spec  # tests/campaign/topologies.py (see tests/conftest.py)
+from repro import campaign as campaign_module
 from repro.service import ServiceClient, StudyService
 from repro.service import worker as worker_module
-from repro.service.schemas import validate_submission
+from repro.service.schemas import validate_campaign_submission, validate_submission
 from repro.service.store import JobStore
 from repro.service.worker import WorkerPool
 from repro.workflow.executor import TIMING_METRICS
@@ -101,4 +103,25 @@ class TestStudyWorkerShare:
         store.submit(validate_submission(dict(make_payload(), max_workers=chosen)))
         worker = WorkerPool(store, n_workers=2).workers[0]
         worker._run_study(store.claim_next(timeout=0))
+        assert seen == [used]
+
+    @pytest.mark.parametrize("chosen, used", [(None, 4), (1, 1)])
+    def test_a_campaign_without_max_workers_uses_the_share(self, chosen, used, monkeypatch, tmp_path):
+        monkeypatch.setattr(worker_module, "usable_cpus", lambda: 8)
+        seen = []
+
+        class Runner:
+            def __init__(self, campaign, **kwargs):
+                seen.append(kwargs["max_workers"])
+
+            def run(self, resume):
+                raise RuntimeError("not run")
+
+        monkeypatch.setattr(campaign_module, "CampaignRunner", Runner)
+        payload = chain_spec() if chosen is None else chain_spec(max_workers=chosen)
+        store = JobStore(tmp_path / "svc")
+        store.submit(validate_campaign_submission(payload))
+        worker = WorkerPool(store, n_workers=2).workers[0]
+        with pytest.raises(RuntimeError, match="not run"):
+            worker._run_campaign(store.claim_next(timeout=0))
         assert seen == [used]
