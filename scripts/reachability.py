@@ -142,6 +142,7 @@ KEEP: List[Tuple[str, str, str]] = [
     # views tests read kept state through
     ("repro.breed.acquisition", "LossDeviationTracker.q_value", ORACLE),
     ("repro.breed.acquisition", "LossDeviationTracker.all_q_values", ORACLE),
+    ("repro.breed.acquisition", "LossDeviationTracker.n_observations", ORACLE),
     ("repro.breed.amis", "AMISResult.n_*", ORACLE),
     ("repro.campaign.manifest", "CampaignManifest.executed_run_counts", ORACLE),
     ("repro.campaign.spec", "CampaignSpec.node", ORACLE),
@@ -150,6 +151,7 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.experiments.fig3b", "Fig3bResult.panel", ORACLE),
     ("repro.melissa.client", "SolverClient.expected_timesteps", ORACLE),
     ("repro.melissa.reservoir", "Reservoir.entries", ORACLE),
+    ("repro.melissa.reservoir", "Reservoir.is_full", ORACLE),
     ("repro.melissa.reservoir", "ReservoirEntry.__post_init__", ORACLE),
     ("repro.nn.module", "Module.num_parameters", ORACLE),
     ("repro.nn.optim", "Optimizer.zero_grad", ORACLE),

@@ -7,8 +7,8 @@ phases that mirror the asynchronous components of the real Melissa system:
   running, and starts each once its scheduler start delay is over,
 * :meth:`produce` — each running client streams a block of a bounded number
   of time steps per tick (volume-accounted through the transport),
-* :meth:`receive` — pending blocks are drained into the reservoir while it
-  accepts their rows,
+* :meth:`receive` — the pending blocks' rows are encoded and stored in one
+  reservoir put, as many as it accepts,
 * :meth:`train` — once the reservoir watermark is reached, a configurable
   number of NN iterations run per tick; each may trigger a Breed steering,
 * :meth:`should_stop` — the termination predicate.
@@ -334,18 +334,18 @@ class TrainingSession:
         return produced
 
     def receive(self) -> int:
-        """Phase 3 — drain pending blocks while the reservoir accepts their rows."""
-        received = 0
+        """Phase 3 — hand the pending blocks to the server at once; the rows it stores leave them."""
+        blocks = self.pending_blocks
+        if not blocks:
+            return 0
         records = self.launcher.records
-        while self.pending_blocks:
-            simulation_id, first_timestep, rows = self.pending_blocks[0]
-            parameters = records[simulation_id].parameters
-            stored = self.server.receive(simulation_id, parameters, first_timestep, rows)
-            received += stored
-            if stored < len(rows):  # the reservoir is full of unseen samples
-                self.pending_blocks[0] = (simulation_id, first_timestep + stored, rows[stored:])
-                break
-            self.pending_blocks.popleft()
+        received = self.server.receive(blocks, (records[simulation_id].parameters for simulation_id, *_ in blocks))
+        left = received
+        while left and left >= len(blocks[0][2]):
+            left -= len(blocks.popleft()[2])
+        if left:  # the reservoir is full of unseen samples
+            simulation_id, first_timestep, rows = blocks[0]
+            blocks[0] = (simulation_id, first_timestep + left, rows[left:])
         return received
 
     def train(self) -> List[float]:

@@ -23,9 +23,12 @@ batch by the training server.  :class:`LossDeviationTracker` keeps, per
 simulation, the parameter row, its last-update order (the AMIS window's
 recency), its observation count and, per time step in first-seen order, the
 Eq. 5 running mean and count; ``Q_j`` is ``np.mean`` of those means, so ``T``
-counts the time steps seen so far.  Bit-identical resumes depend on three
-choices: that first-seen order (the order ``Q_j`` sums in, and the order
-snapshots store), ``σ`` with ``ddof=0``, and the floor ``ε`` = 1e-12.
+counts the time steps seen so far.  A batch is only queued when it arrives;
+the first read folds the queue, sample by sample in arrival order, so the
+statistics are paid for at steerings, not once per batch.
+Bit-identical resumes depend on three choices: that first-seen order (the
+order ``Q_j`` sums in, and the order snapshots store), ``σ`` with ``ddof=0``,
+and the floor ``ε`` = 1e-12.
 """
 
 from __future__ import annotations
@@ -38,6 +41,23 @@ __all__ = ["EPSILON", "LossDeviationTracker", "loss_deviations"]
 
 #: floor of the batch standard deviation in Eq. 4
 EPSILON = 1e-12
+
+#: one queued sample: its tracker row, time step and deviation ``δ``
+_QUEUE = np.dtype([("row", np.int64), ("timestep", np.int64), ("deviation", np.float64)])
+
+#: queue entries allocated at once, 48 MiB of address space: above glibc's
+#: largest mmap threshold, so the queue is a mapping of its own whose pages
+#: become resident only as samples are queued.  A queue grown in the heap
+#: takes the free block a study worker's next validation batch would reuse
+#: (+8 MB peak RSS on the benchmark's study grid).
+_QUEUE_ENTRIES = 1 << 21
+
+#: queued samples applied at once: their per-sample arrays (at most 896 bytes)
+#: stay in NumPy's small-block cache.  Folding a whole steering period at once
+#: takes blocks of kilobytes from the heap, which in a study worker can split
+#: the free block its next validation batch would reuse (+8 MB peak RSS on the
+#: benchmark's study grid).
+_FOLD_SAMPLES = 112
 
 
 def loss_deviations(sample_losses: Sequence[float]) -> Tuple[float, float, np.ndarray]:
@@ -75,6 +95,8 @@ class LossDeviationTracker:
     row's observation count is the sum of its counts.  Rows and slots grow by
     doubling.  The update order is what the AMIS step selects its *window* by
     (the last ``N`` simulations "in order of Q_j value updates", Section 3.2).
+    Observed batches wait in a queue until something reads or resets the
+    statistics, which folds them first (:meth:`_fold`).
     """
 
     def __init__(self) -> None:
@@ -90,8 +112,10 @@ class LossDeviationTracker:
         self._means = np.zeros((0, 1))
         self._counts = np.zeros((0, 1), dtype=np.int64)
         self._update_counter = 0
-        #: total number of per-sample observations ingested
-        self.n_observations = 0
+        self._n_observations = 0
+        #: observed samples not folded yet, in arrival order: the first ``_queued`` entries
+        self._queue = np.empty(_QUEUE_ENTRIES, dtype=_QUEUE)
+        self._queued = 0
 
     # ------------------------------------------------------------- columns
     def _add_row(self, simulation_id: int, parameters: np.ndarray) -> int:
@@ -128,6 +152,7 @@ class LossDeviationTracker:
         return np.array([self._means[row, :k].mean() for row, k in zip(rows.tolist(), used.tolist())])
 
     def _observed_rows(self) -> np.ndarray:
+        self._fold()
         return np.flatnonzero(self._counts[: len(self._rows), 0])
 
     # -------------------------------------------------------------- ingest
@@ -143,31 +168,48 @@ class LossDeviationTracker:
         previously accumulated statistics for the id belong to the *old*
         parameters and are discarded along with them.
         """
+        self._fold()
         row = self._rows.get(simulation_id)
         if row is None:
             self._add_row(simulation_id, parameters)
             return
-        self.n_observations -= int(self._counts[row].sum())
+        self._n_observations -= int(self._counts[row].sum())
         self._reset_row(row, np.asarray(parameters, dtype=np.float64))
 
     def observe_batch(
         self, simulation_ids: Sequence[int], timesteps: Sequence[int], deviations: Sequence[float]
     ) -> None:
-        """Fold one batch's deviations ``δ`` (Eq. 4) into the Eq. 5 running means.
+        """Queue one batch's deviations ``δ`` (Eq. 4) for the Eq. 5 running means.
 
-        Samples apply in batch order: a (simulation, time step) pair repeated
-        within the batch updates its mean once per occurrence, in order, and a
-        simulation's update order is that of its last sample.  An unregistered
-        simulation id raises ``KeyError`` before anything changes.
+        An unregistered simulation id raises ``KeyError`` before anything
+        changes; the statistics change when the queue is folded.
         """
-        rows = np.array([self._rows[sid] for sid in np.asarray(simulation_ids).tolist()], dtype=np.int64)
-        n = rows.size
-        if n == 0:
-            return
-        steps = np.asarray(timesteps, dtype=np.int64)
-        deviations = np.asarray(deviations, dtype=np.float64)
+        rows = [self._rows[sid] for sid in np.asarray(simulation_ids).tolist()]
+        start, stop = self._queued, self._queued + len(rows)
+        if stop > len(self._queue):  # more samples between two reads than one mapping holds
+            self._queue = _grown(self._queue, (max(stop, 2 * len(self._queue)),))
+        queued = self._queue[start:stop]
+        queued["row"], queued["timestep"], queued["deviation"] = rows, timesteps, deviations
+        self._queued = stop
 
-        # Group the samples by (row, time step); the stable sort keeps batch order in a group.
+    def _fold(self) -> None:
+        """Apply every queued sample to the Eq. 5 running means, in arrival order.
+
+        A (simulation, time step) pair repeated in the queue updates its mean
+        once per occurrence, in order; a row's new time steps take its free
+        slots in the order the samples first show them; and a simulation's
+        update order is that of its last sample.
+        """
+        n, self._queued = self._queued, 0
+        for start in range(0, n, _FOLD_SAMPLES):
+            self._fold_samples(self._queue[start : min(start + _FOLD_SAMPLES, n)])
+
+    def _fold_samples(self, queued: np.ndarray) -> None:
+        """:meth:`_fold` for a run of consecutive queued samples."""
+        n = len(queued)
+        rows, steps, deviations = queued["row"], queued["timestep"], queued["deviation"]
+
+        # Group the samples by (row, time step); the stable sort keeps arrival order in a group.
         order = np.lexsort((steps, rows))
         rows, steps, deviations = rows[order], steps[order], deviations[order]
         head, repeat = _runs(rows, steps)
@@ -178,14 +220,14 @@ class LossDeviationTracker:
         group_slots = np.where(known.any(axis=1), known.argmax(axis=1), -1)
         new = np.flatnonzero(group_slots < 0)
         if new.size:
-            # A row's new time steps take its free slots in the order the batch first shows them.
+            # A row's new time steps take its free slots in the order the samples first show them.
             new = new[np.lexsort((order[head][new], group_rows[new]))]
             new_rows = group_rows[new]
             group_slots[new] = np.count_nonzero(self._counts[new_rows], axis=1) + _runs(new_rows)[1]
             self._ensure_width(int(group_slots.max()) + 1)
             self._steps[new_rows, group_slots[new]] = group_steps[new]
 
-        # Running means, one pass per repeat so a repeated pair updates in batch order.
+        # Running means, one pass per repeat so a repeated pair updates in arrival order.
         slots = group_slots[np.cumsum(head) - 1]
         for k in range(int(repeat.max()) + 1):
             sel = repeat == k
@@ -195,7 +237,7 @@ class LossDeviationTracker:
 
         np.maximum.at(self._last_update, rows, self._update_counter + 1 + order)
         self._update_counter += n
-        self.n_observations += n
+        self._n_observations += n
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
@@ -205,10 +247,11 @@ class LossDeviationTracker:
         :meth:`window` feeds ``Q_j`` values into AMIS, and ``Q_j`` averages a
         row's slot means in slot order.
         """
+        self._fold()
         counts = self._counts[: len(self._rows)]
         return {
             "update_counter": self._update_counter,
-            "n_observations": self.n_observations,
+            "n_observations": self._n_observations,
             "records": [
                 {
                     "simulation_id": sid,
@@ -234,7 +277,7 @@ class LossDeviationTracker:
             self._counts[row, :k] = payload["counts"]
             self._last_update[row] = int(payload["last_update_order"])
         self._update_counter = int(state["update_counter"])
-        self.n_observations = int(state["n_observations"])
+        self._n_observations = int(state["n_observations"])
 
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -243,7 +286,14 @@ class LossDeviationTracker:
     def __contains__(self, simulation_id: int) -> bool:
         return simulation_id in self._rows
 
+    @property
+    def n_observations(self) -> int:
+        """Total number of per-sample observations ingested."""
+        self._fold()
+        return self._n_observations
+
     def q_value(self, simulation_id: int) -> float:
+        self._fold()
         row = self._rows.get(simulation_id)
         if row is None or self._counts[row, 0] == 0:
             return 0.0

@@ -177,10 +177,6 @@ class Reservoir:
         """True once the watermark has been reached at least once."""
         return self._n >= self.watermark
 
-    @property
-    def n_unseen(self) -> int:
-        return int(np.count_nonzero(self._seen[: self._n] == 0))
-
     def seen_counts(self) -> np.ndarray:
         """Per-entry consumption counts (copy, in buffer order)."""
         return self._seen[: self._n].copy()
@@ -202,26 +198,30 @@ class Reservoir:
             for i in range(self._n)
         )
 
+    @property
+    def room(self) -> int:
+        """How many rows :meth:`put` would store now: the free slots and the seen entries."""
+        return self.capacity - self._n + int(np.count_nonzero(self._seen[: self._n]))
+
     def can_accept(self) -> bool:
         """Whether :meth:`put` would store a new sample."""
-        if not self.is_full:
-            return True
-        return self.n_unseen < self._n
+        return self.room > 0
 
     # ---------------------------------------------------------------- writes
     def _allocate(self, x_dim: int, y_dim: int) -> None:
         self._xs = np.empty((self.capacity, x_dim), dtype=np.float64).view()
         self._ys = np.empty((self.capacity, y_dim), dtype=np.float64).view()
 
-    def put(self, simulation_id: int, first_timestep: int, xs: np.ndarray, ys: np.ndarray) -> int:
-        """Store consecutive time steps of one simulation, in order, while :meth:`can_accept` holds.
+    def put(self, simulation_ids: np.ndarray, timesteps: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int:
+        """Store rows, in order, while :meth:`can_accept` holds.
 
-        Row ``i`` of ``xs``/``ys`` is time step ``first_timestep + i``.  Free
+        Row ``i`` of ``xs``/``ys`` is time step ``timesteps[i]`` of simulation
+        ``simulation_ids[i]``.  Free
         slots fill first; once full, each further row replaces a random
         already-seen entry (one RNG draw per row, over the seen entries as
-        they are at that row).  Returns how many leading rows were stored: a
-        buffer full of unseen entries stores no more, and the caller keeps
-        the rest (clients must pause).
+        they are at that row).  Returns how many leading rows were stored
+        (at most :attr:`room`): a buffer full of unseen entries stores no
+        more, and the caller keeps the rest (clients must pause).
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -233,12 +233,13 @@ class Reservoir:
                 f"sample dimensions ({xs.shape[1]}, {ys.shape[1]}) do not match the "
                 f"buffer layout ({self._xs.shape[1]}, {self._ys.shape[1]})"
             )
+        ids = np.asarray(simulation_ids, dtype=np.int64)
+        steps = np.asarray(timesteps, dtype=np.int64)
         stored = min(len(xs), self.capacity - self._n)
-        timesteps = np.arange(first_timestep, first_timestep + stored)
-        self._store(slice(self._n, self._n + stored), simulation_id, timesteps, xs[:stored], ys[:stored])
+        self._store(slice(self._n, self._n + stored), ids[:stored], steps[:stored], xs[:stored], ys[:stored])
         self._n += stored
         if stored < len(xs):
-            # One scan per block: a victim becomes unseen, so popping it from
+            # One scan per put: a victim becomes unseen, so popping it from
             # the (sorted) seen list leaves exactly what a rescan would find,
             # and ``integers(len(seen))`` is the draw ``Generator.choice(seen)``
             # makes: victims and RNG state are those of a per-row choice.
@@ -248,14 +249,13 @@ class Reservoir:
                 for _ in range(min(len(xs) - stored, len(seen)))
             ]
             end = stored + len(victims)
-            timesteps = np.arange(first_timestep + stored, first_timestep + end)
-            self._store(victims, simulation_id, timesteps, xs[stored:end], ys[stored:end])
+            self._store(victims, ids[stored:end], steps[stored:end], xs[stored:end], ys[stored:end])
             self.n_evicted += len(victims)
             stored = end
         self.n_received += stored
         return stored
 
-    def _store(self, index, simulation_id: int, timesteps, xs: np.ndarray, ys: np.ndarray) -> None:
+    def _store(self, index, simulation_ids, timesteps, xs: np.ndarray, ys: np.ndarray) -> None:
         """Write entries at ``index`` (a slice or a list of distinct slots, one row each), unseen."""
         assert self._xs is not None and self._ys is not None
         # a view exported by state_dict, or the caller's array adopted by
@@ -264,7 +264,7 @@ class Reservoir:
         self._ys = _unshared(self._ys)
         self._xs[index] = xs
         self._ys[index] = ys
-        self._simulation_ids[index] = simulation_id
+        self._simulation_ids[index] = simulation_ids
         self._timesteps[index] = timesteps
         self._seen[index] = 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,9 @@ SAMPLE_STATISTICS = np.dtype([(name, dtype) for name, dtype, _ in _STATISTIC_COL
 #: split the heap the training step's temporaries reuse (+9 MB peak RSS on the
 #: benchmark's four-run study grid).
 _CHUNK_ROWS = 1 << 20
+
+#: produced rows of one simulation: ``(simulation_id, first_timestep, rows)``
+Block = Tuple[int, int, np.ndarray]
 
 
 @dataclass
@@ -168,22 +171,35 @@ class TrainingServer:
         self._tracer = telemetry.tracer()
 
     # ---------------------------------------------------------------- receive
-    def receive(
-        self, simulation_id: int, parameters: np.ndarray, first_timestep: int, rows: np.ndarray
-    ) -> int:
-        """Ingest a block of one simulation's time steps; returns how many rows were stored.
+    def receive(self, blocks: Iterable[Block], parameters: Iterable[np.ndarray]) -> int:
+        """Ingest the leading rows of ``blocks`` the reservoir takes, in one put; returns how many.
 
-        Row ``i`` of ``rows`` is the field at time step ``first_timestep + i``.
-        Both encodings are element-wise, so one call per block gives the bits
-        one call per row gave.  Rows are stored in order while the reservoir
-        accepts them; the caller keeps the rest (back-pressure).
+        Block ``(simulation_id, first_timestep, rows)`` holds the fields of
+        time steps ``first_timestep, first_timestep + 1, …`` of the simulation
+        whose parameters are the matching entry of ``parameters``.  Only the
+        rows the reservoir will store (its :attr:`~Reservoir.room`) are
+        encoded; the caller keeps the rest (back-pressure).  Both encodings
+        are element-wise: a row's bits do not depend on the rows encoded with it.
         """
-        timesteps = np.arange(first_timestep, first_timestep + len(rows), dtype=np.float64)
-        x = self.model.scalers.encode_input(
-            np.broadcast_to(parameters, (len(rows), parameters.shape[0])), timesteps
-        )
-        y = self.model.scalers.encode_output(rows)
-        return self.reservoir.put(simulation_id, first_timestep, x, y)
+        room = self.reservoir.room
+        taken = []  # (simulation id, first time step, parameters, rows) of the rows to store
+        n = 0
+        for (simulation_id, first_timestep, rows), vector in zip(blocks, parameters):
+            if n == room:
+                break
+            rows = rows[: room - n]
+            taken.append((simulation_id, first_timestep, vector, rows))
+            n += len(rows)
+        if n == 0:
+            return 0
+        ids, firsts, vectors, fields = zip(*taken)
+        lengths = np.array([len(rows) for rows in fields])
+        # the k-th row of a block is time step first + k
+        timesteps = np.arange(n) + np.repeat(np.array(firsts) - (np.cumsum(lengths) - lengths), lengths)
+        scalers = self.model.scalers
+        x = scalers.encode_input(np.repeat(np.array(vectors), lengths, axis=0), timesteps)
+        y = scalers.encode_output_blocks(fields, out=np.empty((n, *fields[0].shape[1:])))
+        return self.reservoir.put(np.repeat(ids, lengths), timesteps, x, y)
 
     # ------------------------------------------------------------------ train
     @property

@@ -11,7 +11,7 @@ identical for on-line and off-line training and never needs fitting on data).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -126,6 +126,20 @@ class SurrogateScalers:
 
     def encode_output(self, field: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         return self.output_scaler.transform(np.asarray(field, dtype=np.float64), out=out)
+
+    def encode_output_blocks(self, blocks: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """:meth:`encode_output` of the ``blocks`` stacked, written into ``out`` (their total rows).
+
+        One subtract per block lands in ``out`` and one divide updates it in
+        place: the element-wise operations, and so the bits, of
+        :meth:`encode_output` on each block.
+        """
+        scaler = self.output_scaler
+        start = 0
+        for block in blocks:
+            np.subtract(block, scaler.low, out=out[start : start + len(block)])
+            start += len(block)
+        return np.divide(out, scaler.high - scaler.low, out=out)
 
     def decode_output(self, field: np.ndarray) -> np.ndarray:
         return self.output_scaler.inverse_transform(np.asarray(field, dtype=np.float64))

@@ -10,19 +10,24 @@ below, verbatim, as the reference.
 Hypothesis drives the reference and the columns through the same batches:
 random simulation ids (repeated within a batch), time steps (repeated
 (simulation, time step) pairs within a batch), losses with ties and
-zero-spread batches, and parameter reassignments between batches.  After every
-batch ``q_value``, ``window``, ``all_q_values``, ``observed_ids``,
-``n_observations`` and the ``state_dict`` must be equal bit for bit.  Part way
-through, a state written by each side is loaded into the other, and the loaded
-copies must go on identically too.
+zero-spread batches, and parameter reassignments between batches.  The
+columns only queue a batch; the first read folds every queued batch at once.
+So the views — ``q_value``, ``window``, ``all_q_values``, ``observed_ids``,
+``n_observations`` and the ``state_dict`` — are read at random intervals of 0
+to 20 batches, and must then be equal bit for bit.  Reassignments come now
+and then, between reads, and so fold several queued batches themselves.  Part
+way through, again with batches queued, a state written by each side is
+loaded into the other, and the loaded copies must go on identically too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -333,12 +338,20 @@ def losses_for(rng: np.random.Generator, size: int) -> np.ndarray:
     n_simulations=st.integers(min_value=1, max_value=12),
     n_timesteps=st.integers(min_value=1, max_value=12),
     dim=st.integers(min_value=1, max_value=4),
-    n_batches=st.integers(min_value=1, max_value=14),
-    swap_at=st.integers(min_value=0, max_value=14),
+    n_batches=st.integers(min_value=1, max_value=40),
+    swap_at=st.integers(min_value=0, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
+    queue_entries=st.sampled_from([8, columns._QUEUE_ENTRIES]),
 )
-@example(n_simulations=4, n_timesteps=8, dim=2, n_batches=10, swap_at=4, seed=0)
-def test_columns_equal_the_per_sample_reference(n_simulations, n_timesteps, dim, n_batches, swap_at, seed):
+@example(n_simulations=4, n_timesteps=8, dim=2, n_batches=30, swap_at=12, seed=0, queue_entries=8)
+def test_columns_equal_the_per_sample_reference(
+    n_simulations, n_timesteps, dim, n_batches, swap_at, seed, queue_entries
+):
+    with mock.patch.object(columns, "_QUEUE_ENTRIES", queue_entries):  # 8: the queue grows
+        drive(n_simulations, n_timesteps, dim, n_batches, swap_at, seed)
+
+
+def drive(n_simulations, n_timesteps, dim, n_batches, swap_at, seed):
     rng = np.random.default_rng(seed)
     ids = list(range(n_simulations))
     # (tracker, reference?) — every side sees the same batches
@@ -347,6 +360,7 @@ def test_columns_equal_the_per_sample_reference(n_simulations, n_timesteps, dim,
         for tracker, _ in sides:
             tracker.register_parameters(sid, vector)
 
+    next_read = int(rng.integers(0, 21))
     for index in range(n_batches):
         if index == swap_at:
             # a state written on either side loads into the other and goes on identically
@@ -366,7 +380,7 @@ def test_columns_equal_the_per_sample_reference(n_simulations, n_timesteps, dim,
             else:
                 tracker.observe_batch(batch_ids, timesteps, deviations)
 
-        for _ in range(int(rng.integers(0, 3))):
+        for _ in range(int(rng.integers(0, 3)) if rng.random() < 0.2 else 0):
             # a steered simulation, or one the tracker has not seen yet
             sid = int(rng.integers(0, n_simulations + 2))
             vector = rng.random(dim)
@@ -375,6 +389,17 @@ def test_columns_equal_the_per_sample_reference(n_simulations, n_timesteps, dim,
             if sid not in ids:
                 ids.append(sid)
 
-        expected = views(sides[0][0], ids + [n_simulations + 5])
-        for tracker, _ in sides[1:]:
-            assert_same(expected, views(tracker, ids + [n_simulations + 5]), f"batch {index}")
+        if index == next_read or index == n_batches - 1:
+            next_read = index + 1 + int(rng.integers(0, 21))
+            expected = views(sides[0][0], ids + [n_simulations + 5])
+            for tracker, _ in sides[1:]:
+                assert_same(expected, views(tracker, ids + [n_simulations + 5]), f"batch {index}")
+
+
+def test_an_unknown_id_raises_before_anything_is_queued():
+    tracker = columns.LossDeviationTracker()
+    tracker.register_parameters(0, np.zeros(2))
+    tracker.observe_batch([0], [1], [0.5])
+    with pytest.raises(KeyError):
+        tracker.observe_batch([0, 7], [1, 2], [0.25, 0.75])
+    assert tracker.n_observations == 1 and tracker.q_value(0) == 0.5

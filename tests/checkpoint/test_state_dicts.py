@@ -69,7 +69,7 @@ class TestReservoir:
         rng = np.random.default_rng(seed)
         reservoir = Reservoir(capacity=20, watermark=5, rng=rng)
         for i in range(30):
-            reservoir.put(i % 7, i, rng.random((1, 4)), rng.random((1, 9)))
+            reservoir.put(np.array([i % 7]), np.array([i]), rng.random((1, 4)), rng.random((1, 9)))
             if i % 3 == 0 and reservoir.ready_for_training:
                 reservoir.sample_batch(4)
         return reservoir

@@ -17,9 +17,14 @@ def make_reservoir(capacity=10, watermark=3, seed=0):
     return Reservoir(capacity=capacity, watermark=watermark, rng=np.random.default_rng(seed))
 
 
+def put_block(reservoir, sim_id, first_timestep, xs, ys):
+    """Store ``xs``/``ys`` as time steps ``first_timestep, first_timestep + 1, …`` of one simulation."""
+    return reservoir.put(np.full(len(xs), sim_id), np.arange(first_timestep, first_timestep + len(xs)), xs, ys)
+
+
 def put_sample(reservoir, sim_id=0, timestep=0):
     """A one-row block; returns how many rows were stored (0 or 1)."""
-    return reservoir.put(sim_id, timestep, np.array([[float(sim_id), float(timestep)]]), np.zeros((1, 3)))
+    return put_block(reservoir, sim_id, timestep, np.array([[float(sim_id), float(timestep)]]), np.zeros((1, 3)))
 
 
 class TestConstruction:
@@ -157,19 +162,20 @@ class TestReservoirInvariants:
         for op in range(n_operations):
             if rng.random() < 0.6:
                 k = int(rng.integers(1, 6))
-                stored = reservoir.put(op, 0, np.full((k, 1), float(op)), np.zeros((k, 1)))
+                stored = put_block(reservoir, op, 0, np.full((k, 1), float(op)), np.zeros((k, 1)))
                 assert 0 <= stored <= k
                 stored_total += stored
                 # A block stops short only at a buffer full of unseen samples.
                 if stored < k:
-                    assert len(reservoir) == capacity and reservoir.n_unseen == capacity
+                    assert len(reservoir) == capacity and reservoir.room == 0
+                    assert not reservoir.seen_counts().any()
             else:
                 batch = reservoir.sample_batch(int(rng.integers(1, 8)))
                 if not reservoir.ready_for_training:
                     assert batch is None
             # Invariants.
             assert len(reservoir) <= capacity
-            assert reservoir.n_unseen <= len(reservoir)
+            assert 0 <= reservoir.room <= capacity
             assert reservoir.n_received == stored_total
             assert reservoir.n_rejected == 0
 
@@ -238,7 +244,7 @@ class TestVectorisedBitIdentity:
                 if driver.random() < 0.6:
                     x = driver.random(3)
                     y = driver.random(5)
-                    assert reservoir.put(op, op % 11, x[None], y[None]) == reference.put(op, op % 11, x, y)
+                    assert put_block(reservoir, op, op % 11, x[None], y[None]) == reference.put(op, op % 11, x, y)
                 else:
                     size = int(driver.integers(1, 9))
                     got = reservoir.sample_batch(size)
@@ -262,7 +268,7 @@ class TestVectorisedBitIdentity:
         for op in range(200):
             x = payload.random(4)
             y = payload.random(6)
-            assert reservoir.put(op, op % 13, x[None], y[None]) == reference.put(op, op % 13, x, y)
+            assert put_block(reservoir, op, op % 13, x[None], y[None]) == reference.put(op, op % 13, x, y)
             if op % 3 == 2:
                 got = reservoir.sample_batch(4)
                 want = reference.sample_batch(4)
@@ -300,7 +306,7 @@ class TestVectorisedBitIdentity:
         reservoir = make_reservoir(capacity=4, watermark=1)
         put_sample(reservoir, 0)
         with pytest.raises(ValueError, match="buffer layout"):
-            reservoir.put(1, 0, np.zeros((1, 7)), np.zeros((1, 3)))
+            put_block(reservoir, 1, 0, np.zeros((1, 7)), np.zeros((1, 3)))
 
 
 class TestBlockPutOracle:
@@ -334,7 +340,7 @@ class TestBlockPutOracle:
         payload = np.random.default_rng(1)
         for sim_id, k, want in [(0, 6, 6), (1, 6, 4), (2, 3, 0)]:
             xs, ys = self.block(payload, k)
-            assert reservoir.put(sim_id, 5, xs, ys) == reference.put_block(sim_id, 5, xs, ys) == want
+            assert put_block(reservoir, sim_id, 5, xs, ys) == reference.put_block(sim_id, 5, xs, ys) == want
             self.assert_same(reservoir, reference)
         assert reservoir.n_received == 10 and reservoir.n_rejected == 0
         assert [e.timestep for e in reservoir.entries()] == [5, 6, 7, 8, 9, 10, 5, 6, 7, 8]
@@ -343,15 +349,15 @@ class TestBlockPutOracle:
         reservoir, reference = self.pair(capacity=8)
         payload = np.random.default_rng(2)
         xs, ys = self.block(payload, 8)
-        reservoir.put(0, 0, xs, ys)
+        put_block(reservoir, 0, 0, xs, ys)
         reference.put_block(0, 0, xs, ys)
         reservoir.sample_batch(3)
         reference.sample_batch(3)  # three entries seen: three evictions possible
         xs, ys = self.block(payload, 2)
-        assert reservoir.put(1, 0, xs, ys) == reference.put_block(1, 0, xs, ys) == 2
+        assert put_block(reservoir, 1, 0, xs, ys) == reference.put_block(1, 0, xs, ys) == 2
         self.assert_same(reservoir, reference)
         xs, ys = self.block(payload, 4)
-        assert reservoir.put(2, 7, xs, ys) == reference.put_block(2, 7, xs, ys) == 1
+        assert put_block(reservoir, 2, 7, xs, ys) == reference.put_block(2, 7, xs, ys) == 1
         self.assert_same(reservoir, reference)
         assert reservoir.n_evicted == 3 and not reservoir.can_accept()
 
@@ -364,7 +370,7 @@ class TestBlockPutOracle:
                 k = int(driver.integers(1, 9))
                 first = int(driver.integers(0, 50))
                 xs, ys = self.block(driver, k)
-                assert reservoir.put(op, first, xs, ys) == reference.put_block(op, first, xs, ys)
+                assert put_block(reservoir, op, first, xs, ys) == reference.put_block(op, first, xs, ys)
             else:
                 size = int(driver.integers(1, 9))
                 got, want = reservoir.sample_batch(size), reference.sample_batch(size)
@@ -375,7 +381,10 @@ class TestBlockPutOracle:
 
 
 class _RowLoopReservoir(Reservoir):
-    """``Reservoir`` with the row-at-a-time eviction loop ``put`` ran before it evicted per block."""
+    """``Reservoir`` with the row-at-a-time eviction loop ``put`` ran before it evicted per block.
+
+    Its ``put`` keeps that time's signature: one simulation id and the first time step of the block.
+    """
 
     def put(self, simulation_id, first_timestep, xs, ys):
         xs = np.asarray(xs, dtype=np.float64)
@@ -432,7 +441,7 @@ class TestBlockEvictionOracle:
         for sim_id, (kind, size, first) in enumerate(operations):
             if kind == "put":
                 xs, ys = payload.random((size, 2)), payload.random((size, 3))
-                assert reservoir.put(sim_id, first, xs, ys) == oracle.put(sim_id, first, xs, ys)
+                assert put_block(reservoir, sim_id, first, xs, ys) == oracle.put(sim_id, first, xs, ys)
             else:
                 got, want = reservoir.sample_batch(size), oracle.sample_batch(size)
                 assert (got is None) == (want is None)
@@ -449,14 +458,14 @@ def _full_reservoir(capacity=8, seed=0):
     """A full reservoir whose every entry is seen, and the generator of its further rows."""
     reservoir = make_reservoir(capacity=capacity, watermark=2, seed=seed)
     rows = np.random.default_rng(seed + 1)
-    reservoir.put(0, 0, rows.random((capacity, 2)), rows.random((capacity, 3)))
+    put_block(reservoir, 0, 0, rows.random((capacity, 2)), rows.random((capacity, 3)))
     return reservoir, rows
 
 
 def _evict_rows(reservoir, rows, simulation_id, n=3):
     """Mark every entry seen, then store ``n`` rows over seen ones."""
     reservoir.sample_batch(len(reservoir))
-    assert reservoir.put(simulation_id, 0, rows.random((n, 2)), rows.random((n, 3))) == n
+    assert put_block(reservoir, simulation_id, 0, rows.random((n, 2)), rows.random((n, 3))) == n
 
 
 def _buffer_ids(reservoir):
@@ -537,7 +546,7 @@ class TestRowsAreHeldOnce:
     def test_other_rows_are_copied_into_a_new_buffer(self, case):
         if case == "partial":
             reservoir = make_reservoir(capacity=8, watermark=2)
-            reservoir.put(0, 0, np.ones((5, 2)), np.ones((5, 3)))
+            put_block(reservoir, 0, 0, np.ones((5, 2)), np.ones((5, 3)))
         else:
             reservoir, _ = _full_reservoir()
         state = reservoir.state_dict()  # read-only views of the live buffer

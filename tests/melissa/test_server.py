@@ -61,7 +61,7 @@ def make_server(
 def feed_trajectory(server, tiny_solver, sim_id=0, params=(300.0, 100.0, 500.0, 200.0, 400.0)):
     """Hand the server one whole trajectory as a block; returns how many rows it stored."""
     params = np.array(params)
-    return server.receive(sim_id, params, 0, np.array(list(tiny_solver.steps(params))))
+    return server.receive([(sim_id, 0, np.array(list(tiny_solver.steps(params))))], [params])
 
 
 class TestReception:
@@ -79,7 +79,7 @@ class TestReception:
         # The block stops where the buffer fills with unseen samples ...
         assert feed_trajectory(server, tiny_solver, sim_id=0) == 4
         # ... and stores nothing more until training has seen some of them.
-        assert server.receive(1, np.full(5, 300.0), 0, np.full((2, tiny_solver.field_size), 300.0)) == 0
+        assert server.receive([(1, 0, np.full((2, tiny_solver.field_size), 300.0))], [np.full(5, 300.0)]) == 0
         assert server.summary()["samples_received"] == server.reservoir.n_received == 4
         assert server.reservoir.n_rejected == 0
 
@@ -94,7 +94,7 @@ def test_block_receive_equals_per_sample_encodes(workload):
     try:
         params = session.launcher.records[0].parameters
         trajectory = np.array(list(session.solver.steps(params)))
-        assert session.server.receive(3, params, 2, trajectory[2:]) == len(trajectory) - 2
+        assert session.server.receive([(3, 2, trajectory[2:])], [params]) == len(trajectory) - 2
         scalers = session.model.scalers
         entries = session.reservoir.entries()
         assert [(e.simulation_id, e.timestep) for e in entries] == [(3, t) for t in range(2, len(trajectory))]
