@@ -74,7 +74,7 @@ ORACLE = "oracle: a read-only view or entry point tests check kept code through"
 KEEP: List[Tuple[str, str, str]] = [
     # data model methods of kept classes
     *[("*", f"*.__{name}__", DATA_MODEL)
-      for name in ("len", "iter", "contains", "repr", "eq", "hash")],
+      for name in ("len", "iter", "repr", "eq", "hash")],
     ("repro.nn.layers", "Sequential.__getitem__", DATA_MODEL),
     # the pooled solver path
     ("repro.melissa.workers", "*", TWO_CPU),
@@ -142,7 +142,7 @@ KEEP: List[Tuple[str, str, str]] = [
     # views tests read kept state through
     ("repro.breed.acquisition", "LossDeviationTracker.q_value", ORACLE),
     ("repro.breed.acquisition", "LossDeviationTracker.all_q_values", ORACLE),
-    ("repro.breed.acquisition", "LossDeviationTracker.n_observations", ORACLE),
+    ("repro.breed.acquisition", "LossDeviationTracker.observed_ids", ORACLE),
     ("repro.breed.amis", "AMISResult.n_*", ORACLE),
     ("repro.campaign.manifest", "CampaignManifest.executed_run_counts", ORACLE),
     ("repro.campaign.spec", "CampaignSpec.node", ORACLE),

@@ -19,16 +19,22 @@ O(1) memory per seen sample.  The paper's construction:
 Both averages are maintained incrementally ("Not to store all the values, we
 iteratively update the statistic upon the availability of new values"), as
 columns.  :func:`loss_deviations` is Eq. 4 for a whole batch, called once per
-batch by the training server.  :class:`LossDeviationTracker` keeps, per
-simulation, the parameter row, its last-update order (the AMIS window's
-recency), its observation count and, per time step in first-seen order, the
-Eq. 5 running mean and count; ``Q_j`` is ``np.mean`` of those means, so ``T``
-counts the time steps seen so far.  A batch is only queued when it arrives;
-the first read folds the queue, sample by sample in arrival order, so the
-statistics are paid for at steerings, not once per batch.
-Bit-identical resumes depend on three choices: that first-seen order (the
-order ``Q_j`` sums in, and the order snapshots store), ``σ`` with ``ddof=0``,
-and the floor ``ε`` = 1e-12.
+batch by the training server.  :class:`LossDeviationTracker` keeps, in row
+``j`` for simulation ``j``, its last-update order (the AMIS window's recency)
+and, per time step in first-seen order, the Eq. 5 running mean and count;
+``Q_j`` is ``np.mean`` of those means, so ``T`` counts the time steps seen so
+far.  It keeps statistics only: the parameter vector ``λ_j`` is the
+launcher's, and the AMIS window reads it there by id.  A batch is only
+queued when it arrives; the first read folds the queue, sample by sample in
+arrival order, so the statistics are paid for at steerings, not once per
+batch.  Bit-identical resumes depend on three choices: that first-seen order
+(the order ``Q_j`` sums in, and the order snapshots store), ``σ`` with
+``ddof=0``, and the floor ``ε`` = 1e-12.
+
+Snapshot schema 4 stores one record per observed simulation, in id order.
+Schemas 1–3 also stored a record for every simulation never observed, and in
+each record the simulation's parameters and its observation count (the sum
+of its counts); the loader ignores both.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ __all__ = ["EPSILON", "LossDeviationTracker", "loss_deviations"]
 #: floor of the batch standard deviation in Eq. 4
 EPSILON = 1e-12
 
-#: one queued sample: its tracker row, time step and deviation ``δ``
+#: one queued sample: its simulation id (its tracker row), time step and deviation ``δ``
 _QUEUE = np.dtype([("row", np.int64), ("timestep", np.int64), ("deviation", np.float64)])
 
 #: queue entries allocated at once, 48 MiB of address space: above glibc's
@@ -87,26 +93,23 @@ def _runs(*sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class LossDeviationTracker:
-    """Maintains ``Q_j`` for every parameter vector whose samples were trained on.
+    """Maintains ``Q_j`` for every simulation whose samples were trained on.
 
-    Row ``r`` of every column is the ``r``-th registered simulation.  Its
-    slots (``_steps``, ``_means``, ``_counts``) fill from the left in
-    first-seen order; a slot is in use while its count is positive, so a
-    row's observation count is the sum of its counts.  Rows and slots grow by
-    doubling.  The update order is what the AMIS step selects its *window* by
-    (the last ``N`` simulations "in order of Q_j value updates", Section 3.2).
-    Observed batches wait in a queue until something reads or resets the
-    statistics, which folds them first (:meth:`_fold`).
+    Row ``j`` of every column is simulation ``j``.  Its slots (``_steps``,
+    ``_means``, ``_counts``) fill from the left in first-seen order; a slot is
+    in use while its count is positive, so a row's observation count is the
+    sum of its counts and a row with no count is a simulation never observed.
+    Rows and slots grow by doubling.  The update order is what the AMIS step
+    selects its *window* by (the last ``N`` simulations "in order of Q_j value
+    updates", Section 3.2).  Observed batches wait in a queue until something
+    reads the statistics, which folds them first (:meth:`_fold`).  A
+    simulation's parameters are not kept here: the caller owns them.
     """
 
     def __init__(self) -> None:
         self._clear()
 
     def _clear(self) -> None:
-        #: simulation id -> row, in registration order
-        self._rows: Dict[int, int] = {}
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._parameters = np.zeros((0, 0))
         self._last_update = np.zeros(0, dtype=np.int64)
         self._steps = np.zeros((0, 1), dtype=np.int64)
         self._means = np.zeros((0, 1))
@@ -118,24 +121,11 @@ class LossDeviationTracker:
         self._queued = 0
 
     # ------------------------------------------------------------- columns
-    def _add_row(self, simulation_id: int, parameters: np.ndarray) -> int:
-        values = np.asarray(parameters, dtype=np.float64)
-        row = len(self._rows)
-        if row == len(self._ids):
-            size = max(16, 2 * row)
-            self._ids, self._last_update = _grown(self._ids, (size,)), _grown(self._last_update, (size,))
-            self._parameters = _grown(self._parameters, (size, values.size))
+    def _ensure_rows(self, rows: int) -> None:
+        if rows > len(self._last_update):
+            size = max(16, rows, 2 * len(self._last_update))
+            self._last_update = _grown(self._last_update, (size,))
             self._grow_slots(size, self._means.shape[1])
-        self._rows[simulation_id] = row
-        self._ids[row] = simulation_id
-        self._reset_row(row, values)
-        return row
-
-    def _reset_row(self, row: int, parameters: np.ndarray) -> None:
-        self._parameters[row] = parameters
-        self._last_update[row] = -1
-        self._means[row] = 0.0
-        self._counts[row] = 0
 
     def _grow_slots(self, rows: int, width: int) -> None:
         self._steps, self._means, self._counts = (
@@ -144,7 +134,7 @@ class LossDeviationTracker:
 
     def _ensure_width(self, width: int) -> None:
         if width > self._means.shape[1]:
-            self._grow_slots(len(self._ids), max(width, 2 * self._means.shape[1]))
+            self._grow_slots(len(self._last_update), max(width, 2 * self._means.shape[1]))
 
     def _q_values(self, rows: np.ndarray) -> np.ndarray:
         """Eq. 6 for observed ``rows``: each one's slot means averaged in slot order."""
@@ -153,43 +143,21 @@ class LossDeviationTracker:
 
     def _observed_rows(self) -> np.ndarray:
         self._fold()
-        return np.flatnonzero(self._counts[: len(self._rows), 0])
+        return np.flatnonzero(self._counts[:, 0])
 
     # -------------------------------------------------------------- ingest
-    def register_parameters(self, simulation_id: int, parameters: np.ndarray) -> None:
-        """Associate a parameter vector with a simulation id (idempotent)."""
-        if simulation_id not in self._rows:
-            self._add_row(simulation_id, parameters)
-
-    def reassign_parameters(self, simulation_id: int, parameters: np.ndarray) -> None:
-        """Overwrite a simulation's parameter vector after a steering update.
-
-        A steered simulation has, by construction, never been executed, so any
-        previously accumulated statistics for the id belong to the *old*
-        parameters and are discarded along with them.
-        """
-        self._fold()
-        row = self._rows.get(simulation_id)
-        if row is None:
-            self._add_row(simulation_id, parameters)
-            return
-        self._n_observations -= int(self._counts[row].sum())
-        self._reset_row(row, np.asarray(parameters, dtype=np.float64))
-
     def observe_batch(
         self, simulation_ids: Sequence[int], timesteps: Sequence[int], deviations: Sequence[float]
     ) -> None:
         """Queue one batch's deviations ``δ`` (Eq. 4) for the Eq. 5 running means.
 
-        An unregistered simulation id raises ``KeyError`` before anything
-        changes; the statistics change when the queue is folded.
+        The statistics change when the queue is folded.
         """
-        rows = [self._rows[sid] for sid in np.asarray(simulation_ids).tolist()]
-        start, stop = self._queued, self._queued + len(rows)
+        start, stop = self._queued, self._queued + len(simulation_ids)
         if stop > len(self._queue):  # more samples between two reads than one mapping holds
             self._queue = _grown(self._queue, (max(stop, 2 * len(self._queue)),))
         queued = self._queue[start:stop]
-        queued["row"], queued["timestep"], queued["deviation"] = rows, timesteps, deviations
+        queued["row"], queued["timestep"], queued["deviation"] = simulation_ids, timesteps, deviations
         self._queued = stop
 
     def _fold(self) -> None:
@@ -198,9 +166,12 @@ class LossDeviationTracker:
         A (simulation, time step) pair repeated in the queue updates its mean
         once per occurrence, in order; a row's new time steps take its free
         slots in the order the samples first show them; and a simulation's
-        update order is that of its last sample.
+        update order is that of its last sample.  The rows grow to the
+        largest queued simulation id first.
         """
         n, self._queued = self._queued, 0
+        if n:
+            self._ensure_rows(int(self._queue["row"][:n].max()) + 1)
         for start in range(0, n, _FOLD_SAMPLES):
             self._fold_samples(self._queue[start : min(start + _FOLD_SAMPLES, n)])
 
@@ -241,51 +212,48 @@ class LossDeviationTracker:
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
-        """Every row's statistics, rows in registration order, slots in first-seen order.
+        """Every observed simulation's statistics, in id order, slots in first-seen order.
 
-        Both orders are part of the bit-identical resume contract:
-        :meth:`window` feeds ``Q_j`` values into AMIS, and ``Q_j`` averages a
-        row's slot means in slot order.
+        The slot order is part of the bit-identical resume contract:
+        ``Q_j`` averages a row's slot means in slot order.
         """
-        self._fold()
-        counts = self._counts[: len(self._rows)]
+        observed = self._observed_rows()
+        used = np.count_nonzero(self._counts[observed], axis=1)
         return {
             "update_counter": self._update_counter,
             "n_observations": self._n_observations,
             "records": [
                 {
                     "simulation_id": sid,
-                    "parameters": self._parameters[row].copy(),
-                    "last_update_order": int(self._last_update[row]),
-                    "n_observations": int(counts[row].sum()),
-                    "timesteps": self._steps[row, :k].copy(),
-                    "means": self._means[row, :k].copy(),
-                    "counts": counts[row, :k].copy(),
+                    "last_update_order": int(self._last_update[sid]),
+                    "timesteps": self._steps[sid, :k].copy(),
+                    "means": self._means[sid, :k].copy(),
+                    "counts": self._counts[sid, :k].copy(),
                 }
-                for (sid, row), k in zip(self._rows.items(), np.count_nonzero(counts, axis=1).tolist())
+                for sid, k in zip(observed.tolist(), used.tolist())
             ],
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output.
+
+        Snapshots of schema 3 and older also list simulations never observed,
+        with each record's ``parameters`` and ``n_observations``; those rows
+        stay empty and those keys are ignored.
+        """
         self._clear()
         for payload in state["records"]:
-            row = self._add_row(int(payload["simulation_id"]), payload["parameters"])
-            k = len(payload["timesteps"])
+            sid, k = int(payload["simulation_id"]), len(payload["timesteps"])
+            self._ensure_rows(sid + 1)
             self._ensure_width(k)
-            self._steps[row, :k] = payload["timesteps"]
-            self._means[row, :k] = payload["means"]
-            self._counts[row, :k] = payload["counts"]
-            self._last_update[row] = int(payload["last_update_order"])
+            self._steps[sid, :k] = payload["timesteps"]
+            self._means[sid, :k] = payload["means"]
+            self._counts[sid, :k] = payload["counts"]
+            self._last_update[sid] = int(payload["last_update_order"])
         self._update_counter = int(state["update_counter"])
         self._n_observations = int(state["n_observations"])
 
     # -------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, simulation_id: int) -> bool:
-        return simulation_id in self._rows
-
     @property
     def n_observations(self) -> int:
         """Total number of per-sample observations ingested."""
@@ -294,35 +262,26 @@ class LossDeviationTracker:
 
     def q_value(self, simulation_id: int) -> float:
         self._fold()
-        row = self._rows.get(simulation_id)
-        if row is None or self._counts[row, 0] == 0:
+        if simulation_id >= len(self._last_update) or self._counts[simulation_id, 0] == 0:
             return 0.0
-        return float(self._q_values(np.array([row]))[0])
+        return float(self._q_values(np.array([simulation_id]))[0])
 
     def observed_ids(self) -> List[int]:
         """Simulation ids with at least one ingested observation."""
-        return self._ids[self._observed_rows()].tolist()
+        return self._observed_rows().tolist()
 
-    def window(self, size: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-        """Return the last ``size`` observed simulations by update recency.
+    def window(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The last ``size`` observed simulations by update recency, most recent first.
 
-        Returns
-        -------
-        locations:
-            Parameter vectors, shape ``(n, d)`` with ``n <= size``.
-        q_values:
-            Matching ``Q_j`` values, shape ``(n,)``.
-        ids:
-            Matching simulation ids.
+        Returns their ids and matching ``Q_j`` values, each of shape ``(n,)``
+        with ``n <= size``.
         """
         if size <= 0:
             raise ValueError("window size must be positive")
         observed = self._observed_rows()
-        if observed.size == 0:
-            return np.empty((0, 0)), np.empty((0,)), []
         selected = observed[np.argsort(-self._last_update[observed], kind="stable")[:size]]
-        return self._parameters[selected], self._q_values(selected), self._ids[selected].tolist()
+        return selected, self._q_values(selected)
 
     def all_q_values(self) -> Dict[int, float]:
         observed = self._observed_rows()
-        return dict(zip(self._ids[observed].tolist(), self._q_values(observed).tolist()))
+        return dict(zip(observed.tolist(), self._q_values(observed).tolist()))

@@ -11,6 +11,11 @@ The :class:`BreedController` is what the Melissa server owns.  Its job is to
 * push the new parameter vectors back through the launcher's
   ``update_parameters`` interface.
 
+The launcher is the one store of every simulation's parameters: the sampler
+reads them from :meth:`SteeringTarget.executed_parameters` at each
+resampling and keeps no copy, so an applied update needs no bookkeeping on
+the sampler's side.
+
 The controller is sampler-agnostic: with a :class:`~repro.breed.samplers.RandomSampler`
 it simply never triggers, reproducing the paper's baseline behaviour with the
 identical code path (so overhead comparisons are fair).
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +48,10 @@ class SteeringTarget(Protocol):
 
     def update_parameters(self, simulation_id: int, parameters: np.ndarray, source: str) -> None:
         """Replace the input parameters of a pending simulation."""
+        ...
+
+    def executed_parameters(self) -> Tuple[np.ndarray, List[str]]:
+        """Every simulation's current parameters (row ``j`` for id ``j``) and provenance."""
         ...
 
 
@@ -88,7 +97,8 @@ class BreedController:
             steerable = target.steerable_simulation_ids()
             if not steerable:
                 return None
-            decision = self.sampler.resample(len(steerable), iteration, self.rng)
+            parameters, _ = target.executed_parameters()
+            decision = self.sampler.resample(len(steerable), iteration, self.rng, parameters)
             if decision is None or len(decision) == 0:
                 return None
             n_applied = self._apply(decision, steerable, target)
@@ -109,14 +119,8 @@ class BreedController:
 
     def _apply(self, decision: ResampleDecision, steerable: List[int], target: SteeringTarget) -> int:
         n = min(len(decision), len(steerable))
-        for index in range(n):
-            sim_id = steerable[index]
-            params = decision.parameters[index]
-            target.update_parameters(sim_id, params, decision.sources[index])
-            # Keep the sampler's view of parameters consistent for future windows.
-            register = getattr(self.sampler, "register_parameters", None)
-            if register is not None:
-                register(sim_id, params)
+        for sim_id, params, source in zip(steerable[:n], decision.parameters, decision.sources):
+            target.update_parameters(sim_id, params, source)
         return n
 
     # ---------------------------------------------------------------- state

@@ -4,18 +4,19 @@ Both implement :class:`SteeringSampler`, the contract the Melissa server's
 steering mechanism talks to:
 
 * :meth:`SteeringSampler.initial_parameters` draws the initial budget
-  ``Λ_J`` (the paper samples it uniformly for both methods),
+  ``Λ_J`` (the paper samples it uniformly for both methods, so both inherit
+  the one uniform draw),
 * :meth:`SteeringSampler.observe_batch` ingests the per-sample loss
   deviations ``δ`` (Eq. 4) of each training batch (a no-op for Random),
 * :meth:`SteeringSampler.should_resample` implements the periodic trigger
   (every ``P`` NN iterations for Breed, never for Random),
 * :meth:`SteeringSampler.resample` produces replacement parameter vectors for
-  the not-yet-submitted simulations.
+  the not-yet-submitted simulations, given every simulation's current
+  parameters (the launcher's; a sampler keeps none of its own).
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -71,15 +72,15 @@ class ResampleDecision:
         return self.parameters.shape[0]
 
 
-class SteeringSampler(abc.ABC):
+class SteeringSampler:
     """Contract between the steering mechanism and a sampling strategy."""
 
     def __init__(self, bounds: ParameterBounds) -> None:
         self.bounds = bounds
 
-    @abc.abstractmethod
     def initial_parameters(self, n_simulations: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw the initial budget of parameter vectors ``Λ_J``."""
+        """Draw the initial budget of parameter vectors ``Λ_J``, uniformly over ``Λ``."""
+        return uniform_in_bounds(n_simulations, self.bounds, rng)
 
     def observe_batch(
         self, simulation_ids: Sequence[int], timesteps: Sequence[int], deviations: Sequence[float]
@@ -91,9 +92,13 @@ class SteeringSampler(abc.ABC):
         return False
 
     def resample(
-        self, n_pending: int, iteration: int, rng: np.random.Generator
+        self, n_pending: int, iteration: int, rng: np.random.Generator, parameters: np.ndarray
     ) -> Optional[ResampleDecision]:
-        """Produce replacement parameters for ``n_pending`` simulations."""
+        """Produce replacement parameters for ``n_pending`` simulations.
+
+        ``parameters`` holds every simulation's current parameter vector, row
+        ``j`` for simulation ``j``.
+        """
         return None
 
     # ---------------------------------------------------------------- state
@@ -111,9 +116,6 @@ class SteeringSampler(abc.ABC):
 
 class RandomSampler(SteeringSampler):
     """The paper's *Random* baseline: uniform steering, no adaptation."""
-
-    def initial_parameters(self, n_simulations: int, rng: np.random.Generator) -> np.ndarray:
-        return uniform_in_bounds(n_simulations, self.bounds, rng)
 
     @property
     def name(self) -> str:
@@ -190,45 +192,27 @@ class BreedSampler(SteeringSampler):
         self.mixing = self.config.mixing_schedule()
         #: resampling iteration counter ``s``
         self.resampling_count = 0
-        #: iteration of the last triggered resampling (-inf semantics via None)
-        self._last_trigger_iteration: Optional[int] = None
 
     # ------------------------------------------------------------ interface
-    def initial_parameters(self, n_simulations: int, rng: np.random.Generator) -> np.ndarray:
-        params = uniform_in_bounds(n_simulations, self.bounds, rng)
-        for sim_id, vector in enumerate(params):
-            self.tracker.register_parameters(sim_id, vector)
-        return params
-
-    def register_parameters(self, simulation_id: int, parameters: np.ndarray) -> None:
-        """Keep the tracker's parameter mapping in sync after a steering update."""
-        self.tracker.reassign_parameters(simulation_id, parameters)
-
     def observe_batch(
         self, simulation_ids: Sequence[int], timesteps: Sequence[int], deviations: Sequence[float]
     ) -> None:
         self.tracker.observe_batch(simulation_ids, timesteps, deviations)
 
     def should_resample(self, iteration: int) -> bool:
-        if iteration <= 0 or iteration % self.config.period != 0:
-            return False
-        # Guard against multiple triggers within the same iteration.
-        if self._last_trigger_iteration == iteration:
-            return False
-        # Need at least one observed simulation to build a proposal; tested
-        # last, because it walks every record.
-        return len(self.tracker.observed_ids()) > 0
+        # Needs at least one observation to build a proposal; tested last,
+        # because it folds the tracker's queue.
+        return iteration > 0 and iteration % self.config.period == 0 and self.tracker.n_observations > 0
 
     def resample(
-        self, n_pending: int, iteration: int, rng: np.random.Generator
+        self, n_pending: int, iteration: int, rng: np.random.Generator, parameters: np.ndarray
     ) -> Optional[ResampleDecision]:
         if n_pending <= 0:
             return None
-        self._last_trigger_iteration = iteration
-        locations, q_values, _ids = self.tracker.window(self.config.window)
+        ids, q_values = self.tracker.window(self.config.window)
         concentrate = self.mixing.concentrate_probability(self.resampling_count)
         result = self.amis.propose(
-            locations=locations,
+            locations=parameters[ids],
             q_values=q_values,
             n_samples=n_pending,
             concentrate_probability=concentrate,
@@ -255,22 +239,18 @@ class BreedSampler(SteeringSampler):
         What each decision applied is kept by the launcher's records and the
         controller's steering records.
         """
-        return {
-            "resampling_count": self.resampling_count,
-            "last_trigger_iteration": self._last_trigger_iteration,
-            "tracker": self.tracker.state_dict(),
-        }
+        return {"resampling_count": self.resampling_count, "tracker": self.tracker.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output.
 
         Older snapshots also carry ``"trigger": None`` (the state of a
-        resampling-trigger option no session ever set) and ``"decisions"``
-        (a list of past decisions no code read); both are ignored.
+        resampling-trigger option no session ever set), ``"decisions"`` (a
+        list of past decisions no code read) and ``"last_trigger_iteration"``
+        (a same-iteration trigger guard that never fired: the server steers
+        once per iteration); all three are ignored.
         """
         self.resampling_count = int(state["resampling_count"])
-        last = state["last_trigger_iteration"]
-        self._last_trigger_iteration = None if last is None else int(last)
         self.tracker.load_state_dict(state["tracker"])
 
     @property

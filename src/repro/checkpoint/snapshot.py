@@ -20,7 +20,7 @@ arbitrary-precision integers, which JSON also preserves exactly.  Restores are
 therefore *bit-identical*: a run killed at any batch and restored from its
 latest snapshot produces the same metrics and series as an uninterrupted run.
 
-Archive layout (schemas 2 and 3).  A state tree holds thousands of small
+Archive layout (schemas 2 to 4).  A state tree holds thousands of small
 arrays (the Breed tracker's per-simulation records, the launcher's ledger) and
 a handful of large ones (reservoir rows, weights, Adam moments, pending payloads).
 Every array of rank ≤ 1 is packed into one contiguous *pool* per dtype,
@@ -35,9 +35,18 @@ Schema-1 snapshots stored every array as its own member; their
 placeholders are all of the second kind, so they load unchanged.  The
 manifest is written compact.
 
-Schema versions.  Schema 3 keeps each value of the state tree once, with its
-owner.  Schema-2 trees also carry copies, which the loaders ignore: the
-server's ``n_samples_received`` (the reservoir's count) and
+Schema versions.  Schema 4 keeps each fact of the state tree once, with its
+owner, and nothing derivable from it.  Schema-3 trees also carry, and the
+loaders ignore: Breed's tracker records of simulations never observed, and
+each tracker record's ``parameters`` (the launcher record's) and
+``n_observations`` (the sum of its counts); the sampler's
+``last_trigger_iteration``; each client's ``simulation_id``, ``parameters``
+(the launcher record's) and ``next_timestep`` (its ``n_produced``); and the
+launcher's ``highest_submitted_id`` (``next_to_submit − 1``),
+``factory_created`` (the start order the scheduler jobs' ticks give) and
+each record's ``n_updates`` (its history's length).  Schema-2 trees carry
+all of that and more copies, also ignored: the server's
+``n_samples_received`` (the reservoir's count) and
 ``uniform_flag_ids``/``uniform_flag_values`` (the launcher records'
 sources), the Breed sampler's ``decisions`` (what the launcher and the
 steering records keep), the session's ``pending_parameters`` (the pending
@@ -100,9 +109,9 @@ __all__ = [
 _LOGGER = get_logger("checkpoint")
 
 #: bump when the manifest layout or any component state_dict changes shape
-SCHEMA_VERSION = 3
-#: schema 2 adds copies the loaders ignore, schema 1 its own archive layout
-_READABLE_SCHEMAS = (1, 2, 3)
+SCHEMA_VERSION = 4
+#: schemas 3 and 2 add copies the loaders ignore, schema 1 its own archive layout
+_READABLE_SCHEMAS = (1, 2, 3, 4)
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"

@@ -30,7 +30,9 @@ class SolverClient:
     With ``workers`` the trajectory is computed by a solver worker process,
     dispatched at :meth:`start` and read ahead into shared memory;
     :meth:`produce` then only copies rows out, in the order and with the bits
-    the solver's own iterator gives.
+    the solver's own iterator gives.  ``parameters`` is the launcher record's
+    array, held, not copied: only a pending simulation's parameters change,
+    and a pending simulation has no client.
     """
 
     def __init__(
@@ -41,7 +43,7 @@ class SolverClient:
         workers: Optional["SolverWorkers"] = None,
     ) -> None:
         self.simulation_id = simulation_id
-        self.parameters = np.asarray(parameters, dtype=np.float64).copy()
+        self.parameters = parameters
         self.solver = solver
         self.workers = workers
         #: the open trajectory: the solver's iterator inline, a ring stream on a worker
@@ -105,13 +107,7 @@ class SolverClient:
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
         """Trajectory progress of this client (solver state is re-derived)."""
-        return {
-            "simulation_id": self.simulation_id,
-            "parameters": self.parameters.copy(),
-            "next_timestep": self.n_produced,
-            "n_produced": self.n_produced,
-            "finished": self.finished,
-        }
+        return {"n_produced": self.n_produced, "finished": self.finished}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore progress by fast-forwarding the deterministic solver.
@@ -121,18 +117,10 @@ class SolverClient:
         fresh client into the bit-identical mid-trajectory state the snapshot
         captured, without persisting solution fields.  With solver workers the
         trajectory is re-dispatched and the worker does the discarding.
+        Snapshots of schema 3 and older also carry the client's
+        ``simulation_id``, a copy of its ``parameters`` and ``next_timestep``
+        (always ``n_produced``); they are ignored.
         """
-        if int(state["simulation_id"]) != self.simulation_id:
-            raise ValueError(
-                f"client state is for simulation {state['simulation_id']}, "
-                f"this client is {self.simulation_id}"
-            )
-        if int(state["next_timestep"]) != int(state["n_produced"]):
-            raise ValueError(
-                f"client state of simulation {self.simulation_id} is inconsistent: "
-                f"next_timestep={state['next_timestep']}, n_produced={state['n_produced']}"
-            )
-        self.parameters = np.asarray(state["parameters"], dtype=np.float64).copy()
         self.finished = bool(state["finished"])
         self.n_produced = int(state["n_produced"])
         self.close()

@@ -21,9 +21,10 @@ Responsibilities reproduced from the paper (Section 2.2, 3.3 and Appendix A):
   the Figure 4 analysis and the Figure 6 ``uniform`` column).
 
 A record is the only store of its simulation's parameters and provenance:
-the session reads a pending block's parameters from it, and the server each
-training sample's provenance.  Both are fixed once the simulation starts, as
-only pending simulations are steered.
+the session reads a pending block's parameters from it, the server each
+training sample's provenance, Breed's AMIS window its locations, and a
+started simulation's client holds the record's array itself.  Both are fixed
+once the simulation starts, as only pending simulations are steered.
 """
 
 from __future__ import annotations
@@ -247,12 +248,12 @@ class Launcher:
 
         ``"scheduler"`` lists every submitted simulation's job ticks in
         submission order; ``"launcher"`` every record, with running clients'
-        progress, and the clients' start order as ``factory_created``.
+        progress.  Nothing derived from these is written: schema 3 and older
+        also wrote ``highest_submitted_id`` (``next_to_submit − 1``), the
+        clients' start order ``factory_created`` (the jobs' ticks give it)
+        and each record's ``n_updates`` (its history's length), which the
+        loader ignores.
         """
-        started = sorted(
-            (rec for rec in self._submitted() if rec.started_tick is not None),
-            key=lambda rec: (rec.started_tick, rec.eligible_tick, rec.simulation_id),
-        )
         return {
             "scheduler": {
                 "tick": self.tick,
@@ -271,16 +272,13 @@ class Launcher:
                 ],
             },
             "launcher": {
-                "highest_submitted_id": self.highest_submitted_id,
                 "next_to_submit": self.next_to_submit,
-                "factory_created": [rec.simulation_id for rec in started],
                 "records": [
                     {
                         "simulation_id": rec.simulation_id,
                         "parameters": rec.parameters.copy(),
                         "source": rec.source,
                         "state": rec.state.value,
-                        "n_updates": rec.n_updates,
                         "history": list(rec.history),
                         "client": None if rec.client is None else rec.client.state_dict(),
                     }
@@ -298,12 +296,6 @@ class Launcher:
             raise ValueError(
                 f"scheduler job_limit mismatch: state has {scheduler['job_limit']}, "
                 f"launcher has {self.job_limit}"
-            )
-        next_to_submit = int(launcher["next_to_submit"])
-        if int(launcher["highest_submitted_id"]) != next_to_submit - 1:
-            raise ValueError(
-                f"launcher state is inconsistent: highest_submitted_id="
-                f"{launcher['highest_submitted_id']}, next_to_submit={next_to_submit}"
             )
         jobs = {int(job["job_id"]): job for job in scheduler["jobs"]}
         for record in self.records.values():
@@ -336,7 +328,7 @@ class Launcher:
         self.records = records
         self.tick = int(scheduler["tick"])
         self.max_start_delay = int(scheduler["max_start_delay"])
-        self.next_to_submit = next_to_submit
+        self.next_to_submit = int(launcher["next_to_submit"])
 
     # -------------------------------------------------------------- analysis
     def from_uniform(self, simulation_ids: np.ndarray) -> List[bool]:

@@ -21,6 +21,7 @@ from repro.api.session import OnlineTrainingResult, TrainingSession
 from repro.breed.samplers import BreedConfig
 from repro.checkpoint import restore_session, save_session
 from repro.api import OnlineTrainingConfig
+from repro.melissa.launcher import Launcher, SimulationState
 from repro.melissa.workers import MIN_TRAJECTORY_FLOATS, SolverWorkerError, SolverWorkers
 from repro.solvers.heat2d import Heat2DConfig
 from repro.surrogate.validation import _sum_share, validation_loss
@@ -149,6 +150,29 @@ def test_pooled_run_equals_inline_run(workload, overrides, method, cpus, dispatc
         assert pooled.steering_records  # the comparison covers steered parameters
     assert np.array_equal(pooled_session.validation_set.inputs, inline_session.validation_set.inputs)
     assert np.array_equal(pooled_session.validation_set.targets, inline_session.validation_set.targets)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["inline", "pooled"])
+def test_steering_touches_only_simulations_never_observed(n_cpus, cpus, monkeypatch):
+    """Every steered simulation is pending and has no tracker statistics yet:
+    the tracker can leave a simulation's parameters to the launcher and
+    never has statistics to discard when they change."""
+    config = make_config("heat1d", "breed", n_simulations=32, timesteps_per_tick=32, max_iterations=60)
+    session = session_on(cpus, n_cpus, config)
+    steered = []
+    update = Launcher.update_parameters
+
+    def checked(launcher, simulation_id, parameters, source):
+        assert launcher.records[simulation_id].state is SimulationState.PENDING
+        assert simulation_id not in session.sampler.tracker.observed_ids()
+        steered.append(simulation_id)
+        update(launcher, simulation_id, parameters, source)
+
+    monkeypatch.setattr(Launcher, "update_parameters", checked)
+    result = session.run()
+    assert steered == [sim_id for record in result.steering_records for sim_id in record.simulation_ids]
+    # steered simulations went on to run and be trained on, under their new parameters
+    assert set(steered) & set(session.sampler.tracker.observed_ids())
 
 
 @pytest.mark.parametrize(

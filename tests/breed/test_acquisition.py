@@ -20,13 +20,6 @@ def observe_losses(tracker, simulation_ids, timesteps, losses):
     tracker.observe_batch(simulation_ids, timesteps, deviations)
 
 
-def registered(*simulation_ids, dim=2):
-    tracker = LossDeviationTracker()
-    for sim_id in simulation_ids:
-        tracker.register_parameters(sim_id, np.full(dim, sim_id, dtype=float))
-    return tracker
-
-
 class TestLossDeviations:
     def test_deviation_positive_part(self):
         # μ = 1, σ = 0.5: δ = (1.5 − 1) / 0.5 for the top sample, 0 below the mean
@@ -54,38 +47,25 @@ class TestLossDeviations:
 
 
 class TestLossDeviationTracker:
-    def test_register_and_contains(self):
-        tracker = LossDeviationTracker()
-        tracker.register_parameters(3, np.array([1.0, 2.0]))
-        assert 3 in tracker
-        assert 4 not in tracker
-        assert len(tracker) == 1
-
-    def test_observe_unknown_simulation_raises(self):
-        tracker = registered(0)
-        with pytest.raises(KeyError, match="9"):
-            tracker.observe_batch([0, 9], [0, 0], [1.0, 1.0])
-        assert tracker.n_observations == 0
-
     def test_q_value_single_observation(self):
-        tracker = registered(0)
+        tracker = LossDeviationTracker()
         tracker.observe_batch([0], [0], [2.0])
         assert tracker.q_value(0) == 2.0
 
     def test_q_value_averages_across_timesteps(self):
-        tracker = registered(0)
+        tracker = LossDeviationTracker()
         tracker.observe_batch([0, 0], [0, 1], [2.0, 0.0])
         assert tracker.q_value(0) == 1.0
 
     def test_q_value_averages_across_repeated_batches(self):
-        tracker = registered(0)
+        tracker = LossDeviationTracker()
         tracker.observe_batch([0], [0], [2.0])
         tracker.observe_batch([0], [0], [1.0])
         assert tracker.q_value(0) == 1.5
 
     def test_repeated_pair_in_one_batch_is_one_mean(self):
         # Eq. 5 averages every occurrence; Eq. 6 then sees one time step, not two
-        tracker = registered(0)
+        tracker = LossDeviationTracker()
         tracker.observe_batch([0, 0, 0], [4, 4, 7], [2.0, 1.0, 0.0])
         assert tracker.q_value(0) == 0.75
         record = tracker.state_dict()["records"][0]
@@ -95,76 +75,70 @@ class TestLossDeviationTracker:
     def test_q_value_unknown_simulation_is_zero(self):
         assert LossDeviationTracker().q_value(42) == 0.0
 
+    def test_rows_are_simulation_ids_and_grow_to_the_largest_one(self):
+        tracker = LossDeviationTracker()
+        tracker.observe_batch([40, 3], [0, 0], [1.0, 0.5])
+        assert tracker.observed_ids() == [3, 40]
+        assert (tracker.q_value(40), tracker.q_value(39), tracker.q_value(1000)) == (1.0, 0.0, 0.0)
+        # only observed rows are written, and no parameters: the caller owns them
+        records = tracker.state_dict()["records"]
+        assert [record["simulation_id"] for record in records] == [3, 40]
+        assert set(records[0]) == {"simulation_id", "last_update_order", "timesteps", "means", "counts"}
+
     def test_observe_batch_counts_observations(self):
-        tracker = registered(0, 1, 2)
+        tracker = LossDeviationTracker()
         observe_losses(tracker, [0, 1, 2], [0, 0, 0], [1.0, 2.0, 3.0])
         assert len(tracker.observed_ids()) == 3
         assert tracker.n_observations == 3
 
     def test_observe_empty_batch(self):
-        tracker = registered(0)
+        tracker = LossDeviationTracker()
         tracker.observe_batch([], [], [])
         assert tracker.n_observations == 0 and tracker.observed_ids() == []
 
     def test_only_above_mean_samples_have_positive_q(self):
-        tracker = registered(0, 1)
+        tracker = LossDeviationTracker()
         observe_losses(tracker, [0, 1], [0, 0], [0.1, 0.9])
         assert tracker.q_value(0) == 0.0
         assert tracker.q_value(1) > 0.0
 
-    def test_reassign_discards_the_old_statistics(self):
-        tracker = registered(0, 1)
-        tracker.observe_batch([0, 1, 1], [0, 0, 1], [1.0, 2.0, 3.0])
-        tracker.reassign_parameters(1, np.array([9.0, 9.0]))
-        assert tracker.n_observations == 1
-        assert tracker.observed_ids() == [0]
-        assert tracker.q_value(1) == 0.0
-        tracker.reassign_parameters(5, np.array([5.0, 5.0]))
-        assert 5 in tracker and len(tracker) == 3
-
     def test_window_ordering_by_recency(self):
-        tracker = registered(*range(5))
+        tracker = LossDeviationTracker()
         for sim_id in range(5):
             tracker.observe_batch([sim_id], [0], [1.0])
-        locations, q_values, ids = tracker.window(3)
-        assert ids == [4, 3, 2]          # most recently updated first
-        assert locations.shape == (3, 2)
-        np.testing.assert_array_equal(locations[:, 0], [4.0, 3.0, 2.0])
+        ids, q_values = tracker.window(3)
+        assert ids.tolist() == [4, 3, 2]          # most recently updated first
         assert q_values.shape == (3,)
 
     def test_window_recency_is_a_simulations_last_sample_in_the_batch(self):
-        tracker = registered(0, 1, 2)
+        tracker = LossDeviationTracker()
         tracker.observe_batch([0, 1, 2, 0], [0, 0, 0, 1], [1.0, 1.0, 1.0, 1.0])
-        assert tracker.window(3)[2] == [0, 2, 1]
+        assert tracker.window(3)[0].tolist() == [0, 2, 1]
 
     def test_window_smaller_population(self):
-        tracker = registered(0)
+        tracker = LossDeviationTracker()
         tracker.observe_batch([0], [0], [1.0])
-        locations, q_values, ids = tracker.window(10)
-        assert len(ids) == 1
+        ids, q_values = tracker.window(10)
+        assert ids.tolist() == [0] and q_values.tolist() == [1.0]
 
     def test_window_empty(self):
-        locations, q_values, ids = LossDeviationTracker().window(5)
-        assert ids == [] and locations.size == 0 and q_values.size == 0
+        ids, q_values = LossDeviationTracker().window(5)
+        assert ids.size == 0 and q_values.size == 0
+        # the caller's locations, parameters[ids], are an empty (0, d) window
+        assert np.zeros((4, 2))[ids].shape == (0, 2)
 
     def test_window_invalid_size(self):
         with pytest.raises(ValueError):
             LossDeviationTracker().window(0)
 
-    def test_registered_but_unobserved_excluded_from_window(self):
-        tracker = registered(0, 1)
-        tracker.observe_batch([1], [0], [1.0])
-        _, _, ids = tracker.window(10)
-        assert ids == [1]
-
     def test_all_q_values(self):
-        tracker = registered(0, 1)
+        tracker = LossDeviationTracker()
         observe_losses(tracker, [0, 1], [0, 0], [0.2, 0.8])
         q = tracker.all_q_values()
         assert set(q) == {0, 1}
 
     def test_many_rows_and_time_steps_grow_the_columns(self):
-        tracker = registered(*range(40))
+        tracker = LossDeviationTracker()
         ids = np.repeat(np.arange(40), 30)
         timesteps = np.tile(np.arange(30), 40)
         tracker.observe_batch(ids, timesteps, np.ones(ids.size))
@@ -175,14 +149,14 @@ class TestLossDeviationTracker:
     @given(loss_lists)
     @settings(max_examples=40, deadline=None)
     def test_property_q_values_non_negative(self, losses):
-        tracker = registered(*range(len(losses)), dim=1)
+        tracker = LossDeviationTracker()
         observe_losses(tracker, list(range(len(losses))), [0] * len(losses), losses)
         assert all(q >= 0.0 for q in tracker.all_q_values().values())
 
     @given(loss_lists)
     @settings(max_examples=40, deadline=None)
     def test_property_below_mean_samples_have_zero_q(self, losses):
-        tracker = registered(*range(len(losses)), dim=1)
+        tracker = LossDeviationTracker()
         arr = np.array(losses)
         observe_losses(tracker, list(range(len(losses))), [0] * len(losses), losses)
         for sim_id, loss in enumerate(arr):

@@ -130,7 +130,7 @@ def steer(seed: int) -> Dict[str, float]:
                 deviations.extend((losses[corner[order]] - mean) / std)
             timesteps = rng.integers(0, N_TIMESTEPS, WAVE)
             sampler.observe_batch(wave[order], timesteps, delta)
-        decision = sampler.resample(DRAWS, iteration, rng)
+        decision = sampler.resample(DRAWS, iteration, rng, parameters)
         hits = in_corner(decision.parameters)
         if not bump:
             tally["flat_hits"] += int(hits.sum())

@@ -15,20 +15,26 @@ from repro.breed.samplers import (
     ResampleDecision,
 )
 from repro.sampling.bounds import HEAT2D_BOUNDS
+from repro.sampling.uniform import uniform_in_bounds
 
 
 class FakeLauncher:
     """Minimal SteeringTarget double recording applied updates."""
 
-    def __init__(self, steerable):
+    def __init__(self, steerable, n_simulations=30):
         self.steerable = list(steerable)
         self.updates = {}
+        self.parameters = uniform_in_bounds(n_simulations, HEAT2D_BOUNDS, np.random.default_rng(7))
 
     def steerable_simulation_ids(self):
         return list(self.steerable)
 
     def update_parameters(self, simulation_id, parameters, source):
         self.updates[simulation_id] = (np.asarray(parameters), source)
+        self.parameters[simulation_id] = parameters
+
+    def executed_parameters(self):
+        return self.parameters.copy(), ["initial_uniform"] * len(self.parameters)
 
 
 def feed_losses(sampler, n_sims=10):
@@ -48,7 +54,7 @@ class TestRandomSampler:
     def test_never_resamples(self, rng):
         sampler = RandomSampler(HEAT2D_BOUNDS)
         assert not sampler.should_resample(100)
-        assert sampler.resample(5, 100, rng) is None
+        assert sampler.resample(5, 100, rng, sampler.initial_parameters(10, rng)) is None
 
     def test_name(self):
         assert RandomSampler(HEAT2D_BOUNDS).name == "Random"
@@ -78,10 +84,10 @@ class TestBreedSampler:
     def sampler(self):
         return BreedSampler(HEAT2D_BOUNDS, BreedConfig(sigma=20.0, period=10, window=50))
 
-    def test_initial_parameters_registered(self, sampler, rng):
+    def test_initial_parameters_only_draw(self, sampler, rng):
         params = sampler.initial_parameters(20, rng)
-        assert params.shape == (20, 5)
-        assert all(sid in sampler.tracker for sid in range(20))
+        assert params.shape == (20, 5) and HEAT2D_BOUNDS.contains_all(params)
+        assert sampler.tracker.state_dict()["records"] == []
 
     def test_should_resample_periodicity(self, sampler, rng):
         sampler.initial_parameters(20, rng)
@@ -96,22 +102,20 @@ class TestBreedSampler:
         sampler.initial_parameters(20, rng)
         assert not sampler.should_resample(10)
 
-    def test_observed_records_are_walked_only_at_a_period_boundary(self, sampler, rng, monkeypatch):
+    def test_the_queue_is_folded_only_at_a_period_boundary(self, sampler, rng, monkeypatch):
         sampler.initial_parameters(20, rng)
         feed_losses(sampler)
-        walks = []
-        observed_ids = sampler.tracker.observed_ids
-        monkeypatch.setattr(
-            sampler.tracker, "observed_ids", lambda: walks.append(1) or observed_ids()
-        )
+        folds = []
+        fold = sampler.tracker._fold
+        monkeypatch.setattr(sampler.tracker, "_fold", lambda: folds.append(1) or fold())
         decisions = [sampler.should_resample(iteration) for iteration in range(1, 61)]
-        assert len(walks) == 60 // sampler.config.period
+        assert len(folds) == 60 // sampler.config.period
         assert [i + 1 for i, fire in enumerate(decisions) if fire] == [10, 20, 30, 40, 50, 60]
 
     def test_resample_returns_decision(self, sampler, rng):
-        sampler.initial_parameters(20, rng)
+        params = sampler.initial_parameters(20, rng)
         feed_losses(sampler)
-        decision = sampler.resample(7, iteration=10, rng=rng)
+        decision = sampler.resample(7, iteration=10, rng=rng, parameters=params)
         assert isinstance(decision, ResampleDecision)
         assert len(decision) == 7
         assert HEAT2D_BOUNDS.contains_all(decision.parameters)
@@ -119,31 +123,35 @@ class TestBreedSampler:
         assert decision.resampling_index == 0
         assert sampler.resampling_count == 1
 
-    def test_double_trigger_guard_same_iteration(self, sampler, rng):
-        sampler.initial_parameters(20, rng)
+    def test_window_locations_are_the_callers_parameter_rows(self, sampler, rng, monkeypatch):
+        params = sampler.initial_parameters(20, rng)
         feed_losses(sampler)
-        assert sampler.should_resample(10)
-        sampler.resample(5, 10, rng)
-        assert not sampler.should_resample(10)
-        feed_losses(sampler)
-        assert sampler.should_resample(20)
+        seen = {}
+        propose = sampler.amis.propose
+        monkeypatch.setattr(
+            sampler.amis, "propose", lambda **kwargs: seen.update(kwargs) or propose(**kwargs)
+        )
+        sampler.resample(5, 10, rng, params)
+        ids, q_values = sampler.tracker.window(sampler.config.window)
+        assert np.array_equal(seen["locations"], params[ids])
+        assert np.array_equal(seen["q_values"], q_values)
 
     def test_resample_zero_pending_returns_none(self, sampler, rng):
-        sampler.initial_parameters(20, rng)
+        params = sampler.initial_parameters(20, rng)
         feed_losses(sampler)
-        assert sampler.resample(0, 10, rng) is None
+        assert sampler.resample(0, 10, rng, params) is None
 
     def test_mixing_ratio_progresses(self, rng):
         sampler = BreedSampler(
             HEAT2D_BOUNDS, BreedConfig(period=5, window=50, r_start=0.0, r_end=1.0, r_breakpoint=2)
         )
-        sampler.initial_parameters(20, rng)
+        params = sampler.initial_parameters(20, rng)
         feed_losses(sampler)
-        first = sampler.resample(200, 5, rng)
+        first = sampler.resample(200, 5, rng, params)
         feed_losses(sampler)
-        second = sampler.resample(200, 10, rng)
+        second = sampler.resample(200, 10, rng, params)
         feed_losses(sampler)
-        third = sampler.resample(200, 15, rng)
+        third = sampler.resample(200, 15, rng, params)
         # r grows 0 -> 0.5 -> 1, so the uniform fraction must drop.
         frac = [
             sum(1 for s in d.sources if s == ParameterSource.MIX_UNIFORM) / len(d)
@@ -265,11 +273,20 @@ class TestBreedController:
             assert controller.maybe_steer(iteration, launcher) is None
         assert launcher.updates == {}
 
-    def test_tracker_parameters_updated_after_steer(self):
+    def test_a_steering_reads_the_launchers_current_parameters(self, monkeypatch):
         controller, sampler = self._controller()
         feed_losses(sampler)
-        launcher = FakeLauncher(steerable=[28])
+        launcher = FakeLauncher(steerable=[28, 29])
         controller.maybe_steer(10, launcher)
-        applied, _ = launcher.updates[28]
-        records = {r["simulation_id"]: r for r in sampler.tracker.state_dict()["records"]}
-        np.testing.assert_array_equal(records[28]["parameters"], applied)
+        first = {sim_id: params.copy() for sim_id, (params, _) in launcher.updates.items()}
+        passed = []
+        resample = sampler.resample
+        monkeypatch.setattr(
+            sampler, "resample", lambda *args: passed.append(args[3].copy()) or resample(*args)
+        )
+        feed_losses(sampler)
+        controller.maybe_steer(20, launcher)
+        # the second steering's window reads the rows the first one applied
+        assert set(first) == {28, 29} and len(passed) == 1
+        for sim_id, params in first.items():
+            assert np.array_equal(passed[0][sim_id], params)

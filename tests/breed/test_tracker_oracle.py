@@ -1,23 +1,30 @@
 """Exact-equality oracle for Breed's column tracker.
 
 :class:`repro.breed.acquisition.LossDeviationTracker` keeps Eqs. 4–6 as
-columns: one row per simulation, one slot per time step in first-seen order,
-and :func:`~repro.breed.acquisition.loss_deviations` computing Eq. 4 once per
-batch.  It replaced a tracker that built one ``SampleLossObservation`` per
-sample and updated a dict of ``OnlineMean`` objects.  Those classes are copied
-below, verbatim, as the reference.
+columns: row ``j`` for simulation ``j``, one slot per time step in first-seen
+order, and :func:`~repro.breed.acquisition.loss_deviations` computing Eq. 4
+once per batch.  It replaced a tracker that built one ``SampleLossObservation``
+per sample, updated a dict of ``OnlineMean`` objects and kept a parameter
+vector per simulation.  Those classes are copied below, verbatim, as the
+reference.
 
 Hypothesis drives the reference and the columns through the same batches:
 random simulation ids (repeated within a batch), time steps (repeated
 (simulation, time step) pairs within a batch), losses with ties and
-zero-spread batches, and parameter reassignments between batches.  The
-columns only queue a batch; the first read folds every queued batch at once.
-So the views — ``q_value``, ``window``, ``all_q_values``, ``observed_ids``,
-``n_observations`` and the ``state_dict`` — are read at random intervals of 0
-to 20 batches, and must then be equal bit for bit.  Reassignments come now
-and then, between reads, and so fold several queued batches themselves.  Part
-way through, again with batches queued, a state written by each side is
-loaded into the other, and the loaded copies must go on identically too.
+zero-spread batches, and parameter reassignments between batches.  A
+reassignment only ever touches a simulation never observed (steering only
+replaces pending simulations), so the columns see none of it: the caller's
+parameter rows change, and the reference's copy.  The columns only queue a
+batch; the first read folds every queued batch at once.  So the views —
+``q_value``, ``window`` (its ids, ``Q_j`` values and locations, the caller's
+``parameters[ids]`` on the columns' side), ``all_q_values``,
+``observed_ids``, ``n_observations`` and the ``state_dict`` (the reference's
+without never-observed records and the per-record parameters and counts the
+columns do not write) — are read at random intervals of 0 to 20 batches,
+and must then be equal bit for bit.  Part way through, again with batches
+queued, a state written by each side is loaded into the other (the
+reference's with those fields re-derived), and the loaded copies must go on
+identically too.
 """
 
 from __future__ import annotations
@@ -310,17 +317,73 @@ def assert_same(a, b, path: str = "state") -> None:
         assert type(a) is type(b) and a == b, (path, a, b)
 
 
-def views(tracker, ids: List[int]) -> dict:
-    """Everything a caller can read off a tracker."""
+#: the keys of a record the columns write, in their order
+COLUMN_RECORD_KEYS = ("simulation_id", "last_update_order", "timesteps", "means", "counts")
+
+
+def reference_views(tracker: LossDeviationTracker, ids: List[int], parameters: np.ndarray) -> dict:
+    """Everything a caller can read off the reference, as the columns give it."""
+    windows = []
+    for size in (1, 3, 1000):
+        locations, q_values, window_ids = tracker.window(size)
+        windows.append((window_ids, locations if window_ids else parameters[:0], q_values))
+    state = tracker.state_dict()
+    state["records"] = [
+        {key: record[key] for key in COLUMN_RECORD_KEYS}
+        for record in state["records"]
+        if record["n_observations"] > 0
+    ]
     return {
         "q_value": [tracker.q_value(sid) for sid in ids],
-        "window": [tracker.window(size) for size in (1, 3, 1000)],
+        "window": windows,
         "all_q_values": tracker.all_q_values(),
         "observed_ids": tracker.observed_ids(),
         "n_observations": tracker.n_observations,
-        "len": len(tracker),
+        "state": state,
+    }
+
+
+def column_views(tracker: columns.LossDeviationTracker, ids: List[int], parameters: np.ndarray) -> dict:
+    """Everything a caller can read off the columns; locations are ``parameters[ids]``."""
+    windows = []
+    for size in (1, 3, 1000):
+        window_ids, q_values = tracker.window(size)
+        windows.append((window_ids.tolist(), parameters[window_ids], q_values))
+    return {
+        "q_value": [tracker.q_value(sid) for sid in ids],
+        "window": windows,
+        "all_q_values": tracker.all_q_values(),
+        "observed_ids": tracker.observed_ids(),
+        "n_observations": tracker.n_observations,
         "state": tracker.state_dict(),
     }
+
+
+def as_reference_state(state: dict, registered: List[int], parameters: np.ndarray) -> dict:
+    """A columns state with what the reference also keeps re-derived: a record
+    for every registered id, its parameter row and its observation count."""
+    records = {record["simulation_id"]: record for record in state["records"]}
+    empty = {
+        "last_update_order": -1,
+        "timesteps": np.zeros(0, dtype=np.int64),
+        "means": np.zeros(0),
+        "counts": np.zeros(0, dtype=np.int64),
+    }
+    rebuilt = []
+    for sid in registered:
+        record = records.get(sid, empty)
+        rebuilt.append(
+            {
+                "simulation_id": sid,
+                "parameters": parameters[sid].copy(),
+                "last_update_order": record["last_update_order"],
+                "n_observations": int(record["counts"].sum()),
+                "timesteps": record["timesteps"],
+                "means": record["means"],
+                "counts": record["counts"],
+            }
+        )
+    return {**state, "records": rebuilt}
 
 
 def losses_for(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -353,20 +416,24 @@ def test_columns_equal_the_per_sample_reference(
 
 def drive(n_simulations, n_timesteps, dim, n_batches, swap_at, seed):
     rng = np.random.default_rng(seed)
-    ids = list(range(n_simulations))
+    ids = list(range(n_simulations + 2))  # the last two are only ever reassigned
+    #: the caller's parameters, row j for simulation j: the launcher's, in a session
+    parameters = rng.random((n_simulations + 2, dim))
     # (tracker, reference?) — every side sees the same batches
     sides = [(LossDeviationTracker(), True), (columns.LossDeviationTracker(), False)]
-    for sid, vector in zip(ids, rng.random((n_simulations, dim))):
-        for tracker, _ in sides:
-            tracker.register_parameters(sid, vector)
+    for sid in range(n_simulations):
+        sides[0][0].register_parameters(sid, parameters[sid])
 
     next_read = int(rng.integers(0, 21))
     for index in range(n_batches):
         if index == swap_at:
             # a state written on either side loads into the other and goes on identically
+            reference = sides[0][0]
             into_columns, into_reference = columns.LossDeviationTracker(), LossDeviationTracker()
-            into_columns.load_state_dict(sides[0][0].state_dict())
-            into_reference.load_state_dict(sides[1][0].state_dict())
+            into_columns.load_state_dict(reference.state_dict())
+            into_reference.load_state_dict(
+                as_reference_state(sides[1][0].state_dict(), list(reference._records), parameters)
+            )
             sides += [(into_columns, False), (into_reference, True)]
 
         size = int(rng.integers(1, 17))
@@ -381,25 +448,20 @@ def drive(n_simulations, n_timesteps, dim, n_batches, swap_at, seed):
                 tracker.observe_batch(batch_ids, timesteps, deviations)
 
         for _ in range(int(rng.integers(0, 3)) if rng.random() < 0.2 else 0):
-            # a steered simulation, or one the tracker has not seen yet
+            # a steered simulation: one never observed, registered or not
+            observed = set(sides[0][0].observed_ids())
             sid = int(rng.integers(0, n_simulations + 2))
-            vector = rng.random(dim)
-            for tracker, _ in sides:
-                tracker.reassign_parameters(sid, vector)
-            if sid not in ids:
-                ids.append(sid)
+            if sid in observed:
+                continue
+            parameters[sid] = rng.random(dim)
+            for tracker, is_reference in sides:
+                if is_reference:
+                    tracker.reassign_parameters(sid, parameters[sid])
 
         if index == next_read or index == n_batches - 1:
             next_read = index + 1 + int(rng.integers(0, 21))
-            expected = views(sides[0][0], ids + [n_simulations + 5])
-            for tracker, _ in sides[1:]:
-                assert_same(expected, views(tracker, ids + [n_simulations + 5]), f"batch {index}")
-
-
-def test_an_unknown_id_raises_before_anything_is_queued():
-    tracker = columns.LossDeviationTracker()
-    tracker.register_parameters(0, np.zeros(2))
-    tracker.observe_batch([0], [1], [0.5])
-    with pytest.raises(KeyError):
-        tracker.observe_batch([0, 7], [1, 2], [0.25, 0.75])
-    assert tracker.n_observations == 1 and tracker.q_value(0) == 0.5
+            probe = ids + [n_simulations + 5]
+            expected = reference_views(sides[0][0], probe, parameters)
+            for tracker, is_reference in sides[1:]:
+                views = reference_views if is_reference else column_views
+                assert_same(expected, views(tracker, probe, parameters), f"batch {index}")

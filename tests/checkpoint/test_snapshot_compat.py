@@ -6,9 +6,11 @@
 * Schema-1 snapshots gave every array its own archive member; schema 2 pools
   the small ones.  ``fixtures/schema1`` holds one written by the schema-1
   writer.
-* Schema-2 trees carry copies that schema 3 keeps once, with their owner
-  (:data:`RETIRED_KEYS`); loaders ignore them.  ``fixtures/schema2`` holds a
-  snapshot written by the schema-2 writer.
+* Schema-2 trees carry copies that schema 3 keeps once, with their owner,
+  and schema-3 trees copies and derived fields that schema 4 no longer writes
+  (:data:`RETIRED_KEYS`); loaders ignore them.  ``fixtures/schema2`` and
+  ``fixtures/schema3`` hold snapshots written by the schema-2 and schema-3
+  writers.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from test_resume_matrix import assert_bit_identical
 
 from repro.api.session import TrainingSession
 from repro.breed.samplers import BreedConfig, BreedSampler
-from repro.checkpoint import load_manifest, restore_session, save_session
+from repro.checkpoint import SCHEMA_VERSION, load_manifest, restore_session, save_session
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.workflow.executor import RunSpec, execute_spec
 
-SAMPLER_KEYS = {"resampling_count", "last_trigger_iteration", "tracker"}
+SAMPLER_KEYS = {"resampling_count", "tracker"}
 
 
 @pytest.fixture
@@ -140,22 +142,47 @@ def test_a_run_resumed_from_a_schema1_snapshot_publishes_no_partial_matrix(make_
 #: 15): three steerings, pending rows, and started simulations whose
 #: parameters came from the AMIS proposal
 SCHEMA2_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema2" / "step-00000018"
-#: the keys schema 3 no longer writes, by subtree ("" is the session's own)
+#: written by the schema-3 writer from ``SCHEMA1_CONFIG`` at tick 24 (iteration
+#: 21): five steerings, four running clients, pending rows, and steered
+#: simulations both started and still pending
+SCHEMA3_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema3" / "step-00000024"
+#: the keys a snapshot no longer writes, by subtree ("" is the session's own)
+#: and by the first schema that writes none of them
 RETIRED_KEYS = {
-    "": {"pending_parameters"},
-    "server": {"n_samples_received", "uniform_flag_ids", "uniform_flag_values"},
-    "sampler": {"decisions"},
-    "channel": {"maxsize", "max_depth", "n_dropped"},
+    "": {3: {"pending_parameters"}},
+    "server": {3: {"n_samples_received", "uniform_flag_ids", "uniform_flag_values"}},
+    "sampler": {3: {"decisions"}, 4: {"last_trigger_iteration"}},
+    "channel": {3: {"maxsize", "max_depth", "n_dropped"}},
+    "tracker record": {4: {"parameters", "n_observations"}},
+    "launcher": {4: {"highest_submitted_id", "factory_created"}},
+    "launcher record": {4: {"n_updates"}},
+    "client": {4: {"simulation_id", "parameters", "next_timestep"}},
 }
 
 
 def subtrees(state: dict) -> dict:
+    sampler = state["controller"]["sampler"]
+    records = state["launcher"]["records"]
     return {
         "": state,
         "server": state["server"],
-        "sampler": state["controller"]["sampler"],
+        "sampler": sampler,
         "channel": state["transport"]["channels"][0],
+        "tracker record": sampler["tracker"]["records"][0],
+        "launcher": state["launcher"],
+        "launcher record": records[0],
+        "client": next(record["client"] for record in records if record["client"] is not None),
     }
+
+
+def assert_writes_retired_keys(state: dict, schema: int) -> None:
+    """Every key retired after ``schema`` is there, and none retired by it."""
+    for name, tree in subtrees(state).items():
+        for since, keys in RETIRED_KEYS[name].items():
+            if since > schema:
+                assert keys <= set(tree), (name, since)
+            else:
+                assert not keys & set(tree), (name, since)
 
 
 def test_schema2_fixture_is_what_it_claims(make_config):
@@ -163,8 +190,7 @@ def test_schema2_fixture_is_what_it_claims(make_config):
     assert manifest["schema"] == 2
     assert manifest["fingerprint"] == make_config(**SCHEMA1_CONFIG).digest()
     state = manifest["state"]
-    for name, tree in subtrees(state).items():
-        assert RETIRED_KEYS[name] <= set(tree), name
+    assert_writes_retired_keys(state, 2)
     assert [channel["name"] for channel in state["transport"]["channels"]] == ["data", "steering", "jobs"]
     assert len(state["controller"]["sampler"]["decisions"]) == state["controller"]["steering_count"] == 3
     assert state["n_pending_messages"] > 0
@@ -178,13 +204,82 @@ def test_schema2_snapshot_restores_and_runs_bit_identical(make_config):
     assert_bit_identical(restored.run(), TrainingSession(config).run())
 
 
-def test_a_new_snapshot_writes_no_retired_key(make_config, tmp_path):
-    session = restore_session(SCHEMA2_SNAPSHOT, config=make_config(**SCHEMA1_CONFIG))
+def test_retired_keys_are_unread(make_config, tmp_path):
+    """Every retired client, launcher, sampler and tracker key of the schema-2
+    fixture edited to disagree with what it copies or derives from: the run
+    restores and goes on exactly as an uninterrupted one."""
+    snapshot = tmp_path / SCHEMA2_SNAPSHOT.name
+    shutil.copytree(SCHEMA2_SNAPSHOT, snapshot)
+    manifest = json.loads((snapshot / "manifest.json").read_text())
+    state = manifest["state"]
+    launcher = state["launcher"]
+    launcher["highest_submitted_id"] += 5
+    launcher["factory_created"] = launcher["factory_created"][::-1] + [99]
+    with np.load(snapshot / "arrays.npz") as archive:
+        pool = archive["pool-float64"]
+    other_row = {"__ndarray__": ["pool-float64", 0, [5]]}  # the pool's first five floats
+    n_clients = 0
+    for record in launcher["records"]:
+        record["n_updates"] += 3
+        client = record["client"]
+        if client is not None:
+            _, offset, _ = client["parameters"]["__ndarray__"]
+            assert not np.array_equal(pool[offset : offset + 5], pool[:5])
+            client.update(simulation_id=client["simulation_id"] + 100, parameters=other_row)
+            client["next_timestep"] = client["n_produced"] + 1
+            n_clients += 1
+    sampler = state["controller"]["sampler"]
+    sampler["last_trigger_iteration"] = manifest["iteration"]
+    for record in sampler["tracker"]["records"]:
+        record["parameters"] = other_row
+        record["n_observations"] += 7
+    (snapshot / "manifest.json").write_text(json.dumps(manifest))
+    assert n_clients > 0
+
+    config = make_config(**SCHEMA1_CONFIG)
+    restored = restore_session(snapshot, config=config)
+    assert restored.n_ticks == 18 and restored.launcher.running_clients()
+    assert_bit_identical(restored.run(), TrainingSession(config).run())
+
+
+def test_schema3_fixture_is_what_it_claims(make_config):
+    manifest = load_manifest(SCHEMA3_SNAPSHOT)
+    assert manifest["schema"] == 3
+    assert manifest["fingerprint"] == make_config(**SCHEMA1_CONFIG).digest()
+    state = manifest["state"]
+    assert_writes_retired_keys(state, 3)
+    assert [channel["name"] for channel in state["transport"]["channels"]] == ["data"]
+    assert state["controller"]["steering_count"] == 5 and state["n_pending_messages"] > 0
+    records = state["launcher"]["records"]
+    assert sum(record["state"] == "running" for record in records) == 4
+    steered = [record for record in records if record["history"]]
+    assert {record["state"] for record in steered} >= {"pending", "running", "finished"}
+    # schema 3 lists every simulation in the tracker, observed or not
+    tracker = state["controller"]["sampler"]["tracker"]["records"]
+    assert len(tracker) == len(records) and min(r["n_observations"] for r in tracker) == 0
+
+
+def test_schema3_snapshot_restores_and_runs_bit_identical(make_config):
+    config = make_config(**SCHEMA1_CONFIG)
+    restored = restore_session(SCHEMA3_SNAPSHOT, config=config)
+    assert restored.n_ticks == 24 and restored.pending_blocks
+    assert len(restored.launcher.running_clients()) == 4
+    assert_bit_identical(restored.run(), TrainingSession(config).run())
+
+
+@pytest.mark.parametrize("fixture", [SCHEMA2_SNAPSHOT, SCHEMA3_SNAPSHOT], ids=["schema2", "schema3"])
+def test_a_new_snapshot_writes_no_retired_key(make_config, tmp_path, fixture):
+    session = restore_session(fixture, config=make_config(**SCHEMA1_CONFIG))
     manifest = load_manifest(save_session(session, tmp_path))
     session.close()
-    assert manifest["schema"] == 3
+    assert manifest["schema"] == SCHEMA_VERSION == 4
     state = manifest["state"]
-    assert state["n_pending_messages"] > 0 and state["controller"]["steering_count"] == 3
-    for name, tree in subtrees(state).items():
-        assert not RETIRED_KEYS[name] & set(tree), name
+    assert state["n_pending_messages"] > 0 and state["controller"]["steering_count"] >= 3
+    assert_writes_retired_keys(state, SCHEMA_VERSION)
     assert [channel["name"] for channel in state["transport"]["channels"]] == ["data"]
+    # the tracker writes observed simulations only, and a client its progress only
+    tracker = state["controller"]["sampler"]["tracker"]
+    assert all(record["counts"]["__ndarray__"][2] != [0] for record in tracker["records"])
+    assert len(tracker["records"]) < len(state["launcher"]["records"])
+    clients = [record["client"] for record in state["launcher"]["records"] if record["client"] is not None]
+    assert clients and all(set(client) == {"n_produced", "finished"} for client in clients)

@@ -146,14 +146,6 @@ class TestLauncher:
         with pytest.raises(ValueError, match="job_limit"):
             other.load_state_dict(launcher.state_dict())
 
-    def test_disagreeing_progress_counters_rejected(self, tiny_solver):
-        launcher = self._launcher(tiny_solver, np.random.default_rng(0))
-        launcher.submit_available()
-        state = launcher.state_dict()
-        state["launcher"]["highest_submitted_id"] = 0
-        with pytest.raises(ValueError, match="inconsistent"):
-            self._launcher(tiny_solver, np.random.default_rng(0)).load_state_dict(state)
-
     def test_disagreeing_job_state_rejected(self, tiny_solver):
         launcher = self._launcher(tiny_solver, np.random.default_rng(0))
         launcher.submit_available()
@@ -169,7 +161,7 @@ class TestClient:
         original = SolverClient(0, params, tiny_solver)
         original.produce(3)
         state = original.state_dict()
-        assert state["next_timestep"] == state["n_produced"] == 3
+        assert state == {"n_produced": 3, "finished": False}
         expected = original.produce(2)
 
         resumed = SolverClient(0, params, tiny_solver)
@@ -188,25 +180,15 @@ class TestClient:
         assert resumed.finished
         assert len(resumed.produce(5)) == 0
 
-    def test_simulation_id_mismatch_rejected(self, tiny_solver):
+    def test_client_holds_its_records_parameters(self, tiny_solver):
         params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
-        state = SolverClient(1, params, tiny_solver).state_dict()
-        with pytest.raises(ValueError, match="simulation 1"):
-            SolverClient(2, params, tiny_solver).load_state_dict(state)
-
-    def test_unequal_progress_keys_rejected(self, tiny_solver):
-        params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
-        state = {**SolverClient(1, params, tiny_solver).state_dict(), "next_timestep": 2}
-        with pytest.raises(ValueError, match="inconsistent"):
-            SolverClient(1, params, tiny_solver).load_state_dict(state)
+        assert SolverClient(1, params, tiny_solver).parameters is params
 
 
 class TestTracker:
     def _observed(self) -> LossDeviationTracker:
         tracker = LossDeviationTracker()
         rng = np.random.default_rng(0)
-        for sim_id in range(6):
-            tracker.register_parameters(sim_id, rng.random(5))
         for iteration in range(1, 8):
             # simulation 0 first sees time steps 0, 2, 1 in that order: not sorted
             sim_ids = [iteration % 6, (iteration + 2) % 6, (iteration + 4) % 6]
@@ -220,10 +202,9 @@ class TestTracker:
         target.load_state_dict(source.state_dict())
         assert target.n_observations == source.n_observations
         assert target.all_q_values() == source.all_q_values()
-        src_locations, src_q, src_ids = source.window(4)
-        dst_locations, dst_q, dst_ids = target.window(4)
-        assert src_ids == dst_ids
-        np.testing.assert_array_equal(src_locations, dst_locations)
+        src_ids, src_q = source.window(4)
+        dst_ids, dst_q = target.window(4)
+        np.testing.assert_array_equal(src_ids, dst_ids)
         np.testing.assert_array_equal(src_q, dst_q)
 
     def test_per_timestep_order_preserved(self):
@@ -259,13 +240,13 @@ class TestSamplers:
             source.observe_batch([0, 1, 2], [0, 1, 2], loss_deviations([0.5, 0.9, 0.1])[2])
         state = source.state_dict()
         rng_state = rng.bit_generator.state
-        expected = source.resample(4, iteration=10, rng=rng)
+        expected = source.resample(4, iteration=10, rng=rng, parameters=params)
 
         target = BreedSampler(HEAT2D_BOUNDS)
         target.load_state_dict(state)
         rng2 = np.random.default_rng(3)
         rng2.bit_generator.state = rng_state
-        got = target.resample(4, iteration=10, rng=rng2)
+        got = target.resample(4, iteration=10, rng=rng2, parameters=params)
         np.testing.assert_array_equal(got.parameters, expected.parameters)
         assert got.sources == expected.sources
         assert got.resampling_index == expected.resampling_index
@@ -273,14 +254,15 @@ class TestSamplers:
     def test_breed_resampling_counters_survive_roundtrip(self):
         rng = np.random.default_rng(3)
         source = BreedSampler(HEAT2D_BOUNDS, BreedConfig(period=5))
-        source.initial_parameters(8, rng)
+        params = source.initial_parameters(8, rng)
         source.observe_batch([0], [0], [0.7])
-        source.resample(2, iteration=5, rng=rng)
+        source.resample(2, iteration=5, rng=rng, parameters=params)
+        state = source.state_dict()
+        assert set(state) == {"resampling_count", "tracker"}
         target = BreedSampler(HEAT2D_BOUNDS, BreedConfig(period=5))
-        target.load_state_dict(source.state_dict())
+        target.load_state_dict(state)
         assert target.resampling_count == source.resampling_count == 1
-        assert not target.should_resample(5)  # the trigger already fired at iteration 5
-        assert target.should_resample(10)
+        assert target.should_resample(10) and not target.should_resample(12)
 
 
 class TestControllerAndTransport:
