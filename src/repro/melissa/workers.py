@@ -23,6 +23,12 @@ the fork, or stay where the fork left them:
   the trajectory.  A worker whose windows are all full sleeps on its command
   pipe; the consumer that half-drains a window wakes it.
 
+Trajectory rows come first, so the training process does not wait for a
+row while a worker evaluates: a share (every validation point of a session
+that has workers) advances only in a pass of the worker's loop in which no
+window had room, or, while the training process blocks on it, ahead of the
+streams, whose consumer is then that blocked process.
+
 A solver is a pure function of its parameter vector, so where the work runs
 changes no output bit.  :func:`inline_reason` is the one selection: it names
 the observable condition under which the calling process keeps the solver
@@ -184,8 +190,9 @@ class SolverWorkers:
         )]
         self._ring = _shared(np.float64, ring_shape)
         self._control = _shared(np.int64, (ring_slots, 4))
-        #: per worker: 1 while it sleeps on full windows and wants a wake-up when one drains
-        self._asleep = _shared(np.int64, (self.n_workers,))
+        #: per worker: 1 while it sleeps on full windows and wants a wake-up when one
+        #: drains; 1 while the parent blocks on its share, which then runs before its streams
+        self._asleep, self._awaited = _shared(np.int64, (2, self.n_workers))
         self._free = list(range(ring_slots))
         self._load = [0] * self.n_workers
         self._epoch = 0
@@ -334,8 +341,10 @@ class SolverWorkers:
         """``function(solver, view, *share)`` on worker ``i`` for share ``i``, ``in_flight`` at once.
 
         ``view(handle)`` is the array of an :meth:`allocate` or :meth:`handle` handle.  A share
-        returning an iterator advances one item per pass of the worker's loop, between streaming
-        passes; its value is the items' list.  A run in flight is awaited first (replies go by worker).
+        returning an iterator advances one item in each pass of the worker's loop in which no
+        stream window had room, and in every pass, ahead of the streams, while the caller blocks
+        on it (:meth:`ShareRun.result`); its value is the items' list.  A run in flight is
+        awaited first (replies go by worker).
         """
         if len(shares) > self.n_workers:
             raise ValueError(f"{len(shares)} shares for {self.n_workers} workers")
@@ -404,13 +413,37 @@ class SolverWorkers:
 
     # ------------------------------------------------------------ worker side
     def _serve(self, index: int, commands: int, replies: int) -> None:
-        """Worker main loop: commands in, trajectories advanced round-robin, until EOF."""
-        control, ring, rows, asleep = self._control, self._ring, self.ring_rows, self._asleep
+        """Worker main loop: commands in, trajectories advanced round-robin, until EOF.
+
+        A pass advances every trajectory whose window has room; a running share
+        advances one item in a pass that advanced none, or, while the parent
+        blocks on it, instead of the trajectories.
+        """
+        control, ring, rows = self._control, self._ring, self.ring_rows
+        asleep, awaited = self._asleep, self._awaited
         active: Dict[int, list] = {}  # slot → [iterator, rows produced]
         share: Optional[Tuple[Iterator, Any]] = None  # a running share: its iterator, its value
         while True:
-            advanced = share is not None
-            if share is not None:  # one item per pass, so the streams below keep flowing
+            advanced = False
+            if share is None or not awaited[index]:
+                for slot, entry in list(active.items()):
+                    if entry[1] - control[slot, _CONSUMED] >= rows:
+                        continue  # back-pressure: the window is full
+                    advanced = True
+                    try:
+                        ring[slot, entry[1] % rows] = next(entry[0])
+                    except StopIteration:
+                        control[slot, _DONE] = entry[1]
+                        del active[slot]
+                    except Exception as error:  # noqa: BLE001 - reported to the parent, by name
+                        _send(replies, (slot, type(error).__name__, str(error)))
+                        control[slot, _DONE] = _FAILED
+                        del active[slot]
+                    else:
+                        entry[1] += 1
+                        control[slot, _PRODUCED] = entry[1]
+            if share is not None and not advanced:
+                advanced = True
                 try:
                     item = next(share[0])  # a plain value's iterator is empty
                     share[1].append(item)
@@ -420,22 +453,6 @@ class SolverWorkers:
                 except Exception as error:  # noqa: BLE001 - reported to the parent, by name
                     _send(replies, (None, type(error).__name__, str(error)))
                     share = None
-            for slot, entry in list(active.items()):
-                if entry[1] - control[slot, _CONSUMED] >= rows:
-                    continue  # back-pressure: the window is full
-                advanced = True
-                try:
-                    ring[slot, entry[1] % rows] = next(entry[0])
-                except StopIteration:
-                    control[slot, _DONE] = entry[1]
-                    del active[slot]
-                except Exception as error:  # noqa: BLE001 - reported to the parent, by name
-                    _send(replies, (slot, type(error).__name__, str(error)))
-                    control[slot, _DONE] = _FAILED
-                    del active[slot]
-                else:
-                    entry[1] += 1
-                    control[slot, _PRODUCED] = entry[1]
             if advanced:
                 timeout = 0.0
             elif not active:
@@ -483,17 +500,28 @@ class ShareRun:
         self._collect(block=False)  # dispatches the first shares
 
     def _collect(self, block: bool) -> bool:
-        """Dispatch the shares that may run, then read the replies that are in (``block``: all)."""
-        while True:
-            while self._sent < len(self._commands) and self._sent - len(self._replies) < self._in_flight:
-                self._workers._command(self._sent, self._commands[self._sent])
-                self._sent += 1
-            replied = len(self._replies)
-            for worker in range(self._sent):
-                while worker not in self._replies and self._workers._file_reply(worker, block):
-                    pass  # a streaming failure filed meanwhile
-            if len(self._replies) == replied or self._sent == len(self._commands):
-                return len(self._replies) == len(self._commands)
+        """Dispatch the shares that may run, then read the replies that are in (``block``: all).
+
+        While it blocks, each worker runs its share ahead of its streams: the
+        caller, their consumer, reads no row until the shares are in.
+        """
+        awaited = self._workers._awaited[: len(self._commands)]
+        if block:
+            awaited[:] = 1
+        try:
+            while True:
+                while self._sent < len(self._commands) and self._sent - len(self._replies) < self._in_flight:
+                    self._workers._command(self._sent, self._commands[self._sent])
+                    self._sent += 1
+                replied = len(self._replies)
+                for worker in range(self._sent):
+                    while worker not in self._replies and self._workers._file_reply(worker, block):
+                        pass  # a streaming failure filed meanwhile
+                if len(self._replies) == replied or self._sent == len(self._commands):
+                    return len(self._replies) == len(self._commands)
+        finally:
+            if block:
+                awaited[:] = 0
 
     def done(self) -> bool:
         """Whether every share has replied; never blocks (a dead worker still raises)."""

@@ -44,14 +44,17 @@ def effective_sample_size(weights: np.ndarray) -> float:
     """Kish effective sample size ``(Σw)² / Σw²`` of a weight vector.
 
     Recorded on every AMIS step as a diagnostic; the paper leaves
-    ESS-triggered resampling to future work.
+    ESS-triggered resampling to future work.  The ratio does not change when
+    every weight is scaled, so it is taken over the weights divided by the
+    largest: tiny weights would otherwise square into subnormals and the
+    ratio exceed ``n``.
     """
     w = np.asarray(weights, dtype=np.float64)
-    total_sq = float(w.sum()) ** 2
-    sq_total = float((w * w).sum())
-    if sq_total <= 0.0:
+    scale = float(np.abs(w).max()) if w.size else 0.0
+    if scale == 0.0:
         return 0.0
-    return total_sq / sq_total
+    w = w / scale
+    return float(w.sum()) ** 2 / float((w * w).sum())
 
 
 def entropy(weights: np.ndarray, epsilon: float = 1e-12) -> float:

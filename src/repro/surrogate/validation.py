@@ -21,6 +21,7 @@ from repro.sampling.halton import halton_in_bounds
 from repro.solvers.base import Solver
 from repro.surrogate.model import DirectSurrogate
 from repro.surrogate.normalization import SurrogateScalers
+from repro.utils.heap import trim_heap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.api and repro.melissa import us)
     from repro.api.workloads import Workload
@@ -182,15 +183,17 @@ def validation_loss(
 ) -> float:
     """MSE of the surrogate over the whole validation set (normalised units).
 
-    With ``workers`` that can read the set in place (:meth:`SolverWorkers.handle`),
-    more than one batch and a model that pickles, each worker sums the squared
-    errors of one contiguous run of batches.  The per-batch sums are added
-    here, in batch order and with the same ``+=`` the serial loop uses, so the
-    result is the same float.
+    With ``workers`` that can read the set in place (:meth:`SolverWorkers.handle`)
+    and a model that pickles, each worker sums the squared errors of one
+    contiguous run of batches.  The per-batch sums are added here, in batch
+    order and with the same ``+=`` the serial loop uses, so the result is the
+    same float.  Evaluated here, the point starts from a trimmed heap, so its
+    batch arrays cost the same resident memory whatever the heap kept free.
     """
     shares = _shares(model, validation_set, batch_size, workers)
     if shares is not None:
         return _mean(workers.run(_sum_share, shares))
+    trim_heap()
     starts = range(0, len(validation_set), batch_size)
     return _mean([_batch_sums(model, validation_set.inputs, validation_set.targets, starts, batch_size)])
 
@@ -201,8 +204,11 @@ def start_validation_loss(
 ) -> Optional[Callable[[bool], Optional[float]]]:
     """:func:`validation_loss` split on ``workers`` and not awaited (``None``: evaluate inline).
 
+    Every set the workers can read is split, a one-batch set into one share.
     ``n_workers − 1`` shares run at once, so the caller keeps a CPU to train
-    on.  ``poll(block)`` is the same float once every share replied, else ``None``.
+    on, and each worker serves its trajectory rows before its share.
+    ``poll(block)`` is the same float once every share replied, else ``None``;
+    a blocking poll has the workers run their shares ahead of their rows.
     """
     shares = _shares(model, validation_set, batch_size, workers)
     if shares is None:
@@ -249,9 +255,14 @@ def _shares(
     batch_size: int,
     workers: Optional["SolverWorkers"],
 ) -> Optional[List[tuple]]:
-    """One contiguous run of batches per worker for :func:`_sum_share`, or ``None``: evaluate here."""
+    """One contiguous run of batches per worker for :func:`_sum_share`, or ``None``: evaluate here.
+
+    At most one share per worker, and one share for a one-batch set.  ``None``
+    without workers, for an empty set, a set the workers cannot read in place
+    (a closed pool reads nothing) and a model that does not pickle.
+    """
     starts = range(0, len(validation_set), batch_size)
-    if workers is None or len(starts) < 2:
+    if workers is None or not starts:
         return None
     handles = workers.handle(validation_set.inputs), workers.handle(validation_set.targets)
     if None in handles:

@@ -10,9 +10,12 @@ step and page-faults them back in on the next one.
 
 :func:`pin_heap` sets both thresholds, once per process, to the values glibc's
 own rule converges to on 64-bit: the mmap threshold's cap, 32 MiB, and a trim
-threshold of twice that.  Where the C library has no ``mallopt`` it does
-nothing.  Allocation addresses are not an input of any computation here, so
-no output bit depends on it.
+threshold of twice that.  :func:`trim_heap` hands every free page of the heap
+back once (``malloc_trim(0)``), so that a large temporary allocated next
+costs the same resident memory whether or not a free block of its size was
+left resident.  Where the C library lacks either function they do nothing.
+Allocation addresses are not an input of any computation here, so no output
+bit depends on them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import ctypes
 from typing import Callable, Optional
 
-__all__ = ["MMAP_THRESHOLD", "TRIM_THRESHOLD", "pin_heap"]
+__all__ = ["MMAP_THRESHOLD", "TRIM_THRESHOLD", "pin_heap", "trim_heap"]
 
 #: glibc's ``mallopt`` parameter numbers (``malloc.h``)
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -32,24 +35,33 @@ TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 _pinned = False
 
 
-def _mallopt() -> Optional[Callable[[int, int], int]]:
-    """The C library's ``mallopt``, or ``None`` where there is none."""
+def _libc(name: str, argtypes: list) -> Optional[Callable[..., int]]:
+    """The C library's function ``name``, or ``None`` where there is none."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        function = getattr(ctypes.CDLL(None), name)
     except (AttributeError, OSError, TypeError):  # not glibc, or no C library to load
         return None
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return mallopt
+    function.argtypes, function.restype = argtypes, ctypes.c_int
+    return function
 
 
 def pin_heap() -> bool:
     """Pin the mmap and trim thresholds (idempotent); ``False`` where ``mallopt`` is absent."""
     global _pinned
     if not _pinned:
-        mallopt = _mallopt()
+        mallopt = _libc("mallopt", [ctypes.c_int, ctypes.c_int])
         if mallopt is None:
             return False
         mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
         mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
         _pinned = True
+    return True
+
+
+def trim_heap() -> bool:
+    """Release the heap's free pages to the kernel; ``False`` where ``malloc_trim`` is absent."""
+    malloc_trim = _libc("malloc_trim", [ctypes.c_size_t])
+    if malloc_trim is None:
+        return False
+    malloc_trim(0)
     return True

@@ -136,10 +136,9 @@ def test_pooled_run_equals_inline_run(workload, overrides, method, cpus, dispatc
     pooled_session = session_on(cpus, 2, config)
     pooled = pooled_session.run()
     assert no_child_left()
-    # the build; with three batches also one split evaluation every 8 of 24
-    # iterations, the last of which the final point reuses (a one-batch set
-    # is evaluated inline)
-    assert dispatched == ["_fill_share"] + ["_sum_share"] * (3 if overrides else 0)
+    # the build, then one evaluation on the workers every 8 of 24 iterations,
+    # the last of which the final point reuses (a one-batch set as one share)
+    assert dispatched == ["_fill_share"] + ["_sum_share"] * 3
     inline_session = session_on(cpus, 1, config)
     inline = inline_session.run()
 
@@ -223,7 +222,7 @@ def test_shared_inputs_given_to_a_pooled_session_are_used_as_they_are(overrides,
     assert shared._workers._arena.size == 0  # nothing reserved for a set that exists
     assert shared._workers.handle(built.validation_set.targets) is not None  # inherited at the fork
     assert_same_run(shared.run(), built.run())
-    assert dispatched == ["_sum_share"] * (3 if overrides else 0)
+    assert dispatched == ["_sum_share"] * 3
 
 
 def test_result_after_close_evaluates_inline_with_the_live_value(cpus, dispatched):

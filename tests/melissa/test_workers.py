@@ -75,12 +75,11 @@ def pool(tiny_solver) -> Iterator[SolverWorkers]:
 
 
 class _Scripted(Solver):
-    """Yields ``n_timesteps + 1`` fields; the parameters script a fault at one step."""
+    """Yields ``n_timesteps + 1`` fields; the parameters script a fault at one step and the nap."""
 
-    n_timesteps = 5
-
-    def __init__(self, error: type = ValueError) -> None:
+    def __init__(self, error: type = ValueError, n_timesteps: int = 5) -> None:
         self.error = error
+        self.n_timesteps = n_timesteps
 
     @property
     def field_size(self) -> int:
@@ -318,6 +317,58 @@ class TestShareRuns:
             while not run.done():
                 time.sleep(0.01)
         assert time.monotonic() - killed < 2.0
+
+
+class TestRowsFirst:
+    """A worker serves its trajectory rows before its share, unless the caller blocks on the share."""
+
+    def test_a_stream_with_room_publishes_at_step_speed_not_at_share_item_speed(self):
+        # 20 rows of 5 ms behind 0.1 s share items: 0.1 s of steps (plus the
+        # item the stream arrived during), ≥ 2.1 s at one row per item
+        workers = SolverWorkers(_Scripted(n_timesteps=19), ring_slots=1, ring_rows=32, n_workers=1)
+        try:
+            run = workers.start(_count_to, [(5, 0.1)])
+            started = time.monotonic()
+            assert len(read_rows(workers.stream(np.array([-1.0, 0.005])), 3)) == 20
+            assert time.monotonic() - started < 0.6
+            assert run.result() == [list(range(5))]
+        finally:
+            workers.close()
+
+    def test_a_blocked_caller_gets_its_share_ahead_of_a_window_with_room(self):
+        # The window holds the whole trajectory and is never drained, so only the
+        # blocked caller's flag runs the 40 × 5 ms share: ≈ 0.2 s (plus the step
+        # under way), against 4.2 s at one item per 0.1 s step and 10 s after it.
+        workers = SolverWorkers(_Scripted(n_timesteps=99), ring_slots=1, ring_rows=128, n_workers=1)
+        try:
+            stream = workers.stream(np.array([-1.0, 0.1]))
+            run = workers.start(_count_to, [(40, 0.005)])
+            started = time.monotonic()
+            assert run.result() == [list(range(40))]
+            assert time.monotonic() - started < 0.9
+            assert not workers._awaited.any()  # cleared once the caller has its shares
+            stream.close()
+        finally:
+            workers.close()
+
+    def test_a_share_completes_while_a_consumer_keeps_reading(self):
+        # A consumer that trains 2 ms a row lets the 2-row window fill, and each
+        # full pass runs a share item: the 10 × 20 ms share ends ≈ 0.2 s in,
+        # though nobody blocks on it and the trajectory outlasts the test.
+        workers = SolverWorkers(_Scripted(n_timesteps=999), ring_slots=1, ring_rows=2, n_workers=1)
+        try:
+            run = workers.start(_count_to, [(10, 0.02)])
+            started, rows = time.monotonic(), 0
+            stream = workers.stream(np.array([-1.0, 0.0]))
+            while not run.done():
+                assert time.monotonic() - started < 0.6, "the share starved behind the stream"
+                rows += stream.read(np.empty((1, 3)))
+                time.sleep(0.002)
+            assert rows >= 10
+            assert run.result() == [list(range(10))]
+            stream.close()
+        finally:
+            workers.close()
 
 
 def test_session_sizes_the_ring_by_window_not_trajectory(monkeypatch):

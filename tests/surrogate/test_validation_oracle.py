@@ -337,8 +337,8 @@ def test_split_loss_is_bit_identical_on_every_workload(name, n_workers, where):
 
 @pytest.mark.parametrize(
     "batch_size, shares",
-    [(7, [3]), (10, [2]), (4, [3]), (1024, [])],
-    ids=["ragged-last-batch", "fewer-batches-than-workers", "several-batches-a-share", "one-batch-inline"],
+    [(7, [3]), (10, [2]), (4, [3]), (1024, [1])],
+    ids=["ragged-last-batch", "fewer-batches-than-workers", "several-batches-a-share", "one-batch"],
 )
 def test_split_loss_shares_contiguous_runs_of_batches(batch_size, shares):
     workload = _workload("heat2d")
