@@ -143,7 +143,6 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.breed.acquisition", "LossDeviationTracker.q_value", ORACLE),
     ("repro.breed.acquisition", "LossDeviationTracker.all_q_values", ORACLE),
     ("repro.breed.acquisition", "LossDeviationTracker.observed_ids", ORACLE),
-    ("repro.breed.amis", "AMISResult.n_*", ORACLE),
     ("repro.campaign.manifest", "CampaignManifest.executed_run_counts", ORACLE),
     ("repro.campaign.spec", "CampaignSpec.node", ORACLE),
     ("repro.experiments.fig3a", "Fig3aCell.overfit_gap", ORACLE),

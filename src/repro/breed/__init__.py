@@ -8,32 +8,25 @@ tests.
 """
 
 from repro.breed.acquisition import LossDeviationTracker, loss_deviations
-from repro.breed.amis import AMISConfig, AMISResult, AdaptiveImportanceSampler
-from repro.breed.controller import BreedController, SteeringRecord, SteeringTarget
-from repro.breed.mixing import MixingSchedule
+from repro.breed.controller import BreedController, SteeringRecord
 from repro.breed.samplers import (
     BreedConfig,
     BreedSampler,
     ParameterSource,
     RandomSampler,
-    ResampleDecision,
+    Resampled,
     SteeringSampler,
 )
 
 __all__ = [
     "LossDeviationTracker",
     "loss_deviations",
-    "AMISConfig",
-    "AMISResult",
-    "AdaptiveImportanceSampler",
     "BreedController",
     "SteeringRecord",
-    "SteeringTarget",
-    "MixingSchedule",
     "BreedConfig",
     "BreedSampler",
     "ParameterSource",
     "RandomSampler",
-    "ResampleDecision",
+    "Resampled",
     "SteeringSampler",
 ]

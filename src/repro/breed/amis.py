@@ -1,4 +1,4 @@
-"""One-step Adaptive Multiple Importance Sampling (Section 3.2, Eqs. 7–12).
+"""One-step Adaptive Multiple Importance Sampling (Section 3.2, Eqs. 9–12).
 
 Breed adapts the Population-Monte-Carlo recipe to the on-line training
 setting: because data production is much slower than NN training, only *one*
@@ -21,8 +21,7 @@ last ``N`` observed parameter vectors and their ``Q_j`` values:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 import numpy as np
 
@@ -34,192 +33,89 @@ from repro.sampling.multinomial import (
     normalize_weights,
 )
 
-__all__ = ["AMISConfig", "AMISResult", "AdaptiveImportanceSampler"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.breed.samplers import BreedConfig
+
+__all__ = ["MIN_SIGMA", "amis_step"]
+
+#: floor that keeps a member's ``σ`` positive while out-of-bounds draws shrink it
+MIN_SIGMA = 1e-3
 
 
-@dataclass(frozen=True)
-class AMISConfig:
-    """Hyper-parameters of the AMIS step.
+def amis_step(
+    config: "BreedConfig",
+    bounds: ParameterBounds,
+    locations: np.ndarray,
+    q_values: np.ndarray,
+    n_samples: int,
+    r: float,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    """Run one AMIS step: ``K = n_samples`` new parameter vectors.
 
-    Attributes
-    ----------
-    sigma:
-        Initial width of each Gaussian proposal member (``σ`` in the paper;
-        expressed in the physical units of the parameter space, Kelvin for the
-        heat case).
-    sigma_decrement:
-        Amount subtracted from a member's ``σ`` after an out-of-bounds draw
-        (the paper uses ``3e-1``).
-    max_retries:
-        Maximum number of out-of-bounds redraws per member (paper: five).
-    min_sigma:
-        Numerical floor preventing ``σ`` from reaching zero during retries.
+    ``locations`` is the window of parameter vectors ``λ_j``, shape
+    ``(N, d)``, and ``q_values`` their ``Q_j``; ``r`` is ``r(s)``, the
+    probability a point is kept from the proposal; ``rng`` is the caller's
+    named stream.  Returns the samples ``(K, d)``, a per-sample flag that is
+    true where the point is a uniform draw, and the step's diagnostics keyed
+    by their :class:`~repro.breed.controller.SteeringRecord` field names.  An
+    empty window degrades to pure uniform exploration.
     """
+    locations = np.atleast_2d(np.asarray(locations, dtype=np.float64))
+    q_values = np.asarray(q_values, dtype=np.float64).reshape(-1)
+    if locations.shape[0] != q_values.shape[0]:
+        raise ValueError("locations and q_values must have the same length")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError("r must be in [0, 1]")
+    if n_samples < 0:
+        raise ValueError("n_samples must be non-negative")
+    dim = bounds.dim
+    diagnostics: Dict[str, Any] = {"concentrate_probability": r, "window_size": q_values.shape[0]}
+    if locations.size == 0:
+        samples = bounds.scale_from_unit(rng.random((n_samples, dim)))
+        return samples, np.ones(n_samples, dtype=bool), diagnostics
+    if locations.shape[1] != dim:
+        raise ValueError(f"locations dimensionality {locations.shape[1]} does not match bounds ({dim})")
+    if np.any(q_values < 0):
+        raise ValueError("q_values must be non-negative")
 
-    sigma: float = 10.0
-    sigma_decrement: float = 0.3
-    max_retries: int = 5
-    min_sigma: float = 1e-3
+    # Eq. 9: importance weights proportional to Q_j (self-normalised).
+    weights = normalize_weights(q_values)
+    diagnostics.update(
+        ess=effective_sample_size(weights),
+        max_weight_share=float(weights.max()),
+        weight_entropy=entropy(weights),
+    )
 
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.sigma_decrement < 0:
-            raise ValueError("sigma_decrement must be non-negative")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.min_sigma <= 0:
-            raise ValueError("min_sigma must be positive")
+    # Eq. 10: multinomial resampling of the K mixture locations.
+    resampled = multinomial_resample(weights, n_samples, rng)
 
+    # Eqs. 11–12: one draw per Gaussian member of q^(s), its σ shrunk after
+    # every out-of-bounds draw; a member whose retries run out keeps its
+    # location ("the location is left the same").
+    samples = locations[resampled]
+    sigmas = np.empty(n_samples, dtype=np.float64)
+    n_fallbacks = 0
+    for k, center in enumerate(samples):
+        sigma = config.sigma
+        for attempt in range(config.max_retries + 1):
+            if attempt:
+                sigma = max(sigma - config.sigma_decrement, MIN_SIGMA)
+            candidate = center + sigma * rng.standard_normal(dim)
+            if bounds.contains(candidate):
+                samples[k] = candidate
+                break
+        else:
+            n_fallbacks += 1
+        sigmas[k] = sigma
+    if n_samples:
+        diagnostics.update(sigma_min=float(sigmas.min()), sigma_median=float(np.median(sigmas)))
+    diagnostics["n_fallbacks"] = n_fallbacks
 
-@dataclass
-class AMISResult:
-    """Outcome of one AMIS resampling step (also used for the Fig. 4 analysis)."""
-
-    #: newly proposed parameter vectors, shape (K, d)
-    samples: np.ndarray
-    #: per-sample flag: True when the point came from the uniform exploration mixture
-    from_uniform: np.ndarray
-    #: normalised importance weights over the window, shape (N,)
-    weights: np.ndarray
-    #: indices (into the window) of the resampled proposal locations, shape (K,)
-    resampled_indices: np.ndarray
-    #: per-member sigma actually used after out-of-bounds shrinking, shape (K,)
-    member_sigmas: np.ndarray
-    #: Kish effective sample size of the weights (diagnostic; future-work trigger)
-    ess: float
-    #: Shannon entropy of the weights (diagnostic; future-work trigger)
-    weight_entropy: float
-    #: number of draws that exhausted retries and fell back to their location
-    n_fallbacks: int = 0
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.samples.shape[0])
-
-    @property
-    def n_uniform(self) -> int:
-        return int(self.from_uniform.sum())
-
-    @property
-    def n_proposal(self) -> int:
-        return self.n_samples - self.n_uniform
-
-
-class AdaptiveImportanceSampler:
-    """Stateless-per-call AMIS sampler bound to a parameter box."""
-
-    def __init__(self, bounds: ParameterBounds, config: AMISConfig | None = None) -> None:
-        self.bounds = bounds
-        self.config = config if config is not None else AMISConfig()
-
-    # ----------------------------------------------------------------- step
-    def propose(
-        self,
-        locations: np.ndarray,
-        q_values: np.ndarray,
-        n_samples: int,
-        concentrate_probability: float,
-        rng: np.random.Generator,
-    ) -> AMISResult:
-        """Run one AMIS step.
-
-        Parameters
-        ----------
-        locations:
-            Window of parameter vectors ``λ_j``, shape ``(N, d)``.
-        q_values:
-            Matching acquisition values ``Q_j``, shape ``(N,)``.
-        n_samples:
-            ``K`` — number of new parameter vectors to produce.
-        concentrate_probability:
-            ``r(s)``; each produced point is replaced by a uniform draw with
-            probability ``1 − r(s)``.
-        rng:
-            Random generator (callers use a dedicated named stream).
-        """
-        locations = np.atleast_2d(np.asarray(locations, dtype=np.float64))
-        q_values = np.asarray(q_values, dtype=np.float64).reshape(-1)
-        if locations.shape[0] != q_values.shape[0]:
-            raise ValueError("locations and q_values must have the same length")
-        if not 0.0 <= concentrate_probability <= 1.0:
-            raise ValueError("concentrate_probability must be in [0, 1]")
-        if n_samples < 0:
-            raise ValueError("n_samples must be non-negative")
-        dim = self.bounds.dim
-        if n_samples == 0:
-            empty = np.empty((0, dim), dtype=np.float64)
-            return AMISResult(
-                samples=empty,
-                from_uniform=np.zeros(0, dtype=bool),
-                weights=np.empty(0),
-                resampled_indices=np.empty(0, dtype=np.int64),
-                member_sigmas=np.empty(0),
-                ess=0.0,
-                weight_entropy=0.0,
-            )
-        if locations.size == 0:
-            # No observed window yet: degrade to pure uniform exploration.
-            samples = self.bounds.scale_from_unit(rng.random((n_samples, dim)))
-            return AMISResult(
-                samples=samples,
-                from_uniform=np.ones(n_samples, dtype=bool),
-                weights=np.empty(0),
-                resampled_indices=np.empty(0, dtype=np.int64),
-                member_sigmas=np.empty(0),
-                ess=0.0,
-                weight_entropy=0.0,
-            )
-        if locations.shape[1] != dim:
-            raise ValueError(
-                f"locations dimensionality {locations.shape[1]} does not match bounds ({dim})"
-            )
-        if np.any(q_values < 0):
-            raise ValueError("q_values must be non-negative")
-
-        # Eq. 9: importance weights proportional to Q_j (self-normalised).
-        weights = normalize_weights(q_values)
-        ess = effective_sample_size(weights)
-        weight_entropy = entropy(weights)
-
-        # Eq. 10: multinomial resampling of K proposal locations.
-        resampled = multinomial_resample(weights, n_samples, rng)
-
-        # Eqs. 11–12: draw one point per Gaussian member, shrinking sigma on
-        # out-of-bounds draws.
-        samples = np.empty((n_samples, dim), dtype=np.float64)
-        member_sigmas = np.empty(n_samples, dtype=np.float64)
-        n_fallbacks = 0
-        for k, location_index in enumerate(resampled):
-            center = locations[location_index]
-            sigma = self.config.sigma
-            accepted: Optional[np.ndarray] = None
-            for _ in range(self.config.max_retries + 1):
-                candidate = center + sigma * rng.standard_normal(dim)
-                if self.bounds.contains(candidate):
-                    accepted = candidate
-                    break
-                sigma = max(sigma - self.config.sigma_decrement, self.config.min_sigma)
-            if accepted is None:
-                # Retries exhausted: "the location is left the same".
-                accepted = center.copy()
-                n_fallbacks += 1
-            samples[k] = accepted
-            member_sigmas[k] = sigma
-
-        # Exploration mixing: substitute with uniform points with prob. 1 - r.
-        uniform_mask = rng.random(n_samples) >= concentrate_probability
-        n_uniform = int(uniform_mask.sum())
-        if n_uniform:
-            samples[uniform_mask] = self.bounds.scale_from_unit(rng.random((n_uniform, dim)))
-
-        return AMISResult(
-            samples=samples,
-            from_uniform=uniform_mask,
-            weights=weights,
-            resampled_indices=np.asarray(resampled, dtype=np.int64),
-            member_sigmas=member_sigmas,
-            ess=ess,
-            weight_entropy=weight_entropy,
-            n_fallbacks=n_fallbacks,
-        )
+    # Mixing with U(Λ): each point is replaced by a uniform draw with
+    # probability 1 − r(s).
+    from_uniform = rng.random(n_samples) >= r
+    n_uniform = int(from_uniform.sum())
+    if n_uniform:
+        samples[from_uniform] = bounds.scale_from_unit(rng.random((n_uniform, dim)))
+    return samples, from_uniform, diagnostics

@@ -12,9 +12,8 @@ The :class:`BreedController` is what the Melissa server owns.  Its job is to
   ``update_parameters`` interface.
 
 The launcher is the one store of every simulation's parameters: the sampler
-reads them from :meth:`SteeringTarget.executed_parameters` at each
-resampling and keeps no copy, so an applied update needs no bookkeeping on
-the sampler's side.
+reads them from its ``executed_parameters()`` at each resampling and keeps
+no copy, so an applied update needs no bookkeeping on the sampler's side.
 
 The controller is sampler-agnostic: with a :class:`~repro.breed.samplers.RandomSampler`
 it simply never triggers, reproducing the paper's baseline behaviour with the
@@ -22,50 +21,58 @@ identical code path (so overhead comparisons are fair).
 
 Every triggered decision is timed with a :func:`time.perf_counter` pair:
 ``steering_seconds`` and ``steering_count`` grow whether the decision is
-applied, finds no steerable simulation, comes back empty or raises.  Each
-:class:`SteeringRecord` carries the running total when it was applied.
+applied, finds no steerable simulation, comes back empty or raises.  An
+applied one builds one :class:`SteeringRecord`, which carries the running
+total and the diagnostics of the sampler's step.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.breed.samplers import ResampleDecision, SteeringSampler
+from repro.breed.samplers import SteeringSampler
 
-__all__ = ["SteeringTarget", "SteeringRecord", "BreedController"]
-
-
-class SteeringTarget(Protocol):
-    """The launcher-side interface the controller steers (see §3.3)."""
-
-    def steerable_simulation_ids(self) -> List[int]:
-        """Ids of simulations whose parameters may still be replaced safely."""
-        ...
-
-    def update_parameters(self, simulation_id: int, parameters: np.ndarray, source: str) -> None:
-        """Replace the input parameters of a pending simulation."""
-        ...
-
-    def executed_parameters(self) -> Tuple[np.ndarray, List[str]]:
-        """Every simulation's current parameters (row ``j`` for id ``j``) and provenance."""
-        ...
+__all__ = ["SteeringRecord", "BreedController"]
 
 
 @dataclass
 class SteeringRecord:
-    """Bookkeeping of one applied steering action (for analysis and tests)."""
+    """One applied steering: what was replaced, and how the step went.
+
+    The fields from ``concentrate_probability`` on are the step's
+    diagnostics, for analysis only: no digest reads them, a sampler that
+    reports none leaves them ``None``, and so do records restored from a
+    snapshot older than schema 5.
+    """
 
     iteration: int
+    #: resampling iteration ``s``
     resampling_index: int
     simulation_ids: List[int]
     sources: List[str]
     n_requested: int
     n_applied: int
+    #: running total of :attr:`BreedController.steering_seconds` (wall clock)
     elapsed_seconds: float
+    #: ``r(s)``, the probability a point is kept from the proposal
+    concentrate_probability: Optional[float] = None
+    #: ``N``, the number of observed simulations the weights cover
+    window_size: Optional[int] = None
+    #: Kish effective sample size of the weights
+    ess: Optional[float] = None
+    #: the largest normalised weight
+    max_weight_share: Optional[float] = None
+    #: Shannon entropy (nats) of the normalised weights
+    weight_entropy: Optional[float] = None
+    #: smallest and median ``σ`` of the members' last draws
+    sigma_min: Optional[float] = None
+    sigma_median: Optional[float] = None
+    #: members whose retries ran out and that kept their location
+    n_fallbacks: Optional[int] = None
 
 
 @dataclass
@@ -88,8 +95,15 @@ class BreedController:
         self.sampler.observe_batch(simulation_ids, timesteps, deviations)
 
     # -------------------------------------------------------------- steering
-    def maybe_steer(self, iteration: int, target: SteeringTarget) -> Optional[SteeringRecord]:
-        """Trigger-and-apply: called by the server after every NN iteration."""
+    def maybe_steer(self, iteration: int, target: Any) -> Optional[SteeringRecord]:
+        """Trigger-and-apply: called by the server after every NN iteration.
+
+        ``target`` is the launcher side of §3.3: ``steerable_simulation_ids()``
+        lists the simulations whose parameters may still be replaced,
+        ``executed_parameters()`` gives every simulation's current parameters
+        (row ``j`` for id ``j``) and their sources, and
+        ``update_parameters(id, parameters, source)`` replaces a pending one's.
+        """
         if not self.sampler.should_resample(iteration):
             return None
         start = time.perf_counter()
@@ -98,30 +112,26 @@ class BreedController:
             if not steerable:
                 return None
             parameters, _ = target.executed_parameters()
-            decision = self.sampler.resample(len(steerable), iteration, self.rng, parameters)
-            if decision is None or len(decision) == 0:
+            resampled = self.sampler.resample(len(steerable), iteration, self.rng, parameters)
+            if not resampled:
                 return None
-            n_applied = self._apply(decision, steerable, target)
+            applied = list(zip(steerable, resampled.parameters, resampled.sources))
+            for sim_id, params, source in applied:
+                target.update_parameters(sim_id, params, source)
         finally:
             self.steering_seconds += time.perf_counter() - start
             self.steering_count += 1
         record = SteeringRecord(
             iteration=iteration,
-            resampling_index=decision.resampling_index,
-            simulation_ids=list(steerable[:n_applied]),
-            sources=list(decision.sources[:n_applied]),
+            simulation_ids=list(steerable[: len(applied)]),
+            sources=list(resampled.sources[: len(applied)]),
             n_requested=len(steerable),
-            n_applied=n_applied,
+            n_applied=len(applied),
             elapsed_seconds=self.steering_seconds,
+            **resampled.diagnostics,
         )
         self.records.append(record)
         return record
-
-    def _apply(self, decision: ResampleDecision, steerable: List[int], target: SteeringTarget) -> int:
-        n = min(len(decision), len(steerable))
-        for sim_id, params, source in zip(steerable[:n], decision.parameters, decision.sources):
-            target.update_parameters(sim_id, params, source)
-        return n
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
@@ -135,38 +145,12 @@ class BreedController:
             "sampler": self.sampler.state_dict(),
             "steering_total_seconds": self.steering_seconds,
             "steering_count": self.steering_count,
-            "records": [
-                {
-                    "iteration": record.iteration,
-                    "resampling_index": record.resampling_index,
-                    "simulation_ids": list(record.simulation_ids),
-                    "sources": list(record.sources),
-                    "n_requested": record.n_requested,
-                    "n_applied": record.n_applied,
-                    "elapsed_seconds": record.elapsed_seconds,
-                }
-                for record in self.records
-            ],
+            "records": [asdict(record) for record in self.records],
         }
 
     def load_state_dict(self, state: dict) -> None:
         self.sampler.load_state_dict(state["sampler"])
         self.steering_seconds = float(state["steering_total_seconds"])
         self.steering_count = int(state["steering_count"])
-        self.records = [
-            SteeringRecord(
-                iteration=int(payload["iteration"]),
-                resampling_index=int(payload["resampling_index"]),
-                simulation_ids=[int(i) for i in payload["simulation_ids"]],
-                sources=[str(s) for s in payload["sources"]],
-                n_requested=int(payload["n_requested"]),
-                n_applied=int(payload["n_applied"]),
-                elapsed_seconds=float(payload["elapsed_seconds"]),
-            )
-            for payload in state["records"]
-        ]
-
-    # ------------------------------------------------------------- overhead
-    @property
-    def n_steering_events(self) -> int:
-        return len(self.records)
+        # records written before schema 5 carry no diagnostics: theirs stay None
+        self.records = [SteeringRecord(**payload) for payload in state["records"]]

@@ -17,20 +17,19 @@ steering mechanism talks to:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.breed.acquisition import LossDeviationTracker
-from repro.breed.amis import AMISConfig, AMISResult, AdaptiveImportanceSampler
-from repro.breed.mixing import MixingSchedule
+from repro.breed.amis import amis_step
 from repro.sampling.bounds import ParameterBounds
 from repro.sampling.uniform import uniform_in_bounds
 
 __all__ = [
     "ParameterSource",
-    "ResampleDecision",
+    "Resampled",
     "SteeringSampler",
     "RandomSampler",
     "BreedConfig",
@@ -49,27 +48,23 @@ class ParameterSource:
 
 
 @dataclass
-class ResampleDecision:
-    """Replacement parameters produced by one steering/resampling trigger."""
+class Resampled:
+    """What :meth:`SteeringSampler.resample` returns for ``K`` simulations."""
 
     #: new parameter vectors, shape (K, d)
     parameters: np.ndarray
-    #: provenance tag per vector (``ParameterSource`` values)
+    #: one ``ParameterSource`` tag per vector
     sources: List[str]
-    #: NN iteration at which the resampling was triggered
-    iteration: int
-    #: resampling iteration index ``s``
-    resampling_index: int
-    #: diagnostics of the underlying AMIS step (None for uniform-only decisions)
-    amis: Optional[AMISResult] = field(default=None, repr=False)
+    #: the :class:`~repro.breed.controller.SteeringRecord` fields the sampler
+    #: fills: ``resampling_index`` and any of the analysis-only diagnostics
+    diagnostics: Dict[str, Any]
 
     def __post_init__(self) -> None:
-        self.parameters = np.atleast_2d(np.asarray(self.parameters, dtype=np.float64))
-        if self.parameters.shape[0] != len(self.sources):
+        if len(self.parameters) != len(self.sources):
             raise ValueError("parameters and sources must have the same length")
 
     def __len__(self) -> int:
-        return self.parameters.shape[0]
+        return len(self.sources)
 
 
 class SteeringSampler:
@@ -93,11 +88,12 @@ class SteeringSampler:
 
     def resample(
         self, n_pending: int, iteration: int, rng: np.random.Generator, parameters: np.ndarray
-    ) -> Optional[ResampleDecision]:
+    ) -> Optional[Resampled]:
         """Produce replacement parameters for ``n_pending`` simulations.
 
         ``parameters`` holds every simulation's current parameter vector, row
-        ``j`` for simulation ``j``.
+        ``j`` for simulation ``j``.  Returns ``None`` when nothing is to be
+        replaced (the default).
         """
         return None
 
@@ -137,7 +133,8 @@ class BreedConfig:
     r_start, r_end, r_breakpoint:
         The ``(r_s, r_e, r_c)`` concentrate–explore schedule.
     sigma_decrement, max_retries:
-        Out-of-bounds handling of the Gaussian draws.
+        Out-of-bounds handling of the Gaussian draws; ``σ`` never shrinks
+        below the constant :data:`repro.breed.amis.MIN_SIGMA`.
     """
 
     sigma: float = 10.0
@@ -150,27 +147,39 @@ class BreedConfig:
     max_retries: int = 5
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        # sigma / r validation is delegated to AMISConfig / MixingSchedule.
-        AMISConfig(
-            sigma=self.sigma,
-            sigma_decrement=self.sigma_decrement,
-            max_retries=self.max_retries,
-        )
-        MixingSchedule(self.r_start, self.r_end, self.r_breakpoint)
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+        for name in ("period", "window", "r_breakpoint"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("r_start", "r_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("sigma_decrement", "max_retries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
-    def amis_config(self) -> AMISConfig:
-        return AMISConfig(
-            sigma=self.sigma,
-            sigma_decrement=self.sigma_decrement,
-            max_retries=self.max_retries,
-        )
+    def concentrate_probability(self, s: int) -> float:
+        """``r(s)``: the probability a point is kept from the AMIS proposal at
+        resampling iteration ``s`` (Section 3.2).
 
-    def mixing_schedule(self) -> MixingSchedule:
-        return MixingSchedule(self.r_start, self.r_end, self.r_breakpoint)
+        Importance-sampling proposals suffer from mode collapse and
+        under-exploration, so Breed draws from ``r·q^(s)(·) + (1 − r)·U(Λ)``:
+        each proposed point is kept with probability ``r(s)`` and replaced by
+        a uniform one otherwise (Fig. 1: with ``R = 0.7``, 30 % are replaced).
+        The schedule is "linear–constant" in ``(r_s, r_e, r_c)``: it starts at
+        ``r_s``, a warm-up that keeps exploration high while the NN is still
+        random, changes linearly over ``r_c`` resampling iterations and stays
+        at ``r_e`` afterwards.  The formula printed in the paper is garbled by
+        typesetting (``r(s) = max(s·r_e − r_s / r_c, r_e)``); this is the
+        reading of its Section 4.1 text, and
+        ``tests/breed/test_amis_mixing.py`` pins it::
+
+            r(s) = r_s + (r_e − r_s) · min(s / r_c, 1)
+        """
+        if s < 0:
+            raise ValueError("resampling iteration must be non-negative")
+        return self.r_start + (self.r_end - self.r_start) * min(s / self.r_breakpoint, 1.0)
 
 
 class BreedSampler(SteeringSampler):
@@ -188,8 +197,6 @@ class BreedSampler(SteeringSampler):
         super().__init__(bounds)
         self.config = config if config is not None else BreedConfig()
         self.tracker = LossDeviationTracker()
-        self.amis = AdaptiveImportanceSampler(bounds, self.config.amis_config())
-        self.mixing = self.config.mixing_schedule()
         #: resampling iteration counter ``s``
         self.resampling_count = 0
 
@@ -206,31 +213,18 @@ class BreedSampler(SteeringSampler):
 
     def resample(
         self, n_pending: int, iteration: int, rng: np.random.Generator, parameters: np.ndarray
-    ) -> Optional[ResampleDecision]:
+    ) -> Optional[Resampled]:
         if n_pending <= 0:
             return None
+        s = self.resampling_count
         ids, q_values = self.tracker.window(self.config.window)
-        concentrate = self.mixing.concentrate_probability(self.resampling_count)
-        result = self.amis.propose(
-            locations=parameters[ids],
-            q_values=q_values,
-            n_samples=n_pending,
-            concentrate_probability=concentrate,
-            rng=rng,
-        )
-        sources = [
-            ParameterSource.MIX_UNIFORM if uniform else ParameterSource.PROPOSAL
-            for uniform in result.from_uniform
-        ]
-        decision = ResampleDecision(
-            parameters=result.samples,
-            sources=sources,
-            iteration=iteration,
-            resampling_index=self.resampling_count,
-            amis=result,
+        r = self.config.concentrate_probability(s)
+        samples, from_uniform, diagnostics = amis_step(
+            self.config, self.bounds, parameters[ids], q_values, n_pending, r, rng
         )
         self.resampling_count += 1
-        return decision
+        sources = [ParameterSource.MIX_UNIFORM if u else ParameterSource.PROPOSAL for u in from_uniform]
+        return Resampled(samples, sources, {"resampling_index": s, **diagnostics})
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:

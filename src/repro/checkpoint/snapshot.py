@@ -20,7 +20,7 @@ arbitrary-precision integers, which JSON also preserves exactly.  Restores are
 therefore *bit-identical*: a run killed at any batch and restored from its
 latest snapshot produces the same metrics and series as an uninterrupted run.
 
-Archive layout (schemas 2 to 4).  A state tree holds thousands of small
+Archive layout (schemas 2 to 5).  A state tree holds thousands of small
 arrays (the Breed tracker's per-simulation records, the launcher's ledger) and
 a handful of large ones (reservoir rows, weights, Adam moments, pending payloads).
 Every array of rank ≤ 1 is packed into one contiguous *pool* per dtype,
@@ -35,8 +35,11 @@ Schema-1 snapshots stored every array as its own member; their
 placeholders are all of the second kind, so they load unchanged.  The
 manifest is written compact.
 
-Schema versions.  Schema 4 keeps each fact of the state tree once, with its
-owner, and nothing derivable from it.  Schema-3 trees also carry, and the
+Schema versions.  Schema 5 adds the diagnostics of each steering to the
+controller's steering records (``concentrate_probability`` to
+``n_fallbacks``); records of older trees restore with ``None`` for them.
+Schema 4 keeps each fact of the state tree once, with its owner, and
+nothing derivable from it.  Schema-3 trees also carry, and the
 loaders ignore: Breed's tracker records of simulations never observed, and
 each tracker record's ``parameters`` (the launcher record's) and
 ``n_observations`` (the sum of its counts); the sampler's
@@ -109,9 +112,10 @@ __all__ = [
 _LOGGER = get_logger("checkpoint")
 
 #: bump when the manifest layout or any component state_dict changes shape
-SCHEMA_VERSION = 4
-#: schemas 3 and 2 add copies the loaders ignore, schema 1 its own archive layout
-_READABLE_SCHEMAS = (1, 2, 3, 4)
+SCHEMA_VERSION = 5
+#: schema 4 lacks the steering diagnostics, schemas 3 and 2 add copies the loaders
+#: ignore, schema 1 has its own archive layout
+_READABLE_SCHEMAS = (1, 2, 3, 4, 5)
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"

@@ -247,11 +247,8 @@ class TrainingServer:
             self.finish_validation(block=False)
 
         # Steering trigger (no-op for the Random baseline).
-        if launcher is not None:
-            n_steer = self.controller.n_steering_events
-            self.controller.maybe_steer(self.iteration, launcher)
-            if self.controller.n_steering_events != n_steer:
-                self._tracer.instant("server.steering", cat="steering", iteration=self.iteration)
+        if launcher is not None and self.controller.maybe_steer(self.iteration, launcher) is not None:
+            self._tracer.instant("server.steering", cat="steering", iteration=self.iteration)
         return loss_value
 
     def _optimize(self, batch: ReservoirBatch) -> Tuple[float, np.ndarray]:
@@ -321,7 +318,7 @@ class TrainingServer:
             "samples_received": float(self.reservoir.n_received),
             "final_train_loss": self.history.final_train_loss(),
             "final_validation_loss": self.history.final_validation_loss(),
-            "steering_events": float(self.controller.n_steering_events),
+            "steering_events": float(len(self.controller.records)),
             "steering_seconds": self.controller.steering_seconds,
             **{f"reservoir_{k}": v for k, v in self.reservoir.summary().items()},
         }

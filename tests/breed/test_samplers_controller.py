@@ -5,21 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.breed import samplers
 from repro.breed.acquisition import loss_deviations
 from repro.breed.controller import BreedController
-from repro.breed.samplers import (
-    BreedConfig,
-    BreedSampler,
-    ParameterSource,
-    RandomSampler,
-    ResampleDecision,
-)
+from repro.breed.samplers import BreedConfig, BreedSampler, ParameterSource, RandomSampler
 from repro.sampling.bounds import HEAT2D_BOUNDS
+from repro.sampling.multinomial import effective_sample_size, entropy, normalize_weights
 from repro.sampling.uniform import uniform_in_bounds
 
 
 class FakeLauncher:
-    """Minimal SteeringTarget double recording applied updates."""
+    """Minimal launcher double recording applied updates."""
 
     def __init__(self, steerable, n_simulations=30):
         self.steerable = list(steerable)
@@ -112,29 +108,34 @@ class TestBreedSampler:
         assert len(folds) == 60 // sampler.config.period
         assert [i + 1 for i, fire in enumerate(decisions) if fire] == [10, 20, 30, 40, 50, 60]
 
-    def test_resample_returns_decision(self, sampler, rng):
+    def test_resample_returns_parameters_sources_and_diagnostics(self, sampler, rng):
         params = sampler.initial_parameters(20, rng)
         feed_losses(sampler)
-        decision = sampler.resample(7, iteration=10, rng=rng, parameters=params)
-        assert isinstance(decision, ResampleDecision)
-        assert len(decision) == 7
-        assert HEAT2D_BOUNDS.contains_all(decision.parameters)
-        assert set(decision.sources) <= {ParameterSource.PROPOSAL, ParameterSource.MIX_UNIFORM}
-        assert decision.resampling_index == 0
+        resampled = sampler.resample(7, iteration=10, rng=rng, parameters=params)
+        assert resampled.parameters.shape == (7, 5) and len(resampled) == 7
+        assert HEAT2D_BOUNDS.contains_all(resampled.parameters)
+        assert set(resampled.sources) <= {ParameterSource.PROPOSAL, ParameterSource.MIX_UNIFORM}
+        assert resampled.diagnostics["resampling_index"] == 0
+        assert resampled.diagnostics["concentrate_probability"] == sampler.config.concentrate_probability(0)
         assert sampler.resampling_count == 1
+
+    def test_a_result_whose_parameters_and_sources_disagree_is_refused(self):
+        with pytest.raises(ValueError):
+            samplers.Resampled(np.zeros((2, 5)), [ParameterSource.PROPOSAL], {"resampling_index": 0})
 
     def test_window_locations_are_the_callers_parameter_rows(self, sampler, rng, monkeypatch):
         params = sampler.initial_parameters(20, rng)
         feed_losses(sampler)
         seen = {}
-        propose = sampler.amis.propose
+        amis_step = samplers.amis_step
         monkeypatch.setattr(
-            sampler.amis, "propose", lambda **kwargs: seen.update(kwargs) or propose(**kwargs)
+            samplers, "amis_step", lambda *args: seen.update(args=args) or amis_step(*args)
         )
         sampler.resample(5, 10, rng, params)
         ids, q_values = sampler.tracker.window(sampler.config.window)
-        assert np.array_equal(seen["locations"], params[ids])
-        assert np.array_equal(seen["q_values"], q_values)
+        _, _, locations, passed_q_values, *_ = seen["args"]
+        assert np.array_equal(locations, params[ids])
+        assert np.array_equal(passed_q_values, q_values)
 
     def test_resample_zero_pending_returns_none(self, sampler, rng):
         params = sampler.initial_parameters(20, rng)
@@ -153,21 +154,12 @@ class TestBreedSampler:
         feed_losses(sampler)
         third = sampler.resample(200, 15, rng, params)
         # r grows 0 -> 0.5 -> 1, so the uniform fraction must drop.
-        frac = [
-            sum(1 for s in d.sources if s == ParameterSource.MIX_UNIFORM) / len(d)
-            for d in (first, second, third)
-        ]
+        frac = [r.sources.count(ParameterSource.MIX_UNIFORM) / len(r) for r in (first, second, third)]
         assert frac[0] > frac[1] > frac[2]
         assert frac[2] == 0.0
 
     def test_name(self, sampler):
         assert sampler.name == "Breed"
-
-
-class TestResampleDecision:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ResampleDecision(parameters=np.zeros((2, 5)), sources=["proposal"], iteration=0, resampling_index=0)
 
 
 class TestBreedController:
@@ -196,6 +188,19 @@ class TestBreedController:
             assert HEAT2D_BOUNDS.contains(params)
             assert source in (ParameterSource.PROPOSAL, ParameterSource.MIX_UNIFORM)
 
+    def test_a_record_holds_the_weight_diagnostics_of_its_window(self):
+        controller, sampler = self._controller()
+        feed_losses(sampler)
+        _, q_values = sampler.tracker.window(sampler.config.window)
+        record = controller.maybe_steer(10, FakeLauncher(steerable=[20, 21, 22]))
+        weights = normalize_weights(q_values)
+        assert record.window_size == len(q_values) == 10
+        assert record.ess == effective_sample_size(weights)
+        assert record.weight_entropy == entropy(weights)
+        assert record.max_weight_share == weights.max()
+        assert record.concentrate_probability == sampler.config.r_start
+        assert record.n_fallbacks == 0 and record.sigma_min == record.sigma_median == 20.0
+
     def test_steer_with_no_pending_simulations(self):
         controller, sampler = self._controller()
         feed_losses(sampler)
@@ -217,7 +222,7 @@ class TestBreedController:
         feed_losses(sampler)
         controller.maybe_steer(20, launcher)
         assert controller.steering_seconds > first and controller.steering_count == 2
-        assert controller.n_steering_events == 2
+        assert len(controller.records) == 2
         state = controller.state_dict()
         assert state["steering_total_seconds"] == controller.steering_seconds
         assert state["steering_count"] == 2

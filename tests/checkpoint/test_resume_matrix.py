@@ -12,11 +12,13 @@ state, and are the only exclusion.
 from __future__ import annotations
 
 import copy
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.api.session import OnlineTrainingResult, TrainingSession
+from repro.breed.controller import SteeringRecord
 from repro.checkpoint import (
     CheckpointPolicy,
     list_snapshots,
@@ -27,6 +29,12 @@ from repro.checkpoint import (
 from repro.melissa.reservoir import Reservoir
 from repro.melissa.server import SAMPLE_STATISTICS
 
+#: the steering record's analysis-only fields, which schema 5 added
+DIAGNOSTICS = (
+    "concentrate_probability", "window_size", "ess", "max_weight_share",
+    "weight_entropy", "sigma_min", "sigma_median", "n_fallbacks",
+)
+
 
 def _drive_to_completion(session: TrainingSession) -> OnlineTrainingResult:
     while session.n_ticks < session.config.max_ticks:
@@ -35,12 +43,20 @@ def _drive_to_completion(session: TrainingSession) -> OnlineTrainingResult:
     return session.result()
 
 
+def steering_fields(record: SteeringRecord, diagnostics: bool = True) -> dict:
+    """A steering record's fields but its wall-clock time, and without its
+    diagnostics when ``diagnostics`` is false."""
+    skip = {"elapsed_seconds", *(() if diagnostics else DIAGNOSTICS)}
+    return {name: value for name, value in asdict(record).items() if name not in skip}
+
+
 def assert_bit_identical(
-    resumed: OnlineTrainingResult, reference: OnlineTrainingResult, rows_from: int = 1
+    resumed: OnlineTrainingResult, reference: OnlineTrainingResult, rows_from: int = 1, restored: int = 0
 ) -> None:
     """Everything but wall-clock time equal; the resumed run's statistics rows
     start at iteration ``rows_from`` (a snapshot written before the rows were
-    kept restores none)."""
+    kept restores none), and its first ``restored`` steering records carry no
+    diagnostics (a snapshot older than schema 5 wrote none)."""
     assert resumed.history.train_losses == reference.history.train_losses
     assert resumed.history.train_iterations == reference.history.train_iterations
     assert resumed.history.validation_losses == reference.history.validation_losses
@@ -53,13 +69,11 @@ def assert_bit_identical(
     assert resumed.transport_bytes == reference.transport_bytes
     assert resumed.launcher_summary == reference.launcher_summary
     assert resumed.reservoir_summary == reference.reservoir_summary
-    assert [
-        (r.iteration, r.resampling_index, r.simulation_ids, r.sources, r.n_requested, r.n_applied)
-        for r in resumed.steering_records
-    ] == [
-        (r.iteration, r.resampling_index, r.simulation_ids, r.sources, r.n_requested, r.n_applied)
-        for r in reference.steering_records
-    ]
+    assert len(resumed.steering_records) == len(reference.steering_records)
+    for index, (a, b) in enumerate(zip(resumed.steering_records, reference.steering_records)):
+        old = index < restored
+        assert steering_fields(a, not old) == steering_fields(b, not old), index
+        assert not old or {name: getattr(a, name) for name in DIAGNOSTICS} == dict.fromkeys(DIAGNOSTICS)
     rows = reference.history.sample_statistics
     rows = rows[rows.iteration >= rows_from]
     for column in SAMPLE_STATISTICS.names:

@@ -11,6 +11,9 @@
   (:data:`RETIRED_KEYS`); loaders ignore them.  ``fixtures/schema2`` and
   ``fixtures/schema3`` hold snapshots written by the schema-2 and schema-3
   writers.
+* Schema 5 writes each steering record's diagnostics; the records of older
+  snapshots restore with ``None`` for them.  ``fixtures/schema4`` holds a
+  snapshot written by the schema-4 writer.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ import pytest
 
 from pathlib import Path
 
-from test_resume_matrix import assert_bit_identical
+from test_resume_matrix import DIAGNOSTICS, assert_bit_identical
 
 from repro.api.session import TrainingSession
 from repro.breed.samplers import BreedConfig, BreedSampler
-from repro.checkpoint import SCHEMA_VERSION, load_manifest, restore_session, save_session
+from repro.checkpoint import SCHEMA_VERSION, SnapshotError, load_manifest, restore_session, save_session
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.workflow.executor import RunSpec, execute_spec
 
@@ -116,7 +119,7 @@ def test_schema1_snapshot_restores_and_runs_bit_identical(make_config):
     config = make_config(**SCHEMA1_CONFIG)
     restored = restore_session(SCHEMA1_SNAPSHOT, config=config)
     assert restored.n_ticks == 7 and restored.pending_blocks
-    assert_bit_identical(restored.run(), TrainingSession(config).run(), rows_from=5)
+    assert_bit_identical(restored.run(), TrainingSession(config).run(), rows_from=5, restored=1)
 
 
 def test_a_run_resumed_from_a_schema1_snapshot_publishes_no_partial_matrix(make_config, tmp_path):
@@ -146,6 +149,10 @@ SCHEMA2_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema2" / "step-000000
 #: 21): five steerings, four running clients, pending rows, and steered
 #: simulations both started and still pending
 SCHEMA3_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema3" / "step-00000024"
+#: written by the schema-4 writer from ``SCHEMA1_CONFIG`` at tick 28 (iteration
+#: 25): six steerings, four running clients, pending rows, and steered
+#: simulations both started and still pending
+SCHEMA4_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema4" / "step-00000028"
 #: the keys a snapshot no longer writes, by subtree ("" is the session's own)
 #: and by the first schema that writes none of them
 RETIRED_KEYS = {
@@ -201,7 +208,7 @@ def test_schema2_snapshot_restores_and_runs_bit_identical(make_config):
     restored = restore_session(SCHEMA2_SNAPSHOT, config=config)
     assert restored.n_ticks == 18 and restored.pending_blocks
     assert not restored.server.history.sample_statistics.uniform.all()  # proposal rows already trained on
-    assert_bit_identical(restored.run(), TrainingSession(config).run())
+    assert_bit_identical(restored.run(), TrainingSession(config).run(), restored=3)
 
 
 def test_retired_keys_are_unread(make_config, tmp_path):
@@ -239,7 +246,7 @@ def test_retired_keys_are_unread(make_config, tmp_path):
     config = make_config(**SCHEMA1_CONFIG)
     restored = restore_session(snapshot, config=config)
     assert restored.n_ticks == 18 and restored.launcher.running_clients()
-    assert_bit_identical(restored.run(), TrainingSession(config).run())
+    assert_bit_identical(restored.run(), TrainingSession(config).run(), restored=3)
 
 
 def test_schema3_fixture_is_what_it_claims(make_config):
@@ -264,16 +271,65 @@ def test_schema3_snapshot_restores_and_runs_bit_identical(make_config):
     restored = restore_session(SCHEMA3_SNAPSHOT, config=config)
     assert restored.n_ticks == 24 and restored.pending_blocks
     assert len(restored.launcher.running_clients()) == 4
-    assert_bit_identical(restored.run(), TrainingSession(config).run())
+    assert_bit_identical(restored.run(), TrainingSession(config).run(), restored=5)
 
 
-@pytest.mark.parametrize("fixture", [SCHEMA2_SNAPSHOT, SCHEMA3_SNAPSHOT], ids=["schema2", "schema3"])
+def test_schema4_fixture_is_what_it_claims(make_config):
+    manifest = load_manifest(SCHEMA4_SNAPSHOT)
+    assert manifest["schema"] == 4
+    assert manifest["fingerprint"] == make_config(**SCHEMA1_CONFIG).digest()
+    state = manifest["state"]
+    assert_writes_retired_keys(state, 4)
+    assert state["controller"]["steering_count"] == 6 and state["n_pending_messages"] > 0
+    assert all(not set(DIAGNOSTICS) & set(record) for record in state["controller"]["records"])
+    records = state["launcher"]["records"]
+    assert sum(record["state"] == "running" for record in records) == 4
+    steered = [record for record in records if record["history"]]
+    assert {record["state"] for record in steered} >= {"pending", "running", "finished"}
+
+
+def test_schema4_snapshot_restores_and_runs_bit_identical(make_config):
+    config = make_config(**SCHEMA1_CONFIG)
+    restored = restore_session(SCHEMA4_SNAPSHOT, config=config)
+    assert restored.n_ticks == 28 and restored.pending_blocks
+    assert len(restored.launcher.running_clients()) == 4
+    assert_bit_identical(restored.run(), TrainingSession(config).run(), restored=6)
+
+
+@pytest.mark.parametrize(
+    "fixture, n_records",
+    [(SCHEMA1_SNAPSHOT, 1), (SCHEMA2_SNAPSHOT, 3), (SCHEMA3_SNAPSHOT, 5), (SCHEMA4_SNAPSHOT, 6)],
+    ids=["schema1", "schema2", "schema3", "schema4"],
+)
+def test_records_restored_from_an_old_schema_carry_no_diagnostics(make_config, fixture, n_records):
+    session = restore_session(fixture, config=make_config(**SCHEMA1_CONFIG))
+    records = session.controller.records
+    session.close()
+    assert len(records) == n_records
+    assert all(getattr(record, name) is None for record in records for name in DIAGNOSTICS)
+    assert [record.resampling_index for record in records] == list(range(n_records))
+
+
+def test_a_snapshot_of_a_newer_schema_is_refused(tmp_path):
+    snapshot = tmp_path / SCHEMA4_SNAPSHOT.name
+    shutil.copytree(SCHEMA4_SNAPSHOT, snapshot)
+    manifest = json.loads((snapshot / "manifest.json").read_text())
+    manifest["schema"] = 6
+    (snapshot / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotError, match="schema version 6"):
+        load_manifest(snapshot)
+
+
+@pytest.mark.parametrize(
+    "fixture", [SCHEMA2_SNAPSHOT, SCHEMA3_SNAPSHOT, SCHEMA4_SNAPSHOT], ids=["schema2", "schema3", "schema4"]
+)
 def test_a_new_snapshot_writes_no_retired_key(make_config, tmp_path, fixture):
     session = restore_session(fixture, config=make_config(**SCHEMA1_CONFIG))
     manifest = load_manifest(save_session(session, tmp_path))
     session.close()
-    assert manifest["schema"] == SCHEMA_VERSION == 4
+    assert manifest["schema"] == SCHEMA_VERSION == 5
     state = manifest["state"]
+    assert all(set(DIAGNOSTICS) <= set(record) for record in state["controller"]["records"])
     assert state["n_pending_messages"] > 0 and state["controller"]["steering_count"] >= 3
     assert_writes_retired_keys(state, SCHEMA_VERSION)
     assert [channel["name"] for channel in state["transport"]["channels"]] == ["data"]

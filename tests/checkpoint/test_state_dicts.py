@@ -249,7 +249,7 @@ class TestSamplers:
         got = target.resample(4, iteration=10, rng=rng2, parameters=params)
         np.testing.assert_array_equal(got.parameters, expected.parameters)
         assert got.sources == expected.sources
-        assert got.resampling_index == expected.resampling_index
+        assert got.diagnostics == expected.diagnostics
 
     def test_breed_resampling_counters_survive_roundtrip(self):
         rng = np.random.default_rng(3)

@@ -63,3 +63,34 @@ def test_architecture_doc_names_real_modules():
             except ModuleNotFoundError:
                 candidate = candidate.rpartition(".")[0]
         assert candidate, f"ARCHITECTURE.md references unknown module {name!r}"
+
+
+def test_paper_map_names_real_functions_and_tests():
+    """Every ``repro.…`` name in PAPER_MAP.md is an attribute of a module, not
+    only a module, and every test it cites exists, down to its ``::`` names."""
+    import importlib
+    import re
+
+    text = (REPO_ROOT / "docs" / "PAPER_MAP.md").read_text()
+    names = sorted(set(re.findall(r"`(repro(?:\.\w+)+)`", text)))
+    assert len(names) >= 8
+    for name in names:
+        parts = name.split(".")
+        split = len(parts)
+        while split > 1:
+            try:
+                target = importlib.import_module(".".join(parts[:split]))
+                break
+            except ModuleNotFoundError:
+                split -= 1
+        assert split < len(parts), f"PAPER_MAP.md names {name!r}, a module, not a function"
+        for attribute in parts[split:]:
+            assert hasattr(target, attribute), f"PAPER_MAP.md names unknown {name!r}"
+            target = getattr(target, attribute)
+    tests = sorted(set(re.findall(r"`(tests/[\w/]+\.py)((?:::\w+)*)`", text)))
+    assert len(tests) >= 8
+    for path, nodes in tests:
+        source = (REPO_ROOT / path).read_text() if (REPO_ROOT / path).is_file() else ""
+        assert source, f"PAPER_MAP.md cites missing test file {path}"
+        for node in nodes.split("::")[1:]:
+            assert re.search(rf"^\s*(def|class) {node}\b", source, re.M), f"{path}::{node} not found"
