@@ -134,6 +134,7 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.workflow.results", "StudyResults.load_json", SAFETY),
     ("repro.telemetry", "disable", SAFETY),
     ("repro.telemetry.tracing", "Tracer.close", SAFETY),  # the atexit flush runs after the profiler stops
+    ("repro.melissa.launcher", "_columns_of_records", SAFETY),  # resumes a schema-1-to-5 snapshot
     # CLI flags and documented helpers
     ("repro.campaign.cli", "_schedule_table", SURFACE),
     ("repro.telemetry.tracing", "to_chrome", SURFACE),
@@ -148,7 +149,6 @@ KEEP: List[Tuple[str, str, str]] = [
     ("repro.experiments.fig3a", "Fig3aCell.overfit_gap", ORACLE),
     ("repro.experiments.fig3a", "Fig3aResult.cell", ORACLE),
     ("repro.experiments.fig3b", "Fig3bResult.panel", ORACLE),
-    ("repro.melissa.client", "SolverClient.expected_timesteps", ORACLE),
     ("repro.melissa.reservoir", "Reservoir.entries", ORACLE),
     ("repro.melissa.reservoir", "Reservoir.is_full", ORACLE),
     ("repro.melissa.reservoir", "ReservoirEntry.__post_init__", ORACLE),

@@ -17,13 +17,13 @@ phases that mirror the asynchronous components of the real Melissa system:
 until termination and returns the :class:`OnlineTrainingResult`
 (:func:`run_online_training` is the one-call form).
 
-Each part records what it did in its own ledger: the launcher's
-:class:`~repro.melissa.launcher.SimulationRecord` per simulation (state,
-scheduler ticks, steering ``history``), the controller's
-:class:`~repro.breed.controller.SteeringRecord` per applied steering, and the
-server's :class:`~repro.melissa.server.TrainingHistory`.  Live observers
-subscribe through the hook lists :attr:`on_tick`, :attr:`on_steering` and
-:attr:`on_validation` instead of patching the loop, or read the telemetry.
+Each part records what it did in its own ledger: the launcher's columns, one
+row per simulation (parameters, source, state, scheduler ticks), the
+controller's :class:`~repro.breed.controller.SteeringRecord` per applied
+steering, and the server's :class:`~repro.melissa.server.TrainingHistory`.
+Live observers subscribe through the hook lists :attr:`on_tick`,
+:attr:`on_steering` and :attr:`on_validation` instead of patching the loop,
+or read the telemetry.
 
 The session is workload-agnostic: every scenario dependency (solver, bounds,
 scalers, surrogate geometry) comes from the :class:`~repro.api.workloads.Workload`
@@ -236,7 +236,7 @@ class TrainingSession:
         )
 
         #: produced rows not yet in the reservoir, one block per client and tick:
-        #: ``(simulation_id, first_timestep, rows)``; the parameters are the launcher record's
+        #: ``(simulation_id, first_timestep, rows)``; the parameters are the launcher's row
         self.pending_blocks: Deque[Tuple[int, int, np.ndarray]] = deque()
         self.n_ticks = 0
         self._finalized = False
@@ -338,8 +338,8 @@ class TrainingSession:
         blocks = self.pending_blocks
         if not blocks:
             return 0
-        records = self.launcher.records
-        received = self.server.receive(blocks, (records[simulation_id].parameters for simulation_id, *_ in blocks))
+        parameters = self.launcher.parameters
+        received = self.server.receive(blocks, (parameters[simulation_id] for simulation_id, *_ in blocks))
         left = received
         while left and left >= len(blocks[0][2]):
             left -= len(blocks.popleft()[2])
@@ -482,7 +482,7 @@ class TrainingSession:
             "model": self.model.state_dict(),
             "optimizer": self.optimizer.state_dict(),
             "controller": self.controller.state_dict(),
-            **self.launcher.state_dict(),  # the "scheduler" and "launcher" subtrees
+            **self.launcher.state_dict(),  # the "launcher" subtree
             "reservoir": self.reservoir.state_dict(),
             "transport": self.transport.state_dict(),
             "server": self.server.state_dict(),
@@ -511,7 +511,7 @@ class TrainingSession:
         states, in place, so components sharing a generator stay aliased —
         which makes the restored session bit-identical to the saved one.
         Older snapshots also carry ``"pending_parameters"`` (the pending
-        rows' copy of their launcher records' parameters); it is ignored.
+        rows' copy of their launcher parameters); it is ignored.
         """
         self.streams.load_state_dict(state["streams"])  # type: ignore[arg-type]
         self.model.load_state_dict(state["model"])  # type: ignore[arg-type]
@@ -558,7 +558,7 @@ class TrainingSession:
             method=self.sampler.name,
             history=self.server.history,
             model=self.model,
-            executed_parameters=executed_parameters,
+            executed_parameters=executed_parameters.copy(),
             parameter_sources=sources,
             steering_records=list(self.controller.records),
             launcher_summary=self.launcher.summary(),

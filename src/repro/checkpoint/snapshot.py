@@ -20,8 +20,8 @@ arbitrary-precision integers, which JSON also preserves exactly.  Restores are
 therefore *bit-identical*: a run killed at any batch and restored from its
 latest snapshot produces the same metrics and series as an uninterrupted run.
 
-Archive layout (schemas 2 to 5).  A state tree holds thousands of small
-arrays (the Breed tracker's per-simulation records, the launcher's ledger) and
+Archive layout (schemas 2 to 6).  A state tree holds hundreds of small
+arrays (the Breed tracker's per-simulation records) and
 a handful of large ones (reservoir rows, weights, Adam moments, pending payloads).
 Every array of rank ≤ 1 is packed into one contiguous *pool* per dtype,
 stored as the member ``pool-<dtype>``, and its placeholder is
@@ -35,7 +35,15 @@ Schema-1 snapshots stored every array as its own member; their
 placeholders are all of the second kind, so they load unchanged.  The
 manifest is written compact.
 
-Schema versions.  Schema 5 adds the diagnostics of each steering to the
+Schema versions.  Schema 6 writes the launcher's ledger as one
+``"launcher"`` subtree of columns, row ``j`` for simulation ``j`` (parameters,
+source and state codes, the four job ticks), its counters, one ``overwrites``
+count and the running clients' ``n_produced``; older trees hold a
+``"scheduler"`` subtree of job records and a ``"launcher"`` one of simulation
+records, which must agree on each job's state; their per-record ``history``
+lists restore as their total length, and their clients' ``finished`` flags
+(false for every running one) are ignored.
+Schema 5 adds the diagnostics of each steering to the
 controller's steering records (``concentrate_probability`` to
 ``n_fallbacks``); records of older trees restore with ``None`` for them.
 Schema 4 keeps each fact of the state tree once, with its owner, and
@@ -112,10 +120,11 @@ __all__ = [
 _LOGGER = get_logger("checkpoint")
 
 #: bump when the manifest layout or any component state_dict changes shape
-SCHEMA_VERSION = 5
-#: schema 4 lacks the steering diagnostics, schemas 3 and 2 add copies the loaders
-#: ignore, schema 1 has its own archive layout
-_READABLE_SCHEMAS = (1, 2, 3, 4, 5)
+SCHEMA_VERSION = 6
+#: schema 5 keeps the launcher's ledger as records, schema 4 also lacks the steering
+#: diagnostics, schemas 3 and 2 add copies the loaders ignore, schema 1 has its own
+#: archive layout
+_READABLE_SCHEMAS = (1, 2, 3, 4, 5, 6)
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"

@@ -13,7 +13,7 @@ The session wiring these parts together, its configuration and its result
 """
 
 from repro.melissa.client import SolverClient
-from repro.melissa.launcher import Launcher, SimulationRecord, SimulationState
+from repro.melissa.launcher import Launcher
 from repro.melissa.reservoir import Reservoir, ReservoirBatch, ReservoirEntry
 from repro.melissa.server import TrainingHistory, TrainingServer
 from repro.melissa.transport import InProcessTransport
@@ -21,8 +21,6 @@ from repro.melissa.transport import InProcessTransport
 __all__ = [
     "SolverClient",
     "Launcher",
-    "SimulationRecord",
-    "SimulationState",
     "Reservoir",
     "ReservoirBatch",
     "ReservoirEntry",

@@ -1,11 +1,9 @@
 """Client: one solver instance streaming its trajectory to the server.
 
-In the real framework each client is an MPI job running the numerical solver
-and pushing every produced time step to the server over the network.  Here a
-client wraps a :class:`repro.solvers.base.Solver` generator and exposes
-:meth:`produce`, which advances the solver by a bounded number of time steps
-per call — this is what lets the simulation interleave data production with
-NN training the way the asynchronous real system does.
+In the real framework each client is an MPI job pushing every time step its
+solver produces to the server.  Here :meth:`SolverClient.produce` advances a
+:class:`repro.solvers.base.Solver` by a bounded number of time steps per call,
+which interleaves data production with NN training as the real system does.
 """
 
 from __future__ import annotations
@@ -27,12 +25,10 @@ __all__ = ["SolverClient"]
 class SolverClient:
     """Streams the trajectory of one parameter vector, a block of time steps at a time.
 
-    With ``workers`` the trajectory is computed by a solver worker process,
-    dispatched at :meth:`start` and read ahead into shared memory;
-    :meth:`produce` then only copies rows out, in the order and with the bits
-    the solver's own iterator gives.  ``parameters`` is the launcher record's
-    array, held, not copied: only a pending simulation's parameters change,
-    and a pending simulation has no client.
+    With ``workers`` a solver worker process computes the trajectory from
+    :meth:`start` on, reading ahead into shared memory; :meth:`produce` copies
+    its rows out, with the bits the solver's own iterator gives.
+    ``parameters`` is the simulation's launcher row, held, not copied.
     """
 
     def __init__(
@@ -55,19 +51,20 @@ class SolverClient:
             "repro_solver_steps_total", help="solver time steps produced by clients"
         )
 
-    def start(self, skip: int = 0) -> None:
-        """Open the trajectory at time step ``skip`` (a no-op once open).
+    def start(self) -> None:
+        """Open the trajectory at time step :attr:`n_produced` (a no-op once open).
 
-        A worker starts computing right away and does the skipping itself;
-        inline, the skipped fields are computed and discarded by the first
-        :meth:`produce`.
+        A worker starts computing right away and skips itself; inline, the
+        first :meth:`produce` computes and discards the skipped fields.  A
+        solver is a pure function of its parameters, so a fresh client whose
+        ``n_produced`` is set before it starts resumes a snapshot's exactly.
         """
         if self._rows is not None:
             return
         if self.workers is not None:
-            self._rows = self.workers.stream(self.parameters, skip)
+            self._rows = self.workers.stream(self.parameters, self.n_produced)
         else:
-            self._rows = islice(self.solver.steps(self.parameters), skip, None)
+            self._rows = islice(self.solver.steps(self.parameters), self.n_produced, None)
 
     def close(self) -> None:
         """Drop the open trajectory; a worker's stream hands its ring slot back."""
@@ -103,32 +100,3 @@ class SolverClient:
             self.n_produced += n
             self._m_steps.inc(n)
         return block[:n]
-
-    # ---------------------------------------------------------------- state
-    def state_dict(self) -> dict:
-        """Trajectory progress of this client (solver state is re-derived)."""
-        return {"n_produced": self.n_produced, "finished": self.finished}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore progress by fast-forwarding the deterministic solver.
-
-        Solvers are pure functions of their parameter vector, so re-running
-        the iterator and discarding the first ``n_produced`` fields puts a
-        fresh client into the bit-identical mid-trajectory state the snapshot
-        captured, without persisting solution fields.  With solver workers the
-        trajectory is re-dispatched and the worker does the discarding.
-        Snapshots of schema 3 and older also carry the client's
-        ``simulation_id``, a copy of its ``parameters`` and ``next_timestep``
-        (always ``n_produced``); they are ignored.
-        """
-        self.finished = bool(state["finished"])
-        self.n_produced = int(state["n_produced"])
-        self.close()
-        if not self.finished:
-            self.start(skip=self.n_produced)
-
-    @property
-    def expected_timesteps(self) -> int:
-        """Total number of time steps the client will produce (t = 0 .. T)."""
-        return self.solver.n_timesteps + 1
-

@@ -2,36 +2,28 @@
 
 Responsibilities reproduced from the paper (Section 2.2, 3.3 and Appendix A):
 
-* hold the full budget of ``S`` simulations and their input parameters,
-* submit client jobs in id order while respecting the job limit ``m`` (only
-  a subset of all clients is ever submitted at once),
+* hold the budget of ``S`` simulations and their input parameters,
+* submit client jobs in id order, at most ``m`` submitted or running at once,
 * play the batch scheduler (OAR on the real cluster): a submitted job waits a
-  random number of ticks, bounded by ``max_start_delay``, before it may start
+  random number of ticks, at most ``max_start_delay``, before it may start
   ("the inherent uncertainty of the batch scheduler", Section 3.3), so jobs
-  can start in another order than they were submitted in,
-* start a :class:`SolverClient` for every started simulation; one solver is
-  shared by all of them, as the paper's solver factorises its system once per
-  mesh, not per ``λ``,
-* report which simulations are *steerable*: the server must only replace the
-  parameters of simulations whose ids are at least ``k + m`` where ``k`` is
-  the highest simulation id already submitted — anything closer may already
-  have been handed to the scheduler and could start at any moment,
-* apply :meth:`update_parameters` requests coming from the server's steering
-  mechanism and remember the provenance of every parameter vector (needed by
-  the Figure 4 analysis and the Figure 6 ``uniform`` column).
+  can start out of submission order,
+* start a :class:`SolverClient` per started simulation, all sharing one
+  solver, as the paper's solver factorises its system once per mesh,
+* report the *steerable* simulations: pending ones whose id is at least
+  ``k + m``, ``k`` the highest submitted id — anything closer may already be
+  with the scheduler and start at any moment,
+* apply :meth:`update_parameters` steering requests and keep the provenance
+  of every parameter vector (the Figure 4 analysis, Figure 6 ``uniform``).
 
-A record is the only store of its simulation's parameters and provenance:
-the session reads a pending block's parameters from it, the server each
-training sample's provenance, Breed's AMIS window its locations, and a
-started simulation's client holds the record's array itself.  Both are fixed
-once the simulation starts, as only pending simulations are steered.
+The ledger is one column per fact, row ``j`` for simulation ``j``
+(:data:`COLUMNS`).  Its parameters are the only copy: pending blocks, Breed's
+AMIS window and a started simulation's client (its row) read them there.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,55 +34,57 @@ from repro.solvers.base import Solver
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.melissa.workers import SolverWorkers
 
-__all__ = ["SimulationState", "SimulationRecord", "Launcher"]
+__all__ = ["Launcher", "STATES", "SOURCES", "COLUMNS"]
+
+#: a simulation's lifecycle; each name's index is its code in the ``state``
+#: column: not yet submitted (steerable), handed to the scheduler and waiting
+#: to start, its client producing time steps, its trajectory all streamed
+STATES = ("pending", "submitted", "running", "finished")
+PENDING, SUBMITTED, RUNNING, FINISHED = range(len(STATES))
+#: the ``ParameterSource`` tags; the index of each is its code in the ``source`` column
+SOURCES = (ParameterSource.INITIAL_UNIFORM, ParameterSource.MIX_UNIFORM, ParameterSource.PROPOSAL)
+_UNIFORM = np.array([source in ParameterSource.UNIFORM for source in SOURCES])
+#: a job's ticks: submitted at, may start from, started at, completed at (−1 until then)
+TICKS = ("submitted_tick", "eligible_tick", "started_tick", "completed_tick")
+#: the ledger's columns and their dtypes: the parameter vectors, the
+#: :data:`SOURCES` code of their provenance, the :data:`STATES` code and the
+#: job's ticks
+COLUMNS = {"parameters": np.float64, "source": np.int8, "state": np.int8, **dict.fromkeys(TICKS, np.int64)}
+#: the scheduler's job state of each of :data:`STATES` in schemas 1 to 5
+_JOB_STATES = (None, "queued", "running", "completed")
 
 
-class SimulationState(enum.Enum):
-    """Lifecycle of one simulation in the launcher's ledger."""
-
-    PENDING = "pending"        # not yet submitted to the scheduler: steerable
-    SUBMITTED = "submitted"    # handed to the scheduler, waiting to start
-    RUNNING = "running"        # client job producing time steps
-    FINISHED = "finished"      # full trajectory streamed
+def _source_code(source: str) -> int:
+    if source not in SOURCES:
+        raise ValueError(f"unknown parameter source {source!r}; one of {', '.join(SOURCES)}")
+    return SOURCES.index(source)
 
 
-#: the scheduler's name of each submitted state, as the ``"scheduler"`` subtree writes it
-JOB_STATES = {
-    SimulationState.SUBMITTED: "queued",
-    SimulationState.RUNNING: "running",
-    SimulationState.FINISHED: "completed",
-}
+def _columns_of_records(state: Dict) -> Dict[str, Any]:
+    """The ledger of a schema-1 to -5 state — a ``"scheduler"`` subtree of jobs
+    and a ``"launcher"`` one of per-simulation records — as schema-6 columns.
 
-
-@dataclass
-class SimulationRecord:
-    """Ledger entry of one simulation of the budget."""
-
-    simulation_id: int
-    parameters: np.ndarray
-    source: str = ParameterSource.INITIAL_UNIFORM
-    state: SimulationState = SimulationState.PENDING
-    client: Optional[SolverClient] = None
-    #: sources of the steering overwrites, most recent last
-    history: List[str] = field(default_factory=list)
-    #: scheduler ticks of the job: submitted at, may start from, started at,
-    #: completed at (None until it happens)
-    submitted_tick: Optional[int] = None
-    eligible_tick: Optional[int] = None
-    started_tick: Optional[int] = None
-    completed_tick: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        self.parameters = np.asarray(self.parameters, dtype=np.float64).copy()
-
-    @property
-    def n_updates(self) -> int:
-        """Number of times steering replaced this simulation's parameters."""
-        return len(self.history)
-
-
-def _optional_int(value: object) -> Optional[int]:
-    return None if value is None else int(value)  # type: ignore[call-overload]
+    The two subtrees must agree on each job's state.  A record's ``history``
+    counts its overwrites; the other keys older schemas wrote follow from
+    these and are ignored.
+    """
+    scheduler, records = state["scheduler"], state["launcher"]["records"]
+    jobs = {int(job["job_id"]): job for job in scheduler["jobs"]}
+    rows = []  # one per simulation, a value per column
+    for sim_id, record in enumerate(records):
+        job, code = jobs.get(sim_id, {}), STATES.index(record["state"])
+        if _JOB_STATES[code] != job.get("state"):
+            raise ValueError(f"simulation {sim_id} is {record['state']} in the launcher state "
+                             f"but {job.get('state')} in the scheduler state")
+        ticks = (-1 if job.get(key) is None else job[key] for key in TICKS)
+        rows.append((record["parameters"], _source_code(record["source"]), code, *ticks))
+    return {
+        **{key: scheduler[key] for key in ("tick", "job_limit", "max_start_delay")},
+        "next_to_submit": state["launcher"]["next_to_submit"],
+        "overwrites": sum(len(record["history"]) for record in records),
+        **dict(zip(COLUMNS, zip(*rows))),
+        "n_produced": [record["client"]["n_produced"] for record in records if record["state"] == "running"],
+    }
 
 
 class Launcher:
@@ -98,6 +92,7 @@ class Launcher:
 
     ``rng`` draws each submission's start delay; ``workers`` are the owning
     session's solver worker processes (None: clients step the solver inline).
+    Each name of :data:`COLUMNS` is an ``(S, …)`` array attribute.
     """
 
     def __init__(
@@ -116,239 +111,164 @@ class Launcher:
         parameters = np.atleast_2d(np.asarray(initial_parameters, dtype=np.float64))
         if parameters.shape[0] == 0:
             raise ValueError("the simulation budget must contain at least one simulation")
-        self.records: Dict[int, SimulationRecord] = {
-            sim_id: SimulationRecord(simulation_id=sim_id, parameters=row)
-            for sim_id, row in enumerate(parameters)
-        }
         self.solver = solver
         #: maximum number of simultaneously submitted or running clients ``m``
         self.job_limit = job_limit
         self.max_start_delay = max_start_delay
         self._rng = rng
         self.workers = workers
+        n = len(parameters)
+        self._adopt({"parameters": parameters, "source": np.zeros(n), "state": np.zeros(n),
+                     **dict.fromkeys(TICKS, np.full(n, -1))})
         #: scheduler ticks advanced so far
         self.tick = 0
         #: submission order is by increasing simulation id, as in Melissa
         self.next_to_submit = 0
+        #: number of times steering replaced a simulation's parameters
+        self.overwrites = 0
+        #: the client of each running simulation, by id
+        self._clients: Dict[int, SolverClient] = {}
+
+    def _adopt(self, columns: Dict[str, Any]) -> None:
+        """Set each of :data:`COLUMNS` to a copy of ``columns``' entry."""
+        for key, dtype in COLUMNS.items():
+            setattr(self, key, np.array(columns[key], dtype=dtype))
 
     # ---------------------------------------------------------------- sizes
     @property
     def budget(self) -> int:
         """Total number of simulations ``S``."""
-        return len(self.records)
+        return len(self.parameters)
 
     @property
     def highest_submitted_id(self) -> int:
         """The ``k`` of the steering rule: the newest submitted id (-1 before any)."""
         return self.next_to_submit - 1
 
-    def count_state(self, state: SimulationState) -> int:
-        return sum(1 for rec in self.records.values() if rec.state == state)
-
-    def _submitted(self) -> List[SimulationRecord]:
-        """Every record handed to the scheduler so far, in submission (id) order."""
-        return [self.records[sim_id] for sim_id in range(self.next_to_submit)]
-
     @property
     def all_finished(self) -> bool:
-        return all(rec.state == SimulationState.FINISHED for rec in self.records.values())
+        return bool((self.state == FINISHED).all())
 
     # ------------------------------------------------------------ lifecycle
     def submit_available(self) -> List[int]:
-        """Submit pending simulations (in id order) while submitted plus
-        running stay within the job limit; each draws its start delay.
-
-        Mirrors Melissa's behaviour of keeping the scheduler fed with at most
-        ``m`` outstanding client jobs.
-        """
+        """Submit pending simulations in id order while submitted plus running
+        stay within ``m``, as Melissa keeps its scheduler fed; each draws its
+        start delay."""
         submitted: List[int] = []
-        outstanding = len(
-            [rec for rec in self._submitted() if rec.state != SimulationState.FINISHED]
-        )
+        submitted_before = self.state[: self.next_to_submit]
+        outstanding = int(np.count_nonzero(submitted_before != FINISHED))
         while self.next_to_submit < self.budget and outstanding < self.job_limit:
-            record = self.records[self.next_to_submit]
+            sim_id = self.next_to_submit
             delay = int(self._rng.integers(0, self.max_start_delay + 1)) if self.max_start_delay else 0
-            record.state = SimulationState.SUBMITTED
-            record.submitted_tick = self.tick
-            record.eligible_tick = self.tick + delay
-            submitted.append(record.simulation_id)
+            self.state[sim_id] = SUBMITTED
+            self.submitted_tick[sim_id] = self.tick
+            self.eligible_tick[sim_id] = self.tick + delay
+            submitted.append(sim_id)
             self.next_to_submit += 1
             outstanding += 1
         return submitted
 
     def advance(self) -> List[SolverClient]:
-        """Advance one tick and start every submitted simulation now eligible.
-
-        They start in order of (eligible tick, id) — jitter in the eligible
-        tick is what shuffles the start order relative to the submission
+        """Advance one tick and start every submitted simulation now eligible, in
+        (eligible tick, id) order: the jittered eligible ticks shuffle the start
         order.  Submission keeps submitted plus running within ``m``, so every
-        eligible simulation has a slot.
-        """
+        eligible simulation has a slot."""
         self.tick += 1
-        eligible = sorted(
-            [
-                rec
-                for rec in self._submitted()
-                if rec.state == SimulationState.SUBMITTED and rec.eligible_tick <= self.tick  # type: ignore[operator]
-            ],
-            key=lambda rec: (rec.eligible_tick, rec.simulation_id),
-        )
-        for record in eligible:
-            record.state = SimulationState.RUNNING
-            record.started_tick = self.tick
-            record.client = SolverClient(record.simulation_id, record.parameters, self.solver, self.workers)
-            record.client.start()  # a worker reads ahead from now on; inline, nothing runs before produce()
-        return [record.client for record in eligible]  # type: ignore[misc]
+        eligible = np.flatnonzero((self.state == SUBMITTED) & (self.eligible_tick <= self.tick))
+        eligible = eligible[np.argsort(self.eligible_tick[eligible], kind="stable")]
+        self.state[eligible] = RUNNING
+        self.started_tick[eligible] = self.tick
+        return [self._start(sim_id) for sim_id in eligible.tolist()]
+
+    def _start(self, sim_id: int, n_produced: int = 0) -> SolverClient:
+        """The started client of a running simulation, ``n_produced`` time steps in."""
+        client = SolverClient(sim_id, self.parameters[sim_id], self.solver, self.workers)
+        client.n_produced = n_produced
+        client.start()  # a worker reads ahead from now on; inline, nothing runs before produce()
+        self._clients[sim_id] = client
+        return client
 
     def mark_finished(self, simulation_id: int) -> None:
-        record = self.records[simulation_id]
-        if record.state != SimulationState.RUNNING:
-            raise ValueError(
-                f"simulation {simulation_id} cannot finish from state {record.state}"
-            )
-        record.state = SimulationState.FINISHED
-        record.completed_tick = self.tick
+        """Finish a running simulation; its client is closed and dropped."""
+        if self.state[simulation_id] != RUNNING:
+            state = STATES[self.state[simulation_id]]
+            raise ValueError(f"simulation {simulation_id} is {state}; only running simulations finish")
+        self.state[simulation_id] = FINISHED
+        self.completed_tick[simulation_id] = self.tick
+        self._clients.pop(simulation_id).close()
+
+    def _running_ids(self) -> List[int]:
+        return np.flatnonzero(self.state == RUNNING).tolist()
 
     def running_clients(self) -> List[SolverClient]:
-        return [
-            rec.client
-            for rec in self.records.values()
-            if rec.state == SimulationState.RUNNING and rec.client is not None
-        ]
+        """The running simulations' clients, in id order."""
+        return [self._clients[sim_id] for sim_id in self._running_ids()]
 
     # -------------------------------------------------------------- steering
     def steerable_simulation_ids(self) -> List[int]:
-        """Ids whose parameters may still be replaced (Section 3.3 rule).
-
-        The server may only touch simulations at least ``m`` ids beyond the
-        highest id it has observed from the launcher, i.e. ``id >= k + m``,
-        *and* that are still pending.
-        """
+        """Ids whose parameters may still be replaced (Section 3.3 rule): the
+        pending ones at least ``m`` ids beyond the newest submitted ``k``,
+        i.e. ``id >= k + m``."""
         threshold = self.highest_submitted_id + self.job_limit
-        return sorted(
-            sim_id
-            for sim_id, rec in self.records.items()
-            if rec.state == SimulationState.PENDING and sim_id >= threshold
-        )
+        return (np.flatnonzero(self.state[threshold:] == PENDING) + threshold).tolist()
 
     def update_parameters(self, simulation_id: int, parameters: np.ndarray, source: str) -> None:
-        """Apply a steering request to a pending simulation."""
-        record = self.records[simulation_id]
-        if record.state != SimulationState.PENDING:
-            raise ValueError(
-                f"simulation {simulation_id} is {record.state.value}; only pending simulations are steerable"
-            )
-        record.parameters = np.asarray(parameters, dtype=np.float64).copy()
-        record.source = source
-        record.history.append(source)
+        """Apply a steering request to a pending simulation; ``source`` is a ``ParameterSource`` tag."""
+        code = _source_code(source)
+        if self.state[simulation_id] != PENDING:
+            state = STATES[self.state[simulation_id]]
+            raise ValueError(f"simulation {simulation_id} is {state}; only pending simulations are steerable")
+        self.parameters[simulation_id] = parameters
+        self.source[simulation_id] = code
+        self.overwrites += 1
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, Dict[str, object]]:
-        """The ledger as the snapshot's ``"scheduler"`` and ``"launcher"`` subtrees.
-
-        ``"scheduler"`` lists every submitted simulation's job ticks in
-        submission order; ``"launcher"`` every record, with running clients'
-        progress.  Nothing derived from these is written: schema 3 and older
-        also wrote ``highest_submitted_id`` (``next_to_submit − 1``), the
-        clients' start order ``factory_created`` (the jobs' ticks give it)
-        and each record's ``n_updates`` (its history's length), which the
-        loader ignores.
-        """
+        """The ledger as the snapshot's ``"launcher"`` subtree: its counters, a
+        copy of each column and the running clients' progress, in id order."""
+        n_produced = [client.n_produced for client in self.running_clients()]
         return {
-            "scheduler": {
+            "launcher": {
                 "tick": self.tick,
                 "job_limit": self.job_limit,
                 "max_start_delay": self.max_start_delay,
-                "jobs": [
-                    {
-                        "job_id": rec.simulation_id,
-                        "submitted_tick": rec.submitted_tick,
-                        "eligible_tick": rec.eligible_tick,
-                        "state": JOB_STATES[rec.state],
-                        "started_tick": rec.started_tick,
-                        "completed_tick": rec.completed_tick,
-                    }
-                    for rec in self._submitted()
-                ],
-            },
-            "launcher": {
                 "next_to_submit": self.next_to_submit,
-                "records": [
-                    {
-                        "simulation_id": rec.simulation_id,
-                        "parameters": rec.parameters.copy(),
-                        "source": rec.source,
-                        "state": rec.state.value,
-                        "history": list(rec.history),
-                        "client": None if rec.client is None else rec.client.state_dict(),
-                    }
-                    for rec in self.records.values()
-                ],
-            },
+                "overwrites": self.overwrites,
+                **{key: getattr(self, key).copy() for key in COLUMNS},
+                "n_produced": np.array(n_produced, dtype=np.int64),
+            }
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Rebuild the ledger from the ``"scheduler"`` and ``"launcher"`` subtrees
-        of ``state``; running clients are fast-forwarded in place."""
-        scheduler: Dict = state["scheduler"]  # type: ignore[assignment]
-        launcher: Dict = state["launcher"]  # type: ignore[assignment]
-        if int(scheduler["job_limit"]) != self.job_limit:
-            raise ValueError(
-                f"scheduler job_limit mismatch: state has {scheduler['job_limit']}, "
-                f"launcher has {self.job_limit}"
-            )
-        jobs = {int(job["job_id"]): job for job in scheduler["jobs"]}
-        for record in self.records.values():
-            if record.client is not None:
-                record.client.close()  # the ledger being replaced gives its streams up first
-        records: Dict[int, SimulationRecord] = {}
-        for payload in launcher["records"]:
-            sim_id = int(payload["simulation_id"])
-            job = jobs.get(sim_id, {})
-            record = SimulationRecord(
-                simulation_id=sim_id,
-                parameters=np.asarray(payload["parameters"], dtype=np.float64),
-                source=str(payload["source"]),
-                state=SimulationState(payload["state"]),
-                history=[str(item) for item in payload["history"]],
-                submitted_tick=_optional_int(job.get("submitted_tick")),
-                eligible_tick=_optional_int(job.get("eligible_tick")),
-                started_tick=_optional_int(job.get("started_tick")),
-                completed_tick=_optional_int(job.get("completed_tick")),
-            )
-            if JOB_STATES.get(record.state) != job.get("state"):
-                raise ValueError(
-                    f"simulation {sim_id} is {record.state.value} in the launcher state "
-                    f"but {job.get('state')} in the scheduler state"
-                )
-            if payload["client"] is not None:
-                record.client = SolverClient(sim_id, record.parameters, self.solver, self.workers)
-                record.client.load_state_dict(payload["client"])
-            records[sim_id] = record
-        self.records = records
-        self.tick = int(scheduler["tick"])
-        self.max_start_delay = int(scheduler["max_start_delay"])
-        self.next_to_submit = int(launcher["next_to_submit"])
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Rebuild the ledger from the ``"launcher"`` subtree of ``state`` (or the
+        ``"scheduler"`` and ``"launcher"`` ones of schemas 1 to 5); running
+        clients are fast-forwarded in place."""
+        columns = _columns_of_records(state) if "scheduler" in state else state["launcher"]
+        if int(columns["job_limit"]) != self.job_limit:
+            raise ValueError(f"scheduler job_limit mismatch: state has {columns['job_limit']}, "
+                             f"launcher has {self.job_limit}")
+        for client in self._clients.values():
+            client.close()  # the ledger being replaced gives its streams up first
+        self._adopt(columns)
+        for key in ("tick", "max_start_delay", "next_to_submit", "overwrites"):
+            setattr(self, key, int(columns[key]))
+        self._clients = {}
+        for sim_id, n_produced in zip(self._running_ids(), np.asarray(columns["n_produced"]).tolist()):
+            self._start(sim_id, int(n_produced))
 
     # -------------------------------------------------------------- analysis
-    def from_uniform(self, simulation_ids: np.ndarray) -> List[bool]:
+    def from_uniform(self, simulation_ids: np.ndarray) -> np.ndarray:
         """Whether each simulation's parameters came from a uniform draw."""
-        records, uniform = self.records, ParameterSource.UNIFORM
-        return [records[sim_id].source in uniform for sim_id in simulation_ids.tolist()]
+        return _UNIFORM[self.source[simulation_ids]]
 
-    def executed_parameters(self) -> tuple[np.ndarray, List[str]]:
-        """Parameters and provenance of every simulation, in id order.
-
-        Includes pending simulations (their current parameters), which matches
-        the paper's Figure 4 statistic of "800 input parameters" of a run.
-        """
-        ids = sorted(self.records)
-        params = np.stack([self.records[i].parameters for i in ids], axis=0)
-        sources = [self.records[i].source for i in ids]
-        return params, sources
+    def executed_parameters(self) -> Tuple[np.ndarray, List[str]]:
+        """Parameters (a read-only view of the column) and provenance of every
+        simulation in id order, pending ones included: the paper's Figure 4
+        statistic of "800 input parameters" of a run."""
+        view = self.parameters.view()
+        view.flags.writeable = False
+        return view, [SOURCES[code] for code in self.source.tolist()]
 
     def summary(self) -> Dict[str, int]:
-        counts = {state.value: self.count_state(state) for state in SimulationState}
-        counts["total"] = self.budget
-        counts["overwrites"] = sum(rec.n_updates for rec in self.records.values())
-        return counts
+        counts = np.bincount(self.state, minlength=len(STATES)).tolist()
+        return {**dict(zip(STATES, counts)), "total": self.budget, "overwrites": self.overwrites}

@@ -278,7 +278,7 @@ class TrainingServer:
 
         Older snapshots also carry ``"n_samples_received"`` (the reservoir's
         count) and ``"uniform_flag_ids"``/``"uniform_flag_values"`` (the
-        launcher records' provenance); they are ignored.
+        launcher's provenance); they are ignored.
         """
         self.finish_validation()  # its shares are in flight: collect them, then overwrite the point
         self.iteration = int(state["iteration"])

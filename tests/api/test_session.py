@@ -153,12 +153,12 @@ class TestProvenance:
         """In a steered run, a Fig. 6 row is uniform exactly when its simulation's parameters are."""
         session = TrainingSession(heat1d_config)
         session.run()
-        records = session.launcher.records
-        started = [r for r in records.values() if r.started_tick is not None]
-        assert any(r.source == ParameterSource.PROPOSAL for r in started)
+        _, sources = session.launcher.executed_parameters()
+        started = np.flatnonzero(session.launcher.started_tick >= 0).tolist()
+        assert any(sources[sid] == ParameterSource.PROPOSAL for sid in started)
         rows = session.server.history.sample_statistics
         uniform = (ParameterSource.INITIAL_UNIFORM, ParameterSource.MIX_UNIFORM)
-        assert list(rows.uniform) == [records[sid].source in uniform for sid in rows.simulation_id.tolist()]
+        assert list(rows.uniform) == [sources[sid] in uniform for sid in rows.simulation_id.tolist()]
         assert not rows.uniform.all()
 
 

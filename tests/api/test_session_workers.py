@@ -21,7 +21,7 @@ from repro.api.session import OnlineTrainingResult, TrainingSession
 from repro.breed.samplers import BreedConfig
 from repro.checkpoint import restore_session, save_session
 from repro.api import OnlineTrainingConfig
-from repro.melissa.launcher import Launcher, SimulationState
+from repro.melissa.launcher import PENDING, Launcher
 from repro.melissa.workers import MIN_TRAJECTORY_FLOATS, SolverWorkerError, SolverWorkers
 from repro.solvers.heat2d import Heat2DConfig
 from repro.surrogate.validation import _sum_share, validation_loss
@@ -162,7 +162,7 @@ def test_steering_touches_only_simulations_never_observed(n_cpus, cpus, monkeypa
     update = Launcher.update_parameters
 
     def checked(launcher, simulation_id, parameters, source):
-        assert launcher.records[simulation_id].state is SimulationState.PENDING
+        assert launcher.state[simulation_id] == PENDING
         assert simulation_id not in session.sampler.tracker.observed_ids()
         steered.append(simulation_id)
         update(launcher, simulation_id, parameters, source)

@@ -14,6 +14,10 @@
 * Schema 5 writes each steering record's diagnostics; the records of older
   snapshots restore with ``None`` for them.  ``fixtures/schema4`` holds a
   snapshot written by the schema-4 writer.
+* Schema 6 writes the launcher's ledger as one ``"launcher"`` subtree of
+  columns; older ones wrote a ``"scheduler"`` subtree of jobs and a
+  ``"launcher"`` one of per-simulation records, which still restore.
+  ``fixtures/schema5`` holds a snapshot written by the schema-5 writer.
 """
 
 from __future__ import annotations
@@ -153,33 +157,41 @@ SCHEMA3_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema3" / "step-000000
 #: 25): six steerings, four running clients, pending rows, and steered
 #: simulations both started and still pending
 SCHEMA4_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema4" / "step-00000028"
+#: written by the schema-5 writer from ``SCHEMA1_CONFIG`` at tick 29 (iteration
+#: 26): six steerings, three running clients, pending rows, and steered
+#: simulations pending, running and finished
+SCHEMA5_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema5" / "step-00000029"
 #: the keys a snapshot no longer writes, by subtree ("" is the session's own)
 #: and by the first schema that writes none of them
 RETIRED_KEYS = {
-    "": {3: {"pending_parameters"}},
+    "": {3: {"pending_parameters"}, 6: {"scheduler"}},
     "server": {3: {"n_samples_received", "uniform_flag_ids", "uniform_flag_values"}},
     "sampler": {3: {"decisions"}, 4: {"last_trigger_iteration"}},
     "channel": {3: {"maxsize", "max_depth", "n_dropped"}},
     "tracker record": {4: {"parameters", "n_observations"}},
-    "launcher": {4: {"highest_submitted_id", "factory_created"}},
+    "launcher": {4: {"highest_submitted_id", "factory_created"}, 6: {"records"}},
     "launcher record": {4: {"n_updates"}},
     "client": {4: {"simulation_id", "parameters", "next_timestep"}},
 }
 
 
 def subtrees(state: dict) -> dict:
+    """The state's subtrees by :data:`RETIRED_KEYS` name; a schema-6 tree has
+    no launcher records, and so no launcher record or client subtree."""
     sampler = state["controller"]["sampler"]
-    records = state["launcher"]["records"]
-    return {
+    trees = {
         "": state,
         "server": state["server"],
         "sampler": sampler,
         "channel": state["transport"]["channels"][0],
         "tracker record": sampler["tracker"]["records"][0],
         "launcher": state["launcher"],
-        "launcher record": records[0],
-        "client": next(record["client"] for record in records if record["client"] is not None),
     }
+    records = state["launcher"].get("records")
+    if records is not None:
+        trees["launcher record"] = records[0]
+        trees["client"] = next(record["client"] for record in records if record["client"] is not None)
+    return trees
 
 
 def assert_writes_retired_keys(state: dict, schema: int) -> None:
@@ -296,6 +308,34 @@ def test_schema4_snapshot_restores_and_runs_bit_identical(make_config):
     assert_bit_identical(restored.run(), TrainingSession(config).run(), restored=6)
 
 
+def test_schema5_fixture_is_what_it_claims(make_config):
+    manifest = load_manifest(SCHEMA5_SNAPSHOT)
+    assert manifest["schema"] == 5
+    assert manifest["fingerprint"] == make_config(**SCHEMA1_CONFIG).digest()
+    state = manifest["state"]
+    assert_writes_retired_keys(state, 5)
+    assert state["controller"]["steering_count"] == 6 and state["n_pending_messages"] > 0
+    assert all(set(DIAGNOSTICS) <= set(record) for record in state["controller"]["records"])
+    records = state["launcher"]["records"]
+    assert sum(record["state"] == "running" for record in records) == 3
+    steered = [record for record in records if record["history"]]
+    assert {record["state"] for record in steered} >= {"pending", "running", "finished"}
+    jobs = [job["job_id"] for job in state["scheduler"]["jobs"]]
+    assert jobs == list(range(state["launcher"]["next_to_submit"]))
+
+
+def test_schema5_snapshot_restores_and_runs_bit_identical(make_config):
+    config = make_config(**SCHEMA1_CONFIG)
+    restored = restore_session(SCHEMA5_SNAPSHOT, config=config)
+    assert restored.n_ticks == 29 and restored.pending_blocks
+    assert [client.n_produced for client in restored.launcher.running_clients()] == [
+        record["client"]["n_produced"]
+        for record in load_manifest(SCHEMA5_SNAPSHOT)["state"]["launcher"]["records"]
+        if record["state"] == "running"
+    ]
+    assert_bit_identical(restored.run(), TrainingSession(config).run())
+
+
 @pytest.mark.parametrize(
     "fixture, n_records",
     [(SCHEMA1_SNAPSHOT, 1), (SCHEMA2_SNAPSHOT, 3), (SCHEMA3_SNAPSHOT, 5), (SCHEMA4_SNAPSHOT, 6)],
@@ -311,23 +351,33 @@ def test_records_restored_from_an_old_schema_carry_no_diagnostics(make_config, f
 
 
 def test_a_snapshot_of_a_newer_schema_is_refused(tmp_path):
-    snapshot = tmp_path / SCHEMA4_SNAPSHOT.name
-    shutil.copytree(SCHEMA4_SNAPSHOT, snapshot)
+    snapshot = tmp_path / SCHEMA5_SNAPSHOT.name
+    shutil.copytree(SCHEMA5_SNAPSHOT, snapshot)
     manifest = json.loads((snapshot / "manifest.json").read_text())
-    manifest["schema"] = 6
+    manifest["schema"] = 7
     (snapshot / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(SnapshotError, match="schema version 6"):
+    with pytest.raises(SnapshotError, match="schema version 7"):
         load_manifest(snapshot)
 
 
+#: the keys of a schema-6 ``"launcher"`` subtree: counters, then one column per fact
+LAUNCHER_KEYS = [
+    "tick", "job_limit", "max_start_delay", "next_to_submit", "overwrites", "parameters", "source", "state",
+    "submitted_tick", "eligible_tick", "started_tick", "completed_tick", "n_produced",
+]
+
+
 @pytest.mark.parametrize(
-    "fixture", [SCHEMA2_SNAPSHOT, SCHEMA3_SNAPSHOT, SCHEMA4_SNAPSHOT], ids=["schema2", "schema3", "schema4"]
+    "fixture",
+    [SCHEMA2_SNAPSHOT, SCHEMA3_SNAPSHOT, SCHEMA4_SNAPSHOT, SCHEMA5_SNAPSHOT],
+    ids=["schema2", "schema3", "schema4", "schema5"],
 )
 def test_a_new_snapshot_writes_no_retired_key(make_config, tmp_path, fixture):
     session = restore_session(fixture, config=make_config(**SCHEMA1_CONFIG))
     manifest = load_manifest(save_session(session, tmp_path))
+    n_running = len(session.launcher.running_clients())
     session.close()
-    assert manifest["schema"] == SCHEMA_VERSION == 5
+    assert manifest["schema"] == SCHEMA_VERSION == 6
     state = manifest["state"]
     assert all(set(DIAGNOSTICS) <= set(record) for record in state["controller"]["records"])
     assert state["n_pending_messages"] > 0 and state["controller"]["steering_count"] >= 3
@@ -336,6 +386,12 @@ def test_a_new_snapshot_writes_no_retired_key(make_config, tmp_path, fixture):
     # the tracker writes observed simulations only, and a client its progress only
     tracker = state["controller"]["sampler"]["tracker"]
     assert all(record["counts"]["__ndarray__"][2] != [0] for record in tracker["records"])
-    assert len(tracker["records"]) < len(state["launcher"]["records"])
-    clients = [record["client"] for record in state["launcher"]["records"] if record["client"] is not None]
-    assert clients and all(set(client) == {"n_produced", "finished"} for client in clients)
+    assert len(tracker["records"]) < SCHEMA1_CONFIG["n_simulations"]
+    # the ledger is a fixed number of arrays, one row per simulation, and no per-simulation list
+    launcher = state["launcher"]
+    assert list(launcher) == LAUNCHER_KEYS
+    assert not any(isinstance(value, list) for value in launcher.values())
+    assert launcher["parameters"]["__ndarray__"].startswith("a")  # its own (S, d) member
+    for key in LAUNCHER_KEYS[6:-1]:
+        assert launcher[key]["__ndarray__"][2] == [SCHEMA1_CONFIG["n_simulations"]], key
+    assert launcher["n_produced"]["__ndarray__"][2] == [n_running] and n_running > 0

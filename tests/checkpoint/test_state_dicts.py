@@ -8,12 +8,15 @@ stored attributes.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.breed.acquisition import LossDeviationTracker, loss_deviations
 from repro.breed.controller import BreedController
 from repro.breed.samplers import BreedConfig, BreedSampler, RandomSampler
+from repro.checkpoint.snapshot import decode_state, load_manifest
 from repro.melissa.client import SolverClient
 from repro.melissa.launcher import Launcher
 from repro.melissa.reservoir import Reservoir
@@ -136,7 +139,7 @@ class TestLauncher:
         restored = self._launcher(tiny_solver, rng2)
         rng2.bit_generator.state = rng_state
         restored.load_state_dict(state)
-        assert restored.tick == int(state["scheduler"]["tick"])
+        assert restored.tick == int(state["launcher"]["tick"])
         assert restored.summary() == summary_at_save
         assert drive(restored) == expected
 
@@ -147,12 +150,41 @@ class TestLauncher:
             other.load_state_dict(launcher.state_dict())
 
     def test_disagreeing_job_state_rejected(self, tiny_solver):
-        launcher = self._launcher(tiny_solver, np.random.default_rng(0))
-        launcher.submit_available()
-        state = launcher.state_dict()
+        """Schemas 1 to 5 wrote each submitted simulation's state twice, as a
+        scheduler job and as a launcher record: the two must agree."""
+        state = old_format_state()
+        params = np.stack([record["parameters"] for record in state["launcher"]["records"]])
+        launcher = Launcher(params, tiny_solver, 4, np.random.default_rng(0))
+        assert state["scheduler"]["jobs"][0]["state"] == "completed"
         state["scheduler"]["jobs"][0]["state"] = "running"
-        with pytest.raises(ValueError, match="simulation 0 is submitted"):
-            self._launcher(tiny_solver, np.random.default_rng(0)).load_state_dict(state)
+        with pytest.raises(ValueError, match="simulation 0 is finished in the launcher state but running"):
+            launcher.load_state_dict(state)
+        with pytest.raises(ValueError, match="job_limit"):
+            Launcher(params, tiny_solver, 3, np.random.default_rng(0)).load_state_dict(old_format_state())
+
+    def test_a_finished_simulation_restores_without_a_client(self, tiny_solver):
+        params = uniform_in_bounds(4, HEAT2D_BOUNDS, np.random.default_rng(1))
+        launcher = Launcher(params, tiny_solver, 2, np.random.default_rng(0))
+        launcher.submit_available()
+        first, second = launcher.advance()
+        second.produce(2)
+        launcher.mark_finished(first.simulation_id)
+        restored = Launcher(params, tiny_solver, 2, np.random.default_rng(0))
+        restored.load_state_dict(launcher.state_dict())
+        (client,) = restored.running_clients()
+        assert (client.simulation_id, client.n_produced) == (second.simulation_id, 2)
+        assert restored.summary() == launcher.summary()
+
+
+#: a snapshot written by the schema-5 writer, whose ledger is the records of schemas 1 to 5
+SCHEMA5_SNAPSHOT = Path(__file__).parent / "fixtures" / "schema5" / "step-00000029"
+
+
+def old_format_state() -> dict:
+    """The schema-5 fixture's state tree: a ``"scheduler"`` subtree of job
+    records and a ``"launcher"`` one of simulation records."""
+    with np.load(SCHEMA5_SNAPSHOT / "arrays.npz") as archive:
+        return decode_state(load_manifest(SCHEMA5_SNAPSHOT)["state"], dict(archive))
 
 
 class TestClient:
@@ -160,25 +192,13 @@ class TestClient:
         params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
         original = SolverClient(0, params, tiny_solver)
         original.produce(3)
-        state = original.state_dict()
-        assert state == {"n_produced": 3, "finished": False}
         expected = original.produce(2)
 
         resumed = SolverClient(0, params, tiny_solver)
-        resumed.load_state_dict(state)
-        assert resumed.n_produced == 3
+        resumed.n_produced = 3
+        resumed.start()
         assert np.array_equal(resumed.produce(2), expected)
         assert resumed.n_produced == 5
-
-    def test_finished_client_stays_finished(self, tiny_solver):
-        params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
-        client = SolverClient(1, params, tiny_solver)
-        while not client.finished:
-            client.produce(10)
-        resumed = SolverClient(1, params, tiny_solver)
-        resumed.load_state_dict(client.state_dict())
-        assert resumed.finished
-        assert len(resumed.produce(5)) == 0
 
     def test_client_holds_its_records_parameters(self, tiny_solver):
         params = np.array([150.0, 200.0, 250.0, 300.0, 350.0])

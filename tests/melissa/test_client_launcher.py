@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.breed.samplers import ParameterSource
 from repro.melissa.client import SolverClient
-from repro.melissa.launcher import Launcher, SimulationState
+from repro.melissa.launcher import Launcher
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.sampling.uniform import uniform_in_bounds
 
@@ -55,9 +55,6 @@ class TestSolverClient:
         with pytest.raises(ValueError):
             SolverClient(0, np.array(params), tiny_solver).produce(0)
 
-    def test_expected_timesteps(self, tiny_solver, params):
-        assert SolverClient(0, np.array(params), tiny_solver).expected_timesteps == tiny_solver.n_timesteps + 1
-
 
 def make_launcher(tiny_solver, n_simulations=12, job_limit=3, delay=0, seed=0):
     rng = np.random.default_rng(seed)
@@ -69,7 +66,7 @@ class TestLauncherSubmission:
     def test_budget_and_initial_state(self, tiny_solver):
         launcher = make_launcher(tiny_solver)
         assert launcher.budget == 12
-        assert launcher.count_state(SimulationState.PENDING) == 12
+        assert launcher.summary()["pending"] == 12
         assert launcher.highest_submitted_id == -1
 
     def test_empty_budget_rejected(self, tiny_solver):
@@ -95,9 +92,9 @@ class TestLauncherSubmission:
         launcher.submit_available()
         clients = launcher.advance()
         assert len(clients) == 2
-        assert launcher.count_state(SimulationState.RUNNING) == 2
+        assert launcher.summary()["running"] == 2
         launcher.mark_finished(clients[0].simulation_id)
-        assert launcher.count_state(SimulationState.FINISHED) == 1
+        assert launcher.summary()["finished"] == 1
         # A freed slot allows the next submission.
         assert launcher.submit_available() == [2]
 
@@ -112,6 +109,14 @@ class TestLauncherSubmission:
         launcher.advance()
         assert len(launcher.running_clients()) == 2
 
+    def test_a_finished_client_is_closed_and_dropped(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, job_limit=2)
+        launcher.submit_available()
+        first, second = launcher.advance()
+        launcher.mark_finished(first.simulation_id)
+        assert first._rows is None
+        assert launcher.running_clients() == [second]
+
     def test_all_finished(self, tiny_solver):
         launcher = make_launcher(tiny_solver, n_simulations=2, job_limit=2)
         launcher.submit_available()
@@ -124,12 +129,14 @@ class TestLauncherSubmission:
         launcher = make_launcher(tiny_solver, job_limit=1)
         launcher.submit_available()
         (client,) = launcher.advance()
-        record = launcher.records[client.simulation_id]
-        assert (record.submitted_tick, record.started_tick, record.completed_tick) == (0, 1, None)
-        launcher.mark_finished(client.simulation_id)
-        assert record.completed_tick == 1
-        untouched = [r for r in launcher.records.values() if r is not record]
-        assert all(r.submitted_tick is None and r.started_tick is None for r in untouched)
+        sim_id = client.simulation_id
+        assert (launcher.submitted_tick[sim_id], launcher.started_tick[sim_id]) == (0, 1)
+        assert launcher.completed_tick[sim_id] == -1
+        launcher.mark_finished(sim_id)
+        assert launcher.completed_tick[sim_id] == 1
+        untouched = np.arange(launcher.budget) != sim_id
+        assert (launcher.submitted_tick[untouched] == -1).all()
+        assert (launcher.started_tick[untouched] == -1).all()
 
 
 class TestLauncherScheduling:
@@ -138,9 +145,8 @@ class TestLauncherScheduling:
     def test_submit_leaves_jobs_queued(self, tiny_solver):
         launcher = make_launcher(tiny_solver, job_limit=3)
         launcher.submit_available()
-        assert launcher.count_state(SimulationState.SUBMITTED) == 3
-        record = launcher.records[0]
-        assert (record.submitted_tick, record.eligible_tick, record.started_tick) == (0, 0, None)
+        assert launcher.summary()["submitted"] == 3
+        assert (launcher.submitted_tick[0], launcher.eligible_tick[0], launcher.started_tick[0]) == (0, 0, -1)
 
     def test_each_id_is_submitted_once_in_id_order(self, tiny_solver):
         launcher = make_launcher(tiny_solver, n_simulations=7, job_limit=2, delay=2)
@@ -156,15 +162,15 @@ class TestLauncherScheduling:
         launcher = make_launcher(tiny_solver, n_simulations=5, job_limit=2)
         launcher.submit_available()
         assert len(launcher.advance()) == 2
-        assert launcher.count_state(SimulationState.RUNNING) == 2
-        assert launcher.count_state(SimulationState.PENDING) == 3
+        assert launcher.summary()["running"] == 2
+        assert launcher.summary()["pending"] == 3
 
     def test_completion_frees_slot(self, tiny_solver):
         launcher = make_launcher(tiny_solver, n_simulations=2, job_limit=1)
         launcher.submit_available()
         launcher.advance()
         launcher.mark_finished(0)
-        assert launcher.records[0].completed_tick == 1
+        assert launcher.completed_tick[0] == 1
         launcher.submit_available()
         assert [client.simulation_id for client in launcher.advance()] == [1]
 
@@ -190,7 +196,7 @@ class TestLauncherScheduling:
         for _ in range(6):
             launcher.advance()
         # After the delay window has elapsed, the running set fills the limit.
-        assert launcher.count_state(SimulationState.RUNNING) == 10
+        assert launcher.summary()["running"] == 10
 
     def test_jitter_can_reorder_start_order(self, tiny_solver):
         # With a wide delay window some seed must start a later-submitted job first.
@@ -240,7 +246,7 @@ class TestLauncherScheduling:
         for _ in range(400):
             launcher.submit_available()
             launcher.advance()
-            assert launcher.count_state(SimulationState.RUNNING) <= job_limit
+            assert launcher.summary()["running"] <= job_limit
             # Randomly complete some running jobs.
             for client in launcher.running_clients():
                 if rng.random() < 0.5:
@@ -276,11 +282,20 @@ class TestLauncherSteering:
         target = launcher.steerable_simulation_ids()[0]
         new_params = np.full(5, 321.0)
         launcher.update_parameters(target, new_params, ParameterSource.PROPOSAL)
-        record = launcher.records[target]
-        np.testing.assert_array_equal(record.parameters, new_params)
-        assert record.source == ParameterSource.PROPOSAL
-        assert record.n_updates == 1
-        assert record.history == [ParameterSource.PROPOSAL]
+        params, sources = launcher.executed_parameters()
+        np.testing.assert_array_equal(params[target], new_params)
+        assert sources[target] == ParameterSource.PROPOSAL
+        assert launcher.summary()["overwrites"] == 1
+
+    def test_unknown_source_rejected(self, tiny_solver):
+        """A source is one ``ParameterSource`` tag: a misspelled one would count
+        as non-uniform in the Fig. 6 ``uniform`` column."""
+        launcher = make_launcher(tiny_solver, n_simulations=8, job_limit=2)
+        before = launcher.executed_parameters()[0].copy()
+        with pytest.raises(ValueError, match="unknown parameter source 'proposl'"):
+            launcher.update_parameters(7, np.full(5, 321.0), "proposl")
+        np.testing.assert_array_equal(launcher.executed_parameters()[0], before)
+        assert launcher.summary()["overwrites"] == 0
 
     def test_update_parameters_rejected_for_non_pending(self, tiny_solver):
         launcher = make_launcher(tiny_solver, job_limit=2)
@@ -311,6 +326,13 @@ class TestLauncherSteering:
         assert params.shape == (6, 5)
         assert sources[5] == ParameterSource.MIX_UNIFORM
         assert sources[0] == ParameterSource.INITIAL_UNIFORM
+
+    def test_executed_parameters_are_a_read_only_view(self, tiny_solver):
+        launcher = make_launcher(tiny_solver, n_simulations=6, job_limit=2)
+        params, _ = launcher.executed_parameters()
+        assert not params.flags.writeable and np.shares_memory(params, launcher.parameters)
+        launcher.update_parameters(5, np.full(5, 200.0), ParameterSource.PROPOSAL)
+        np.testing.assert_array_equal(params[5], np.full(5, 200.0))
 
     def test_summary_counts_overwrites(self, tiny_solver):
         launcher = make_launcher(tiny_solver, n_simulations=6, job_limit=2)

@@ -121,10 +121,9 @@ class PerBlockServer:
 def per_block_session_receive(self) -> int:
     """Phase 3 — drain pending blocks while the reservoir accepts their rows."""
     received = 0
-    records = self.launcher.records
     while self.pending_blocks:
         simulation_id, first_timestep, rows = self.pending_blocks[0]
-        parameters = records[simulation_id].parameters
+        parameters = self.launcher.parameters[simulation_id]
         stored = self.server.receive(simulation_id, parameters, first_timestep, rows)
         received += stored
         if stored < len(rows):  # the reservoir is full of unseen samples
@@ -179,7 +178,7 @@ def drive(capacity: int, watermark: int, seed: int, ticks) -> dict:
     """Run both ingests through ``ticks``, comparing after each step; returns what happened."""
     payload = np.random.default_rng(seed)
     parameters = {sid: payload.uniform(100.0, 500.0, 5) for sid in range(6)}
-    launcher = SimpleNamespace(records={sid: SimpleNamespace(parameters=p) for sid, p in parameters.items()})
+    launcher = SimpleNamespace(parameters=np.stack(list(parameters.values())))
     model = SimpleNamespace(scalers=SCALERS)
     reservoir = Reservoir(capacity, watermark, np.random.default_rng(seed))
     server = TrainingServer(model, optimizer=None, reservoir=reservoir, controller=None, batch_size=1)

@@ -1,21 +1,25 @@
 """Exact-equality oracle for the launcher's one simulation ledger.
 
 :class:`repro.melissa.launcher.Launcher` keeps each simulation's whole
-lifecycle — parameters, provenance, state, scheduler ticks and client — in one
-record.  It replaced three classes that each kept part of it: a batch
-scheduler with its own job state machine, a client factory that logged the
-start order, and a launcher that kept both in step.  Those three classes are
-copied below, verbatim, as the reference.
+lifecycle — parameters, provenance, state, scheduler ticks — as one row of
+its columns, and the running clients by id.  It replaced three classes that
+each kept part of it: a batch scheduler with its own job state machine, a
+client factory that logged the start order, and a launcher of per-simulation
+records that kept both in step.  Those three classes are copied below,
+verbatim, as the reference.
 
 Hypothesis drives the reference and the ledger through the same ticks: random
 budgets, job limits, start delays and seeds, random finishes of running
-clients and random steering of steerable ids.  After every tick the submitted
-and started ids, the steerable ids, the start-delay RNG, the summary and both
-snapshot subtrees (``"scheduler"`` and ``"launcher"``) must be equal, less the
-fields the ledger no longer writes because other fields give them
-(:data:`RETIRED`).  Part way through, a state written by each side is loaded
-into the other (into the reference with those fields re-derived), and the
-loaded copies must go on identically too.
+clients and random steering of steerable ids.  After every tick the submitted,
+started and running ids (in order), the steerable ids, the start-delay RNG,
+the summary, the uniform flag of every id, the executed parameters and the
+snapshot state must be equal.  The reference's ``"scheduler"`` and
+``"launcher"`` records are compared with the ledger's columns through
+:func:`as_columns`, and the ledger's columns with the reference's records
+through :func:`as_records`; both keep a record's steering ``history`` as its
+length only, as the ledger does.  Part way through, a state written by each
+side is loaded into the other — the reference's records through the ledger's
+schema-1-to-5 reader — and the loaded copies must go on identically too.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.breed.samplers import ParameterSource
 from repro.melissa import launcher as ledger
-from repro.melissa.client import SolverClient
+from repro.melissa import client as melissa_client
 from repro.sampling.bounds import HEAT2D_BOUNDS
 from repro.sampling.uniform import uniform_in_bounds
 from repro.solvers.base import Solver
@@ -434,7 +438,30 @@ class Launcher:
 # The oracle
 # ---------------------------------------------------------------------------
 
+
+class SolverClient(melissa_client.SolverClient):
+    """The client the reference builds: the ledger's, with the progress state
+    the reference saves and resumes its clients by (the ledger writes its
+    running clients' ``n_produced`` as a column instead)."""
+
+    def state_dict(self) -> dict:
+        return {"n_produced": self.n_produced, "finished": self.finished}
+
+    def load_state_dict(self, state: dict) -> None:
+        self.finished = bool(state["finished"])
+        self.n_produced = int(state["n_produced"])
+        if not self.finished:
+            self.start()
+
+
 STEERING_SOURCES = [ParameterSource.PROPOSAL, ParameterSource.MIX_UNIFORM]
+#: the ledger's code of each source and state, and the scheduler's name of each state
+SOURCE_CODES = {
+    ParameterSource.INITIAL_UNIFORM: 0, ParameterSource.MIX_UNIFORM: 1, ParameterSource.PROPOSAL: 2
+}
+STATE_CODES = {"pending": 0, "submitted": 1, "running": 2, "finished": 3}
+JOB_NAMES = {"submitted": "queued", "running": "running", "finished": "completed"}
+TICKS = ("submitted_tick", "eligible_tick", "started_tick", "completed_tick")
 
 
 def build_reference(params, solver, job_limit, rng, max_start_delay) -> Launcher:
@@ -450,47 +477,130 @@ def load_reference(launcher: Launcher, state: dict) -> None:
     launcher.load_state_dict(state["launcher"])
 
 
-#: the reference's ``"launcher"`` keys the ledger does not write, and its records' keys
-RETIRED = {"highest_submitted_id", "factory_created"}
-RETIRED_RECORD = {"n_updates"}
+def as_columns(state: dict) -> dict:
+    """The reference's records as the ledger's columns: one row per simulation,
+    −1 for a tick not yet reached, the histories' total length as the
+    overwrites and the running clients' progress in id order."""
+    scheduler, records = state["scheduler"], state["launcher"]["records"]
+    jobs = {job["job_id"]: job for job in scheduler["jobs"]}
+
+    def ticks(key: str) -> np.ndarray:
+        values = [jobs.get(record["simulation_id"], {}).get(key) for record in records]
+        return np.array([-1 if value is None else value for value in values], dtype=np.int64)
+
+    return {
+        "launcher": {
+            "tick": scheduler["tick"],
+            "job_limit": scheduler["job_limit"],
+            "max_start_delay": scheduler["max_start_delay"],
+            "next_to_submit": state["launcher"]["next_to_submit"],
+            "overwrites": sum(len(record["history"]) for record in records),
+            "parameters": np.stack([record["parameters"] for record in records]),
+            "source": np.array([SOURCE_CODES[record["source"]] for record in records], dtype=np.int8),
+            "state": np.array([STATE_CODES[record["state"]] for record in records], dtype=np.int8),
+            **{key: ticks(key) for key in TICKS},
+            "n_produced": np.array(
+                [record["client"]["n_produced"] for record in records if record["state"] == "running"],
+                dtype=np.int64,
+            ),
+        }
+    }
 
 
-def without_retired(state: dict) -> dict:
-    """The reference's state as the ledger writes it."""
-    launcher = {key: value for key, value in state["launcher"].items() if key not in RETIRED}
-    launcher["records"] = [
-        {key: value for key, value in record.items() if key not in RETIRED_RECORD}
-        for record in launcher["records"]
+def as_records(state: dict) -> dict:
+    """The ledger's columns as the reference's records, with the fields the
+    ledger does not keep re-derived: the newest submitted id, the clients'
+    start order from the jobs' ticks, and each record's update count from its
+    history.  The columns keep the overwrites' total only: simulation 0's
+    history carries them all.  Only running simulations have a client."""
+    columns = state["launcher"]
+    names = {code: name for name, code in STATE_CODES.items()}
+    states = [names[code] for code in columns["state"].tolist()]
+    sources = {code: source for source, code in SOURCE_CODES.items()}
+
+    def tick(sim_id: int, key: str) -> Optional[int]:
+        value = int(columns[key][sim_id])
+        return None if value < 0 else value
+
+    jobs = [
+        {
+            "job_id": sim_id,
+            "submitted_tick": tick(sim_id, "submitted_tick"),
+            "eligible_tick": tick(sim_id, "eligible_tick"),
+            "state": JOB_NAMES[states[sim_id]],
+            "started_tick": tick(sim_id, "started_tick"),
+            "completed_tick": tick(sim_id, "completed_tick"),
+        }
+        for sim_id in range(columns["next_to_submit"])
     ]
-    return {"scheduler": state["scheduler"], "launcher": launcher}
-
-
-def with_derived(state: dict) -> dict:
-    """The ledger's state with the retired fields re-derived: the newest submitted
-    id, the clients' start order from the jobs' ticks, and each record's
-    update count from its history."""
-    launcher = state["launcher"]
     started = sorted(
-        (job for job in state["scheduler"]["jobs"] if job["started_tick"] is not None),
+        (job for job in jobs if job["started_tick"] is not None),
         key=lambda job: (job["started_tick"], job["eligible_tick"], job["job_id"]),
     )
+    progress = iter(columns["n_produced"].tolist())
+    records = []
+    for sim_id, name in enumerate(states):
+        history = [ParameterSource.PROPOSAL] * columns["overwrites"] if sim_id == 0 else []
+        records.append(
+            {
+                "simulation_id": sim_id,
+                "parameters": columns["parameters"][sim_id].copy(),
+                "source": sources[int(columns["source"][sim_id])],
+                "state": name,
+                "n_updates": len(history),
+                "history": history,
+                "client": {"n_produced": next(progress), "finished": False} if name == "running" else None,
+            }
+        )
+    return {
+        "scheduler": {
+            "tick": columns["tick"],
+            "job_limit": columns["job_limit"],
+            "max_start_delay": columns["max_start_delay"],
+            "jobs": jobs,
+        },
+        "launcher": {
+            "highest_submitted_id": columns["next_to_submit"] - 1,
+            "next_to_submit": columns["next_to_submit"],
+            "factory_created": [job["job_id"] for job in started],
+            "records": records,
+        },
+    }
+
+
+#: the record keys :func:`with_history_length` replaces
+DROPPED = ("n_updates", "history", "client")
+
+
+def with_history_length(state: dict) -> dict:
+    """A record-shaped state with its histories reduced to their total length
+    and the client of every simulation that is not running dropped: what
+    :func:`as_records` can give back."""
+    launcher = state["launcher"]
+    records = launcher["records"]
     return {
         "scheduler": state["scheduler"],
         "launcher": {
-            "highest_submitted_id": launcher["next_to_submit"] - 1,
-            "next_to_submit": launcher["next_to_submit"],
-            "factory_created": [job["job_id"] for job in started],
+            **{key: value for key, value in launcher.items() if key != "records"},
+            "overwrites": sum(len(record["history"]) for record in records),
             "records": [
                 {
-                    **{key: record[key] for key in ("simulation_id", "parameters", "source", "state")},
-                    "n_updates": len(record["history"]),
-                    "history": record["history"],
-                    "client": record["client"],
+                    **{key: value for key, value in record.items() if key not in DROPPED},
+                    "client": record["client"] if record["state"] == "running" else None,
                 }
-                for record in launcher["records"]
+                for record in records
             ],
         },
     }
+
+
+def uniform_flags(side) -> list:
+    """Whether each simulation's parameters came from a uniform draw, over every id."""
+    launcher, _, is_reference = side
+    ids = np.arange(launcher.budget)
+    if is_reference:
+        return [launcher.records[sim_id].source in ParameterSource.UNIFORM for sim_id in ids.tolist()]
+    return [bool(flag) for flag in launcher.from_uniform(ids)]
 
 
 def generator_at(rng: np.random.Generator) -> np.random.Generator:
@@ -503,7 +613,7 @@ def assert_same(a, b, path: str = "state") -> None:
     """Equal key for key and in key order; arrays by value, dtype and shape."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), path
-        assert a.dtype == b.dtype and np.array_equal(a, b), path
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), path
     elif isinstance(a, dict):
         assert isinstance(b, dict) and list(a) == list(b), path
         for key in a:
@@ -542,9 +652,14 @@ def test_ledger_equals_the_three_class_reference(
     ]
     actions = np.random.default_rng(seed + 1)
 
-    def state_of(side) -> dict:
+    def columns_of(side) -> dict:
         launcher, _, is_reference = side
-        return without_retired(reference_state(launcher)) if is_reference else launcher.state_dict()
+        return as_columns(reference_state(launcher)) if is_reference else launcher.state_dict()
+
+    def records_of(side) -> dict:
+        launcher, _, is_reference = side
+        state = reference_state(launcher) if is_reference else as_records(launcher.state_dict())
+        return with_history_length(state)
 
     for tick in range(1, 300):
         if tick == reload_tick:
@@ -553,9 +668,9 @@ def test_ledger_equals_the_three_class_reference(
             reference, new = sides[0], sides[1]
             into_new_rng, into_reference_rng = generator_at(reference[1]), generator_at(new[1])
             into_new = ledger.Launcher(params, tiny_solver, job_limit, into_new_rng)
-            into_new.load_state_dict(reference_state(reference[0]))
+            into_new.load_state_dict(reference_state(reference[0]))  # the schema-1-to-5 reader
             into_reference = build_reference(params, tiny_solver, job_limit, into_reference_rng, 0)
-            load_reference(into_reference, with_derived(new[0].state_dict()))
+            load_reference(into_reference, as_records(new[0].state_dict()))
             sides += [(into_new, into_new_rng, False), (into_reference, into_reference_rng, True)]
 
         all_equal([side[0].submit_available() for side in sides], "submitted ids")
@@ -564,8 +679,10 @@ def test_ledger_equals_the_three_class_reference(
         ]
         all_equal([[client.simulation_id for client in clients] for clients in started], "started ids")
 
-        for sim_id in [client.simulation_id for client in sides[0][0].running_clients()]:
-            clients = [side[0].records[sim_id].client for side in sides]
+        running = [side[0].running_clients() for side in sides]
+        all_equal([[client.simulation_id for client in clients] for clients in running], "running ids")
+        for clients in zip(*running):
+            sim_id = clients[0].simulation_id
             if actions.random() < 0.6:
                 n_steps = int(actions.integers(1, 4))
                 all_equal([client.produce(n_steps) for client in clients], f"rows of {sim_id}")
@@ -584,12 +701,11 @@ def test_ledger_equals_the_three_class_reference(
 
         all_equal([side[1].bit_generator.state for side in sides], "start-delay RNG")
         all_equal([side[0].summary() for side in sides], "summary")
+        all_equal([uniform_flags(side) for side in sides], "uniform flags")
+        all_equal([list(side[0].executed_parameters()) for side in sides], "executed parameters")
         all_equal([side[0].steerable_simulation_ids() for side in sides], "steerable ids after steering")
-        all_equal([state_of(side) for side in sides], "state")
-        all_equal(
-            [reference_state(side[0]) if side[2] else with_derived(side[0].state_dict()) for side in sides],
-            "state with the retired fields re-derived",
-        )
+        all_equal([columns_of(side) for side in sides], "state as columns")
+        all_equal([records_of(side) for side in sides], "state as records, the retired fields re-derived")
         if sides[0][0].all_finished:
             break
     assert all(side[0].all_finished for side in sides)

@@ -76,11 +76,11 @@ def test_a_restored_client_resumes_with_the_solver_rows(workers, tiny_solver, pr
     original.start()
     if produced:
         assert len(original.produce(produced)) == produced
-    state = original.state_dict()
     original.close()
 
     resumed = SolverClient(1, PARAMETERS[1], tiny_solver, workers)
-    resumed.load_state_dict(state)  # the solver or worker skips `produced`
+    resumed.n_produced = original.n_produced
+    resumed.start()  # the solver or worker skips `produced`
     assert resumed.n_produced == produced and not resumed.finished
     assert np.array_equal(resumed.produce(5), expected[produced : produced + 5])
     assert np.array_equal(resumed.produce(5), expected[produced + 5 : produced + 10])

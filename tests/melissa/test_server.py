@@ -92,7 +92,7 @@ def test_block_receive_equals_per_sample_encodes(workload):
     )
     session = TrainingSession(config)
     try:
-        params = session.launcher.records[0].parameters
+        params = session.launcher.parameters[0]
         trajectory = np.array(list(session.solver.steps(params)))
         assert session.server.receive([(3, 2, trajectory[2:])], [params]) == len(trajectory) - 2
         scalers = session.model.scalers
